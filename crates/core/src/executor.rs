@@ -108,8 +108,11 @@ pub struct SweepStats {
     /// Bytes staged through the packed-kernel pack buffers during the sweep
     /// window, observed on the calling thread (see
     /// [`tucker_linalg::bytes_packed`]). Host backends fill this; distsim
-    /// leaves it zero (its ranks run the naive reference kernels). Work done
-    /// on scoped worker threads is not included — the counter is a
+    /// leaves it zero — its ranks run the same packed kernels (`dist_ttm` →
+    /// `tucker_tensor::ttm`, `gram_cols` → the fused slab kernel, both
+    /// dispatching on `pack::use_packed`), but on rank threads/fibers whose
+    /// thread-local counters the engine does not collect. Work done on
+    /// scoped worker threads is not included either — the counter is a
     /// calling-thread cache-traffic gauge, not a global ledger.
     pub kernel_bytes: u64,
     /// Relative error after this sweep.

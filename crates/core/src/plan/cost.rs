@@ -32,7 +32,7 @@ use crate::plan::grid::DynGridScheme;
 use crate::plan::order::core_chain_order;
 use crate::plan::tree::{NodeLabel, TtmTree};
 use std::time::Duration;
-use tucker_distsim::block::{chunk, chunk_cover, split_extents};
+use tucker_distsim::block::{chunk, chunk_cover};
 use tucker_distsim::{Grid, NetModel};
 
 /// Per-node cardinalities and costs for a tree under given metadata.
@@ -113,18 +113,33 @@ pub fn tree_flops_normalized(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
 /// insensitive to it (verified against brute-force enumeration in tests).
 pub const VOLUME_FLOP_EQUIV: f64 = 16.0;
 
+/// Capacity of the per-mode stack buffers the α–β prices work in (the joint
+/// DP asserts the same bound on the mode count; a longer shape panics on
+/// the buffer slice).
+const MAX_ORDER: usize = 16;
+
 /// The global tensor shape after multiplying the modes in `premult` (a
 /// bitmask): `L_n` for untouched modes, `K_n` for multiplied ones.
 pub fn premult_shape(meta: &TuckerMeta, premult: u32) -> Vec<usize> {
-    (0..meta.order())
-        .map(|n| {
-            if premult & (1 << n) != 0 {
-                meta.k(n)
-            } else {
-                meta.l(n)
-            }
-        })
-        .collect()
+    premult_shape_into(meta, premult, &mut [0; MAX_ORDER]).to_vec()
+}
+
+/// [`premult_shape`] written into a stack buffer; returns the filled prefix.
+fn premult_shape_into<'b>(
+    meta: &TuckerMeta,
+    premult: u32,
+    buf: &'b mut [usize; MAX_ORDER],
+) -> &'b [usize] {
+    let order = meta.order();
+    assert!(order <= MAX_ORDER, "mode count {order} exceeds {MAX_ORDER}");
+    for (n, slot) in buf[..order].iter_mut().enumerate() {
+        *slot = if premult & (1 << n) != 0 {
+            meta.k(n)
+        } else {
+            meta.l(n)
+        };
+    }
+    &buf[..order]
 }
 
 /// The pluggable objective of the planning layer. All prices are per
@@ -154,7 +169,8 @@ pub trait CostModel {
     /// model charges the §4.3 `|In(u)|` regardless of the grids; the α–β
     /// model charges rank 0's exact share of the all-to-all (the message
     /// pattern — and therefore the α term — depends heavily on how the two
-    /// grids overlap).
+    /// grids overlap). Must be non-negative: the search skips regrid targets
+    /// whose continuation alone cannot beat the running optimum.
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64;
 
     /// Price of the leaf for mode `n`: the distributed Gram of `T[premult]`
@@ -341,60 +357,53 @@ impl NetCostModel {
     /// `(rank, peer)` endpoint pair.
     fn ttm_rank_ns(&self, shape: &[usize], n: usize, k: usize, g: &Grid, rank: usize) -> u64 {
         let q = g.dim(n);
-        if q <= 1 {
-            return 0;
-        }
-        let coord = g.coord(rank);
-        let prod_other: usize = (0..shape.len())
-            .filter(|&m| m != n)
-            .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
-            .product();
-        let kchunks = split_extents(k, q);
-        let j = coord[n];
-        let mut peer_coord = coord.clone();
-        let mut ns = 0u64;
-        for (i, &(_, klen)) in kchunks.iter().enumerate() {
-            if i != j {
-                peer_coord[n] = i;
-                let peer = g.rank(&peer_coord);
-                // Chunk i of my partial goes to the peer; the peer's copy of
-                // my chunk j comes back.
-                ns += self.net.msg_elems_ns_between(rank, peer, prod_other * klen);
-                ns += self
-                    .net
-                    .msg_elems_ns_between(peer, rank, prod_other * kchunks[j].1);
-            }
-        }
-        ns
+        assert!(q <= k, "invalid split: {q} processors for length {k}");
+        self.mode_group_exchange_ns(shape, n, k, g, rank)
     }
 
     /// The mode-group all-gather charge of one distributed Gram as
     /// accumulated by `rank`: sends its block `q − 1` times, receives every
     /// peer's block, each message priced on its endpoint pair's link.
     fn gram_gather_rank_ns(&self, shape: &[usize], n: usize, g: &Grid, rank: usize) -> u64 {
+        self.mode_group_exchange_ns(shape, n, shape[n], g, rank)
+    }
+
+    /// The pairwise exchange both mode-`n` group collectives reduce to:
+    /// with a length-`extent` mode-`n` axis chunked over the group, `rank`
+    /// trades one message sized by the peer's chunk and one sized by its
+    /// own with every other member (which of the two it sends and which it
+    /// receives differs between reduce-scatter and all-gather; the link
+    /// class of a pair does not depend on the direction). Works in stack
+    /// buffers: the member with mode-`n` coordinate `i` is
+    /// `rank + (i − j) · stride_n`.
+    fn mode_group_exchange_ns(
+        &self,
+        shape: &[usize],
+        n: usize,
+        extent: usize,
+        g: &Grid,
+        rank: usize,
+    ) -> u64 {
         let q = g.dim(n);
         if q <= 1 {
             return 0;
         }
-        let coord = g.coord(rank);
-        let prod_other: usize = (0..shape.len())
+        let order = shape.len();
+        let (mut coord, mut stride) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
+        g.coord_into(rank, &mut coord[..order]);
+        g.strides_into(&mut stride[..order]);
+        let prod_other: usize = (0..order)
             .filter(|&m| m != n)
             .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
             .product();
-        let my_len = chunk(shape[n], q, coord[n]).1;
-        let mut peer_coord = coord.clone();
+        let j = coord[n];
+        let mine = prod_other * chunk(extent, q, j).1;
         let mut ns = 0u64;
-        for i in 0..q {
-            if i != coord[n] {
-                peer_coord[n] = i;
-                let peer = g.rank(&peer_coord);
-                ns += self
-                    .net
-                    .msg_elems_ns_between(rank, peer, prod_other * my_len);
-                ns +=
-                    self.net
-                        .msg_elems_ns_between(peer, rank, prod_other * chunk(shape[n], q, i).1);
-            }
+        for i in (0..q).filter(|&i| i != j) {
+            let peer = rank - j * stride[n] + i * stride[n];
+            let theirs = prod_other * chunk(extent, q, i).1;
+            ns += self.net.msg_elems_ns_between(rank, peer, theirs);
+            ns += self.net.msg_elems_ns_between(peer, rank, mine);
         }
         ns
     }
@@ -439,15 +448,15 @@ impl NetCostModel {
     /// of the second node, the middle of the machine and the last node's
     /// boundary ranks. Under the block rank → node packing these cover the
     /// qualitatively different positions a rank can occupy (node leader,
-    /// node tail, interior, machine edge) without an `O(P)` scan.
-    fn representative_ranks(&self) -> Vec<usize> {
+    /// node tail, interior, machine edge) without an `O(P)` scan. Yields
+    /// each in-range rank once.
+    fn representative_ranks(&self) -> impl Iterator<Item = usize> {
         let p = self.nranks;
         let s = self.net.node_size().max(1);
-        let mut reps = vec![0, s - 1, s, 2 * s - 1, p / 2, p.saturating_sub(s), p - 1];
-        reps.retain(|&r| r < p);
-        reps.sort_unstable();
-        reps.dedup();
-        reps
+        let reps = [0, s - 1, s, 2 * s - 1, p / 2, p.saturating_sub(s), p - 1];
+        (0..reps.len())
+            .filter(move |&i| reps[i] < p && !reps[..i].contains(&reps[i]))
+            .map(move |i| reps[i])
     }
 
     /// The node-aligned relabeling of a whole grid scheme: every grid is
@@ -484,56 +493,66 @@ impl NetCostModel {
     /// block, one per overlapping source block of its new block
     /// (self-overlaps are free, exactly like the transport).
     fn regrid_rank_ns(&self, shape: &[usize], from: &Grid, to: &Grid, rank: usize) -> u64 {
-        let mut ns = 0u64;
-        ns += self.regrid_direction_ns(shape, from, to, rank, rank);
-        ns += self.regrid_direction_ns(shape, to, from, rank, rank);
-        ns
+        self.regrid_direction_ns(shape, from, to, rank)
+            + self.regrid_direction_ns(shape, to, from, rank)
     }
 
-    /// Messages from `rank`'s block under `mine` to the overlapping blocks
-    /// under `theirs` (counting the charge at `charged_rank`'s endpoint; the
-    /// overlap volumes are symmetric, so the send and receive phases are the
-    /// same enumeration with the grids swapped).
-    fn regrid_direction_ns(
-        &self,
-        shape: &[usize],
-        mine: &Grid,
-        theirs: &Grid,
-        rank: usize,
-        charged_rank: usize,
-    ) -> u64 {
+    /// `rank`'s charge for the messages between its block under `mine` and
+    /// the overlapping blocks under `theirs` (the overlap volumes are
+    /// symmetric, so the send and receive phases are the same enumeration
+    /// with the grids swapped).
+    ///
+    /// The overlapping blocks form a box of `theirs` coordinates (per mode,
+    /// the interval of chunks covering my extent); an odometer walks it,
+    /// mode 0 fastest, in fixed-size stack buffers. `vol[m]` / `peer[m]`
+    /// carry the overlap volume and rank offset contributed by modes `≥ m`,
+    /// so a step that carries into mode `m` recomputes only the entries
+    /// `≤ m` — amortized one chunk lookup per message.
+    fn regrid_direction_ns(&self, shape: &[usize], mine: &Grid, theirs: &Grid, rank: usize) -> u64 {
         let order = shape.len();
-        let my_coord = mine.coord(rank);
-        let my_region: Vec<(usize, usize)> = (0..order)
-            .map(|m| chunk(shape[m], mine.dim(m), my_coord[m]))
-            .collect();
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|m| chunk_cover(shape[m], theirs.dim(m), my_region[m].0, my_region[m].1))
-            .collect();
-        let mut coord: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        let count: usize = ranges.iter().map(|&(lo, hi)| hi - lo).product();
+        let mut my_coord = [0usize; MAX_ORDER];
+        mine.coord_into(rank, &mut my_coord[..order]);
+        let mut stride = [0usize; MAX_ORDER];
+        theirs.strides_into(&mut stride[..order]);
+        // Per mode: my extent `[start, end)` and the `[lo, hi)` interval of
+        // `theirs` coordinates whose chunks intersect it.
+        let mut extent = [(0usize, 0usize); MAX_ORDER];
+        let mut cover = [(0usize, 0usize); MAX_ORDER];
+        let mut coord = [0usize; MAX_ORDER];
+        for m in 0..order {
+            let (start, len) = chunk(shape[m], mine.dim(m), my_coord[m]);
+            extent[m] = (start, start + len);
+            cover[m] = chunk_cover(shape[m], theirs.dim(m), start, len);
+            coord[m] = cover[m].0;
+        }
+        let mut vol = [1usize; MAX_ORDER + 1];
+        let mut peer = [0usize; MAX_ORDER + 1];
+        let mut stale = order; // modes `< stale` changed since the last message
         let mut ns = 0u64;
-        for _ in 0..count {
-            let peer = theirs.rank(&coord);
-            if peer != charged_rank {
-                let overlap: usize = (0..order)
-                    .map(|m| {
-                        let (ms, ml) = my_region[m];
-                        let (ts, tl) = chunk(shape[m], theirs.dim(m), coord[m]);
-                        (ms + ml).min(ts + tl) - ms.max(ts)
-                    })
-                    .product();
-                ns += self.net.msg_elems_ns_between(charged_rank, peer, overlap);
+        loop {
+            for m in (0..stale).rev() {
+                let (ts, tl) = chunk(shape[m], theirs.dim(m), coord[m]);
+                let overlap = extent[m].1.min(ts + tl) - extent[m].0.max(ts);
+                vol[m] = vol[m + 1] * overlap;
+                peer[m] = peer[m + 1] + coord[m] * stride[m];
             }
-            for m in 0..order {
+            if peer[0] != rank {
+                ns += self.net.msg_elems_ns_between(rank, peer[0], vol[0]);
+            }
+            let mut m = 0;
+            loop {
+                if m == order {
+                    return ns;
+                }
                 coord[m] += 1;
-                if coord[m] < ranges[m].1 {
+                if coord[m] < cover[m].1 {
                     break;
                 }
-                coord[m] = ranges[m].0;
+                coord[m] = cover[m].0;
+                m += 1;
             }
+            stale = m + 1;
         }
-        ns
     }
 
     /// Exact replay of one HOOI sweep's communication under this model:
@@ -656,12 +675,13 @@ impl CostModel for NetCostModel {
     /// node-crossing group elsewhere pays inter-node prices, so rank 0 is
     /// no longer the critical path.
     fn ttm_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
-        let shape = premult_shape(meta, premult);
+        let mut buf = [0; MAX_ORDER];
+        let shape = premult_shape_into(meta, premult, &mut buf);
         if !self.net.is_hierarchical() {
-            return self.ttm_rank_ns(&shape, n, meta.k(n), g, 0) as f64;
+            return self.ttm_rank_ns(shape, n, meta.k(n), g, 0) as f64;
         }
         (0..self.nranks)
-            .map(|r| self.ttm_rank_ns(&shape, n, meta.k(n), g, r))
+            .map(|r| self.ttm_rank_ns(shape, n, meta.k(n), g, r))
             .max()
             .unwrap_or(0) as f64
     }
@@ -683,13 +703,13 @@ impl CostModel for NetCostModel {
     /// lands elsewhere. The exact per-rank replay happens in
     /// [`NetCostModel::predict_sweep`].
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64 {
-        let shape = premult_shape(meta, premult);
+        let mut buf = [0; MAX_ORDER];
+        let shape = premult_shape_into(meta, premult, &mut buf);
         if !self.net.is_hierarchical() {
-            return self.regrid_rank_ns(&shape, from, to, 0) as f64;
+            return self.regrid_rank_ns(shape, from, to, 0) as f64;
         }
         self.representative_ranks()
-            .into_iter()
-            .map(|r| self.regrid_rank_ns(&shape, from, to, r))
+            .map(|r| self.regrid_rank_ns(shape, from, to, r))
             .max()
             .unwrap_or(0) as f64
     }
@@ -700,16 +720,17 @@ impl CostModel for NetCostModel {
     /// *joint* charge under hierarchical ones — the two phases accumulate on
     /// the same clock, so the critical rank is the one maximizing the sum.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
-        let shape = premult_shape(meta, premult);
+        let mut buf = [0; MAX_ORDER];
+        let shape = premult_shape_into(meta, premult, &mut buf);
         let len = shape[n] * shape[n];
         if !self.net.is_hierarchical() {
-            let gather = self.gram_gather_rank_ns(&shape, n, g, 0);
+            let gather = self.gram_gather_rank_ns(shape, n, g, 0);
             let reduce = self.net.allreduce_rank_ns(self.nranks, 0, len);
             return (gather + reduce) as f64;
         }
         (0..self.nranks)
             .map(|r| {
-                self.gram_gather_rank_ns(&shape, n, g, r)
+                self.gram_gather_rank_ns(shape, n, g, r)
                     + self.net.allreduce_rank_ns(self.nranks, r, len)
             })
             .max()
@@ -746,6 +767,200 @@ mod tests {
     use super::*;
     use crate::plan::grid::{optimal_dynamic_grids, DynGridObjective};
     use crate::plan::tree::{balanced_tree, chain_tree, optimal_tree};
+    use proptest::prelude::*;
+
+    /// The allocating per-rank enumerations the stack-buffer prices
+    /// replaced, kept verbatim as the oracle for
+    /// `stack_buffer_prices_match_reference_enumerations`: one `Vec` per
+    /// coordinate / region / range, `Grid::rank` and every `chunk`
+    /// recomputed per message.
+    mod reference {
+        use tucker_distsim::block::{chunk, chunk_cover, split_extents};
+        use tucker_distsim::{Grid, NetModel};
+
+        pub fn ttm_rank_ns(
+            net: &NetModel,
+            shape: &[usize],
+            n: usize,
+            k: usize,
+            g: &Grid,
+            rank: usize,
+        ) -> u64 {
+            let q = g.dim(n);
+            if q <= 1 {
+                return 0;
+            }
+            let coord = g.coord(rank);
+            let prod_other: usize = (0..shape.len())
+                .filter(|&m| m != n)
+                .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
+                .product();
+            let kchunks = split_extents(k, q);
+            let j = coord[n];
+            let mut peer_coord = coord.clone();
+            let mut ns = 0u64;
+            for (i, &(_, klen)) in kchunks.iter().enumerate() {
+                if i != j {
+                    peer_coord[n] = i;
+                    let peer = g.rank(&peer_coord);
+                    ns += net.msg_elems_ns_between(rank, peer, prod_other * klen);
+                    ns += net.msg_elems_ns_between(peer, rank, prod_other * kchunks[j].1);
+                }
+            }
+            ns
+        }
+
+        pub fn gram_gather_rank_ns(
+            net: &NetModel,
+            shape: &[usize],
+            n: usize,
+            g: &Grid,
+            rank: usize,
+        ) -> u64 {
+            let q = g.dim(n);
+            if q <= 1 {
+                return 0;
+            }
+            let coord = g.coord(rank);
+            let prod_other: usize = (0..shape.len())
+                .filter(|&m| m != n)
+                .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
+                .product();
+            let my_len = chunk(shape[n], q, coord[n]).1;
+            let mut peer_coord = coord.clone();
+            let mut ns = 0u64;
+            for i in 0..q {
+                if i != coord[n] {
+                    peer_coord[n] = i;
+                    let peer = g.rank(&peer_coord);
+                    ns += net.msg_elems_ns_between(rank, peer, prod_other * my_len);
+                    ns +=
+                        net.msg_elems_ns_between(peer, rank, prod_other * chunk(shape[n], q, i).1);
+                }
+            }
+            ns
+        }
+
+        pub fn regrid_rank_ns(
+            net: &NetModel,
+            shape: &[usize],
+            from: &Grid,
+            to: &Grid,
+            rank: usize,
+        ) -> u64 {
+            regrid_direction_ns(net, shape, from, to, rank)
+                + regrid_direction_ns(net, shape, to, from, rank)
+        }
+
+        fn regrid_direction_ns(
+            net: &NetModel,
+            shape: &[usize],
+            mine: &Grid,
+            theirs: &Grid,
+            rank: usize,
+        ) -> u64 {
+            let order = shape.len();
+            let my_coord = mine.coord(rank);
+            let my_region: Vec<(usize, usize)> = (0..order)
+                .map(|m| chunk(shape[m], mine.dim(m), my_coord[m]))
+                .collect();
+            let ranges: Vec<(usize, usize)> = (0..order)
+                .map(|m| chunk_cover(shape[m], theirs.dim(m), my_region[m].0, my_region[m].1))
+                .collect();
+            let mut coord: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
+            let count: usize = ranges.iter().map(|&(lo, hi)| hi - lo).product();
+            let mut ns = 0u64;
+            for _ in 0..count {
+                let peer = theirs.rank(&coord);
+                if peer != rank {
+                    let overlap: usize = (0..order)
+                        .map(|m| {
+                            let (ms, ml) = my_region[m];
+                            let (ts, tl) = chunk(shape[m], theirs.dim(m), coord[m]);
+                            (ms + ml).min(ts + tl) - ms.max(ts)
+                        })
+                        .product();
+                    ns += net.msg_elems_ns_between(rank, peer, overlap);
+                }
+                for m in 0..order {
+                    coord[m] += 1;
+                    if coord[m] < ranges[m].1 {
+                        break;
+                    }
+                    coord[m] = ranges[m].0;
+                }
+            }
+            ns
+        }
+    }
+
+    /// A deterministic permutation of `0..n` from `seed` (Fisher–Yates over
+    /// an LCG); seed 0 is reserved for the identity.
+    fn seeded_axes(n: usize, seed: u64) -> Vec<usize> {
+        let mut axes: Vec<usize> = (0..n).collect();
+        if seed == 0 {
+            return axes;
+        }
+        let mut state = seed;
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            axes.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        axes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The stack-buffer per-rank prices equal the allocating reference
+        /// enumerations for every rank: random shapes (extents the grid
+        /// counts do not divide), premult masks, grid pairs with random
+        /// axis orders, under the flat and the hierarchical preset.
+        #[test]
+        fn stack_buffer_prices_match_reference_enumerations(
+            order in 2usize..=4,
+            ls in prop::collection::vec(3usize..=13, 4),
+            ks in prop::collection::vec(2usize..=6, 4),
+            premult in 0u32..16,
+            p in prop::sample::select(vec![4usize, 6, 8, 12, 18, 24, 36, 48]),
+            picks in (0usize..10_000, 0usize..10_000),
+            axes_seeds in (0u64..4, 0u64..4),
+        ) {
+            let ks: Vec<usize> = (0..order).map(|n| ks[n].min(ls[n])).collect();
+            let meta = TuckerMeta::new(ls[..order].to_vec(), ks.clone());
+            let valid = tucker_distsim::enumerate_valid_grids(p, &ks);
+            prop_assume!(!valid.is_empty());
+            let pick = |i: usize, seed: u64| {
+                let dims = valid[i % valid.len()].dims().to_vec();
+                Grid::with_axes(dims, seeded_axes(order, seed))
+            };
+            let from = pick(picks.0, axes_seeds.0);
+            let to = pick(picks.1, axes_seeds.1);
+            let premult = premult & ((1 << order) - 1);
+            let shape = premult_shape(&meta, premult);
+            for net in [NetModel::bgq(), NetModel::cluster()] {
+                let model = NetCostModel::new(net, p);
+                for r in 0..p {
+                    prop_assert_eq!(
+                        model.regrid_rank_ns(&shape, &from, &to, r),
+                        reference::regrid_rank_ns(&net, &shape, &from, &to, r)
+                    );
+                    for n in 0..order {
+                        prop_assert_eq!(
+                            model.ttm_rank_ns(&shape, n, meta.k(n), &from, r),
+                            reference::ttm_rank_ns(&net, &shape, n, meta.k(n), &from, r)
+                        );
+                        prop_assert_eq!(
+                            model.gram_gather_rank_ns(&shape, n, &to, r),
+                            reference::gram_gather_rank_ns(&net, &shape, n, &to, r)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn chain_cost_closed_form() {

@@ -20,8 +20,14 @@
 //! brute-force enumeration in the property suite. The table holds
 //! `O(3^N · |grids|)` states; regrid transitions share a per-state
 //! *continuation vector* (`ttm + solve` for every target grid) and memoize
-//! the source-dependent regrid prices per `(premult, from, to)`, so the
-//! grid × grid regrid scan costs a lookup, not a model evaluation.
+//! the source-dependent regrid prices in dense `|grids| × |grids|` tables,
+//! one per premult mask, allocated when a state with that mask first scans
+//! its regrid targets (at most `2^N − 1` tables of `8 · |grids|²` bytes). The grid × grid scan
+//! skips — without pricing it — every target whose continuation alone
+//! already reaches the state's running optimum: regrid prices are
+//! non-negative and the optimum only moves on a strict improvement, so the
+//! skipped targets could never have been chosen and plans and costs are
+//! unchanged bit for bit.
 //!
 //! Mirror-image initial grids (processor counts permuted within classes of
 //! modes with identical `(L_n, K_n)`) are deduplicated before scoring the
@@ -203,8 +209,12 @@ struct JointDp<'a> {
     /// keep-grid transition (`tail[g]`) and every regrid transition
     /// (`regrid(P, g, g') + tail[g']`).
     tails: Vec<Option<Vec<f64>>>,
-    /// Memoized source-dependent regrid prices per `(premult, from, to)`.
-    regrid_memo: std::collections::HashMap<(u32, usize, usize), f64>,
+    /// Memoized source-dependent regrid prices: per premult mask a dense
+    /// row-major `ng × ng` table `[from · ng + to]`, NaN = not priced yet.
+    /// A table is allocated when a state with its mask first scans regrid
+    /// targets, so the footprint is `8 · ng²` bytes per mask that actually
+    /// reuses a mode (at most `2^N − 1` of them), never `2^N · ng²` up front.
+    regrid_prices: Vec<Option<Box<[f64]>>>,
 }
 
 impl<'a> JointDp<'a> {
@@ -228,19 +238,8 @@ impl<'a> JointDp<'a> {
             cost: vec![f64::NAN; states * ng],
             choice: vec![JChoice::Unset; states * ng],
             tails: vec![None; states * n],
-            regrid_memo: std::collections::HashMap::new(),
+            regrid_prices: vec![None; 1 << n],
         }
-    }
-
-    fn regrid_price(&mut self, p: u32, from: usize, to: usize) -> f64 {
-        if let Some(&hit) = self.regrid_memo.get(&(p, from, to)) {
-            return hit;
-        }
-        let c = self
-            .model
-            .regrid_cost(self.meta, p, &self.grids[from], &self.grids[to]);
-        self.regrid_memo.insert((p, from, to), c);
-        c
     }
 
     fn index3(&self, p: u32, q: u32) -> usize {
@@ -261,7 +260,8 @@ impl<'a> JointDp<'a> {
     fn solve(&mut self, p: u32, q: u32, gi: usize) -> f64 {
         debug_assert_eq!(p & q, 0, "P and Q must be disjoint");
         debug_assert!(q != 0, "Q must be non-empty");
-        let idx = self.index3(p, q) * self.ng + gi;
+        let state = self.index3(p, q);
+        let idx = state * self.ng + gi;
         if !self.cost[idx].is_nan() {
             return self.cost[idx];
         }
@@ -280,24 +280,41 @@ impl<'a> JointDp<'a> {
 
         // Reuse a mode of R, with or without a regrid first. Keeping the
         // grid is evaluated first so ties never pay a pointless regrid.
+        let (ng, model, meta, grids) = (self.ng, self.model, self.meta, self.grids);
         let mut rm = r;
         while rm != 0 {
             let m = rm.trailing_zeros() as usize;
             rm &= rm - 1;
-            self.ensure_tail(p, q, m);
-            let keep = self.tail_at(p, q, m, gi);
-            if keep < best {
-                best = keep;
+            // The scan below runs on the tail vector and this mask's price
+            // table moved out of `self` (pricing never re-enters `solve`),
+            // so the loop body is two slice reads and, on a memo miss, one
+            // model evaluation.
+            let key = state * self.n + m;
+            self.ensure_tail(key, p, q, m);
+            let tail = self.tails[key].take().expect("tail computed");
+            let mut prices = self.regrid_prices[p as usize]
+                .take()
+                .unwrap_or_else(|| vec![f64::NAN; ng * ng].into_boxed_slice());
+            let row = &mut prices[gi * ng..(gi + 1) * ng];
+            if tail[gi] < best {
+                best = tail[gi];
                 best_choice = JChoice::Reuse {
                     mode: m,
                     regrid_to: None,
                 };
             }
-            for tgt in 0..self.ng {
-                if tgt == gi {
+            for tgt in 0..ng {
+                // Exact bound: regrid prices are ≥ 0 and the update below
+                // is a strict `<`, so a target whose continuation alone
+                // does not beat `best` cannot win — skip it unpriced.
+                if tgt == gi || tail[tgt] >= best {
                     continue;
                 }
-                let re = self.regrid_price(p, gi, tgt) + self.tail_at(p, q, m, tgt);
+                if row[tgt].is_nan() {
+                    row[tgt] = model.regrid_cost(meta, p, &grids[gi], &grids[tgt]);
+                    debug_assert!(row[tgt] >= 0.0, "regrid prices must be non-negative");
+                }
+                let re = row[tgt] + tail[tgt];
                 if re < best {
                     best = re;
                     best_choice = JChoice::Reuse {
@@ -306,6 +323,8 @@ impl<'a> JointDp<'a> {
                     };
                 }
             }
+            self.tails[key] = Some(tail);
+            self.regrid_prices[p as usize] = Some(prices);
         }
 
         // Split Q into two non-empty halves (free; fixing Q's lowest bit in
@@ -340,11 +359,11 @@ impl<'a> JointDp<'a> {
         best
     }
 
-    /// Compute (once) the continuation vector for reusing `m` at `(p, q)`:
+    /// Compute (once) the continuation vector for reusing `m` at `(p, q)`
+    /// into slot `key = index3(p, q) · n + m`:
     /// `tail[g'] = ttm(P, m, g') + solve(P ∪ {m}, Q, g')`, memoized per
     /// `(state, mode)` and shared by every current grid's transitions.
-    fn ensure_tail(&mut self, p: u32, q: u32, m: usize) {
-        let key = self.index3(p, q) * self.n + m;
+    fn ensure_tail(&mut self, key: usize, p: u32, q: u32, m: usize) {
         if self.tails[key].is_some() {
             return;
         }
@@ -355,12 +374,6 @@ impl<'a> JointDp<'a> {
             })
             .collect();
         self.tails[key] = Some(tail);
-    }
-
-    /// One entry of the (already computed) continuation vector.
-    fn tail_at(&self, p: u32, q: u32, m: usize, gi: usize) -> f64 {
-        let key = self.index3(p, q) * self.n + m;
-        self.tails[key].as_ref().expect("tail computed")[gi]
     }
 
     fn run(mut self, nranks: usize) -> Plan {

@@ -19,6 +19,7 @@ use crate::block::chunk;
 use crate::collectives::{allreduce_sum, Group};
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
+use std::borrow::Cow;
 use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::{insert, Region};
 use tucker_tensor::{gram_cols, DenseTensor};
@@ -106,30 +107,26 @@ pub fn dist_gram_all_with_norm(ctx: &mut RankCtx, t: &DistTensor) -> (Vec<Matrix
 
 /// All-gather within the mode-`n` grid group so that this rank's block is
 /// extended to the full `L_n` extent along mode `n` (other modes keep their
-/// local extents).
-pub fn gather_mode_fibers(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> DenseTensor {
+/// local extents). When the mode is unsplit (`q_n = 1`) the local block is
+/// already that slab and is returned borrowed, uncopied.
+pub fn gather_mode_fibers<'a>(
+    ctx: &mut RankCtx,
+    t: &'a DistTensor,
+    n: usize,
+) -> Cow<'a, DenseTensor> {
     let grid = t.grid();
-    let shape = t.global_shape();
-    let ln = shape.dim(n);
+    let ln = t.global_shape().dim(n);
     let qn = grid.dim(n);
-    let coord = grid.coord(ctx.rank());
-    let my_local_shape = t.local().shape().clone();
-
-    // Target slab: local extents, but full L_n along mode n.
-    let slab_shape = my_local_shape.with_dim(n, ln);
-    let mut slab = DenseTensor::zeros(slab_shape.clone());
-
     if qn == 1 {
-        // Already complete along mode n.
-        let mut region = Region::full(&slab_shape);
-        region.start[n] = 0;
-        region.len[n] = my_local_shape.dim(n);
-        insert(&mut slab, &region, t.local().as_slice());
-        return slab;
+        return Cow::Borrowed(t.local());
     }
 
+    // Target slab: local extents, but full L_n along mode n.
+    let slab_shape = t.local().shape().with_dim(n, ln);
+    let mut slab = DenseTensor::zeros(slab_shape.clone());
+
     let group = grid.mode_group(ctx.rank(), n);
-    let my_idx = coord[n];
+    let my_idx = grid.coord(ctx.rank())[n];
 
     // Direct all-gather of local blocks within the group.
     for (j, &peer) in group.iter().enumerate() {
@@ -159,7 +156,7 @@ pub fn gather_mode_fibers(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> DenseT
         );
         insert(&mut slab, &region, &data);
     }
-    slab
+    Cow::Owned(slab)
 }
 
 #[cfg(test)]
@@ -199,6 +196,20 @@ mod tests {
     #[test]
     fn matches_sequential_unsplit_mode() {
         check_gram(&[5, 6, 4], &[1, 2, 2], 0, 1);
+    }
+
+    #[test]
+    fn unsplit_mode_borrows_the_local_block() {
+        let global = rand_tensor(&[5, 6, 4], 7);
+        let grid = Grid::new([1, 2, 2]);
+        let out = Universe::run(4, |ctx| {
+            let dt = DistTensor::scatter_from_global(ctx, &global, &grid);
+            let unsplit = gather_mode_fibers(ctx, &dt, 0);
+            let borrowed = matches!(unsplit, Cow::Borrowed(b) if std::ptr::eq(b, dt.local()));
+            let split = gather_mode_fibers(ctx, &dt, 1);
+            borrowed && matches!(split, Cow::Owned(_)) && split.shape().dim(1) == 6
+        });
+        assert!(out.results.iter().all(|&ok| ok));
     }
 
     #[test]

@@ -71,8 +71,12 @@ impl DistTensor {
     ) -> Self {
         assert_eq!(grid.nranks(), ctx.nranks(), "grid/universe mismatch");
         let region = rank_region(shape, grid, ctx.rank());
+        // One reused global-coordinate buffer: no per-element allocation.
+        let mut g = region.start.clone();
         let local = DenseTensor::from_fn(region.shape(), |c| {
-            let g: Vec<usize> = c.iter().zip(&region.start).map(|(a, b)| a + b).collect();
+            for ((g, &c), &start) in g.iter_mut().zip(c).zip(&region.start) {
+                *g = c + start;
+            }
             f(&g)
         });
         DistTensor {
@@ -182,16 +186,27 @@ mod tests {
 
     #[test]
     fn from_global_fn_matches_scatter() {
-        let shape = Shape::from([5, 4]);
-        let grid = Grid::new([2, 2]);
-        let f = |c: &[usize]| (c[0] * 10 + c[1]) as f64;
-        let global = DenseTensor::from_fn(shape.clone(), f);
-        let out = Universe::run(4, |ctx| {
-            let a = DistTensor::scatter_from_global(ctx, &global, &grid);
-            let b = DistTensor::from_global_fn(ctx, &shape, &grid, f);
-            a.local().max_abs_diff(b.local())
-        });
-        assert!(out.results.iter().all(|&d| d == 0.0));
+        // 2-D, and a 4-D case whose blocks start at non-zero offsets in
+        // every mode with extents the grid does not divide. The global
+        // reference is filled through the allocating `Shape::coords`
+        // iterator, independently of the in-place odometer under test.
+        let f = |c: &[usize]| c.iter().fold(0.5, |acc, &x| acc * 31.0 + x as f64);
+        for (dims, q) in [
+            (vec![5, 4], vec![2, 2]),
+            (vec![5, 4, 3, 7], vec![2, 2, 1, 3]),
+        ] {
+            let shape = Shape::from(dims);
+            let grid = Grid::new(q);
+            let global =
+                DenseTensor::from_vec(shape.clone(), shape.coords().map(|c| f(&c)).collect());
+            let out = Universe::run(grid.nranks(), |ctx| {
+                let a = DistTensor::scatter_from_global(ctx, &global, &grid);
+                let b = DistTensor::from_global_fn(ctx, &shape, &grid, f);
+                assert_eq!(a.local().shape(), b.local().shape());
+                a.local().as_slice() == b.local().as_slice()
+            });
+            assert!(out.results.iter().all(|&same| same), "{shape} on {grid}");
+        }
     }
 
     #[test]

@@ -106,14 +106,33 @@ impl Grid {
 
     /// Grid coordinate of `rank` (mixed radix in axis significance order;
     /// mode-0-fastest for default grids).
-    pub fn coord(&self, mut rank: usize) -> Vec<usize> {
-        debug_assert!(rank < self.nranks());
+    pub fn coord(&self, rank: usize) -> Vec<usize> {
         let mut c = vec![0usize; self.order()];
+        self.coord_into(rank, &mut c);
+        c
+    }
+
+    /// [`Grid::coord`] written into a caller-provided buffer of length
+    /// `order` — no allocation, for per-rank pricing loops.
+    pub fn coord_into(&self, mut rank: usize, out: &mut [usize]) {
+        debug_assert!(rank < self.nranks());
+        debug_assert_eq!(out.len(), self.order());
         for &ax in &self.axes {
-            c[ax] = rank % self.q[ax];
+            out[ax] = rank % self.q[ax];
             rank /= self.q[ax];
         }
-        c
+    }
+
+    /// The rank stride of every mode, written into a caller-provided buffer
+    /// of length `order`: `rank(c) = Σ c[n] · out[n]`, so stepping one
+    /// coordinate along mode `n` moves the rank by `out[n]`.
+    pub fn strides_into(&self, out: &mut [usize]) {
+        debug_assert_eq!(out.len(), self.order());
+        let mut stride = 1;
+        for &ax in &self.axes {
+            out[ax] = stride;
+            stride *= self.q[ax];
+        }
     }
 
     /// Inverse of [`Grid::coord`].
@@ -407,6 +426,15 @@ mod tests {
         }
         // The fastest axis's mode group is a window of consecutive ranks.
         assert_eq!(g.mode_group(0, 2), vec![0, 1, 2, 3]);
+        // The buffer-filling variants agree with the allocating ones.
+        let (mut c, mut strides) = ([0usize; 3], [0usize; 3]);
+        g.strides_into(&mut strides);
+        assert_eq!(strides, [4, 8, 1]);
+        for r in 0..24 {
+            g.coord_into(r, &mut c);
+            assert_eq!(c.to_vec(), g.coord(r));
+            assert_eq!(c.iter().zip(&strides).map(|(a, b)| a * b).sum::<usize>(), r);
+        }
         // Identity axes compare equal to the default construction.
         assert_eq!(Grid::with_axes([2, 3], [0, 1]), Grid::new([2, 3]));
         assert_ne!(Grid::with_axes([2, 3], [1, 0]), Grid::new([2, 3]));

@@ -77,9 +77,20 @@ impl DenseTensor {
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let shape = shape.into();
         note_buffer_alloc();
-        let mut data = Vec::with_capacity(shape.cardinality());
-        for c in shape.coords() {
+        let card = shape.cardinality();
+        let mut data = Vec::with_capacity(card);
+        // One coordinate buffer advanced in place, mode 0 fastest (the
+        // layout order) — no per-element allocation.
+        let mut c = vec![0usize; shape.order()];
+        for _ in 0..card {
             data.push(f(&c));
+            for (ci, &d) in c.iter_mut().zip(shape.dims()) {
+                *ci += 1;
+                if *ci < d {
+                    break;
+                }
+                *ci = 0;
+            }
         }
         Self { shape, data }
     }

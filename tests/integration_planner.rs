@@ -224,3 +224,60 @@ fn ranked_plans_cover_lineup_and_winner_executes_well() {
     let classic = planner.best_plan();
     assert!(classic.cost(&FlopVolumeModel) <= ranked.best().plan.cost(&FlopVolumeModel) + 1e-9);
 }
+
+/// FNV-1a (64-bit) of a string: a dependency-free, platform-stable hash.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn joint_dp_plans_are_bit_identical_to_the_recorded_goldens() {
+    // The joint DP's data layout and pruning may change; its output may
+    // not. For six `benchmark_5d()` metas (the strided sample the
+    // `plan-suite` benchmark workload plans) at P = 64 under the flat BG/Q
+    // model, and the first two of them under the hierarchical cluster
+    // model, the winner's full `Debug` rendering (tree, every node grid,
+    // regrid flags, flops, volume) and the bits of its model cost must equal
+    // the values recorded before the search was made table-driven.
+    const GOLDEN: [(&str, usize, u64, u64); 8] = [
+        ("bgq", 0, 0xbb4e2f5f41433d67, 0x4186a63f00000000),
+        ("bgq", 1, 0xe4225efde7826fa0, 0x415414ec40000000),
+        ("bgq", 2, 0x204c91dd0dac6b15, 0x413509ca00000000),
+        ("bgq", 3, 0xe1d837e9c656ed8e, 0x4171633b30000000),
+        ("bgq", 4, 0x75c4d0044d1df628, 0x417d8d8d60000000),
+        ("bgq", 5, 0x2cdafab42a439f36, 0x4172fba290000000),
+        ("cluster", 0, 0x10d1b01bd75d94b3, 0x41804249f0000000),
+        ("cluster", 1, 0x9f3636500b08fcb9, 0x414f967880000000),
+    ];
+    let p = 64usize;
+    let all = tucker_suite::benchmark_5d();
+    let stride = all.len() / 6;
+    let mut got = Vec::new();
+    for &(net_name, i, _, _) in &GOLDEN {
+        let net = match net_name {
+            "bgq" => NetModel::bgq(),
+            _ => NetModel::cluster(),
+        };
+        let meta = &all[i * stride + 3];
+        let model = NetCostModel::new(net, p);
+        let ranked =
+            Planner::new(meta.clone(), p).ranked_plans(&model, &SearchBudget::winner_only());
+        let best = ranked.best();
+        got.push((
+            net_name,
+            i,
+            fnv1a(&format!("{:?}", best.plan)),
+            best.cost.to_bits(),
+        ));
+    }
+    assert_eq!(
+        got.as_slice(),
+        GOLDEN.as_slice(),
+        "joint-DP plans drifted from the goldens; got:\n{}",
+        got.iter()
+            .map(|(n, i, h, c)| format!("        (\"{n}\", {i}, {h:#018x}, {c:#018x}),\n"))
+            .collect::<String>()
+    );
+}
