@@ -837,7 +837,8 @@ fn serve(clients: usize) {
 /// (flipped via [`tucker_linalg::set_kernel_mode`]) and the same worker
 /// budget, so the speedup isolates the kernel effect. Results persist
 /// machine-readably to `results/BENCH_kernels.json` (schema
-/// `tucker-bench/kernels/v2`) for the CI gate and the README table.
+/// `tucker-bench/kernels/v2`, with the packed kernels' instruction set under
+/// `"isa"`) for the CI gate and the README table.
 fn kernels() {
     use std::hint::black_box;
     use tucker_linalg::{gemm_into, set_kernel_mode, syrk_into, KernelMode, Matrix, Transpose::No};
@@ -895,7 +896,8 @@ fn kernels() {
 
     let host_cores = tucker_tensor::host_threads();
     let skipped_single_core = host_cores < 2;
-    println!("== Kernels: packed vs naive ablation ({host_cores} cores) ==");
+    let isa = tucker_linalg::kernel_isa();
+    println!("== Kernels: packed vs naive ablation ({host_cores} cores, {isa} kernels) ==");
 
     let mut shape_blocks = Vec::new();
     for spec in &SPECS {
@@ -995,7 +997,8 @@ fn kernels() {
 
     let json = format!(
         "{{\n  \"schema\": \"tucker-bench/kernels/v2\",\n  \"host_cores\": {host_cores},\n  \
-         \"skipped_single_core\": {skipped_single_core},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+         \"isa\": \"{isa}\",\n  \"skipped_single_core\": {skipped_single_core},\n  \
+         \"shapes\": [\n{}\n  ]\n}}\n",
         shape_blocks.join(",\n")
     );
     let p = write_results("BENCH_kernels.json", &json);
@@ -1688,7 +1691,7 @@ fn regenerate_artifact(name: &str, sample: usize, max_p: usize, clients: usize) 
 /// (counts, bytes, errors) and ignore host timings; percentile curves of
 /// measured wall times are structure-only (`f64::INFINITY`).
 fn repro_policy(name: &str) -> (f64, &'static [&'static str]) {
-    const HOST_TIMED: &[&str] = &["_s", "speedup", "host_cores", "skipped_single_core"];
+    const HOST_TIMED: &[&str] = &["_s", "speedup", "host_cores", "isa", "skipped_single_core"];
     const SERVING_TIMED: &[&str] = &[
         "latency",
         "throughput",

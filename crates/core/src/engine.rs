@@ -858,34 +858,41 @@ fn ckpt_salvaged(log: &RecoveryLog, meta: &TuckerMeta) -> usize {
 
 /// Evaluate `global_fn` over `gap` (global coordinates) into the local
 /// buffer of the block at `block` (the gap must lie inside the block).
+///
+/// One odometer over the gap box, mode 0 fastest, advances the global
+/// coordinate in place and carries the local linear offset with it — no
+/// allocation and no coordinate arithmetic per element.
 fn fill_region_from(
     local: &mut DenseTensor,
     gap: &Region,
     block: &Region,
     global_fn: &(impl Fn(&[usize]) -> f64 + Sync),
 ) {
-    let rel_start: Vec<usize> = gap
-        .start
-        .iter()
-        .zip(&block.start)
-        .map(|(&s, &o)| s - o)
-        .collect();
-    let mut coord = vec![0usize; gap.start.len()];
-    let count = gap.cardinality();
+    if gap.cardinality() == 0 {
+        return;
+    }
+    let strides = local.shape().strides();
+    let mut off: usize = (0..gap.order())
+        .map(|n| (gap.start[n] - block.start[n]) * strides[n])
+        .sum();
     let mut global = gap.start.clone();
-    for _ in 0..count {
-        for (g, (c, s)) in global.iter_mut().zip(coord.iter().zip(&gap.start)) {
-            *g = c + s;
-        }
-        let local_coord: Vec<usize> = coord.iter().zip(&rel_start).map(|(c, s)| c + s).collect();
-        local.set(&local_coord, global_fn(&global));
-        // Odometer over the gap box, mode 0 fastest.
-        for (n, c) in coord.iter_mut().enumerate() {
-            *c += 1;
-            if *c < gap.len[n] {
+    let data = local.as_mut_slice();
+    loop {
+        data[off] = global_fn(&global);
+        let mut n = 0;
+        loop {
+            if n == global.len() {
+                return;
+            }
+            global[n] += 1;
+            off += strides[n];
+            if global[n] < gap.start[n] + gap.len[n] {
                 break;
             }
-            *c = 0;
+            // Carry: rewind this mode to the gap's start.
+            global[n] = gap.start[n];
+            off -= gap.len[n] * strides[n];
+            n += 1;
         }
     }
 }
@@ -910,6 +917,41 @@ mod tests {
         }
         let noise = (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
         (0.21 * s).sin() + 0.5 * (0.043 * s * s).cos() + 0.05 * noise
+    }
+
+    #[test]
+    fn fill_region_from_writes_exactly_the_gap() {
+        // A 4-D block with a non-zero origin in every mode, and gaps that
+        // start inside it on every mode, touch its far corner, or are a
+        // single element. Inside the gap every element must be the
+        // generator's value at its global coordinate (reference offsets via
+        // the allocating `DenseTensor::set`); outside, the sentinel stays.
+        let f = |c: &[usize]| c.iter().fold(0.5, |acc, &x| acc * 31.0 + x as f64);
+        let block = Region {
+            start: vec![3, 5, 2, 7],
+            len: vec![4, 3, 5, 2],
+        };
+        for (start, len) in [
+            (vec![4, 6, 3, 8], vec![2, 2, 3, 1]),
+            (vec![5, 5, 4, 7], vec![2, 3, 3, 2]),
+            (vec![3, 5, 2, 7], vec![4, 3, 5, 2]),
+            (vec![6, 7, 6, 8], vec![1, 1, 1, 1]),
+        ] {
+            let gap = Region { start, len };
+            let mut got = DenseTensor::from_fn(block.shape(), |_| -1.0);
+            fill_region_from(&mut got, &gap, &block, &f);
+            let mut want = DenseTensor::from_fn(block.shape(), |_| -1.0);
+            for c in gap.shape().coords() {
+                let global: Vec<usize> = c.iter().zip(&gap.start).map(|(c, s)| c + s).collect();
+                let local: Vec<usize> = global
+                    .iter()
+                    .zip(&block.start)
+                    .map(|(g, o)| g - o)
+                    .collect();
+                want.set(&local, f(&global));
+            }
+            assert_eq!(got.as_slice(), want.as_slice(), "gap {gap:?}");
+        }
     }
 
     fn meta_small() -> TuckerMeta {

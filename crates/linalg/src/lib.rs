@@ -8,7 +8,9 @@
 //! * [`pack`] — the packed, register-tiled micro-kernel layer (panel packing
 //!   into aligned reusable [`PackBuf`]s, `MR×NR` register tiles, `KC/MC/NC`
 //!   cache blocking) that `gemm`/`syrk` and the tensor kernels route through
-//!   once operands are large enough to amortize packing,
+//!   once operands are large enough to amortize packing; its one source body
+//!   is compiled for baseline and for AVX2 and picked per process
+//!   ([`kernel_isa`]), with identical output bits,
 //! * [`syrk`] — symmetric rank-k update `C = A·Aᵀ` exploiting symmetry, with
 //!   accumulating (`β`-aware) and raw-slice `AᵀA` entry points backing the
 //!   fused Gram kernel in `tucker-tensor`,
@@ -38,7 +40,9 @@ pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
 #[cfg(feature = "mixed-precision")]
 pub use mixed::gemm_mixed;
-pub use pack::{bytes_packed, kernel_mode, set_kernel_mode, KernelMode, PackBuf, PackPair};
+pub use pack::{
+    bytes_packed, kernel_isa, kernel_mode, set_kernel_mode, KernelMode, PackBuf, PackPair,
+};
 pub use qr::{householder_qr, orthonormal_columns};
 pub use svd::{leading_from_gram, leading_left_singular_vectors, GramSvd};
 pub use syrk::{

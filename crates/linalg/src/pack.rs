@@ -31,7 +31,20 @@
 //! Strided operands are described by `(slice, rs, cs)` with element `(i, j)`
 //! at `slice[i·rs + j·cs]` — a plain column-major matrix is `(buf, 1, ld)`
 //! and its transpose is `(buf, ld, 1)`, so no transposed copies are ever
-//! materialized.
+//! materialized. A unit stride on either axis packs through contiguous
+//! copies or fixed-size tile transposes; only a doubly strided operand pays
+//! a per-element gather.
+//!
+//! **ISA dispatch.** The packers and macro kernels are written once, as
+//! `#[inline(always)]` bodies with no intrinsics, and instantiated twice: for
+//! the compilation target's baseline and, on x86-64, inside a
+//! `#[target_feature(enable = "avx2")]` wrapper ([`Isa`], picked once per
+//! process from `is_x86_feature_detected!`; [`kernel_isa`] names the pick).
+//! Wider lanes change how many `C[i, j]` are summed at once, never the order
+//! in which one `C[i, j]` sums over `k`, and `fma` is deliberately not
+//! enabled, so both instantiations produce the same bits — which is what the
+//! bit-identity contracts of `tucker-tensor` (view == extract, 1 thread ==
+//! N threads) rest on. DESIGN.md §8 has the full argument.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -54,6 +67,10 @@ const PACK_MIN_WORK: usize = 1 << 14;
 /// Pack-buffer alignment in bytes (one cache line / AVX-512 vector).
 const ALIGN_BYTES: usize = 64;
 const ALIGN_F64: usize = ALIGN_BYTES / std::mem::size_of::<f64>();
+
+// SYRK reads `NR`-lane `B` panels out of `MR`-lane `A` panels, and `MC` row
+// blocks start on a panel boundary.
+const _: () = assert!(MR.is_multiple_of(NR) && MC.is_multiple_of(MR));
 
 /// Which kernel implementation the dense entry points select.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,6 +236,81 @@ pub fn with_thread_packs<R>(f: impl FnOnce(&mut PackPair) -> R) -> R {
     })
 }
 
+/// The instruction set one packed-kernel call is compiled for.
+///
+/// Opaque on purpose: outside this module the only values are
+/// [`Isa::PORTABLE`] and whatever [`Isa::detect`] found on the running CPU,
+/// so no caller can ask for instructions the CPU lacks. The `*_on` entry
+/// points take it so tests can hold the dispatched path against the portable
+/// instantiation of the same body; production code calls the plain entry
+/// points, which always pass `Isa::detect()`.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Isa(Level);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// Baseline code for the compilation target (SSE2 on x86-64).
+    pub const PORTABLE: Isa = Isa(Level::Portable);
+
+    /// The process's pick. `is_x86_feature_detected!` caches its CPUID probe
+    /// in a process-wide atomic, so this is one relaxed load per call and the
+    /// answer never changes within a process.
+    #[inline]
+    pub fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa(Level::Avx2);
+        }
+        Isa::PORTABLE
+    }
+
+    /// Run `job` compiled for this instruction set. Every packer and macro
+    /// kernel below is `#[inline(always)]`, so a job written as an
+    /// `#[inline(always)]` closure over them is instantiated once per wrapper
+    /// it is handed to: one source body, one copy per ISA.
+    #[inline(always)]
+    fn run<R>(self, job: impl FnOnce() -> R) -> R {
+        match self.0 {
+            Level::Portable => job(),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Level::Avx2` is private to this module and only
+            // `Isa::detect` builds it, after `is_x86_feature_detected!`
+            // reported AVX2 on the running CPU — `run_avx2`'s one requirement.
+            Level::Avx2 => unsafe { run_avx2(job) },
+        }
+    }
+}
+
+/// `job()` with 256-bit lanes. Only `avx2` is enabled, **not** `fma`: Rust
+/// never contracts `a * b + c` by itself, so the wider instantiation rounds
+/// every product and every sum exactly like the portable one.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<R>(job: impl FnOnce() -> R) -> R {
+    job()
+}
+
+/// Which instantiation of the packed kernels this process runs: `"avx2"` or
+/// `"portable"`. Recorded in bench artifacts so timings from different hosts
+/// are not compared blind.
+pub fn kernel_isa() -> &'static str {
+    match Isa::detect().0 {
+        Level::Portable => "portable",
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => "avx2",
+    }
+}
+
 /// Packed length of an `mb`-row block tiled into `MR`-row panels of depth `kb`.
 #[inline]
 pub fn packed_a_len(mb: usize, kb: usize) -> usize {
@@ -231,11 +323,138 @@ pub fn packed_b_len(kb: usize, nb: usize) -> usize {
     nb.div_ceil(NR) * NR * kb
 }
 
+/// Depth steps one [`interleave_panel`] tile transposes at a time.
+const TILE: usize = 4;
+
+/// One `W`-lane panel of a strided operand, any strides: lane `w`, depth `l`
+/// sits at `src[base + w·lane_stride + l·depth_stride]` and goes to
+/// `panel[l·W + w]`; lanes `live..W` are zero padding. The per-element
+/// gather — [`copy_panel`] and [`interleave_panel`] produce the same panel
+/// when one of the strides is 1.
+#[inline(always)]
+fn gather_panel<const W: usize>(
+    panel: &mut [f64],
+    src: &[f64],
+    base: usize,
+    lane_stride: usize,
+    depth_stride: usize,
+    live: usize,
+) {
+    for (l, step) in panel.chunks_exact_mut(W).enumerate() {
+        for (w, v) in step.iter_mut().enumerate() {
+            *v = if w < live {
+                src[base + w * lane_stride + l * depth_stride]
+            } else {
+                0.0
+            };
+        }
+    }
+}
+
+/// [`gather_panel`] for `lane_stride == 1`: the `live` lanes of one depth
+/// step are adjacent in `src`, so each step is one short contiguous copy.
+#[inline(always)]
+fn copy_panel<const W: usize>(
+    panel: &mut [f64],
+    src: &[f64],
+    base: usize,
+    depth_stride: usize,
+    live: usize,
+) {
+    if live == W {
+        // Full panel: fixed-size copies, no per-step length to dispatch on.
+        for (l, step) in panel.chunks_exact_mut(W).enumerate() {
+            step.copy_from_slice(&src[base + l * depth_stride..][..W]);
+        }
+    } else {
+        for (l, step) in panel.chunks_exact_mut(W).enumerate() {
+            let (head, pad) = step.split_at_mut(live);
+            head.copy_from_slice(&src[base + l * depth_stride..][..live]);
+            pad.fill(0.0);
+        }
+    }
+}
+
+/// [`gather_panel`] for `depth_stride == 1`: each lane is a contiguous run of
+/// `src`, so the panel is a `W × depth` transpose, done as fixed `W × TILE`
+/// tiles (loaded lane by lane into a stack tile, stored depth step by depth
+/// step) whose constant trip counts the vectoriser can see.
+#[inline(always)]
+fn interleave_panel<const W: usize>(
+    panel: &mut [f64],
+    src: &[f64],
+    base: usize,
+    lane_stride: usize,
+    live: usize,
+) {
+    let depth = panel.len() / W;
+    let mut lanes: [&[f64]; W] = [&[]; W];
+    for (w, lane) in lanes.iter_mut().enumerate().take(live) {
+        *lane = &src[base + w * lane_stride..][..depth];
+    }
+    let mut tiles = panel.chunks_exact_mut(W * TILE);
+    for (t, out) in (&mut tiles).enumerate() {
+        let mut tile = [[0.0f64; TILE]; W];
+        for (row, lane) in tile.iter_mut().zip(&lanes).take(live) {
+            row.copy_from_slice(&lane[t * TILE..][..TILE]);
+        }
+        for (l, step) in out.chunks_exact_mut(W).enumerate() {
+            for w in 0..W {
+                step[w] = tile[w][l];
+            }
+        }
+    }
+    let done = depth - depth % TILE;
+    for (l, step) in tiles.into_remainder().chunks_exact_mut(W).enumerate() {
+        for (w, v) in step.iter_mut().enumerate() {
+            *v = if w < live { lanes[w][done + l] } else { 0.0 };
+        }
+    }
+}
+
+/// Pack lanes `lane0..lane0+lanes`, depth `depth0..depth0+depth` of a strided
+/// operand (lane `w`, depth `l` at `src[w·lane_stride + l·depth_stride]`)
+/// into `W`-lane zero-padded panels: panel `p` holds lanes `lane0 + p·W ..`,
+/// element `(w, l)` at `l·W + w`. A unit stride on either axis takes a
+/// contiguous path; only a doubly strided operand pays the per-element
+/// gather.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pack_panels<const W: usize>(
+    dst: &mut [f64],
+    src: &[f64],
+    lane_stride: usize,
+    depth_stride: usize,
+    lane0: usize,
+    lanes: usize,
+    depth0: usize,
+    depth: usize,
+) {
+    debug_assert_eq!(dst.len(), lanes.div_ceil(W) * W * depth);
+    if depth == 0 {
+        return;
+    }
+    for (p, panel) in dst.chunks_exact_mut(W * depth).enumerate() {
+        let first = lane0 + p * W;
+        let live = W.min(lane0 + lanes - first);
+        let base = first * lane_stride + depth0 * depth_stride;
+        if lane_stride == 1 {
+            copy_panel::<W>(panel, src, base, depth_stride, live);
+        } else if depth_stride == 1 {
+            interleave_panel::<W>(panel, src, base, lane_stride, live);
+        } else {
+            gather_panel::<W>(panel, src, base, lane_stride, depth_stride, live);
+        }
+    }
+    note_packed(dst.len());
+}
+
 /// Pack rows `i0..i0+mb`, depth `l0..l0+kb` of the strided operand `A`
 /// (element `(i, l)` at `a[i·rs + l·cs]`) into `MR`-row zero-padded panels:
 /// panel `p` holds rows `i0 + p·MR ..`, element `(i, l)` at `l·MR + i`.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn pack_a_block(
+fn pack_a_block(
     dst: &mut [f64],
     a: &[f64],
     rs: usize,
@@ -245,36 +464,16 @@ pub fn pack_a_block(
     l0: usize,
     kb: usize,
 ) {
-    debug_assert_eq!(dst.len(), packed_a_len(mb, kb));
-    for (p, panel) in dst.chunks_exact_mut(MR * kb).enumerate() {
-        let pi = i0 + p * MR;
-        let pm = MR.min(i0 + mb - pi);
-        if pm == MR && rs == 1 {
-            // Contiguous column fragments: straight 8-wide copies.
-            for (l, col) in panel.chunks_exact_mut(MR).enumerate() {
-                col.copy_from_slice(&a[pi + (l0 + l) * cs..][..MR]);
-            }
-        } else {
-            for (l, col) in panel.chunks_exact_mut(MR).enumerate() {
-                for (i, v) in col.iter_mut().enumerate() {
-                    *v = if i < pm {
-                        a[(pi + i) * rs + (l0 + l) * cs]
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        }
-    }
-    note_packed(dst.len());
+    pack_panels::<MR>(dst, a, rs, cs, i0, mb, l0, kb);
 }
 
 /// Pack depth `l0..l0+kb`, columns `j0..j0+nb` of the strided operand `B`
 /// (element `(l, j)` at `b[l·rs + j·cs]`) into `NR`-column zero-padded
 /// panels: panel `p` holds columns `j0 + p·NR ..`, element `(l, j)` at
-/// `l·NR + j`.
+/// `l·NR + j` — [`pack_a_block`]'s copy with columns as the lanes.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn pack_b_block(
+fn pack_b_block(
     dst: &mut [f64],
     b: &[f64],
     rs: usize,
@@ -284,21 +483,7 @@ pub fn pack_b_block(
     j0: usize,
     nb: usize,
 ) {
-    debug_assert_eq!(dst.len(), packed_b_len(kb, nb));
-    for (p, panel) in dst.chunks_exact_mut(NR * kb).enumerate() {
-        let pj = j0 + p * NR;
-        let pn = NR.min(j0 + nb - pj);
-        for (l, row) in panel.chunks_exact_mut(NR).enumerate() {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = if j < pn {
-                    b[(l0 + l) * rs + (pj + j) * cs]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-    note_packed(dst.len());
+    pack_panels::<NR>(dst, b, cs, rs, j0, nb, l0, kb);
 }
 
 /// Total packed length of the full `k×n` operand `B` under the macro-loop
@@ -322,24 +507,37 @@ pub fn packed_b_full_len(k: usize, n: usize) -> usize {
 /// reuses it across every outer slab.
 pub fn pack_b_full(dst: &mut [f64], k: usize, n: usize, b: &[f64], rs: usize, cs: usize) {
     debug_assert_eq!(dst.len(), packed_b_full_len(k, n));
-    let mut off = 0;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let len = packed_b_len(kc, nc);
-            pack_b_block(&mut dst[off..off + len], b, rs, cs, pc, kc, jc, nc);
-            off += len;
-        }
-    }
+    Isa::detect().run(
+        #[inline(always)]
+        || {
+            let mut off = 0;
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    let len = packed_b_len(kc, nc);
+                    pack_b_block(&mut dst[off..off + len], b, rs, cs, pc, kc, jc, nc);
+                    off += len;
+                }
+            }
+        },
+    )
 }
 
-/// The register-tiled inner product: `acc[j][i] = Σ_l ap[l·MR+i] · bp[l·NR+j]`
-/// over one `A` panel and one `B` panel of depth `kc`.
+/// The register-tiled inner product: `acc[j][i] = Σ_l ap[l·MR+i] · bp[l·BS+off+j]`
+/// over one `A` panel and lanes `off..off+NR` of one `BS`-lane panel, both of
+/// depth `kc`. GEMM reads `B` panels (`BS = NR`, `off = 0`); SYRK reads its
+/// `B = Aᵀ` out of the `A` pack (`BS = MR`). Per `acc[j][i]` the sum runs over
+/// `l` ascending from `0.0`, one rounded product and one rounded add per
+/// step, whatever the vector width.
 #[inline(always)]
-fn mk_accumulate(ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
+fn mk_accumulate<const BS: usize>(ap: &[f64], bp: &[f64], off: usize) -> [[f64; MR]; NR] {
+    // Checked once here so the loop body carries no bounds check (a panic
+    // edge inside it makes the accumulators spill every step).
+    assert!(off + NR <= BS);
     let mut acc = [[0.0f64; MR]; NR];
-    for (a8, b4) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+    for (a8, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(BS)) {
+        let b4 = &b[off..off + NR];
         for j in 0..NR {
             let bj = b4[j];
             for i in 0..MR {
@@ -371,8 +569,32 @@ fn mk_store(acc: &[[f64; MR]; NR], alpha: f64, c: &mut [f64], ldc: usize, mr: us
     }
 }
 
+/// [`mk_store`] for a tile straddling the diagonal: element `(i, j)` is
+/// stored only where `ig + i ≥ jg + j` (`ig`, `jg` the tile's global origin).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn mk_store_lower(
+    acc: &[[f64; MR]; NR],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    ig: usize,
+    jg: usize,
+) {
+    for (j, aj) in acc.iter().enumerate().take(nr) {
+        for (i, &v) in aj.iter().enumerate().take(mr) {
+            if ig + i >= jg + j {
+                c[i + j * ldc] += alpha * v;
+            }
+        }
+    }
+}
+
 /// Macro-kernel over one packed `mc×kc` `A` block and `kc×nc` `B` block:
 /// `C[..mc, ..nc] += alpha · A·B` with `c` at the block origin.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     mc: usize,
@@ -386,11 +608,11 @@ fn macro_kernel(
 ) {
     for jr in (0..nc).step_by(NR) {
         let nr = NR.min(nc - jr);
-        let bp = &bpack[(jr / NR) * NR * kc..][..NR * kc];
+        let bp = &bpack[jr * kc..][..NR * kc];
         for ir in (0..mc).step_by(MR) {
             let mr = MR.min(mc - ir);
-            let ap = &apack[(ir / MR) * MR * kc..][..MR * kc];
-            let acc = mk_accumulate(ap, bp);
+            let ap = &apack[ir * kc..][..MR * kc];
+            let acc = mk_accumulate::<NR>(ap, bp, 0);
             mk_store(&acc, alpha, &mut c[ir + jr * ldc..], ldc, mr, nr);
         }
     }
@@ -426,34 +648,64 @@ pub fn gemm_packed(
     ldc: usize,
     packs: &mut PackPair,
 ) -> bool {
+    let isa = Isa::detect();
+    gemm_packed_on(
+        isa, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, alpha, c, ldc, packs,
+    )
+}
+
+/// [`gemm_packed`] compiled for `isa` (for tests: same body, same bits).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f64],
+    b_rs: usize,
+    b_cs: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+    packs: &mut PackPair,
+) -> bool {
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return false;
     }
     let grew = ensure_packs(m, n, k, packs);
     let (pa, pb) = (&mut packs.a, &mut packs.b);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let bp_len = packed_b_len(kc, nc);
-            pack_b_block(pb.slice_mut(bp_len), b, b_rs, b_cs, pc, kc, jc, nc);
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                let ap_len = packed_a_len(mc, kc);
-                pack_a_block(pa.slice_mut(ap_len), a, a_rs, a_cs, ic, mc, pc, kc);
-                macro_kernel(
-                    mc,
-                    nc,
-                    kc,
-                    pa.slice(ap_len),
-                    pb.slice(bp_len),
-                    alpha,
-                    &mut c[ic + jc * ldc..],
-                    ldc,
-                );
+    isa.run(
+        #[inline(always)]
+        || {
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    let bp_len = packed_b_len(kc, nc);
+                    pack_b_block(pb.slice_mut(bp_len), b, b_rs, b_cs, pc, kc, jc, nc);
+                    for ic in (0..m).step_by(MC) {
+                        let mc = MC.min(m - ic);
+                        let ap_len = packed_a_len(mc, kc);
+                        pack_a_block(pa.slice_mut(ap_len), a, a_rs, a_cs, ic, mc, pc, kc);
+                        macro_kernel(
+                            mc,
+                            nc,
+                            kc,
+                            pa.slice(ap_len),
+                            pb.slice(bp_len),
+                            alpha,
+                            &mut c[ic + jc * ldc..],
+                            ldc,
+                        );
+                    }
+                }
             }
-        }
-    }
+        },
+    );
     grew
 }
 
@@ -474,36 +726,62 @@ pub fn gemm_prepacked_b(
     ldc: usize,
     apack: &mut PackBuf,
 ) -> bool {
+    let isa = Isa::detect();
+    gemm_prepacked_b_on(isa, m, n, k, a, a_rs, a_cs, bpack, alpha, c, ldc, apack)
+}
+
+/// [`gemm_prepacked_b`] compiled for `isa` (for tests: same body, same bits).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_prepacked_b_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    a_rs: usize,
+    a_cs: usize,
+    bpack: &[f64],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+    apack: &mut PackBuf,
+) -> bool {
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return false;
     }
     debug_assert_eq!(bpack.len(), packed_b_full_len(k, n));
     let grew = apack.ensure(packed_a_len(m.min(MC), k.min(KC)));
-    let mut boff = 0;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let bp_len = packed_b_len(kc, nc);
-            let bp = &bpack[boff..boff + bp_len];
-            boff += bp_len;
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                let ap_len = packed_a_len(mc, kc);
-                pack_a_block(apack.slice_mut(ap_len), a, a_rs, a_cs, ic, mc, pc, kc);
-                macro_kernel(
-                    mc,
-                    nc,
-                    kc,
-                    apack.slice(ap_len),
-                    bp,
-                    alpha,
-                    &mut c[ic + jc * ldc..],
-                    ldc,
-                );
+    isa.run(
+        #[inline(always)]
+        || {
+            let mut boff = 0;
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    let bp_len = packed_b_len(kc, nc);
+                    let bp = &bpack[boff..boff + bp_len];
+                    boff += bp_len;
+                    for ic in (0..m).step_by(MC) {
+                        let mc = MC.min(m - ic);
+                        let ap_len = packed_a_len(mc, kc);
+                        pack_a_block(apack.slice_mut(ap_len), a, a_rs, a_cs, ic, mc, pc, kc);
+                        macro_kernel(
+                            mc,
+                            nc,
+                            kc,
+                            apack.slice(ap_len),
+                            bp,
+                            alpha,
+                            &mut c[ic + jc * ldc..],
+                            ldc,
+                        );
+                    }
+                }
             }
-        }
-    }
+        },
+    );
     grew
 }
 
@@ -513,11 +791,32 @@ pub fn gemm_prepacked_b(
 /// (the upper triangle is never touched, matching the `syrk_*_lower`
 /// contract).
 ///
-/// The macro loop is the GEMM nest with `B = Aᵀ` (same slice, swapped
-/// strides), skipping every tile strictly above the diagonal and masking the
-/// store on diagonal-straddling tiles. Returns `true` if a pack buffer grew.
+/// The macro loop is the GEMM nest with `B = Aᵀ`, and `Aᵀ` is never packed:
+/// per `KC` block all `n` rows of `A` are packed **once** into `packs.a`
+/// (`⌈n/MR⌉·MR·KC` values at most; `packs.b` is not used), and since `NR`
+/// divides `MR` the `B` panel of columns `j..j+NR` is the `A` panel `j / MR`
+/// read with stride `MR` from lane `j % MR`. Tiles strictly above the
+/// diagonal are skipped and tiles straddling it store under an `i ≥ j` mask.
+/// Returns `true` if the pack buffer grew.
 #[allow(clippy::too_many_arguments)]
 pub fn syrk_packed_lower(
+    n: usize,
+    k: usize,
+    a: &[f64],
+    a_rs: usize,
+    a_cs: usize,
+    alpha: f64,
+    c: &mut [f64],
+    packs: &mut PackPair,
+) -> bool {
+    syrk_packed_lower_on(Isa::detect(), n, k, a, a_rs, a_cs, alpha, c, packs)
+}
+
+/// [`syrk_packed_lower`] compiled for `isa` (for tests: same body, same bits).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn syrk_packed_lower_on(
+    isa: Isa,
     n: usize,
     k: usize,
     a: &[f64],
@@ -531,86 +830,60 @@ pub fn syrk_packed_lower(
         return false;
     }
     debug_assert_eq!(c.len(), n * n);
-    let grew = ensure_packs(n, n, k, packs);
-    let (pa, pb) = (&mut packs.a, &mut packs.b);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let bp_len = packed_b_len(kc, nc);
-            // B = Aᵀ: element (l, j) is A[j, l], i.e. swapped strides.
-            pack_b_block(pb.slice_mut(bp_len), a, a_cs, a_rs, pc, kc, jc, nc);
-            for ic in (0..n).step_by(MC) {
-                let mc = MC.min(n - ic);
-                if ic + mc <= jc {
-                    continue; // whole block strictly above the diagonal
+    let pa = &mut packs.a;
+    let grew = pa.ensure(packed_a_len(n, k.min(KC)));
+    isa.run(
+        #[inline(always)]
+        || {
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let ap_len = packed_a_len(n, kc);
+                pack_a_block(pa.slice_mut(ap_len), a, a_rs, a_cs, 0, n, pc, kc);
+                // Row blocks of MC keep the A panels of one sweep over the
+                // columns L2-resident, as in the GEMM nest.
+                for ic in (0..n).step_by(MC) {
+                    let mc = MC.min(n - ic);
+                    macro_kernel_lower(ic, mc, kc, pa.slice(ap_len), alpha, c, n);
                 }
-                let ap_len = packed_a_len(mc, kc);
-                pack_a_block(pa.slice_mut(ap_len), a, a_rs, a_cs, ic, mc, pc, kc);
-                macro_kernel_lower(
-                    mc,
-                    nc,
-                    kc,
-                    pa.slice(ap_len),
-                    pb.slice(bp_len),
-                    alpha,
-                    &mut c[ic + jc * n..],
-                    n,
-                    ic,
-                    jc,
-                );
             }
-        }
-    }
+        },
+    );
     grew
 }
 
-/// [`macro_kernel`] restricted to the lower triangle: tiles entirely above
-/// the diagonal are skipped, tiles straddling it store element-by-element
-/// under an `i ≥ j` (global indices) mask.
-#[allow(clippy::too_many_arguments)]
+/// [`macro_kernel`] for rows `ic..ic+mc` of the lower triangle of
+/// `C += alpha · A·Aᵀ`, both operands read from the one pack of all of `A`'s
+/// rows (`c` is the whole column-major matrix): tiles entirely above the
+/// diagonal are never visited, tiles straddling it go through
+/// [`mk_store_lower`].
+#[inline(always)]
 fn macro_kernel_lower(
+    ic: usize,
     mc: usize,
-    nc: usize,
     kc: usize,
     apack: &[f64],
-    bpack: &[f64],
     alpha: f64,
     c: &mut [f64],
     ldc: usize,
-    ic: usize,
-    jc: usize,
 ) {
-    for jr in (0..nc).step_by(NR) {
-        let nr = NR.min(nc - jr);
-        let jg = jc + jr;
-        let bp = &bpack[(jr / NR) * NR * kc..][..NR * kc];
-        for ir in (0..mc).step_by(MR) {
-            let mr = MR.min(mc - ir);
-            let ig = ic + ir;
-            if ig + mr <= jg {
-                continue; // tile entirely above the diagonal
-            }
-            let acc = mk_accumulate(ap_slice(apack, ir, kc), bp);
-            let tile = &mut c[ir + jr * ldc..];
+    // Columns at or past the block's last row are above the diagonal.
+    for jg in (0..ic + mc).step_by(NR) {
+        let nr = NR.min(ic + mc - jg);
+        // B = Aᵀ: columns jg..jg+NR are lanes jg % MR.. of A panel jg / MR.
+        let bp = &apack[(jg / MR) * MR * kc..][..MR * kc];
+        // Row panels before the one holding row jg are above the diagonal.
+        for ig in (ic.max(jg / MR * MR)..ic + mc).step_by(MR) {
+            let mr = MR.min(ic + mc - ig);
+            let ap = &apack[ig * kc..][..MR * kc];
+            let acc = mk_accumulate::<MR>(ap, bp, jg % MR);
+            let tile = &mut c[ig + jg * ldc..];
             if ig >= jg + nr - 1 {
                 mk_store(&acc, alpha, tile, ldc, mr, nr);
             } else {
-                for (j, aj) in acc.iter().enumerate().take(nr) {
-                    for (i, &v) in aj.iter().enumerate().take(mr) {
-                        if ig + i >= jg + j {
-                            tile[i + j * ldc] += alpha * v;
-                        }
-                    }
-                }
+                mk_store_lower(&acc, alpha, tile, ldc, mr, nr, ig, jg);
             }
         }
     }
-}
-
-#[inline]
-fn ap_slice(apack: &[f64], ir: usize, kc: usize) -> &[f64] {
-    &apack[(ir / MR) * MR * kc..][..MR * kc]
 }
 
 #[cfg(test)]
@@ -743,15 +1016,156 @@ mod tests {
 
     #[test]
     fn bytes_packed_counts_calling_thread_packing() {
-        let before = bytes_packed();
         let a = det(7, 64 * 64);
         let b = det(8, 64 * 64);
         let mut c = vec![0.0; 64 * 64];
         let mut packs = PackPair::new();
+        // GEMM 64×64×64: one KC block, one MC block — B packed once
+        // (64·64 values) and A packed once (64·64 values), 8 bytes each.
+        let before = bytes_packed();
         gemm_packed(
             64, 64, 64, &a, 1, 64, &b, 1, 64, 1.0, &mut c, 64, &mut packs,
         );
-        assert!(bytes_packed() > before, "packing must be counted");
+        assert_eq!(bytes_packed() - before, 2 * 64 * 64 * 8);
+        // SYRK 64×64: the operand is packed once per KC block and read as
+        // both A and Aᵀ — 64·64·8 = 32768 bytes, half of what the separate
+        // Aᵀ pack used to make it (65536).
+        let before = bytes_packed();
+        syrk_packed_lower(64, 64, &a, 1, 64, 1.0, &mut c, &mut packs);
+        assert_eq!(bytes_packed() - before, 64 * 64 * 8);
+        // Two KC blocks of 67 rows: ⌈67/MR⌉·MR = 72 padded rows × 300 deep.
+        let a = det(9, 67 * 300);
+        let mut c = vec![0.0; 67 * 67];
+        let before = bytes_packed();
+        syrk_packed_lower(67, 300, &a, 300, 1, 1.0, &mut c, &mut packs);
+        assert_eq!(bytes_packed() - before, 72 * 300 * 8);
+    }
+
+    /// Every panel packer against the per-element gather on the same
+    /// operand: full and edge panels (zero padding included), depths on both
+    /// sides of `TILE`, non-zero lane and depth origins, and the byte count.
+    #[test]
+    fn pack_fast_paths_equal_generic_gather() {
+        fn check<const W: usize>() {
+            let src = det(10, 4096);
+            for &(lanes, depth, lane0, depth0) in &[
+                (W, TILE, 0, 0),
+                (W, 1, 3, 2),
+                (W - 1, 7, 1, 0),
+                (2 * W + 1, 2 * TILE + 3, 2, 5),
+                (3 * W, 33, 0, 1),
+                (1, 9, 4, 3),
+                (W + 2, 0, 0, 0),
+            ] {
+                let len = lanes.div_ceil(W) * W * depth;
+                // A buffer the packers must overwrite completely.
+                let dirty = vec![f64::NAN; len];
+                for &(lane_stride, depth_stride) in &[(1, 61), (53, 1), (1, 1)] {
+                    let mut want = dirty.clone();
+                    for (p, panel) in want.chunks_exact_mut((W * depth).max(1)).enumerate() {
+                        let first = lane0 + p * W;
+                        let live = W.min(lane0 + lanes - first);
+                        let base = first * lane_stride + depth0 * depth_stride;
+                        gather_panel::<W>(panel, &src, base, lane_stride, depth_stride, live);
+                    }
+                    let mut got = dirty.clone();
+                    let before = bytes_packed();
+                    pack_panels::<W>(
+                        &mut got,
+                        &src,
+                        lane_stride,
+                        depth_stride,
+                        lane0,
+                        lanes,
+                        depth0,
+                        depth,
+                    );
+                    let counted = bytes_packed() - before;
+                    assert_eq!(counted, if depth == 0 { 0 } else { len as u64 * 8 });
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "W={W} lanes={lanes} depth={depth} strides=({lane_stride},{depth_stride})"
+                    );
+                }
+            }
+        }
+        check::<MR>();
+        check::<NR>();
+    }
+
+    /// SYRK reads `B = Aᵀ` out of its one `A` pack. The lower triangle must
+    /// carry the bits of the two-pack computation — `gemm_packed` with the
+    /// same slice as `A` and, strides swapped, as `B` — and the portable
+    /// instantiation must carry the bits of the dispatched one.
+    #[test]
+    fn syrk_single_pack_equals_two_pack_gemm_bits() {
+        for &(n, k, rs_major) in &[
+            (1, 1, false),
+            (NR + 1, 3, true),
+            (MR + NR, KC + 1, false),
+            (MC + MR + 3, 2 * KC + 5, true),
+            (2 * MC + 1, 40, false),
+        ] {
+            let a = det(11, n * k);
+            // rs_major: the AᵀA orientation (rs = k, cs = 1); else A·Aᵀ.
+            let (rs, cs) = if rs_major { (k, 1) } else { (1, n) };
+            let mut packs = PackPair::new();
+            let mut two_pack = det(12, n * n);
+            let mut one_pack = two_pack.clone();
+            let mut portable = two_pack.clone();
+            let untouched = two_pack.clone();
+            gemm_packed(
+                n,
+                n,
+                k,
+                &a,
+                rs,
+                cs,
+                &a,
+                cs,
+                rs,
+                0.75,
+                &mut two_pack,
+                n,
+                &mut packs,
+            );
+            syrk_packed_lower(n, k, &a, rs, cs, 0.75, &mut one_pack, &mut packs);
+            syrk_packed_lower_on(
+                Isa::PORTABLE,
+                n,
+                k,
+                &a,
+                rs,
+                cs,
+                0.75,
+                &mut portable,
+                &mut packs,
+            );
+            for j in 0..n {
+                for i in 0..n {
+                    let at = i + j * n;
+                    let want = if i >= j { two_pack[at] } else { untouched[at] };
+                    assert_eq!(
+                        one_pack[at].to_bits(),
+                        want.to_bits(),
+                        "n={n} k={k} ({i},{j})"
+                    );
+                    assert_eq!(
+                        portable[at].to_bits(),
+                        want.to_bits(),
+                        "n={n} k={k} ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_isa_names_the_dispatched_instantiation() {
+        assert!(["avx2", "portable"].contains(&kernel_isa()));
+        assert_eq!(kernel_isa() == "portable", Isa::detect() == Isa::PORTABLE);
     }
 
     #[test]

@@ -11,12 +11,20 @@
 //! against the same reference. No test flips the process-wide kernel mode:
 //! the test binary runs tests concurrently and the mode is global.
 //!
+//! The `*_bits_*` properties are the fence around the ISA dispatch: the
+//! dispatched path (AVX2 where the CPU has it), the portable instantiation of
+//! the same body (`*_on(Isa::PORTABLE, ..)`) and a scalar reference that
+//! spells out the per-element order of operations must agree in every bit.
+//! The first equality catches an instantiation that rounds differently (a
+//! fused multiply-add, a re-associated sum); the second catches a change to
+//! the shared body that both instantiations would make together.
+//!
 //! Cases are generated deterministically from a fixed per-test seed (see
 //! `vendor/proptest`): CI runs are reproducible, and `PROPTEST_SEED` /
 //! `PROPTEST_CASES` explore other streams or bound the case count.
 
 use proptest::prelude::*;
-use tucker_linalg::pack::{self, PackPair};
+use tucker_linalg::pack::{self, Isa, PackPair, KC, MC, MR, NR};
 use tucker_linalg::{syrk_aat_lower, syrk_ata_lower};
 
 /// Deterministic hash noise in [-0.5, 0.5).
@@ -34,6 +42,43 @@ fn noise_vec(seed: u64, len: usize) -> Vec<f64> {
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One element of `C` after a packed kernel, to the bit: per `KC` block of
+/// the shared dimension a fresh partial sum from `0.0`, terms in ascending
+/// order, one rounded multiply and one rounded add per term; then
+/// `c += alpha · partial`.
+fn ordered_update(c0: f64, alpha: f64, k: usize, term: impl Fn(usize) -> (f64, f64)) -> f64 {
+    let mut c = c0;
+    for pc in (0..k).step_by(KC) {
+        let mut partial = 0.0;
+        for l in pc..(pc + KC).min(k) {
+            let (x, y) = term(l);
+            partial += x * y;
+        }
+        c += alpha * partial;
+    }
+    c
+}
+
+/// Extents on both sides of every tile and block edge.
+const ROW_EDGES: [usize; 8] = [1, MR - 1, MR, MR + 1, MC - 1, MC, MC + 1, 2 * MC + 3];
+const COL_EDGES: [usize; 6] = [1, NR - 1, NR, NR + 1, 2 * NR + 1, 37];
+const DEPTH_EDGES: [usize; 7] = [0, 1, 7, KC - 1, KC, KC + 1, 2 * KC + 5];
+
+/// An `r×c` operand in one of the two layouts: column-major (`rs = 1`) or the
+/// transposed view of a column-major `c×r` buffer (`cs = 1`).
+fn operand(seed: u64, r: usize, c: usize, transposed: bool) -> (Vec<f64>, usize, usize) {
+    let buf = noise_vec(seed, r * c);
+    if transposed {
+        (buf, c, 1)
+    } else {
+        (buf, 1, r)
+    }
 }
 
 proptest! {
@@ -220,5 +265,103 @@ proptest! {
         pack::gemm_prepacked_b(m, n, k, &a, 1, m, &bpack, 1.0, &mut c_pre, m, &mut apack);
 
         prop_assert_eq!(c_direct, c_pre);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `gemm_packed` and `gemm_prepacked_b`: dispatched == portable ==
+    /// ordered scalar reference in every bit, over shapes straddling every
+    /// `MR`/`NR`/`KC`/`MC` edge, all four stride orientations, `alpha ≠ 1`,
+    /// `k = 0` and a padded `ldc` whose padding rows stay untouched.
+    #[test]
+    fn gemm_bits_dispatched_portable_and_ordered_reference_agree(
+        mi in 0usize..ROW_EDGES.len(),
+        ni in 0usize..COL_EDGES.len(),
+        ki in 0usize..DEPTH_EDGES.len(),
+        a_t in 0u8..2,
+        b_t in 0u8..2,
+        pad in 0usize..=2,
+        seed in 0u64..10_000,
+    ) {
+        let (m, n, k) = (ROW_EDGES[mi], COL_EDGES[ni], DEPTH_EDGES[ki]);
+        let alpha = -(1.5 + noise(seed, 0));
+        let (a, a_rs, a_cs) = operand(seed ^ 21, m, k, a_t == 1);
+        let (b, b_rs, b_cs) = operand(seed ^ 22, k, n, b_t == 1);
+        let ldc = m + pad;
+        let c0 = noise_vec(seed ^ 23, ldc * n);
+
+        let mut want = c0.clone();
+        for j in 0..n {
+            for i in 0..m {
+                want[i + j * ldc] = ordered_update(c0[i + j * ldc], alpha, k, |l| {
+                    (a[i * a_rs + l * a_cs], b[l * b_rs + j * b_cs])
+                });
+            }
+        }
+
+        let mut packs = PackPair::new();
+        let mut dispatched = c0.clone();
+        pack::gemm_packed(
+            m, n, k, &a, a_rs, a_cs, &b, b_rs, b_cs, alpha, &mut dispatched, ldc, &mut packs,
+        );
+        let mut portable = c0.clone();
+        pack::gemm_packed_on(
+            Isa::PORTABLE, m, n, k, &a, a_rs, a_cs, &b, b_rs, b_cs, alpha, &mut portable, ldc,
+            &mut packs,
+        );
+        prop_assert_eq!(bits(&dispatched), bits(&want), "gemm {m}x{n}x{k}");
+        prop_assert_eq!(bits(&portable), bits(&want), "portable gemm {m}x{n}x{k}");
+
+        let mut bpack = vec![0.0; pack::packed_b_full_len(k, n)];
+        pack::pack_b_full(&mut bpack, k, n, &b, b_rs, b_cs);
+        let mut apack = pack::PackBuf::new();
+        let mut dispatched = c0.clone();
+        pack::gemm_prepacked_b(
+            m, n, k, &a, a_rs, a_cs, &bpack, alpha, &mut dispatched, ldc, &mut apack,
+        );
+        let mut portable = c0.clone();
+        pack::gemm_prepacked_b_on(
+            Isa::PORTABLE, m, n, k, &a, a_rs, a_cs, &bpack, alpha, &mut portable, ldc, &mut apack,
+        );
+        prop_assert_eq!(bits(&dispatched), bits(&want), "prepacked {m}x{n}x{k}");
+        prop_assert_eq!(bits(&portable), bits(&want), "portable prepacked {m}x{n}x{k}");
+    }
+
+    /// `syrk_packed_lower`, both operand orientations: dispatched ==
+    /// portable == ordered scalar reference in every bit on the lower
+    /// triangle, and the upper triangle keeps the bits it had.
+    #[test]
+    fn syrk_bits_dispatched_portable_and_ordered_reference_agree(
+        ni in 0usize..ROW_EDGES.len(),
+        ki in 0usize..DEPTH_EDGES.len(),
+        a_t in 0u8..2,
+        seed in 0u64..10_000,
+    ) {
+        let (n, k) = (ROW_EDGES[ni], DEPTH_EDGES[ki]);
+        let alpha = 0.5 + noise(seed, 1).abs();
+        let (a, rs, cs) = operand(seed ^ 31, n, k, a_t == 1);
+        let c0 = noise_vec(seed ^ 32, n * n);
+
+        // Upper-triangle entries of `want` stay at their `c0` bits.
+        let mut want = c0.clone();
+        for j in 0..n {
+            for i in j..n {
+                want[i + j * n] = ordered_update(c0[i + j * n], alpha, k, |l| {
+                    (a[i * rs + l * cs], a[j * rs + l * cs])
+                });
+            }
+        }
+
+        let mut packs = PackPair::new();
+        let mut dispatched = c0.clone();
+        pack::syrk_packed_lower(n, k, &a, rs, cs, alpha, &mut dispatched, &mut packs);
+        let mut portable = c0.clone();
+        pack::syrk_packed_lower_on(
+            Isa::PORTABLE, n, k, &a, rs, cs, alpha, &mut portable, &mut packs,
+        );
+        prop_assert_eq!(bits(&dispatched), bits(&want), "syrk n={n} k={k}");
+        prop_assert_eq!(bits(&portable), bits(&want), "portable syrk n={n} k={k}");
     }
 }

@@ -5,8 +5,13 @@
 //! mesh run must multiplex its ranks over a bounded worker pool instead of
 //! spawning one OS thread per rank.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
 use tucker_core::engine::{run_distributed_hooi_mesh, EngineConfig, FailurePolicy, InjectedFault};
+use tucker_core::plan::cost::NetCostModel;
+use tucker_core::plan::{Planner, SearchBudget};
 use tucker_core::TuckerMeta;
+use tucker_distsim::block::rank_region;
 use tucker_distsim::{process_thread_count, MeshCfg, NetModel};
 
 /// Smooth deterministic field with simple Gram spectra (the engine test
@@ -83,6 +88,80 @@ fn recovered_run_matches_from_scratch_survivor_run() {
     assert_eq!(
         out.per_sweep[0].error.to_bits(),
         full.per_sweep[0].error.to_bits()
+    );
+}
+
+#[test]
+fn recovery_regenerates_exactly_the_dead_block_element_for_element() {
+    // Kill the last of 8 ranks: under the 2×2×2 initial grid its block — the
+    // gap the survivors must re-materialize — starts at a non-zero
+    // coordinate in every mode. The generator is the witness: it counts the
+    // calls per global coordinate, and the values it returns are the input.
+    let meta = TuckerMeta::new([12, 10, 14], [4, 4, 4]);
+    let cfg = EngineConfig {
+        on_failure: FailurePolicy::recover(),
+        ..EngineConfig::virtual_time(NetModel::bgq())
+    };
+    let dead_rank = 7;
+    let plan = Planner::new(meta.clone(), 8).best_plan_with(
+        &NetCostModel::new(NetModel::bgq(), 8),
+        &SearchBudget::winner_only(),
+    );
+    let dead = rank_region(meta.input(), &plan.grids.initial, dead_rank);
+    assert!(
+        dead.start.iter().all(|&s| s > 0),
+        "the dead block must be interior on every mode, got {dead:?}"
+    );
+
+    let calls: Mutex<HashMap<Vec<usize>, u32>> = Mutex::new(HashMap::new());
+    let counted = |c: &[usize]| {
+        *calls.lock().unwrap().entry(c.to_vec()).or_default() += 1;
+        field(c)
+    };
+    let fault = InjectedFault {
+        rank: dead_rank,
+        sweep: 1,
+        after_leaves: 1,
+    };
+    let out =
+        run_distributed_hooi_mesh(counted, &meta, 8, 3, &cfg, &MeshCfg::default(), Some(fault));
+    assert_eq!(out.recoveries.len(), 1);
+    let ev = &out.recoveries[0];
+    assert_eq!(ev.dead_ranks, vec![dead_rank]);
+
+    // Element for element: every coordinate was generated once by the first
+    // epoch; the recovery generated the dead block's coordinates once more —
+    // all of them, nothing else, none twice — and served the rest from live
+    // blocks.
+    let calls = calls.into_inner().unwrap();
+    let total = meta.input().cardinality();
+    assert_eq!(calls.len(), total);
+    for c in meta.input().coords() {
+        assert_eq!(calls[&c], 1 + dead.contains(&c) as u32, "coordinate {c:?}");
+    }
+    assert_eq!(
+        ev.reused_elements as usize,
+        total - dead.cardinality(),
+        "everything outside the gap comes from live blocks"
+    );
+
+    // And the regenerated values landed where they belong: the recovered
+    // trajectory equals a from-scratch survivor run to summation-order ulps
+    // (one misplaced element would move the error by many orders more).
+    let clean = run_distributed_hooi_mesh(
+        field,
+        &meta,
+        ev.survivors,
+        3,
+        &cfg,
+        &MeshCfg::default(),
+        None,
+    );
+    let recovered_err = out.per_sweep.last().unwrap().error;
+    let clean_err = clean.per_sweep.last().unwrap().error;
+    assert!(
+        (recovered_err - clean_err).abs() < 1e-10,
+        "recovered {recovered_err} vs from-scratch {clean_err}"
     );
 }
 
