@@ -5,7 +5,8 @@
 //! * fused slab-wise Gram (`gram`) vs the explicit-unfold baseline
 //!   `syrk(&unfold(..))` — the only place the unfold path survives,
 //! * GEMM vs SYRK for Gram matrices (SYRK exploits symmetry),
-//! * tridiagonalization+QL EVD vs cyclic Jacobi.
+//! * tridiagonalization+QL EVD vs the selected-eigenpair solver (`k = n/5`
+//!   leading pairs, the production path for large Grams) vs cyclic Jacobi.
 //!
 //! `cargo run --release -p tucker-bench --bin experiments -- kernels`
 //! re-times the TTM and Gram arms with plain medians and persists them to
@@ -14,7 +15,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tucker_linalg::{gemm, jacobi_evd, sym_evd, syrk, Matrix, Transpose};
+use tucker_linalg::{gemm, jacobi_evd, sym_evd, sym_evd_leading, syrk, Matrix, Transpose};
 use tucker_tensor::ttm::{ttm, ttm_explicit_unfold};
 use tucker_tensor::{gram, unfold, DenseTensor, Shape};
 
@@ -87,6 +88,9 @@ fn bench_evd_solvers(c: &mut Criterion) {
     let a = Matrix::from_fn(72, 72, |i, j| 0.5 * (a0[(i, j)] + a0[(j, i)]));
     g.bench_function("tridiag_ql", |b| {
         b.iter(|| sym_evd(black_box(&a)).eigenvalues[0])
+    });
+    g.bench_function("selected_k=n/5", |b| {
+        b.iter(|| sym_evd_leading(black_box(a.clone()), 72 / 5).eigenvalues[0])
     });
     g.bench_function("cyclic_jacobi", |b| {
         b.iter(|| jacobi_evd(black_box(&a)).eigenvalues[0])

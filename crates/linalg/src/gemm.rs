@@ -147,10 +147,7 @@ fn gemm_into_packed(
 
     let work = m * n * k;
     let workers = if work >= PAR_MIN_WORK {
-        std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1)
-            .min(n.div_ceil(pack::NR))
+        crate::os_threads().min(n.div_ceil(pack::NR))
     } else {
         1
     };

@@ -15,11 +15,16 @@
 //!   accumulating (`β`-aware) and raw-slice `AᵀA` entry points backing the
 //!   fused Gram kernel in `tucker-tensor`,
 //! * [`qr`] — Householder QR factorization (orthonormalization),
-//! * [`evd`] — symmetric eigendecomposition via Householder tridiagonalization
-//!   followed by the implicit-shift QL iteration, with a cyclic Jacobi solver
-//!   as an independent cross-check,
+//! * [`evd`] — symmetric eigendecomposition: [`sym_evd_leading`], the
+//!   selected-eigenpair solver in the shape of `dsyevx` (tridiagonalization
+//!   without forming `Q`, QL for the eigenvalues, inverse iteration and
+//!   back-transformation for the `k` wanted vectors) that the engine runs on;
+//!   [`sym_evd`], the full-spectrum Householder + QL solver kept for small
+//!   Grams and as the reference; and a cyclic Jacobi solver as an independent
+//!   cross-check,
 //! * [`svd`] — leading left singular vectors via the Gram-matrix + EVD route
-//!   used by the paper (§5).
+//!   used by the paper (§5); [`leading_from_gram`] is the one place that
+//!   picks between the two solvers, from the Gram's order and `k` alone.
 //!
 //! Everything is pure Rust with no BLAS dependency so the workspace builds on
 //! any platform; performance is adequate for the scaled experiments and, more
@@ -35,7 +40,7 @@ pub mod qr;
 pub mod svd;
 pub mod syrk;
 
-pub use evd::{jacobi_evd, sym_evd, SymEvd};
+pub use evd::{jacobi_evd, sym_evd, sym_evd_leading, SymEvd};
 pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
 #[cfg(feature = "mixed-precision")]
@@ -50,5 +55,28 @@ pub use syrk::{
     unrolled_dot_strided,
 };
 
+/// Worker threads the OS grants this process — `available_parallelism()`,
+/// `1` if it cannot tell — resolved once: on Linux every call of the std
+/// function re-opens and parses the cgroup quota files, and the kernels ask
+/// on every call.
+pub fn os_threads() -> usize {
+    static OS_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *OS_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |w| w.get()))
+}
+
 /// Relative tolerance used by the crate's internal convergence checks.
 pub const EPS: f64 = 1e-12;
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn os_threads_is_the_std_answer_resolved_once() {
+        let first = super::os_threads();
+        assert_eq!(
+            first,
+            std::thread::available_parallelism().map_or(1, |w| w.get())
+        );
+        assert!(first >= 1);
+        assert_eq!(super::os_threads(), first);
+    }
+}

@@ -6,7 +6,9 @@
 //! had drifted in their thresholds and none of them could be pinned from a
 //! test. This module is the single replacement:
 //!
-//! * [`host_threads`] — the host's worker count, overridable process-wide via
+//! * [`host_threads`] — the host's worker count: the OS's answer, which
+//!   `tucker_linalg::os_threads` resolves once per process (the packed GEMM
+//!   reads the same value), overridable process-wide via
 //!   [`set_host_threads_override`] so tests (and the serving bench) can pin a
 //!   deterministic count regardless of the machine they run on;
 //! * [`heuristic_threads`] — the shared guard: `1` below the caller's
@@ -29,12 +31,10 @@ pub fn set_host_threads_override(threads: Option<usize>) {
 }
 
 /// The worker count heuristic kernels use when no explicit count is given:
-/// the override if one is pinned, else `available_parallelism()`, else 1.
+/// the override if one is pinned, else the process's cached OS count.
 pub fn host_threads() -> usize {
     match HOST_THREADS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1),
+        0 => tucker_linalg::os_threads(),
         n => n,
     }
 }
@@ -64,7 +64,15 @@ mod tests {
         assert_eq!(heuristic_threads(1, 1), 7);
         assert_eq!(heuristic_threads(99, 100), 1);
         assert_eq!(heuristic_threads(100, 100), 7);
+        // Unpinned, it is the one value `tucker-linalg` resolved for the
+        // process — not a fresh query — and the override wins over it again.
         set_host_threads_override(None);
-        assert!(host_threads() >= 1);
+        let os = tucker_linalg::os_threads();
+        assert!(os >= 1);
+        assert_eq!(host_threads(), os);
+        assert_eq!(heuristic_threads(usize::MAX, 1), os);
+        set_host_threads_override(Some(os + 1));
+        assert_eq!(host_threads(), os + 1);
+        set_host_threads_override(None);
     }
 }

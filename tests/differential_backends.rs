@@ -257,3 +257,69 @@ fn steady_state_executor_sweep_is_tensor_alloc_free() {
     );
     assert!(out.stats.error.is_finite());
 }
+
+/// A 64×12×10 field of multilinear rank (16, 4, 4) over a `1e-4` noise
+/// floor: sixteen mutually orthogonal rank-one terms with weights `0.9^r`,
+/// term `r` the outer product of DCT basis vectors `r`, `r % 4` and `r / 4`
+/// of the three modes. Every Gram a sweep forms has distinct eigenvalues and
+/// a clean gap at its truncation.
+fn field_rank16(c: &[usize]) -> f64 {
+    const DIMS: [usize; 3] = [64, 12, 10];
+    let dct = |n: usize, idx: usize| {
+        (std::f64::consts::PI * (c[n] as f64 + 0.5) * idx as f64 / DIMS[n] as f64).cos()
+    };
+    let mut v = 0.0;
+    let mut w = 1.0;
+    for r in 0..16 {
+        v += w * dct(0, r) * dct(1, r % 4) * dct(2, r / 4);
+        w *= 0.9;
+    }
+    v + 1e-4 * hash_noise(c, 0xD1FF)
+}
+
+/// The randomized shapes above have modes of length ≤ 6, which
+/// `leading_from_gram` keeps on the full QL solver. This fixed shape has a
+/// 64 → 16 mode, so the same rayon-vs-seq comparison runs through the
+/// selected-eigenpair solver (mode 0) and through QL (modes 1, 2) in one
+/// sweep.
+#[test]
+fn rayon_matches_seq_through_the_selected_solver() {
+    let meta = TuckerMeta::new([64, 12, 10], [16, 4, 4]);
+    let t = DenseTensor::from_fn(meta.input().clone(), field_rank16);
+    let init: Vec<Matrix> = (0..meta.order())
+        .map(|n| {
+            let g = tucker_tensor::gram(&t, n);
+            assert!(gapped(&g, meta.k(n)), "degenerate fixture: mode {n} init");
+            leading_from_gram(&g, meta.k(n)).u
+        })
+        .collect();
+    let input_norm_sq = fro_norm_sq(&t);
+    let planner = Planner::new(meta.clone(), NRANKS);
+    for plan in planner.paper_lineup() {
+        assert!(
+            hooi_plan_well_posed(&t, &meta, &init, &plan.tree),
+            "degenerate fixture: {}",
+            plan.name()
+        );
+        let mut seq = SeqBackend::new();
+        let s = executor::hooi_sweep(&mut seq, &t, &meta, &plan.tree, &init, input_norm_sq);
+        let mut par = RayonBackend::with_threads(3);
+        let r = executor::hooi_sweep(&mut par, &t, &meta, &plan.tree, &init, input_norm_sq);
+        assert!(
+            (r.stats.error - s.stats.error).abs() < 1e-10,
+            "{}: rayon {} vs seq {}",
+            plan.name(),
+            r.stats.error,
+            s.stats.error
+        );
+        for (fr, fs) in r.factors.iter().zip(&s.factors) {
+            assert_eq!(fr.shape(), fs.shape());
+            assert!(
+                fr.max_abs_diff(fs) < 1e-7,
+                "{} factor mismatch",
+                plan.name()
+            );
+        }
+        assert!(r.core.max_abs_diff(&s.core) < 1e-8, "{}", plan.name());
+    }
+}

@@ -239,3 +239,60 @@ proptest! {
         check_sthosvd(&meta);
     }
 }
+
+/// A 64×12×10 field of multilinear rank (16, 4, 4) over a `1e-4` noise
+/// floor: sixteen mutually orthogonal rank-one terms with weights `0.9^r`,
+/// term `r` the outer product of DCT basis vectors `r`, `r % 4` and `r / 4`
+/// of the three modes. Every Gram a sweep forms has distinct eigenvalues and
+/// a clean gap at its truncation.
+fn field_rank16(c: &[usize]) -> f64 {
+    const DIMS: [usize; 3] = [64, 12, 10];
+    let dct = |n: usize, idx: usize| {
+        (std::f64::consts::PI * (c[n] as f64 + 0.5) * idx as f64 / DIMS[n] as f64).cos()
+    };
+    let mut v = 0.0;
+    let mut w = 1.0;
+    for r in 0..16 {
+        v += w * dct(0, r) * dct(1, r % 4) * dct(2, r / 4);
+        w *= 0.9;
+    }
+    v + 1e-4 * hash_noise(c, 0xD1FF)
+}
+
+/// The randomized shapes above have modes of length ≤ 6, which
+/// `leading_from_gram` keeps on the full QL solver. This fixed shape has a
+/// 64 → 16 mode, so every rank of the distributed run and the sequential
+/// invocation go through the selected-eigenpair solver (mode 0) and through
+/// QL (modes 1, 2) in one sweep, under both clocks.
+#[test]
+fn hooi_matches_sequential_through_the_selected_solver() {
+    let meta = TuckerMeta::new([64, 12, 10], [16, 4, 4]);
+    assert!(viable(&meta));
+    let t = DenseTensor::from_fn(meta.input().clone(), field_rank16);
+    for n in 0..meta.order() {
+        assert!(
+            gapped(&tucker_tensor::gram(&t, n), meta.k(n)),
+            "degenerate fixture: mode {n} init"
+        );
+    }
+    let init = hosvd_init(&t, &meta);
+    let planner = Planner::new(meta.clone(), NRANKS);
+    for plan in planner.paper_lineup() {
+        assert!(
+            hooi_plan_well_posed(&t, &meta, &init, &plan.tree),
+            "degenerate fixture: {}",
+            plan.name()
+        );
+        let seq = hooi_invocation(&t, &meta, &init, &plan.tree);
+        for (label, cfg) in modes() {
+            let dist = run_distributed_hooi_cfg(field_rank16, &plan, 1, &cfg);
+            let de = dist.per_sweep[0].error;
+            assert!(
+                (de - seq.error).abs() < 1e-10,
+                "{} [{label}]: dist {de} vs seq {}",
+                plan.name(),
+                seq.error
+            );
+        }
+    }
+}
