@@ -10,11 +10,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tucker_core::plan::cost::{FlopVolumeModel, NetCostModel};
-use tucker_core::plan::grid::{optimal_dynamic_grids, DynGridObjective};
+use tucker_core::plan::grid::{optimal_dynamic_grids, optimal_static_grid, DynGridObjective};
 use tucker_core::plan::search::{optimize, SearchBudget};
 use tucker_core::plan::tree::optimal_tree;
 use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
-use tucker_core::volume::optimal_static_grid;
 use tucker_core::TuckerMeta;
 use tucker_distsim::NetModel;
 

@@ -75,8 +75,8 @@
 //! scaling. CSV series land in `results/`.
 
 use tucker_bench::{scale_for_measurement, write_csv, write_results};
-use tucker_core::engine::{run_distributed_hooi, ExecutionStats};
-use tucker_core::planner::{GridStrategy, Plan, Planner, TreeStrategy};
+use tucker_core::engine::{run_distributed_hooi, EngineConfig, ExecutionStats};
+use tucker_core::plan::{GridStrategy, Plan, Planner, TreeStrategy};
 use tucker_core::TuckerMeta;
 use tucker_distsim::{count_grids, NetModel};
 use tucker_suite::driver::{
@@ -1245,7 +1245,9 @@ fn fill(c: &[usize]) -> f64 {
 
 /// Run one plan once and return its per-sweep stats.
 fn run_once(plan: &Plan) -> ExecutionStats {
-    run_distributed_hooi(fill, plan, 1).per_sweep.remove(0)
+    run_distributed_hooi(fill, plan, 1, &EngineConfig::default())
+        .per_sweep
+        .remove(0)
 }
 
 /// Deterministic measured sample: subsample the suite, scale each tensor to

@@ -1,5 +1,5 @@
-//! Distributed STHOSVD — the paper's suggested extension, as a thin shim
-//! over [`executor::sthosvd_sweep`] on the engine's `DistsimBackend`.
+//! Distributed STHOSVD — the paper's suggested extension:
+//! [`executor::sthosvd_sweep`] on the engine's `DistsimBackend`.
 //!
 //! The introduction notes that "the ideas developed in this paper can be
 //! recast and used for improving STHOSVD as well". STHOSVD is a *single*
@@ -22,8 +22,7 @@ use crate::decomposition::TuckerDecomposition;
 use crate::engine::{DistsimBackend, EngineConfig};
 use crate::executor::{self, PlanProvenance, SweepStats};
 use crate::meta::TuckerMeta;
-use tucker_distsim::{DistTensor, Grid, Universe};
-use tucker_linalg::Matrix;
+use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe};
 
 pub use crate::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
 
@@ -34,30 +33,14 @@ pub use crate::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
 /// [`TimeSource::Virtual`](crate::engine::TimeSource).
 pub type SthosvdStats = SweepStats;
 
-/// Run distributed STHOSVD on `nranks` simulated ranks under a static grid,
-/// in the default measured mode.
+/// Run distributed STHOSVD on `grid.nranks()` simulated ranks under a
+/// static grid, with the HOOI engine's [`EngineConfig`] (clock, core
+/// gather; always fail-stop). Returns `None` for the decomposition when
+/// `gather_core` is off.
 ///
 /// # Panics
-/// Panics if the grid does not match `nranks` or is invalid for the core.
+/// Panics if the grid is invalid for the core, or if a rank panics.
 pub fn run_distributed_sthosvd(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    meta: &TuckerMeta,
-    grid: &Grid,
-    order: &[usize],
-) -> (TuckerDecomposition, SthosvdStats) {
-    let (d, s) =
-        run_distributed_sthosvd_cfg(global_fn, meta, grid, order, &EngineConfig::default());
-    (d.expect("default config gathers the core"), s)
-}
-
-/// [`run_distributed_sthosvd`] with an explicit [`EngineConfig`]: the same
-/// virtual-time clock / sequential scheduler / core-gather switches as the
-/// HOOI engine. Returns `None` for the decomposition when `gather_core` is
-/// off.
-///
-/// # Panics
-/// Panics if the grid does not match the universe or is invalid for the core.
-pub fn run_distributed_sthosvd_cfg(
     global_fn: impl Fn(&[usize]) -> f64 + Sync,
     meta: &TuckerMeta,
     grid: &Grid,
@@ -69,25 +52,27 @@ pub fn run_distributed_sthosvd_cfg(
         "grid {grid} invalid for core {}",
         meta.core()
     );
-    let nranks = grid.nranks();
-    let ucfg = cfg.universe_cfg();
+    let mesh = MeshCfg {
+        net: cfg.net,
+        ..MeshCfg::default()
+    };
 
-    let out = Universe::run_cfg(nranks, &ucfg, |ctx| {
+    let out = Universe::run_mesh(grid.nranks(), &mesh, |ctx| {
         let t = DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c));
         let input_norm_sq = t.global_norm_sq(ctx);
 
-        let mut backend = DistsimBackend::new(&mut *ctx, cfg.time, None);
+        let mut backend = DistsimBackend::new(&mut *ctx, cfg.time(), None);
         let run = executor::sthosvd_sweep(&mut backend, &t, meta, order, input_norm_sq);
 
         let decomp = if cfg.gather_core {
             let dense_core = run.core.allgather_global(ctx);
-            let factors: Vec<Matrix> = run.factors;
-            (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, factors))
+            (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, run.factors))
         } else {
             None
         };
         (decomp, run.stats)
-    });
+    })
+    .into_results();
 
     let mut agg = SthosvdStats::default();
     let mut decomp = None;
@@ -177,7 +162,9 @@ mod tests {
         let seq = sthosvd_with_order(&t, &meta, &order);
 
         let grid = Grid::new([2, 2, 1]);
-        let (dist, stats) = run_distributed_sthosvd(plume, &meta, &grid, &order);
+        let (dist, stats) =
+            run_distributed_sthosvd(plume, &meta, &grid, &order, &EngineConfig::default());
+        let dist = dist.expect("default config gathers the core");
 
         let seq_err = seq.error(&t);
         assert!(
@@ -196,7 +183,8 @@ mod tests {
         let meta = TuckerMeta::new([6, 6, 6], [2, 2, 2]);
         let grid = Grid::trivial(3);
         let order = [0usize, 1, 2];
-        let (_, stats) = run_distributed_sthosvd(plume, &meta, &grid, &order);
+        let (_, stats) =
+            run_distributed_sthosvd(plume, &meta, &grid, &order, &EngineConfig::default());
         assert_eq!(stats.ttm_volume, 0);
         assert_eq!(stats.gram_volume, 0);
         assert!(stats.error.is_finite());
@@ -206,7 +194,8 @@ mod tests {
     fn stats_volumes_populated_when_split() {
         let meta = TuckerMeta::new([8, 8], [4, 4]);
         let grid = Grid::new([2, 2]);
-        let (_, stats) = run_distributed_sthosvd(plume, &meta, &grid, &[0, 1]);
+        let (_, stats) =
+            run_distributed_sthosvd(plume, &meta, &grid, &[0, 1], &EngineConfig::default());
         assert!(stats.ttm_volume > 0, "split modes must reduce-scatter");
         assert!(stats.gram_volume > 0);
     }

@@ -11,8 +11,18 @@
 //! and per-category communication volume are recorded so the experiments can
 //! reproduce the paper's breakdowns (Figures 10c, 11a/b/e).
 //!
-//! Two clocks drive the phase accounting, selected by [`TimeSource`] (the
-//! adapter lives in `tucker_distsim::backend`):
+//! One body runs every distributed HOOI: the private epoch loop
+//! (`hooi_epochs`) — materialise block → HOSVD init → sweep loop → gather
+//! core — on the fiber mesh of `tucker-distsim`, re-planned and resumed on
+//! the survivors after a rank failure under [`FailurePolicy::Recover`].
+//! [`run_distributed_hooi`] executes a given [`Plan`];
+//! [`run_distributed_hooi_mesh`] searches for its own plan (and takes a
+//! [`MeshCfg`] and a scripted fault); [`run_distributed_hooi_mesh_from`]
+//! restarts from a durable checkpoint.
+//!
+//! Two clocks drive the phase accounting; [`EngineConfig::time`] derives the
+//! [`TimeSource`] from whether a [`NetModel`] is attached (the adapter lives
+//! in `tucker_distsim::backend`):
 //!
 //! * [`TimeSource::Measured`] — compute phases in thread CPU time,
 //!   communication phases in measured wall time (honest runs at host-scale
@@ -20,9 +30,9 @@
 //! * [`TimeSource::Virtual`] — compute phases still in thread CPU time (the
 //!   per-rank work genuinely shrinks with `P`), communication phases from
 //!   the per-rank α–β virtual clock charged by the attached [`NetModel`].
-//!   Combined with the sequential scheduler this replays the engine at
-//!   paper-scale rank counts (P = 2⁶…2¹³) in seconds, reporting through the
-//!   **same** [`ExecutionStats`] fields as measured runs.
+//!   This replays the engine at paper-scale rank counts (P = 2⁶…2¹³) in
+//!   seconds, reporting through the **same** [`ExecutionStats`] fields as
+//!   measured runs.
 
 use crate::checkpoint::{RecoveryLog, SweepCheckpoint};
 use crate::decomposition::TuckerDecomposition;
@@ -35,14 +45,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::{allreduce_sum, Group};
-use tucker_distsim::comm::{thread_cpu_time, RunOutput};
+use tucker_distsim::comm::thread_cpu_time;
 use tucker_distsim::dist_gram::{dist_gram, dist_gram_all_with_norm};
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::grid::largest_usable_rank_count;
 use tucker_distsim::mesh::MeshCfg;
 use tucker_distsim::net::NetModel;
 use tucker_distsim::redistribute::{redistribute, BlockStore};
-use tucker_distsim::{DistTensor, RankCtx, Universe, UniverseCfg, VolumeCategory, VolumeReport};
+use tucker_distsim::{DistTensor, RankCtx, Universe, VolumeCategory, VolumeReport};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::subtensor::Region;
@@ -58,10 +68,10 @@ pub type ExecutionStats = SweepStats;
 /// [`DistTensor::global_norm_sq`] uses, so both paths are bit-identical.
 const NORM_TAG: u32 = 9001;
 
-/// What the mesh engine does when a rank fails mid-run (DESIGN.md §9).
+/// What the engine does when a rank fails mid-run (DESIGN.md §9).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
-    /// Fail-stop: re-raise the root failure (the pre-mesh semantics).
+    /// Fail-stop: re-raise the root failure.
     #[default]
     Abort,
     /// Quarantine the dead rank, re-plan on the survivor count via the
@@ -80,7 +90,7 @@ impl FailurePolicy {
     }
 }
 
-/// Periodic durable checkpointing of mesh runs: every `every` committed
+/// Periodic durable checkpointing: every `every` committed
 /// sweeps, one rank writes the bit-exact `tucker-checkpoint/v1` snapshot to
 /// `path`, so a killed **process** (not just a failed rank) restarts from
 /// the last spill via [`run_distributed_hooi_mesh_from`].
@@ -92,34 +102,27 @@ pub struct CheckpointCfg {
     pub path: std::path::PathBuf,
 }
 
-/// Execution-mode configuration for the distributed algorithms.
+/// Configuration of the distributed algorithms.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Clock feeding the [`ExecutionStats`] reported by distributed runs.
-    pub time: TimeSource,
-    /// α–β model attached to the universe (required for [`TimeSource::Virtual`]).
+    /// α–β model attached to the universe. With one, runs report the
+    /// virtual clock ([`TimeSource::Virtual`]); without, measured time.
     pub net: Option<NetModel>,
-    /// Gate ranks through the deterministic round-robin scheduler (required
-    /// for paper-scale rank counts).
-    pub sequential: bool,
     /// Gather the final core to a dense tensor on rank 0. Disable for
     /// scaling sweeps where only the stats matter — the world-wide
     /// all-gather is `O(P²)` messages and would dominate large-`P` runs.
     pub gather_core: bool,
-    /// Rank-failure policy of mesh runs
-    /// ([`run_distributed_hooi_mesh`]); thread/sequential universes are
-    /// always fail-stop.
+    /// Rank-failure policy of HOOI runs (distributed ST-HOSVD is always
+    /// fail-stop).
     pub on_failure: FailurePolicy,
-    /// Periodic disk spill of the recovery log (mesh runs only).
+    /// Periodic disk spill of the recovery log (HOOI runs only).
     pub checkpoint: Option<CheckpointCfg>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            time: TimeSource::Measured,
             net: None,
-            sequential: false,
             gather_core: true,
             on_failure: FailurePolicy::Abort,
             checkpoint: None,
@@ -128,22 +131,27 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Virtual-time mode: α–β clock + sequential scheduler (the paper-scale
+    /// Virtual-time mode: the α–β clock of `net` (the paper-scale
     /// configuration). The core is still gathered; disable `gather_core`
     /// separately for large-`P` sweeps.
     pub fn virtual_time(net: NetModel) -> Self {
         EngineConfig {
-            time: TimeSource::Virtual,
             net: Some(net),
-            sequential: true,
-            gather_core: true,
-            on_failure: FailurePolicy::Abort,
-            checkpoint: None,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// The clock feeding the [`ExecutionStats`] of a run: virtual iff a
+    /// [`NetModel`] is attached.
+    pub fn time(&self) -> TimeSource {
+        match self.net {
+            Some(_) => TimeSource::Virtual,
+            None => TimeSource::Measured,
         }
     }
 
     /// Spill the recovery log to `path` after every `n` committed sweeps
-    /// (mesh runs only — see [`CheckpointCfg`]).
+    /// (see [`CheckpointCfg`]).
     ///
     /// # Panics
     /// Panics if `n` is zero.
@@ -155,18 +163,6 @@ impl EngineConfig {
             path: path.into(),
         });
         self
-    }
-
-    /// The universe configuration this engine config induces.
-    pub fn universe_cfg(&self) -> UniverseCfg {
-        assert!(
-            self.time != TimeSource::Virtual || self.net.is_some(),
-            "TimeSource::Virtual requires a NetModel"
-        );
-        UniverseCfg {
-            sequential: self.sequential,
-            net: self.net,
-        }
     }
 }
 
@@ -201,8 +197,8 @@ impl<'a, 'p> DistsimBackend<'a, 'p> {
 impl SweepBackend for DistsimBackend<'_, '_> {
     type Tensor = DistTensor;
 
-    /// Thread CPU time: robust when the simulated ranks oversubscribe the
-    /// host cores; blocking receives park the thread and accrue nothing.
+    /// Rank CPU time: robust when the simulated ranks oversubscribe the
+    /// host cores; a suspended rank accrues nothing.
     fn clock(&self) -> Duration {
         thread_cpu_time()
     }
@@ -289,145 +285,7 @@ impl SweepBackend for DistsimBackend<'_, '_> {
     }
 }
 
-/// Output of a distributed HOOI run.
-#[derive(Clone, Debug)]
-pub struct DistributedHooiOutput {
-    /// The final decomposition (core gathered to a dense tensor on rank 0);
-    /// `None` when the run was configured with `gather_core: false`.
-    pub decomposition: Option<TuckerDecomposition>,
-    /// Stats per HOOI invocation, in order.
-    pub per_sweep: Vec<ExecutionStats>,
-    /// Universe-wide volume ledger for the entire run (including init).
-    pub volume: VolumeReport,
-}
-
-impl DistributedHooiOutput {
-    /// The gathered decomposition.
-    ///
-    /// # Panics
-    /// Panics if the run was configured with `gather_core=false` (no core
-    /// was gathered, so there is no decomposition to return).
-    #[track_caller]
-    pub fn expect_decomposition(&self) -> &TuckerDecomposition {
-        self.decomposition
-            .as_ref()
-            .expect("run was configured with gather_core=false; no decomposition was gathered")
-    }
-}
-
-/// Run distributed HOOI: truncated-HOSVD initialization followed by
-/// `sweeps` HOOI invocations executing `plan`, on `plan.nranks` simulated
-/// ranks, in the default measured mode.
-///
-/// The input tensor is provided as a closure over global coordinates so each
-/// rank materializes only its own block.
-///
-/// # Panics
-/// Panics on inconsistent metadata or if the plan's grids do not match the
-/// universe size.
-pub fn run_distributed_hooi(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    plan: &Plan,
-    sweeps: usize,
-) -> DistributedHooiOutput {
-    run_distributed_hooi_cfg(global_fn, plan, sweeps, &EngineConfig::default())
-}
-
-/// [`run_distributed_hooi`] with an explicit [`EngineConfig`] (virtual-time
-/// clock, sequential scheduling, optional core gather).
-///
-/// # Panics
-/// Panics on inconsistent metadata, a grid/universe mismatch, or a virtual
-/// [`TimeSource`] without a [`NetModel`].
-pub fn run_distributed_hooi_cfg(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    plan: &Plan,
-    sweeps: usize,
-    cfg: &EngineConfig,
-) -> DistributedHooiOutput {
-    assert!(sweeps >= 1, "need at least one sweep");
-    let meta = plan.meta.clone();
-    let nranks = plan.nranks;
-    let ucfg = cfg.universe_cfg();
-
-    let out: RunOutput<(Vec<ExecutionStats>, Option<TuckerDecomposition>)> =
-        Universe::run_cfg(nranks, &ucfg, |ctx| {
-            let t = DistTensor::from_global_fn(ctx, meta.input(), &plan.grids.initial, |c| {
-                global_fn(c)
-            });
-
-            // Truncated-HOSVD initialization: leading eigenvectors of each
-            // mode's Gram of the raw tensor (replicated results). All mode
-            // Grams and the input norm share one fused world all-reduce —
-            // collective rounds, not bytes, dominate paper-scale runs.
-            let (grams, input_norm_sq) = dist_gram_all_with_norm(ctx, &t);
-            let init_factors: Vec<Matrix> = grams
-                .iter()
-                .enumerate()
-                .map(|(n, gram)| leading_from_gram(gram, meta.k(n)).u)
-                .collect();
-
-            let mut backend = DistsimBackend::new(&mut *ctx, cfg.time, Some(&plan.grids));
-            let run = executor::hooi_loop(
-                &mut backend,
-                &t,
-                &meta,
-                &plan.tree,
-                init_factors,
-                input_norm_sq,
-                executor::LoopCfg::exactly(sweeps),
-            );
-
-            // Gather the core on every rank; only rank 0 keeps it.
-            let decomp = if cfg.gather_core {
-                let dense_core = run.core.allgather_global(ctx);
-                (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, run.factors.clone()))
-            } else {
-                None
-            };
-            (run.per_sweep, decomp)
-        });
-
-    // Aggregate: times are max over ranks, per sweep.
-    let mut results = out.results;
-    let sweeps_count = results[0].0.len();
-    let mut per_sweep = vec![ExecutionStats::default(); sweeps_count];
-    let mut decomposition = None;
-    for (rank_stats, d) in results.drain(..) {
-        for (agg, s) in per_sweep.iter_mut().zip(&rank_stats) {
-            agg.merge_max(s);
-        }
-        if let Some(d) = d {
-            decomposition = Some(d);
-        }
-    }
-
-    // Plan provenance: which plan drove the sweeps, and — for virtual-time
-    // runs — the planner's α–β prediction the measured `comm_wall` must
-    // match (the prediction-vs-execution invariant of DESIGN.md §6).
-    let predicted_comm = match (cfg.time, cfg.net) {
-        (TimeSource::Virtual, Some(net)) => Some(
-            NetCostModel::new(net, nranks)
-                .predict_sweep(&plan.meta, &plan.tree, &plan.grids)
-                .comm_wall,
-        ),
-        _ => None,
-    };
-    for s in &mut per_sweep {
-        s.provenance = Some(PlanProvenance {
-            plan: plan.name(),
-            predicted_comm,
-        });
-    }
-
-    DistributedHooiOutput {
-        decomposition,
-        per_sweep,
-        volume: out.volume,
-    }
-}
-
-// --------------------------------------------------- mesh runner + recovery
+// ------------------------------------------------- epoch loop + recovery
 
 /// A scripted rank failure for recovery tests and benches: `rank` panics
 /// during `sweep` after completing `after_leaves` of its leaves
@@ -443,7 +301,7 @@ pub struct InjectedFault {
     pub after_leaves: usize,
 }
 
-/// One quarantine/re-plan/resume round of a mesh run.
+/// One quarantine/re-plan/resume round of a run.
 #[derive(Clone, Debug)]
 pub struct RecoveryEvent {
     /// Root-cause ranks removed from the universe (epoch-local ids).
@@ -461,7 +319,7 @@ pub struct RecoveryEvent {
     pub reused_elements: u64,
 }
 
-/// Output of [`run_distributed_hooi_mesh`].
+/// Output of a distributed HOOI run.
 #[derive(Debug)]
 pub struct MeshHooiOutput {
     /// The final decomposition (rank 0 of the last epoch); `None` with
@@ -487,9 +345,28 @@ impl MeshHooiOutput {
     pub fn errors(&self) -> Vec<f64> {
         self.per_sweep.iter().map(|s| s.error).collect()
     }
+
+    /// The gathered decomposition.
+    ///
+    /// # Panics
+    /// Panics if the run was configured with `gather_core=false` (no core
+    /// was gathered, so there is no decomposition to return).
+    #[track_caller]
+    pub fn expect_decomposition(&self) -> &TuckerDecomposition {
+        self.decomposition
+            .as_ref()
+            .expect("run was configured with gather_core=false; no decomposition was gathered")
+    }
+
+    /// Volume ledger of the whole run (init included), summed over epochs.
+    pub fn volume(&self) -> VolumeReport {
+        self.epoch_volumes
+            .iter()
+            .fold(VolumeReport::default(), |acc, v| acc + *v)
+    }
 }
 
-/// Observer wired into every mesh rank: records progress into the shared
+/// Observer wired into every rank: records progress into the shared
 /// [`RecoveryLog`] and fires the scripted fault at its exact tree position.
 struct MeshObserver<'l> {
     rank: usize,
@@ -571,13 +448,42 @@ fn is_cascade_failure(msg: &str) -> bool {
     msg.contains("epoch aborted") || msg.contains("sender dropped")
 }
 
-/// Run distributed HOOI on the **actor mesh**: `nranks` resumable actors
-/// multiplexed over a bounded worker pool (no thread-per-rank), planned by
-/// the joint grid × tree × order search at the current survivor count.
+/// Run distributed HOOI executing `plan`: truncated-HOSVD initialization
+/// followed by `sweeps` HOOI invocations on `plan.nranks` simulated ranks.
 ///
-/// Under [`FailurePolicy::Abort`] a rank failure re-raises, exactly like
-/// [`run_distributed_hooi_cfg`]. Under [`FailurePolicy::Recover`] the
-/// failed rank is quarantined and the run continues on the survivors: the
+/// The input tensor is provided as a closure over global coordinates so each
+/// rank materializes only its own block. Under [`FailurePolicy::Recover`]
+/// `plan` drives the first epoch only — every re-plan after a failure comes
+/// from the joint search, as in [`run_distributed_hooi_mesh`].
+///
+/// # Panics
+/// Panics on inconsistent metadata, if the plan's grids do not match its
+/// rank count, or like [`run_distributed_hooi_mesh`] on rank failures.
+pub fn run_distributed_hooi(
+    global_fn: impl Fn(&[usize]) -> f64 + Sync,
+    plan: &Plan,
+    sweeps: usize,
+    cfg: &EngineConfig,
+) -> MeshHooiOutput {
+    hooi_epochs(
+        global_fn,
+        &plan.meta,
+        plan.nranks,
+        sweeps,
+        cfg,
+        &MeshCfg::default(),
+        None,
+        None,
+        Some(plan),
+    )
+}
+
+/// Run distributed HOOI on `nranks` ranks, planned by the joint
+/// grid × tree × order search at the current survivor count.
+///
+/// Under [`FailurePolicy::Abort`] a rank failure re-raises the root panic.
+/// Under [`FailurePolicy::Recover`] the failed rank is quarantined and the
+/// run continues on the survivors: the
 /// planner re-optimizes for the shrunk universe, live blocks of the aborted
 /// epoch are redistributed host-side onto the new grid (only the dead
 /// rank's region is re-materialized from `global_fn`), and the sweep loop
@@ -599,7 +505,9 @@ pub fn run_distributed_hooi_mesh(
     mesh: &MeshCfg,
     fault: Option<InjectedFault>,
 ) -> MeshHooiOutput {
-    run_distributed_hooi_mesh_from(global_fn, meta, nranks, sweeps, cfg, mesh, fault, None)
+    hooi_epochs(
+        global_fn, meta, nranks, sweeps, cfg, mesh, fault, None, None,
+    )
 }
 
 /// [`run_distributed_hooi_mesh`] restarted from a durable checkpoint (the
@@ -623,12 +531,29 @@ pub fn run_distributed_hooi_mesh_from(
     fault: Option<InjectedFault>,
     resume: Option<SweepCheckpoint>,
 ) -> MeshHooiOutput {
+    hooi_epochs(
+        global_fn, meta, nranks, sweeps, cfg, mesh, fault, resume, None,
+    )
+}
+
+/// The one distributed-HOOI body: a loop of mesh epochs, each
+/// *(re-)plan → materialise blocks → init or restore → sweep loop → gather*,
+/// repeated on the survivors after a quarantined failure. `first_plan`, when
+/// given, is executed by epoch 0 instead of the joint search's winner.
+#[allow(clippy::too_many_arguments)]
+fn hooi_epochs(
+    global_fn: impl Fn(&[usize]) -> f64 + Sync,
+    meta: &TuckerMeta,
+    nranks: usize,
+    sweeps: usize,
+    cfg: &EngineConfig,
+    mesh: &MeshCfg,
+    fault: Option<InjectedFault>,
+    resume: Option<SweepCheckpoint>,
+    first_plan: Option<&Plan>,
+) -> MeshHooiOutput {
     assert!(sweeps >= 1, "need at least one sweep");
     assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        cfg.time != TimeSource::Virtual || cfg.net.is_some(),
-        "TimeSource::Virtual requires a NetModel"
-    );
 
     let log = RecoveryLog::new(meta.order());
     if let Some(ckpt) = &resume {
@@ -656,12 +581,23 @@ pub fn run_distributed_hooi_mesh_from(
     let mut plans: Vec<String> = Vec::new();
 
     loop {
-        // (Re-)plan at the current survivor count via the joint search.
-        let planner = Planner::new(meta.clone(), survivors);
-        let budget = SearchBudget::winner_only();
-        let plan = match cfg.net {
-            Some(net) => planner.best_plan_with(&NetCostModel::new(net, survivors), &budget),
-            None => planner.best_plan_with(&FlopVolumeModel, &budget),
+        // Epoch 0 executes the caller's plan when it brought one; otherwise
+        // (and after every failure) plan at the current survivor count via
+        // the joint search.
+        let searched;
+        let plan = match first_plan {
+            Some(plan) if plans.is_empty() => plan,
+            _ => {
+                let planner = Planner::new(meta.clone(), survivors);
+                let budget = SearchBudget::winner_only();
+                searched = match cfg.net {
+                    Some(net) => {
+                        planner.best_plan_with(&NetCostModel::new(net, survivors), &budget)
+                    }
+                    None => planner.best_plan_with(&FlopVolumeModel, &budget),
+                };
+                &searched
+            }
         };
         plans.push(plan.name());
         if let Some(ev) = recoveries.last_mut() {
@@ -669,14 +605,14 @@ pub fn run_distributed_hooi_mesh_from(
                 ev.replanned = plan.name();
             }
         }
-        let predicted_comm = match (cfg.time, cfg.net) {
-            (TimeSource::Virtual, Some(net)) => Some(
-                NetCostModel::new(net, survivors)
-                    .predict_sweep(&plan.meta, &plan.tree, &plan.grids)
-                    .comm_wall,
-            ),
-            _ => None,
-        };
+        // Virtual-time runs carry the planner's α–β prediction the executed
+        // `comm_wall` must match (the prediction-vs-execution invariant of
+        // DESIGN.md §6).
+        let predicted_comm = cfg.net.map(|net| {
+            NetCostModel::new(net, survivors)
+                .predict_sweep(&plan.meta, &plan.tree, &plan.grids)
+                .comm_wall
+        });
         log.begin_epoch(
             survivors,
             Some(PlanProvenance {
@@ -724,6 +660,11 @@ pub fn run_distributed_hooi_mesh_from(
             let (init_factors, input_norm_sq) = match &basis {
                 Some(fs) => (fs.clone(), t.global_norm_sq(ctx)),
                 None => {
+                    // Truncated-HOSVD initialization: leading eigenvectors
+                    // of each mode's Gram of the raw tensor (replicated
+                    // results). All mode Grams and the input norm share one
+                    // fused world all-reduce — collective rounds, not bytes,
+                    // dominate paper-scale runs.
                     let (grams, norm) = dist_gram_all_with_norm(ctx, &t);
                     let init: Vec<Matrix> = grams
                         .iter()
@@ -743,7 +684,7 @@ pub fn run_distributed_hooi_mesh_from(
                 leaves_this_sweep: 0,
                 spill: spill.as_ref(),
             };
-            let mut backend = DistsimBackend::new(&mut *ctx, cfg.time, Some(&plan.grids));
+            let mut backend = DistsimBackend::new(&mut *ctx, cfg.time(), Some(&plan.grids));
             let run = executor::hooi_loop_from(
                 &mut backend,
                 &t,
@@ -757,6 +698,7 @@ pub fn run_distributed_hooi_mesh_from(
                 &mut obs,
             );
 
+            // Gather the core on every rank; only rank 0 keeps it.
             if cfg.gather_core {
                 let dense_core = run.core.allgather_global(ctx);
                 (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, run.factors))
@@ -902,7 +844,7 @@ mod tests {
     use super::*;
     use crate::hooi::hooi_invocation;
     use crate::meta::TuckerMeta;
-    use crate::planner::{GridStrategy, Planner, TreeStrategy};
+    use crate::plan::{GridStrategy, TreeStrategy};
 
     /// Smooth but non-separable field with a deterministic noise floor, so
     /// errors are far from machine epsilon and Gram eigenvalues are simple.
@@ -962,7 +904,7 @@ mod tests {
     fn runs_and_stays_stable() {
         let planner = Planner::new(meta_small(), 4);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let out = run_distributed_hooi(smooth, &plan, 3);
+        let out = run_distributed_hooi(smooth, &plan, 3, &EngineConfig::default());
         assert_eq!(out.per_sweep.len(), 3);
         // Tree-based (Jacobi) HOOI is not strictly monotone; errors must
         // stay valid and in a tight band around the initial fit.
@@ -986,7 +928,7 @@ mod tests {
         let meta = meta_small();
         let planner = Planner::new(meta.clone(), 4);
         let plan = planner.plan(TreeStrategy::chain_k(), GridStrategy::StaticOptimal);
-        let dist = run_distributed_hooi(smooth, &plan, 1);
+        let dist = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
 
         // Sequential reference: same HOSVD-style init (non-truncated Gram
         // per mode on the raw tensor).
@@ -1023,7 +965,7 @@ mod tests {
         let meta = TuckerMeta::new([12, 12, 12], [2, 2, 8]);
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let out = run_distributed_hooi(smooth, &plan, 1);
+        let out = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
         let s = &out.per_sweep[0];
         if plan.grids.regrid_count() > 0 {
             assert!(s.regrid_volume > 0, "regrids must move data");
@@ -1040,7 +982,7 @@ mod tests {
     fn single_rank_is_communication_free() {
         let planner = Planner::new(meta_small(), 1);
         let plan = planner.plan(TreeStrategy::Balanced, GridStrategy::StaticOptimal);
-        let out = run_distributed_hooi(smooth, &plan, 1);
+        let out = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
         let s = &out.per_sweep[0];
         assert_eq!(s.ttm_volume, 0);
         assert_eq!(s.regrid_volume, 0);
@@ -1054,7 +996,9 @@ mod tests {
         let errs: Vec<f64> = planner
             .paper_lineup()
             .into_iter()
-            .map(|plan| run_distributed_hooi(smooth, &plan, 1).per_sweep[0].error)
+            .map(|plan| {
+                run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default()).per_sweep[0].error
+            })
             .collect();
         for e in &errs[1..] {
             assert!((e - errs[0]).abs() < 1e-9, "{errs:?}");
@@ -1063,14 +1007,14 @@ mod tests {
 
     #[test]
     fn virtual_time_matches_measured_math_exactly() {
-        // Same plan, measured vs. virtual+sequential: identical error,
-        // identical ledger volumes, decomposition present in both.
+        // Same plan, measured vs. virtual clock: identical error, identical
+        // ledger volumes, decomposition present in both.
         let meta = TuckerMeta::new([10, 8, 8], [4, 3, 2]);
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let measured = run_distributed_hooi(smooth, &plan, 2);
+        let measured = run_distributed_hooi(smooth, &plan, 2, &EngineConfig::default());
         let vcfg = EngineConfig::virtual_time(NetModel::bgq());
-        let virt = run_distributed_hooi_cfg(smooth, &plan, 2, &vcfg);
+        let virt = run_distributed_hooi(smooth, &plan, 2, &vcfg);
         for (m, v) in measured.per_sweep.iter().zip(&virt.per_sweep) {
             assert_eq!(
                 m.error.to_bits(),
@@ -1078,10 +1022,10 @@ mod tests {
                 "math must be identical"
             );
         }
-        // Per-sweep ledger windows depend on thread interleaving in the
-        // measured mode; the run-level ledger is deterministic and must
-        // agree exactly across modes.
-        assert_eq!(measured.volume, virt.volume);
+        // Per-sweep ledger windows depend on how the workers interleave the
+        // ranks; the run-level ledger is deterministic and must agree
+        // exactly across clocks.
+        assert_eq!(measured.volume(), virt.volume());
         let md = measured.expect_decomposition();
         let vd = virt.expect_decomposition();
         assert_eq!(md.core.max_abs_diff(&vd.core), 0.0);
@@ -1095,7 +1039,7 @@ mod tests {
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::chain_k(), GridStrategy::StaticOptimal);
         let cfg = EngineConfig::virtual_time(NetModel::bgq());
-        let out = run_distributed_hooi_cfg(smooth, &plan, 1, &cfg);
+        let out = run_distributed_hooi(smooth, &plan, 1, &cfg);
         let s = &out.per_sweep[0];
         assert!(s.ttm_comm > Duration::ZERO, "split modes must model comm");
         assert!(s.gram_comm > Duration::ZERO);
@@ -1103,7 +1047,7 @@ mod tests {
             assert!(s.wall >= t, "virtual wall must cover each phase");
         }
         // Virtual runs are deterministic: repeat and compare the clocks.
-        let again = run_distributed_hooi_cfg(smooth, &plan, 1, &cfg);
+        let again = run_distributed_hooi(smooth, &plan, 1, &cfg);
         assert_eq!(s.ttm_comm, again.per_sweep[0].ttm_comm);
         assert_eq!(s.gram_comm, again.per_sweep[0].gram_comm);
         assert_eq!(s.regrid_comm, again.per_sweep[0].regrid_comm);
@@ -1117,35 +1061,51 @@ mod tests {
             gather_core: false,
             ..EngineConfig::default()
         };
-        let out = run_distributed_hooi_cfg(smooth, &plan, 1, &cfg);
+        let out = run_distributed_hooi(smooth, &plan, 1, &cfg);
         assert!(out.decomposition.is_none());
         assert!(out.per_sweep[0].error.is_finite());
     }
 
-    // ------------------------------------------------ mesh runner tests
+    // ------------------------------------------- planning front + recovery
 
     #[test]
     fn mesh_clean_run_matches_thread_universe() {
-        // A fault-free mesh run is the same math as the thread-per-rank
-        // engine on the same plan; virtual clocks match exactly.
+        // The "one body" fence: handing the joint-search winner to the
+        // Plan-taking front is the same run as letting the planning front
+        // search for it — same plan, bit-identical modeled stats, errors and
+        // factors.
         let meta = meta_small();
         let cfg = EngineConfig::virtual_time(NetModel::bgq());
         let planner = Planner::new(meta.clone(), 4);
-        let plan = planner.best_plan_with(
+        let winner = planner.best_plan_with(
             &NetCostModel::new(NetModel::bgq(), 4),
             &SearchBudget::winner_only(),
         );
-        let threads = run_distributed_hooi_cfg(smooth, &plan, 2, &cfg);
-        let mesh = run_distributed_hooi_mesh(smooth, &meta, 4, 2, &cfg, &MeshCfg::default(), None);
-        assert!(mesh.recoveries.is_empty());
-        assert_eq!(mesh.plans, vec![plan.name()]);
-        for (a, b) in threads.per_sweep.iter().zip(&mesh.per_sweep) {
+        let given = run_distributed_hooi(smooth, &winner, 2, &cfg);
+        let searched =
+            run_distributed_hooi_mesh(smooth, &meta, 4, 2, &cfg, &MeshCfg::default(), None);
+        assert!(searched.recoveries.is_empty());
+        assert_eq!(searched.plans, vec![winner.name()]);
+        assert_eq!(given.plans, searched.plans);
+        assert_eq!(given.volume(), searched.volume());
+        for (a, b) in given.per_sweep.iter().zip(&searched.per_sweep) {
             assert_eq!(a.error.to_bits(), b.error.to_bits());
-            assert_eq!(a.comm_wall, b.comm_wall);
+            assert_eq!(
+                (a.ttm_comm, a.gram_comm, a.comm_wall),
+                (b.ttm_comm, b.gram_comm, b.comm_wall)
+            );
+            let predicted = |s: &ExecutionStats| s.provenance.as_ref().unwrap().predicted_comm;
+            assert_eq!(predicted(a), predicted(b));
+            assert_eq!(predicted(a), Some(a.comm_wall), "predict == execute");
         }
-        let td = threads.expect_decomposition();
-        let md = mesh.decomposition.as_ref().expect("rank 0 gathers");
-        assert_eq!(td.core.max_abs_diff(&md.core), 0.0);
+        let (gd, sd) = (
+            given.expect_decomposition(),
+            searched.expect_decomposition(),
+        );
+        assert_eq!(gd.core.max_abs_diff(&sd.core), 0.0);
+        for (fa, fb) in gd.factors.iter().zip(&sd.factors) {
+            assert_eq!(fa.max_abs_diff(fb), 0.0);
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! * `DistsimBackend` (private to [`crate::engine`]) — the simulated-MPI
 //!   backend over `tucker-distsim`, measured or virtual-time.
 //!
-//! `hooi_invocation*`, `sthosvd_with_order`, `run_distributed_hooi_cfg` and
-//! `run_distributed_sthosvd_cfg` are thin shims over these functions; a new
+//! `hooi_invocation*`, `sthosvd_with_order`, `run_distributed_hooi*` and
+//! `run_distributed_sthosvd` are thin shims over these functions; a new
 //! scenario (strategy, machine model, backend) lands here and nowhere else.
 
 use crate::meta::TuckerMeta;
@@ -110,7 +110,7 @@ pub struct SweepStats {
     /// [`tucker_linalg::bytes_packed`]). Host backends fill this; distsim
     /// leaves it zero — its ranks run the same packed kernels (`dist_ttm` →
     /// `tucker_tensor::ttm`, `gram_cols` → the fused slab kernel, both
-    /// dispatching on `pack::use_packed`), but on rank threads/fibers whose
+    /// dispatching on `pack::use_packed`), but on mesh worker threads whose
     /// thread-local counters the engine does not collect. Work done on
     /// scoped worker threads is not included either — the counter is a
     /// calling-thread cache-traffic gauge, not a global ledger.

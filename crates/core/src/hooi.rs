@@ -19,7 +19,7 @@
 use crate::decomposition::TuckerDecomposition;
 use crate::executor::{self, SeqBackend, SweepBackend, SweepStats};
 use crate::meta::TuckerMeta;
-use crate::tree::TtmTree;
+use crate::plan::tree::TtmTree;
 use std::time::Duration;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, TtmWorkspace};
@@ -185,9 +185,8 @@ pub fn hooi_iterate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt_tree::optimal_tree;
+    use crate::plan::tree::{balanced_tree, chain_tree, optimal_tree};
     use crate::sthosvd::{random_init, sthosvd};
-    use crate::tree::{balanced_tree, chain_tree};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tucker_linalg::Matrix;

@@ -14,10 +14,7 @@
 //!   [`plan::CostModel`] — closed-form flops + volume, or the α–β
 //!   [`plan::NetCostModel`] priced in the engine's virtual nanoseconds —
 //!   the joint grid × tree × order DP (`plan::search`), and the
-//!   brute-force certification oracle (`plan::brute_force`). The historical
-//!   module paths ([`tree`], [`cost`], [`opt_tree`], [`volume`],
-//!   [`dyn_grid`], [`planner`], [`brute_force`]) survive as re-export
-//!   shims;
+//!   brute-force certification oracle (`plan::brute_force`);
 //! * [`decomposition`], [`hooi`], [`sthosvd`] — sequential reference
 //!   implementations of the decomposition, HOOI sweeps and STHOSVD
 //!   initialization;
@@ -27,10 +24,12 @@
 //!   engine's distsim backend);
 //! * [`engine`] — the distributed *engine* (§5): executes a plan on the
 //!   simulated MPI universe (the distsim backend of the executor), with
-//!   per-phase time and volume accounting; its mesh runner
-//!   ([`engine::run_distributed_hooi_mesh`]) schedules ranks as resumable
-//!   actors over a bounded worker pool and survives rank failures via
-//!   quarantine → survivor re-plan → resume (DESIGN.md §9);
+//!   per-phase time and volume accounting. One epoch loop runs every
+//!   distributed HOOI — [`engine::run_distributed_hooi`] with a given plan,
+//!   [`engine::run_distributed_hooi_mesh`] with the joint search's — on
+//!   ranks scheduled as resumable fibers over a bounded worker pool, and
+//!   survives rank failures via quarantine → survivor re-plan → resume
+//!   (DESIGN.md §9);
 //! * [`checkpoint`] — the sweep-granular [`checkpoint::RecoveryLog`] and
 //!   the durable [`checkpoint::SweepCheckpoint`] (bit-exact text format)
 //!   behind that recovery path, also usable to restart long HOOI runs;
@@ -42,7 +41,7 @@
 //!
 //! ```
 //! use tucker_core::meta::TuckerMeta;
-//! use tucker_core::planner::{GridStrategy, Planner, TreeStrategy};
+//! use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 //!
 //! // A 4-way tensor compressed 4x along every mode, on 8 ranks.
 //! let meta = TuckerMeta::new([16, 16, 16, 16], [4, 4, 4, 4]);
@@ -56,24 +55,17 @@
 //! assert!(plan.volume <= opt_static.volume);
 //! ```
 
-pub mod brute_force;
 pub mod checkpoint;
-pub mod cost;
 pub mod decomposition;
 pub mod dist_sthosvd;
-pub mod dyn_grid;
 pub mod engine;
 pub mod executor;
 pub mod hooi;
 pub mod meta;
-pub mod opt_tree;
 pub mod outofcore;
 pub mod plan;
-pub mod planner;
 pub mod serve;
 pub mod sthosvd;
-pub mod tree;
-pub mod volume;
 
 pub use checkpoint::{RecoveryLog, SweepCheckpoint};
 pub use decomposition::TuckerDecomposition;
@@ -90,6 +82,8 @@ pub use outofcore::{
     full_recompute, hooi_sweep_outofcore, sthosvd_outofcore, tucker_outofcore, OocOutcome,
     SlidingTucker,
 };
+pub use plan::order::ModeOrdering;
+pub use plan::tree::{balanced_tree, chain_tree, TtmTree};
 pub use plan::{
     CostModel, FlopVolumeModel, GridStrategy, NetCostModel, Plan, PlanCache, PlanCacheStats,
     Planner, RankedPlans, SearchBudget, TreeStrategy,
@@ -98,4 +92,3 @@ pub use serve::{
     JobError, JobKind, JobOutput, JobResult, JobSpec, PlanModel, ServeCfg, Server, ServerReport,
     SubmitError, Ticket,
 };
-pub use tree::{balanced_tree, chain_tree, ModeOrdering, TtmTree};

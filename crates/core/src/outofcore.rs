@@ -35,8 +35,8 @@
 use crate::decomposition::TuckerDecomposition;
 use crate::executor::{self, LoopCfg, SeqBackend, SweepBackend};
 use crate::meta::TuckerMeta;
+use crate::plan::tree::{chain_tree, TtmTree};
 use crate::sthosvd::sthosvd;
-use crate::tree::{chain_tree, TtmTree};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::{fro_norm_sq, relative_error_from_core};
 use tucker_tensor::{

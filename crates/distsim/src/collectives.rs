@@ -17,10 +17,9 @@
 //! their callers in [`crate::dist_ttm`] / [`crate::dist_gram`] and use the
 //! same point-to-point layer (and therefore the same ledger).
 //!
-//! # Failure semantics under the mesh (DESIGN.md §9)
+//! # Failure semantics (DESIGN.md §2, §9)
 //!
-//! On the actor mesh ([`crate::mesh`]) a member dying mid-collective
-//! quarantines the epoch: every rank blocked in (or later entering) a
+//! A member dying mid-collective quarantines the epoch ([`crate::mesh`]): every rank blocked in (or later entering) a
 //! point-to-point op of the collective panics with the typed abort payload
 //! ("epoch aborted: …") instead of deadlocking, and sends addressed to the
 //! dead rank fail with "sender dropped". No collective ever delivers a

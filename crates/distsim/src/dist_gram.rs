@@ -78,9 +78,9 @@ pub fn dist_gram(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
 /// Mathematically identical to `N` [`dist_gram`] calls plus a norm
 /// all-reduce (elementwise sums in the same tree order), but it costs a
 /// single world collective instead of `N + 1`. At paper-scale rank counts
-/// under the sequential scheduler the dominant cost is collective *rounds*
-/// (each is a token-passing wave over all `P` ranks), not payload bytes —
-/// this is what makes a P = 8192 HOSVD initialization cheap.
+/// the dominant host cost is collective *rounds* (each is a wave of fiber
+/// switches over all `P` ranks), not payload bytes — this is what makes a
+/// P = 8192 HOSVD initialization cheap.
 pub fn dist_gram_all_with_norm(ctx: &mut RankCtx, t: &DistTensor) -> (Vec<Matrix>, f64) {
     let order = t.global_shape().order();
     let mut grams: Vec<Matrix> = (0..order).map(|n| local_gram_share(ctx, t, n)).collect();

@@ -1,12 +1,15 @@
 //! Simulated distributed-memory runtime for the Tucker workspace.
 //!
 //! The paper runs on an IBM BG/Q with MPI; this crate is the documented
-//! substitution (DESIGN.md §2): `P` MPI ranks become `P` OS threads that own
-//! disjoint blocks of each tensor and exchange **real buffers** over
-//! point-to-point FIFO channels. On top of the channels we implement the
-//! collectives the paper's engine needs —
+//! substitution (DESIGN.md §2): `P` MPI ranks become `P` resumable fibers,
+//! multiplexed over a few worker threads, that own disjoint blocks of each
+//! tensor and exchange **real buffers** through point-to-point FIFO
+//! mailboxes. On top of the mailboxes we implement the collectives the
+//! paper's engine needs —
 //!
-//! * [`comm`]: the rank runtime ([`Universe::run`]) and point-to-point layer,
+//! * [`mesh`]: the rank runtime ([`Universe::run_mesh`]; [`Universe::run`]
+//!   is its fail-stop front) with per-rank failure quarantine,
+//! * [`comm`]: the rank handle ([`RankCtx`]) and point-to-point layer,
 //! * [`collectives`]: all-reduce / broadcast / gather / all-to-all-v,
 //! * [`grid`]: `N`-dimensional processor grids, the `ψ(P, N)` grid count of
 //!   Table 1, and grid enumeration,
@@ -24,20 +27,17 @@
 //!
 //! # Virtual time (paper-scale rank counts)
 //!
-//! Honest measured runs time-share real OS threads and therefore cap `P`
-//! near the host core count. For the paper's 2⁶–2¹³-node experiments the
-//! runtime offers a **virtual-time** mode (DESIGN.md §3):
-//!
-//! * [`net`]: an α–β (postal) network model — [`net::NetModel`] with a BG/Q
-//!   preset — charges every off-rank message `α + β·bytes` to both
-//!   endpoints on a per-rank virtual clock ([`comm::RankCtx::vtimers`]),
-//!   split by [`VolumeCategory`] exactly like the measured timers;
-//! * [`Universe::run_cfg`] with [`comm::UniverseCfg`]`::sequential` gates
-//!   ranks through a deterministic round-robin scheduler — one rank executes
-//!   at a time on a small-stack thread — so a single host thread of
-//!   execution replays universes of thousands of ranks in seconds.
-//!
-//! The volume ledger is identical in both modes; only the clock changes.
+//! Measured times are honest only while the ranks fit the host's cores.
+//! For the paper's 2⁶–2¹³-node experiments attach a [`net`] model
+//! ([`MeshCfg::virtual_time`], DESIGN.md §2–§3): the α–β (postal)
+//! [`net::NetModel`] — with a BG/Q preset — charges every off-rank message
+//! `α + β·bytes` to both endpoints on a per-rank virtual clock
+//! ([`comm::RankCtx::vtimers`]), split by [`VolumeCategory`] exactly like
+//! the measured timers. The same runtime executes both: a handful of worker
+//! threads replays universes of thousands of ranks in seconds, and neither
+//! the virtual clock nor the volume ledger depends on how many workers
+//! there are (`MeshCfg { workers: 1, .. }` is the deterministic
+//! one-rank-at-a-time mode).
 
 pub mod backend;
 pub mod block;
@@ -53,9 +53,7 @@ pub mod redistribute;
 
 pub use backend::{PhaseSnap, TimeSource};
 pub use block::{block_region, split_extents};
-pub use comm::{
-    CommTimers, RankCtx, Universe, UniverseCfg, VolumeCategory, VolumeLedger, VolumeReport,
-};
+pub use comm::{CommTimers, RankCtx, Universe, VolumeCategory, VolumeLedger, VolumeReport};
 pub use dist_tensor::DistTensor;
 pub use grid::{
     count_grids, enumerate_grids, enumerate_valid_grids, largest_usable_rank_count, Grid,

@@ -1,24 +1,28 @@
-//! Actor-mesh runtime: ranks as resumable fibers multiplexed over a small
+//! The rank runtime: ranks as resumable fibers multiplexed over a small
 //! worker pool, with per-rank failure quarantine.
 //!
-//! [`Universe::run_mesh`] is the third execution mode next to free-running
-//! threads and the sequential round-robin scheduler (see [`crate::comm`]).
-//! Every rank becomes a *stackful fiber* — a guard-paged, lazily-committed
-//! heap stack plus a saved register context — and `min(host_cores, cap)`
-//! worker threads resume runnable fibers until they block (receive on an
-//! empty queue, barrier) or finish. A `P = 8192` universe therefore costs
-//! 8192 mailboxes and 8192 mostly-untouched stacks, **not** 8192 OS threads.
+//! [`Universe::run_mesh`] is the one function that schedules simulated
+//! ranks ([`Universe::run`] is its fail-stop front). Every rank becomes a
+//! *stackful fiber* — a guard-paged, lazily-committed heap stack plus a
+//! saved register context — and `min(host_cores, cap)` worker threads
+//! resume runnable fibers until they block (receive on an empty queue,
+//! barrier) or finish. A `P = 8192` universe therefore costs 8192 mailboxes
+//! and 8192 mostly-untouched stacks, **not** 8192 OS threads.
 //!
 //! Each actor is pinned to the worker `rank % workers`. Pinning keeps the
 //! fiber's thread-local state (panic bookkeeping, any TLS the guest code
 //! touches, compiler-cached TLS base registers) valid across suspensions:
 //! a fiber only ever runs on one OS thread. Peers on other workers wake it
 //! by pushing it onto its owner's run queue, never by resuming it directly.
+//! `workers: 1` is the deterministic mode (one rank at a time, fixed
+//! round-robin order); `workers: nranks` gives every rank an OS thread of
+//! its own, so per-thread counters read inside a rank body are per-rank.
+//! Virtual clocks and the volume ledger do not depend on the pool size.
 //!
 //! # Failure semantics
 //!
-//! Unlike the other two modes, a rank panic does **not** poison the
-//! universe. The mesh *quarantines* the failed rank — records its panic
+//! A rank panic does **not** poison the universe. The mesh *quarantines*
+//! the failed rank — records its panic
 //! message, keeps its mailbox — then aborts the epoch: every surviving rank
 //! is woken into a typed `"epoch aborted"` panic at its next communication
 //! call, each caught at the fiber boundary, so all stacks unwind cleanly and
@@ -33,23 +37,16 @@
 //! scripted to kill a rank at its `k`-th communication call, injecting
 //! deterministic mid-sweep failures without touching guest code.
 
-use crate::comm::{RankCtx, RunOutput, Shared, Universe, VolumeReport};
+use crate::comm::{lock_ignore_poison as lock, RankCtx, RunOutput, Shared, Universe, VolumeReport};
 use crate::net::NetModel;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
 
-/// Ignore mutex poisoning (a panicking fiber must not turn peers'
-/// diagnostics into `PoisonError`s); mirrors `comm::lock_ignore_poison`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Process-wide count of fiber context switches (diagnostic: unlike the
-/// sequential scheduler's token hand-offs, these are user-space register
-/// swaps — no futex, no kernel).
+/// Process-wide count of fiber context switches (diagnostic: user-space
+/// register swaps — no futex, no kernel).
 static MESH_SWITCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide fiber-switch counter.
@@ -63,9 +60,10 @@ pub fn mesh_switches() -> u64 {
 /// of the design.
 pub const MESH_WORKER_CAP: usize = 8;
 
-/// Default usable fiber stack: matches the sequential mode's rank-thread
-/// stacks (`comm::SEQ_RANK_STACK_BYTES`), which the engine's rank bodies
-/// have run on since PR 3.
+/// Default usable fiber stack, the budget every [`Universe::run`] body runs
+/// on: the engine's rank bodies keep bulk data on the heap, so a small
+/// stack keeps a P = 8192 universe cheap. The page below it is a guard page
+/// — an overflow faults there, it never corrupts a neighbouring stack.
 pub const MESH_STACK_BYTES: usize = 192 * 1024;
 
 /// Number of OS threads the current process has, from `/proc/self/status`
@@ -276,6 +274,8 @@ mod fib {
         }
 
         fn top(&mut self) -> *mut u8 {
+            // SAFETY (both arms): one-past-the-end of the allocation this
+            // `Stack` owns — in bounds for `add`, never dereferenced here.
             match &mut self.mem {
                 StackMem::Mmap { base, len } => unsafe { base.add(*len) },
                 StackMem::Heap(b) => {
@@ -352,6 +352,9 @@ mod fib {
             // default MXCSR/x87 control words below it.
             let top = (stack.top() as usize) & !15;
             let sp = top - 16 - FRAME_BYTES;
+            // SAFETY: `Stack::new` maps at least four usable pages, so the
+            // 72 bytes below the aligned top lie inside the writable part of
+            // the stack this fiber owns; nothing else references it yet.
             unsafe {
                 std::ptr::write(sp as *mut u32, MXCSR_DEFAULT);
                 std::ptr::write((sp + 4) as *mut u16, FPUCW_DEFAULT);
@@ -769,8 +772,8 @@ impl MeshSched {
 
     /// Worker `w`'s scheduling loop body: next runnable owned actor, or
     /// `None` when the universe has drained. Detects the all-blocked cases
-    /// (dead-sender revival, genuine deadlock) exactly like the sequential
-    /// scheduler, but only once every running actor has yielded.
+    /// (dead-sender revival, genuine deadlock) once every running actor has
+    /// yielded.
     fn next_actor(&self, w: usize) -> Option<usize> {
         let mut g = lock(&self.state);
         loop {
@@ -788,8 +791,7 @@ impl MeshSched {
             }
             if g.running == 0 && g.ready.iter().all(VecDeque::is_empty) {
                 // Nothing runnable anywhere: receivers blocked on finished
-                // senders must be resumed so they can fail loudly (matching
-                // the other modes' diagnostics) …
+                // senders must be resumed so they can fail loudly …
                 let mut revived = false;
                 for r in 0..g.states.len() {
                     if let ActorState::BlockedRecv(src) = g.states[r] {
@@ -852,12 +854,14 @@ impl MeshSched {
 /// Execution configuration for a mesh universe.
 #[derive(Clone, Debug, Default)]
 pub struct MeshCfg {
-    /// Worker pool size; `0` = `min(host_cores, MESH_WORKER_CAP)`.
+    /// Worker pool size; `0` = `min(host_cores, MESH_WORKER_CAP)`, clamped
+    /// to `1..=nranks`. `1` is the deterministic one-rank-at-a-time mode;
+    /// `nranks` gives each rank its own OS thread (see the module docs).
     pub workers: usize,
     /// Usable fiber stack bytes; `0` = [`MESH_STACK_BYTES`].
     pub stack_bytes: usize,
     /// Attach an α–β model: every off-rank message charges
-    /// [`RankCtx::vtimers`] at both endpoints (same as [`crate::comm::UniverseCfg`]).
+    /// [`RankCtx::vtimers`] at both endpoints.
     pub net: Option<NetModel>,
     /// Simulated resource manager: leases procs for the run and can inject
     /// scripted rank kills.
@@ -940,7 +944,7 @@ impl<R> MeshOutput<R> {
 
     /// Fail-stop adapter: per-rank results if every rank completed,
     /// otherwise re-raises the root failure's original panic payload —
-    /// exactly the semantics of [`Universe::run_cfg`].
+    /// what [`Universe::run`] returns.
     pub fn into_results(self) -> RunOutput<R> {
         let mut out = Vec::with_capacity(self.results.len());
         let mut payload = self.root_payload;
@@ -1007,7 +1011,7 @@ impl Universe {
                 "simulated allocator out of capacity: cannot lease {nranks} procs"
             );
         }
-        let shared = Arc::new(Shared::for_mesh(
+        let shared = Arc::new(Shared::new(
             nranks,
             MeshSched::new(nranks, workers, cfg.allocator.clone()),
             cfg.net,
@@ -1031,7 +1035,7 @@ impl Universe {
                 let f = &f;
                 let results = &results;
                 let entry: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    let mut ctx = RankCtx::for_mesh(rank, nranks, shared);
+                    let mut ctx = RankCtx::new(rank, nranks, shared);
                     let r = f(&mut ctx);
                     *lock(&results[rank]) = Some(r);
                 });
@@ -1045,7 +1049,7 @@ impl Universe {
             })
             .collect();
 
-        let mesh = shared.mesh.as_ref().expect("mesh scheduler");
+        let mesh = &shared.mesh;
         std::thread::scope(|s| {
             for w in 0..workers {
                 let fibers = &fibers;
@@ -1174,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn mesh_virtual_clock_matches_sequential_mode() {
+    fn virtual_clock_and_ledger_do_not_depend_on_the_worker_pool() {
         let net = NetModel::bgq();
         let p = 5;
         let program = |ctx: &mut RankCtx| {
@@ -1185,23 +1189,25 @@ mod tests {
             ctx.barrier();
             ctx.vtimers.clone()
         };
-        let mesh = Universe::run_mesh(p, &MeshCfg::virtual_time(net), program).into_results();
-        let seq = Universe::run_cfg(
-            p,
-            &crate::comm::UniverseCfg {
-                sequential: true,
-                net: Some(net),
-            },
-            program,
-        );
-        for r in 0..p {
+        let run = |workers: usize| {
+            let cfg = MeshCfg {
+                workers,
+                ..MeshCfg::virtual_time(net)
+            };
+            let out = Universe::run_mesh(p, &cfg, program);
+            assert_eq!(out.workers, workers);
+            out.into_results()
+        };
+        let one = run(1);
+        assert!(one.results.iter().all(|t| t.total() > Duration::ZERO));
+        for workers in [2, 4, p] {
+            let many = run(workers);
             assert_eq!(
-                mesh.results[r].total(),
-                seq.results[r].total(),
-                "virtual clock of rank {r} must not depend on the runtime"
+                many.results, one.results,
+                "per-rank virtual clocks must not depend on the pool ({workers} workers)"
             );
+            assert_eq!(many.volume, one.volume);
         }
-        assert_eq!(mesh.volume, seq.volume);
     }
 
     #[test]
@@ -1311,8 +1317,8 @@ mod tests {
     fn mesh_scales_to_thousands_of_ranks_on_few_threads() {
         // P fibers must not mean P threads. Count the OS threads this
         // mesh's rank bodies actually run on (before and after a blocking
-        // receive) — not the process-wide thread count, which sibling tests
-        // running thread-per-rank universes inflate at will.
+        // receive) — not the process-wide thread count, which sibling tests'
+        // worker pools inflate at will.
         let p = 4096;
         let carriers = Mutex::new(std::collections::HashSet::new());
         let here = || {

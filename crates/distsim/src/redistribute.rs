@@ -241,6 +241,7 @@ mod tests {
     use super::*;
     use crate::block::rank_region as block_of;
     use crate::comm::Universe;
+    use crate::mesh::MeshCfg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tucker_tensor::Shape;
@@ -291,18 +292,26 @@ mod tests {
         let global = rand_tensor(&[8, 6, 4], 7);
         let g1 = Grid::new([2, 2, 1]);
         let g2 = Grid::new([1, 2, 2]);
-        let wire = Universe::run(4, |ctx| {
+        // `view_bytes_copied` counts per OS thread: one worker per rank, or
+        // a delta taken across a suspension absorbs a neighbour's copies.
+        let one_thread_per_rank = MeshCfg {
+            workers: 4,
+            ..MeshCfg::default()
+        };
+        let wire = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
             let before = tucker_tensor::view_bytes_copied();
             let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
             let local = redistribute_via_wire(ctx, &dt, &g2).local().clone();
             (local, tucker_tensor::view_bytes_copied() - before)
-        });
-        let view = Universe::run(4, |ctx| {
+        })
+        .into_results();
+        let view = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
             let before = tucker_tensor::view_bytes_copied();
             let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
             let local = redistribute(ctx, &dt, &g2).local().clone();
             (local, tucker_tensor::view_bytes_copied() - before)
-        });
+        })
+        .into_results();
         let mut self_elems = 0usize;
         for (r, ((a, wb), (b, vb))) in wire.results.iter().zip(&view.results).enumerate() {
             assert_eq!(a.max_abs_diff(b), 0.0);

@@ -12,7 +12,7 @@ use tucker_distsim::collectives::{
     allgather, allreduce_sum, allreduce_sum_flat, allreduce_sum_tree, alltoallv, bcast, gather,
     Group,
 };
-use tucker_distsim::{NetModel, Universe, UniverseCfg, VolumeCategory};
+use tucker_distsim::{MeshCfg, NetModel, Universe, VolumeCategory};
 
 /// Deterministic payload for (rank, slot).
 fn val(rank: usize, slot: usize, seed: u64) -> f64 {
@@ -184,13 +184,6 @@ proptest! {
 
 // --------------------------------------------------- virtual-time closed forms
 
-fn vcfg(net: NetModel) -> UniverseCfg {
-    UniverseCfg {
-        sequential: true,
-        net: Some(net),
-    }
-}
-
 /// Run `f` on a virtual-time universe and return each rank's modeled nanos
 /// in `cat`.
 fn virtual_nanos(
@@ -199,11 +192,11 @@ fn virtual_nanos(
     cat: VolumeCategory,
     f: impl Fn(&mut tucker_distsim::RankCtx) + Sync,
 ) -> Vec<u64> {
-    let out = Universe::run_cfg(p, &vcfg(net), |ctx| {
+    let out = Universe::run_mesh(p, &MeshCfg::virtual_time(net), |ctx| {
         f(ctx);
         ctx.vtimers.time(cat).as_nanos() as u64
     });
-    out.results
+    out.into_results().results
 }
 
 #[test]
@@ -393,7 +386,7 @@ proptest! {
         let expect: Vec<f64> = (0..len)
             .map(|s| members.iter().map(|&r| val(r, s, seed)).sum::<f64>())
             .collect();
-        let out = Universe::run_cfg(total, &vcfg(net), |ctx| {
+        let out = Universe::run_mesh(total, &MeshCfg::virtual_time(net), |ctx| {
             let vals = if ctx.rank() < p {
                 let g = Group::new(ctx, rotated_members(p, rot));
                 let mut buf: Vec<f64> = (0..len).map(|s| val(ctx.rank(), s, seed)).collect();
@@ -403,7 +396,8 @@ proptest! {
                 None
             };
             (vals, ctx.vtimers.time(VolumeCategory::Gram).as_nanos() as u64)
-        });
+        })
+        .into_results();
         for (rank, (vals, ns)) in out.results.into_iter().enumerate() {
             match vals {
                 Some(v) => {

@@ -10,7 +10,7 @@
 //! that honest measured runs cannot reach.
 
 use tucker_core::engine::{
-    run_distributed_hooi_cfg, run_distributed_hooi_mesh, EngineConfig, FailurePolicy, InjectedFault,
+    run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig, FailurePolicy, InjectedFault,
 };
 use tucker_core::executor::{self, RayonBackend, SeqBackend, SweepBackend};
 use tucker_core::plan::brute_force::{enumerate_all_trees, min_sweep_cost};
@@ -67,9 +67,9 @@ pub fn gridding_comparison(meta: &TuckerMeta, nranks: usize) -> (f64, f64) {
 /// heuristics, the comparison behind Figures 11c/d. Returns
 /// `(chain_k, chain_h, balanced, opt)` FLOPs.
 pub fn load_comparison(meta: &TuckerMeta) -> (f64, f64, f64, f64) {
-    use tucker_core::cost::tree_flops;
-    use tucker_core::opt_tree::optimal_flops;
-    use tucker_core::tree::{balanced_tree, chain_tree, ModeOrdering};
+    use tucker_core::plan::cost::tree_flops;
+    use tucker_core::plan::order::ModeOrdering;
+    use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_flops};
 
     let chain_k = tree_flops(
         &chain_tree(meta, &ModeOrdering::ByCostFactor.permutation(meta)),
@@ -156,8 +156,8 @@ pub fn scaling_ranks() -> Vec<usize> {
 
 /// Replay the paper's four-strategy lineup **plus the joint-DP plan**
 /// (`(dp, joint)`, ranked under the α–β [`NetCostModel`]) at each rank
-/// count under the virtual-time α–β mode (sequential scheduler, no core
-/// gather), one HOOI sweep each.
+/// count under the virtual-time α–β clock (no core gather), one HOOI sweep
+/// each.
 ///
 /// Every row is self-validating, on two levels:
 /// * **volume**: the ledger's TTM reduce-scatter volume must equal the §4.1
@@ -185,15 +185,16 @@ pub fn scaling_sweep(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<S
         lineup.push(planner.best_plan_with(&net_model, &SearchBudget::winner_only()));
         for plan in lineup {
             let host0 = std::time::Instant::now();
-            let out = run_distributed_hooi_cfg(fill, &plan, 1, &cfg);
+            let out = run_distributed_hooi(fill, &plan, 1, &cfg);
             let host_s = host0.elapsed().as_secs_f64();
             let s = &out.per_sweep[0];
             // Sweeps ran once, so the run-level ledger *is* the sweep ledger
             // for TTM and regrid (init generates Gram/Other traffic only) —
             // and it is exact, unlike the per-rank sweep windows. Gram is
             // taken from the sweep stats so it matches `gram_comm_s`'s scope.
-            let ttm_elements = out.volume.elements(VolumeCategory::TtmReduceScatter);
-            let regrid_elements = out.volume.elements(VolumeCategory::Regrid);
+            let volume = out.volume();
+            let ttm_elements = volume.elements(VolumeCategory::TtmReduceScatter);
+            let regrid_elements = volume.elements(VolumeCategory::Regrid);
             let gram_elements = s.gram_volume;
             let model_ttm = plan.modeled_sweep_ttm_elements();
             let model_regrid = plan.modeled_regrid_elements();
@@ -358,9 +359,9 @@ pub fn topology_sweep(meta: &TuckerMeta, ranks: &[usize], hier: NetModel) -> Vec
         let flat_plan = planner.best_plan_with(&flat_model, &SearchBudget::winner_only());
 
         let host0 = std::time::Instant::now();
-        let topo_out = run_distributed_hooi_cfg(fill, &topo_plan, 1, &hier_cfg);
-        let flat_out = run_distributed_hooi_cfg(fill, &flat_plan, 1, &hier_cfg);
-        let ctrl_out = run_distributed_hooi_cfg(fill, &flat_plan, 1, &flat_cfg);
+        let topo_out = run_distributed_hooi(fill, &topo_plan, 1, &hier_cfg);
+        let flat_out = run_distributed_hooi(fill, &flat_plan, 1, &hier_cfg);
+        let ctrl_out = run_distributed_hooi(fill, &flat_plan, 1, &flat_cfg);
         let host_s = host0.elapsed().as_secs_f64();
 
         // The PR 5 invariant, per topology: predict_sweep replays the exact
@@ -678,7 +679,7 @@ fn hosvd_init_factors(t: &DenseTensor, meta: &TuckerMeta) -> Vec<Matrix> {
 struct HostRunCtx<'a> {
     t: &'a DenseTensor,
     meta: &'a TuckerMeta,
-    tree: &'a tucker_core::tree::TtmTree,
+    tree: &'a tucker_core::plan::tree::TtmTree,
     init: &'a [Matrix],
     input_norm_sq: f64,
     sweeps: usize,
@@ -787,7 +788,7 @@ pub fn backend_lineup(
 
     // Distributed row: same schedule on the measured distsim backend. One
     // run (the simulated universe timeshares the host, reps add no signal).
-    let out = run_distributed_hooi_cfg(fill, &plan, sweeps, &EngineConfig::default());
+    let out = run_distributed_hooi(fill, &plan, sweeps, &EngineConfig::default());
     let err = out.per_sweep[out.per_sweep.len() - 1].error;
     assert!(
         (err - err_seq).abs() < 1e-10,
@@ -968,18 +969,26 @@ pub fn regrid_bytes_bench() -> RegridBytes {
     });
     let g1 = Grid::new([2, 2, 1]);
     let g2 = Grid::new([1, 2, 2]);
-    let wire = Universe::run(4, |ctx| {
+    // `view_bytes_copied` counts per OS thread: one worker per rank, or a
+    // delta taken across a suspension absorbs a neighbour's copies.
+    let one_thread_per_rank = MeshCfg {
+        workers: 4,
+        ..MeshCfg::default()
+    };
+    let wire = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
         let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
         let before = view_bytes_copied();
         let local = redistribute_via_wire(ctx, &dt, &g2).local().clone();
         (local, view_bytes_copied() - before)
-    });
-    let view = Universe::run(4, |ctx| {
+    })
+    .into_results();
+    let view = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
         let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
         let before = view_bytes_copied();
         let local = redistribute(ctx, &dt, &g2).local().clone();
         (local, view_bytes_copied() - before)
-    });
+    })
+    .into_results();
     let mut self_overlap_bytes = 0u64;
     let mut max_abs_diff = 0.0f64;
     for (r, ((a, _), (b, _))) in wire.results.iter().zip(&view.results).enumerate() {

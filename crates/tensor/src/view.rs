@@ -50,8 +50,14 @@ thread_local! {
     static BYTES_COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Total bytes moved by [`copy_into`] on the calling thread so far. Take a
-/// snapshot before and after a region to measure its copy traffic.
+/// Total bytes moved by [`copy_into`] on the calling **OS thread** so far.
+/// Take a snapshot before and after a region to measure its copy traffic.
+///
+/// Simulated ranks share worker threads (`tucker-distsim` pins rank `r` to
+/// worker `r % workers`), so a delta taken inside a rank body across a
+/// communication call also counts whatever the neighbouring ranks on that
+/// worker copied while this one was suspended. To read it per rank, run the
+/// universe with `MeshCfg { workers: nranks, .. }` — one rank per thread.
 pub fn view_bytes_copied() -> u64 {
     BYTES_COPIED.with(|c| c.get())
 }

@@ -9,8 +9,8 @@
 //! filled with a synthetic plume field, and prints a Figure 10c-style
 //! breakdown (SVD / TTM computation / TTM communication) per strategy.
 
-use tucker_core::engine::run_distributed_hooi;
-use tucker_core::planner::Planner;
+use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::plan::Planner;
 use tucker_suite::fields::combustion_field;
 use tucker_suite::real::scaled_real_tensors;
 
@@ -27,7 +27,7 @@ fn main() {
 
         for plan in planner.paper_lineup() {
             let field = |c: &[usize]| combustion_field(c, &dims);
-            let out = run_distributed_hooi(field, &plan, 1);
+            let out = run_distributed_hooi(field, &plan, 1, &EngineConfig::default());
             let s = &out.per_sweep[0];
             println!(
                 "{:>22}: total {:>9.1?}  svd {:>9.1?}  ttm-comp {:>9.1?}  \

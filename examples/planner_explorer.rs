@@ -10,8 +10,8 @@
 //! Defaults to the paper's maximum-gain 5-D tensor (§6.2) on 32 ranks.
 
 use tucker_core::meta::TuckerMeta;
-use tucker_core::planner::{GridStrategy, Planner, TreeStrategy};
-use tucker_core::tree::{NodeLabel, TtmTree};
+use tucker_core::plan::tree::{NodeLabel, TtmTree};
+use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 
 fn parse_list(s: &str) -> Vec<usize> {
     s.split(',')

@@ -8,7 +8,7 @@
 //! dynamic gridding for 8 simulated ranks, runs STHOSVD + distributed HOOI,
 //! and prints the error, compression and communication statistics.
 
-use tucker_core::engine::run_distributed_hooi;
+use tucker_core::engine::{run_distributed_hooi, EngineConfig};
 use tucker_core::meta::TuckerMeta;
 use tucker_core::plan::{FlopVolumeModel, GridStrategy, Planner, SearchBudget, TreeStrategy};
 use tucker_suite::fields::combustion_field;
@@ -66,7 +66,7 @@ fn main() {
 
     // 3. Execute: distributed HOOI on the simulated 8-rank universe.
     let field = move |c: &[usize]| combustion_field(c, &dims);
-    let out = run_distributed_hooi(field, &plan, 3);
+    let out = run_distributed_hooi(field, &plan, 3, &EngineConfig::default());
     for (i, s) in out.per_sweep.iter().enumerate() {
         println!(
             "sweep {i}: error {:.5}  ttm {:?} (comm {:?})  svd {:?}  regrid {:?}  \

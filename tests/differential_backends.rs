@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use tucker_core::executor::{self, RayonBackend, SeqBackend, SweepBackend};
-use tucker_core::planner::Planner;
-use tucker_core::tree::{NodeLabel, TtmTree};
+use tucker_core::plan::tree::{NodeLabel, TtmTree};
+use tucker_core::plan::Planner;
 use tucker_core::TuckerMeta;
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
@@ -236,7 +236,7 @@ fn steady_state_executor_sweep_is_tensor_alloc_free() {
     assert!(init.iter().all(|f| f.nrows() > 0), "degenerate fixture");
     // A balanced tree exercises shared intermediates (several children per
     // node), the harder case for buffer recycling.
-    let tree = tucker_core::tree::balanced_tree(&meta, &[0, 1, 2, 3]);
+    let tree = tucker_core::plan::tree::balanced_tree(&meta, &[0, 1, 2, 3]);
 
     let mut b = SeqBackend::new();
     let mut factors = init;

@@ -7,13 +7,13 @@
 
 use proptest::prelude::*;
 use tucker_core::decomposition::TuckerDecomposition;
-use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd_cfg};
-use tucker_core::engine::{run_distributed_hooi_cfg, EngineConfig};
+use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
+use tucker_core::engine::{run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig};
 use tucker_core::hooi::hooi_invocation;
-use tucker_core::planner::Planner;
+use tucker_core::plan::Planner;
 use tucker_core::sthosvd::sthosvd_with_order;
 use tucker_core::TuckerMeta;
-use tucker_distsim::{enumerate_valid_grids, NetModel};
+use tucker_distsim::{enumerate_valid_grids, MeshCfg, NetModel};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
 use tucker_tensor::DenseTensor;
@@ -66,9 +66,9 @@ fn hooi_plan_well_posed(
     t: &DenseTensor,
     meta: &TuckerMeta,
     init: &TuckerDecomposition,
-    tree: &tucker_core::tree::TtmTree,
+    tree: &tucker_core::plan::tree::TtmTree,
 ) -> bool {
-    use tucker_core::tree::NodeLabel;
+    use tucker_core::plan::tree::NodeLabel;
     for n in 0..meta.order() {
         if !gapped(&tucker_tensor::gram(t, n), meta.k(n)) {
             return false;
@@ -157,7 +157,7 @@ fn check_hooi_lineup(meta: &TuckerMeta) {
         }
         let seq = hooi_invocation(&t, meta, &init, &plan.tree);
         for (label, cfg) in modes() {
-            let dist = run_distributed_hooi_cfg(field, &plan, 1, &cfg);
+            let dist = run_distributed_hooi(field, &plan, 1, &cfg);
             let de = dist.per_sweep[0].error;
             assert!(
                 (de - seq.error).abs() < 1e-10,
@@ -180,7 +180,7 @@ fn check_sthosvd(meta: &TuckerMeta) {
     let seq_err = seq.error(&t);
     let grid = enumerate_valid_grids(NRANKS, meta.core().dims())[0].clone();
     for (label, cfg) in modes() {
-        let (decomp, stats) = run_distributed_sthosvd_cfg(field, meta, &grid, &order, &cfg);
+        let (decomp, stats) = run_distributed_sthosvd(field, meta, &grid, &order, &cfg);
         assert!(
             (stats.error - seq_err).abs() < 1e-10,
             "{meta} [{label}]: dist {} vs seq {seq_err}",
@@ -285,7 +285,7 @@ fn hooi_matches_sequential_through_the_selected_solver() {
         );
         let seq = hooi_invocation(&t, &meta, &init, &plan.tree);
         for (label, cfg) in modes() {
-            let dist = run_distributed_hooi_cfg(field_rank16, &plan, 1, &cfg);
+            let dist = run_distributed_hooi(field_rank16, &plan, 1, &cfg);
             let de = dist.per_sweep[0].error;
             assert!(
                 (de - seq.error).abs() < 1e-10,
@@ -293,6 +293,39 @@ fn hooi_matches_sequential_through_the_selected_solver() {
                 plan.name(),
                 seq.error
             );
+        }
+    }
+}
+
+/// The worker pool is a host detail: one virtual-time run on a single worker
+/// (the deterministic one-rank-at-a-time schedule), on the default pool and
+/// on a worker per rank reports the same plan, modeled communication clocks
+/// and ledger, and bit-identical errors and factors.
+#[test]
+fn virtual_time_run_does_not_depend_on_the_worker_pool() {
+    let meta = TuckerMeta::new([12, 10, 8], [6, 4, 4]);
+    let cfg = EngineConfig::virtual_time(NetModel::bgq());
+    let run = |workers: usize| {
+        let mesh = MeshCfg {
+            workers,
+            ..MeshCfg::default()
+        };
+        run_distributed_hooi_mesh(field, &meta, NRANKS, 2, &cfg, &mesh, None)
+    };
+    let one = run(1);
+    assert_eq!(one.workers, 1);
+    assert!(one.per_sweep.iter().all(|s| !s.comm_wall.is_zero()));
+    for workers in [0, NRANKS] {
+        let pool = run(workers);
+        assert_eq!(pool.plans, one.plans);
+        for (a, b) in pool.per_sweep.iter().zip(&one.per_sweep) {
+            assert_eq!(a.comm_wall, b.comm_wall, "{workers} workers");
+            assert_eq!(a.error.to_bits(), b.error.to_bits(), "{workers} workers");
+        }
+        assert_eq!(pool.volume(), one.volume(), "{workers} workers");
+        let (da, db) = (pool.expect_decomposition(), one.expect_decomposition());
+        for (fa, fb) in da.factors.iter().zip(&db.factors) {
+            assert_eq!(fa.max_abs_diff(fb), 0.0, "{workers} workers");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Integration: the distributed engine against the sequential reference, and
 //! the measured communication volumes against the analytic models.
 
-use tucker_core::engine::run_distributed_hooi;
+use tucker_core::engine::{run_distributed_hooi, EngineConfig};
 use tucker_core::meta::TuckerMeta;
-use tucker_core::planner::{GridStrategy, Planner, TreeStrategy};
-use tucker_core::tree::NodeLabel;
+use tucker_core::plan::tree::NodeLabel;
+use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 use tucker_suite::fields::combustion_field;
 
 fn field_for(meta: &TuckerMeta) -> impl Fn(&[usize]) -> f64 + Sync + '_ {
@@ -19,7 +19,7 @@ fn all_strategies_agree_on_results_across_rank_counts() {
     for nranks in [1usize, 2, 4, 8] {
         let planner = Planner::new(meta.clone(), nranks);
         for plan in planner.paper_lineup() {
-            let out = run_distributed_hooi(field_for(&meta), &plan, 1);
+            let out = run_distributed_hooi(field_for(&meta), &plan, 1, &EngineConfig::default());
             let e = out.per_sweep[0].error;
             match reference {
                 None => reference = Some(e),
@@ -41,7 +41,7 @@ fn measured_ttm_volume_matches_model_for_static_plans() {
     let meta = TuckerMeta::new([12, 10, 8], [4, 5, 2]);
     let planner = Planner::new(meta.clone(), 8);
     let plan = planner.plan(TreeStrategy::Balanced, GridStrategy::StaticOptimal);
-    let out = run_distributed_hooi(field_for(&meta), &plan, 1);
+    let out = run_distributed_hooi(field_for(&meta), &plan, 1, &EngineConfig::default());
     let s = &out.per_sweep[0];
 
     // Model for the tree part.
@@ -80,7 +80,7 @@ fn measured_regrid_volume_bounded_by_model() {
     );
 
     // Model upper bound: sum of |In(u)| over regridded nodes.
-    let cost = tucker_core::cost::tree_cost(&plan.tree, &meta);
+    let cost = tucker_core::plan::cost::tree_cost(&plan.tree, &meta);
     let model: f64 = plan
         .tree
         .internal_nodes()
@@ -89,7 +89,7 @@ fn measured_regrid_volume_bounded_by_model() {
         .map(|id| cost.in_card[id])
         .sum();
 
-    let out = run_distributed_hooi(field_for(&meta), &plan, 1);
+    let out = run_distributed_hooi(field_for(&meta), &plan, 1, &EngineConfig::default());
     let s = &out.per_sweep[0];
     assert!(s.regrid_volume > 0);
     assert!(
@@ -110,8 +110,8 @@ fn dynamic_plan_moves_fewer_ttm_bytes_than_static() {
         // Degenerate case: dynamic == static; nothing to check.
         return;
     }
-    let so = run_distributed_hooi(field_for(&meta), &stat, 1);
-    let dy = run_distributed_hooi(field_for(&meta), &dynamic, 1);
+    let so = run_distributed_hooi(field_for(&meta), &stat, 1, &EngineConfig::default());
+    let dy = run_distributed_hooi(field_for(&meta), &dynamic, 1, &EngineConfig::default());
     let s_total = so.per_sweep[0].ttm_volume + so.per_sweep[0].regrid_volume;
     let d_total = dy.per_sweep[0].ttm_volume + dy.per_sweep[0].regrid_volume;
     assert!(
@@ -125,7 +125,7 @@ fn per_sweep_stats_are_complete() {
     let meta = TuckerMeta::new([10, 10, 10], [3, 3, 3]);
     let planner = Planner::new(meta.clone(), 4);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-    let out = run_distributed_hooi(field_for(&meta), &plan, 2);
+    let out = run_distributed_hooi(field_for(&meta), &plan, 2, &EngineConfig::default());
     assert_eq!(out.per_sweep.len(), 2);
     for s in &out.per_sweep {
         assert!(s.wall > std::time::Duration::ZERO);
@@ -134,7 +134,7 @@ fn per_sweep_stats_are_complete() {
         assert!(s.gram_volume > 0);
     }
     // The ledger total covers at least the per-sweep TTM+regrid+gram bytes.
-    let ledger_elems = out.volume.total_elements();
+    let ledger_elems = out.volume().total_elements();
     let sweep_elems: u64 = out
         .per_sweep
         .iter()

@@ -1,9 +1,9 @@
 //! Edge cases and misuse across the public API surface.
 
 use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
-use tucker_core::engine::run_distributed_hooi;
+use tucker_core::engine::{run_distributed_hooi, EngineConfig};
 use tucker_core::meta::TuckerMeta;
-use tucker_core::planner::{GridStrategy, Planner, TreeStrategy};
+use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 use tucker_distsim::Grid;
 use tucker_suite::fields::hash_noise;
 
@@ -17,7 +17,7 @@ fn two_mode_problem_works_end_to_end() {
     let meta = TuckerMeta::new([12, 10], [3, 4]);
     let planner = Planner::new(meta, 4);
     for plan in planner.paper_lineup() {
-        let out = run_distributed_hooi(fill, &plan, 2);
+        let out = run_distributed_hooi(fill, &plan, 2, &EngineConfig::default());
         assert!(out.per_sweep[1].error.is_finite());
         assert!(out.expect_decomposition().factors_orthonormal(1e-8));
     }
@@ -29,7 +29,7 @@ fn full_rank_core_reconstructs_exactly() {
     let meta = TuckerMeta::new([6, 6, 4], [6, 6, 4]);
     let planner = Planner::new(meta, 4);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::StaticOptimal);
-    let out = run_distributed_hooi(fill, &plan, 1);
+    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
     assert!(
         out.per_sweep[0].error < 1e-7,
         "error {}",
@@ -42,7 +42,7 @@ fn rank_one_core_is_the_extreme_compression() {
     let meta = TuckerMeta::new([8, 8, 8], [1, 1, 1]);
     let planner = Planner::new(meta, 1);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-    let out = run_distributed_hooi(fill, &plan, 1);
+    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
     assert_eq!(out.expect_decomposition().core.cardinality(), 1);
     assert!(out.per_sweep[0].error <= 1.0 + 1e-12);
 }
@@ -54,7 +54,7 @@ fn prime_rank_counts_get_valid_grids() {
     let planner = Planner::new(meta, 7);
     let plan = planner.plan(TreeStrategy::Balanced, GridStrategy::StaticOptimal);
     assert_eq!(plan.grids.initial.nranks(), 7);
-    let out = run_distributed_hooi(fill, &plan, 1);
+    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
     assert!(out.per_sweep[0].error.is_finite());
 }
 
@@ -67,11 +67,12 @@ fn sthosvd_and_hooi_agree_on_strongly_lowrank_data() {
 
     let order = optimal_sthosvd_order(&meta);
     let grid = Grid::new([2, 2, 1]);
-    let (_, st_stats) = run_distributed_sthosvd(&field, &meta, &grid, &order);
+    let (_, st_stats) =
+        run_distributed_sthosvd(&field, &meta, &grid, &order, &EngineConfig::default());
 
     let planner = Planner::new(meta, 4);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::StaticOptimal);
-    let hooi = run_distributed_hooi(&field, &plan, 2);
+    let hooi = run_distributed_hooi(&field, &plan, 2, &EngineConfig::default());
     let hooi_err = hooi.per_sweep.last().unwrap().error;
 
     assert!(
@@ -87,7 +88,7 @@ fn zero_sweeps_rejected() {
     let meta = TuckerMeta::new([4, 4], [2, 2]);
     let planner = Planner::new(meta, 2);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-    let _ = run_distributed_hooi(fill, &plan, 0);
+    let _ = run_distributed_hooi(fill, &plan, 0, &EngineConfig::default());
 }
 
 #[test]

@@ -6,9 +6,8 @@ use rand::SeedableRng;
 use tucker_core::decomposition::TuckerDecomposition;
 use tucker_core::hooi::{hooi_invocation, hooi_invocation_gauss_seidel};
 use tucker_core::meta::TuckerMeta;
-use tucker_core::opt_tree::optimal_tree;
+use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_tree};
 use tucker_core::sthosvd::{random_init, sthosvd};
-use tucker_core::tree::{balanced_tree, chain_tree};
 use tucker_linalg::{orthonormal_columns, Matrix};
 use tucker_suite::fields::combustion_field;
 use tucker_tensor::norm::{fro_norm_sq, relative_error};

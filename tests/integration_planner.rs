@@ -3,14 +3,13 @@
 //! plus the planning layer's prediction-vs-execution certification at
 //! paper-scale rank counts.
 
-use tucker_core::cost::tree_flops;
-use tucker_core::dyn_grid::scheme_volume;
-use tucker_core::engine::{run_distributed_hooi_cfg, EngineConfig};
+use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::plan::cost::tree_flops;
+use tucker_core::plan::grid::{scheme_volume, static_volume};
+use tucker_core::plan::order::ModeOrdering;
 use tucker_core::plan::{
     FlopVolumeModel, GridStrategy, NetCostModel, Planner, SearchBudget, TreeStrategy,
 };
-use tucker_core::tree::ModeOrdering;
-use tucker_core::volume::static_volume;
 use tucker_distsim::{enumerate_valid_grids, NetModel};
 use tucker_suite::generator::{full_enumeration, paper_sized_subsample};
 use tucker_suite::real::real_tensors;
@@ -114,8 +113,8 @@ fn chain_orderings_affect_cost_in_expected_direction() {
     let k_perm = ModeOrdering::ByCostFactor.permutation(&meta);
     let mut rev = k_perm.clone();
     rev.reverse();
-    let fwd = tree_flops(&tucker_core::tree::chain_tree(&meta, &k_perm), &meta);
-    let bwd = tree_flops(&tucker_core::tree::chain_tree(&meta, &rev), &meta);
+    let fwd = tree_flops(&tucker_core::plan::tree::chain_tree(&meta, &k_perm), &meta);
+    let bwd = tree_flops(&tucker_core::plan::tree::chain_tree(&meta, &rev), &meta);
     assert!(
         fwd < bwd,
         "K-ascending {fwd} should beat K-descending {bwd}"
@@ -153,7 +152,7 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
         lineup.push(planner.best_plan_with(&model, &SearchBudget::default()));
         for plan in lineup {
             let pred = plan.predict_net(&model);
-            let out = run_distributed_hooi_cfg(fill, &plan, 1, &cfg);
+            let out = run_distributed_hooi(fill, &plan, 1, &cfg);
             let s = &out.per_sweep[0];
             let p_ns = pred.comm_wall.as_nanos() as f64;
             let e_ns = s.comm_wall.as_nanos() as f64;
@@ -208,9 +207,8 @@ fn ranked_plans_cover_lineup_and_winner_executes_well() {
         ..EngineConfig::virtual_time(net)
     };
     let fill = |c: &[usize]| tucker_suite::fields::hash_noise(c, 0x90DE);
-    let exec = |plan: &tucker_core::Plan| {
-        run_distributed_hooi_cfg(fill, plan, 1, &cfg).per_sweep[0].comm_wall
-    };
+    let exec =
+        |plan: &tucker_core::Plan| run_distributed_hooi(fill, plan, 1, &cfg).per_sweep[0].comm_wall;
     let best_exec = exec(&ranked.best().plan);
     for other in planner.paper_lineup() {
         assert!(

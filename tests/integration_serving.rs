@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use tucker_core::executor::{hooi_loop, LoopCfg, SeqBackend};
-use tucker_core::planner::Planner;
+use tucker_core::plan::Planner;
 use tucker_core::serve::synthetic_fill;
 use tucker_core::{JobOutput, JobResult, JobSpec, ServeCfg, Server, TuckerMeta};
 use tucker_linalg::{leading_from_gram, Matrix};
