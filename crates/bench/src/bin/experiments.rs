@@ -623,6 +623,14 @@ fn backends() -> Result<(), String> {
         "   rayon vs seq: {speedup:.2}x {} ({host_cores} host cores)",
         if beats { "speedup" } else { "(no gain)" }
     );
+    // What the ratio is made of on a problem this small: the price of
+    // opening one parallel region, read off a Gram too small to repay it.
+    let (one, two) = (trivial_gram_us(1), trivial_gram_us(2));
+    println!(
+        "   one parallel region costs {:.1}us \
+         (8x8x8 mode-1 Gram: {one:.1}us as 1 part, {two:.1}us as 2)",
+        two - one
+    );
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -671,6 +679,23 @@ fn backends() -> Result<(), String> {
         }
         Ok(())
     }
+}
+
+/// Median wall (µs) of back-to-back `gram_threads` calls on an 8×8×8 tensor
+/// split into `parts` (at one part no parallel region is opened, at two
+/// exactly one is).
+fn trivial_gram_us(parts: usize) -> f64 {
+    const CALLS: usize = 501;
+    let t = tucker_tensor::DenseTensor::from_fn([8, 8, 8], |c| hash_noise(c, 0x6AA));
+    let mut us: Vec<f64> = (0..CALLS)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(tucker_tensor::gram_threads(&t, 1, parts));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[CALLS / 2]
 }
 
 // ---------------------------------------------------------------- Serving

@@ -26,8 +26,10 @@
 //! * [`SeqBackend`] — strictly sequential host execution through a
 //!   [`TtmWorkspace`] (zero tensor-sized allocations at steady state);
 //! * [`RayonBackend`] — the same workspace discipline, but every Gram
-//!   partitions its fiber range and every TTM its slab range across host
-//!   cores (`tucker_tensor::{gram_threads, ttm_into_threads}`);
+//!   partitions its fiber range and every TTM its slab range into one part
+//!   per host core (`tucker_tensor::{gram_threads, ttm_into_threads}`), run
+//!   on the process's persistent worker team (`tucker_linalg::Pool`; the
+//!   name predates it and is pinned by the benchmark);
 //! * `DistsimBackend` (private to [`crate::engine`]) — the simulated-MPI
 //!   backend over `tucker-distsim`, measured or virtual-time.
 //!
@@ -106,14 +108,13 @@ pub struct SweepStats {
     /// Elements moved by the Gram step.
     pub gram_volume: u64,
     /// Bytes staged through the packed-kernel pack buffers during the sweep
-    /// window, observed on the calling thread (see
+    /// window on behalf of the calling thread: its own packing plus what the
+    /// worker team packed in the parallel regions it opened (see
     /// [`tucker_linalg::bytes_packed`]). Host backends fill this; distsim
     /// leaves it zero — its ranks run the same packed kernels (`dist_ttm` →
-    /// `tucker_tensor::ttm`, `gram_cols` → the fused slab kernel, both
-    /// dispatching on `pack::use_packed`), but on mesh worker threads whose
-    /// thread-local counters the engine does not collect. Work done on
-    /// scoped worker threads is not included either — the counter is a
-    /// calling-thread cache-traffic gauge, not a global ledger.
+    /// `tucker_tensor::ttm_into_threads`, `gram_cols` → the fused slab
+    /// kernel, both dispatching on `pack::use_packed`), but on mesh worker
+    /// threads whose thread-local counters the engine does not collect.
     pub kernel_bytes: u64,
     /// Relative error after this sweep.
     pub error: f64,
@@ -828,11 +829,11 @@ pub fn hooi_loop_batch<B: SweepBackend>(
 // ------------------------------------------------------------ host backends
 
 /// Shared implementation of the two host (shared-memory) backends: a
-/// [`TtmWorkspace`] for grow-only buffer reuse plus a pinned worker count.
-/// `PAR = false` is [`SeqBackend`] (worker count locked to 1, strictly
+/// [`TtmWorkspace`] for grow-only buffer reuse plus a pinned partition
+/// count. `PAR = false` is [`SeqBackend`] (count locked to 1, strictly
 /// sequential kernels); `PAR = true` is [`RayonBackend`] (fiber/slab ranges
-/// of every kernel partitioned across the pinned worker count via the
-/// vendored rayon).
+/// of every kernel split into the pinned number of parts, executed on the
+/// shared worker team however wide that is).
 pub struct HostBackend<const PAR: bool> {
     threads: usize,
     ws: TtmWorkspace,
@@ -846,9 +847,10 @@ pub struct HostBackend<const PAR: bool> {
 pub type SeqBackend = HostBackend<false>;
 
 /// Shared-memory multicore host backend: Gram fiber ranges and TTM slab
-/// ranges are partitioned across host cores via the vendored rayon. Same
-/// workspace discipline (and therefore the same steady-state allocation
-/// behavior) as [`SeqBackend`]; results agree to summation-order ulps.
+/// ranges are partitioned across host cores on the persistent worker team
+/// (`tucker_linalg::Pool::shared`). Same workspace discipline (and therefore
+/// the same steady-state allocation behavior) as [`SeqBackend`]; results
+/// agree to summation-order ulps.
 pub type RayonBackend = HostBackend<true>;
 
 impl<const PAR: bool> HostBackend<PAR> {
@@ -862,9 +864,9 @@ impl<const PAR: bool> HostBackend<PAR> {
         }
     }
 
-    /// The worker count this backend flavor pins by construction: 1 for
-    /// [`SeqBackend`], the host's worker count (overridable via
-    /// [`tucker_tensor::set_host_threads_override`]) for [`RayonBackend`].
+    /// The partition count this backend flavor pins by construction: 1 for
+    /// [`SeqBackend`], the host's thread count — a constant of the host,
+    /// and the width of the worker team — for [`RayonBackend`].
     fn auto_threads() -> usize {
         if PAR {
             tucker_tensor::host_threads()
@@ -917,8 +919,8 @@ impl RayonBackend {
         Self::with_thread_count(Self::auto_threads())
     }
 
-    /// A multicore backend with an explicit worker count (useful for tests
-    /// and for oversubscription experiments).
+    /// A multicore backend with an explicit partition count (the Gram's
+    /// summation grouping follows it; the team's width does not change).
     pub fn with_threads(threads: usize) -> Self {
         Self::with_thread_count(threads)
     }
@@ -939,7 +941,8 @@ impl<const PAR: bool> SweepBackend for HostBackend<PAR> {
     fn sweep_end(&mut self, stats: &mut SweepStats) {
         stats.wall = self.epoch.elapsed().saturating_sub(self.sweep_t0);
         // Volumes stay zero: nothing crosses a memory boundary. Kernel
-        // bytes are the calling thread's pack-buffer traffic this window.
+        // bytes are the pack-buffer traffic of this window, the team's
+        // share of this thread's regions included.
         stats.kernel_bytes = tucker_linalg::bytes_packed().saturating_sub(self.sweep_pack0);
     }
 

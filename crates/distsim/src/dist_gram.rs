@@ -39,9 +39,9 @@ fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
     // contributes only its 1/q_n share of the fibers (a contiguous column
     // range of the never-materialized unfolding) — this keeps the compute
     // balanced and avoids double counting in the world all-reduce.
-    // Always through the sequential `gram_cols`: each simulated rank is
-    // already a thread of its own, so the rayon-parallel `gram` would
-    // oversubscribe the host (nranks × cores workers).
+    // Always through the sequential `gram_cols`: the mesh workers already
+    // fill the host, so a rank never opens a parallel region of its own
+    // (`dist_ttm` pins one partition for the same reason).
     let qn = t.grid().dim(n);
     let nf = slab.shape().num_fibers(n);
     let (c0, clen) = if qn == 1 {

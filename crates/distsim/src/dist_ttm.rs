@@ -17,7 +17,7 @@ use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::{extract, Region};
-use tucker_tensor::{ttm, DenseTensor};
+use tucker_tensor::{ttm_into_threads, DenseTensor};
 
 /// Tag for reduce-scatter traffic.
 const TTM_TAG: u32 = 0x7712;
@@ -46,7 +46,12 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
 
     // Local partial product: slice of Fᵀ covering this rank's fiber segment.
     let f_slice = Matrix::from_fn(k, bn, |kk, l| factor_t[(kk, r0 + l)]);
-    let partial = ttm(t.local(), n, &f_slice); // mode-n extent = K (full)
+    // One partition, like `dist_gram`'s `gram_cols`: a rank never opens a
+    // parallel region from inside its fiber — the mesh workers already fill
+    // the host, and the heuristic `ttm` would make them fight over the team.
+    let mut partial = Vec::new();
+    let partial_shape = ttm_into_threads(t.local(), n, &f_slice, &mut partial, 1);
+    let partial = DenseTensor::from_vec(partial_shape, partial); // mode-n extent = K (full)
     debug_assert_eq!(partial.shape().dim(n), k);
 
     let out_global_shape = shape.with_dim(n, k);
@@ -107,7 +112,7 @@ mod tests {
     use crate::grid::Grid;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tucker_tensor::Shape;
+    use tucker_tensor::{ttm, Shape};
 
     fn rand_tensor(dims: &[usize], seed: u64) -> DenseTensor {
         let mut rng = StdRng::seed_from_u64(seed);

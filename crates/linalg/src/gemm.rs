@@ -13,11 +13,12 @@
 //!   tested and benched against (`KernelMode::Naive` pins it).
 //!
 //! Parallelism is a column-panel split of `C` at the outermost level in both
-//! paths; packed workers stage through worker-local pack buffers.
+//! paths, run on [`Pool::shared`]; packed parts stage through their
+//! participant's own (warm) pack buffers.
 
 use crate::matrix::Matrix;
-use crate::pack::{self, PackPair};
-use rayon::prelude::*;
+use crate::pack;
+use crate::pool::Pool;
 
 /// Whether an operand participates as itself or its transpose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,7 +42,7 @@ impl Transpose {
 
 const MC: usize = 128; // rows of A per block
 const KC: usize = 256; // shared dimension per block
-const PAR_COL_PANEL: usize = 64; // columns of C per rayon task
+const PAR_COL_PANEL: usize = 64; // columns of C per parallel part
 const PAR_MIN_WORK: usize = 1 << 16; // below this, stay sequential
 
 /// `C = alpha * op_a(A) * op_b(B)`, allocating the output.
@@ -97,7 +98,7 @@ pub fn gemm_into(
     let c_rows = m;
     let c_buf = c.as_mut_slice();
 
-    let do_panel = |(panel_idx, c_panel): (usize, &mut [f64])| {
+    let do_panel = |panel_idx: usize, c_panel: &mut [f64]| {
         let j0 = panel_idx * PAR_COL_PANEL;
         let jn = (c_panel.len() / c_rows).min(n - j0);
         // Pack the needed columns of op_b(B) for this panel.
@@ -106,15 +107,12 @@ pub fn gemm_into(
     };
 
     if work >= PAR_MIN_WORK && n > PAR_COL_PANEL {
-        c_buf
-            .par_chunks_mut(c_rows * PAR_COL_PANEL)
-            .enumerate()
-            .for_each(do_panel);
+        Pool::shared().chunks_mut(c_buf, c_rows * PAR_COL_PANEL, do_panel);
     } else {
         c_buf
             .chunks_mut(c_rows * PAR_COL_PANEL)
             .enumerate()
-            .for_each(do_panel);
+            .for_each(|(i, c_panel)| do_panel(i, c_panel));
     }
 }
 
@@ -129,7 +127,7 @@ fn op_strides(x: &Matrix, op: Transpose) -> (usize, usize) {
 }
 
 /// The packed-path body of [`gemm_into`] (beta already applied, non-empty
-/// problem): column-panel parallel, worker-local pack buffers.
+/// problem): column-panel parallel, one pack pair per participant.
 fn gemm_into_packed(
     a: &Matrix,
     op_a: Transpose,
@@ -155,15 +153,10 @@ fn gemm_into_packed(
         // Column split of C: per-element accumulation order is unchanged by
         // the partition (blocking over k is column-independent).
         let per = n.div_ceil(workers).max(pack::NR);
-        c_buf
-            .par_chunks_mut(m * per)
-            .enumerate()
-            .for_each(|(w, cc)| {
-                let j0 = w * per;
-                let jn = cc.len() / m;
-                // Worker threads are fresh per parallel region (scoped), so a
-                // local pair is equivalent to a worker thread-local.
-                let mut packs = PackPair::new();
+        Pool::shared().chunks_mut(c_buf, m * per, |w, cc| {
+            let j0 = w * per;
+            let jn = cc.len() / m;
+            pack::with_part_packs(|packs| {
                 pack::gemm_packed(
                     m,
                     jn,
@@ -177,9 +170,10 @@ fn gemm_into_packed(
                     alpha,
                     cc,
                     m,
-                    &mut packs,
+                    packs,
                 );
             });
+        });
     } else {
         pack::with_thread_packs(|packs| {
             pack::gemm_packed(

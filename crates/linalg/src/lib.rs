@@ -4,7 +4,11 @@
 //! LAPACK stack used by the paper (ESSL `dgemm`, `dsyrk`, `dsyevx`):
 //!
 //! * [`Matrix`] — a column-major dense `f64` matrix,
-//! * [`gemm`] — blocked, optionally rayon-parallel matrix multiply,
+//! * [`gemm`] — blocked matrix multiply, column-panel parallel on the team,
+//! * [`pool`] — the one thread story of the workspace: a persistent team of
+//!   parked workers ([`Pool::shared`], `os_threads()` wide) under every
+//!   parallel Gram/TTM/GEMM region; a kernel's `threads` argument is its
+//!   *partition count*, the team's width is how many OS threads run the parts,
 //! * [`pack`] — the packed, register-tiled micro-kernel layer (panel packing
 //!   into aligned reusable [`PackBuf`]s, `MR×NR` register tiles, `KC/MC/NC`
 //!   cache blocking) that `gemm`/`syrk` and the tensor kernels route through
@@ -36,6 +40,7 @@ pub mod matrix;
 #[cfg(feature = "mixed-precision")]
 pub mod mixed;
 pub mod pack;
+pub mod pool;
 pub mod qr;
 pub mod svd;
 pub mod syrk;
@@ -48,6 +53,7 @@ pub use mixed::gemm_mixed;
 pub use pack::{
     bytes_packed, kernel_isa, kernel_mode, set_kernel_mode, KernelMode, PackBuf, PackPair,
 };
+pub use pool::Pool;
 pub use qr::{householder_qr, orthonormal_columns};
 pub use svd::{leading_from_gram, leading_left_singular_vectors, GramSvd};
 pub use syrk::{

@@ -19,14 +19,18 @@
 //! path only wins once the operands amortize it; [`use_packed`] is the
 //! one-shot runtime pick (`m·n·k` against a fixed threshold), overridable
 //! process-wide via [`set_kernel_mode`] so benches and differential tests can
-//! pin either path. Pack buffers are reused: sequential entry points stage
-//! through a thread-local [`PackPair`] (take-and-put-back, so re-entrant use
-//! degrades to a fresh pair instead of panicking), and `TtmWorkspace` in
-//! `tucker-tensor` pools its own pair so steady-state sweeps stay
-//! allocation-free. [`bytes_packed`] counts the bytes staged through pack
-//! buffers **on the calling thread** (scoped worker threads are fresh per
-//! parallel region and their packing is not folded back) — the sweep
-//! executor snapshots it around each sweep to report kernel traffic.
+//! pin either path. Pack buffers are reused, and every thread that packs is
+//! long-lived (the caller, or a parked worker of [`crate::pool`]), so its
+//! thread-locals stay warm: sequential entry points stage through
+//! [`with_thread_packs`], the parts of a parallel region through
+//! [`with_part_packs`] — a second slot, because the call that opened the
+//! region may be holding the first one on the same thread — and
+//! `TtmWorkspace` in `tucker-tensor` pools its own pair, so steady-state
+//! sweeps stay allocation-free on every thread. [`bytes_packed`] counts the
+//! bytes staged through pack buffers **on behalf of the calling thread**:
+//! its own packing plus, when a region it submitted ends, what the team's
+//! workers packed for it — the sweep executor snapshots it around each sweep
+//! to report kernel traffic.
 //!
 //! Strided operands are described by `(slice, rs, cs)` with element `(i, j)`
 //! at `slice[i·rs + j·cs]` — a plain column-major matrix is `(buf, 1, ld)`
@@ -122,19 +126,27 @@ pub fn use_packed(m: usize, n: usize, k: usize) -> bool {
 }
 
 thread_local! {
-    /// Bytes staged through pack buffers on this thread (see [`bytes_packed`]).
+    /// Bytes staged through pack buffers for this thread (see [`bytes_packed`]).
     static BYTES_PACKED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Monotone per-thread count of bytes copied into pack buffers. The sweep
-/// executor reports the delta across a sweep as `SweepStats::kernel_bytes`.
+/// Monotone per-thread count of bytes copied into pack buffers by this
+/// thread and, for the parallel regions it submitted, by the workers that
+/// ran their parts. The sweep executor reports the delta across a sweep as
+/// `SweepStats::kernel_bytes`.
 pub fn bytes_packed() -> u64 {
     BYTES_PACKED.with(|c| c.get())
 }
 
+/// Add `bytes` packed elsewhere on this thread's behalf (the pool folds a
+/// region's worker-side packing into the submitter here).
+pub(crate) fn credit_packed(bytes: u64) {
+    BYTES_PACKED.with(|c| c.set(c.get() + bytes));
+}
+
 #[inline]
 fn note_packed(f64s: usize) {
-    BYTES_PACKED.with(|c| c.set(c.get() + (f64s * std::mem::size_of::<f64>()) as u64));
+    credit_packed((f64s * std::mem::size_of::<f64>()) as u64);
 }
 
 /// A grow-only, 64-byte-aligned scratch buffer for packed operand panels.
@@ -219,21 +231,38 @@ impl PackPair {
 
 thread_local! {
     static TL_PACKS: Cell<PackPair> = const { Cell::new(PackPair::new()) };
+    static TL_PART_PACKS: Cell<PackPair> = const { Cell::new(PackPair::new()) };
 }
 
-/// Run `f` with this thread's reusable [`PackPair`].
-///
-/// The pair is *taken* out of the slot and put back afterwards, so a
-/// re-entrant call (a parallel region whose single worker is the calling
-/// thread) sees a fresh empty pair instead of a `RefCell` panic; the inner
-/// pair is simply dropped when the outer call restores its own.
-pub fn with_thread_packs<R>(f: impl FnOnce(&mut PackPair) -> R) -> R {
-    TL_PACKS.with(|cell| {
+/// Run `f` with the [`PackPair`] in `slot`. The pair is *taken* out of the
+/// slot and put back afterwards, so a re-entrant use of the same slot sees a fresh empty pair instead of a
+/// `RefCell` panic; the inner pair is simply dropped when the outer call
+/// restores its own.
+fn with_slot<R>(
+    slot: &'static std::thread::LocalKey<Cell<PackPair>>,
+    f: impl FnOnce(&mut PackPair) -> R,
+) -> R {
+    slot.with(|cell| {
         let mut packs = cell.take();
         let r = f(&mut packs);
         cell.set(packs);
         r
     })
+}
+
+/// Run `f` with this thread's reusable [`PackPair`] for sequential kernel
+/// calls.
+pub fn with_thread_packs<R>(f: impl FnOnce(&mut PackPair) -> R) -> R {
+    with_slot(&TL_PACKS, f)
+}
+
+/// Run `f` with this thread's reusable [`PackPair`] for the parts of a
+/// parallel region. Pool workers are persistent, so the pair stays warm from
+/// one region to the next; it is a slot of its own because participant 0 is
+/// the thread that opened the region and may be inside
+/// [`with_thread_packs`] (holding, say, the factor pack every part reads).
+pub fn with_part_packs<R>(f: impl FnOnce(&mut PackPair) -> R) -> R {
+    with_slot(&TL_PART_PACKS, f)
 }
 
 /// The instruction set one packed-kernel call is compiled for.

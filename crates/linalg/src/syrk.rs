@@ -24,7 +24,7 @@
 
 use crate::matrix::Matrix;
 use crate::pack;
-use rayon::prelude::*;
+use crate::pool::Pool;
 
 /// `C = A · Aᵀ` for column-major `A` (`m x k`), allocating the `m x m` output.
 pub fn syrk(a: &Matrix) -> Matrix {
@@ -68,7 +68,7 @@ pub fn syrk_into(a: &Matrix, alpha: f64, beta: f64, c: &mut Matrix) {
     let a_buf = a.as_slice();
     let c_buf = c.as_mut_slice();
     let work = m * m * k;
-    let do_col = |(j, cj): (usize, &mut [f64])| {
+    let do_col = |j: usize, cj: &mut [f64]| {
         for l in 0..k {
             let al = &a_buf[l * m..(l + 1) * m];
             let alj = alpha * al[j];
@@ -82,9 +82,12 @@ pub fn syrk_into(a: &Matrix, alpha: f64, beta: f64, c: &mut Matrix) {
         }
     };
     if work >= (1 << 16) && m >= 8 {
-        c_buf.par_chunks_mut(m).enumerate().for_each(do_col);
+        Pool::shared().chunks_mut(c_buf, m, do_col);
     } else {
-        c_buf.chunks_mut(m).enumerate().for_each(do_col);
+        c_buf
+            .chunks_mut(m)
+            .enumerate()
+            .for_each(|(j, cj)| do_col(j, cj));
     }
 
     mirror_lower(c.as_mut_slice(), m);

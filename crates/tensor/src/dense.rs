@@ -25,10 +25,11 @@ thread_local! {
 /// The counter is deliberately thread-local rather than process-wide: a
 /// global atomic would let every concurrently running test bleed into the
 /// snapshot window and make the allocation-regression tests flaky. The
-/// trade-off is a blind spot for allocations made on rayon worker threads —
-/// which the kernels never do by design: parallel closures only receive
-/// `&mut [f64]` chunks of pre-sized buffers. Keep it that way; a tensor
-/// constructed inside a `par_chunks_mut` closure would escape this counter.
+/// trade-off is a blind spot for allocations made on the worker threads of a
+/// parallel region — which the kernels never do at steady state by design:
+/// the parts of a region only receive `&mut [f64]` pieces of pre-sized
+/// buffers and stage through their thread's grow-only scratch. Keep it that
+/// way; a tensor constructed inside a part would escape this counter.
 pub fn tensor_buffer_allocs() -> u64 {
     #[cfg(debug_assertions)]
     {

@@ -15,8 +15,11 @@
 //!
 //! [`gram`] evaluates that sum with [`tucker_linalg::syrk_ata_lower`]
 //! (lower-triangle dot products over contiguous slab columns), splitting the
-//! fiber range across rayon workers with per-worker accumulators merged by a
-//! pairwise tree reduction. [`gram_cols`] restricts the sum to a contiguous
+//! fiber range into `threads` parts — run on the shared worker team,
+//! `tucker_linalg::Pool` — with per-part accumulators merged by a pairwise
+//! tree reduction. The part count fixes the summation grouping, and with it
+//! the bits; how many OS threads execute the parts does not. [`gram_cols`]
+//! restricts the sum to a contiguous
 //! column range `[c0, c0 + len)` of the unfolding, which is how the
 //! distributed Gram takes its balanced `1/q_n` share without copying columns
 //! into a scratch matrix.
@@ -27,8 +30,7 @@
 
 use crate::dense::{note_buffer_alloc, DenseTensor};
 use crate::view::{AxisSpan, TensorView};
-use rayon::prelude::*;
-use tucker_linalg::{mirror_lower, pack, syrk_aat_lower, syrk_ata_lower, Matrix};
+use tucker_linalg::{mirror_lower, pack, syrk_aat_lower, syrk_ata_lower, Matrix, Pool};
 
 /// Minimum multiply-add count before the fiber range is split across threads.
 const PAR_MIN_WORK: usize = 1 << 15;
@@ -295,12 +297,13 @@ pub fn gram(t: &DenseTensor, n: usize) -> Matrix {
     gram_threads(t, n, crate::threads::heuristic_threads(work, PAR_MIN_WORK))
 }
 
-/// [`gram`] with an **explicit** worker count: the mode-`n` fiber range is
-/// split into `threads` contiguous sub-ranges, each accumulated by one
-/// worker, merged by a pairwise tree reduction. `threads == 1` is the
-/// strictly sequential kernel (no thread is ever spawned, summation order is
-/// the canonical fiber order); the size heuristic of [`gram`] does not
-/// apply. This is the par-ranged entry point the sweep-executor backends
+/// [`gram`] with an **explicit** partition count: the mode-`n` fiber range is
+/// split into `threads` contiguous sub-ranges, each accumulated on its own,
+/// merged by a pairwise tree reduction — so the bits depend on `threads`,
+/// not on how many OS threads the team runs the parts on. `threads == 1` is
+/// the strictly sequential kernel (no parallel region is opened, summation
+/// order is the canonical fiber order); the size heuristic of [`gram`] does
+/// not apply. This is the par-ranged entry point the sweep-executor backends
 /// build on (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
 ///
 /// # Panics
@@ -335,11 +338,11 @@ where
         return g;
     }
 
-    // Per-worker accumulators over contiguous fiber ranges ...
+    // Per-part accumulators over contiguous fiber ranges ...
     let per = nf.div_ceil(workers);
     let nchunks = nf.div_ceil(per);
     let mut acc = vec![0.0; nchunks * m];
-    acc.par_chunks_mut(m).enumerate().for_each(|(w, buf)| {
+    Pool::shared().chunks_mut(&mut acc, m, |w, buf| {
         let f0 = w * per;
         let f1 = nf.min(f0 + per);
         accumulate(f0, f1 - f0, buf);
@@ -373,8 +376,9 @@ where
 /// [`gram`]. An empty range (`len == 0`) returns the zero matrix, so callers
 /// may hand trailing ranks empty shares.
 ///
-/// Runs sequentially: the intended caller is one simulated MPI rank, which
-/// is already a thread of its own.
+/// Runs sequentially: the intended caller is one simulated MPI rank, and
+/// ranks never open a parallel region (the mesh workers already fill the
+/// host).
 ///
 /// # Panics
 /// Panics if `n` is out of range or the column range exceeds the number of

@@ -8,20 +8,26 @@
 //! slabs, each an `inner × L_n` column-major matrix with
 //! `inner = ∏_{j<n} L_j`. The TTM is then a batch of plain GEMMs
 //! `Out_o = In_o · Aᵀ` on those slabs — **no unfolding is ever
-//! materialized**. Slabs are independent, so the batch is rayon-parallel.
+//! materialized**. Slabs are independent, so the batch splits into `threads`
+//! contiguous slab runs executed on the shared worker team
+//! (`tucker_linalg::Pool`); the last mode, which has a single slab, splits
+//! that slab's rows instead. A TTM's bits do not depend on the partition.
 //!
 //! Above the packing threshold the slab GEMMs run on the packed
 //! micro-kernels of `tucker_linalg::pack`, and this is where packing
 //! amortizes best: the factor operand `Aᵀ` is **packed once per TTM call**
 //! (`pack_b_full`) and the same pack is streamed by every outer slab and
-//! every worker; only the slab operand is packed per block. Mode 0
+//! every part; only the slab operand is packed per block. Mode 0
 //! (`inner == 1`) collapses to a single column-partitioned GEMM
 //! `Out = A · Src`. Pack buffers are pooled: [`TtmWorkspace`] owns a
 //! [`PackPair`] whose growth is counted by the debug allocation counter
 //! exactly like tensor buffers, so steady-state sweeps stay allocation-free
 //! pack buffers included; the free functions stage through a thread-local
-//! pair. Below the threshold (or under `KernelMode::Naive`) the original
-//! unrolled dot/axpy slab loops run unchanged.
+//! pair, and the parts of a parallel region through their participant's own
+//! thread-local scratch (`pack::with_part_packs`, [`with_stage`]), which
+//! stays warm because the team's threads persist. Below the threshold (or
+//! under `KernelMode::Naive`) the original unrolled dot/axpy slab loops run
+//! unchanged.
 //!
 //! The workhorse entry point is [`ttm_into`], which writes into a
 //! caller-provided grow-only buffer; [`TtmWorkspace`] pools such buffers so
@@ -40,9 +46,8 @@ use crate::dense::{note_buffer_alloc, DenseTensor};
 use crate::shape::Shape;
 use crate::unfold::{fold, unfold};
 use crate::view::{AxisSpan, TensorView};
-use rayon::prelude::*;
 use tucker_linalg::pack::{self, PackBuf, PackPair};
-use tucker_linalg::{gemm, unrolled_dot_strided, Matrix, Transpose};
+use tucker_linalg::{gemm, unrolled_dot_strided, Matrix, Pool, Transpose};
 
 /// Minimum per-slab work before the slab loop goes parallel.
 const PAR_MIN_WORK: usize = 1 << 14;
@@ -75,38 +80,33 @@ pub fn ttm(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
 /// tensor-buffer allocation, see
 /// [`tensor_buffer_allocs`](crate::dense::tensor_buffer_allocs)).
 ///
-/// Thread count is heuristic (sequential below a work threshold, one worker
+/// Partition count is heuristic (sequential below a work threshold, one part
 /// per host core above it); execution backends that want explicit control
 /// use [`ttm_into_threads`] directly.
 ///
 /// # Panics
 /// Panics if `n` is out of range or `A.ncols() != L_n`.
 pub fn ttm_into(t: &DenseTensor, n: usize, a: &Matrix, out: &mut Vec<f64>) -> Shape {
-    ttm_into_threads(t, n, a, out, auto_threads(t, n, a))
-}
-
-/// The heuristic worker count [`ttm_into`] (and the workspace's auto entry
-/// points) use: sequential below the per-slab work threshold or when there
-/// is a single slab, one worker per host core otherwise.
-fn auto_threads(t: &DenseTensor, n: usize, a: &Matrix) -> usize {
     let shape = t.shape();
     assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    let inner = shape.inner_extent(n);
-    let outer = shape.outer_extent(n);
-    let work = inner * shape.dim(n) * a.nrows();
-    if outer > 1 {
-        crate::threads::heuristic_threads(work, PAR_MIN_WORK)
-    } else {
-        1
-    }
+    ttm_into_threads(t, n, a, out, auto_threads(shape.dims(), n, a))
 }
 
-/// [`ttm_into`] with an **explicit** worker count: the `outer` slab range is
-/// split into `threads` contiguous runs, one worker per run. `threads == 1`
-/// runs the slab loop strictly sequentially (no thread is ever spawned);
-/// the size heuristic of [`ttm_into`] does not apply. This is the
-/// par-ranged entry point the sweep-executor backends build on
-/// (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
+/// The heuristic partition count [`ttm_into`], [`ttm_view_into`] and the
+/// workspace's auto entry points use: sequential below the per-slab work
+/// threshold, one part per host core otherwise.
+fn auto_threads(dims: &[usize], n: usize, a: &Matrix) -> usize {
+    let inner: usize = dims[..n].iter().product();
+    crate::threads::heuristic_threads(inner * dims[n] * a.nrows(), PAR_MIN_WORK)
+}
+
+/// [`ttm_into`] with an **explicit** partition count: the `outer` slab range
+/// is split into `threads` contiguous runs (the rows of the one slab, for a
+/// packed last-mode product), executed on the shared worker team however
+/// wide it is. `threads == 1` runs the slab loop strictly sequentially (no
+/// parallel region is opened); the size heuristic of [`ttm_into`] does not
+/// apply. This is the par-ranged entry point the sweep-executor backends
+/// build on (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
 ///
 /// # Panics
 /// Panics if `n` is out of range or `A.ncols() != L_n`.
@@ -233,16 +233,13 @@ fn ttm_src_body(
 
     let workers = threads.max(1).min(outer.max(1));
     if workers > 1 {
-        // Group slabs into `workers` contiguous runs so the partition is
-        // explicit (one worker per run) rather than left to the pool.
+        // Group slabs into `workers` contiguous runs: one part per run.
         let per = outer.div_ceil(workers);
-        out.par_chunks_mut(out_slab * per)
-            .enumerate()
-            .for_each(|(w, run)| {
-                for (i, dst) in run.chunks_mut(out_slab).enumerate() {
-                    do_slab((w * per + i, dst));
-                }
-            });
+        Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
+            for (i, dst) in run.chunks_mut(out_slab).enumerate() {
+                do_slab((w * per + i, dst));
+            }
+        });
     } else {
         out.chunks_mut(out_slab).enumerate().for_each(do_slab);
     }
@@ -262,24 +259,15 @@ pub fn ttm_view(v: &TensorView, n: usize, a: &Matrix) -> DenseTensor {
     DenseTensor::from_vec(shape, out)
 }
 
-/// [`ttm_into`] over a strided view, heuristic worker count (workers only
+/// [`ttm_into`] over a strided view, heuristic partition count (parts only
 /// engage on the contiguous fast path; genuinely strided views run
-/// sequentially, where the result is worker-count-invariant anyway).
+/// sequentially, where the result is partition-invariant anyway).
 ///
 /// # Panics
 /// See [`ttm_view`].
 pub fn ttm_view_into(v: &TensorView, n: usize, a: &Matrix, out: &mut Vec<f64>) -> Shape {
     assert!(n < v.order(), "mode {n} out of range for view");
-    let dims = v.dims();
-    let inner: usize = dims[..n].iter().product();
-    let outer: usize = dims[n + 1..].iter().product();
-    let work = inner * dims[n] * a.nrows();
-    let threads = if outer > 1 {
-        crate::threads::heuristic_threads(work, PAR_MIN_WORK)
-    } else {
-        1
-    };
-    ttm_view_into_threads(v, n, a, out, threads)
+    ttm_view_into_threads(v, n, a, out, auto_threads(v.dims(), n, a))
 }
 
 /// [`ttm_into_threads`] over a strided view. Contiguous views (including
@@ -485,18 +473,20 @@ fn ttm_view_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64], packs
 /// The packed-kernel TTM body: `out` is zeroed, shapes validated.
 ///
 /// * `inner == 1` (mode 0): one GEMM `Out[k×outer] = A[k×ln] · Src[ln×outer]`,
-///   column-partitioned across workers. Per-element accumulation order only
-///   depends on the `KC` blocking of `ln`, so any worker count produces
+///   column-partitioned across the parts. Per-element accumulation order only
+///   depends on the `KC` blocking of `ln`, so any partition produces
 ///   bit-identical results.
 /// * `inner > 1`: `Aᵀ` is packed **once** into `packs.b` and shared
-///   (read-only) by every slab and every worker; each slab runs
+///   (read-only) by every slab and every part; each slab runs
 ///   `Out_o[inner×k] = S_o[inner×ln] · Aᵀ` with only its `A`-side blocks
-///   packed (workspace/thread-local buffer sequentially, worker-local
-///   buffers in the parallel split).
+///   packed. Parts are contiguous slab runs; the last mode (`outer == 1`)
+///   has one slab and splits its rows instead
+///   ([`ttm_packed_last_mode_rows`]).
 ///
-/// Pack growth on the calling thread is counted as a tensor-buffer
-/// allocation; scoped worker threads are fresh per call and outside the
-/// debug counter (same blind spot as the naive parallel path).
+/// A sequential call stages through `packs`; the parts of a parallel region
+/// stage through their participant's own scratch. Either way pack growth is
+/// counted as a tensor-buffer allocation on the thread it happens on (the
+/// debug counter is thread-local, so the caller sees its own share).
 #[allow(clippy::too_many_arguments)]
 fn ttm_packed(
     src: &[f64],
@@ -509,39 +499,24 @@ fn ttm_packed(
     threads: usize,
     packs: &mut PackPair,
 ) {
+    let workers = threads.max(1).min(outer.max(1));
     if inner == 1 {
         // Mode 0: Out = A · Src with A[kk,l] = a_buf[kk + l*k] (strides 1, k)
         // and Src[l,o] = src[l + o*ln] (strides 1, ln).
-        let workers = threads.max(1).min(outer.max(1));
         if workers > 1 {
             let per = outer.div_ceil(workers);
-            out.par_chunks_mut(k * per)
-                .enumerate()
-                .for_each(|(w, dst)| {
-                    let o0 = w * per;
-                    let cols = dst.len() / k;
-                    let mut local = PackPair::new();
-                    pack::gemm_packed(
-                        k,
-                        cols,
-                        ln,
-                        a_buf,
-                        1,
-                        k,
-                        &src[o0 * ln..],
-                        1,
-                        ln,
-                        1.0,
-                        dst,
-                        k,
-                        &mut local,
-                    );
-                });
+            Pool::shared().chunks_mut(out, k * per, |w, dst| {
+                let o0 = w * per;
+                let cols = dst.len() / k;
+                let src = &src[o0 * ln..];
+                note_growth(pack::with_part_packs(|part| {
+                    pack::gemm_packed(k, cols, ln, a_buf, 1, k, src, 1, ln, 1.0, dst, k, part)
+                }));
+            });
         } else {
-            let grew = pack::gemm_packed(k, outer, ln, a_buf, 1, k, src, 1, ln, 1.0, out, k, packs);
-            if grew {
-                note_buffer_alloc();
-            }
+            note_growth(pack::gemm_packed(
+                k, outer, ln, a_buf, 1, k, src, 1, ln, 1.0, out, k, packs,
+            ));
         }
         return;
     }
@@ -550,98 +525,34 @@ fn ttm_packed(
     // A[j, l] = a_buf[j + l*k], i.e. strides (k, 1)) and stream it from
     // every slab GEMM.
     let bp_len = pack::packed_b_full_len(ln, k);
-    if packs.b.ensure(bp_len) {
-        note_buffer_alloc();
-    }
+    note_growth(packs.b.ensure(bp_len));
     pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
+    let bpack: &[f64] = packs.b.slice(bp_len);
     let in_slab = inner * ln;
     let out_slab = inner * k;
-    let workers = threads.max(1).min(outer.max(1));
 
     if inner < PACK_MIN_INNER {
         // Small inner: single slabs cannot fill MR-row register tiles, so
         // consecutive slabs are staged together (see the run function).
-        let bpack: &[f64] = packs.b.slice(bp_len);
-        let rows_max = small_inner_rows(inner, outer);
         if workers > 1 {
             let per = outer.div_ceil(workers);
-            out.par_chunks_mut(out_slab * per)
-                .enumerate()
-                .for_each(|(w, run)| {
-                    let mut apack = PackBuf::new();
-                    let (mut sin, mut sout) = (Vec::new(), Vec::new());
-                    ttm_packed_small_inner_run(
-                        &src[w * per * in_slab..],
-                        bpack,
-                        inner,
-                        ln,
-                        k,
-                        run.len() / out_slab,
-                        run,
-                        &mut apack,
-                        &mut sin,
-                        &mut sout,
-                    );
+            Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
+                let src = &src[w * per * in_slab..];
+                let slabs = run.len() / out_slab;
+                pack::with_part_packs(|part| {
+                    ttm_packed_small_inner_run(src, bpack, inner, ln, k, slabs, run, &mut part.a)
                 });
-        } else {
-            with_small_inner_stage(|sin, sout| {
-                // Grow the staging buffers up-front on the calling thread so
-                // their growth is counted and the run itself stays in
-                // capacity.
-                if sin.capacity() < rows_max * ln || sout.capacity() < rows_max * k {
-                    note_buffer_alloc();
-                }
-                sin.reserve(rows_max * ln);
-                sout.reserve(rows_max * k);
-                let grew = ttm_packed_small_inner_run(
-                    src,
-                    bpack,
-                    inner,
-                    ln,
-                    k,
-                    outer,
-                    out,
-                    &mut packs.a,
-                    sin,
-                    sout,
-                );
-                if grew {
-                    note_buffer_alloc();
-                }
             });
+        } else {
+            ttm_packed_small_inner_run(src, bpack, inner, ln, k, outer, out, &mut packs.a);
         }
         return;
     }
 
-    if workers > 1 {
-        let bpack: &[f64] = packs.b.slice(bp_len);
-        let per = outer.div_ceil(workers);
-        out.par_chunks_mut(out_slab * per)
-            .enumerate()
-            .for_each(|(w, run)| {
-                let mut apack = PackBuf::new();
-                for (i, dst) in run.chunks_mut(out_slab).enumerate() {
-                    let o = w * per + i;
-                    pack::gemm_prepacked_b(
-                        inner,
-                        k,
-                        ln,
-                        &src[o * in_slab..(o + 1) * in_slab],
-                        1,
-                        inner,
-                        bpack,
-                        1.0,
-                        dst,
-                        inner,
-                        &mut apack,
-                    );
-                }
-            });
-    } else {
-        let bpack: &[f64] = packs.b.slice(bp_len);
-        let apack = &mut packs.a;
+    let slab_run = |first: usize, run: &mut [f64], apack: &mut PackBuf| {
         let mut grew = false;
-        for (o, dst) in out.chunks_mut(out_slab).enumerate() {
+        for (i, dst) in run.chunks_mut(out_slab).enumerate() {
+            let o = first + i;
             grew |= pack::gemm_prepacked_b(
                 inner,
                 k,
@@ -656,29 +567,90 @@ fn ttm_packed(
                 apack,
             );
         }
-        if grew {
-            note_buffer_alloc();
-        }
+        note_growth(grew);
+    };
+    let row_parts = threads.max(1).min(inner.div_ceil(pack::MC));
+    if workers > 1 {
+        let per = outer.div_ceil(workers);
+        Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
+            pack::with_part_packs(|part| slab_run(w * per, run, &mut part.a));
+        });
+    } else if outer == 1 && row_parts > 1 {
+        ttm_packed_last_mode_rows(src, bpack, inner, ln, k, out, row_parts);
+    } else {
+        slab_run(0, out, &mut packs.a);
     }
 }
 
-/// Rows of the small-inner staging matrix: enough consecutive slabs to
-/// approach the `MC` L2 block (never fewer than two slabs, never more than
-/// the whole slab range).
-fn small_inner_rows(inner: usize, outer: usize) -> usize {
-    (pack::MC / inner).max(2).min(outer) * inner
+/// Count a pack or staging buffer's growth as one tensor-buffer allocation.
+fn note_growth(grew: bool) {
+    if grew {
+        note_buffer_alloc();
+    }
+}
+
+/// The packed last-mode body (`outer == 1`, `inner ≥ PACK_MIN_INNER`): the
+/// single slab GEMM `Out[inner×k] = S[inner×ln] · Aᵀ` split into `parts`
+/// ranges of whole `MC` row blocks, so the last mode uses the team like
+/// every other one. A row range of the column-major output is not a slice,
+/// so each `MC` block is computed into the participant's `mc × k` staging
+/// buffer — the very block, pack and register tiles of the unsplit kernel,
+/// accumulated from the same `0.0` — and copied out column by column.
+fn ttm_packed_last_mode_rows(
+    src: &[f64],
+    bpack: &[f64],
+    inner: usize,
+    ln: usize,
+    k: usize,
+    out: &mut [f64],
+    parts: usize,
+) {
+    let rows = inner.div_ceil(pack::MC).div_ceil(parts) * pack::MC;
+    Pool::shared().row_blocks_mut(out, inner, rows, |_, mut block| {
+        let (row0, rows) = (block.row0(), block.rows());
+        pack::with_part_packs(|part| {
+            with_stage(|_, stage| {
+                let mut grew = stage.capacity() < pack::MC.min(rows) * k;
+                for ic in (0..rows).step_by(pack::MC) {
+                    let mc = pack::MC.min(rows - ic);
+                    stage.clear();
+                    stage.resize(mc * k, 0.0);
+                    grew |= pack::gemm_prepacked_b(
+                        mc,
+                        k,
+                        ln,
+                        &src[row0 + ic..],
+                        1,
+                        inner,
+                        bpack,
+                        1.0,
+                        stage,
+                        mc,
+                        &mut part.a,
+                    );
+                    for (j, col) in stage.chunks_exact(mc).enumerate() {
+                        block.col_mut(j)[ic..ic + mc].copy_from_slice(col);
+                    }
+                }
+                note_growth(grew);
+            })
+        });
+    });
 }
 
 thread_local! {
-    /// Reusable gather/scatter staging for the small-inner packed path
-    /// (take-and-put-back like `with_thread_packs`, so re-entrant use sees
-    /// fresh buffers instead of panicking).
-    static SMALL_INNER_STAGE: std::cell::Cell<(Vec<f64>, Vec<f64>)> =
+    /// This thread's reusable gather (`in`) / scatter (`out`) staging for the
+    /// packed paths that cannot hand the kernel its operand or its output in
+    /// place (take-and-put-back like `with_thread_packs`, so re-entrant use
+    /// sees fresh buffers instead of panicking). On a pool worker it stays
+    /// warm from one region to the next; it never exceeds `MC·(Lₙ + K)`
+    /// values (two slabs' worth where `inner > MC/2`).
+    static STAGE: std::cell::Cell<(Vec<f64>, Vec<f64>)> =
         const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
 
-fn with_small_inner_stage<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
-    SMALL_INNER_STAGE.with(|cell| {
+fn with_stage<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+    STAGE.with(|cell| {
         let (mut sin, mut sout) = cell.take();
         let r = f(&mut sin, &mut sout);
         cell.set((sin, sout));
@@ -699,8 +671,8 @@ fn with_small_inner_stage<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) 
 /// bits.
 ///
 /// `src`/`out_run` start at the first slab of this run; `slabs` is the run
-/// length. Returns whether `apack` grew (staging growth is accounted by the
-/// caller).
+/// length. Stages through the running thread's [`with_stage`] buffers, grown
+/// up front (and counted) so the run itself stays in capacity.
 #[allow(clippy::too_many_arguments)]
 fn ttm_packed_small_inner_run(
     src: &[f64],
@@ -711,41 +683,48 @@ fn ttm_packed_small_inner_run(
     slabs: usize,
     out_run: &mut [f64],
     apack: &mut PackBuf,
-    stage_in: &mut Vec<f64>,
-    stage_out: &mut Vec<f64>,
-) -> bool {
+) {
     let in_slab = inner * ln;
     let out_slab = inner * k;
     let g_max = (pack::MC / inner).max(2);
-    let mut grew = false;
-    let mut o = 0;
-    while o < slabs {
-        let g = g_max.min(slabs - o);
-        let rows = g * inner;
+    let rows_max = g_max.min(slabs) * inner;
+    with_stage(|stage_in, stage_out| {
+        let mut grew = stage_in.capacity() < rows_max * ln || stage_out.capacity() < rows_max * k;
+        // `reserve` is relative to the length, and the buffers come back
+        // holding the last group of the call before.
         stage_in.clear();
-        stage_in.resize(rows * ln, 0.0);
-        for ol in 0..g {
-            let s = &src[(o + ol) * in_slab..][..in_slab];
-            for l in 0..ln {
-                stage_in[ol * inner + l * rows..][..inner]
-                    .copy_from_slice(&s[l * inner..][..inner]);
-            }
-        }
         stage_out.clear();
-        stage_out.resize(rows * k, 0.0);
-        grew |= pack::gemm_prepacked_b(
-            rows, k, ln, stage_in, 1, rows, bpack, 1.0, stage_out, rows, apack,
-        );
-        for ol in 0..g {
-            let dst = &mut out_run[(o + ol) * out_slab..][..out_slab];
-            for kk in 0..k {
-                dst[kk * inner..][..inner]
-                    .copy_from_slice(&stage_out[ol * inner + kk * rows..][..inner]);
+        stage_in.reserve(rows_max * ln);
+        stage_out.reserve(rows_max * k);
+        let mut o = 0;
+        while o < slabs {
+            let g = g_max.min(slabs - o);
+            let rows = g * inner;
+            stage_in.clear();
+            stage_in.resize(rows * ln, 0.0);
+            for ol in 0..g {
+                let s = &src[(o + ol) * in_slab..][..in_slab];
+                for l in 0..ln {
+                    stage_in[ol * inner + l * rows..][..inner]
+                        .copy_from_slice(&s[l * inner..][..inner]);
+                }
             }
+            stage_out.clear();
+            stage_out.resize(rows * k, 0.0);
+            grew |= pack::gemm_prepacked_b(
+                rows, k, ln, stage_in, 1, rows, bpack, 1.0, stage_out, rows, apack,
+            );
+            for ol in 0..g {
+                let dst = &mut out_run[(o + ol) * out_slab..][..out_slab];
+                for kk in 0..k {
+                    dst[kk * inner..][..inner]
+                        .copy_from_slice(&stage_out[ol * inner + kk * rows..][..inner]);
+                }
+            }
+            o += g;
         }
-        o += g;
-    }
-    grew
+        note_growth(grew);
+    });
 }
 
 /// Grow-only buffer pool for TTM pipelines.
@@ -832,10 +811,11 @@ impl TtmWorkspace {
     /// # Panics
     /// Panics if `n` is out of range or `A.ncols() != L_n`.
     pub fn ttm(&mut self, t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
-        self.ttm_threads(t, n, a, auto_threads(t, n, a))
+        assert!(n < t.order(), "mode {n} out of range for {}", t.shape());
+        self.ttm_threads(t, n, a, auto_threads(t.shape().dims(), n, a))
     }
 
-    /// [`TtmWorkspace::ttm`] with an explicit worker count (see
+    /// [`TtmWorkspace::ttm`] with an explicit partition count (see
     /// [`ttm_into_threads`]): the pooled-buffer discipline is identical,
     /// only the slab partition is pinned instead of heuristic. The packed
     /// path stages through the workspace's own pooled pack buffers instead
@@ -883,20 +863,11 @@ impl TtmWorkspace {
         DenseTensor::from_vec(shape, buf)
     }
 
-    /// [`TtmWorkspace::ttm_view_threads`] with the same worker heuristic as
-    /// [`ttm_view_into`].
+    /// [`TtmWorkspace::ttm_view_threads`] with the same partition heuristic
+    /// as [`ttm_view_into`].
     pub fn ttm_view(&mut self, v: &TensorView, n: usize, a: &Matrix) -> DenseTensor {
         assert!(n < v.order(), "mode {n} out of range for view");
-        let dims = v.dims();
-        let inner: usize = dims[..n].iter().product();
-        let outer: usize = dims[n + 1..].iter().product();
-        let work = inner * dims[n] * a.nrows();
-        let threads = if outer > 1 {
-            crate::threads::heuristic_threads(work, PAR_MIN_WORK)
-        } else {
-            1
-        };
-        self.ttm_view_threads(v, n, a, threads)
+        self.ttm_view_threads(v, n, a, auto_threads(v.dims(), n, a))
     }
 
     /// TTM-chain over distinct modes, ping-ponging between pooled buffers
@@ -1166,32 +1137,81 @@ mod tests {
     #[test]
     fn small_inner_thread_counts_are_bit_identical() {
         // Worker splits restart slab grouping at each run boundary; the
-        // per-element accumulation order must not notice.
-        let t = rand_tensor(&[6, 48, 40], 32);
-        let a = rand_mat(16, 48, 320);
-        let mut buf = Vec::new();
-        let s = ttm_into_threads(&t, 1, &a, &mut buf, 1);
-        let reference = DenseTensor::from_vec(s, buf);
-        for w in [2usize, 3, 8, 64] {
+        // per-element accumulation order must not notice. The second shape
+        // is a last mode (`outer == 1`): one slab, so nothing to split, over
+        // two `KC` blocks.
+        for (dims, k) in [(vec![6, 48, 40], 16), (vec![6, 400], 16)] {
+            let t = rand_tensor(&dims, 32);
+            let a = rand_mat(k, dims[1], 320);
             let mut buf = Vec::new();
-            let s = ttm_into_threads(&t, 1, &a, &mut buf, w);
-            let z = DenseTensor::from_vec(s, buf);
-            assert_eq!(z.max_abs_diff(&reference), 0.0, "{w} workers");
+            let s = ttm_into_threads(&t, 1, &a, &mut buf, 1);
+            let reference = DenseTensor::from_vec(s, buf);
+            for w in [2usize, 3, 7, 8, 64] {
+                let mut buf = Vec::new();
+                let s = ttm_into_threads(&t, 1, &a, &mut buf, w);
+                let z = DenseTensor::from_vec(s, buf);
+                assert_eq!(z.max_abs_diff(&reference), 0.0, "{dims:?}, {w} workers");
+            }
         }
     }
 
     #[test]
     fn explicit_thread_counts_agree() {
-        let t = rand_tensor(&[7, 6, 5], 16);
-        for n in 0..3 {
-            let a = rand_mat(3, t.shape().dim(n), 160 + n as u64);
+        // Every mode of a small (naive-path) tensor, then last modes
+        // (`outer == 1`) on each path: naive, small-inner packed, and packed
+        // with the one slab's rows split — over several `MC` blocks, over two
+        // `KC` blocks, and with a single row past a block boundary. A TTM's
+        // bits do not depend on the partition.
+        let cases = (0..3).map(|n| (vec![7, 6, 5], n, 3)).chain([
+            (vec![9, 30], 1, 4),
+            (vec![8, 300], 1, 12),
+            (vec![40, 10, 30], 2, 8),
+            (vec![200, 300], 1, 5),
+            (vec![97, 40], 1, 6),
+        ]);
+        for (dims, n, k) in cases {
+            let t = rand_tensor(&dims, 16);
+            let a = rand_mat(k, dims[n], 160 + n as u64);
             let reference = ttm(&t, n, &a);
-            for w in [1usize, 2, 4, 64] {
+            let mut one = Vec::new();
+            ttm_into_threads(&t, n, &a, &mut one, 1);
+            for w in [1usize, 2, 3, 4, 7, 64] {
                 let mut buf = Vec::new();
                 let s = ttm_into_threads(&t, n, &a, &mut buf, w);
+                assert_eq!(buf, one, "{dims:?} mode {n}, {w} workers");
                 let z = DenseTensor::from_vec(s, buf);
-                assert!(z.max_abs_diff(&reference) < 1e-12, "mode {n}, {w} workers");
+                assert!(
+                    z.max_abs_diff(&reference) < 1e-12,
+                    "{dims:?} mode {n}, {w} workers"
+                );
             }
+        }
+    }
+
+    /// `bytes_packed` counts what the team packed for the calling thread:
+    /// splitting a packed TTM over two parts never makes the count smaller
+    /// (the slab and row splits pack the very same blocks; the mode-0 column
+    /// split packs the factor once per part).
+    #[test]
+    fn bytes_packed_includes_the_parts_other_threads_ran() {
+        for (dims, n, k) in [
+            (vec![24, 20, 18], 1, 8),
+            (vec![6, 48, 40], 1, 16),
+            (vec![64, 9, 80], 0, 16),
+            (vec![40, 10, 30], 2, 8),
+        ] {
+            let t = rand_tensor(&dims, 18);
+            let a = rand_mat(k, dims[n], 180);
+            let mut buf = Vec::new();
+            let mut delta = |threads: usize| {
+                let before = tucker_linalg::bytes_packed();
+                ttm_into_threads(&t, n, &a, &mut buf, threads);
+                tucker_linalg::bytes_packed() - before
+            };
+            let one = delta(1);
+            assert!(one > 0, "{dims:?} mode {n} must take the packed path");
+            let two = delta(2);
+            assert!(two >= one, "{dims:?} mode {n}: {two} < {one}");
         }
     }
 
@@ -1272,7 +1292,7 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential() {
-        // Big enough to trigger the rayon branch.
+        // Big enough to trigger the parallel branch.
         let t = rand_tensor(&[32, 24, 20], 9);
         let a = rand_mat(8, 24, 90);
         let z1 = ttm(&t, 1, &a);

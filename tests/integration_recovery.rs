@@ -191,7 +191,11 @@ fn abort_policy_is_fail_stop() {
 fn paper_scale_mesh_runs_8192_ranks_without_8192_threads() {
     // P = 8192 ranks as mailboxes/fibers over min(host_cores, K) workers:
     // the process must never hold anywhere near 8192 OS threads. A watcher
-    // thread samples the peak thread count while the sweep runs.
+    // thread samples the peak thread count while the sweep runs. The count is
+    // the whole process's, so the kernels' shared team is brought into
+    // existence before the baseline: a sibling test of this binary may
+    // otherwise build it (`os_threads() − 1` threads) in mid-sample.
+    tucker_linalg::Pool::shared();
     let baseline = process_thread_count().expect("procfs available");
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let watcher = {
