@@ -53,7 +53,7 @@ use tucker_distsim::mesh::MeshCfg;
 use tucker_distsim::net::NetModel;
 use tucker_distsim::redistribute::{redistribute, BlockStore};
 use tucker_distsim::{DistTensor, RankCtx, Universe, VolumeCategory, VolumeReport};
-use tucker_linalg::{leading_from_gram, Matrix};
+use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::subtensor::Region;
 use tucker_tensor::DenseTensor;
@@ -273,6 +273,12 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         Some(regridded)
     }
 
+    /// Once per universe, charged to every rank (see
+    /// [`RankCtx::leading_from_gram`]).
+    fn leading(&mut self, gram: &Matrix, k: usize) -> Matrix {
+        self.ctx.leading_from_gram(gram, k)
+    }
+
     fn local_norm_sq(&mut self, t: &DistTensor) -> f64 {
         fro_norm_sq(t.local())
     }
@@ -332,6 +338,12 @@ pub struct MeshHooiOutput {
     /// Volume ledger of each epoch (one entry per attempt, including
     /// aborted ones).
     pub epoch_volumes: Vec<VolumeReport>,
+    /// EVD truncations the ranks ran, over all epochs: after the world
+    /// all-reduce every rank holds the same Gram, so one rank computes each
+    /// leaf's factor for the universe …
+    pub evd_computed: u64,
+    /// … and the others reuse it, charged the computing rank's CPU time.
+    pub evd_reused: u64,
     /// Every quarantine/re-plan/resume round, in order (empty: clean run).
     pub recoveries: Vec<RecoveryEvent>,
     /// Worker threads the last epoch's mesh multiplexed its ranks over.
@@ -578,6 +590,7 @@ fn hooi_epochs(
     let mut prev_blocks: Option<(BlockStore, Vec<Region>)> = None;
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
     let mut epoch_volumes: Vec<VolumeReport> = Vec::new();
+    let (mut evd_computed, mut evd_reused) = (0, 0);
     let mut plans: Vec<String> = Vec::new();
 
     loop {
@@ -669,7 +682,7 @@ fn hooi_epochs(
                     let init: Vec<Matrix> = grams
                         .iter()
                         .enumerate()
-                        .map(|(n, gram)| leading_from_gram(gram, meta.k(n)).u)
+                        .map(|(n, gram)| ctx.leading_from_gram(gram, meta.k(n)))
                         .collect();
                     log.record_init(&init);
                     (init, norm)
@@ -707,6 +720,8 @@ fn hooi_epochs(
             }
         });
         epoch_volumes.push(out.volume);
+        evd_computed += out.evd_computed;
+        evd_reused += out.evd_reused;
         if let Some(ev) = recoveries.last_mut() {
             if ev.reused_elements == 0 {
                 ev.reused_elements = reused.load(Ordering::Relaxed);
@@ -726,6 +741,8 @@ fn hooi_epochs(
                 decomposition,
                 per_sweep: committed.into_iter().map(|c| c.stats).collect(),
                 epoch_volumes,
+                evd_computed,
+                evd_reused,
                 recoveries,
                 workers: out.workers,
                 plans,
@@ -845,6 +862,7 @@ mod tests {
     use crate::hooi::hooi_invocation;
     use crate::meta::TuckerMeta;
     use crate::plan::{GridStrategy, TreeStrategy};
+    use tucker_linalg::leading_from_gram;
 
     /// Smooth but non-separable field with a deterministic noise floor, so
     /// errors are far from machine epsilon and Gram eigenvalues are simple.

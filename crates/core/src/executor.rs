@@ -77,9 +77,10 @@ pub struct PlanProvenance {
 }
 
 /// Per-sweep measurements, reported identically by every backend (for
-/// distributed backends, aggregated across ranks: times are the maximum
-/// over ranks, the way an MPI experiment reports them; volume is the
-/// universe-wide ledger delta). The phase times are keyed by [`SweepPhase`]
+/// distributed backends, aggregated across ranks by
+/// [`SweepStats::merge_max`]: times are the maximum over ranks, the way an
+/// MPI experiment reports them; volumes are the sum of what each rank itself
+/// sent during its sweep). The phase times are keyed by [`SweepPhase`]
 /// through [`SweepStats::add`]/[`SweepStats::time`]; the named fields remain
 /// for ergonomic consumption.
 #[derive(Clone, Debug, Default)]
@@ -158,7 +159,8 @@ impl SweepStats {
         self.ttm_volume + self.regrid_volume
     }
 
-    /// Merge another rank's stats: times and volumes max, error replicated.
+    /// Merge another rank's stats: times and kernel bytes max, volumes
+    /// summed, error replicated.
     pub fn merge_max(&mut self, other: &SweepStats) {
         self.ttm_compute = self.ttm_compute.max(other.ttm_compute);
         self.ttm_comm = self.ttm_comm.max(other.ttm_comm);
@@ -167,11 +169,12 @@ impl SweepStats {
         self.gram_comm = self.gram_comm.max(other.gram_comm);
         self.wall = self.wall.max(other.wall);
         self.comm_wall = self.comm_wall.max(other.comm_wall);
-        // Each rank observes the global ledger over its own sweep window;
-        // the max across ranks is the complete per-sweep figure.
-        self.ttm_volume = self.ttm_volume.max(other.ttm_volume);
-        self.regrid_volume = self.regrid_volume.max(other.regrid_volume);
-        self.gram_volume = self.gram_volume.max(other.gram_volume);
+        // Each rank reports the elements it sent itself during the sweep;
+        // the sum across ranks is the sweep's traffic, whatever order the
+        // ranks ran in.
+        self.ttm_volume += other.ttm_volume;
+        self.regrid_volume += other.regrid_volume;
+        self.gram_volume += other.gram_volume;
         self.kernel_bytes = self.kernel_bytes.max(other.kernel_bytes);
         self.error = other.error; // identical on every rank
         if self.provenance.is_none() {
@@ -232,6 +235,13 @@ pub trait SweepBackend {
     /// Return a superseded intermediate's buffer for reuse.
     fn recycle(&mut self, t: Self::Tensor) {
         let _ = t;
+    }
+
+    /// The leading `k` eigenvectors of a leaf's Gram matrix. Every
+    /// participant holds the same Gram and replicates this step; a backend
+    /// that simulates many participants may compute it once for all of them.
+    fn leading(&mut self, gram: &Matrix, k: usize) -> Matrix {
+        leading_from_gram(gram, k).u
     }
 
     /// This participant's share of `‖t‖²_F` (combined by
@@ -346,9 +356,9 @@ fn chain<B: SweepBackend>(
 
 /// EVD-truncate a Gram matrix to its leading `k` eigenvectors, charging the
 /// time to [`SweepPhase::Svd`] on the backend's compute clock.
-fn truncate<B: SweepBackend>(b: &B, g: &Matrix, k: usize, stats: &mut SweepStats) -> Matrix {
+fn truncate<B: SweepBackend>(b: &mut B, g: &Matrix, k: usize, stats: &mut SweepStats) -> Matrix {
     let t0 = b.clock();
-    let f = leading_from_gram(g, k).u;
+    let f = b.leading(g, k);
     stats.add(SweepPhase::Svd, b.clock().saturating_sub(t0));
     f
 }

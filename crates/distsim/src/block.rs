@@ -7,8 +7,8 @@
 //! every mode.
 
 use crate::grid::Grid;
-use tucker_tensor::subtensor::Region;
-use tucker_tensor::Shape;
+use tucker_tensor::subtensor::{Block, Region};
+use tucker_tensor::{Dims, Shape};
 
 /// Split a length-`l` mode among `q` processors: `(start, len)` per chunk.
 ///
@@ -78,24 +78,37 @@ pub fn chunk_cover(l: usize, q: usize, start: usize, len: usize) -> (usize, usiz
 /// # Panics
 /// Panics if the grid is invalid for `shape` (some `q_n > L_n`).
 pub fn block_region(shape: &Shape, grid: &Grid, coord: &[usize]) -> Region {
-    assert_eq!(shape.order(), grid.order(), "shape/grid order mismatch");
-    let mut start = Vec::with_capacity(shape.order());
-    let mut len = Vec::with_capacity(shape.order());
-    for (n, &c) in coord.iter().enumerate().take(shape.order()) {
-        let (s, l) = chunk(shape.dim(n), grid.dim(n), c);
-        assert!(
-            l > 0,
-            "empty block in mode {n}: grid {grid} invalid for {shape}"
-        );
-        start.push(s);
-        len.push(l);
-    }
-    Region { start, len }
+    block_at(shape, grid, coord).region()
 }
 
 /// The global region owned by `rank` under `grid`.
 pub fn rank_region(shape: &Shape, grid: &Grid, rank: usize) -> Region {
-    block_region(shape, grid, &grid.coord(rank))
+    rank_block(shape, grid, rank).region()
+}
+
+/// [`rank_region`] without the heap: what every rank computes for itself
+/// and for each peer it exchanges data with.
+pub fn rank_block(shape: &Shape, grid: &Grid, rank: usize) -> Block {
+    let mut coord = Dims::filled(grid.order(), 0);
+    grid.coord_into(rank, &mut coord);
+    block_at(shape, grid, &coord)
+}
+
+fn block_at(shape: &Shape, grid: &Grid, coord: &[usize]) -> Block {
+    assert_eq!(shape.order(), grid.order(), "shape/grid order mismatch");
+    assert_eq!(coord.len(), grid.order(), "coordinate arity mismatch");
+    let mut block = Block {
+        start: Dims::filled(shape.order(), 0),
+        len: Dims::filled(shape.order(), 0),
+    };
+    for (n, &c) in coord.iter().enumerate() {
+        (block.start[n], block.len[n]) = chunk(shape.dim(n), grid.dim(n), c);
+        assert!(
+            block.len[n] > 0,
+            "empty block in mode {n}: grid {grid} invalid for {shape}"
+        );
+    }
+    block
 }
 
 #[cfg(test)]

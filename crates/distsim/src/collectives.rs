@@ -1,10 +1,11 @@
 //! Group collectives built on the point-to-point layer.
 //!
 //! A [`Group`] is the analogue of an MPI sub-communicator: an ordered list of
-//! ranks that all enter the same collective together. The implementations
-//! favour simplicity over asymptotic optimality (P is at most a few hundred
-//! in the simulated experiments); what matters for the paper's metrics is
-//! that the *byte counts* are the canonical ones:
+//! ranks that all enter the same collective together. The all-reduce is a
+//! binomial tree above eight members (the scaling runs reach P = 8192);
+//! the other collectives favour simplicity over asymptotic optimality. What
+//! matters for the paper's metrics is that the *byte counts* are the
+//! canonical ones:
 //!
 //! * `allreduce_sum`: gather-to-root + broadcast — `2(g−1)·len` elements,
 //! * `bcast`: root sends to each member — `(g−1)·len`,
@@ -15,7 +16,7 @@
 //! The distributed TTM's reduce-scatter and the Gram step's all-gather
 //! operate on tensor *regions* rather than flat buffers, so they live with
 //! their callers in [`crate::dist_ttm`] / [`crate::dist_gram`] and use the
-//! same point-to-point layer (and therefore the same ledger).
+//! same point-to-point layer (and therefore the same per-rank counters).
 //!
 //! # Failure semantics (DESIGN.md §2, §9)
 //!

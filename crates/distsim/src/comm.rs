@@ -10,23 +10,30 @@
 //! than `O(P²)`, and deterministic SPMD programs match sends to receives by
 //! (source, program order) exactly as MPI does with a single tag.
 //!
-//! Two ledgers capture the paper's communication metrics:
-//! * a process-global [`VolumeLedger`] counts every payload byte that crosses
-//!   distinct ranks, split by [`VolumeCategory`];
-//! * a per-rank [`CommTimers`] accumulates wall time spent inside
-//!   communication calls (including waiting), the same accounting an MPI
-//!   profiler would produce.
+//! Every ledger is owned by the rank, so nothing a rank reports depends on
+//! how the workers interleave its neighbours:
+//! * [`RankCtx::volume`] counts every payload byte **this rank sent** to
+//!   another rank, split by [`VolumeCategory`]; the universe total
+//!   ([`crate::mesh::MeshOutput::volume`]) is the sum over ranks, collected
+//!   as each rank exits (failed ranks included);
+//! * [`RankCtx::timers`] accumulates wall time spent inside communication
+//!   calls (including waiting), the same accounting an MPI profiler would
+//!   produce;
+//! * when a [`NetModel`] is attached, the virtual clock
+//!   [`RankCtx::vtimers`] charges every off-rank message `α + β·bytes` to
+//!   both endpoints, again split by category (see [`crate::net`]).
 //!
-//! When a [`NetModel`] is attached, a third ledger — the per-rank virtual
-//! clock [`RankCtx::vtimers`] — charges every off-rank message `α + β·bytes`
-//! to both endpoints, again split by category (see [`crate::net`]).
+//! A send touches the destination's mailbox and the scheduler's wake-up and
+//! nothing else that ranks share, and a step every rank replicates on an
+//! all-reduced input runs once per universe
+//! ([`RankCtx::leading_from_gram`]).
 
 use crate::mesh::{MeshCfg, MeshSched};
 use crate::net::NetModel;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
+use tucker_linalg::Matrix;
 
 /// CPU time consumed by the calling thread.
 ///
@@ -109,34 +116,18 @@ impl VolumeCategory {
     }
 }
 
-/// Process-global byte counters, shared by all ranks of a universe.
-#[derive(Debug, Default)]
-pub struct VolumeLedger {
-    bytes: [AtomicU64; CATEGORY_COUNT],
-}
-
-impl VolumeLedger {
-    fn add(&self, cat: VolumeCategory, bytes: u64) {
-        self.bytes[cat.idx()].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters.
-    pub fn report(&self) -> VolumeReport {
-        let mut bytes = [0u64; CATEGORY_COUNT];
-        for (o, b) in bytes.iter_mut().zip(&self.bytes) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        VolumeReport { bytes }
-    }
-}
-
-/// Immutable snapshot of a [`VolumeLedger`].
+/// Payload bytes sent between distinct ranks, by category: one rank's own
+/// counters ([`RankCtx::volume`]) or a sum of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VolumeReport {
     bytes: [u64; CATEGORY_COUNT],
 }
 
 impl VolumeReport {
+    fn add(&mut self, cat: VolumeCategory, bytes: u64) {
+        self.bytes[cat.idx()] += bytes;
+    }
+
     /// Bytes transferred for one category.
     pub fn bytes(&self, cat: VolumeCategory) -> u64 {
         self.bytes[cat.idx()]
@@ -167,7 +158,7 @@ impl VolumeReport {
     }
 }
 
-/// Category-wise sum, for totals over several runs' ledgers.
+/// Category-wise sum, for totals over ranks or over several runs.
 impl std::ops::Add for VolumeReport {
     type Output = VolumeReport;
 
@@ -231,11 +222,33 @@ pub(crate) struct Msg {
     payload: Vec<f64>,
 }
 
-/// One rank's inbox: FIFO queues keyed by source rank, created lazily so a
-/// universe costs `O(P + communicating pairs)` memory, not `O(P²)`.
+/// One rank's inbox: a FIFO queue per source rank, created on that source's
+/// first message and kept in a vector sorted by source, so a universe costs
+/// `O(P + communicating pairs)` memory, not `O(P²)`, and a lookup is a
+/// binary search over the handful of peers a rank really has.
 #[derive(Default)]
 pub(crate) struct Mailbox {
-    queues: Mutex<HashMap<usize, VecDeque<Msg>>>,
+    queues: Mutex<Vec<(usize, VecDeque<Msg>)>>,
+}
+
+impl Mailbox {
+    fn push(&self, src: usize, msg: Msg) {
+        let mut q = lock_ignore_poison(&self.queues);
+        let i = match q.binary_search_by_key(&src, |&(s, _)| s) {
+            Ok(i) => i,
+            Err(i) => {
+                q.insert(i, (src, VecDeque::new()));
+                i
+            }
+        };
+        q[i].1.push_back(msg);
+    }
+
+    fn pop(&self, src: usize) -> Option<Msg> {
+        let mut q = lock_ignore_poison(&self.queues);
+        let i = q.binary_search_by_key(&src, |&(s, _)| s).ok()?;
+        q[i].1.pop_front()
+    }
 }
 
 /// Ignore mutex poisoning: a rank that panics while holding a lock must not
@@ -245,10 +258,31 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// What the ranks of a universe add up to: each rank folds its own counters
+/// in once, when its [`RankCtx`] drops.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RunTotals {
+    pub(crate) volume: VolumeReport,
+    pub(crate) evd_computed: u64,
+    pub(crate) evd_reused: u64,
+}
+
+/// One replicated truncation, as the first rank to reach it computed it.
+struct SharedEvd {
+    gram: Matrix,
+    k: usize,
+    u: Matrix,
+    /// CPU time the computing rank measured for it.
+    cpu: Duration,
+}
+
 /// Shared state of one universe.
 pub(crate) struct Shared {
     mail: Vec<Mailbox>,
-    pub(crate) ledger: VolumeLedger,
+    pub(crate) totals: Mutex<RunTotals>,
+    /// The universe's replicated truncations, indexed by each rank's call
+    /// count (see [`RankCtx::leading_from_gram`]); first write wins.
+    evds: Mutex<Vec<Arc<SharedEvd>>>,
     net: Option<NetModel>,
     /// The scheduler that owns all blocking (see [`crate::mesh`]).
     pub(crate) mesh: MeshSched,
@@ -258,7 +292,8 @@ impl Shared {
     pub(crate) fn new(nranks: usize, mesh: MeshSched, net: Option<NetModel>) -> Shared {
         Shared {
             mail: (0..nranks).map(|_| Mailbox::default()).collect(),
-            ledger: VolumeLedger::default(),
+            totals: Mutex::default(),
+            evds: Mutex::default(),
             net,
             mesh,
         }
@@ -279,6 +314,22 @@ pub struct RankCtx {
     /// Communication ops issued so far (the clock the simulated allocator
     /// schedules kills against).
     ops: u64,
+    /// Payload bytes this rank sent to other ranks.
+    sent: VolumeReport,
+    /// Calls to [`RankCtx::leading_from_gram`] so far, split by outcome.
+    evd_computed: u64,
+    evd_reused: u64,
+}
+
+impl Drop for RankCtx {
+    /// The rank's exit — return, panic or abort alike: fold its counters
+    /// into the universe's totals.
+    fn drop(&mut self) {
+        let mut t = lock_ignore_poison(&self.shared.totals);
+        t.volume = t.volume + self.sent;
+        t.evd_computed += self.evd_computed;
+        t.evd_reused += self.evd_reused;
+    }
 }
 
 impl RankCtx {
@@ -290,6 +341,9 @@ impl RankCtx {
             timers: CommTimers::default(),
             vtimers: CommTimers::default(),
             ops: 0,
+            sent: VolumeReport::default(),
+            evd_computed: 0,
+            evd_reused: 0,
         }
     }
 
@@ -310,9 +364,50 @@ impl RankCtx {
         self.shared.net.as_ref()
     }
 
-    /// Snapshot of the universe-wide volume ledger.
+    /// Payload bytes **this rank** has sent to other ranks so far. A delta
+    /// of two snapshots is the rank's own traffic in between, whatever its
+    /// neighbours did meanwhile; the universe total is the sum over ranks
+    /// ([`crate::mesh::MeshOutput::volume`]).
     pub fn volume(&self) -> VolumeReport {
-        self.shared.ledger.report()
+        self.sent
+    }
+
+    /// `leading_from_gram(gram, k).u`, computed once per universe.
+    ///
+    /// After a world all-reduce every rank holds the same Gram and would run
+    /// the same deterministic EVD (the paper's replicated sequential step,
+    /// §5). The universe keeps the first result per call index — ranks run
+    /// one SPMD program, so the `i`-th call is the same leaf on every rank —
+    /// and a later rank whose Gram compares bit-equal takes a copy and has
+    /// the **computing rank's measured CPU time** added to its own CPU clock
+    /// ([`thread_cpu_time`]), so every phase timer that brackets the call
+    /// reads what it would have read. A rank whose Gram differs computes its
+    /// own; nobody ever waits for another rank (workers that reach a leaf
+    /// together each compute it).
+    pub fn leading_from_gram(&mut self, gram: &Matrix, k: usize) -> Matrix {
+        let call = (self.evd_computed + self.evd_reused) as usize;
+        let known = lock_ignore_poison(&self.shared.evds).get(call).cloned();
+        if let Some(e) = known.filter(|e| e.k == k && same_bits(&e.gram, gram)) {
+            self.evd_reused += 1;
+            crate::mesh::credit_fiber_cpu(e.cpu);
+            return e.u.clone();
+        }
+        let t0 = thread_cpu_time();
+        let u = tucker_linalg::leading_from_gram(gram, k).u;
+        let cpu = thread_cpu_time().saturating_sub(t0);
+        self.evd_computed += 1;
+        let mut evds = lock_ignore_poison(&self.shared.evds);
+        // Ranks reach call `i` only after call `i − 1`, so the table grows
+        // by exactly one entry at a time.
+        if evds.len() == call {
+            evds.push(Arc::new(SharedEvd {
+                gram: gram.clone(),
+                k,
+                u: u.clone(),
+                cpu,
+            }));
+        }
+        u
     }
 
     /// Block until every rank reaches the barrier.
@@ -334,20 +429,14 @@ impl RankCtx {
         self.shared.mesh.precheck(self.rank, &mut self.ops);
         if dst != self.rank {
             let bytes = (payload.len() * 8) as u64;
-            self.shared.ledger.add(cat, bytes);
+            self.sent.add(cat, bytes);
             if let Some(net) = &self.shared.net {
                 self.vtimers
                     .add_nanos(cat, net.msg_ns_between(self.rank, dst, bytes));
             }
         }
         let t0 = Instant::now();
-        {
-            let mb = &self.shared.mail[dst];
-            let mut q = lock_ignore_poison(&mb.queues);
-            q.entry(self.rank)
-                .or_default()
-                .push_back(Msg { tag, payload });
-        }
+        self.shared.mail[dst].push(self.rank, Msg { tag, payload });
         self.shared.mesh.on_message(dst, self.rank);
         self.timers.add(cat, t0.elapsed());
     }
@@ -363,7 +452,7 @@ impl RankCtx {
         let t0 = Instant::now();
         let mesh = &self.shared.mesh;
         mesh.precheck(self.rank, &mut self.ops);
-        let msg = mesh.recv_wait(self.rank, src, || self.try_pop(src));
+        let msg = mesh.recv_wait(self.rank, src, || self.shared.mail[self.rank].pop(src));
         self.timers.add(cat, t0.elapsed());
         if src != self.rank {
             if let Some(net) = &self.shared.net {
@@ -380,11 +469,16 @@ impl RankCtx {
         );
         msg.payload
     }
+}
 
-    fn try_pop(&self, src: usize) -> Option<Msg> {
-        let mut q = lock_ignore_poison(&self.shared.mail[self.rank].queues);
-        q.get_mut(&src).and_then(VecDeque::pop_front)
-    }
+/// Bit-for-bit equality (a `NaN` equals itself, `0.0` differs from `-0.0`).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.nrows() == b.nrows()
+        && a.ncols() == b.ncols()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Factory for SPMD runs.
@@ -513,6 +607,74 @@ mod tests {
             out.results[1],
             (0..10).map(|i| i as f64).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn fifo_per_pair_survives_interleaved_sources() {
+        // The mailbox itself: three sources pushed out of rank order and
+        // interleaved; each source's queue pops in its own push order, and a
+        // source that never sent has nothing.
+        let mb = Mailbox::default();
+        for i in 0..4u32 {
+            for src in [5usize, 1, 3] {
+                mb.push(
+                    src,
+                    Msg {
+                        tag: i,
+                        payload: vec![src as f64],
+                    },
+                );
+            }
+        }
+        assert!(mb.pop(2).is_none());
+        for i in 0..4u32 {
+            for src in [3usize, 5, 1] {
+                let m = mb.pop(src).expect("queued");
+                assert_eq!((m.tag, m.payload[0]), (i, src as f64));
+            }
+        }
+        assert!(mb.pop(1).is_none() && mb.pop(3).is_none() && mb.pop(5).is_none());
+
+        // And through the ranks: 1, 2 and 3 each stream numbered messages at
+        // rank 0, which drains them round-robin.
+        let out = Universe::run(4, |ctx| {
+            if ctx.rank() > 0 {
+                for i in 0..10 {
+                    let v = (ctx.rank() * 100 + i) as f64;
+                    ctx.send(0, i as u32, vec![v], VolumeCategory::Other);
+                }
+                return true;
+            }
+            (0..10).all(|i| {
+                (1..4).all(|src| {
+                    ctx.recv(src, i as u32, VolumeCategory::Other)[0] == (src * 100 + i) as f64
+                })
+            })
+        });
+        assert!(out.results.iter().all(|&ok| ok));
+    }
+
+    #[test]
+    fn volume_is_counted_by_the_sender_and_summed_at_exit() {
+        // Rank 0 sends 3 elements, rank 1 sends 5 back, rank 2 only listens:
+        // each rank reads its own bytes, whatever the others did meanwhile.
+        let out = Universe::run(3, |ctx| {
+            match ctx.rank() {
+                0 => {
+                    ctx.send(1, 1, vec![0.0; 3], VolumeCategory::Gram);
+                    ctx.recv(1, 2, VolumeCategory::Gram);
+                }
+                1 => {
+                    ctx.recv(0, 1, VolumeCategory::Gram);
+                    ctx.send(0, 2, vec![0.0; 5], VolumeCategory::Gram);
+                }
+                _ => {}
+            }
+            ctx.barrier();
+            ctx.volume().bytes(VolumeCategory::Gram)
+        });
+        assert_eq!(out.results, vec![24, 40, 0]);
+        assert_eq!(out.volume.bytes(VolumeCategory::Gram), 64);
     }
 
     #[test]

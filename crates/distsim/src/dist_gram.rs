@@ -21,8 +21,8 @@ use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use std::borrow::Cow;
 use tucker_linalg::Matrix;
-use tucker_tensor::subtensor::{insert, Region};
-use tucker_tensor::{gram_cols, DenseTensor};
+use tucker_tensor::subtensor::insert_window;
+use tucker_tensor::{gram_cols, DenseTensor, Dims};
 
 /// Tag for the mode-group all-gather.
 const GRAM_GATHER_TAG: u32 = 0x6B40;
@@ -47,7 +47,7 @@ fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
     let (c0, clen) = if qn == 1 {
         (0, nf)
     } else {
-        let my_idx = t.grid().coord(ctx.rank())[n];
+        let (my_idx, ..) = t.grid().mode_group_span(ctx.rank(), n);
         // `chunk` tolerates q > num_fibers by handing trailing members empty
         // (zero-length) column ranges.
         chunk(nf, qn, my_idx)
@@ -122,39 +122,33 @@ pub fn gather_mode_fibers<'a>(
     }
 
     // Target slab: local extents, but full L_n along mode n.
-    let slab_shape = t.local().shape().with_dim(n, ln);
-    let mut slab = DenseTensor::zeros(slab_shape.clone());
+    let mut slab = DenseTensor::zeros(t.local().shape().with_dim(n, ln));
 
-    let group = grid.mode_group(ctx.rank(), n);
-    let my_idx = grid.coord(ctx.rank())[n];
+    // Member `j` of my mode-n group is rank `base + j · stride`.
+    let (my_idx, base, stride) = grid.mode_group_span(ctx.rank(), n);
 
     // Direct all-gather of local blocks within the group.
-    for (j, &peer) in group.iter().enumerate() {
-        if j != my_idx {
-            ctx.send(
-                peer,
-                GRAM_GATHER_TAG,
-                t.local().as_slice().to_vec(),
-                VolumeCategory::Gram,
-            );
-        }
-    }
-    for (j, &peer) in group.iter().enumerate() {
-        let data = if j == my_idx {
-            t.local().as_slice().to_vec()
-        } else {
-            ctx.recv(peer, GRAM_GATHER_TAG, VolumeCategory::Gram)
-        };
-        let (start, len) = chunk(ln, qn, j);
-        let mut region = Region::full(&slab_shape);
-        region.start[n] = start;
-        region.len[n] = len;
-        assert_eq!(
-            data.len(),
-            region.cardinality(),
-            "gram gather payload mismatch"
+    for j in (0..qn).filter(|&j| j != my_idx) {
+        let block = t.local().as_slice().to_vec();
+        ctx.send(
+            base + j * stride,
+            GRAM_GATHER_TAG,
+            block,
+            VolumeCategory::Gram,
         );
-        insert(&mut slab, &region, &data);
+    }
+    // Member `j`'s block is the slab's window over chunk `j` of mode n.
+    let mut start = Dims::filled(slab.order(), 0);
+    let mut len = Dims::from(slab.shape().dims());
+    for j in 0..qn {
+        (start[n], len[n]) = chunk(ln, qn, j);
+        if j == my_idx {
+            insert_window(&mut slab, &start, &len, t.local().as_slice());
+        } else {
+            let data = ctx.recv(base + j * stride, GRAM_GATHER_TAG, VolumeCategory::Gram);
+            // `insert_window` checks the payload against the window.
+            insert_window(&mut slab, &start, &len, &data);
+        }
     }
     Cow::Owned(slab)
 }

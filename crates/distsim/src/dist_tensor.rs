@@ -1,6 +1,6 @@
 //! A tensor distributed across ranks by a Cartesian block distribution.
 
-use crate::block::rank_region;
+use crate::block::{rank_block, rank_region};
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::grid::Grid;
 use tucker_tensor::subtensor::{extract, insert, Region};
@@ -13,10 +13,18 @@ use tucker_tensor::{DenseTensor, Shape};
 /// [`crate::block::block_region`].
 #[derive(Clone, Debug)]
 pub struct DistTensor {
+    /// Boxed: blocks are passed by value through the sweep loops, which run
+    /// on every rank's fiber stack, and two inline shapes plus a grid would
+    /// triple what each of those moves occupies there.
+    layout: Box<Layout>,
+    local: DenseTensor,
+}
+
+#[derive(Clone, Debug)]
+struct Layout {
     global_shape: Shape,
     grid: Grid,
     rank: usize,
-    local: DenseTensor,
 }
 
 impl DistTensor {
@@ -26,16 +34,18 @@ impl DistTensor {
     /// # Panics
     /// Panics if the local shape disagrees with the block region.
     pub fn from_parts(global_shape: Shape, grid: Grid, rank: usize, local: DenseTensor) -> Self {
-        let region = rank_region(&global_shape, &grid, rank);
+        let block = rank_block(&global_shape, &grid, rank);
         assert_eq!(
             local.shape().dims(),
-            region.len.as_slice(),
+            &block.len[..],
             "local block shape mismatch for rank {rank} under {grid}"
         );
         DistTensor {
-            global_shape,
-            grid,
-            rank,
+            layout: Box::new(Layout {
+                global_shape,
+                grid,
+                rank,
+            }),
             local,
         }
     }
@@ -53,12 +63,7 @@ impl DistTensor {
         let region = rank_region(global.shape(), grid, ctx.rank());
         let data = extract(global, &region);
         let local = DenseTensor::from_vec(region.shape(), data);
-        DistTensor {
-            global_shape: global.shape().clone(),
-            grid: grid.clone(),
-            rank: ctx.rank(),
-            local,
-        }
+        Self::from_parts(global.shape().clone(), grid.clone(), ctx.rank(), local)
     }
 
     /// Generate a distributed tensor directly from a coordinate function
@@ -70,36 +75,31 @@ impl DistTensor {
         mut f: impl FnMut(&[usize]) -> f64,
     ) -> Self {
         assert_eq!(grid.nranks(), ctx.nranks(), "grid/universe mismatch");
-        let region = rank_region(shape, grid, ctx.rank());
+        let region = rank_block(shape, grid, ctx.rank());
         // One reused global-coordinate buffer: no per-element allocation.
         let mut g = region.start.clone();
-        let local = DenseTensor::from_fn(region.shape(), |c| {
+        let local = DenseTensor::from_fn(&region.len[..], |c| {
             for ((g, &c), &start) in g.iter_mut().zip(c).zip(&region.start) {
                 *g = c + start;
             }
             f(&g)
         });
-        DistTensor {
-            global_shape: shape.clone(),
-            grid: grid.clone(),
-            rank: ctx.rank(),
-            local,
-        }
+        Self::from_parts(shape.clone(), grid.clone(), ctx.rank(), local)
     }
 
     /// Global tensor shape.
     pub fn global_shape(&self) -> &Shape {
-        &self.global_shape
+        &self.layout.global_shape
     }
 
     /// The distribution grid.
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        &self.layout.grid
     }
 
     /// Owning rank of this block.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.layout.rank
     }
 
     /// The local block.
@@ -114,7 +114,7 @@ impl DistTensor {
 
     /// The global region this block covers.
     pub fn region(&self) -> Region {
-        rank_region(&self.global_shape, &self.grid, self.rank)
+        rank_region(self.global_shape(), self.grid(), self.rank())
     }
 
     /// Consume into the local block.
@@ -149,9 +149,9 @@ impl DistTensor {
             9002,
             VolumeCategory::Other,
         );
-        let mut out = DenseTensor::zeros(self.global_shape.clone());
+        let mut out = DenseTensor::zeros(self.global_shape().clone());
         for (r, data) in parts.into_iter().enumerate() {
-            let region = rank_region(&self.global_shape, &self.grid, r);
+            let region = rank_region(self.global_shape(), self.grid(), r);
             insert(&mut out, &region, &data);
         }
         out

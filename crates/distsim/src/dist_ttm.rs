@@ -12,12 +12,12 @@
 //! ships its partial minus its own chunk, totalling `(q_n − 1)·|Out(u)|`
 //! elements over the whole tensor.
 
-use crate::block::{chunk, split_extents};
+use crate::block::chunk;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use tucker_linalg::Matrix;
-use tucker_tensor::subtensor::{extract, Region};
-use tucker_tensor::{ttm_into_threads, DenseTensor};
+use tucker_tensor::subtensor::extract_window;
+use tucker_tensor::{ttm_into_threads, DenseTensor, Dims};
 
 /// Tag for reduce-scatter traffic.
 const TTM_TAG: u32 = 0x7712;
@@ -33,7 +33,7 @@ const TTM_TAG: u32 = 0x7712;
 /// (`q_n > K`), which the paper's *valid grid* constraint excludes.
 pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) -> DistTensor {
     let shape = t.global_shape();
-    let grid = t.grid().clone();
+    let grid = t.grid();
     assert!(n < shape.order(), "mode {n} out of range");
     let ln = shape.dim(n);
     let k = factor_t.nrows();
@@ -41,8 +41,9 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let qn = grid.dim(n);
     assert!(qn <= k, "grid invalid for output: q_{n} = {qn} > K = {k}");
 
-    let coord = grid.coord(ctx.rank());
-    let (r0, bn) = chunk(ln, qn, coord[n]);
+    // Member `j` of my mode-n group is rank `base + j · stride`.
+    let (my_idx, base, stride) = grid.mode_group_span(ctx.rank(), n);
+    let (r0, bn) = chunk(ln, qn, my_idx);
 
     // Local partial product: slice of Fᵀ covering this rank's fiber segment.
     let f_slice = Matrix::from_fn(k, bn, |kk, l| factor_t[(kk, r0 + l)]);
@@ -54,42 +55,25 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let partial = DenseTensor::from_vec(partial_shape, partial); // mode-n extent = K (full)
     debug_assert_eq!(partial.shape().dim(n), k);
 
-    let out_global_shape = shape.with_dim(n, k);
-    let my_out_region = crate::block::rank_region(&out_global_shape, &grid, ctx.rank());
-    let (my_k0, my_kn) = chunk(k, qn, coord[n]);
-    debug_assert_eq!(my_out_region.start[n], my_k0);
-    debug_assert_eq!(my_out_region.len[n], my_kn);
-
-    let group = grid.mode_group(ctx.rank(), n);
-    let my_group_idx = coord[n];
-    let k_chunks = split_extents(k, qn);
-
-    // Send each peer its chunk of my partial (rows of mode n).
-    let partial_shape = partial.shape().clone();
-    for (j, &peer) in group.iter().enumerate() {
-        if j == my_group_idx {
-            continue;
-        }
-        let (k0, klen) = k_chunks[j];
-        let mut region = Region::full(&partial_shape);
-        region.start[n] = k0;
-        region.len[n] = klen;
-        let data = extract(&partial, &region);
-        ctx.send(peer, TTM_TAG, data, VolumeCategory::TtmReduceScatter);
+    // Member `j` keeps rows `chunk(k, qn, j)` of mode n: one window of the
+    // partial, moved along mode n from peer to peer.
+    let mut start = Dims::filled(shape.order(), 0);
+    let mut len = Dims::from(partial.shape().dims());
+    let peers = |j: usize| base + j * stride;
+    for j in (0..qn).filter(|&j| j != my_idx) {
+        (start[n], len[n]) = chunk(k, qn, j);
+        let data = extract_window(&partial, &start, &len);
+        ctx.send(peers(j), TTM_TAG, data, VolumeCategory::TtmReduceScatter);
     }
 
     // Local output starts as my own chunk of my partial.
-    let mut my_region = Region::full(&partial_shape);
-    my_region.start[n] = my_k0;
-    my_region.len[n] = my_kn;
-    let mut out_data = extract(&partial, &my_region);
+    (start[n], len[n]) = chunk(k, qn, my_idx);
+    let mut out_data = extract_window(&partial, &start, &len);
+    drop(partial); // not held across the blocking receives below
 
     // Sum contributions from the other group members.
-    for (j, &peer) in group.iter().enumerate() {
-        if j == my_group_idx {
-            continue;
-        }
-        let data = ctx.recv(peer, TTM_TAG, VolumeCategory::TtmReduceScatter);
+    for j in (0..qn).filter(|&j| j != my_idx) {
+        let data = ctx.recv(peers(j), TTM_TAG, VolumeCategory::TtmReduceScatter);
         assert_eq!(
             data.len(),
             out_data.len(),
@@ -100,9 +84,8 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
         }
     }
 
-    let local_shape = my_out_region.shape();
-    let local = DenseTensor::from_vec(local_shape, out_data);
-    DistTensor::from_parts(out_global_shape, grid, ctx.rank(), local)
+    let local = DenseTensor::from_vec(&len[..], out_data);
+    DistTensor::from_parts(shape.with_dim(n, k), grid.clone(), ctx.rank(), local)
 }
 
 #[cfg(test)]

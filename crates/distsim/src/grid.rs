@@ -8,6 +8,7 @@
 //! the intermediate tensors (§4.1).
 
 use std::fmt;
+use tucker_tensor::Dims;
 
 /// A processor grid: the per-mode processor counts `(q₀, …, q_{N−1})`, plus
 /// the **axis significance order** of the rank ↔ coordinate mixed radix.
@@ -22,8 +23,8 @@ use std::fmt;
 /// reduce-scatter into intra-node traffic.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Grid {
-    q: Vec<usize>,
-    axes: Vec<usize>,
+    q: Dims,
+    axes: Dims,
 }
 
 impl Grid {
@@ -35,8 +36,10 @@ impl Grid {
         let q = q.into();
         assert!(!q.is_empty(), "grid must have at least one mode");
         assert!(q.iter().all(|&v| v > 0), "zero processor count in {q:?}");
-        let axes = (0..q.len()).collect();
-        Grid { q, axes }
+        Grid {
+            q: q[..].into(),
+            axes: (0..q.len()).collect(),
+        }
     }
 
     /// Create a grid with an explicit axis significance order: `axes[0]`
@@ -54,7 +57,7 @@ impl Grid {
             assert!(ax < g.q.len() && !seen[ax], "axes must permute 0..order");
             seen[ax] = true;
         }
-        g.axes = axes;
+        g.axes = axes[..].into();
         g
     }
 
@@ -153,13 +156,25 @@ impl Grid {
     /// mode-`n` coordinate. This is the "group communicator" the distributed
     /// TTM reduce-scatters over.
     pub fn mode_group(&self, rank: usize, n: usize) -> Vec<usize> {
-        let mut coord = self.coord(rank);
-        (0..self.q[n])
-            .map(|i| {
-                coord[n] = i;
-                self.rank(&coord)
-            })
-            .collect()
+        let (_, base, stride) = self.mode_group_span(rank, n);
+        (0..self.q[n]).map(|j| base + j * stride).collect()
+    }
+
+    /// Where `rank` sits in its mode-`n` group, as `(index, base, stride)`:
+    /// `rank` has mode-`n` coordinate `index`, and the member with
+    /// coordinate `j` is rank `base + j · stride` — [`Grid::mode_group`]
+    /// without the list, for the per-peer loops every rank runs.
+    pub fn mode_group_span(&self, rank: usize, n: usize) -> (usize, usize, usize) {
+        debug_assert!(rank < self.nranks());
+        let mut stride = 1;
+        for &ax in &self.axes {
+            if ax == n {
+                break;
+            }
+            stride *= self.q[ax];
+        }
+        let index = rank / stride % self.q[n];
+        (index, rank - index * stride, stride)
     }
 }
 

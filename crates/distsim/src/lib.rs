@@ -20,10 +20,12 @@
 //!   multiply + reduce-scatter along the mode's grid group (§4.1, §5),
 //! * [`dist_gram`]: distributed Gram matrices for the SVD step (§5).
 //!
-//! Every payload byte that crosses ranks is tallied in a [`VolumeLedger`]
-//! by category, and every second a rank spends inside a collective is
-//! tallied in its [`CommTimers`], so experiments can report exactly the
-//! communication-volume and communication-time splits the paper plots.
+//! Every payload byte that crosses ranks is counted by the rank that sent
+//! it ([`RankCtx::volume`], by [`VolumeCategory`]; the universe's
+//! [`VolumeReport`] is the sum over ranks), and every second a rank spends
+//! inside a collective is tallied in its [`CommTimers`], so experiments can
+//! report exactly the communication-volume and communication-time splits
+//! the paper plots.
 //!
 //! # Virtual time (paper-scale rank counts)
 //!
@@ -35,8 +37,8 @@
 //! ([`comm::RankCtx::vtimers`]), split by [`VolumeCategory`] exactly like
 //! the measured timers. The same runtime executes both: a handful of worker
 //! threads replays universes of thousands of ranks in seconds, and neither
-//! the virtual clock nor the volume ledger depends on how many workers
-//! there are (`MeshCfg { workers: 1, .. }` is the deterministic
+//! the virtual clocks nor the volume counters — both owned by the rank —
+//! depend on how many workers there are (`MeshCfg { workers: 1, .. }` is the deterministic
 //! one-rank-at-a-time mode).
 
 pub mod backend;
@@ -53,7 +55,7 @@ pub mod redistribute;
 
 pub use backend::{PhaseSnap, TimeSource};
 pub use block::{block_region, split_extents};
-pub use comm::{CommTimers, RankCtx, Universe, VolumeCategory, VolumeLedger, VolumeReport};
+pub use comm::{CommTimers, RankCtx, Universe, VolumeCategory, VolumeReport};
 pub use dist_tensor::DistTensor;
 pub use grid::{
     count_grids, enumerate_grids, enumerate_valid_grids, largest_usable_rank_count, Grid,

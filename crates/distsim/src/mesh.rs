@@ -17,7 +17,8 @@
 //! `workers: 1` is the deterministic mode (one rank at a time, fixed
 //! round-robin order); `workers: nranks` gives every rank an OS thread of
 //! its own, so per-thread counters read inside a rank body are per-rank.
-//! Virtual clocks and the volume ledger do not depend on the pool size.
+//! Virtual clocks and volume counters are owned by the rank and do not
+//! depend on the pool size.
 //!
 //! # Failure semantics
 //!
@@ -426,6 +427,16 @@ mod fib {
         let ns = unsafe { (*f).cpu_acc_ns + raw_cpu_ns().saturating_sub((*f).resume_cpu0_ns) };
         Some(std::time::Duration::from_nanos(ns))
     }
+
+    /// Add `d` to the current fiber's CPU clock (no-op outside a fiber).
+    pub fn credit_cpu(d: std::time::Duration) {
+        let f = CURRENT.with(Cell::get);
+        if !f.is_null() {
+            // SAFETY: as in `current_cpu` — the fiber is current on this
+            // worker, which is the only thread that touches the field.
+            unsafe { (*f).cpu_acc_ns += d.as_nanos() as u64 };
+        }
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -538,10 +549,22 @@ mod fib {
         }
     }
 
+    thread_local! {
+        /// CPU time credited to this fiber thread (see `credit_cpu`).
+        static CPU_CREDIT_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// Fallback fibers are real threads, so the native per-thread CPU clock
-    /// is already correct.
+    /// is already correct — until something is credited on top of it.
     pub fn current_cpu() -> Option<std::time::Duration> {
-        None
+        let credit = CPU_CREDIT_NS.with(std::cell::Cell::get);
+        (credit > 0)
+            .then(|| crate::comm::raw_thread_cpu_time() + std::time::Duration::from_nanos(credit))
+    }
+
+    /// Add `d` to the calling fiber thread's CPU clock.
+    pub fn credit_cpu(d: std::time::Duration) {
+        CPU_CREDIT_NS.with(|c| c.set(c.get() + d.as_nanos() as u64));
     }
 }
 
@@ -551,6 +574,13 @@ pub(crate) use fib::suspend as fiber_suspend;
 /// [`crate::comm::thread_cpu_time`]).
 pub(crate) fn current_fiber_cpu() -> Option<Duration> {
     fib::current_cpu()
+}
+
+/// Charge the current fiber `d` of CPU time it did not spend: its share of a
+/// replicated step another rank computed for the whole universe (see
+/// [`RankCtx::leading_from_gram`]).
+pub(crate) fn credit_fiber_cpu(d: Duration) {
+    fib::credit_cpu(d);
 }
 
 // ---------------------------------------------------------------- scheduler
@@ -909,8 +939,13 @@ impl<R> RankOutcome<R> {
 pub struct MeshOutput<R> {
     /// Per-rank outcomes, indexed by rank.
     pub results: Vec<RankOutcome<R>>,
-    /// Bytes moved between distinct ranks during the run.
+    /// Bytes moved between distinct ranks during the run: the sum of every
+    /// rank's own sent bytes, failed ranks included.
     pub volume: VolumeReport,
+    /// [`RankCtx::leading_from_gram`] calls that ran the EVD …
+    pub evd_computed: u64,
+    /// … and calls answered from another rank's bit-identical result.
+    pub evd_reused: u64,
     /// Root-cause rank of the abort, if a rank failure aborted the epoch.
     pub first_failure: Option<usize>,
     /// Worker threads the scheduler multiplexed the ranks over.
@@ -1100,9 +1135,14 @@ impl Universe {
                 })),
             })
             .collect();
+        // Every fiber has finished, so every `RankCtx` has dropped and folded
+        // its counters in.
+        let totals = *lock(&shared.totals);
         MeshOutput {
             results: out_results,
-            volume: shared.ledger.report(),
+            volume: totals.volume,
+            evd_computed: totals.evd_computed,
+            evd_reused: totals.evd_reused,
             first_failure: root,
             workers,
             root_payload,
@@ -1235,6 +1275,19 @@ mod tests {
                 "rank {r}: {msg}"
             );
         }
+    }
+
+    #[test]
+    fn a_failed_ranks_traffic_still_counts() {
+        let out = Universe::run_mesh(2, &MeshCfg::default(), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 1, vec![0.0; 4], VolumeCategory::Regrid);
+                panic!("deliberate mesh failure");
+            }
+            ctx.recv(0, 1, VolumeCategory::Regrid).len()
+        });
+        assert_eq!(out.first_failure, Some(0));
+        assert_eq!(out.volume.bytes(VolumeCategory::Regrid), 32);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! that stay put — bounded by the `|In(u)|` the volume model charges for a
 //! regrid (§4.3).
 
-use crate::block::{chunk_cover, rank_region};
+use crate::block::{chunk_cover, rank_block};
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use crate::grid::Grid;
-use tucker_tensor::subtensor::{extract, insert, Region};
-use tucker_tensor::{copy_into, DenseTensor, Shape, TensorView, TensorViewMut};
+use tucker_tensor::subtensor::{extract_window, insert_window, Block, Region};
+use tucker_tensor::{copy_into, DenseTensor, Dims, Shape, TensorView, TensorViewMut};
 
 /// Tag base for regrid traffic (messages carry `tag = REGRID_TAG`).
 const REGRID_TAG: u32 = 0x5E61;
@@ -21,25 +21,25 @@ const REGRID_TAG: u32 = 0x5E61;
 /// rank order. The overlapping coordinates form a box (per-mode chunk
 /// intervals via [`chunk_cover`]), so this enumerates `O(overlaps)` ranks
 /// instead of scanning all `P` — the difference between `O(P)` and `O(P²)`
-/// work per regrid at paper-scale rank counts. Public because the mesh
-/// recovery layer uses the same cover to reassemble survivor blocks.
-pub fn overlapping_ranks(shape: &Shape, grid: &Grid, region: &Region) -> Vec<usize> {
+/// work per regrid at paper-scale rank counts.
+pub fn overlapping_ranks(shape: &Shape, grid: &Grid, region: &Block) -> Vec<usize> {
     let order = shape.order();
-    let ranges: Vec<(usize, usize)> = (0..order)
-        .map(|n| chunk_cover(shape.dim(n), grid.dim(n), region.start[n], region.len[n]))
-        .collect();
-    let mut coord: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-    let count: usize = ranges.iter().map(|&(lo, hi)| hi - lo).product();
+    let (mut lo, mut hi) = (Dims::filled(order, 0), Dims::filled(order, 0));
+    for n in 0..order {
+        (lo[n], hi[n]) = chunk_cover(shape.dim(n), grid.dim(n), region.start[n], region.len[n]);
+    }
+    let mut coord = lo.clone();
+    let count: usize = lo.iter().zip(&hi).map(|(&lo, &hi)| hi - lo).product();
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         out.push(grid.rank(&coord));
         // Mixed-radix increment, mode 0 fastest — matches rank ordering.
         for n in 0..order {
             coord[n] += 1;
-            if coord[n] < ranges[n].1 {
+            if coord[n] < hi[n] {
                 break;
             }
-            coord[n] = ranges[n].0;
+            coord[n] = lo[n];
         }
     }
     out.sort_unstable();
@@ -51,65 +51,7 @@ pub fn overlapping_ranks(shape: &Shape, grid: &Grid, region: &Region) -> Vec<usi
 /// When the grids are equal the tensor is returned unchanged and no traffic
 /// is generated (the planner's "do not regrid" branch).
 pub fn redistribute(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid) -> DistTensor {
-    let shape = t.global_shape().clone();
-    assert_eq!(
-        new_grid.nranks(),
-        ctx.nranks(),
-        "new grid {new_grid} does not match universe size"
-    );
-    if t.grid() == new_grid {
-        return t.clone();
-    }
-
-    let me = ctx.rank();
-    let my_old = t.region();
-    let my_new = rank_region(&shape, new_grid, me);
-    let mut local = DenseTensor::zeros(my_new.shape());
-
-    // Send phase: only the new-grid blocks that actually intersect my old
-    // block (a box of coordinates, not all P ranks). The wire pack is one
-    // strided view-to-buffer copy (`extract` routes through
-    // `view::copy_into`); the block staying on this rank never touches the
-    // wire at all — it is copied view-to-view below.
-    for dst in overlapping_ranks(&shape, new_grid, &my_old) {
-        if dst == me {
-            continue;
-        }
-        let dst_new = rank_region(&shape, new_grid, dst);
-        let overlap = my_old.intersect(&dst_new).expect("cover is exact");
-        let data = extract(t.local(), &overlap.relative_to(&my_old.start));
-        ctx.send(dst, REGRID_TAG, data, VolumeCategory::Regrid);
-    }
-
-    // Self-overlap: a single strided copy from the old block's view into the
-    // new block's view — no wire buffer, no scratch tensor.
-    if let Some(overlap) = my_old.intersect(&my_new) {
-        let sv = TensorView::region(t.local(), &overlap.clone().relative_to(&my_old.start));
-        let mut dv = TensorViewMut::region(&mut local, &overlap.relative_to(&my_new.start));
-        copy_into(&sv, &mut dv);
-    }
-
-    // Receive phase: collect from every rank whose old block intersects my
-    // new block. Receives are issued in ascending rank order — the
-    // deterministic SPMD schedule guarantees matching. The unpack is again
-    // one strided copy (`insert` → `view::copy_into`).
-    for src in overlapping_ranks(&shape, t.grid(), &my_new) {
-        if src == me {
-            continue;
-        }
-        let src_old = rank_region(&shape, t.grid(), src);
-        let overlap = src_old.intersect(&my_new).expect("cover is exact");
-        let data = ctx.recv(src, REGRID_TAG, VolumeCategory::Regrid);
-        let local_region = overlap.relative_to(&my_new.start);
-        assert_eq!(
-            data.len(),
-            local_region.cardinality(),
-            "regrid payload mismatch"
-        );
-        insert(&mut local, &local_region, &data);
-    }
-
-    DistTensor::from_parts(shape, new_grid.clone(), me, local)
+    regrid(ctx, t, new_grid, false)
 }
 
 /// The seed's regrid: **every** intersecting block goes through the wire,
@@ -118,7 +60,11 @@ pub fn redistribute(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid) -> DistT
 /// view-to-view copy). Kept as the baseline arm of the views bench and the
 /// differential suite; results are element-identical to [`redistribute`].
 pub fn redistribute_via_wire(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid) -> DistTensor {
-    let shape = t.global_shape().clone();
+    regrid(ctx, t, new_grid, true)
+}
+
+fn regrid(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid, self_via_wire: bool) -> DistTensor {
+    let shape = t.global_shape();
     assert_eq!(
         new_grid.nranks(),
         ctx.nranks(),
@@ -129,31 +75,55 @@ pub fn redistribute_via_wire(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid)
     }
 
     let me = ctx.rank();
-    let my_old = t.region();
-    let my_new = rank_region(&shape, new_grid, me);
+    let my_old = rank_block(shape, t.grid(), me);
+    let my_new = rank_block(shape, new_grid, me);
+    let mut local = DenseTensor::zeros(&my_new.len[..]);
 
-    for dst in overlapping_ranks(&shape, new_grid, &my_old) {
-        let dst_new = rank_region(&shape, new_grid, dst);
-        let overlap = my_old.intersect(&dst_new).expect("cover is exact");
-        let data = extract(t.local(), &overlap.relative_to(&my_old.start));
+    // Send phase: only the new-grid blocks that actually intersect my old
+    // block (a box of coordinates, not all P ranks). The wire pack is one
+    // strided view-to-buffer copy; the block staying on this rank never
+    // touches the wire at all — it is copied view-to-view below.
+    for dst in overlapping_ranks(shape, new_grid, &my_old) {
+        if dst == me && !self_via_wire {
+            continue;
+        }
+        let window = my_old
+            .intersect(&rank_block(shape, new_grid, dst))
+            .expect("cover is exact")
+            .relative_to(&my_old.start);
+        let data = extract_window(t.local(), &window.start, &window.len);
         ctx.send(dst, REGRID_TAG, data, VolumeCategory::Regrid);
     }
 
-    let mut local = DenseTensor::zeros(my_new.shape());
-    for src in overlapping_ranks(&shape, t.grid(), &my_new) {
-        let src_old = rank_region(&shape, t.grid(), src);
-        let overlap = src_old.intersect(&my_new).expect("cover is exact");
-        let data = ctx.recv(src, REGRID_TAG, VolumeCategory::Regrid);
-        let local_region = overlap.relative_to(&my_new.start);
-        assert_eq!(
-            data.len(),
-            local_region.cardinality(),
-            "regrid payload mismatch"
+    // Self-overlap: a single strided copy from the old block's view into the
+    // new block's view — no wire buffer, no scratch tensor.
+    if let Some(overlap) = my_old.intersect(&my_new).filter(|_| !self_via_wire) {
+        let from = overlap.clone().relative_to(&my_old.start);
+        let to = overlap.relative_to(&my_new.start);
+        copy_into(
+            &TensorView::window(t.local(), &from.start, &from.len),
+            &mut TensorViewMut::window(&mut local, &to.start, &to.len),
         );
-        insert(&mut local, &local_region, &data);
     }
 
-    DistTensor::from_parts(shape, new_grid.clone(), me, local)
+    // Receive phase: collect from every rank whose old block intersects my
+    // new block. Receives are issued in ascending rank order — the
+    // deterministic SPMD schedule guarantees matching. The unpack is again
+    // one strided copy.
+    for src in overlapping_ranks(shape, t.grid(), &my_new) {
+        if src == me && !self_via_wire {
+            continue;
+        }
+        let window = rank_block(shape, t.grid(), src)
+            .intersect(&my_new)
+            .expect("cover is exact")
+            .relative_to(&my_new.start);
+        let data = ctx.recv(src, REGRID_TAG, VolumeCategory::Regrid);
+        assert_eq!(data.len(), window.cardinality(), "regrid payload mismatch");
+        insert_window(&mut local, &window.start, &window.len, &data);
+    }
+
+    DistTensor::from_parts(shape.clone(), new_grid.clone(), me, local)
 }
 
 /// Host-side archive of the live blocks of one mesh epoch, used by the

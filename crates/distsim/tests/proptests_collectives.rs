@@ -564,3 +564,161 @@ fn hier_virtual_barrier_matches_closed_form() {
         }
     }
 }
+
+// ------------------------------------------------------- per-rank sent bytes
+//
+// Volume is counted by the sender, in the rank's own counters, so "executed
+// per-rank bytes == per-rank closed form" is assertable rank by rank. Under a
+// model that prices a message at exactly its byte count, the member-aware
+// closed forms above read in bytes: what the member sent plus what it
+// received.
+
+/// α = 0 and 1 ns per byte on both link classes.
+fn byte_net(node_size: usize) -> NetModel {
+    NetModel::hierarchical(Duration::ZERO, 1.0e9, Duration::ZERO, 1.0e9, node_size)
+}
+
+/// Run `f` under `net`; per rank, its own sent bytes and its modeled
+/// nanoseconds in `cat`. Checks on the way that the universe total is the
+/// sum of the ranks' counters, and that every byte sent was received once
+/// (the clocks charge both endpoints).
+fn sent_and_priced(
+    p: usize,
+    net: NetModel,
+    cat: VolumeCategory,
+    f: impl Fn(&mut tucker_distsim::RankCtx) + Sync,
+) -> Vec<(u64, u64)> {
+    let out = Universe::run_mesh(p, &MeshCfg::virtual_time(net), |ctx| {
+        f(ctx);
+        (
+            ctx.volume().bytes(cat),
+            ctx.vtimers.time(cat).as_nanos() as u64,
+        )
+    })
+    .into_results();
+    let sent: u64 = out.results.iter().map(|r| r.0).sum();
+    let priced: u64 = out.results.iter().map(|r| r.1).sum();
+    assert_eq!(out.volume.bytes(cat), sent, "total != sum over ranks");
+    assert_eq!(priced, 2 * sent, "a byte sent is a byte received");
+    out.results
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Every collective, any root rotation and node size: each member's own
+    /// sent bytes equal the collective's per-member form, and sent plus
+    /// received equal the member-aware closed form of `net.rs`.
+    #[test]
+    fn per_rank_sent_bytes_match_member_closed_forms(
+        p in 1usize..=8,
+        node_size in 1usize..=4,
+        rot in 0usize..8,
+        len in 1usize..=7,
+        seed in 0u64..500,
+    ) {
+        let net = byte_net(node_size);
+        let members = rotated_members(p, rot);
+        let index_of = |rank: usize| members.iter().position(|&m| m == rank).unwrap();
+        let bytes = |elems: usize| (elems * 8) as u64;
+
+        let got = sent_and_priced(p, net, VolumeCategory::Other, |ctx| {
+            let g = Group::new(ctx, rotated_members(p, rot));
+            let mut buf = vec![1.0; if g.my_index() == 0 { len } else { 0 }];
+            bcast(ctx, &g, &mut buf, 1, VolumeCategory::Other);
+        });
+        for (rank, &(sent, priced)) in got.iter().enumerate() {
+            let i = index_of(rank);
+            prop_assert_eq!(sent, if i == 0 { bytes((p - 1) * len) } else { 0 }, "bcast {}", rank);
+            prop_assert_eq!(priced, net.bcast_members_rank_ns(&members, i, len));
+        }
+
+        // Member with rank r contributes r + 1 elements.
+        let got = sent_and_priced(p, net, VolumeCategory::Other, |ctx| {
+            let g = Group::new(ctx, rotated_members(p, rot));
+            let _ = gather(ctx, &g, vec![1.0; ctx.rank() + 1], 1, VolumeCategory::Other);
+        });
+        let nonroot_lens: Vec<usize> = (1..p).map(|j| members[j] + 1).collect();
+        for (rank, &(sent, priced)) in got.iter().enumerate() {
+            let i = index_of(rank);
+            prop_assert_eq!(sent, if i == 0 { 0 } else { bytes(rank + 1) }, "gather {}", rank);
+            prop_assert_eq!(priced, net.gather_members_rank_ns(&members, i, &nonroot_lens));
+        }
+
+        let got = sent_and_priced(p, net, VolumeCategory::Other, |ctx| {
+            let g = Group::new(ctx, rotated_members(p, rot));
+            let _ = allgather(ctx, &g, vec![1.0; len], 1, VolumeCategory::Other);
+        });
+        for (rank, &(sent, priced)) in got.iter().enumerate() {
+            prop_assert_eq!(sent, bytes((p - 1) * len), "allgather {}", rank);
+            prop_assert_eq!(priced, net.allgather_members_rank_ns(&members, index_of(rank), len));
+        }
+
+        let lens: Vec<Vec<usize>> = (0..p)
+            .map(|i| (0..p).map(|j| (i * 3 + j * 5 + seed as usize) % 4).collect())
+            .collect();
+        let got = sent_and_priced(p, net, VolumeCategory::Regrid, |ctx| {
+            let g = Group::new(ctx, rotated_members(p, rot));
+            let me = g.my_index();
+            let send: Vec<Vec<f64>> = (0..p).map(|j| vec![0.5; lens[me][j]]).collect();
+            let _ = alltoallv(ctx, &g, send, 1, VolumeCategory::Regrid);
+        });
+        for (rank, &(sent, priced)) in got.iter().enumerate() {
+            let i = index_of(rank);
+            let row: usize = (0..p).filter(|&j| j != i).map(|j| lens[i][j]).sum();
+            prop_assert_eq!(sent, bytes(row), "alltoallv {}", rank);
+            prop_assert_eq!(priced, net.alltoallv_members_rank_ns(&members, i, &lens));
+        }
+
+        // All-reduce, whichever algorithm the dispatch picks: 2(g − 1)·len
+        // elements in total, a non-root member sends its contribution at
+        // least once, and sent + received is the member-aware form.
+        let got = sent_and_priced(p, net, VolumeCategory::Gram, |ctx| {
+            let g = Group::new(ctx, rotated_members(p, rot));
+            let mut buf = vec![1.0; len];
+            allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Gram);
+        });
+        prop_assert_eq!(got.iter().map(|r| r.0).sum::<u64>(), bytes(2 * (p - 1) * len));
+        for (rank, &(sent, priced)) in got.iter().enumerate() {
+            let i = index_of(rank);
+            prop_assert!(i == 0 || sent >= bytes(len), "allreduce {}", rank);
+            prop_assert_eq!(priced, net.allreduce_members_rank_ns(&members, i, len));
+        }
+    }
+}
+
+#[test]
+fn reduce_scatter_sent_bytes_match_member_closed_form() {
+    // The distributed TTM over a mode group: member i ships every chunk but
+    // its own — K = 7 over q = 5 gives chunks (2, 2, 1, 1, 1).
+    use tucker_distsim::dist_ttm::dist_ttm;
+    use tucker_distsim::{DistTensor, Grid};
+    use tucker_linalg::Matrix;
+    use tucker_tensor::{DenseTensor, Shape};
+
+    let (l, rest, k, q) = (8usize, 6usize, 7usize, 5usize);
+    let global = DenseTensor::from_fn(Shape::from([l, rest]), |c| (c[0] * 10 + c[1]) as f64);
+    let f = Matrix::from_fn(k, l, |i, j| ((i + 2 * j) % 3) as f64 - 1.0);
+    let grid = Grid::new([q, 1]);
+    let chunk_lens: Vec<usize> = tucker_distsim::split_extents(k, q)
+        .into_iter()
+        .map(|(_, len)| len * rest)
+        .collect();
+    let members: Vec<usize> = (0..q).collect();
+    for node_size in [1usize, 2, 3] {
+        let net = byte_net(node_size);
+        let got = sent_and_priced(q, net, VolumeCategory::TtmReduceScatter, |ctx| {
+            let dt = DistTensor::scatter_from_global(ctx, &global, &grid);
+            let _ = dist_ttm(ctx, &dt, 0, &f);
+        });
+        for (i, &(sent, priced)) in got.iter().enumerate() {
+            let others: usize = (0..q).filter(|&j| j != i).map(|j| chunk_lens[j]).sum();
+            assert_eq!(sent, (others * 8) as u64, "rank {i}");
+            assert_eq!(
+                priced,
+                net.reduce_scatter_members_rank_ns(&members, i, &chunk_lens),
+                "node_size {node_size} rank {i}"
+            );
+        }
+    }
+}

@@ -82,7 +82,7 @@ impl DenseTensor {
         let mut data = Vec::with_capacity(card);
         // One coordinate buffer advanced in place, mode 0 fastest (the
         // layout order) — no per-element allocation.
-        let mut c = vec![0usize; shape.order()];
+        let mut c = crate::shape::Dims::filled(shape.order(), 0);
         for _ in 0..card {
             data.push(f(&c));
             for (ci, &d) in c.iter_mut().zip(shape.dims()) {

@@ -40,7 +40,7 @@ pub mod view;
 
 pub use dense::{tensor_buffer_allocs, DenseTensor};
 pub use gram::{gram, gram_cols, gram_threads, gram_view, gram_view_cols, gram_view_threads};
-pub use shape::Shape;
+pub use shape::{Dims, Shape};
 pub use threads::{heuristic_threads, host_threads};
 pub use ttm::{
     ttm, ttm_chain, ttm_into, ttm_into_threads, ttm_view, ttm_view_into, ttm_view_into_threads,

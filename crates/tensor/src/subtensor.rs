@@ -6,7 +6,7 @@
 //! the box arithmetic and the pack/unpack copies.
 
 use crate::dense::DenseTensor;
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape};
 use crate::view::{copy_into, TensorView, TensorViewMut};
 
 /// An axis-aligned box `[start_n, start_n + len_n)` in every mode.
@@ -46,13 +46,9 @@ impl Region {
         let mut start = Vec::with_capacity(self.order());
         let mut len = Vec::with_capacity(self.order());
         for n in 0..self.order() {
-            let lo = self.start[n].max(other.start[n]);
-            let hi = (self.start[n] + self.len[n]).min(other.start[n] + other.len[n]);
-            if lo >= hi {
-                return None;
-            }
+            let (lo, l) = overlap(self.start[n], self.len[n], other.start[n], other.len[n])?;
             start.push(lo);
-            len.push(hi - lo);
+            len.push(l);
         }
         Some(Region { start, len })
     }
@@ -93,37 +89,90 @@ impl Region {
     }
 }
 
+/// Intersection `(start, len)` of the intervals `[a, a + al)` and
+/// `[b, b + bl)`; `None` if they do not meet.
+fn overlap(a: usize, al: usize, b: usize, bl: usize) -> Option<(usize, usize)> {
+    let lo = a.max(b);
+    let hi = (a + al).min(b + bl);
+    (lo < hi).then(|| (lo, hi - lo))
+}
+
+/// A [`Region`] on inline index vectors ([`Dims`]): the box a simulated rank
+/// owns, or the overlap of two of them. A rank intersects its block with
+/// every peer's on each regrid, so this form never touches the allocator;
+/// [`Region`], with its public `Vec` fields, stays the type of the API
+/// surface, and [`Block::region`] converts.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Block {
+    /// Inclusive start coordinate per mode.
+    pub start: Dims,
+    /// Extent per mode.
+    pub len: Dims,
+}
+
+impl Block {
+    /// Number of elements in the box.
+    pub fn cardinality(&self) -> usize {
+        self.len.iter().product()
+    }
+
+    /// [`Region::intersect`].
+    pub fn intersect(&self, other: &Block) -> Option<Block> {
+        assert_eq!(self.start.len(), other.start.len(), "region order mismatch");
+        let mut out = self.clone();
+        for n in 0..self.start.len() {
+            (out.start[n], out.len[n]) =
+                overlap(self.start[n], self.len[n], other.start[n], other.len[n])?;
+        }
+        Some(out)
+    }
+
+    /// [`Region::relative_to`].
+    pub fn relative_to(mut self, origin: &[usize]) -> Block {
+        for (s, &o) in self.start.iter_mut().zip(origin) {
+            assert!(*s >= o, "region starts before origin");
+            *s -= o;
+        }
+        self
+    }
+
+    /// The same box as a [`Region`].
+    pub fn region(&self) -> Region {
+        Region {
+            start: self.start.to_vec(),
+            len: self.len.to_vec(),
+        }
+    }
+}
+
 /// Copy the elements of `region` (in `t`'s coordinates) into a fresh
 /// canonical-layout buffer of shape `region.len`.
 ///
 /// # Panics
 /// Panics if the region does not fit inside `t`.
 pub fn extract(t: &DenseTensor, region: &Region) -> Vec<f64> {
-    check_region(t.shape(), region);
-    let src = TensorView::region(t, region);
-    let mut out = vec![0.0; region.cardinality()];
-    let mut dst = TensorViewMut::from_parts(&mut out, region.len.clone(), canonical(&region.len));
-    copy_into(&src, &mut dst);
+    extract_window(t, &region.start, &region.len)
+}
+
+/// [`extract`] of the box `(start, len)`, for callers that keep boxes as
+/// slices.
+///
+/// # Panics
+/// Panics if the box does not fit inside `t`.
+pub fn extract_window(t: &DenseTensor, start: &[usize], len: &[usize]) -> Vec<f64> {
+    check_window(t.shape(), start, len);
+    let src = TensorView::window(t, start, len);
+    let mut out = vec![0.0; src.cardinality()];
+    copy_into(&src, &mut TensorViewMut::packed(&mut out, len));
     out
 }
 
-/// Canonical (mode-0-fastest) strides of `dims`.
-fn canonical(dims: &[usize]) -> Vec<usize> {
-    let mut acc = 1usize;
-    dims.iter()
-        .map(|&d| {
-            let s = acc;
-            acc *= d;
-            s
-        })
-        .collect()
-}
-
-fn check_region(shape: &Shape, region: &Region) {
-    assert_eq!(region.order(), shape.order(), "region order mismatch");
+fn check_window(shape: &Shape, start: &[usize], len: &[usize]) {
+    assert_eq!(start.len(), shape.order(), "region order mismatch");
+    assert_eq!(len.len(), shape.order(), "region order mismatch");
     for n in 0..shape.order() {
         assert!(
-            region.start[n] + region.len[n] <= shape.dim(n),
+            start[n] + len[n] <= shape.dim(n),
             "region exceeds tensor bounds in mode {n}"
         );
     }
@@ -135,11 +184,24 @@ fn check_region(shape: &Shape, region: &Region) {
 /// # Panics
 /// Panics if the region does not fit or `data` has the wrong length.
 pub fn insert(t: &mut DenseTensor, region: &Region, data: &[f64]) {
-    assert_eq!(data.len(), region.cardinality(), "data length mismatch");
-    check_region(t.shape(), region);
-    let src = TensorView::from_parts(data, region.len.clone(), canonical(&region.len));
-    let mut dst = TensorViewMut::region(t, region);
-    copy_into(&src, &mut dst);
+    insert_window(t, &region.start, &region.len, data);
+}
+
+/// [`insert`] into the box `(start, len)`.
+///
+/// # Panics
+/// Panics if the box does not fit or `data` has the wrong length.
+pub fn insert_window(t: &mut DenseTensor, start: &[usize], len: &[usize], data: &[f64]) {
+    assert_eq!(
+        data.len(),
+        len.iter().product::<usize>(),
+        "data length mismatch"
+    );
+    check_window(t.shape(), start, len);
+    copy_into(
+        &TensorView::packed(data, len),
+        &mut TensorViewMut::window(t, start, len),
+    );
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! exactly like the owned-tensor fast path.
 
 use crate::dense::{note_buffer_alloc, DenseTensor};
-use crate::shape::Shape;
+use crate::shape::{canonical_strides, Dims, Shape};
 use crate::subtensor::Region;
 use std::marker::PhantomData;
 
@@ -80,15 +80,12 @@ fn check_no_alias(dims: &[usize], strides: &[usize]) {
         // zero-length mode).
         return;
     }
-    let mut modes: Vec<(usize, usize)> = dims
-        .iter()
-        .zip(strides)
-        .filter(|(&d, _)| d > 1)
-        .map(|(&d, &s)| (s, d))
-        .collect();
-    modes.sort_unstable();
+    // Mode indices, not `(stride, dim)` pairs: they fit the inline vector.
+    let mut modes: Dims = (0..dims.len()).filter(|&j| dims[j] > 1).collect();
+    modes.sort_unstable_by_key(|&j| (strides[j], dims[j]));
     let mut floor = 1usize;
-    for &(s, d) in &modes {
+    for &j in &modes {
+        let (s, d) = (strides[j], dims[j]);
         assert!(
             s >= floor,
             "aliasing mutable view: stride {s} overlaps a faster mode (need ≥ {floor})"
@@ -102,8 +99,8 @@ fn check_no_alias(dims: &[usize], strides: &[usize]) {
 #[derive(Clone, Debug)]
 pub struct TensorView<'a> {
     data: &'a [f64],
-    dims: Vec<usize>,
-    strides: Vec<usize>,
+    dims: Dims,
+    strides: Dims,
 }
 
 impl<'a> TensorView<'a> {
@@ -111,7 +108,7 @@ impl<'a> TensorView<'a> {
     pub fn of(t: &'a DenseTensor) -> Self {
         TensorView {
             data: t.as_slice(),
-            dims: t.shape().dims().to_vec(),
+            dims: t.shape().dims().into(),
             strides: t.shape().strides(),
         }
     }
@@ -122,10 +119,19 @@ impl<'a> TensorView<'a> {
     /// # Panics
     /// Panics if the region does not fit inside `t`.
     pub fn region(t: &'a DenseTensor, region: &Region) -> Self {
-        let (off, dims, strides) = region_parts(t.shape(), region);
+        Self::window(t, &region.start, &region.len)
+    }
+
+    /// The view of the box `[start_n, start_n + len_n)` inside `t` —
+    /// [`TensorView::region`] for callers that keep the box as two slices.
+    ///
+    /// # Panics
+    /// Panics if the box does not fit inside `t`.
+    pub fn window(t: &'a DenseTensor, start: &[usize], len: &[usize]) -> Self {
+        let (off, strides) = window_parts(t.shape(), start, len);
         TensorView {
             data: &t.as_slice()[off..],
-            dims,
+            dims: len.into(),
             strides,
         }
     }
@@ -135,20 +141,26 @@ impl<'a> TensorView<'a> {
     ///
     /// # Panics
     /// Panics on arity mismatch or out-of-bounds extent.
-    pub fn from_parts(data: &'a [f64], dims: Vec<usize>, strides: Vec<usize>) -> Self {
-        assert_eq!(dims.len(), strides.len(), "dims/strides arity mismatch");
-        if let Some(m) = max_offset(&dims, &strides) {
-            assert!(
-                m < data.len(),
-                "view extent {m} out of bounds for buffer of {}",
-                data.len()
-            );
-        }
+    pub fn from_parts(
+        data: &'a [f64],
+        dims: impl AsRef<[usize]>,
+        strides: impl AsRef<[usize]>,
+    ) -> Self {
+        let (dims, strides) = checked_parts(data.len(), dims.as_ref(), strides.as_ref());
         TensorView {
             data,
             dims,
             strides,
         }
+    }
+
+    /// The canonical (mode-0-fastest, densely packed) view of `data` as a
+    /// tensor of `dims` — how a wire buffer is read back.
+    ///
+    /// # Panics
+    /// Panics if `data` is shorter than the extent of `dims`.
+    pub fn packed(data: &'a [f64], dims: &[usize]) -> Self {
+        Self::from_parts(data, dims, canonical_strides(dims))
     }
 
     /// Number of modes.
@@ -295,7 +307,7 @@ impl<'a> TensorView<'a> {
         for base in span.offsets() {
             out.push(self.data[base]);
         }
-        DenseTensor::from_vec(Shape::new(self.dims.clone()), out)
+        DenseTensor::from_vec(Shape::from(&self.dims[..]), out)
     }
 }
 
@@ -305,15 +317,15 @@ impl<'a> TensorView<'a> {
 pub struct TensorViewMut<'a> {
     ptr: *mut f64,
     len: usize,
-    dims: Vec<usize>,
-    strides: Vec<usize>,
+    dims: Dims,
+    strides: Dims,
     _life: PhantomData<&'a mut [f64]>,
 }
 
 impl<'a> TensorViewMut<'a> {
     /// The full mutable view of a tensor.
     pub fn of(t: &'a mut DenseTensor) -> Self {
-        let dims = t.shape().dims().to_vec();
+        let dims = t.shape().dims().into();
         let strides = t.shape().strides();
         let s = t.as_mut_slice();
         TensorViewMut {
@@ -330,12 +342,21 @@ impl<'a> TensorViewMut<'a> {
     /// # Panics
     /// Panics if the region does not fit inside `t`.
     pub fn region(t: &'a mut DenseTensor, region: &Region) -> Self {
-        let (off, dims, strides) = region_parts(t.shape(), region);
+        Self::window(t, &region.start, &region.len)
+    }
+
+    /// The mutable view of the box `[start_n, start_n + len_n)` inside `t`
+    /// (a box of a canonical tensor is injective by construction).
+    ///
+    /// # Panics
+    /// Panics if the box does not fit inside `t`.
+    pub fn window(t: &'a mut DenseTensor, start: &[usize], len: &[usize]) -> Self {
+        let (off, strides) = window_parts(t.shape(), start, len);
         let s = &mut t.as_mut_slice()[off..];
         TensorViewMut {
             ptr: s.as_mut_ptr(),
             len: s.len(),
-            dims,
+            dims: len.into(),
             strides,
             _life: PhantomData,
         }
@@ -347,15 +368,12 @@ impl<'a> TensorViewMut<'a> {
     /// Panics on arity mismatch, out-of-bounds extent, or an **aliasing**
     /// layout (two coordinates mapping to one offset — e.g. a zero stride or
     /// interleaved strides fail the nesting test).
-    pub fn from_parts(data: &'a mut [f64], dims: Vec<usize>, strides: Vec<usize>) -> Self {
-        assert_eq!(dims.len(), strides.len(), "dims/strides arity mismatch");
-        if let Some(m) = max_offset(&dims, &strides) {
-            assert!(
-                m < data.len(),
-                "view extent {m} out of bounds for buffer of {}",
-                data.len()
-            );
-        }
+    pub fn from_parts(
+        data: &'a mut [f64],
+        dims: impl AsRef<[usize]>,
+        strides: impl AsRef<[usize]>,
+    ) -> Self {
+        let (dims, strides) = checked_parts(data.len(), dims.as_ref(), strides.as_ref());
         check_no_alias(&dims, &strides);
         TensorViewMut {
             ptr: data.as_mut_ptr(),
@@ -364,6 +382,15 @@ impl<'a> TensorViewMut<'a> {
             strides,
             _life: PhantomData,
         }
+    }
+
+    /// The canonical (densely packed) mutable view of `data` as a tensor of
+    /// `dims` — how a wire buffer is filled.
+    ///
+    /// # Panics
+    /// Panics if `data` is shorter than the extent of `dims`.
+    pub fn packed(data: &'a mut [f64], dims: &[usize]) -> Self {
+        Self::from_parts(data, dims, canonical_strides(dims))
     }
 
     /// Mode lengths.
@@ -457,21 +484,29 @@ impl<'a> TensorViewMut<'a> {
     }
 }
 
-/// Offset-from-base, dims, and strides of a region inside a shape.
-fn region_parts(shape: &Shape, region: &Region) -> (usize, Vec<usize>, Vec<usize>) {
-    assert_eq!(region.order(), shape.order(), "region arity mismatch");
+/// Offset from base and strides of the box `(start, len)` inside a shape.
+fn window_parts(shape: &Shape, start: &[usize], len: &[usize]) -> (usize, Dims) {
+    assert_eq!(start.len(), shape.order(), "region arity mismatch");
+    assert_eq!(len.len(), shape.order(), "region arity mismatch");
     let strides = shape.strides();
-    for ((&s, &l), &d) in region.start.iter().zip(&region.len).zip(shape.dims()) {
+    for ((&s, &l), &d) in start.iter().zip(len).zip(shape.dims()) {
         assert!(s + l <= d, "region out of bounds for {shape}");
     }
-    let off: usize = region
-        .start
-        .iter()
-        .zip(&strides)
-        .map(|(&s, &st)| s * st)
-        .sum();
+    let off: usize = start.iter().zip(&strides).map(|(&s, &st)| s * st).sum();
     // Clamp so an empty region at the far corner still yields a valid slice.
-    (off.min(shape.cardinality()), region.len.clone(), strides)
+    (off.min(shape.cardinality()), strides)
+}
+
+/// Arity- and bounds-check raw view parts against a buffer of `buf_len`.
+fn checked_parts(buf_len: usize, dims: &[usize], strides: &[usize]) -> (Dims, Dims) {
+    assert_eq!(dims.len(), strides.len(), "dims/strides arity mismatch");
+    if let Some(m) = max_offset(dims, strides) {
+        assert!(
+            m < buf_len,
+            "view extent {m} out of bounds for buffer of {buf_len}"
+        );
+    }
+    (dims.into(), strides.into())
 }
 
 /// Copy `src` into `dst` elementwise (same dims required) in one strided
@@ -488,11 +523,10 @@ pub fn copy_into(src: &TensorView, dst: &mut TensorViewMut) {
         return;
     }
     let dims = src.dims();
-    let order = dims.len();
     // Longest prefix that is canonically packed in BOTH layouts.
     let mut row = 1usize;
     let mut t = 0usize;
-    while t < order {
+    while t < dims.len() {
         let (d, ss, ds) = (dims[t], src.strides[t], dst.strides[t]);
         if d > 1 && (ss != row || ds != row) {
             break;
@@ -500,28 +534,43 @@ pub fn copy_into(src: &TensorView, dst: &mut TensorViewMut) {
         row *= d;
         t += 1;
     }
-    let sdata = src.data;
-    let dst_ptr = dst.ptr;
-    let outer = AxisSpan::over(&dims[t..], &src.strides[t..], |_| true);
-    let outer_dst = AxisSpan::over(&dims[t..], &dst.strides[t..], |_| true);
-    if t > 0 {
-        for (sb, db) in outer.offsets().zip(outer_dst.offsets()) {
-            debug_assert!(db + row <= dst.len);
-            let d = unsafe { std::slice::from_raw_parts_mut(dst_ptr.add(db), row) };
-            d.copy_from_slice(&sdata[sb..sb + row]);
-        }
+    // One run per position of the remaining modes: the packed prefix moved
+    // with `copy_from_slice`, or — mode 0 strided on at least one side —
+    // mode 0 walked elementwise.
+    let (run, s_step, d_step) = if t > 0 {
+        (row, 1, 1)
     } else {
-        // Mode 0 is strided on at least one side: walk it elementwise inside
-        // the odometer over modes 1…
-        let (s0, d0, l0) = (src.strides[0], dst.strides[0], dims[0]);
-        let inner = AxisSpan::over(&dims[1..], &src.strides[1..], |_| true);
-        let inner_dst = AxisSpan::over(&dims[1..], &dst.strides[1..], |_| true);
-        for (sb, db) in inner.offsets().zip(inner_dst.offsets()) {
-            for i in 0..l0 {
-                let off = db + i * d0;
-                debug_assert!(off < dst.len);
-                unsafe { *dst_ptr.add(off) = sdata[sb + i * s0] };
+        t = 1;
+        (dims[0], src.strides[0], dst.strides[0])
+    };
+    let (outer, ss, ds) = (&dims[t..], &src.strides[t..], &dst.strides[t..]);
+    // A single odometer carries both offsets.
+    let mut coord = Dims::filled(outer.len(), 0);
+    let (mut sb, mut db) = (0usize, 0usize);
+    for _ in 0..outer.iter().product::<usize>() {
+        assert!(db + (run - 1) * d_step < dst.len, "copy_into out of bounds");
+        if s_step == 1 && d_step == 1 {
+            // SAFETY: the run ends inside the view's buffer (asserted above),
+            // which `dst` borrows exclusively.
+            let d = unsafe { std::slice::from_raw_parts_mut(dst.ptr.add(db), run) };
+            d.copy_from_slice(&src.data[sb..sb + run]);
+        } else {
+            for i in 0..run {
+                // SAFETY: `db + i · d_step` is at most the offset asserted
+                // above.
+                unsafe { *dst.ptr.add(db + i * d_step) = src.data[sb + i * s_step] };
             }
+        }
+        for j in 0..outer.len() {
+            coord[j] += 1;
+            sb += ss[j];
+            db += ds[j];
+            if coord[j] < outer[j] {
+                break;
+            }
+            sb -= ss[j] * outer[j];
+            db -= ds[j] * outer[j];
+            coord[j] = 0;
         }
     }
     BYTES_COPIED.with(|c| c.set(c.get() + (src.cardinality() * std::mem::size_of::<f64>()) as u64));
@@ -533,8 +582,8 @@ pub fn copy_into(src: &TensorView, dst: &mut TensorViewMut) {
 /// peel the leading single-stride run off a strided operand.
 #[derive(Clone, Debug)]
 pub(crate) struct AxisSpan {
-    dims: Vec<usize>,
-    strides: Vec<usize>,
+    dims: Dims,
+    strides: Dims,
 }
 
 impl AxisSpan {
@@ -543,8 +592,8 @@ impl AxisSpan {
     /// single position at offset 0); zero-length modes are kept so the span
     /// is empty.
     pub fn over(dims: &[usize], strides: &[usize], keep: impl Fn(usize) -> bool) -> AxisSpan {
-        let mut d = Vec::new();
-        let mut s = Vec::new();
+        let mut d = Dims::default();
+        let mut s = Dims::default();
         for (j, (&dj, &sj)) in dims.iter().zip(strides).enumerate() {
             if keep(j) && dj != 1 {
                 d.push(dj);
@@ -572,8 +621,8 @@ impl AxisSpan {
                 1,
                 1,
                 AxisSpan {
-                    dims: vec![],
-                    strides: vec![],
+                    dims: Dims::default(),
+                    strides: Dims::default(),
                 },
             );
         }
@@ -587,8 +636,8 @@ impl AxisSpan {
             run,
             self.strides[0],
             AxisSpan {
-                dims: self.dims[j..].to_vec(),
-                strides: self.strides[j..].to_vec(),
+                dims: self.dims[j..].into(),
+                strides: self.strides[j..].into(),
             },
         )
     }
@@ -611,7 +660,7 @@ impl AxisSpan {
     /// Iterate position offsets starting at linear index `start`.
     pub fn offsets_from(&self, start: usize) -> SpanOffsets {
         let total = self.count();
-        let mut coord = Vec::with_capacity(self.dims.len());
+        let mut coord = Dims::default();
         let mut idx = start;
         for &d in &self.dims {
             coord.push(if d == 0 { 0 } else { idx % d });
@@ -633,9 +682,9 @@ impl AxisSpan {
 
 /// Incremental odometer over an [`AxisSpan`]'s offsets.
 pub(crate) struct SpanOffsets {
-    dims: Vec<usize>,
-    strides: Vec<usize>,
-    coord: Vec<usize>,
+    dims: Dims,
+    strides: Dims,
+    coord: Dims,
     off: usize,
     remaining: usize,
 }

@@ -10,10 +10,13 @@ use tucker_core::decomposition::TuckerDecomposition;
 use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
 use tucker_core::engine::{run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig};
 use tucker_core::hooi::hooi_invocation;
-use tucker_core::plan::Planner;
+use tucker_core::plan::{NetCostModel, Planner, SearchBudget};
 use tucker_core::sthosvd::sthosvd_with_order;
 use tucker_core::TuckerMeta;
-use tucker_distsim::{enumerate_valid_grids, MeshCfg, NetModel};
+use tucker_distsim::dist_gram::dist_gram_all_with_norm;
+use tucker_distsim::{
+    enumerate_valid_grids, DistTensor, MeshCfg, NetModel, Universe, VolumeCategory,
+};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
 use tucker_tensor::DenseTensor;
@@ -298,9 +301,11 @@ fn hooi_matches_sequential_through_the_selected_solver() {
 }
 
 /// The worker pool is a host detail: one virtual-time run on a single worker
-/// (the deterministic one-rank-at-a-time schedule), on the default pool and
-/// on a worker per rank reports the same plan, modeled communication clocks
-/// and ledger, and bit-identical errors and factors.
+/// (the deterministic one-rank-at-a-time schedule), on the default pool, on
+/// two workers and on a worker per rank reports the same plan, modeled
+/// communication clocks and ledger, the same volumes in **every** sweep, and
+/// bit-identical errors and factors. The sweeps' volumes plus the HOSVD
+/// init's add up to the run's ledger.
 #[test]
 fn virtual_time_run_does_not_depend_on_the_worker_pool() {
     let meta = TuckerMeta::new([12, 10, 8], [6, 4, 4]);
@@ -315,12 +320,18 @@ fn virtual_time_run_does_not_depend_on_the_worker_pool() {
     let one = run(1);
     assert_eq!(one.workers, 1);
     assert!(one.per_sweep.iter().all(|s| !s.comm_wall.is_zero()));
-    for workers in [0, NRANKS] {
+    // 0 = the host's default pool; NRANKS = 4 = a worker per rank.
+    for workers in [0, 2, NRANKS] {
         let pool = run(workers);
         assert_eq!(pool.plans, one.plans);
         for (a, b) in pool.per_sweep.iter().zip(&one.per_sweep) {
             assert_eq!(a.comm_wall, b.comm_wall, "{workers} workers");
             assert_eq!(a.error.to_bits(), b.error.to_bits(), "{workers} workers");
+            assert_eq!(
+                (a.ttm_volume, a.regrid_volume, a.gram_volume),
+                (b.ttm_volume, b.regrid_volume, b.gram_volume),
+                "{workers} workers"
+            );
         }
         assert_eq!(pool.volume(), one.volume(), "{workers} workers");
         let (da, db) = (pool.expect_decomposition(), one.expect_decomposition());
@@ -328,4 +339,33 @@ fn virtual_time_run_does_not_depend_on_the_worker_pool() {
             assert_eq!(fa.max_abs_diff(fb), 0.0, "{workers} workers");
         }
     }
+
+    // Sweep windows partition the run's TTM, regrid and Gram traffic; what
+    // is left of the Gram ledger is the init's fused Gram all-reduce, run
+    // here on its own under the plan's initial grid.
+    let plan = Planner::new(meta.clone(), NRANKS).best_plan_with(
+        &NetCostModel::new(NetModel::bgq(), NRANKS),
+        &SearchBudget::winner_only(),
+    );
+    assert_eq!(one.plans, vec![plan.name()]);
+    let init = Universe::run(NRANKS, |ctx| {
+        let t = DistTensor::from_global_fn(ctx, meta.input(), &plan.grids.initial, field);
+        let _ = dist_gram_all_with_norm(ctx, &t);
+    })
+    .volume;
+    let total = one.volume();
+    let sum = |f: fn(&tucker_core::SweepStats) -> u64| one.per_sweep.iter().map(f).sum::<u64>();
+    assert_eq!(
+        sum(|s| s.ttm_volume),
+        total.elements(VolumeCategory::TtmReduceScatter)
+    );
+    assert_eq!(
+        sum(|s| s.regrid_volume),
+        total.elements(VolumeCategory::Regrid)
+    );
+    assert_eq!(
+        sum(|s| s.gram_volume) + init.elements(VolumeCategory::Gram),
+        total.elements(VolumeCategory::Gram)
+    );
+    assert!(sum(|s| s.ttm_volume) > 0 && init.elements(VolumeCategory::Gram) > 0);
 }
