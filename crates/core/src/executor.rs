@@ -1023,7 +1023,7 @@ mod tests {
     }
 
     /// `merge_max` keeps the per-rank maximum of the kernel-bytes gauge,
-    /// like the volume fields.
+    /// like the clocks (the three volume fields are summed).
     #[test]
     fn merge_max_covers_kernel_bytes() {
         let mut a = SweepStats {

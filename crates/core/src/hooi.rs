@@ -404,20 +404,13 @@ mod tests {
             ws.recycle(superseded.core);
         }
         let before = tucker_tensor::tensor_buffer_allocs();
-        let pack_before = ws.pack_bytes();
         let out = hooi_invocation_ws(&t, &meta, &current, &tree, &mut ws);
         let allocs = tucker_tensor::tensor_buffer_allocs() - before;
+        // The thread's kernel pack buffers are part of the same invariant:
+        // their growth bumps the same counter.
         assert_eq!(
             allocs, 0,
             "steady-state HOOI invocation allocated {allocs} tensor buffers"
-        );
-        // The pooled kernel pack buffers are part of the same invariant:
-        // warm-ups sized them, so a steady-state invocation must not regrow
-        // them (growth would also have bumped the alloc counter above).
-        assert_eq!(
-            ws.pack_bytes(),
-            pack_before,
-            "steady-state HOOI invocation regrew the workspace pack buffers"
         );
         // The invocation still did real work.
         assert!(out.error.is_finite() && out.decomposition.factors_orthonormal(1e-8));

@@ -39,9 +39,7 @@ use crate::plan::tree::{chain_tree, TtmTree};
 use crate::sthosvd::sthosvd;
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::{fro_norm_sq, relative_error_from_core};
-use tucker_tensor::{
-    copy_into, gram, gram_view, DenseTensor, Shape, TensorView, TensorViewMut, TtmWorkspace,
-};
+use tucker_tensor::{copy_into, gram, DenseTensor, Shape, TensorView, TensorViewMut, TtmWorkspace};
 
 /// Tile extents `(start, len)` covering `0..total` along the last mode.
 fn tiles(total: usize, tile_len: usize) -> Vec<(usize, usize)> {
@@ -65,7 +63,7 @@ fn project_view(
     let mut cur: Option<DenseTensor> = None;
     for &(n, a) in ops {
         let next = match cur.as_ref() {
-            None => ws.ttm_view(tile, n, a),
+            None => ws.ttm(tile.clone(), n, a),
             Some(z) => ws.ttm(z, n, a),
         };
         if let Some(old) = cur.replace(next) {
@@ -170,7 +168,7 @@ pub fn sthosvd_outofcore(
                     ws.recycle(z);
                 }
                 // Mode 0 projects nothing: Gram straight off the view.
-                None => add_gram(&mut acc, &gram_view(&tile, n)),
+                None => add_gram(&mut acc, &gram(tile, n)),
             }
         }
         let f = leading_from_gram(&Matrix::from_vec(ln, ln, acc), meta.k(n)).u;
@@ -226,7 +224,7 @@ pub fn hooi_sweep_outofcore(
                     w
                 }
                 // Order 2, mode 0: the tile itself is the operand.
-                None => ws.ttm_view(&tile, last, &ft_cols),
+                None => ws.ttm(tile, last, &ft_cols),
             };
             match y.as_mut() {
                 None => y = Some(w),
@@ -320,7 +318,7 @@ pub fn tucker_outofcore(
 /// fibers never cross a frame boundary, the raw Gram matrix of every
 /// spatial mode is additive over frames, so each push *downdates* the
 /// departing slab's Gram contribution and adds the arriving slab's (two
-/// slab-sized [`gram_view`] calls instead of a window-sized Gram — the
+/// slab-sized [`gram`] calls instead of a window-sized Gram — the
 /// dominant init cost shrinks by `window/slab`). The refreshed factors
 /// warm-start the HOOI re-convergence on a persistent [`SeqBackend`]
 /// (pooled buffers survive pushes, so steady-state pushes are free of
@@ -392,7 +390,7 @@ impl SlidingTucker {
     /// Advance the window by `slab`'s last-mode extent `s`: frames
     /// `s..W` shift down in place, `slab` lands in the freed tail, the
     /// spatial Grams are downdated by the departing slab and updated by
-    /// the arriving one (four slab-sized [`gram_view`] calls on a 3-way
+    /// the arriving one (four slab-sized [`gram`] calls on a 3-way
     /// window — never a window-sized Gram), and HOOI re-converges from
     /// factors refreshed out of that state. Returns the new relative
     /// error.
@@ -417,7 +415,7 @@ impl SlidingTucker {
         // they are still resident at the head of the window.
         for n in 0..last {
             let head = TensorView::of(&self.window).slice(last, 0, s);
-            sub_gram(self.spatial_grams[n].as_mut_slice(), &gram_view(&head, n));
+            sub_gram(self.spatial_grams[n].as_mut_slice(), &gram(head.clone(), n));
         }
         let frame: usize = self.window.shape().dims()[..last].iter().product();
         let data = self.window.as_mut_slice();
@@ -427,7 +425,7 @@ impl SlidingTucker {
         // written tail.
         for n in 0..last {
             let tail = TensorView::of(&self.window).slice(last, w - s, s);
-            add_gram(self.spatial_grams[n].as_mut_slice(), &gram_view(&tail, n));
+            add_gram(self.spatial_grams[n].as_mut_slice(), &gram(tail.clone(), n));
         }
         self.reconverge()
     }

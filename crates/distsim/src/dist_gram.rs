@@ -52,7 +52,7 @@ fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
         // (zero-length) column ranges.
         chunk(nf, qn, my_idx)
     };
-    gram_cols(&slab, n, c0, clen)
+    gram_cols(slab.as_ref(), n, c0, clen)
 }
 
 /// Compute the global Gram matrix `Z(n) Z(n)ᵀ` of the distributed tensor.

@@ -37,8 +37,6 @@
 pub mod evd;
 pub mod gemm;
 pub mod matrix;
-#[cfg(feature = "mixed-precision")]
-pub mod mixed;
 pub mod pack;
 pub mod pool;
 pub mod qr;
@@ -48,8 +46,6 @@ pub mod syrk;
 pub use evd::{jacobi_evd, sym_evd, sym_evd_leading, SymEvd};
 pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
-#[cfg(feature = "mixed-precision")]
-pub use mixed::gemm_mixed;
 pub use pack::{
     bytes_packed, kernel_isa, kernel_mode, set_kernel_mode, KernelMode, PackBuf, PackPair,
 };

@@ -24,8 +24,8 @@
 //! thread-locals stay warm: sequential entry points stage through
 //! [`with_thread_packs`], the parts of a parallel region through
 //! [`with_part_packs`] — a second slot, because the call that opened the
-//! region may be holding the first one on the same thread — and
-//! `TtmWorkspace` in `tucker-tensor` pools its own pair, so steady-state
+//! region may be holding the first one on the same thread. Those two slots
+//! are the only owners of pack buffers in the workspace, so steady-state
 //! sweeps stay allocation-free on every thread. [`bytes_packed`] counts the
 //! bytes staged through pack buffers **on behalf of the calling thread**:
 //! its own packing plus, when a region it submitted ends, what the team's
@@ -154,8 +154,8 @@ fn note_packed(f64s: usize) {
 /// `Vec<f64>` only guarantees 8-byte alignment, so the buffer over-allocates
 /// by one alignment unit and serves slices from an aligned offset. Growth is
 /// explicit: [`ensure`](PackBuf::ensure) returns whether the backing
-/// allocation grew, so pooling callers (the tensor workspace) can fold pack
-/// growth into their allocation counters.
+/// allocation grew, so callers (the tensor kernels) can fold pack growth
+/// into their allocation counters.
 #[derive(Default)]
 pub struct PackBuf {
     buf: Vec<f64>,
@@ -187,11 +187,6 @@ impl PackBuf {
         true
     }
 
-    /// Bytes held by the backing allocation.
-    pub fn allocated_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<f64>()
-    }
-
     /// The first `len` packed values (after [`ensure`](PackBuf::ensure)).
     #[inline]
     pub fn slice(&self, len: usize) -> &[f64] {
@@ -221,11 +216,6 @@ impl PackPair {
             a: PackBuf::new(),
             b: PackBuf::new(),
         }
-    }
-
-    /// Bytes held by both backing allocations.
-    pub fn allocated_bytes(&self) -> usize {
-        self.a.allocated_bytes() + self.b.allocated_bytes()
     }
 }
 

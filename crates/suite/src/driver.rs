@@ -22,8 +22,8 @@ use tucker_distsim::{MeshCfg, NetModel, VolumeCategory};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::subtensor::{extract, Region};
 use tucker_tensor::{
-    copy_into, gram_threads, gram_view_threads, view_bytes_copied, DenseTensor, Shape, TensorView,
-    TensorViewMut, TtmWorkspace,
+    copy_into, gram_threads, view_bytes_copied, DenseTensor, Shape, TensorView, TensorViewMut,
+    TtmWorkspace,
 };
 
 /// Analytic metrics of one strategy on one tensor.
@@ -811,17 +811,19 @@ pub fn backend_lineup(
 
 // ------------------------------------------------------------------ views
 
-/// Median wall time of `f` over `reps` runs.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut ts: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ts[reps / 2]
+/// Median wall times of `f(true)` and `f(false)` over `reps` runs each,
+/// alternating, so a slow spell of the host lands on both arms of the
+/// comparison instead of on one.
+fn median_pair_secs(reps: usize, mut f: impl FnMut(bool)) -> (f64, f64) {
+    let mut time = |arm: bool| {
+        let t0 = std::time::Instant::now();
+        f(arm);
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut a, mut b): (Vec<f64>, Vec<f64>) = (0..reps).map(|_| (time(true), time(false))).unzip();
+    a.sort_by(f64::total_cmp);
+    b.sort_by(f64::total_cmp);
+    (a[reps / 2], b[reps / 2])
 }
 
 /// One kernel timing of the views bench: the same Gram/TTM over the same
@@ -884,17 +886,18 @@ pub fn view_kernel_bench() -> Vec<ViewKernelRow> {
         let v = TensorView::region(&t, r);
         for mode in 0..3 {
             // Gram of the region along `mode`.
-            let gv = gram_view_threads(&v, mode, 1);
+            let gv = gram_threads(v.clone(), mode, 1);
             let sub = DenseTensor::from_vec(r.shape(), extract(&t, r));
             let ge = gram_threads(&sub, mode, 1);
             let gram_equal = gv.as_slice() == ge.as_slice();
             drop(sub);
-            let view_s = median_secs(REPS, || {
-                black_box(gram_view_threads(black_box(&v), mode, 1));
-            });
-            let extract_s = median_secs(REPS, || {
-                let sub = DenseTensor::from_vec(r.shape(), extract(black_box(&t), r));
-                black_box(gram_threads(&sub, mode, 1));
+            let (view_s, extract_s) = median_pair_secs(REPS, |view_arm| {
+                if view_arm {
+                    black_box(gram_threads(black_box(v.clone()), mode, 1));
+                } else {
+                    let sub = DenseTensor::from_vec(r.shape(), extract(black_box(&t), r));
+                    black_box(gram_threads(&sub, mode, 1));
+                }
             });
             rows.push(ViewKernelRow {
                 region: label,
@@ -909,20 +912,20 @@ pub fn view_kernel_bench() -> Vec<ViewKernelRow> {
             let a = Matrix::from_fn(RANK, r.len[mode], |i, j| {
                 crate::fields::hash_noise(&[mode, i, j], 0xA11E)
             });
-            let tv = ws.ttm_view_threads(&v, mode, &a, 1);
+            let tv = ws.ttm_threads(v.clone(), mode, &a, 1);
             let sub = DenseTensor::from_vec(r.shape(), extract(&t, r));
             let te = ws.ttm_threads(&sub, mode, &a, 1);
             let ttm_equal = tv.as_slice() == te.as_slice();
             ws.recycle(tv);
             ws.recycle(te);
             drop(sub);
-            let view_s = median_secs(REPS, || {
-                let z = ws.ttm_view_threads(black_box(&v), mode, &a, 1);
-                ws.recycle(black_box(z));
-            });
-            let extract_s = median_secs(REPS, || {
-                let sub = DenseTensor::from_vec(r.shape(), extract(black_box(&t), r));
-                let z = ws.ttm_threads(&sub, mode, &a, 1);
+            let (view_s, extract_s) = median_pair_secs(REPS, |view_arm| {
+                let z = if view_arm {
+                    ws.ttm_threads(black_box(v.clone()), mode, &a, 1)
+                } else {
+                    let sub = DenseTensor::from_vec(r.shape(), extract(black_box(&t), r));
+                    ws.ttm_threads(&sub, mode, &a, 1)
+                };
                 ws.recycle(black_box(z));
             });
             rows.push(ViewKernelRow {
@@ -1063,13 +1066,14 @@ pub fn pack_timing_bench() -> PackTiming {
     }
     let equal = reference == buf;
 
-    let extract_pack_s = median_secs(REPS, || {
-        let staged = extract(black_box(&t), &r);
-        buf.copy_from_slice(black_box(&staged));
-    });
-    let view_pack_s = median_secs(REPS, || {
-        let mut dst = TensorViewMut::from_parts(&mut buf, r.len.clone(), canonical.clone());
-        copy_into(black_box(&TensorView::region(&t, &r)), &mut dst);
+    let (view_pack_s, extract_pack_s) = median_pair_secs(REPS, |view_arm| {
+        if view_arm {
+            let mut dst = TensorViewMut::from_parts(&mut buf, r.len.clone(), canonical.clone());
+            copy_into(black_box(&TensorView::region(&t, &r)), &mut dst);
+        } else {
+            let staged = extract(black_box(&t), &r);
+            buf.copy_from_slice(black_box(&staged));
+        }
     });
     PackTiming {
         extract_pack_s,

@@ -3,7 +3,7 @@
 //! In debug builds this module also maintains a **tensor-buffer allocation
 //! counter** (thread-local, see [`tensor_buffer_allocs`]): every fresh
 //! tensor-sized buffer — a constructor allocation, a [`Clone`], or a pooled
-//! buffer outgrowing its capacity in `ttm_into` — bumps it. The counter backs
+//! buffer outgrowing its capacity in `ttm_into_threads` — bumps it. The counter backs
 //! the allocation-regression smoke test asserting that a steady-state HOOI
 //! iteration (fused Gram + workspace TTM) performs zero tensor-buffer
 //! allocations. Release builds compile the counter out entirely.

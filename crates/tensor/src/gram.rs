@@ -13,6 +13,12 @@
 //! G = T(n)·T(n)ᵀ = Σ_o S_oᵀ · S_o
 //! ```
 //!
+//! Every entry point takes `impl Into<TensorView>`: a `&DenseTensor` enters
+//! as its full view, a contiguous view (any last-mode slice) is read where it
+//! lies, and any other view is copied once into a grow-only thread-local
+//! scratch and then read from there ([`with_canonical`]) — one body, and
+//! view == extract to the bit because the view path *is* the extract path.
+//!
 //! [`gram`] evaluates that sum with [`tucker_linalg::syrk_ata_lower`]
 //! (lower-triangle dot products over contiguous slab columns), splitting the
 //! fiber range into `threads` parts — run on the shared worker team,
@@ -28,9 +34,9 @@
 //! baseline arm of the kernel-ablation bench; see `ROADMAP.md` and the
 //! `BENCH_kernels.json` trajectory for the measured gap.
 
-use crate::dense::{note_buffer_alloc, DenseTensor};
-use crate::view::{AxisSpan, TensorView};
-use tucker_linalg::{mirror_lower, pack, syrk_aat_lower, syrk_ata_lower, Matrix, Pool};
+use crate::dense::note_buffer_alloc;
+use crate::view::{copy_into, TensorView, TensorViewMut};
+use tucker_linalg::{mirror_lower, syrk_aat_lower, syrk_ata_lower, Matrix, Pool};
 
 /// Minimum multiply-add count before the fiber range is split across threads.
 const PAR_MIN_WORK: usize = 1 << 15;
@@ -47,6 +53,9 @@ fn accumulate_src_range(
     len: usize,
     acc: &mut [f64],
 ) {
+    if len == 0 {
+        return;
+    }
     let ln = dims[n];
     let inner: usize = dims[..n].iter().product();
 
@@ -70,216 +79,49 @@ fn accumulate_src_range(
     }
 }
 
-/// [`accumulate_src_range`] over an arbitrary strided view, **bit-identical**
-/// to running the canonical path on an extracted copy: the strided "mill"
-/// kernels below replicate the per-element accumulation order of both the
-/// packed triangle kernel (fresh partial per `KC` block of the fiber range,
-/// flushed with one add) and the naive dot/axpy loops (eight-lane dot
-/// structure, zero-skip rank-1 updates), and the packed/naive dispatch is
-/// made on the same logical sizes.
-fn accumulate_view_range(v: &TensorView, n: usize, f0: usize, len: usize, acc: &mut [f64]) {
-    if len == 0 {
-        return;
-    }
-    let dims = v.dims();
-    let strides = v.strides();
-    let ln = dims[n];
-    let sn = strides[n];
-    let data = v.data();
-    let inner: usize = dims[..n].iter().product();
-
-    if inner == 1 {
-        // One global range, matching the single `syrk_aat_lower` call of the
-        // canonical path (KC phase anchored at f0).
-        let fibers = AxisSpan::over(dims, strides, |j| j != n);
-        if pack::use_packed(ln, ln, len) {
-            mill_gram_packed(data, fibers.offsets_from(f0), len, ln, sn, acc);
-        } else {
-            mill_gram_rank1(data, fibers.offsets_from(f0), len, ln, sn, acc);
-        }
-        return;
-    }
-
-    // Slab walk clipped to the fiber range, one `syrk_ata_lower` equivalent
-    // per slab (KC phase anchored at each slab's range start, exactly like
-    // the per-slab calls of the canonical path).
-    let outer = AxisSpan::over(dims, strides, |j| j > n);
-    let inner_span = AxisSpan::over(dims, strides, |j| j < n);
-    let f1 = f0 + len;
-    let mut f = f0;
-    while f < f1 {
-        let o = f / inner;
-        let i0 = f - o * inner;
-        let i1 = inner.min(i0 + (f1 - f));
-        let sbase = outer.offset_at(o);
-        let offs = inner_span.offsets_from(i0).map(|p| sbase + p);
-        if pack::use_packed(ln, ln, i1 - i0) {
-            mill_gram_packed(data, offs, i1 - i0, ln, sn, acc);
-        } else {
-            mill_gram_lanes(data, offs, i1 - i0, ln, sn, acc);
-        }
-        f += i1 - i0;
-    }
-}
-
 thread_local! {
-    /// Grow-only scratch for the strided Gram mills (`L_n` gathered fiber
-    /// values plus either a `L_n × L_n` partial or the eight-lane dot state).
-    /// Growth is counted as a tensor-buffer allocation, so the zero-alloc
-    /// steady-state invariant extends to view paths.
-    static MILL_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+    /// Grow-only landing buffer for the one copy a non-contiguous view pays
+    /// on its way into the slab kernel. Growth is counted as a tensor-buffer
+    /// allocation, so the zero-alloc steady-state invariant extends to views.
+    static VIEW_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-fn with_mill_scratch<R>(min_len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    MILL_SCRATCH.with(|cell| {
+/// Run `f` on the view's elements in canonical layout: in place when the
+/// view is contiguous (every full-tensor view and last-mode slice is), else
+/// copied **once** through [`copy_into`] into this thread's scratch — which
+/// is extract-then-compute minus the allocation, so the bits are those of
+/// the extracted tensor by construction. A strided Gram that walks the view
+/// in place has to gather each fiber element by element and measured
+/// 0.13–0.36× of this copy (DESIGN §11). The scratch is as large as the
+/// largest strided view this thread has taken a Gram of, and is kept.
+fn with_canonical<R>(v: &TensorView, f: impl FnOnce(&[f64]) -> R) -> R {
+    if let Some(src) = v.contiguous_data() {
+        return f(src);
+    }
+    VIEW_SCRATCH.with(|cell| {
         let mut buf = cell.take();
-        if buf.len() < min_len {
-            if buf.capacity() < min_len {
-                note_buffer_alloc();
-            }
-            buf.resize(min_len, 0.0);
+        let len = v.cardinality();
+        if buf.capacity() < len {
+            note_buffer_alloc();
         }
-        // Hand out exactly `min_len`: the buffer is grow-only, and the mills
-        // size their gather loops off the slice they receive — a stale wider
-        // slice from an earlier, larger call would walk `data` out of bounds.
-        let r = f(&mut buf[..min_len]);
+        buf.resize(len, 0.0);
+        copy_into(v, &mut TensorViewMut::packed(&mut buf, v.dims()));
+        let r = f(&buf);
         cell.set(buf);
         r
     })
 }
 
-/// Strided equivalent of the **packed** triangle kernel over one contraction
-/// range: per lower-triangle element, a fresh partial sum per `KC` block of
-/// positions (ascending within the block) is added to `acc` at each block
-/// boundary — the exact per-element order of `pack::syrk_packed_lower`.
-fn mill_gram_packed(
-    data: &[f64],
-    offs: impl Iterator<Item = usize>,
-    count: usize,
-    ln: usize,
-    sn: usize,
-    acc: &mut [f64],
-) {
-    with_mill_scratch(ln + ln * ln, |scratch| {
-        let (vals, part) = scratch.split_at_mut(ln);
-        part[..ln * ln].fill(0.0);
-        let mut q = 0usize;
-        for base in offs.take(count) {
-            for (l, vv) in vals.iter_mut().enumerate() {
-                *vv = data[base + l * sn];
-            }
-            for j in 0..ln {
-                let vj = vals[j];
-                for i in j..ln {
-                    part[i + j * ln] += vals[i] * vj;
-                }
-            }
-            q += 1;
-            if q.is_multiple_of(pack::KC) {
-                for j in 0..ln {
-                    for i in j..ln {
-                        acc[i + j * ln] += part[i + j * ln];
-                        part[i + j * ln] = 0.0;
-                    }
-                }
-            }
-        }
-        if !q.is_multiple_of(pack::KC) {
-            for j in 0..ln {
-                for i in j..ln {
-                    acc[i + j * ln] += part[i + j * ln];
-                }
-            }
-        }
-    });
+/// `(L_n, number of mode-n fibers)` of a view (`0` fibers when it is empty).
+fn fiber_space(v: &TensorView, n: usize) -> (usize, usize) {
+    v.check_mode(n);
+    let ln = v.dim(n);
+    (ln, v.cardinality() / ln.max(1))
 }
 
-/// Strided equivalent of the naive `syrk_aat_lower` loop (mode-0 fibers):
-/// one zero-skipping rank-1 update per fiber, straight into `acc`.
-fn mill_gram_rank1(
-    data: &[f64],
-    offs: impl Iterator<Item = usize>,
-    count: usize,
-    ln: usize,
-    sn: usize,
-    acc: &mut [f64],
-) {
-    with_mill_scratch(ln, |vals| {
-        for base in offs.take(count) {
-            for (l, vv) in vals.iter_mut().enumerate() {
-                *vv = data[base + l * sn];
-            }
-            for j in 0..ln {
-                let vj = vals[j];
-                if vj == 0.0 {
-                    continue;
-                }
-                for i in j..ln {
-                    acc[i + j * ln] += vj * vals[i];
-                }
-            }
-        }
-    });
-}
-
-/// Strided equivalent of the naive `syrk_ata_lower` loop (one slab range):
-/// per lower-triangle pair, the eight-lane `unrolled_dot` structure — lane
-/// `q % 8` for the unrolled body, sequential tail, identical final
-/// reduction — streamed position-by-position so each strided fiber value is
-/// gathered once.
-fn mill_gram_lanes(
-    data: &[f64],
-    offs: impl Iterator<Item = usize>,
-    count: usize,
-    ln: usize,
-    sn: usize,
-    acc: &mut [f64],
-) {
-    let pairs = ln * (ln + 1) / 2;
-    with_mill_scratch(ln + pairs * 9, |scratch| {
-        let (vals, rest) = scratch.split_at_mut(ln);
-        let (lanes, tails) = rest.split_at_mut(pairs * 8);
-        lanes[..pairs * 8].fill(0.0);
-        tails[..pairs].fill(0.0);
-        let main = count - count % 8;
-        for (q, base) in offs.take(count).enumerate() {
-            for (l, vv) in vals.iter_mut().enumerate() {
-                *vv = data[base + l * sn];
-            }
-            let mut p = 0usize;
-            if q < main {
-                let lane = q % 8;
-                for l2 in 0..ln {
-                    let v2 = vals[l2];
-                    for &v1 in &vals[l2..ln] {
-                        lanes[p * 8 + lane] += v1 * v2;
-                        p += 1;
-                    }
-                }
-            } else {
-                for l2 in 0..ln {
-                    let v2 = vals[l2];
-                    for &v1 in &vals[l2..ln] {
-                        tails[p] += v1 * v2;
-                        p += 1;
-                    }
-                }
-            }
-        }
-        let mut p = 0usize;
-        for l2 in 0..ln {
-            for l1 in l2..ln {
-                let a = &lanes[p * 8..p * 8 + 8];
-                acc[l1 + l2 * ln] +=
-                    tails[p] + ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]));
-                p += 1;
-            }
-        }
-    });
-}
-
-/// The Gram matrix `G = T(n) · T(n)ᵀ` (`L_n × L_n`), computed directly from
-/// the canonical layout without materializing the unfolding.
+/// The Gram matrix `G = T(n) · T(n)ᵀ` (`L_n × L_n`) of a tensor or of any
+/// strided [`TensorView`] (a `&DenseTensor` enters as its full view),
+/// computed from the canonical layout without materializing the unfolding.
 ///
 /// Numerically equivalent to `syrk(&unfold(t, n))`; the fiber-parallel path
 /// regroups the summation per worker, so results can differ by a few ulps.
@@ -289,12 +131,11 @@ fn mill_gram_lanes(
 ///
 /// # Panics
 /// Panics if `n` is not a valid mode.
-pub fn gram(t: &DenseTensor, n: usize) -> Matrix {
-    let shape = t.shape();
-    assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    let ln = shape.dim(n);
-    let work = shape.num_fibers(n) * ln * (ln + 1) / 2;
-    gram_threads(t, n, crate::threads::heuristic_threads(work, PAR_MIN_WORK))
+pub fn gram<'a>(t: impl Into<TensorView<'a>>, n: usize) -> Matrix {
+    let v = t.into();
+    let (ln, nf) = fiber_space(&v, n);
+    let work = nf * ln * (ln + 1) / 2;
+    gram_threads(v, n, crate::threads::heuristic_threads(work, PAR_MIN_WORK))
 }
 
 /// [`gram`] with an **explicit** partition count: the mode-`n` fiber range is
@@ -306,34 +147,34 @@ pub fn gram(t: &DenseTensor, n: usize) -> Matrix {
 /// not apply. This is the par-ranged entry point the sweep-executor backends
 /// build on (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
 ///
+/// A contiguous view runs in place; any other view is copied once into a
+/// thread-local scratch first (see [`with_canonical`]), so the result is
+/// bit-identical to extracting the view and calling this on the copy.
+///
 /// # Panics
 /// Panics if `n` is not a valid mode.
-pub fn gram_threads(t: &DenseTensor, n: usize, threads: usize) -> Matrix {
-    let shape = t.shape();
-    assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    let ln = shape.dim(n);
-    let nf = shape.num_fibers(n);
-    let src = t.as_slice();
-    let dims = shape.dims();
-    gram_ranges(ln, nf, threads, |f0, len, buf| {
-        accumulate_src_range(src, dims, n, f0, len, buf)
-    })
+pub fn gram_threads<'a>(t: impl Into<TensorView<'a>>, n: usize, threads: usize) -> Matrix {
+    let v = t.into();
+    let (ln, nf) = fiber_space(&v, n);
+    with_canonical(&v, |src| gram_ranges(src, v.dims(), n, ln, nf, threads))
 }
 
-/// Shared split/reduce skeleton of [`gram_threads`] and
-/// [`gram_view_threads`]: the fiber range is split into per-worker
-/// contiguous sub-ranges handed to `accumulate`, then merged by a pairwise
-/// tree reduction. Keeping one skeleton guarantees the dense and view entry
-/// points produce bit-identical results at any worker count.
-fn gram_ranges<F>(ln: usize, nf: usize, threads: usize, accumulate: F) -> Matrix
-where
-    F: Fn(usize, usize, &mut [f64]) + Sync,
-{
+/// The split/reduce skeleton of [`gram_threads`]: the fiber range is split
+/// into per-part contiguous sub-ranges, each accumulated on its own, then
+/// merged by a pairwise tree reduction.
+fn gram_ranges(
+    src: &[f64],
+    dims: &[usize],
+    n: usize,
+    ln: usize,
+    nf: usize,
+    threads: usize,
+) -> Matrix {
     let m = ln * ln;
     let workers = threads.max(1).min(nf);
     if workers <= 1 {
         let mut g = Matrix::zeros(ln, ln);
-        accumulate(0, nf, g.as_mut_slice());
+        accumulate_src_range(src, dims, n, 0, nf, g.as_mut_slice());
         mirror_lower(g.as_mut_slice(), ln);
         return g;
     }
@@ -345,7 +186,7 @@ where
     Pool::shared().chunks_mut(&mut acc, m, |w, buf| {
         let f0 = w * per;
         let f1 = nf.min(f0 + per);
-        accumulate(f0, f1 - f0, buf);
+        accumulate_src_range(src, dims, n, f0, f1 - f0, buf);
     });
 
     // ... merged by pairwise tree reduction into chunk 0.
@@ -370,7 +211,8 @@ where
 /// Gram contribution of the contiguous unfolding-column range
 /// `[c0, c0 + len)`: the `L_n × L_n` matrix `U · Uᵀ` where `U` is
 /// `unfold(t, n)` restricted to those columns — computed in place from the
-/// canonical layout, no column copy.
+/// canonical layout, no column copy (a non-contiguous view is first copied
+/// whole, like in [`gram_threads`]).
 ///
 /// Summing [`gram_cols`] over any partition of `0..num_fibers(n)` yields
 /// [`gram`]. An empty range (`len == 0`) returns the zero matrix, so callers
@@ -383,93 +225,18 @@ where
 /// # Panics
 /// Panics if `n` is out of range or the column range exceeds the number of
 /// mode-`n` fibers.
-pub fn gram_cols(t: &DenseTensor, n: usize, c0: usize, len: usize) -> Matrix {
-    let shape = t.shape();
-    assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    let nf = shape.num_fibers(n);
+pub fn gram_cols<'a>(t: impl Into<TensorView<'a>>, n: usize, c0: usize, len: usize) -> Matrix {
+    let v = t.into();
+    let (ln, nf) = fiber_space(&v, n);
     assert!(
         c0 + len <= nf,
         "column range {c0}..{} exceeds {nf} mode-{n} fibers",
         c0 + len
     );
-    let ln = shape.dim(n);
     let mut g = Matrix::zeros(ln, ln);
-    accumulate_src_range(t.as_slice(), shape.dims(), n, c0, len, g.as_mut_slice());
-    mirror_lower(g.as_mut_slice(), ln);
-    g
-}
-
-/// Number of mode-`n` fibers of a view (product of the other extents);
-/// `0` when any of them is empty.
-fn view_num_fibers(v: &TensorView, n: usize) -> usize {
-    v.dims()
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != n)
-        .map(|(_, &d)| d)
-        .product()
-}
-
-/// [`gram`] over an arbitrary strided [`TensorView`] — **no extraction, no
-/// scratch tensor**. Contiguous views (including every full-tensor view)
-/// take the canonical slab kernels on the underlying storage directly;
-/// genuinely strided views run the mill kernels, which replicate the
-/// canonical accumulation order element for element, so the result is
-/// bit-identical to extracting the view into a fresh tensor and calling
-/// [`gram_threads`] with the same worker count.
-///
-/// # Panics
-/// Panics if `n` is not a valid mode of the view.
-pub fn gram_view(v: &TensorView, n: usize) -> Matrix {
-    assert!(n < v.order(), "mode {n} out of range for view");
-    let ln = v.dim(n);
-    let work = view_num_fibers(v, n) * ln * (ln + 1) / 2;
-    gram_view_threads(v, n, crate::threads::heuristic_threads(work, PAR_MIN_WORK))
-}
-
-/// [`gram_view`] with an **explicit** worker count; the split/reduce
-/// skeleton is shared with [`gram_threads`], so for equal data and worker
-/// count the two agree to the bit.
-///
-/// # Panics
-/// Panics if `n` is not a valid mode of the view.
-pub fn gram_view_threads(v: &TensorView, n: usize, threads: usize) -> Matrix {
-    assert!(n < v.order(), "mode {n} out of range for view");
-    let ln = v.dim(n);
-    let nf = view_num_fibers(v, n);
-    if let Some(src) = v.contiguous_data() {
-        let dims = v.dims();
-        return gram_ranges(ln, nf, threads, |f0, len, buf| {
-            accumulate_src_range(src, dims, n, f0, len, buf)
-        });
-    }
-    gram_ranges(ln, nf, threads, |f0, len, buf| {
-        accumulate_view_range(v, n, f0, len, buf)
-    })
-}
-
-/// [`gram_cols`] over a strided view: Gram contribution of the contiguous
-/// unfolding-column range `[c0, c0 + len)`, sequential, bit-identical to
-/// extract-then-[`gram_cols`].
-///
-/// # Panics
-/// Panics if `n` is out of range or the column range exceeds the view's
-/// mode-`n` fiber count.
-pub fn gram_view_cols(v: &TensorView, n: usize, c0: usize, len: usize) -> Matrix {
-    assert!(n < v.order(), "mode {n} out of range for view");
-    let nf = view_num_fibers(v, n);
-    assert!(
-        c0 + len <= nf,
-        "column range {c0}..{} exceeds {nf} mode-{n} fibers",
-        c0 + len
-    );
-    let ln = v.dim(n);
-    let mut g = Matrix::zeros(ln, ln);
-    if let Some(src) = v.contiguous_data() {
-        accumulate_src_range(src, v.dims(), n, c0, len, g.as_mut_slice());
-    } else {
-        accumulate_view_range(v, n, c0, len, g.as_mut_slice());
-    }
+    with_canonical(&v, |src| {
+        accumulate_src_range(src, v.dims(), n, c0, len, g.as_mut_slice())
+    });
     mirror_lower(g.as_mut_slice(), ln);
     g
 }
@@ -477,8 +244,10 @@ pub fn gram_view_cols(v: &TensorView, n: usize, c0: usize, len: usize) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::{tensor_buffer_allocs, DenseTensor};
     use crate::shape::Shape;
     use crate::unfold::unfold;
+    use crate::view::view_bytes_copied;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tucker_linalg::syrk;
@@ -530,7 +299,7 @@ mod tests {
         let v = crate::view::TensorView::of(&t);
         for n in 0..3 {
             for w in [1usize, 3] {
-                let g = gram_view_threads(&v, n, w);
+                let g = gram_threads(v.clone(), n, w);
                 let r = gram_threads(&t, n, w);
                 assert_eq!(g.max_abs_diff(&r), 0.0, "mode {n}, {w} workers");
             }
@@ -548,11 +317,11 @@ mod tests {
         let v = crate::view::TensorView::region(&t, &r);
         let c = DenseTensor::from_vec(r.shape(), extract(&t, &r));
         for n in 0..3 {
-            let g = gram_view_threads(&v, n, 1);
+            let g = gram_threads(v.clone(), n, 1);
             let gr = gram_threads(&c, n, 1);
             assert_eq!(g.max_abs_diff(&gr), 0.0, "mode {n}");
             let nf = c.shape().num_fibers(n);
-            let gc = gram_view_cols(&v, n, 1, nf - 1);
+            let gc = gram_cols(v.clone(), n, 1, nf - 1);
             let gcr = gram_cols(&c, n, 1, nf - 1);
             assert_eq!(gc.max_abs_diff(&gcr), 0.0, "cols, mode {n}");
         }
@@ -560,8 +329,8 @@ mod tests {
 
     #[test]
     fn strided_view_packed_mill_matches_extract_bitwise() {
-        // Big enough that the per-range dispatch picks the packed kernel on
-        // the dense side and the packed mill on the view side.
+        // Big enough that the per-range dispatch picks the packed kernel,
+        // and split into parts while the view sits in the scratch copy.
         use crate::subtensor::{extract, Region};
         let t = rand_tensor(&[24, 20, 18], 23);
         let r = Region {
@@ -572,7 +341,7 @@ mod tests {
         let c = DenseTensor::from_vec(r.shape(), extract(&t, &r));
         for n in 0..3 {
             for w in [1usize, 4] {
-                let g = gram_view_threads(&v, n, w);
+                let g = gram_threads(v.clone(), n, w);
                 let gr = gram_threads(&c, n, w);
                 assert_eq!(g.max_abs_diff(&gr), 0.0, "mode {n}, {w} workers");
             }
@@ -585,10 +354,43 @@ mod tests {
         let v = crate::view::TensorView::of(&t).step(0, 2).step(2, 3);
         let c = v.to_tensor();
         for n in 0..3 {
-            let g = gram_view_threads(&v, n, 1);
+            let g = gram_threads(v.clone(), n, 1);
             let gr = gram_threads(&c, n, 1);
             assert_eq!(g.max_abs_diff(&gr), 0.0, "mode {n}");
         }
+    }
+
+    #[test]
+    fn warm_strided_view_copies_once_and_allocates_nothing() {
+        use crate::subtensor::Region;
+        let t = rand_tensor(&[12, 10, 8], 25);
+        let interior = Region {
+            start: vec![1, 2, 1],
+            len: vec![9, 6, 5],
+        };
+        let v = crate::view::TensorView::region(&t, &interior);
+        assert!(!v.is_contiguous());
+        for n in 0..3 {
+            let cold = gram_threads(v.clone(), n, 2); // grows the scratch once
+            let (allocs, bytes) = (tensor_buffer_allocs(), view_bytes_copied());
+            let warm = gram_threads(v.clone(), n, 2);
+            assert_eq!(tensor_buffer_allocs(), allocs, "mode {n}");
+            assert_eq!(
+                view_bytes_copied() - bytes,
+                8 * v.cardinality() as u64,
+                "mode {n}"
+            );
+            assert_eq!(warm.max_abs_diff(&cold), 0.0, "mode {n}");
+        }
+        // A boundary region and a last-mode slice are contiguous: in place.
+        let boundary = crate::view::TensorView::window(&t, &[0, 0, 0], &[12, 10, 4]);
+        let slice = crate::view::TensorView::of(&t).slice(2, 3, 4);
+        let bytes = view_bytes_copied();
+        for n in 0..3 {
+            gram_threads(boundary.clone(), n, 2);
+            gram(slice.clone(), n);
+        }
+        assert_eq!(view_bytes_copied(), bytes);
     }
 
     #[test]

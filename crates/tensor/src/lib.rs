@@ -14,14 +14,20 @@
 //!   `A` to every mode-n fiber — see [`ttm`]. The kernel uses the blocking
 //!   strategy of Austin et al. (paper §5) that avoids materializing the
 //!   unfolding by decomposing the product into a batch of GEMM calls on
-//!   contiguous slabs; [`ttm::ttm_into`] + [`ttm::TtmWorkspace`] reuse
-//!   grow-only output buffers so iterative pipelines allocate nothing at
-//!   steady state;
+//!   contiguous slabs; [`ttm::ttm_into_threads`] + [`ttm::TtmWorkspace`]
+//!   reuse grow-only output buffers so iterative pipelines allocate nothing
+//!   at steady state;
 //! * the **Gram matrix** `T(n) · T(n)ᵀ` feeding the SVD step is computed by
 //!   the fused slab-wise kernel in [`gram`] (with a column-range variant for
 //!   the distributed 1/qₙ shares) — again without materializing `T(n)`;
 //! * **TTM-chains** (`×_{n₁} A₁ ×_{n₂} A₂ …`, commutative) — see
 //!   [`ttm::ttm_chain`].
+//!
+//! Each kernel has one body and it takes a strided [`TensorView`]; a
+//! `&DenseTensor` converts into its full view, so the compute entry points
+//! are [`gram`], [`gram_threads`], [`gram_cols`], [`ttm`](ttm::ttm),
+//! [`ttm_into_threads`], [`ttm_chain`] and the three [`TtmWorkspace`]
+//! methods, whatever the operand.
 //!
 //! Storage is the canonical layout generalizing column-major matrices: the
 //! first mode varies fastest. All index math lives in [`shape`] so that the
@@ -39,12 +45,9 @@ pub mod unfold;
 pub mod view;
 
 pub use dense::{tensor_buffer_allocs, DenseTensor};
-pub use gram::{gram, gram_cols, gram_threads, gram_view, gram_view_cols, gram_view_threads};
+pub use gram::{gram, gram_cols, gram_threads};
 pub use shape::{Dims, Shape};
 pub use threads::{heuristic_threads, host_threads};
-pub use ttm::{
-    ttm, ttm_chain, ttm_into, ttm_into_threads, ttm_view, ttm_view_into, ttm_view_into_threads,
-    TtmWorkspace,
-};
+pub use ttm::{ttm, ttm_chain, ttm_into_threads, TtmWorkspace};
 pub use unfold::{fold, unfold};
 pub use view::{copy_into, view_bytes_copied, TensorView, TensorViewMut};

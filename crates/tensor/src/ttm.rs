@@ -19,35 +19,40 @@
 //! (`pack_b_full`) and the same pack is streamed by every outer slab and
 //! every part; only the slab operand is packed per block. Mode 0
 //! (`inner == 1`) collapses to a single column-partitioned GEMM
-//! `Out = A · Src`. Pack buffers are pooled: [`TtmWorkspace`] owns a
-//! [`PackPair`] whose growth is counted by the debug allocation counter
-//! exactly like tensor buffers, so steady-state sweeps stay allocation-free
-//! pack buffers included; the free functions stage through a thread-local
-//! pair, and the parts of a parallel region through their participant's own
-//! thread-local scratch (`pack::with_part_packs`, [`with_stage`]), which
-//! stays warm because the team's threads persist. Below the threshold (or
-//! under `KernelMode::Naive`) the original unrolled dot/axpy slab loops run
+//! `Out = A · Src`. Pack buffers have one owner, the thread-local slots of
+//! `tucker_linalg::pack`: a sequential call — free function or
+//! [`TtmWorkspace`] method alike — stages through `pack::with_thread_packs`,
+//! the parts of a parallel region through their participant's own scratch
+//! (`pack::with_part_packs`, [`with_stage`]), which stays warm because the
+//! team's threads persist. Their growth is counted by the debug allocation
+//! counter exactly like tensor buffers, so steady-state sweeps stay
+//! allocation-free pack buffers included. Below the threshold (or under
+//! `KernelMode::Naive`) the original unrolled dot/axpy slab loops run
 //! unchanged.
 //!
-//! The workhorse entry point is [`ttm_into`], which writes into a
+//! There is one body, and it takes a view: every entry point accepts
+//! `impl Into<TensorView>`, a `&DenseTensor` being its full view. A
+//! contiguous view runs the slab kernels where it lies; a strided one runs
+//! the same kernels over maximal constant-stride runs
+//! ([`ttm_strided`]) — no copy, same bits.
+//!
+//! The workhorse entry point is [`ttm_into_threads`], which writes into a
 //! caller-provided grow-only buffer; [`TtmWorkspace`] pools such buffers so
 //! TTM chains ping-pong between two reused buffers (trees cycle through a
 //! small pool, one live buffer per depth level) and steady-state HOOI /
 //! STHOSVD iterations perform **zero tensor-sized allocations**. The classic
-//! allocating [`ttm`] survives as a thin wrapper over [`ttm_into`].
+//! allocating [`ttm`] survives as a thin wrapper over the same body.
 //!
-//! [`ttm_explicit_unfold`] is the naive reference (materialize `T(n)`,
-//! multiply, fold back); together with `unfold`/`fold` themselves it exists
-//! only for tests and the baseline arm of the kernel-ablation bench — the
-//! invariant that no hot path materializes an unfolding is enforced by the
-//! allocation-regression smoke test in `tucker-core`.
+//! The explicit-unfold formulation (materialize `T(n)`, multiply, fold back)
+//! is a test reference here and the baseline arm of the kernel-ablation
+//! bench — the invariant that no hot path materializes an unfolding is
+//! enforced by the allocation-regression smoke test in `tucker-core`.
 
 use crate::dense::{note_buffer_alloc, DenseTensor};
-use crate::shape::Shape;
-use crate::unfold::{fold, unfold};
+use crate::shape::{Dims, Shape};
 use crate::view::{AxisSpan, TensorView};
-use tucker_linalg::pack::{self, PackBuf, PackPair};
-use tucker_linalg::{gemm, unrolled_dot_strided, Matrix, Pool, Transpose};
+use tucker_linalg::pack::{self, PackBuf};
+use tucker_linalg::{unrolled_dot_strided, Matrix, Pool};
 
 /// Minimum per-slab work before the slab loop goes parallel.
 const PAR_MIN_WORK: usize = 1 << 14;
@@ -59,20 +64,35 @@ const PAR_MIN_WORK: usize = 1 << 14;
 /// [`ttm_packed_small_inner_run`]) and full tiles are restored.
 const PACK_MIN_INNER: usize = 16;
 
-/// `Z = T ×_n A` with `A` of shape `K × L_n`.
+/// `Z = T ×_n A` with `A` of shape `K × L_n`, for a tensor or any strided
+/// [`TensorView`] (a `&DenseTensor` enters as its full view).
 ///
-/// Thin allocating wrapper over [`ttm_into`]; hot loops should hold a
-/// [`TtmWorkspace`] and reuse buffers instead.
+/// Thin allocating wrapper over [`ttm_into_threads`] with a heuristic
+/// partition count (sequential below a work threshold, one part per host
+/// core above it); hot loops should hold a [`TtmWorkspace`] and reuse
+/// buffers instead.
 ///
 /// # Panics
-/// Panics if `n` is out of range or `A.ncols() != L_n`.
-pub fn ttm(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
+/// Panics if `n` is out of range, `A.ncols() != L_n`, or the view is empty
+/// (the output shape would have a zero-length mode).
+pub fn ttm<'a>(t: impl Into<TensorView<'a>>, n: usize, a: &Matrix) -> DenseTensor {
+    let v = t.into();
     let mut out = Vec::new();
-    let shape = ttm_into(t, n, a, &mut out);
+    let shape = ttm_into_impl(&v, n, a, &mut out, auto_threads(&v, n, a));
     DenseTensor::from_vec(shape, out)
 }
 
-/// `Z = T ×_n A` written into `out`, returning `Z`'s shape.
+/// The heuristic partition count [`ttm`] and [`TtmWorkspace::ttm`] use:
+/// sequential below the per-slab work threshold, one part per host core
+/// otherwise.
+fn auto_threads(v: &TensorView, n: usize, a: &Matrix) -> usize {
+    v.check_mode(n);
+    let inner: usize = v.dims()[..n].iter().product();
+    crate::threads::heuristic_threads(inner * v.dim(n) * a.nrows(), PAR_MIN_WORK)
+}
+
+/// `Z = T ×_n A` written into `out` with an **explicit** partition count,
+/// returning `Z`'s shape.
 ///
 /// `out` is cleared and resized to the output cardinality; its capacity is
 /// grow-only, so reusing the same buffer across calls allocates only until
@@ -80,61 +100,47 @@ pub fn ttm(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
 /// tensor-buffer allocation, see
 /// [`tensor_buffer_allocs`](crate::dense::tensor_buffer_allocs)).
 ///
-/// Partition count is heuristic (sequential below a work threshold, one part
-/// per host core above it); execution backends that want explicit control
-/// use [`ttm_into_threads`] directly.
+/// A contiguous view (every full-tensor view and last-mode slice) runs the
+/// canonical slab kernels on the storage where it lies: the `outer` slab
+/// range is split into `threads` contiguous runs (the rows of the one slab,
+/// for a packed last-mode product), executed on the shared worker team
+/// however wide it is; `threads == 1` runs the slab loop strictly
+/// sequentially (no parallel region is opened). This is the par-ranged
+/// entry point the sweep-executor backends build on (`SeqBackend` pins 1,
+/// `RayonBackend` pins the host core count).
+///
+/// A genuinely strided view runs a sequential run-decomposition instead —
+/// **no extraction, no scratch tensor**: the non-contracted index space is
+/// decomposed into maximal constant-stride runs, each fed to the packed
+/// micro-kernels (or the naive loops below the packing threshold) as a
+/// strided operand. Per-element accumulation order depends only on the `KC`
+/// blocking of the contracted extent `L_n`, which is never split, so the
+/// result is **bit-identical** to extracting the view and calling the dense
+/// kernel, at any `threads`.
 ///
 /// # Panics
-/// Panics if `n` is out of range or `A.ncols() != L_n`.
-pub fn ttm_into(t: &DenseTensor, n: usize, a: &Matrix, out: &mut Vec<f64>) -> Shape {
-    let shape = t.shape();
-    assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    ttm_into_threads(t, n, a, out, auto_threads(shape.dims(), n, a))
-}
-
-/// The heuristic partition count [`ttm_into`], [`ttm_view_into`] and the
-/// workspace's auto entry points use: sequential below the per-slab work
-/// threshold, one part per host core otherwise.
-fn auto_threads(dims: &[usize], n: usize, a: &Matrix) -> usize {
-    let inner: usize = dims[..n].iter().product();
-    crate::threads::heuristic_threads(inner * dims[n] * a.nrows(), PAR_MIN_WORK)
-}
-
-/// [`ttm_into`] with an **explicit** partition count: the `outer` slab range
-/// is split into `threads` contiguous runs (the rows of the one slab, for a
-/// packed last-mode product), executed on the shared worker team however
-/// wide it is. `threads == 1` runs the slab loop strictly sequentially (no
-/// parallel region is opened); the size heuristic of [`ttm_into`] does not
-/// apply. This is the par-ranged entry point the sweep-executor backends
-/// build on (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
-///
-/// # Panics
-/// Panics if `n` is out of range or `A.ncols() != L_n`.
-pub fn ttm_into_threads(
-    t: &DenseTensor,
+/// See [`ttm`].
+pub fn ttm_into_threads<'a>(
+    t: impl Into<TensorView<'a>>,
     n: usize,
     a: &Matrix,
     out: &mut Vec<f64>,
     threads: usize,
 ) -> Shape {
-    pack::with_thread_packs(|packs| ttm_into_impl(t, n, a, out, threads, packs))
+    ttm_into_impl(&t.into(), n, a, out, threads)
 }
 
-/// The shared TTM body behind every entry point. `packs` is the pack-buffer
-/// pair the packed path stages through — the workspace passes its pooled
-/// pair, the free functions a thread-local one; pack identity never affects
-/// the arithmetic, so workspace and fresh paths stay bit-identical.
+/// The one TTM body behind every entry point: validate, size `out`, and
+/// dispatch on the view's layout.
 fn ttm_into_impl(
-    t: &DenseTensor,
+    v: &TensorView,
     n: usize,
     a: &Matrix,
     out: &mut Vec<f64>,
     threads: usize,
-    packs: &mut PackPair,
 ) -> Shape {
-    let shape = t.shape();
-    assert!(n < shape.order(), "mode {n} out of range for {shape}");
-    let ln = shape.dim(n);
+    v.check_mode(n);
+    let ln = v.dim(n);
     let k = a.nrows();
     assert_eq!(
         a.ncols(),
@@ -142,14 +148,19 @@ fn ttm_into_impl(
         "TTM mode-{n} operand must have {ln} columns, got {}",
         a.ncols()
     );
-
-    let out_shape = shape.with_dim(n, k);
+    let mut od = Dims::from(v.dims());
+    od[n] = k;
+    let out_shape = Shape::from(&od[..]); // rejects empty views (zero-length mode)
     if out.capacity() < out_shape.cardinality() {
         note_buffer_alloc();
     }
     out.clear();
     out.resize(out_shape.cardinality(), 0.0);
-    ttm_src_body(t.as_slice(), shape.dims(), n, a, out, threads, packs);
+    if let Some(src) = v.contiguous_data() {
+        ttm_src_body(src, v.dims(), n, a, out, threads);
+    } else {
+        ttm_strided(v, n, a, out);
+    }
     out_shape
 }
 
@@ -164,7 +175,6 @@ fn ttm_src_body(
     a: &Matrix,
     out: &mut [f64],
     threads: usize,
-    packs: &mut PackPair,
 ) {
     let ln = dims[n];
     let k = a.nrows();
@@ -180,7 +190,7 @@ fn ttm_src_body(
     // mode 0 collapses to a single GEMM, wide slabs run one GEMM each, and
     // small-inner shapes go through the slab-grouped staging path.
     if pack::use_packed(inner.saturating_mul(outer), k, ln) {
-        ttm_packed(src, a_buf, inner, ln, k, outer, out, threads, packs);
+        ttm_packed(src, a_buf, inner, ln, k, outer, out, threads);
         return;
     }
 
@@ -245,94 +255,10 @@ fn ttm_src_body(
     }
 }
 
-/// `Z = V ×_n A` over an arbitrary strided [`TensorView`] — **no
-/// extraction, no scratch tensor**. Thin allocating wrapper over
-/// [`ttm_view_into`].
-///
-/// # Panics
-/// Panics if `n` is out of range, `A.ncols()` does not match the view's
-/// mode-`n` extent, or the view is empty (the output shape would have a
-/// zero-length mode).
-pub fn ttm_view(v: &TensorView, n: usize, a: &Matrix) -> DenseTensor {
-    let mut out = Vec::new();
-    let shape = ttm_view_into(v, n, a, &mut out);
-    DenseTensor::from_vec(shape, out)
-}
-
-/// [`ttm_into`] over a strided view, heuristic partition count (parts only
-/// engage on the contiguous fast path; genuinely strided views run
-/// sequentially, where the result is partition-invariant anyway).
-///
-/// # Panics
-/// See [`ttm_view`].
-pub fn ttm_view_into(v: &TensorView, n: usize, a: &Matrix, out: &mut Vec<f64>) -> Shape {
-    assert!(n < v.order(), "mode {n} out of range for view");
-    ttm_view_into_threads(v, n, a, out, auto_threads(v.dims(), n, a))
-}
-
-/// [`ttm_into_threads`] over a strided view. Contiguous views (including
-/// every full-tensor view) run the canonical slab kernels on the underlying
-/// storage directly — same speed, same bits, workers honored. Genuinely
-/// strided views run a sequential run-decomposition: the non-contracted
-/// index space is decomposed into maximal constant-stride runs, each fed to
-/// the packed micro-kernels (or the naive loops below the packing
-/// threshold) as a strided operand. Per-element accumulation order depends
-/// only on the `KC` blocking of the contracted extent `L_n`, which is never
-/// split, so the result is **bit-identical** to extracting the view and
-/// calling the dense kernel.
-///
-/// # Panics
-/// See [`ttm_view`].
-pub fn ttm_view_into_threads(
-    v: &TensorView,
-    n: usize,
-    a: &Matrix,
-    out: &mut Vec<f64>,
-    threads: usize,
-) -> Shape {
-    pack::with_thread_packs(|packs| ttm_view_into_impl(v, n, a, out, threads, packs))
-}
-
-/// Shared body of [`ttm_view_into_threads`] and
-/// [`TtmWorkspace::ttm_view`]: the caller chooses where the pack staging
-/// buffers live (thread-local pair vs. the workspace's pooled pair).
-fn ttm_view_into_impl(
-    v: &TensorView,
-    n: usize,
-    a: &Matrix,
-    out: &mut Vec<f64>,
-    threads: usize,
-    packs: &mut PackPair,
-) -> Shape {
-    assert!(n < v.order(), "mode {n} out of range for view");
-    let ln = v.dim(n);
-    let k = a.nrows();
-    assert_eq!(
-        a.ncols(),
-        ln,
-        "TTM mode-{n} operand must have {ln} columns, got {}",
-        a.ncols()
-    );
-    let mut od = v.dims().to_vec();
-    od[n] = k;
-    let out_shape = Shape::new(od); // rejects empty views (zero-length mode)
-    if out.capacity() < out_shape.cardinality() {
-        note_buffer_alloc();
-    }
-    out.clear();
-    out.resize(out_shape.cardinality(), 0.0);
-    if let Some(src) = v.contiguous_data() {
-        ttm_src_body(src, v.dims(), n, a, out, threads, packs);
-    } else {
-        ttm_view_strided(v, n, a, out, packs);
-    }
-    out_shape
-}
-
 /// The strided-view TTM body: `out` is zeroed, shapes validated, view known
-/// non-contiguous. Sequential; see [`ttm_view_into_threads`] for the
+/// non-contiguous. Sequential; see [`ttm_into_threads`] for the
 /// bit-exactness argument.
-fn ttm_view_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64], packs: &mut PackPair) {
+fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
     let dims = v.dims();
     let strides = v.strides();
     let ln = dims[n];
@@ -349,73 +275,68 @@ fn ttm_view_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64], packs
     let (run, rstride, irest) = inner_span.split_run();
 
     if pack::use_packed(inner.saturating_mul(outer), k, ln) {
-        if inner == 1 {
-            // Mode 0: Out = A · V(0) — one GEMM per maximal constant-stride
-            // column run of the outer space (a column split, which never
-            // changes the per-element KC accumulation order).
-            let (crun, cstride, orest) = outer_span.split_run();
-            let mut col = 0usize;
-            let mut grew = false;
-            for base in orest.offsets() {
-                let dst = &mut out[col * k..(col + crun) * k];
-                grew |= pack::gemm_packed(
-                    k,
-                    crun,
-                    ln,
-                    a_buf,
-                    1,
-                    k,
-                    &data[base..],
-                    sn,
-                    cstride,
-                    1.0,
-                    dst,
-                    k,
-                    packs,
-                );
-                col += crun;
+        return pack::with_thread_packs(|packs| {
+            if inner == 1 {
+                // Mode 0: Out = A · V(0) — one GEMM per maximal constant-stride
+                // column run of the outer space (a column split, which never
+                // changes the per-element KC accumulation order).
+                let (crun, cstride, orest) = outer_span.split_run();
+                let mut col = 0usize;
+                let mut grew = false;
+                for base in orest.offsets() {
+                    let dst = &mut out[col * k..(col + crun) * k];
+                    grew |= pack::gemm_packed(
+                        k,
+                        crun,
+                        ln,
+                        a_buf,
+                        1,
+                        k,
+                        &data[base..],
+                        sn,
+                        cstride,
+                        1.0,
+                        dst,
+                        k,
+                        packs,
+                    );
+                    col += crun;
+                }
+                note_growth(grew);
+                return;
             }
-            if grew {
-                note_buffer_alloc();
-            }
-            return;
-        }
 
-        // General mode: pack Aᵀ once and stream it from one GEMM per
-        // (outer position × maximal inner run) — a row split of the slab
-        // GEMMs, equally harmless to the bits.
-        let bp_len = pack::packed_b_full_len(ln, k);
-        if packs.b.ensure(bp_len) {
-            note_buffer_alloc();
-        }
-        pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
-        let bpack: &[f64] = packs.b.slice(bp_len);
-        let apack = &mut packs.a;
-        let mut grew = false;
-        for (o, obase) in outer_span.offsets().enumerate() {
-            let mut i0 = 0usize;
-            for ibase in irest.offsets() {
-                let dst = &mut out[o * out_slab + i0..][..(k - 1) * inner + run];
-                grew |= pack::gemm_prepacked_b(
-                    run,
-                    k,
-                    ln,
-                    &data[obase + ibase..],
-                    rstride,
-                    sn,
-                    bpack,
-                    1.0,
-                    dst,
-                    inner,
-                    apack,
-                );
-                i0 += run;
+            // General mode: pack Aᵀ once and stream it from one GEMM per
+            // (outer position × maximal inner run) — a row split of the slab
+            // GEMMs, equally harmless to the bits.
+            let bp_len = pack::packed_b_full_len(ln, k);
+            note_growth(packs.b.ensure(bp_len));
+            pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
+            let bpack: &[f64] = packs.b.slice(bp_len);
+            let apack = &mut packs.a;
+            let mut grew = false;
+            for (o, obase) in outer_span.offsets().enumerate() {
+                let mut i0 = 0usize;
+                for ibase in irest.offsets() {
+                    let dst = &mut out[o * out_slab + i0..][..(k - 1) * inner + run];
+                    grew |= pack::gemm_prepacked_b(
+                        run,
+                        k,
+                        ln,
+                        &data[obase + ibase..],
+                        rstride,
+                        sn,
+                        bpack,
+                        1.0,
+                        dst,
+                        inner,
+                        apack,
+                    );
+                    i0 += run;
+                }
             }
-        }
-        if grew {
-            note_buffer_alloc();
-        }
-        return;
+            note_growth(grew);
+        });
     }
 
     // Naive branches: structural twins of the canonical slab loops, strided
@@ -497,89 +418,99 @@ fn ttm_packed(
     outer: usize,
     out: &mut [f64],
     threads: usize,
-    packs: &mut PackPair,
 ) {
-    let workers = threads.max(1).min(outer.max(1));
-    if inner == 1 {
-        // Mode 0: Out = A · Src with A[kk,l] = a_buf[kk + l*k] (strides 1, k)
-        // and Src[l,o] = src[l + o*ln] (strides 1, ln).
-        if workers > 1 {
-            let per = outer.div_ceil(workers);
-            Pool::shared().chunks_mut(out, k * per, |w, dst| {
-                let o0 = w * per;
-                let cols = dst.len() / k;
-                let src = &src[o0 * ln..];
-                note_growth(pack::with_part_packs(|part| {
-                    pack::gemm_packed(k, cols, ln, a_buf, 1, k, src, 1, ln, 1.0, dst, k, part)
-                }));
-            });
-        } else {
-            note_growth(pack::gemm_packed(
-                k, outer, ln, a_buf, 1, k, src, 1, ln, 1.0, out, k, packs,
-            ));
+    pack::with_thread_packs(|packs| {
+        let workers = threads.max(1).min(outer.max(1));
+        if inner == 1 {
+            // Mode 0: Out = A · Src with A[kk,l] = a_buf[kk + l*k] (strides 1, k)
+            // and Src[l,o] = src[l + o*ln] (strides 1, ln).
+            if workers > 1 {
+                let per = outer.div_ceil(workers);
+                Pool::shared().chunks_mut(out, k * per, |w, dst| {
+                    let o0 = w * per;
+                    let cols = dst.len() / k;
+                    let src = &src[o0 * ln..];
+                    note_growth(pack::with_part_packs(|part| {
+                        pack::gemm_packed(k, cols, ln, a_buf, 1, k, src, 1, ln, 1.0, dst, k, part)
+                    }));
+                });
+            } else {
+                note_growth(pack::gemm_packed(
+                    k, outer, ln, a_buf, 1, k, src, 1, ln, 1.0, out, k, packs,
+                ));
+            }
+            return;
         }
-        return;
-    }
 
-    // General mode: pack the factor operand Aᵀ once (element (l, j) of Aᵀ is
-    // A[j, l] = a_buf[j + l*k], i.e. strides (k, 1)) and stream it from
-    // every slab GEMM.
-    let bp_len = pack::packed_b_full_len(ln, k);
-    note_growth(packs.b.ensure(bp_len));
-    pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
-    let bpack: &[f64] = packs.b.slice(bp_len);
-    let in_slab = inner * ln;
-    let out_slab = inner * k;
+        // General mode: pack the factor operand Aᵀ once (element (l, j) of Aᵀ is
+        // A[j, l] = a_buf[j + l*k], i.e. strides (k, 1)) and stream it from
+        // every slab GEMM.
+        let bp_len = pack::packed_b_full_len(ln, k);
+        note_growth(packs.b.ensure(bp_len));
+        pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
+        let bpack: &[f64] = packs.b.slice(bp_len);
+        let in_slab = inner * ln;
+        let out_slab = inner * k;
 
-    if inner < PACK_MIN_INNER {
-        // Small inner: single slabs cannot fill MR-row register tiles, so
-        // consecutive slabs are staged together (see the run function).
+        if inner < PACK_MIN_INNER {
+            // Small inner: single slabs cannot fill MR-row register tiles, so
+            // consecutive slabs are staged together (see the run function).
+            if workers > 1 {
+                let per = outer.div_ceil(workers);
+                Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
+                    let src = &src[w * per * in_slab..];
+                    let slabs = run.len() / out_slab;
+                    pack::with_part_packs(|part| {
+                        ttm_packed_small_inner_run(
+                            src,
+                            bpack,
+                            inner,
+                            ln,
+                            k,
+                            slabs,
+                            run,
+                            &mut part.a,
+                        )
+                    });
+                });
+            } else {
+                ttm_packed_small_inner_run(src, bpack, inner, ln, k, outer, out, &mut packs.a);
+            }
+            return;
+        }
+
+        let slab_run = |first: usize, run: &mut [f64], apack: &mut PackBuf| {
+            let mut grew = false;
+            for (i, dst) in run.chunks_mut(out_slab).enumerate() {
+                let o = first + i;
+                grew |= pack::gemm_prepacked_b(
+                    inner,
+                    k,
+                    ln,
+                    &src[o * in_slab..(o + 1) * in_slab],
+                    1,
+                    inner,
+                    bpack,
+                    1.0,
+                    dst,
+                    inner,
+                    apack,
+                );
+            }
+            note_growth(grew);
+        };
+        let row_parts = threads.max(1).min(inner.div_ceil(pack::MC));
         if workers > 1 {
             let per = outer.div_ceil(workers);
             Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
-                let src = &src[w * per * in_slab..];
-                let slabs = run.len() / out_slab;
-                pack::with_part_packs(|part| {
-                    ttm_packed_small_inner_run(src, bpack, inner, ln, k, slabs, run, &mut part.a)
-                });
+                pack::with_part_packs(|part| slab_run(w * per, run, &mut part.a));
             });
+        } else if outer == 1 && row_parts > 1 {
+            ttm_packed_last_mode_rows(src, bpack, inner, ln, k, out, row_parts);
         } else {
-            ttm_packed_small_inner_run(src, bpack, inner, ln, k, outer, out, &mut packs.a);
+            slab_run(0, out, &mut packs.a);
         }
-        return;
-    }
-
-    let slab_run = |first: usize, run: &mut [f64], apack: &mut PackBuf| {
-        let mut grew = false;
-        for (i, dst) in run.chunks_mut(out_slab).enumerate() {
-            let o = first + i;
-            grew |= pack::gemm_prepacked_b(
-                inner,
-                k,
-                ln,
-                &src[o * in_slab..(o + 1) * in_slab],
-                1,
-                inner,
-                bpack,
-                1.0,
-                dst,
-                inner,
-                apack,
-            );
-        }
-        note_growth(grew);
-    };
-    let row_parts = threads.max(1).min(inner.div_ceil(pack::MC));
-    if workers > 1 {
-        let per = outer.div_ceil(workers);
-        Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
-            pack::with_part_packs(|part| slab_run(w * per, run, &mut part.a));
-        });
-    } else if outer == 1 && row_parts > 1 {
-        ttm_packed_last_mode_rows(src, bpack, inner, ln, k, out, row_parts);
-    } else {
-        slab_run(0, out, &mut packs.a);
-    }
+    })
 }
 
 /// Count a pack or staging buffer's growth as one tensor-buffer allocation.
@@ -755,13 +686,6 @@ pub struct TtmWorkspace {
     /// Cap on bytes parked in `free`; `None` keeps the classic grow-only
     /// behavior.
     limit_bytes: Option<usize>,
-    /// Pooled pack-buffer pair for the packed kernel path: grows to the
-    /// largest factor pack / slab block the workspace has seen, then every
-    /// further call stages through it allocation-free. Not subject to
-    /// `limit_bytes` (packs are KC-block-bounded, orders of magnitude
-    /// smaller than the tensor buffers the cap exists for); see
-    /// [`TtmWorkspace::pack_bytes`].
-    packs: PackPair,
 }
 
 impl TtmWorkspace {
@@ -776,13 +700,6 @@ impl TtmWorkspace {
             limit_bytes: Some(limit_bytes),
             ..Self::default()
         }
-    }
-
-    /// Bytes held by the pooled pack buffers (the packed kernel path's
-    /// staging space — grow-only, counted by the debug allocation counter
-    /// when it grows, and excluded from the `limit_bytes` cap).
-    pub fn pack_bytes(&self) -> usize {
-        self.packs.allocated_bytes()
     }
 
     /// Set or clear (`None`) the parked-pool byte cap; applies immediately.
@@ -805,69 +722,39 @@ impl TtmWorkspace {
             .sum()
     }
 
-    /// `Z = T ×_n A` into a pooled buffer. Allocation-free once the pool
-    /// holds a buffer of sufficient capacity.
+    /// [`ttm`](crate::ttm::ttm) into a pooled buffer. Allocation-free once
+    /// the pool holds a buffer of sufficient capacity.
     ///
     /// # Panics
-    /// Panics if `n` is out of range or `A.ncols() != L_n`.
-    pub fn ttm(&mut self, t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
-        assert!(n < t.order(), "mode {n} out of range for {}", t.shape());
-        self.ttm_threads(t, n, a, auto_threads(t.shape().dims(), n, a))
+    /// Like [`ttm`](crate::ttm::ttm).
+    pub fn ttm<'a>(&mut self, t: impl Into<TensorView<'a>>, n: usize, a: &Matrix) -> DenseTensor {
+        let v = t.into();
+        let threads = auto_threads(&v, n, a);
+        self.ttm_threads(v, n, a, threads)
     }
 
-    /// [`TtmWorkspace::ttm`] with an explicit partition count (see
-    /// [`ttm_into_threads`]): the pooled-buffer discipline is identical,
-    /// only the slab partition is pinned instead of heuristic. The packed
-    /// path stages through the workspace's own pooled pack buffers instead
-    /// of the thread-local pair.
-    ///
-    /// # Panics
-    /// Panics if `n` is out of range or `A.ncols() != L_n`.
-    pub fn ttm_threads(
-        &mut self,
-        t: &DenseTensor,
-        n: usize,
-        a: &Matrix,
-        threads: usize,
-    ) -> DenseTensor {
-        let out_card = t.cardinality() / t.shape().dim(n) * a.nrows();
-        let mut buf = self.acquire(out_card);
-        let shape = ttm_into_impl(t, n, a, &mut buf, threads, &mut self.packs);
-        DenseTensor::from_vec(shape, buf)
-    }
-
-    /// [`ttm_view`] drawing the output buffer from the pool and staging the
-    /// packed kernels through the workspace's pooled pack pair — the
+    /// [`ttm_into_threads`] drawing the output buffer from the pool: the
+    /// pooled-buffer discipline of [`TtmWorkspace::ttm`] with the slab
+    /// partition pinned instead of heuristic. Handed a view, it is the
     /// streaming entry point of the out-of-core tiled sweeps, where each
     /// tile of a larger-than-memory tensor enters the kernel as a borrowed
-    /// view and only tile-sized intermediates ever touch the pool.
-    ///
-    /// Contiguous views (every slab along the last mode is one) run the
-    /// canonical kernels with `threads` workers; genuinely strided views
-    /// run the sequential run-decomposition.
+    /// last-mode slice and only tile-sized intermediates ever touch the pool.
     ///
     /// # Panics
-    /// Panics if `n` is out of range, `A.ncols()` does not match the view's
-    /// mode-`n` extent, or the view is empty.
-    pub fn ttm_view_threads(
+    /// Like [`ttm`](crate::ttm::ttm).
+    pub fn ttm_threads<'a>(
         &mut self,
-        v: &TensorView,
+        t: impl Into<TensorView<'a>>,
         n: usize,
         a: &Matrix,
         threads: usize,
     ) -> DenseTensor {
-        assert!(n < v.order(), "mode {n} out of range for view");
+        let v = t.into();
+        v.check_mode(n);
         let out_card = v.cardinality() / v.dim(n).max(1) * a.nrows();
         let mut buf = self.acquire(out_card);
-        let shape = ttm_view_into_impl(v, n, a, &mut buf, threads, &mut self.packs);
+        let shape = ttm_into_impl(&v, n, a, &mut buf, threads);
         DenseTensor::from_vec(shape, buf)
-    }
-
-    /// [`TtmWorkspace::ttm_view_threads`] with the same partition heuristic
-    /// as [`ttm_view_into`].
-    pub fn ttm_view(&mut self, v: &TensorView, n: usize, a: &Matrix) -> DenseTensor {
-        assert!(n < v.order(), "mode {n} out of range for view");
-        self.ttm_view_threads(v, n, a, auto_threads(v.dims(), n, a))
     }
 
     /// TTM-chain over distinct modes, ping-ponging between pooled buffers
@@ -918,7 +805,7 @@ impl TtmWorkspace {
 
     /// Pop the best-fitting free buffer: the smallest whose capacity covers
     /// `len`, else the largest available (it will grow once), else a fresh
-    /// empty `Vec` (growth is counted by [`ttm_into`]).
+    /// empty `Vec` (growth is counted by the TTM body).
     fn acquire(&mut self, len: usize) -> Vec<f64> {
         let mut best: Option<(bool, usize, usize)> = None; // (fits, capacity, index)
         for (i, b) in self.free.iter().enumerate() {
@@ -945,17 +832,6 @@ impl TtmWorkspace {
             None => Vec::new(),
         }
     }
-}
-
-/// Reference TTM that materializes the unfolding: `fold(A · unfold(T, n))`.
-///
-/// Used to validate the blocked kernel and as the baseline in the kernel
-/// ablation bench.
-pub fn ttm_explicit_unfold(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
-    let u = unfold(t, n);
-    let z = gemm(a, Transpose::No, &u, Transpose::No, 1.0);
-    let out_shape = t.shape().with_dim(n, a.nrows());
-    fold(&z, n, &out_shape)
 }
 
 /// TTM-chain: multiply along several distinct modes in the order given.
@@ -1001,6 +877,14 @@ mod tests {
         Matrix::random(r, c, &dist, &mut rng)
     }
 
+    /// Reference TTM that materializes the unfolding: `fold(A · unfold(T, n))`.
+    fn ttm_via_unfold(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
+        use crate::unfold::{fold, unfold};
+        use tucker_linalg::{gemm, Transpose};
+        let z = gemm(a, Transpose::No, &unfold(t, n), Transpose::No, 1.0);
+        fold(&z, n, &t.shape().with_dim(n, a.nrows()))
+    }
+
     /// Elementwise-definition reference: z[c with c_n = k] = Σ_l A[k,l] t[c with c_n = l].
     fn ttm_naive(t: &DenseTensor, n: usize, a: &Matrix) -> DenseTensor {
         let out_shape = t.shape().with_dim(n, a.nrows());
@@ -1033,7 +917,7 @@ mod tests {
         for n in 0..3 {
             let a = rand_mat(4, t.shape().dim(n), 20 + n as u64);
             let z1 = ttm(&t, n, &a);
-            let z2 = ttm_explicit_unfold(&t, n, &a);
+            let z2 = ttm_via_unfold(&t, n, &a);
             assert!(z1.max_abs_diff(&z2) < 1e-12, "mode {n}");
         }
     }
@@ -1104,7 +988,7 @@ mod tests {
         let t = rand_tensor(&[64, 9, 8], 8);
         let a = rand_mat(16, 64, 80);
         let z1 = ttm(&t, 0, &a);
-        let z2 = ttm_explicit_unfold(&t, 0, &a);
+        let z2 = ttm_via_unfold(&t, 0, &a);
         assert!(z1.max_abs_diff(&z2) < 1e-11);
     }
 
@@ -1129,7 +1013,7 @@ mod tests {
             );
             let a = rand_mat(k, t.shape().dim(n), 310 + n as u64);
             let z = ttm(&t, n, &a);
-            let r = ttm_explicit_unfold(&t, n, &a);
+            let r = ttm_via_unfold(&t, n, &a);
             assert!(z.max_abs_diff(&r) < 1e-12, "dims {dims:?} mode {n} k {k}");
         }
     }
@@ -1221,7 +1105,7 @@ mod tests {
         let v = crate::view::TensorView::of(&t);
         for n in 0..3 {
             let a = rand_mat(3, t.shape().dim(n), 400 + n as u64);
-            let z = ttm_view(&v, n, &a);
+            let z = ttm(v.clone(), n, &a);
             assert_eq!(z.max_abs_diff(&ttm(&t, n, &a)), 0.0, "mode {n}");
         }
     }
@@ -1239,7 +1123,7 @@ mod tests {
         for n in 0..3 {
             let a = rand_mat(4, c.shape().dim(n), 410 + n as u64);
             let mut b1 = Vec::new();
-            let s1 = ttm_view_into_threads(&v, n, &a, &mut b1, 1);
+            let s1 = ttm_into_threads(v.clone(), n, &a, &mut b1, 1);
             let mut b2 = Vec::new();
             let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
             assert_eq!(s1.dims(), s2.dims(), "mode {n}");
@@ -1265,7 +1149,7 @@ mod tests {
         for n in 0..3 {
             let a = rand_mat(8, c.shape().dim(n), 420 + n as u64);
             let mut b1 = Vec::new();
-            let s1 = ttm_view_into_threads(&v, n, &a, &mut b1, 1);
+            let s1 = ttm_into_threads(v.clone(), n, &a, &mut b1, 1);
             let mut b2 = Vec::new();
             let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
             assert_eq!(s1.dims(), s2.dims(), "mode {n}");
@@ -1282,7 +1166,7 @@ mod tests {
         let c = v.to_tensor();
         for n in 0..3 {
             let a = rand_mat(5, c.shape().dim(n), 430 + n as u64);
-            let z1 = ttm_view(&v, n, &a);
+            let z1 = ttm(v.clone(), n, &a);
             let mut b2 = Vec::new();
             let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
             let z2 = DenseTensor::from_vec(s2, b2);
@@ -1321,7 +1205,7 @@ mod tests {
         let t = rand_tensor(&[6, 5, 4], 12);
         let a = rand_mat(3, 5, 120);
         let mut buf = Vec::new();
-        let s1 = ttm_into(&t, 1, &a, &mut buf);
+        let s1 = ttm_into_threads(&t, 1, &a, &mut buf, 1);
         assert_eq!(s1.dims(), &[6, 3, 4]);
         let first = DenseTensor::from_vec(s1, std::mem::take(&mut buf));
         assert!(first.max_abs_diff(&ttm(&t, 1, &a)) == 0.0);
@@ -1329,7 +1213,7 @@ mod tests {
         let mut buf = first.into_vec();
         let cap = buf.capacity();
         let b = rand_mat(2, 6, 121);
-        let s2 = ttm_into(&t, 0, &b, &mut buf);
+        let s2 = ttm_into_threads(&t, 0, &b, &mut buf, 1);
         assert!(buf.capacity() >= cap, "grow-only buffer must keep capacity");
         let second = DenseTensor::from_vec(s2, buf);
         assert!(second.max_abs_diff(&ttm(&t, 0, &b)) < 1e-15);
@@ -1375,25 +1259,6 @@ mod tests {
             "warm ping-pong chain must not allocate tensor buffers"
         );
         ws.recycle(z);
-    }
-
-    #[test]
-    fn workspace_pack_buffers_pool_and_grow_only() {
-        // Big enough for the packed path (inner = 24, work over threshold):
-        // the first call grows the workspace's pack pair, repeats reuse it.
-        let t = rand_tensor(&[24, 20, 18], 17);
-        let a = rand_mat(8, 20, 170);
-        let mut ws = TtmWorkspace::new();
-        assert_eq!(ws.pack_bytes(), 0);
-        let z = ws.ttm(&t, 1, &a);
-        ws.recycle(z);
-        let warm = ws.pack_bytes();
-        assert!(warm > 0, "packed path must stage through the pooled pair");
-        for _ in 0..3 {
-            let z = ws.ttm(&t, 1, &a);
-            ws.recycle(z);
-        }
-        assert_eq!(ws.pack_bytes(), warm, "pack pool must be grow-only");
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! **zero** (an empty window is a legal result of slicing) and strides are
 //! arbitrary, so one buffer can be read as sub-regions, step-sampled
 //! lattices, or whole tensors without copying. Views are the lingua franca
-//! of the subtensor hot paths: `gram_view*` / `ttm_view_into*` consume them
-//! directly (feeding strided panels into the packed kernel layer), and
-//! [`copy_into`] is the single strided-copy primitive behind
-//! `subtensor::extract` / `insert` and the regrid wire packing.
+//! of the subtensor hot paths: `gram*` / `ttm*` take `impl Into<TensorView>`
+//! (a `&DenseTensor` converts to its full view; a strided TTM feeds strided
+//! panels into the packed kernel layer, a strided Gram pays one counted
+//! copy), and [`copy_into`] is the single strided-copy primitive behind
+//! `subtensor::extract` / `insert`, the regrid wire packing and that copy.
 //!
 //! # Ownership and borrow rules
 //!
@@ -31,10 +32,10 @@
 //!
 //! # Why views keep the zero-alloc steady state
 //!
-//! A view is three words plus two short `Vec`s of mode metadata — never a
-//! tensor-sized buffer. The kernel entry points taking views reuse the same
-//! grow-only staging (pack buffers, the Gram mill scratch) as the owned-
-//! tensor paths, and every growth of that staging is counted by the same
+//! A view is a slice plus two inline index vectors of mode metadata — never a
+//! tensor-sized buffer. The kernels reuse the same grow-only staging (pack
+//! buffers, the strided Gram's landing scratch) whatever they are handed,
+//! and every growth of that staging is counted by the same
 //! debug allocation counter ([`crate::dense::tensor_buffer_allocs`]), so a
 //! steady-state sweep over views performs zero tensor-buffer allocations
 //! exactly like the owned-tensor fast path.
@@ -101,6 +102,14 @@ pub struct TensorView<'a> {
     data: &'a [f64],
     dims: Dims,
     strides: Dims,
+}
+
+/// A tensor is its full view: what lets the Gram/TTM kernels take
+/// `impl Into<TensorView>` and be called with `&tensor`.
+impl<'a> From<&'a DenseTensor> for TensorView<'a> {
+    fn from(t: &'a DenseTensor) -> Self {
+        TensorView::of(t)
+    }
 }
 
 impl<'a> TensorView<'a> {
@@ -219,6 +228,16 @@ impl<'a> TensorView<'a> {
         );
         let off: usize = coord.iter().zip(&self.strides).map(|(&c, &s)| c * s).sum();
         self.data[off]
+    }
+
+    /// Panic unless `n` is one of the view's modes (the kernels' argument
+    /// check).
+    pub(crate) fn check_mode(&self, n: usize) {
+        assert!(
+            n < self.order(),
+            "mode {n} out of range for dims {:?}",
+            self.dims
+        );
     }
 
     /// The backing slice, starting at the view's origin.
@@ -578,7 +597,7 @@ pub fn copy_into(src: &TensorView, dst: &mut TensorViewMut) {
 
 /// The index space of a subset of a view's modes (dims of length 1 dropped),
 /// enumerated in canonical lowest-mode-fastest order. Kernel helper: the
-/// view-native Gram/TTM paths use it to walk fiber and slab spaces and to
+/// strided TTM path (and `to_tensor`) uses it to walk slab spaces and to
 /// peel the leading single-stride run off a strided operand.
 #[derive(Clone, Debug)]
 pub(crate) struct AxisSpan {
@@ -642,40 +661,14 @@ impl AxisSpan {
         )
     }
 
-    /// Offset of the position with linear index `idx` (canonical order).
-    pub fn offset_at(&self, mut idx: usize) -> usize {
-        let mut off = 0;
-        for (&d, &s) in self.dims.iter().zip(&self.strides) {
-            off += (idx % d) * s;
-            idx /= d;
-        }
-        off
-    }
-
     /// Iterate all position offsets in canonical order.
     pub fn offsets(&self) -> SpanOffsets {
-        self.offsets_from(0)
-    }
-
-    /// Iterate position offsets starting at linear index `start`.
-    pub fn offsets_from(&self, start: usize) -> SpanOffsets {
-        let total = self.count();
-        let mut coord = Dims::default();
-        let mut idx = start;
-        for &d in &self.dims {
-            coord.push(if d == 0 { 0 } else { idx % d });
-            idx /= if d == 0 { 1 } else { d };
-        }
         SpanOffsets {
             dims: self.dims.clone(),
             strides: self.strides.clone(),
-            coord,
-            off: if start < total {
-                self.offset_at(start)
-            } else {
-                0
-            },
-            remaining: total.saturating_sub(start),
+            coord: Dims::filled(self.dims.len(), 0),
+            off: 0,
+            remaining: self.count(),
         }
     }
 }
@@ -858,8 +851,6 @@ mod tests {
         assert_eq!(outer.count(), 3);
         let offs: Vec<usize> = span.offsets().collect();
         assert_eq!(offs[..5], [0, 1, 2, 3, 5]);
-        assert_eq!(span.offset_at(7), span.offsets().nth(7).unwrap());
-        let tail: Vec<usize> = span.offsets_from(7).collect();
-        assert_eq!(tail, offs[7..].to_vec());
+        assert_eq!(offs.len(), 12);
     }
 }

@@ -70,13 +70,13 @@ fn hooi_plan_well_posed(
         match tree.node(id).label {
             NodeLabel::Root => unreachable!(),
             NodeLabel::Ttm(n) => {
-                let out = std::rc::Rc::new(tucker_tensor::ttm(&input, n, &init[n].transpose()));
+                let out = std::rc::Rc::new(tucker_tensor::ttm(&*input, n, &init[n].transpose()));
                 for &c in tree.node(id).children.iter().rev() {
                     stack.push((c, std::rc::Rc::clone(&out)));
                 }
             }
             NodeLabel::Leaf(n) => {
-                if !gapped(&tucker_tensor::gram(&input, n), meta.k(n)) {
+                if !gapped(&tucker_tensor::gram(&*input, n), meta.k(n)) {
                     return false;
                 }
             }

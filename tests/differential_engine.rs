@@ -87,13 +87,13 @@ fn hooi_plan_well_posed(
             NodeLabel::Root => unreachable!(),
             NodeLabel::Ttm(n) => {
                 let out =
-                    std::rc::Rc::new(tucker_tensor::ttm(&input, n, &init.factors[n].transpose()));
+                    std::rc::Rc::new(tucker_tensor::ttm(&*input, n, &init.factors[n].transpose()));
                 for &c in tree.node(id).children.iter().rev() {
                     stack.push((c, std::rc::Rc::clone(&out)));
                 }
             }
             NodeLabel::Leaf(n) => {
-                if !gapped(&tucker_tensor::gram(&input, n), meta.k(n)) {
+                if !gapped(&tucker_tensor::gram(&*input, n), meta.k(n)) {
                     return false;
                 }
             }

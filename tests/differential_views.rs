@@ -1,11 +1,12 @@
 //! Differential: the **view-native kernels** against extract-then-compute.
 //!
-//! The zero-copy contract of the view layer (DESIGN.md §11) is that feeding
-//! a strided [`TensorView`] straight into Gram/TTM is *indistinguishable to
-//! the bit* from materializing the view into a fresh canonical tensor and
-//! calling the dense kernel with the same worker count — the accumulation
-//! order depends only on the KC blocking of the contracted extent, never on
-//! the operand's strides. Randomized regions (empty, unit-length, interior,
+//! The contract of the view layer (DESIGN.md §11) is that feeding a strided
+//! [`TensorView`] straight into Gram/TTM is *indistinguishable to the bit*
+//! from materializing the view into a fresh canonical tensor and calling
+//! the kernel on that with the same worker count — a strided TTM's
+//! accumulation order depends only on the KC blocking of the contracted
+//! extent, never on the operand's strides, and a strided Gram runs the slab
+//! kernel on one scratch copy of the view. Randomized regions (empty, unit-length, interior,
 //! full-tensor) and non-unit step strides all route through here; both arms
 //! pin one worker so the pairing stays bit-comparable on any host.
 //!
@@ -20,8 +21,7 @@ use tucker_linalg::Matrix;
 use tucker_suite::fields::{hash_noise, video_field};
 use tucker_tensor::subtensor::{extract, Region};
 use tucker_tensor::{
-    gram_threads, gram_view_threads, ttm_into_threads, ttm_view_into_threads, DenseTensor, Shape,
-    TensorView, TensorViewMut,
+    gram_threads, ttm_into_threads, DenseTensor, Shape, TensorView, TensorViewMut,
 };
 
 /// Strategy: 1–4 random mode extents in 1..=6 plus a random region inside
@@ -63,12 +63,12 @@ proptest! {
     /// arm of an empty region is its closed form: the `L_n × L_n` zero
     /// matrix (a sum over no fibers).
     #[test]
-    fn gram_view_matches_extract_bitwise((dims, r) in dims_and_region(), seed in 0u64..1000) {
+    fn gram_of_view_matches_extract_bitwise((dims, r) in dims_and_region(), seed in 0u64..1000) {
         let t = tensor_from_seed(&dims, seed);
         let v = TensorView::region(&t, &r);
         let empty = r.len.contains(&0);
         for n in 0..t.order() {
-            let gv = gram_view_threads(&v, n, 1);
+            let gv = gram_threads(v.clone(), n, 1);
             if empty {
                 prop_assert_eq!(gv.nrows(), r.len[n]);
                 prop_assert!(gv.as_slice().iter().all(|&x| x == 0.0));
@@ -101,7 +101,7 @@ proptest! {
         }
         let sub = v.to_tensor();
         for n in 0..t.order() {
-            let gv = gram_view_threads(&v, n, 1);
+            let gv = gram_threads(v.clone(), n, 1);
             let ge = gram_threads(&sub, n, 1);
             prop_assert!(
                 bits_eq(gv.as_slice(), ge.as_slice()),
@@ -113,7 +113,7 @@ proptest! {
     /// View-native TTM over a random non-empty region is bit-identical to
     /// extract-then-TTM, output buffer included, for every mode.
     #[test]
-    fn ttm_view_matches_extract_bitwise((dims, r) in dims_and_region(), seed in 0u64..1000, k in 1usize..5) {
+    fn ttm_of_view_matches_extract_bitwise((dims, r) in dims_and_region(), seed in 0u64..1000, k in 1usize..5) {
         prop_assume!(r.len.iter().all(|&l| l > 0));
         let t = tensor_from_seed(&dims, seed);
         let sub = materialize(&t, &r);
@@ -122,7 +122,7 @@ proptest! {
             let a = Matrix::from_fn(k, r.len[n], |i, j| hash_noise(&[i, j], seed ^ 0xA1));
             let mut out_v = Vec::new();
             let mut out_e = Vec::new();
-            let sh_v = ttm_view_into_threads(&v, n, &a, &mut out_v, 1);
+            let sh_v = ttm_into_threads(v.clone(), n, &a, &mut out_v, 1);
             let sh_e = ttm_into_threads(&sub, n, &a, &mut out_e, 1);
             prop_assert_eq!(sh_v.dims(), sh_e.dims());
             prop_assert!(
