@@ -1,8 +1,11 @@
-//! Shared helpers for the experiment harness (the `experiments` binary and
-//! the criterion benches).
+//! The experiment harness behind the `experiments` binary: the artifact
+//! contract ([`artifact`]), one generator per file under `results/`
+//! ([`generators`]), and the diff `repro --check` runs over them ([`repro`]).
 
 use tucker_core::TuckerMeta;
 
+pub mod artifact;
+pub mod generators;
 pub mod repro;
 
 /// Scale metadata down by the smallest integer factor that brings the input
@@ -33,25 +36,8 @@ pub fn scale_for_measurement(
     }
 }
 
-/// Write a CSV file under `results/`, creating the directory if needed.
-/// Returns the path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
-    body.push_str(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
-    }
-    std::fs::write(&path, body).expect("write csv");
-    path
-}
-
-/// Write an arbitrary text file (e.g. machine-readable JSON) under
-/// `results/`, creating the directory if needed. Returns the path written.
+/// Write a rendered artifact under `results/`, creating the directory if
+/// needed. Returns the path written.
 pub fn write_results(name: &str, body: &str) -> std::path::PathBuf {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");

@@ -1,18 +1,19 @@
-//! Artifact diffing for `experiments -- repro --check`: a dependency-free
-//! JSON flattener and tolerance-aware comparators for the committed
-//! `results/` files.
-//!
-//! Every `BENCH_*.json` is flattened to `(path, atom)` pairs
-//! (`rows[3].wall_s` → `Num(0.0016)`); a diff then walks the union of the
-//! two key sets. Numeric leaves compare under a per-file relative
-//! tolerance, string/bool leaves must match exactly, and keys whose
-//! flattened path contains a policy substring (host-clock timings,
-//! machine-width fields) are skipped and counted as ignored. CSVs compare
-//! cell-wise with the same numeric rule. A tolerance of `f64::INFINITY`
-//! checks structure only — the right policy for percentile curves of
-//! measured wall times, which are shaped by the host scheduler.
+//! Artifact diffing for `experiments -- repro --check`. Every `BENCH_*.json`
+//! is flattened to `(path, atom)` pairs (`rows[3].wall_s` → `Num(0.0016)`);
+//! the two key sets must be identical, and each leaf is treated as the
+//! artifact's own declaration says ([`Kinds`], read off the document the
+//! generator built): `model` leaves compare tight, `host` leaves are counted
+//! and skipped, `bounded` leaves must sit under their bound on both sides.
+//! CSVs compare cell-wise under the `model` rule, or shape-only when the
+//! table is declared `host`.
 
+use crate::artifact::{kind_of, Kind, Kinds};
 use std::collections::BTreeMap;
+
+/// Relative tolerance of a non-integral `model` number: room for the last
+/// printed digit of an error norm to move between instruction sets, none
+/// for a nanosecond of virtual time.
+pub const MODEL_REL_TOL: f64 = 1e-9;
 
 /// A JSON leaf value.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,27 +31,23 @@ pub enum Atom {
 /// Outcome of diffing one artifact against its committed snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct FileDiff {
-    /// Leaves compared under the tolerance.
+    /// `model` and `bounded` leaves checked.
     pub compared: usize,
-    /// Leaves skipped by the ignore policy.
+    /// `host` leaves (present on both sides, values not compared).
     pub ignored: usize,
-    /// Worst relative deviation among compared numeric leaves.
+    /// Worst relative deviation among compared `model` numbers.
     pub worst_rel: f64,
     /// Flattened path of the worst deviation.
     pub worst_key: String,
+    /// The `bounded` leaf closest to its bound, either side:
+    /// `(path, |value|, bound)`.
+    pub worst_bounded: Option<(String, f64, f64)>,
     /// Human-readable mismatches (tolerance violations, type flips,
     /// string/bool changes). Empty ⇒ the artifact reproduced.
     pub mismatches: Vec<String>,
     /// Set when the two files do not even share a structure (parse error,
     /// key-set or row/column drift); value explains the drift.
     pub structural: Option<String>,
-}
-
-impl FileDiff {
-    /// The artifact reproduced under the policy.
-    pub fn ok(&self) -> bool {
-        self.mismatches.is_empty() && self.structural.is_none()
-    }
 }
 
 /// Relative deviation `|a − b| / max(|a|, |b|)`, 0 for exact equality
@@ -60,6 +57,28 @@ fn rel_dev(a: f64, b: f64) -> f64 {
         return 0.0;
     }
     (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
+}
+
+impl FileDiff {
+    /// The artifact reproduced under its declaration.
+    pub fn ok(&self) -> bool {
+        self.mismatches.is_empty() && self.structural.is_none()
+    }
+
+    /// Compare two `model` numbers at `key`: counts (both integral) must be
+    /// equal, anything else within [`MODEL_REL_TOL`].
+    fn model_num(&mut self, key: &str, x: f64, y: f64) {
+        let dev = rel_dev(x, y);
+        if dev > self.worst_rel {
+            self.worst_rel = dev;
+            self.worst_key = key.to_string();
+        }
+        let counts = x.fract() == 0.0 && y.fract() == 0.0;
+        if dev > 0.0 && (counts || dev > MODEL_REL_TOL) {
+            self.mismatches
+                .push(format!("{key}: {x:e} -> {y:e} (rel {dev:.2e})"));
+        }
+    }
 }
 
 // ------------------------------------------------------------------ JSON
@@ -90,98 +109,72 @@ fn parse_value(
     path: String,
     out: &mut BTreeMap<String, Atom>,
 ) -> Result<(), String> {
+    const WORDS: [(&str, Atom); 3] = [
+        ("true", Atom::Bool(true)),
+        ("false", Atom::Bool(false)),
+        ("null", Atom::Null),
+    ];
     skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
+    let atom = match b.get(*pos) {
+        // A container: members up to the closing bracket, an object's each
+        // behind its `"key":`.
+        Some(&open @ (b'{' | b'[')) => {
+            let close = if open == b'{' { b'}' } else { b']' };
             *pos += 1;
             skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {pos}"));
-                }
-                *pos += 1;
-                let child = if path.is_empty() {
-                    key
-                } else {
-                    format!("{path}.{key}")
-                };
-                parse_value(b, pos, child, out)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
+            if b.get(*pos) == Some(&close) {
                 *pos += 1;
                 return Ok(());
             }
             let mut i = 0usize;
             loop {
-                parse_value(b, pos, format!("{path}[{i}]"), out)?;
+                let child = if open == b'[' {
+                    format!("{path}[{i}]")
+                } else {
+                    skip_ws(b, pos);
+                    let key = parse_string(b, pos)?;
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b':') {
+                        return Err(format!("expected ':' at offset {pos}"));
+                    }
+                    *pos += 1;
+                    let sep = if path.is_empty() { "" } else { "." };
+                    format!("{path}{sep}{key}")
+                };
+                parse_value(b, pos, child, out)?;
                 i += 1;
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
-                    Some(b']') => {
+                    Some(c) if *c == close => {
                         *pos += 1;
                         return Ok(());
                     }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
+                    _ => return Err(format!("expected ',' or closing bracket at offset {pos}")),
                 }
             }
         }
-        Some(b'"') => {
-            let s = parse_string(b, pos)?;
-            out.insert(path, Atom::Str(s));
-            Ok(())
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            out.insert(path, Atom::Bool(true));
-            Ok(())
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            out.insert(path, Atom::Bool(false));
-            Ok(())
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            out.insert(path, Atom::Null);
-            Ok(())
-        }
+        Some(b'"') => Atom::Str(parse_string(b, pos)?),
         Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
+            let rest = &b[*pos..];
+            if let Some((w, atom)) = WORDS.iter().find(|(w, _)| rest.starts_with(w.as_bytes())) {
+                *pos += w.len();
+                atom.clone()
+            } else {
+                let digits = |c: &u8| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
+                let len = rest.iter().take_while(|c| digits(c)).count();
+                let lit = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                let n = lit
+                    .parse()
+                    .map_err(|_| format!("bad number '{lit}' at offset {pos}"))?;
+                *pos += len;
+                Atom::Num(n)
             }
-            let lit = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            let n: f64 = lit
-                .parse()
-                .map_err(|_| format!("bad number '{lit}' at offset {start}"))?;
-            out.insert(path, Atom::Num(n));
-            Ok(())
         }
-        None => Err("unexpected end of input".into()),
-    }
+        None => return Err("unexpected end of input".into()),
+    };
+    out.insert(path, atom);
+    Ok(())
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -189,50 +182,48 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
         return Err(format!("expected '\"' at offset {pos}"));
     }
     *pos += 1;
-    let mut s = String::new();
+    // Raw bytes of the input are UTF-8 already; escapes append to them.
+    let mut s: Vec<u8> = Vec::new();
     while let Some(&c) = b.get(*pos) {
         *pos += 1;
         match c {
-            b'"' => return Ok(s),
+            b'"' => return String::from_utf8(s).map_err(|e| e.to_string()),
             b'\\' => {
                 let esc = *b.get(*pos).ok_or("unterminated escape")?;
                 *pos += 1;
                 match esc {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
+                    b'"' | b'\\' | b'/' => s.push(esc),
+                    b'n' => s.push(b'\n'),
+                    b't' => s.push(b'\t'),
+                    b'r' => s.push(b'\r'),
                     b'u' => {
                         let hex = std::str::from_utf8(b.get(*pos..*pos + 4).ok_or("short \\u")?)
                             .map_err(|e| e.to_string())?;
                         *pos += 4;
                         let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        s.push(char::from_u32(cp).ok_or("bad \\u codepoint")?);
+                        let ch = char::from_u32(cp).ok_or("bad \\u codepoint")?;
+                        s.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
                     }
                     other => return Err(format!("unsupported escape '\\{}'", other as char)),
                 }
             }
-            _ => s.push(c as char),
+            _ => s.push(c),
         }
     }
     Err("unterminated string".into())
 }
 
-/// Diff two JSON documents. Keys whose flattened path contains any
-/// substring of `ignore` are skipped; numeric leaves compare within
-/// `rel_tol` relative; key-set drift is structural.
-pub fn diff_json(committed: &str, fresh: &str, rel_tol: f64, ignore: &[&str]) -> FileDiff {
+/// Diff two JSON documents under the declared `kinds`. Key-set drift and a
+/// leaf nobody declared are structural.
+pub fn diff_json(committed: &str, fresh: &str, kinds: &Kinds) -> FileDiff {
     let mut d = FileDiff::default();
-    let (a, b) = match (flatten_json(committed), flatten_json(fresh)) {
+    let parse = |side: &str, text: &str| {
+        flatten_json(text).map_err(|e| format!("{side} file does not parse: {e}"))
+    };
+    let (a, b) = match (parse("committed", committed), parse("regenerated", fresh)) {
         (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) => {
-            d.structural = Some(format!("committed file does not parse: {e}"));
-            return d;
-        }
-        (_, Err(e)) => {
-            d.structural = Some(format!("regenerated file does not parse: {e}"));
+        (Err(e), _) | (_, Err(e)) => {
+            d.structural = Some(e);
             return d;
         }
     };
@@ -248,25 +239,31 @@ pub fn diff_json(committed: &str, fresh: &str, rel_tol: f64, ignore: &[&str]) ->
         return d;
     }
     for (k, va) in &a {
-        if ignore.iter().any(|pat| k.contains(pat)) {
+        let vb = &b[k];
+        let Some(kind) = kind_of(kinds, k) else {
+            d.structural = Some(format!("{k} has no declared kind"));
+            return d;
+        };
+        if kind == Kind::Host {
             d.ignored += 1;
             continue;
         }
-        let vb = &b[k];
         d.compared += 1;
-        match (va, vb) {
-            (Atom::Num(x), Atom::Num(y)) => {
-                let dev = rel_dev(*x, *y);
-                if dev > d.worst_rel {
-                    d.worst_rel = dev;
-                    d.worst_key = k.clone();
-                }
-                if dev > rel_tol {
-                    d.mismatches
-                        .push(format!("{k}: {x:e} -> {y:e} (rel {dev:.2e})"));
+        match (kind, va, vb) {
+            (Kind::Bounded(bound), Atom::Num(x), Atom::Num(y)) => {
+                for (side, v) in [("committed", x.abs()), ("regenerated", y.abs())] {
+                    if v.is_nan() || v > bound {
+                        d.mismatches
+                            .push(format!("{k}: {side} {v:e} exceeds its bound {bound:e}"));
+                    }
+                    let nearest = d.worst_bounded.as_ref();
+                    if nearest.is_none_or(|w| v / bound > w.1 / w.2) {
+                        d.worst_bounded = Some((k.clone(), v, bound));
+                    }
                 }
             }
-            _ if va == vb => {}
+            (Kind::Model, Atom::Num(x), Atom::Num(y)) => d.model_num(k, *x, *y),
+            (Kind::Model, _, _) if va == vb => {}
             _ => d.mismatches.push(format!("{k}: {va:?} -> {vb:?}")),
         }
     }
@@ -275,9 +272,10 @@ pub fn diff_json(committed: &str, fresh: &str, rel_tol: f64, ignore: &[&str]) ->
 
 // ------------------------------------------------------------------- CSV
 
-/// Diff two CSVs cell-wise: identical header line, identical row count,
-/// numeric cells within `rel_tol` relative, other cells byte-equal.
-pub fn diff_csv(committed: &str, fresh: &str, rel_tol: f64) -> FileDiff {
+/// Diff two CSVs: identical header line and row/column counts; unless the
+/// table is declared `host`, numeric cells under the `model` rule and other
+/// cells byte-equal.
+pub fn diff_csv(committed: &str, fresh: &str, host: bool) -> FileDiff {
     let mut d = FileDiff::default();
     let a: Vec<&str> = committed.lines().collect();
     let b: Vec<&str> = fresh.lines().collect();
@@ -296,27 +294,17 @@ pub fn diff_csv(committed: &str, fresh: &str, rel_tol: f64) -> FileDiff {
             d.structural = Some(format!("column count drifted on line {}", li + 1));
             return d;
         }
+        if host {
+            d.ignored += ca.len();
+            continue;
+        }
         for (ci, (xa, xb)) in ca.iter().zip(&cb).enumerate() {
             d.compared += 1;
+            let cell = format!("line {} col {}", li + 1, ci + 1);
             match (xa.parse::<f64>(), xb.parse::<f64>()) {
-                (Ok(x), Ok(y)) => {
-                    let dev = rel_dev(x, y);
-                    if dev > d.worst_rel {
-                        d.worst_rel = dev;
-                        d.worst_key = format!("line {} col {}", li + 1, ci + 1);
-                    }
-                    if dev > rel_tol {
-                        d.mismatches.push(format!(
-                            "line {} col {}: {x} -> {y} (rel {dev:.2e})",
-                            li + 1,
-                            ci + 1
-                        ));
-                    }
-                }
+                (Ok(x), Ok(y)) => d.model_num(&cell, x, y),
                 _ if xa == xb => {}
-                _ => d
-                    .mismatches
-                    .push(format!("line {} col {}: '{xa}' -> '{xb}'", li + 1, ci + 1)),
+                _ => d.mismatches.push(format!("{cell}: '{xa}' -> '{xb}'")),
             }
         }
     }
@@ -343,33 +331,45 @@ mod tests {
 
     #[test]
     fn json_diff_tolerates_within_and_flags_beyond() {
-        let a = "{\"x\": 1.0, \"wall_s\": 5.0, \"name\": \"p\"}";
-        let b = "{\"x\": 1.0000001, \"wall_s\": 9.0, \"name\": \"p\"}";
-        let d = diff_json(a, b, 1e-6, &["_s"]);
-        assert!(d.ok(), "{:?}", d.mismatches);
-        assert_eq!(d.ignored, 1);
-        let d = diff_json(a, b, 1e-9, &["_s"]);
-        assert!(!d.ok());
-        assert_eq!(d.mismatches.len(), 1);
+        use crate::artifact::{Fix, Obj};
+        const N: u64 = 1_000_000_000_000;
+        let doc = |x: f64, n: u64, wall: f64| {
+            let o = Obj::new().model("x", x).model("n", n);
+            o.host("wall_s", Fix(wall, 1))
+        };
+        let a = doc(1.0, N, 5.0);
+        let diff = |b: Obj| diff_json(&a.render(), &b.render(), &a.kinds());
+        let within = diff(doc(1.0 + 1e-10, N, 9.0));
+        assert!(within.ok(), "{:?}", within.mismatches);
+        assert_eq!((within.compared, within.ignored), (2, 1));
+        assert_eq!(diff(doc(1.0 + 1e-8, N, 9.0)).mismatches.len(), 1);
+        // Counts are exact however large: one in 1e12 is 1e-12 relative.
+        assert_eq!(diff(doc(1.0, N + 1, 5.0)).mismatches.len(), 1);
     }
 
     #[test]
     fn json_diff_reports_key_drift_as_structural() {
-        let d = diff_json("{\"x\": 1}", "{\"y\": 1}", 1e-6, &[]);
+        use crate::artifact::Obj;
+        let kinds = Obj::new().model("x", 1usize).kinds();
+        let d = diff_json("{\"x\": 1}", "{\"y\": 1}", &kinds);
+        assert!(d.structural.is_some());
+        // Same keys on both sides, but nobody declared them.
+        let d = diff_json("{\"y\": 1}", "{\"y\": 1}", &kinds);
         assert!(d.structural.is_some());
     }
 
     #[test]
     fn csv_diff_checks_cells_and_structure() {
         let a = "p,v\n1,2.0\n2,3.0\n";
-        let ok = diff_csv(a, "p,v\n1,2.0\n2,3.0000000001\n", 1e-6);
+        let ok = diff_csv(a, "p,v\n1,2.0\n2,3.0000000001\n", false);
         assert!(ok.ok());
-        let bad = diff_csv(a, "p,v\n1,2.0\n2,4.0\n", 1e-6);
+        let bad = diff_csv(a, "p,v\n1,2.0\n2,4.0\n", false);
         assert_eq!(bad.mismatches.len(), 1);
-        let drift = diff_csv(a, "p,v\n1,2.0\n", 1e-6);
+        let drift = diff_csv(a, "p,v\n1,2.0\n", false);
         assert!(drift.structural.is_some());
-        let inf = diff_csv(a, "p,v\n1,9.0\n2,4.0\n", f64::INFINITY);
-        assert!(inf.ok());
-        assert!(inf.worst_rel > 0.0);
+        let host = diff_csv(a, "p,v\n1,9.0\n2,4.0\n", true);
+        assert!(host.ok());
+        assert_eq!((host.compared, host.ignored), (0, 4));
+        assert!(diff_csv(a, "p,v\n1,9.0\n", true).structural.is_some());
     }
 }

@@ -31,7 +31,7 @@
 //!   per-rank work genuinely shrinks with `P`), communication phases from
 //!   the per-rank α–β virtual clock charged by the attached [`NetModel`].
 //!   This replays the engine at paper-scale rank counts (P = 2⁶…2¹³) in
-//!   seconds, reporting through the **same** [`ExecutionStats`] fields as
+//!   seconds, reporting through the **same** [`SweepStats`] fields as
 //!   measured runs.
 
 use crate::checkpoint::{RecoveryLog, SweepCheckpoint};
@@ -59,10 +59,6 @@ use tucker_tensor::subtensor::Region;
 use tucker_tensor::DenseTensor;
 
 pub use tucker_distsim::backend::{PhaseSnap, TimeSource};
-
-/// The unified per-sweep stats (see [`crate::executor::SweepStats`]),
-/// re-exported under the engine's historical name.
-pub type ExecutionStats = SweepStats;
 
 /// Tag of the scalar (norm) all-reduce — the same tag
 /// [`DistTensor::global_norm_sq`] uses, so both paths are bit-identical.
@@ -141,7 +137,7 @@ impl EngineConfig {
         }
     }
 
-    /// The clock feeding the [`ExecutionStats`] of a run: virtual iff a
+    /// The clock feeding the [`SweepStats`] of a run: virtual iff a
     /// [`NetModel`] is attached.
     pub fn time(&self) -> TimeSource {
         match self.net {
@@ -334,7 +330,7 @@ pub struct MeshHooiOutput {
     /// Stats per sweep, cross-rank merged, provenance-stamped per epoch.
     /// Sweeps committed before a failure keep the clocks they measured
     /// under the original grid.
-    pub per_sweep: Vec<ExecutionStats>,
+    pub per_sweep: Vec<SweepStats>,
     /// Volume ledger of each epoch (one entry per attempt, including
     /// aborted ones).
     pub epoch_volumes: Vec<VolumeReport>,
@@ -477,13 +473,26 @@ pub fn run_distributed_hooi(
     sweeps: usize,
     cfg: &EngineConfig,
 ) -> MeshHooiOutput {
+    run_distributed_hooi_on(global_fn, plan, sweeps, cfg, &MeshCfg::default())
+}
+
+/// [`run_distributed_hooi`] on an explicit mesh configuration (worker pool,
+/// fiber stacks): what a run reports under the virtual clock must not depend
+/// on it, and the tests that hold that vary it.
+pub fn run_distributed_hooi_on(
+    global_fn: impl Fn(&[usize]) -> f64 + Sync,
+    plan: &Plan,
+    sweeps: usize,
+    cfg: &EngineConfig,
+    mesh: &MeshCfg,
+) -> MeshHooiOutput {
     hooi_epochs(
         global_fn,
         &plan.meta,
         plan.nranks,
         sweeps,
         cfg,
-        &MeshCfg::default(),
+        mesh,
         None,
         None,
         Some(plan),
@@ -862,7 +871,6 @@ mod tests {
     use crate::hooi::hooi_invocation;
     use crate::meta::TuckerMeta;
     use crate::plan::{GridStrategy, TreeStrategy};
-    use tucker_linalg::leading_from_gram;
 
     /// Smooth but non-separable field with a deterministic noise floor, so
     /// errors are far from machine epsilon and Gram eigenvalues are simple.
@@ -951,12 +959,7 @@ mod tests {
         // Sequential reference: same HOSVD-style init (non-truncated Gram
         // per mode on the raw tensor).
         let t = tucker_tensor::DenseTensor::from_fn(meta.input().clone(), smooth);
-        let init_factors: Vec<Matrix> = (0..meta.order())
-            .map(|n| {
-                let gram = tucker_tensor::gram(&t, n);
-                leading_from_gram(&gram, meta.k(n)).u
-            })
-            .collect();
+        let init_factors = crate::sthosvd::hosvd_init_factors(&t, &meta);
         let mut core = t.clone();
         for (n, f) in init_factors.iter().enumerate() {
             core = tucker_tensor::ttm(&core, n, &f.transpose());
@@ -1112,7 +1115,7 @@ mod tests {
                 (a.ttm_comm, a.gram_comm, a.comm_wall),
                 (b.ttm_comm, b.gram_comm, b.comm_wall)
             );
-            let predicted = |s: &ExecutionStats| s.provenance.as_ref().unwrap().predicted_comm;
+            let predicted = |s: &SweepStats| s.provenance.as_ref().unwrap().predicted_comm;
             assert_eq!(predicted(a), predicted(b));
             assert_eq!(predicted(a), Some(a.comm_wall), "predict == execute");
         }

@@ -40,12 +40,13 @@ use crate::executor::{
 use crate::meta::TuckerMeta;
 use crate::plan::cache::{PlanCache, PlanCacheStats};
 use crate::plan::{CostModel, FlopVolumeModel, NetCostModel, Plan};
+use crate::sthosvd::hosvd_init_factors;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use tucker_distsim::NetModel;
-use tucker_linalg::{leading_from_gram, Matrix};
+use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, Shape, TtmWorkspace};
 
@@ -797,9 +798,7 @@ fn execute_compress_batch(
     let items: Vec<BatchItem<DenseTensor>> = roots
         .iter()
         .map(|t| {
-            let init: Vec<Matrix> = (0..meta.order())
-                .map(|n| leading_from_gram(&tucker_tensor::gram(t, n), meta.k(n)).u)
-                .collect();
+            let init = hosvd_init_factors(t, &meta);
             BatchItem {
                 root: t,
                 meta: &meta,
@@ -947,9 +946,7 @@ mod tests {
         let meta = TuckerMeta::new(dims.to_vec(), core.to_vec());
         let plan = Planner::new(meta.clone(), 4).best_plan();
         let t = DenseTensor::from_fn(meta.input().clone(), |c| synthetic_fill(c, 7));
-        let init: Vec<Matrix> = (0..meta.order())
-            .map(|n| leading_from_gram(&tucker_tensor::gram(&t, n), meta.k(n)).u)
-            .collect();
+        let init = hosvd_init_factors(&t, &meta);
         let mut b = SeqBackend::new();
         let direct = hooi_loop(
             &mut b,

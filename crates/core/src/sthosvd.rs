@@ -17,7 +17,7 @@
 use crate::decomposition::TuckerDecomposition;
 use crate::executor::{self, SeqBackend};
 use crate::meta::TuckerMeta;
-use tucker_linalg::Matrix;
+use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, TtmWorkspace};
 
@@ -43,6 +43,16 @@ pub fn sthosvd_with_order(
 pub fn sthosvd(t: &DenseTensor, meta: &TuckerMeta) -> TuckerDecomposition {
     let order: Vec<usize> = (0..meta.order()).collect();
     sthosvd_with_order(t, meta, &order)
+}
+
+/// Truncated-HOSVD initial factors: per mode, the leading `K_n` eigenvectors
+/// of the Gram of the *raw* tensor's mode-`n` unfolding — the host-side twin
+/// of the engine's fused distributed init, so host and simulated runs start
+/// from the same factors.
+pub fn hosvd_init_factors(t: &DenseTensor, meta: &TuckerMeta) -> Vec<Matrix> {
+    (0..meta.order())
+        .map(|n| leading_from_gram(&tucker_tensor::gram(t, n), meta.k(n)).u)
+        .collect()
 }
 
 /// Random orthonormal initialization: factors are Q-factors of Gaussian

@@ -10,16 +10,18 @@
 //! that honest measured runs cannot reach.
 
 use tucker_core::engine::{
-    run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig, FailurePolicy, InjectedFault,
+    run_distributed_hooi, run_distributed_hooi_mesh, run_distributed_hooi_on, EngineConfig,
+    FailurePolicy, InjectedFault,
 };
 use tucker_core::executor::{self, RayonBackend, SeqBackend, SweepBackend};
 use tucker_core::plan::brute_force::{enumerate_all_trees, min_sweep_cost};
 use tucker_core::plan::cost::{sweep_cost, CostModel, FlopVolumeModel, NetCostModel};
 use tucker_core::plan::grid::candidate_grids;
 use tucker_core::plan::{GridStrategy, Planner, SearchBudget, TreeStrategy};
+use tucker_core::sthosvd::hosvd_init_factors;
 use tucker_core::TuckerMeta;
 use tucker_distsim::{MeshCfg, NetModel, VolumeCategory};
-use tucker_linalg::{leading_from_gram, Matrix};
+use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::{extract, Region};
 use tucker_tensor::{
     copy_into, gram_threads, view_bytes_copied, DenseTensor, Shape, TensorView, TensorViewMut,
@@ -169,9 +171,17 @@ pub fn scaling_ranks() -> Vec<usize> {
 ///   engine-executed virtual clocks within 5% — the prediction-vs-execution
 ///   invariant of DESIGN.md §6 (in practice the match is exact).
 ///
+/// `mesh` sizes the worker pool the simulated ranks run on; only the
+/// host-clock columns may depend on it.
+///
 /// # Panics
 /// Panics if a measured volume or virtual clock contradicts its model.
-pub fn scaling_sweep(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<ScalingRow> {
+pub fn scaling_sweep(
+    meta: &TuckerMeta,
+    ranks: &[usize],
+    net: NetModel,
+    mesh: &MeshCfg,
+) -> Vec<ScalingRow> {
     let fill = |c: &[usize]| crate::fields::hash_noise(c, 0x5CA1E);
     let cfg = EngineConfig {
         gather_core: false,
@@ -185,7 +195,7 @@ pub fn scaling_sweep(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<S
         lineup.push(planner.best_plan_with(&net_model, &SearchBudget::winner_only()));
         for plan in lineup {
             let host0 = std::time::Instant::now();
-            let out = run_distributed_hooi(fill, &plan, 1, &cfg);
+            let out = run_distributed_hooi_on(fill, &plan, 1, &cfg, mesh);
             let host_s = host0.elapsed().as_secs_f64();
             let s = &out.per_sweep[0];
             // Sweeps ran once, so the run-level ledger *is* the sweep ledger
@@ -323,14 +333,19 @@ pub struct TopologyRow {
 ///   simulator, plus the flat-simulator control) — the PR 5 invariant per
 ///   topology;
 /// * the topology-aware plan never loses to the flat-model plan on executed
-///   communication. (The *strict* win at paper-scale rank counts is asserted
-///   by the bench experiment and CI, not here, so small smoke sweeps where
+///   communication. (The *strict* win at paper-scale rank counts is gated
+///   by the `topology` experiment, not here, so small smoke sweeps where
 ///   both models pick the same plan stay valid.)
 ///
 /// # Panics
 /// Panics if a prediction misses its executed clock or the topology-aware
 /// plan loses.
-pub fn topology_sweep(meta: &TuckerMeta, ranks: &[usize], hier: NetModel) -> Vec<TopologyRow> {
+pub fn topology_sweep(
+    meta: &TuckerMeta,
+    ranks: &[usize],
+    hier: NetModel,
+    mesh: &MeshCfg,
+) -> Vec<TopologyRow> {
     assert!(
         hier.is_hierarchical(),
         "topology sweep needs a hierarchical model"
@@ -359,9 +374,9 @@ pub fn topology_sweep(meta: &TuckerMeta, ranks: &[usize], hier: NetModel) -> Vec
         let flat_plan = planner.best_plan_with(&flat_model, &SearchBudget::winner_only());
 
         let host0 = std::time::Instant::now();
-        let topo_out = run_distributed_hooi(fill, &topo_plan, 1, &hier_cfg);
-        let flat_out = run_distributed_hooi(fill, &flat_plan, 1, &hier_cfg);
-        let ctrl_out = run_distributed_hooi(fill, &flat_plan, 1, &flat_cfg);
+        let topo_out = run_distributed_hooi_on(fill, &topo_plan, 1, &hier_cfg, mesh);
+        let flat_out = run_distributed_hooi_on(fill, &flat_plan, 1, &hier_cfg, mesh);
+        let ctrl_out = run_distributed_hooi_on(fill, &flat_plan, 1, &flat_cfg, mesh);
         let host_s = host0.elapsed().as_secs_f64();
 
         // The PR 5 invariant, per topology: predict_sweep replays the exact
@@ -480,7 +495,12 @@ pub const RECOVERY_FAIL_AFTER_LEAVES: usize = 2;
 /// # Panics
 /// Panics if a recovered run contradicts the from-scratch differential or
 /// the recovery bookkeeping.
-pub fn recovery_bench(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<RecoveryRow> {
+pub fn recovery_bench(
+    meta: &TuckerMeta,
+    ranks: &[usize],
+    net: NetModel,
+    mesh: &MeshCfg,
+) -> Vec<RecoveryRow> {
     let fill = |c: &[usize]| crate::fields::hash_noise(c, 0x5CA1E);
     let recover_cfg = EngineConfig {
         gather_core: false,
@@ -491,7 +511,6 @@ pub fn recovery_bench(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<
         gather_core: false,
         ..EngineConfig::virtual_time(net)
     };
-    let mesh = MeshCfg::default();
     let mut rows = Vec::new();
     for &p in ranks {
         let fault = InjectedFault {
@@ -507,7 +526,7 @@ pub fn recovery_bench(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<
             p,
             RECOVERY_SWEEPS,
             &recover_cfg,
-            &mesh,
+            mesh,
             Some(fault),
         );
         let recover_total_s = host0.elapsed().as_secs_f64();
@@ -528,7 +547,7 @@ pub fn recovery_bench(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<
                 p,
                 RECOVERY_SWEEPS,
                 &abort_cfg,
-                &mesh,
+                mesh,
                 Some(fault),
             )
         }));
@@ -544,7 +563,7 @@ pub fn recovery_bench(meta: &TuckerMeta, ranks: &[usize], net: NetModel) -> Vec<
             ev.survivors,
             RECOVERY_SWEEPS,
             &recover_cfg,
-            &mesh,
+            mesh,
             None,
         );
         let restart_total_s = host2.elapsed().as_secs_f64();
@@ -602,8 +621,8 @@ pub struct DpCertRow {
 /// Certify the joint grid × tree × order DP against full brute-force
 /// enumeration (every TTM-tree, every grid assignment) under **both** cost
 /// models, on a fixed battery of small problems. Returns one row per
-/// (meta, P, model); `agreed` must be `true` on every row (asserted by the
-/// planner experiment and CI).
+/// (meta, P, model); `agreed` must be `true` on every row (gated by the `planner`
+/// experiment).
 pub fn dp_certification() -> Vec<DpCertRow> {
     // N ≤ 3 keeps the oracle truly exhaustive (every tree × every
     // assignment); larger orders are covered by the sampling proptests.
@@ -664,15 +683,6 @@ pub struct BackendRow {
     pub svd_s: f64,
     /// Relative error after the last sweep (must agree across backends).
     pub error: f64,
-}
-
-/// The engine's HOSVD-style initialization on the host: leading
-/// eigenvectors of each mode's Gram of the raw tensor (identical to the
-/// distributed init, so every backend starts from the same factors).
-fn hosvd_init_factors(t: &DenseTensor, meta: &TuckerMeta) -> Vec<Matrix> {
-    (0..meta.order())
-        .map(|n| leading_from_gram(&tucker_tensor::gram(t, n), meta.k(n)).u)
-        .collect()
 }
 
 /// Shared fixture of one backend-comparison problem.
@@ -1283,7 +1293,12 @@ mod tests {
         // Small rank counts keep the test fast; the in-sweep assertions do
         // the §4.1/§4.3 volume validation AND the predicted-vs-executed
         // virtual-time certification.
-        let rows = scaling_sweep(&scaling_meta(), &[4, 16], NetModel::bgq());
+        let rows = scaling_sweep(
+            &scaling_meta(),
+            &[4, 16],
+            NetModel::bgq(),
+            &MeshCfg::default(),
+        );
         assert_eq!(rows.len(), 2 * SCALING_STRATEGIES);
         for r in &rows {
             assert!(r.wall_s > 0.0, "{}: zero wall", r.strategy);
@@ -1328,7 +1343,12 @@ mod tests {
         // Small rank counts keep the test fast; the in-sweep assertions do
         // the nanosecond predict-vs-execute certification under both
         // topologies and the never-loses comparison.
-        let rows = topology_sweep(&scaling_meta(), &[4, 16], NetModel::cluster());
+        let rows = topology_sweep(
+            &scaling_meta(),
+            &[4, 16],
+            NetModel::cluster(),
+            &MeshCfg::default(),
+        );
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.topo_comm_s > 0.0 && r.flat_comm_s > 0.0);

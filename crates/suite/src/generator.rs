@@ -9,7 +9,8 @@
 //! The paper reports 1134 five-dimensional and 642 six-dimensional tensors;
 //! its exact de-duplication convention is not specified and no convention we
 //! tried reproduces those counts (our full multiset enumerations have 10312
-//! and 7710 members — see EXPERIMENTS.md). [`paper_sized_subsample`]
+//! and 7710 members, pinned by `enumeration_counts_are_stable` below).
+//! [`paper_sized_subsample`]
 //! deterministically thins the full enumeration to exactly the paper's
 //! sizes, preserving the parameter-space coverage.
 
@@ -144,8 +145,8 @@ mod tests {
 
     #[test]
     fn enumeration_counts_are_stable() {
-        // Documented in EXPERIMENTS.md; a change here silently changes every
-        // percentile figure, so pin the counts.
+        // A change here silently changes every percentile figure (and the
+        // committed fig11c/d/f CSVs), so pin the counts.
         assert_eq!(full_enumeration(5).len(), 10312);
         assert_eq!(full_enumeration(6).len(), 7710);
     }

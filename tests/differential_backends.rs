@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use tucker_core::executor::{self, RayonBackend, SeqBackend, SweepBackend};
 use tucker_core::plan::tree::{NodeLabel, TtmTree};
 use tucker_core::plan::Planner;
+use tucker_core::sthosvd::hosvd_init_factors;
 use tucker_core::TuckerMeta;
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
@@ -97,27 +98,14 @@ fn viable(meta: &TuckerMeta) -> bool {
         && !tucker_distsim::enumerate_valid_grids(NRANKS, meta.core().dims()).is_empty()
 }
 
-/// HOSVD-style init shared by both backends.
-fn hosvd_init(t: &DenseTensor, meta: &TuckerMeta) -> Vec<Matrix> {
-    (0..meta.order())
-        .map(|n| {
-            let g = tucker_tensor::gram(t, n);
-            if !gapped(&g, meta.k(n)) {
-                return Matrix::zeros(0, 0); // sentinel: caller skips the draw
-            }
-            leading_from_gram(&g, meta.k(n)).u
-        })
-        .collect()
-}
-
 /// Rayon vs seq, one HOOI sweep, every tree of the paper lineup, several
 /// worker counts (including oversubscription on a 1-core host).
 fn check_backends(meta: &TuckerMeta) {
     let t = DenseTensor::from_fn(meta.input().clone(), field);
-    let init = hosvd_init(&t, meta);
-    if init.iter().any(|f| f.nrows() == 0) {
+    if (0..meta.order()).any(|n| !gapped(&tucker_tensor::gram(&t, n), meta.k(n))) {
         return; // spectrally degenerate init: the property is undefined
     }
+    let init = hosvd_init_factors(&t, meta);
     let input_norm_sq = fro_norm_sq(&t);
     let planner = Planner::new(meta.clone(), NRANKS);
     for plan in planner.paper_lineup() {
@@ -232,8 +220,11 @@ fn steady_state_executor_sweep_is_tensor_alloc_free() {
     let meta = TuckerMeta::new([8, 7, 6, 5], [3, 3, 2, 2]);
     let t = DenseTensor::from_fn(meta.input().clone(), field);
     let input_norm_sq = fro_norm_sq(&t);
-    let init = hosvd_init(&t, &meta);
-    assert!(init.iter().all(|f| f.nrows() > 0), "degenerate fixture");
+    let init = hosvd_init_factors(&t, &meta);
+    assert!(
+        (0..meta.order()).all(|n| gapped(&tucker_tensor::gram(&t, n), meta.k(n))),
+        "degenerate fixture"
+    );
     // A balanced tree exercises shared intermediates (several children per
     // node), the harder case for buffer recycling.
     let tree = tucker_core::plan::tree::balanced_tree(&meta, &[0, 1, 2, 3]);

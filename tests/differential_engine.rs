@@ -11,7 +11,7 @@ use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
 use tucker_core::engine::{run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig};
 use tucker_core::hooi::hooi_invocation;
 use tucker_core::plan::{NetCostModel, Planner, SearchBudget};
-use tucker_core::sthosvd::sthosvd_with_order;
+use tucker_core::sthosvd::{hosvd_init_factors, sthosvd_with_order};
 use tucker_core::TuckerMeta;
 use tucker_distsim::dist_gram::dist_gram_all_with_norm;
 use tucker_distsim::{
@@ -131,9 +131,7 @@ fn viable(meta: &TuckerMeta) -> bool {
 /// The engine's HOSVD-style initialization, sequentially: non-truncated Gram
 /// per mode of the raw tensor.
 fn hosvd_init(t: &DenseTensor, meta: &TuckerMeta) -> TuckerDecomposition {
-    let factors: Vec<Matrix> = (0..meta.order())
-        .map(|n| leading_from_gram(&tucker_tensor::gram(t, n), meta.k(n)).u)
-        .collect();
+    let factors = hosvd_init_factors(t, meta);
     let mut core = t.clone();
     for (n, f) in factors.iter().enumerate() {
         core = tucker_tensor::ttm(&core, n, &f.transpose());

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use tucker_core::executor::{hooi_loop, LoopCfg, SeqBackend};
 use tucker_core::plan::Planner;
 use tucker_core::serve::synthetic_fill;
+use tucker_core::sthosvd::hosvd_init_factors;
 use tucker_core::{JobOutput, JobResult, JobSpec, ServeCfg, Server, TuckerMeta};
-use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::fro_norm_sq;
-use tucker_tensor::{gram, DenseTensor};
+use tucker_tensor::DenseTensor;
 
 const NRANKS: usize = 8;
 const SWEEPS: usize = 2;
@@ -28,9 +28,7 @@ fn direct_errors(dims: &[usize], core: &[usize], seed: u64) -> Vec<f64> {
     let meta = TuckerMeta::new(dims.to_vec(), core.to_vec());
     let plan = Planner::new(meta.clone(), NRANKS).best_plan();
     let t = DenseTensor::from_fn(meta.input().clone(), |c| synthetic_fill(c, seed));
-    let init: Vec<Matrix> = (0..meta.order())
-        .map(|n| leading_from_gram(&gram(&t, n), meta.k(n)).u)
-        .collect();
+    let init = hosvd_init_factors(&t, &meta);
     let mut b = SeqBackend::new();
     hooi_loop(
         &mut b,
