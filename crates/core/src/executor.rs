@@ -113,8 +113,8 @@ pub struct SweepStats {
     /// worker team packed in the parallel regions it opened (see
     /// [`tucker_linalg::bytes_packed`]). Host backends fill this; distsim
     /// leaves it zero — its ranks run the same packed kernels (`dist_ttm` →
-    /// `tucker_tensor::ttm_into_threads`, `gram_cols` → the fused slab
-    /// kernel, both dispatching on `pack::use_packed`), but on mesh worker
+    /// `tucker_tensor::ttm_into_threads`, `dist_gram` → `ColumnShare::gram`,
+    /// both dispatching on `pack::use_packed`), but on mesh worker
     /// threads whose thread-local counters the engine does not collect.
     pub kernel_bytes: u64,
     /// Relative error after this sweep.

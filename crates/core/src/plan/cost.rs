@@ -17,8 +17,8 @@
 //!   [`NetModel`](tucker_distsim::NetModel) as the modeled communication
 //!   nanoseconds **rank 0 accumulates** (rank 0 owns the largest block
 //!   under every grid and roots every collective, so its per-operation
-//!   charge is the critical path for TTM reduce-scatters, Gram gathers and
-//!   all-reduces). On top of the additive objective it offers
+//!   charge is the critical path for TTM reduce-scatters, Gram share
+//!   exchanges and all-reduces). On top of the additive objective it offers
 //!   [`NetCostModel::predict_sweep`]: an exact per-rank replay of one HOOI
 //!   sweep's communication that reproduces the engine's virtual
 //!   communication clock **to the nanosecond** — the prediction the scaling
@@ -174,7 +174,8 @@ pub trait CostModel {
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64;
 
     /// Price of the leaf for mode `n`: the distributed Gram of `T[premult]`
-    /// (mode-group all-gather + world all-reduce of the `L_n × L_n` Gram)
+    /// (mode-group column-share exchange + world all-reduce of the
+    /// `L_n × L_n` Gram)
     /// under grid `g`.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64;
 
@@ -306,7 +307,7 @@ pub struct SweepPrediction {
     pub ttm_comm: Duration,
     /// Regrid all-to-all time (max over ranks).
     pub regrid_comm: Duration,
-    /// Gram gather + all-reduce time (max over ranks).
+    /// Gram share exchange + all-reduce time (max over ranks).
     pub gram_comm: Duration,
     /// Scalar norm all-reduce time (max over ranks).
     pub other_comm: Duration,
@@ -358,31 +359,39 @@ impl NetCostModel {
     fn ttm_rank_ns(&self, shape: &[usize], n: usize, k: usize, g: &Grid, rank: usize) -> u64 {
         let q = g.dim(n);
         assert!(q <= k, "invalid split: {q} processors for length {k}");
-        self.mode_group_exchange_ns(shape, n, k, g, rank)
+        self.mode_group_exchange_ns(shape, n, g, rank, |fibers, _, dst| {
+            fibers * chunk(k, q, dst).1
+        })
     }
 
-    /// The mode-group all-gather charge of one distributed Gram as
-    /// accumulated by `rank`: sends its block `q − 1` times, receives every
-    /// peer's block, each message priced on its endpoint pair's link.
-    fn gram_gather_rank_ns(&self, shape: &[usize], n: usize, g: &Grid, rank: usize) -> u64 {
-        self.mode_group_exchange_ns(shape, n, shape[n], g, rank)
+    /// The mode-group column-share exchange of one distributed Gram as
+    /// accumulated by `rank`: member `src` sends member `dst` its rows
+    /// `chunk(L_n, q, src)` of the fibers in `dst`'s share
+    /// `chunk(nf, q, dst)` — so `rank` sends its rows of every other share
+    /// and receives every other member's rows of its own, each message priced
+    /// on its endpoint pair's link.
+    fn gram_exchange_rank_ns(&self, shape: &[usize], n: usize, g: &Grid, rank: usize) -> u64 {
+        let q = g.dim(n);
+        self.mode_group_exchange_ns(shape, n, g, rank, |fibers, src, dst| {
+            chunk(shape[n], q, src).1 * chunk(fibers, q, dst).1
+        })
     }
 
     /// The pairwise exchange both mode-`n` group collectives reduce to:
-    /// with a length-`extent` mode-`n` axis chunked over the group, `rank`
-    /// trades one message sized by the peer's chunk and one sized by its
-    /// own with every other member (which of the two it sends and which it
-    /// receives differs between reduce-scatter and all-gather; the link
-    /// class of a pair does not depend on the direction). Works in stack
-    /// buffers: the member with mode-`n` coordinate `i` is
-    /// `rank + (i − j) · stride_n`.
+    /// `rank` (group member `j`) sends every other member `i` a message of
+    /// `elems(nf, j, i)` elements and receives one of `elems(nf, i, j)`,
+    /// where `nf` is the number of mode-`n` fibers of its block; a message of
+    /// zero elements is never sent (the Gram exchange skips empty shares; no
+    /// TTM reduce-scatter message is empty, `q ≤ K`). The link class of a
+    /// pair does not depend on the direction. Works in stack buffers: the
+    /// member with mode-`n` coordinate `i` is `rank + (i − j) · stride_n`.
     fn mode_group_exchange_ns(
         &self,
         shape: &[usize],
         n: usize,
-        extent: usize,
         g: &Grid,
         rank: usize,
+        elems: impl Fn(usize, usize, usize) -> usize,
     ) -> u64 {
         let q = g.dim(n);
         if q <= 1 {
@@ -392,18 +401,21 @@ impl NetCostModel {
         let (mut coord, mut stride) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
         g.coord_into(rank, &mut coord[..order]);
         g.strides_into(&mut stride[..order]);
-        let prod_other: usize = (0..order)
+        let fibers: usize = (0..order)
             .filter(|&m| m != n)
             .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
             .product();
         let j = coord[n];
-        let mine = prod_other * chunk(extent, q, j).1;
         let mut ns = 0u64;
         for i in (0..q).filter(|&i| i != j) {
             let peer = rank - j * stride[n] + i * stride[n];
-            let theirs = prod_other * chunk(extent, q, i).1;
-            ns += self.net.msg_elems_ns_between(rank, peer, theirs);
-            ns += self.net.msg_elems_ns_between(peer, rank, mine);
+            let (sent, received) = (elems(fibers, j, i), elems(fibers, i, j));
+            if sent > 0 {
+                ns += self.net.msg_elems_ns_between(rank, peer, sent);
+            }
+            if received > 0 {
+                ns += self.net.msg_elems_ns_between(peer, rank, received);
+            }
         }
         ns
     }
@@ -557,7 +569,7 @@ impl NetCostModel {
 
     /// Exact replay of one HOOI sweep's communication under this model:
     /// accumulate every rank's modeled charge for every tree-node TTM,
-    /// regrid, leaf Gram (gather + world all-reduce), the core-update chain
+    /// regrid, leaf Gram (share exchange + world all-reduce), the core-update chain
     /// and the scalar norm all-reduce — then take the engine's maxima. The
     /// result matches the virtual clocks the engine accumulates for the
     /// same plan bit-for-bit (certified within 5% by the scaling suite, see
@@ -610,7 +622,7 @@ impl NetCostModel {
                     let g = &scheme.node_grids[id];
                     let len = shape[n] * shape[n];
                     for (r, a) in acc.iter_mut().enumerate() {
-                        a[GRAM] += self.gram_gather_rank_ns(&shape, n, g, r)
+                        a[GRAM] += self.gram_exchange_rank_ns(&shape, n, g, r)
                             + self.net.allreduce_rank_ns(p, r, len);
                     }
                 }
@@ -714,23 +726,24 @@ impl CostModel for NetCostModel {
             .unwrap_or(0) as f64
     }
 
-    /// The Gram critical path: mode-group all-gather plus the rank's share
-    /// of the world all-reduce of the `L_n × L_n` Gram. Rank 0 under flat
-    /// models (largest block, all-reduce root); max over ranks of the
-    /// *joint* charge under hierarchical ones — the two phases accumulate on
-    /// the same clock, so the critical rank is the one maximizing the sum.
+    /// The Gram critical path: mode-group column-share exchange plus the
+    /// rank's share of the world all-reduce of the `L_n × L_n` Gram. Rank 0
+    /// under flat models (largest block, rows and share; all-reduce root);
+    /// max over ranks of the *joint* charge under hierarchical ones — the two
+    /// phases accumulate on the same clock, so the critical rank is the one
+    /// maximizing the sum.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
         let mut buf = [0; MAX_ORDER];
         let shape = premult_shape_into(meta, premult, &mut buf);
         let len = shape[n] * shape[n];
         if !self.net.is_hierarchical() {
-            let gather = self.gram_gather_rank_ns(shape, n, g, 0);
+            let exchange = self.gram_exchange_rank_ns(shape, n, g, 0);
             let reduce = self.net.allreduce_rank_ns(self.nranks, 0, len);
-            return (gather + reduce) as f64;
+            return (exchange + reduce) as f64;
         }
         (0..self.nranks)
             .map(|r| {
-                self.gram_gather_rank_ns(shape, n, g, r)
+                self.gram_exchange_rank_ns(shape, n, g, r)
                     + self.net.allreduce_rank_ns(self.nranks, r, len)
             })
             .max()
@@ -769,11 +782,11 @@ mod tests {
     use crate::plan::tree::{balanced_tree, chain_tree, optimal_tree};
     use proptest::prelude::*;
 
-    /// The allocating per-rank enumerations the stack-buffer prices
-    /// replaced, kept verbatim as the oracle for
+    /// Allocating per-rank enumerations, the oracle for
     /// `stack_buffer_prices_match_reference_enumerations`: one `Vec` per
     /// coordinate / region / range, `Grid::rank` and every `chunk`
-    /// recomputed per message.
+    /// recomputed per message (the TTM and regrid ones are the code the
+    /// stack-buffer prices replaced, verbatim).
     mod reference {
         use tucker_distsim::block::{chunk, chunk_cover, split_extents};
         use tucker_distsim::{Grid, NetModel};
@@ -810,7 +823,9 @@ mod tests {
             ns
         }
 
-        pub fn gram_gather_rank_ns(
+        /// The column-share exchange: a `(rows, share)` table per member,
+        /// one message per ordered pair whose payload is non-empty.
+        pub fn gram_exchange_rank_ns(
             net: &NetModel,
             shape: &[usize],
             n: usize,
@@ -822,20 +837,24 @@ mod tests {
                 return 0;
             }
             let coord = g.coord(rank);
-            let prod_other: usize = (0..shape.len())
+            let fibers: usize = (0..shape.len())
                 .filter(|&m| m != n)
                 .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
                 .product();
-            let my_len = chunk(shape[n], q, coord[n]).1;
+            // `chunk`, not `split_extents`: trailing shares may be empty.
+            let rows: Vec<usize> = (0..q).map(|i| chunk(shape[n], q, i).1).collect();
+            let shares: Vec<usize> = (0..q).map(|i| chunk(fibers, q, i).1).collect();
+            let j = coord[n];
             let mut peer_coord = coord.clone();
             let mut ns = 0u64;
-            for i in 0..q {
-                if i != coord[n] {
-                    peer_coord[n] = i;
-                    let peer = g.rank(&peer_coord);
-                    ns += net.msg_elems_ns_between(rank, peer, prod_other * my_len);
-                    ns +=
-                        net.msg_elems_ns_between(peer, rank, prod_other * chunk(shape[n], q, i).1);
+            for i in (0..q).filter(|&i| i != j) {
+                peer_coord[n] = i;
+                let peer = g.rank(&peer_coord);
+                if rows[j] * shares[i] > 0 {
+                    ns += net.msg_elems_ns_between(rank, peer, rows[j] * shares[i]);
+                }
+                if rows[i] * shares[j] > 0 {
+                    ns += net.msg_elems_ns_between(peer, rank, rows[i] * shares[j]);
                 }
             }
             ns
@@ -953,8 +972,8 @@ mod tests {
                             reference::ttm_rank_ns(&net, &shape, n, meta.k(n), &from, r)
                         );
                         prop_assert_eq!(
-                            model.gram_gather_rank_ns(&shape, n, &to, r),
-                            reference::gram_gather_rank_ns(&net, &shape, n, &to, r)
+                            model.gram_exchange_rank_ns(&shape, n, &to, r),
+                            reference::gram_exchange_rank_ns(&net, &shape, n, &to, r)
                         );
                     }
                 }

@@ -5,54 +5,91 @@
 //! matrix `Z(n) · Z(n)ᵀ` in a distributed fashion and hand it to a
 //! sequential EVD (replicated on every rank — the matrix is small):
 //!
-//! 1. **all-gather along the mode-`n` grid group** so each rank holds
-//!    complete mode-`n` fibers (its block extended to the full `L_n` extent);
-//! 2. **local fused Gram** on the rank's balanced `1/q_n` column share —
-//!    [`gram_cols`] reads the fibers straight out of the canonical layout,
-//!    so neither an unfolding nor a scratch column copy is ever materialized
-//!    (this is the `dsyrk` of the paper, fused with the column slicing);
+//! 1. **column-share exchange inside the mode-`n` grid group.** The `q_n`
+//!    members hold the same fibers (unfolding columns), each its own chunk of
+//!    the `L_n` rows. Member `j` owns the balanced `1/q_n` column share
+//!    `chunk(nf, q_n, j)` of those fibers; every other member `k` sends it
+//!    only its rows `chunk(L_n, q_n, k)` of the share's fibers — about
+//!    `(q_n − 1)/q_n` of a block leaves each rank, and no rank ever holds
+//!    more than its block, its outgoing payloads and its share (an
+//!    all-gather of whole blocks moves `q_n − 1` blocks per rank to use
+//!    `1/q_n` of them). An empty share gets no message; an unsplit mode
+//!    (`q_n = 1`) moves nothing and reads its block in place;
+//! 2. **local Gram of the share** — [`ColumnShare::gram`], the `dsyrk` of the
+//!    paper on the assembled share, bit-identical to that column range's
+//!    contribution computed inside the full mode-`n` slab;
 //! 3. **all-reduce** of the `L_n × L_n` contributions across all ranks.
 //!
 //! All traffic is charged to [`VolumeCategory::Gram`].
+//!
+//! [`ColumnShare::gram`]: tucker_tensor::ColumnShare::gram
 
 use crate::block::chunk;
 use crate::collectives::{allreduce_sum, Group};
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
-use std::borrow::Cow;
 use tucker_linalg::Matrix;
-use tucker_tensor::subtensor::insert_window;
-use tucker_tensor::{gram_cols, DenseTensor, Dims};
+use tucker_tensor::ColumnShare;
 
-/// Tag for the mode-group all-gather.
-const GRAM_GATHER_TAG: u32 = 0x6B40;
+/// Tag for the mode-group column-share exchange.
+const GRAM_SHARE_TAG: u32 = 0x6B40;
 /// Tag base for the world all-reduce (uses tag and tag+1).
 const GRAM_REDUCE_TAG: u32 = 0x6B42;
 
 /// This rank's **local** (pre-all-reduce) contribution to the mode-`n` Gram:
-/// all-gather along the mode group, then the fused Gram kernel on this
-/// rank's balanced `1/q_n` column share.
+/// the Gram of its `1/q_n` column share, assembled from the rows the other
+/// mode-group members send (module docs, steps 1–2).
+///
+/// Always the sequential kernel: the mesh workers already fill the host, so
+/// a rank never opens a parallel region of its own (`dist_ttm` pins one
+/// partition for the same reason).
 fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
-    let slab = gather_mode_fibers(ctx, t, n);
-    // Local contribution via the fused Gram kernel. After the all-gather
-    // every member of the mode-n group holds the SAME slab, so each member
-    // contributes only its 1/q_n share of the fibers (a contiguous column
-    // range of the never-materialized unfolding) — this keeps the compute
-    // balanced and avoids double counting in the world all-reduce.
-    // Always through the sequential `gram_cols`: the mesh workers already
-    // fill the host, so a rank never opens a parallel region of its own
-    // (`dist_ttm` pins one partition for the same reason).
-    let qn = t.grid().dim(n);
-    let nf = slab.shape().num_fibers(n);
-    let (c0, clen) = if qn == 1 {
-        (0, nf)
-    } else {
-        let (my_idx, ..) = t.grid().mode_group_span(ctx.rank(), n);
-        // `chunk` tolerates q > num_fibers by handing trailing members empty
-        // (zero-length) column ranges.
-        chunk(nf, qn, my_idx)
+    let block = t.local();
+    let q = t.grid().dim(n);
+    if q == 1 {
+        // The share of every fiber of a block is the block's own buffer.
+        let all = ColumnShare::new(block.shape().dims(), n, 0, block.shape().num_fibers(n));
+        return all.gram(block.as_slice());
+    }
+
+    let ln = t.global_shape().dim(n);
+    let slab = block.shape().with_dim(n, ln);
+    let nf = slab.num_fibers(n);
+    // `chunk` tolerates q > nf by handing trailing members empty shares.
+    let share = |j: usize| {
+        let (c0, len) = chunk(nf, q, j);
+        ColumnShare::new(slab.dims(), n, c0, len)
     };
-    gram_cols(slab.as_ref(), n, c0, clen)
+    // Member `j` of my mode-n group is rank `base + j · stride`.
+    let (me, base, stride) = t.grid().mode_group_span(ctx.rank(), n);
+    let (r0, rows) = chunk(ln, q, me);
+    let src = block.as_slice();
+
+    // No message carries zero elements (an empty share, or no rows).
+    for j in (0..q).filter(|&j| j != me) {
+        let theirs = share(j);
+        if rows * theirs.fibers() > 0 {
+            let payload = theirs.pack(src, rows);
+            ctx.send(
+                base + j * stride,
+                GRAM_SHARE_TAG,
+                payload,
+                VolumeCategory::Gram,
+            );
+        }
+    }
+
+    let mine = share(me);
+    let mut buf = vec![0.0; mine.buf_len()];
+    mine.copy_rows(&mut buf, src, r0, rows);
+    for j in (0..q).filter(|&j| j != me) {
+        let (rj, rows_j) = chunk(ln, q, j);
+        if rows_j * mine.fibers() > 0 {
+            let payload = ctx.recv(base + j * stride, GRAM_SHARE_TAG, VolumeCategory::Gram);
+            mine.place(&mut buf, &payload, rj, rows_j);
+        }
+    }
+    mine.gram(&buf)
 }
 
 /// Compute the global Gram matrix `Z(n) Z(n)ᵀ` of the distributed tensor.
@@ -105,62 +142,17 @@ pub fn dist_gram_all_with_norm(ctx: &mut RankCtx, t: &DistTensor) -> (Vec<Matrix
     (grams, buf[off])
 }
 
-/// All-gather within the mode-`n` grid group so that this rank's block is
-/// extended to the full `L_n` extent along mode `n` (other modes keep their
-/// local extents). When the mode is unsplit (`q_n = 1`) the local block is
-/// already that slab and is returned borrowed, uncopied.
-pub fn gather_mode_fibers<'a>(
-    ctx: &mut RankCtx,
-    t: &'a DistTensor,
-    n: usize,
-) -> Cow<'a, DenseTensor> {
-    let grid = t.grid();
-    let ln = t.global_shape().dim(n);
-    let qn = grid.dim(n);
-    if qn == 1 {
-        return Cow::Borrowed(t.local());
-    }
-
-    // Target slab: local extents, but full L_n along mode n.
-    let mut slab = DenseTensor::zeros(t.local().shape().with_dim(n, ln));
-
-    // Member `j` of my mode-n group is rank `base + j · stride`.
-    let (my_idx, base, stride) = grid.mode_group_span(ctx.rank(), n);
-
-    // Direct all-gather of local blocks within the group.
-    for j in (0..qn).filter(|&j| j != my_idx) {
-        let block = t.local().as_slice().to_vec();
-        ctx.send(
-            base + j * stride,
-            GRAM_GATHER_TAG,
-            block,
-            VolumeCategory::Gram,
-        );
-    }
-    // Member `j`'s block is the slab's window over chunk `j` of mode n.
-    let mut start = Dims::filled(slab.order(), 0);
-    let mut len = Dims::from(slab.shape().dims());
-    for j in 0..qn {
-        (start[n], len[n]) = chunk(ln, qn, j);
-        if j == my_idx {
-            insert_window(&mut slab, &start, &len, t.local().as_slice());
-        } else {
-            let data = ctx.recv(base + j * stride, GRAM_GATHER_TAG, VolumeCategory::Gram);
-            // `insert_window` checks the payload against the window.
-            insert_window(&mut slab, &start, &len, &data);
-        }
-    }
-    Cow::Owned(slab)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::rank_region;
     use crate::comm::Universe;
     use crate::grid::Grid;
+    use crate::net::allreduce_msgs;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tucker_tensor::{gram, Shape};
+    use rand::{Rng, SeedableRng};
+    use tucker_tensor::subtensor::extract;
+    use tucker_tensor::{gram, DenseTensor, Shape};
 
     fn rand_tensor(dims: &[usize], seed: u64) -> DenseTensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -193,17 +185,97 @@ mod tests {
     }
 
     #[test]
-    fn unsplit_mode_borrows_the_local_block() {
+    fn unsplit_mode_sends_no_gram_bytes() {
         let global = rand_tensor(&[5, 6, 4], 7);
         let grid = Grid::new([1, 2, 2]);
         let out = Universe::run(4, |ctx| {
             let dt = DistTensor::scatter_from_global(ctx, &global, &grid);
-            let unsplit = gather_mode_fibers(ctx, &dt, 0);
-            let borrowed = matches!(unsplit, Cow::Borrowed(b) if std::ptr::eq(b, dt.local()));
-            let split = gather_mode_fibers(ctx, &dt, 1);
-            borrowed && matches!(split, Cow::Owned(_)) && split.shape().dim(1) == 6
+            let before = ctx.volume().bytes(VolumeCategory::Gram);
+            let _ = local_gram_share(ctx, &dt, 0);
+            let unsplit = ctx.volume().bytes(VolumeCategory::Gram) - before;
+            let _ = local_gram_share(ctx, &dt, 1);
+            (unsplit, ctx.volume().bytes(VolumeCategory::Gram) - before)
         });
-        assert!(out.results.iter().all(|&ok| ok));
+        for (unsplit, split) in out.results {
+            assert_eq!(unsplit, 0);
+            assert!(split > 0);
+        }
+    }
+
+    /// A random extent in `lo..=hi`.
+    fn pick(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
+        rng.gen_range(lo..=hi)
+    }
+
+    /// The exchange, rank by rank: every pre-all-reduce share is bitwise the
+    /// share's Gram taken out of the full mode-`n` slab of the global tensor
+    /// (which `tucker_tensor` certifies equal to the in-place column walk of
+    /// that slab), and every rank sends exactly its rows of every other
+    /// member's share plus its part of the all-reduce.
+    #[test]
+    fn shares_are_bitwise_the_slab_columns_and_bytes_the_closed_form() {
+        let mut rng = StdRng::seed_from_u64(0x6B40);
+        let (mut empty_shares, mut mid_slab, mut uneven) = (0, 0, 0);
+        let (mut first_mode, mut last_mode) = (0, 0);
+        // Fixed corner cases first, then random shapes and grids.
+        let mut cases: Vec<(Vec<usize>, Vec<usize>, usize)> = vec![
+            (vec![7, 2, 1], vec![5, 1, 1], 0), // q > nf: three empty shares
+            (vec![3, 5, 4], vec![1, 3, 1], 1), // shares cut slabs mid-way
+            (vec![4, 3, 6], vec![2, 1, 4], 2), // last mode: outer = 1
+        ];
+        while cases.len() < 40 {
+            let order = pick(&mut rng, 1, 4);
+            let dims: Vec<usize> = (0..order).map(|_| pick(&mut rng, 1, 7)).collect();
+            let grid: Vec<usize> = dims.iter().map(|&d| pick(&mut rng, 1, d.min(4))).collect();
+            if grid.iter().product::<usize>() <= 12 {
+                cases.push((dims, grid, pick(&mut rng, 0, order - 1)));
+            }
+        }
+        for (case, (dims, grid_dims, n)) in cases.into_iter().enumerate() {
+            let global = rand_tensor(&dims, case as u64);
+            let grid = Grid::new(grid_dims.clone());
+            let p = grid.nranks();
+            let (q, ln) = (grid.dim(n), dims[n]);
+            let inner: usize = dims[..n].iter().product();
+            first_mode += usize::from(n == 0 && q > 1);
+            last_mode += usize::from(n + 1 == dims.len() && q > 1);
+            uneven += usize::from(ln % q != 0);
+            let out = Universe::run(p, |ctx| {
+                let dt = DistTensor::scatter_from_global(ctx, &global, &grid);
+                let before = ctx.volume().bytes(VolumeCategory::Gram);
+                let share = local_gram_share(ctx, &dt, n);
+                let exchanged = ctx.volume().bytes(VolumeCategory::Gram) - before;
+                let _ = dist_gram(ctx, &dt, n); // the same exchange, then the all-reduce
+                let total = ctx.volume().bytes(VolumeCategory::Gram) - before;
+                (share, exchanged, total - 2 * exchanged)
+            });
+            for (rank, (share, exchanged, reduced)) in out.results.into_iter().enumerate() {
+                let mut region = rank_region(global.shape(), &grid, rank);
+                (region.start[n], region.len[n]) = (0, ln);
+                let slab = DenseTensor::from_vec(region.shape(), extract(&global, &region));
+                let nf = slab.shape().num_fibers(n);
+                let (me, ..) = grid.mode_group_span(rank, n);
+                let (c0, clen) = chunk(nf, q, me);
+                let cols = ColumnShare::new(slab.shape().dims(), n, c0, clen);
+                let want = cols.gram(&cols.pack(slab.as_slice(), ln));
+                let ctx =
+                    format!("case {case}: dims {dims:?} grid {grid_dims:?} mode {n} rank {rank}");
+                assert_eq!(share.as_slice(), want.as_slice(), "{ctx}");
+
+                empty_shares += usize::from(clen == 0);
+                mid_slab += usize::from(inner > 1 && (c0 % inner != 0 || (c0 + clen) % inner != 0));
+                let rows = chunk(ln, q, me).1;
+                let sent: usize = (0..q)
+                    .filter(|&i| i != me)
+                    .map(|i| chunk(nf, q, i).1 * rows)
+                    .sum();
+                assert_eq!(exchanged, 8 * sent as u64, "{ctx}");
+                let reduce = allreduce_msgs(p, rank) / 2 * (ln * ln) as u64;
+                assert_eq!(reduced, 8 * reduce, "{ctx}");
+            }
+        }
+        assert!(empty_shares > 0 && mid_slab > 0 && uneven > 0);
+        assert!(first_mode > 0 && last_mode > 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
 
     // Local partial product: slice of Fᵀ covering this rank's fiber segment.
     let f_slice = Matrix::from_fn(k, bn, |kk, l| factor_t[(kk, r0 + l)]);
-    // One partition, like `dist_gram`'s `gram_cols`: a rank never opens a
+    // One partition, like `dist_gram`'s share kernel: a rank never opens a
     // parallel region from inside its fiber — the mesh workers already fill
     // the host, and the heuristic `ttm` would make them fight over the team.
     let mut partial = Vec::new();

@@ -24,11 +24,14 @@
 //! fiber range into `threads` parts — run on the shared worker team,
 //! `tucker_linalg::Pool` — with per-part accumulators merged by a pairwise
 //! tree reduction. The part count fixes the summation grouping, and with it
-//! the bits; how many OS threads execute the parts does not. [`gram_cols`]
-//! restricts the sum to a contiguous
-//! column range `[c0, c0 + len)` of the unfolding, which is how the
-//! distributed Gram takes its balanced `1/q_n` share without copying columns
-//! into a scratch matrix.
+//! the bits; how many OS threads execute the parts does not.
+//!
+//! [`ColumnShare`] is the distributed Gram's unit of work: a contiguous
+//! column range `[c0, c0 + len)` of the unfolding, stored on its own — the
+//! layout a sender packs, a receiver assembles and [`ColumnShare::gram`]
+//! reads, with the same SYRK calls on the same values as the in-place walk
+//! above, so a share's Gram is bit-identical to that range's contribution
+//! computed inside the whole tensor.
 //!
 //! The explicit-unfold formulation `syrk(&unfold(t, n))` survives only as the
 //! baseline arm of the kernel-ablation bench; see `ROADMAP.md` and the
@@ -67,15 +70,167 @@ fn accumulate_src_range(
     }
 
     let slab_len = inner * ln;
-    let f1 = f0 + len;
-    let mut f = f0;
-    while f < f1 {
-        let o = f / inner;
-        let i0 = f - o * inner;
-        let i1 = inner.min(i0 + (f1 - f));
+    for_each_segment(inner, f0, len, |o, i0, w| {
         let slab = &src[o * slab_len..(o + 1) * slab_len];
-        syrk_ata_lower(slab, inner, ln, i0, i1, acc);
-        f += i1 - i0;
+        syrk_ata_lower(slab, inner, ln, i0, i0 + w, acc);
+    });
+}
+
+/// Walk the fiber range `[f0, f0 + len)` slab by slab: fiber `i + o·inner`
+/// lies in slab `o`, so the range cuts into *segments* `(o, i0, w)` — rows
+/// `i0..i0 + w` of slab `o` — visited in fiber order. Only the first and the
+/// last segment can be partial.
+fn for_each_segment(inner: usize, f0: usize, len: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let (mut fib, end) = (f0, f0 + len);
+    while fib < end {
+        let o = fib / inner;
+        let i0 = fib - o * inner;
+        let w = (inner - i0).min(end - fib);
+        f(o, i0, w);
+        fib += w;
+    }
+}
+
+/// A contiguous column range `[c0, c0 + len)` of a mode-`n` unfolding, stored
+/// on its own: the distributed Gram's share layout, decided here once for
+/// the three parties that touch it — the members that [`pack`] their rows
+/// of it, the member that [`place`]s them, and the kernel that [`gram`]s it.
+///
+/// The range cuts the slabs into segments (rows `i0..i0 + w` of slab `o`,
+/// see the module docs); the buffer holds each segment as a `w × L_n`
+/// column-major matrix, back to back in fiber order — `L_n · len` elements.
+/// On mode 0 that is the `L_0 × len` column block of the unfolding, and the
+/// share of *every* fiber of a tensor is the tensor's own buffer.
+///
+/// A member that holds rows `[r0, r0 + rows)` of every fiber (a block whose
+/// mode-`n` extent is `rows`, in canonical layout) contributes `rows` of the
+/// `L_n` columns of each segment: per segment one run of `w · rows` elements
+/// when the segment is a whole slab, else `rows` runs of `w`.
+///
+/// [`pack`]: ColumnShare::pack
+/// [`place`]: ColumnShare::place
+/// [`gram`]: ColumnShare::gram
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColumnShare {
+    ln: usize,
+    inner: usize,
+    c0: usize,
+    len: usize,
+}
+
+impl ColumnShare {
+    /// Columns `[c0, c0 + len)` of the mode-`n` unfolding of a tensor with
+    /// extents `dims` (`L_n = dims[n]`). An empty range is a valid share of
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if `n` is out of range or the range exceeds the number of
+    /// mode-`n` fibers.
+    pub fn new(dims: &[usize], n: usize, c0: usize, len: usize) -> Self {
+        assert!(
+            n < dims.len(),
+            "mode {n} out of range for order {}",
+            dims.len()
+        );
+        let ln = dims[n];
+        let inner: usize = dims[..n].iter().product();
+        let nf = inner * dims[n + 1..].iter().product::<usize>();
+        assert!(
+            c0 + len <= nf,
+            "column range {c0}..{} exceeds {nf} mode-{n} fibers",
+            c0 + len
+        );
+        ColumnShare { ln, inner, c0, len }
+    }
+
+    /// Number of fibers (unfolding columns) in the share.
+    pub fn fibers(&self) -> usize {
+        self.len
+    }
+
+    /// Elements of the share's buffer: `L_n · len`.
+    pub fn buf_len(&self) -> usize {
+        self.ln * self.len
+    }
+
+    /// The copy runs of rows `[r0, r0 + rows)`, in buffer order, as
+    /// `(offset in the holding block, offset in the share buffer, length)`.
+    fn for_each_run(&self, r0: usize, rows: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let (ln, inner) = (self.ln, self.inner);
+        let mut seg = 0;
+        for_each_segment(inner, self.c0, self.len, |o, i0, w| {
+            let src = o * inner * rows + i0;
+            if w == inner {
+                f(src, seg + r0 * w, w * rows);
+            } else {
+                for l in 0..rows {
+                    f(src + l * inner, seg + (r0 + l) * w, w);
+                }
+            }
+            seg += w * ln;
+        });
+    }
+
+    /// The payload a member holding `rows` rows of every fiber (`block`, in
+    /// canonical layout) sends the share's owner: its rows of the share's
+    /// fibers, `rows · len` elements in the order [`ColumnShare::place`]
+    /// reads them.
+    pub fn pack(&self, block: &[f64], rows: usize) -> Vec<f64> {
+        let mut payload = Vec::with_capacity(rows * self.len);
+        self.for_each_run(0, rows, |src, _, n| {
+            payload.extend_from_slice(&block[src..src + n]);
+        });
+        payload
+    }
+
+    /// Write a [`ColumnShare::pack`] payload of rows `[r0, r0 + rows)` into
+    /// the share buffer `buf`.
+    ///
+    /// # Panics
+    /// Panics if the payload is not `rows · len` elements.
+    pub fn place(&self, buf: &mut [f64], payload: &[f64], r0: usize, rows: usize) {
+        assert_eq!(payload.len(), rows * self.len, "share payload size");
+        let mut at = 0;
+        self.for_each_run(r0, rows, |_, dst, n| {
+            buf[dst..dst + n].copy_from_slice(&payload[at..at + n]);
+            at += n;
+        });
+    }
+
+    /// [`ColumnShare::place`] straight from the holding block — the owner's
+    /// own rows, never packed.
+    pub fn copy_rows(&self, buf: &mut [f64], block: &[f64], r0: usize, rows: usize) {
+        self.for_each_run(r0, rows, |src, dst, n| {
+            buf[dst..dst + n].copy_from_slice(&block[src..src + n]);
+        });
+    }
+
+    /// The share's Gram contribution `U · Uᵀ` (`L_n × L_n`, `U` the share's
+    /// columns of the unfolding) from its buffer: the SYRK calls of the
+    /// in-place kernel — one `A·Aᵀ` over the columns on mode 0, one `AᵀA`
+    /// per segment otherwise — on the same values, so bit-identical to the
+    /// range's contribution computed inside the whole tensor. Summed over a
+    /// partition of the fibers it is the [`gram`]; an empty share gives the
+    /// zero matrix. Sequential: the caller is one simulated rank.
+    ///
+    /// # Panics
+    /// Panics if `buf` is not [`ColumnShare::buf_len`] elements.
+    pub fn gram(&self, buf: &[f64]) -> Matrix {
+        assert_eq!(buf.len(), self.buf_len(), "share buffer size");
+        let ln = self.ln;
+        let mut g = Matrix::zeros(ln, ln);
+        let acc = g.as_mut_slice();
+        if self.inner == 1 {
+            syrk_aat_lower(buf, ln, 0, self.len, acc);
+        } else {
+            let mut seg = 0;
+            for_each_segment(self.inner, self.c0, self.len, |_, _, w| {
+                syrk_ata_lower(&buf[seg..seg + w * ln], w, ln, 0, w, acc);
+                seg += w * ln;
+            });
+        }
+        mirror_lower(acc, ln);
+        g
     }
 }
 
@@ -208,39 +363,6 @@ fn gram_ranges(
     g
 }
 
-/// Gram contribution of the contiguous unfolding-column range
-/// `[c0, c0 + len)`: the `L_n × L_n` matrix `U · Uᵀ` where `U` is
-/// `unfold(t, n)` restricted to those columns — computed in place from the
-/// canonical layout, no column copy (a non-contiguous view is first copied
-/// whole, like in [`gram_threads`]).
-///
-/// Summing [`gram_cols`] over any partition of `0..num_fibers(n)` yields
-/// [`gram`]. An empty range (`len == 0`) returns the zero matrix, so callers
-/// may hand trailing ranks empty shares.
-///
-/// Runs sequentially: the intended caller is one simulated MPI rank, and
-/// ranks never open a parallel region (the mesh workers already fill the
-/// host).
-///
-/// # Panics
-/// Panics if `n` is out of range or the column range exceeds the number of
-/// mode-`n` fibers.
-pub fn gram_cols<'a>(t: impl Into<TensorView<'a>>, n: usize, c0: usize, len: usize) -> Matrix {
-    let v = t.into();
-    let (ln, nf) = fiber_space(&v, n);
-    assert!(
-        c0 + len <= nf,
-        "column range {c0}..{} exceeds {nf} mode-{n} fibers",
-        c0 + len
-    );
-    let mut g = Matrix::zeros(ln, ln);
-    with_canonical(&v, |src| {
-        accumulate_src_range(src, v.dims(), n, c0, len, g.as_mut_slice())
-    });
-    mirror_lower(g.as_mut_slice(), ln);
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,10 +442,6 @@ mod tests {
             let g = gram_threads(v.clone(), n, 1);
             let gr = gram_threads(&c, n, 1);
             assert_eq!(g.max_abs_diff(&gr), 0.0, "mode {n}");
-            let nf = c.shape().num_fibers(n);
-            let gc = gram_cols(v.clone(), n, 1, nf - 1);
-            let gcr = gram_cols(&c, n, 1, nf - 1);
-            assert_eq!(gc.max_abs_diff(&gcr), 0.0, "cols, mode {n}");
         }
     }
 
@@ -406,6 +524,78 @@ mod tests {
         }
     }
 
+    /// The Gram of columns `[c0, c0 + len)` through a share packed out of the
+    /// whole tensor (every row of every fiber).
+    fn share_gram(t: &DenseTensor, n: usize, c0: usize, len: usize) -> Matrix {
+        let share = ColumnShare::new(t.shape().dims(), n, c0, len);
+        share.gram(&share.pack(t.as_slice(), t.shape().dim(n)))
+    }
+
+    /// The same range's contribution walked in place in the tensor, with the
+    /// tensor's own strides.
+    fn in_place_cols(t: &DenseTensor, n: usize, c0: usize, len: usize) -> Matrix {
+        let ln = t.shape().dim(n);
+        let mut g = Matrix::zeros(ln, ln);
+        accumulate_src_range(t.as_slice(), t.shape().dims(), n, c0, len, g.as_mut_slice());
+        mirror_lower(g.as_mut_slice(), ln);
+        g
+    }
+
+    #[test]
+    fn share_gram_is_the_in_place_column_walk_bitwise() {
+        // Sizes on both sides of the packed-kernel threshold; ranges that
+        // start and end mid-slab, whole slabs, single fibers, the full range.
+        for (dims, seed) in [(vec![5, 4, 3, 6], 31u64), (vec![24, 20, 18], 32)] {
+            let t = rand_tensor(&dims, seed);
+            for n in 0..dims.len() {
+                let nf = t.shape().num_fibers(n);
+                let inner: usize = dims[..n].iter().product();
+                let slab = (inner.min(nf), inner.min(nf - inner.min(nf)));
+                for (c0, len) in [(0, nf), (1, nf - 2), slab, (nf / 3, nf / 2), (2, 1)] {
+                    let got = share_gram(&t, n, c0, len);
+                    let want = in_place_cols(&t, n, c0, len);
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "{dims:?} mode {n} {c0}+{len}"
+                    );
+                }
+                // The share of every fiber is the tensor's own buffer.
+                let all = ColumnShare::new(&dims, n, 0, nf);
+                assert_eq!(all.pack(t.as_slice(), dims[n]), t.as_slice());
+                assert_eq!(
+                    all.gram(t.as_slice()).as_slice(),
+                    gram_threads(&t, n, 1).as_slice()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn share_rows_placed_by_parts_assemble_the_whole_share() {
+        // Three holders of rows 0..2, 2..5, 5..7 of a mode-1 extent of 7.
+        let t = rand_tensor(&[3, 7, 4], 33);
+        let share = ColumnShare::new(t.shape().dims(), 1, 2, 7);
+        let whole = share.pack(t.as_slice(), 7);
+        let mut buf = vec![f64::NAN; share.buf_len()];
+        for (r0, rows) in [(0, 2), (2, 3), (5, 2)] {
+            let block = t.shape().with_dim(1, rows);
+            let part: Vec<f64> = (0..block.cardinality())
+                .map(|i| {
+                    let mut c = block.coord(i);
+                    c[1] += r0;
+                    t.get(&c)
+                })
+                .collect();
+            if r0 == 2 {
+                share.copy_rows(&mut buf, &part, r0, rows);
+            } else {
+                share.place(&mut buf, &share.pack(&part, rows), r0, rows);
+            }
+        }
+        assert_eq!(buf, whole);
+    }
+
     #[test]
     fn cols_partitions_sum_to_full() {
         let t = rand_tensor(&[4, 5, 6], 4);
@@ -418,7 +608,7 @@ mod tests {
                 let mut c0 = 0;
                 for _ in 0..parts {
                     let len = per.min(nf - c0);
-                    let part = gram_cols(&t, n, c0, len);
+                    let part = share_gram(&t, n, c0, len);
                     for (s, p) in sum.as_mut_slice().iter_mut().zip(part.as_slice()) {
                         *s += p;
                     }
@@ -438,7 +628,7 @@ mod tests {
         let t = rand_tensor(&[3, 5, 4], 5);
         let u = unfold(&t, 1); // 5 x 12, inner = 3
         let (c0, len) = (2, 7);
-        let g = gram_cols(&t, 1, c0, len);
+        let g = share_gram(&t, 1, c0, len);
         let mut r = Matrix::zeros(5, 5);
         for j in c0..c0 + len {
             let col = u.col(j);
@@ -454,7 +644,7 @@ mod tests {
     #[test]
     fn empty_range_gives_zero_matrix() {
         let t = rand_tensor(&[4, 3], 6);
-        let g = gram_cols(&t, 0, 3, 0);
+        let g = share_gram(&t, 0, 3, 0);
         assert_eq!(g.shape(), (4, 4));
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
     }
@@ -477,7 +667,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds")]
     fn overlong_column_range_panics() {
-        let t = rand_tensor(&[2, 3], 9);
-        let _ = gram_cols(&t, 0, 2, 2);
+        let _ = ColumnShare::new(&[2, 3], 0, 2, 2);
     }
 }

@@ -18,16 +18,17 @@
 //!   reuse grow-only output buffers so iterative pipelines allocate nothing
 //!   at steady state;
 //! * the **Gram matrix** `T(n) · T(n)ᵀ` feeding the SVD step is computed by
-//!   the fused slab-wise kernel in [`gram`] (with a column-range variant for
-//!   the distributed 1/qₙ shares) — again without materializing `T(n)`;
+//!   the fused slab-wise kernel in [`gram`] — again without materializing
+//!   `T(n)`; the distributed 1/qₙ shares are [`ColumnShare`]s, one layout
+//!   for packing, assembling and the share's Gram;
 //! * **TTM-chains** (`×_{n₁} A₁ ×_{n₂} A₂ …`, commutative) — see
 //!   [`ttm::ttm_chain`].
 //!
 //! Each kernel has one body and it takes a strided [`TensorView`]; a
 //! `&DenseTensor` converts into its full view, so the compute entry points
-//! are [`gram`], [`gram_threads`], [`gram_cols`], [`ttm`](ttm::ttm),
-//! [`ttm_into_threads`], [`ttm_chain`] and the three [`TtmWorkspace`]
-//! methods, whatever the operand.
+//! are [`gram`], [`gram_threads`], [`ttm`](ttm::ttm), [`ttm_into_threads`],
+//! [`ttm_chain`] and the three [`TtmWorkspace`] methods, whatever the
+//! operand.
 //!
 //! Storage is the canonical layout generalizing column-major matrices: the
 //! first mode varies fastest. All index math lives in [`shape`] so that the
@@ -45,7 +46,7 @@ pub mod unfold;
 pub mod view;
 
 pub use dense::{tensor_buffer_allocs, DenseTensor};
-pub use gram::{gram, gram_cols, gram_threads};
+pub use gram::{gram, gram_threads, ColumnShare};
 pub use shape::{Dims, Shape};
 pub use threads::{heuristic_threads, host_threads};
 pub use ttm::{ttm, ttm_chain, ttm_into_threads, TtmWorkspace};

@@ -11,7 +11,7 @@ use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::subtensor::{extract, insert, Region};
 use tucker_tensor::{
-    fold, gram, gram_cols, ttm, ttm_chain, unfold, DenseTensor, Shape, TtmWorkspace,
+    fold, gram, ttm, ttm_chain, unfold, ColumnShare, DenseTensor, Shape, TtmWorkspace,
 };
 
 /// Strategy: a small random shape with 1..=4 modes of length 1..=6.
@@ -133,8 +133,8 @@ proptest! {
         }
     }
 
-    /// gram_cols contributions over a random partition of the fiber range
-    /// sum to the full Gram matrix.
+    /// Column-share Grams over a random partition of the fiber range sum to
+    /// the full Gram matrix.
     #[test]
     fn gram_cols_partition_sums_to_gram(
         dims in shape_strategy(),
@@ -151,7 +151,8 @@ proptest! {
         let mut c0 = 0;
         for _ in 0..parts {
             let len = per.min(nf - c0);
-            let part = gram_cols(&t, n, c0, len);
+            let share = ColumnShare::new(t.shape().dims(), n, c0, len);
+            let part = share.gram(&share.pack(t.as_slice(), t.shape().dim(n)));
             for (s, p) in sum.as_mut_slice().iter_mut().zip(part.as_slice()) {
                 *s += p;
             }

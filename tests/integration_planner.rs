@@ -238,16 +238,18 @@ fn joint_dp_plans_are_bit_identical_to_the_recorded_goldens() {
     // model, and the first two of them under the hierarchical cluster
     // model, the winner's full `Debug` rendering (tree, every node grid,
     // regrid flags, flops, volume) and the bits of its model cost must equal
-    // the values recorded before the search was made table-driven.
+    // the recorded values (first recorded before the search was made
+    // table-driven; re-recorded once when the Gram leaf's all-gather became
+    // a column-share exchange and its price fell).
     const GOLDEN: [(&str, usize, u64, u64); 8] = [
         ("bgq", 0, 0xbb4e2f5f41433d67, 0x4186a63f00000000),
-        ("bgq", 1, 0xe4225efde7826fa0, 0x415414ec40000000),
-        ("bgq", 2, 0x204c91dd0dac6b15, 0x413509ca00000000),
-        ("bgq", 3, 0xe1d837e9c656ed8e, 0x4171633b30000000),
-        ("bgq", 4, 0x75c4d0044d1df628, 0x417d8d8d60000000),
-        ("bgq", 5, 0x2cdafab42a439f36, 0x4172fba290000000),
+        ("bgq", 1, 0x771a3810828eeab2, 0x41539e1680000000),
+        ("bgq", 2, 0x5b198110e03c493a, 0x41347a8a00000000),
+        ("bgq", 3, 0x11d4392984034ea7, 0x417124c8c0000000),
+        ("bgq", 4, 0x741656678dc7140b, 0x417d5565e0000000),
+        ("bgq", 5, 0xf8a40d70a428e142, 0x4172881300000000),
         ("cluster", 0, 0x10d1b01bd75d94b3, 0x41804249f0000000),
-        ("cluster", 1, 0x9f3636500b08fcb9, 0x414f967880000000),
+        ("cluster", 1, 0x1e3bf2c459ef9ca3, 0x414cf40c00000000),
     ];
     let p = 64usize;
     let all = tucker_suite::benchmark_5d();
