@@ -52,9 +52,9 @@ pub(super) fn kernels(_: &Opts) -> (Artifact, Gate) {
 /// Kernel ablation: the packed, cache-blocked micro-kernels of
 /// `tucker_linalg::pack` against the unrolled naive references, per mode,
 /// for GEMM (factor x unfold), SYRK (Gram of the unfold), and TTM, plus the
-/// warm `TtmWorkspace` chain vs fresh allocation per shape, plus the
-/// full-spectrum eigensolver against the selected-eigenpair one. Both arms of
-/// every packed/naive pair run the same code path except for the kernel
+/// warm `TtmWorkspace` chain vs fresh allocation per shape, plus the time,
+/// residual and orthogonality of the selected-eigenpair eigensolver. Both
+/// arms of every packed/naive pair run the same code path except for the kernel
 /// dispatch (flipped via [`tucker_linalg::set_kernel_mode`]) and the same
 /// worker budget, so the speedup isolates the kernel effect (schema
 /// `tucker-bench/kernels/v2`).
@@ -62,13 +62,13 @@ pub(super) fn kernels(_: &Opts) -> (Artifact, Gate) {
 /// The gates (`kernels_packed_beats_naive`): per family, the best mode on the
 /// cache-busting shape beats naive (>= 1.3x on >= 4 cores); the small-inner
 /// TTM beats naive; the warm workspace chain beats fresh allocation where the
-/// buffers outgrow the cache; `leading_from_gram` never hands out the solver
-/// that is more than 10 % slower.
+/// buffers outgrow the cache; every EVD row meets residual and orthogonality
+/// `<= 1e-13`.
 pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Artifact, Gate) {
     use std::hint::black_box;
     use tucker_linalg::{
-        gemm, gemm_into, leading_from_gram, set_kernel_mode, sym_evd, sym_evd_leading, syrk,
-        syrk_into, KernelMode, Matrix, Transpose, Transpose::No,
+        gemm, gemm_into, set_kernel_mode, sym_evd_leading, syrk, syrk_into, KernelMode, Matrix,
+        Transpose, Transpose::No,
     };
     use tucker_tensor::{ttm, ttm_into_threads, unfold, DenseTensor, TtmWorkspace};
 
@@ -218,12 +218,11 @@ pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Arti
         format!("warm workspace chain at best {best_chain:.2}x over fresh allocation")
     });
 
-    // EVD: the full-spectrum QL solver against the selected-eigenpair one,
-    // and which of the two `leading_from_gram` hands out — the table behind
-    // its `(L, K)` rule. Arms alternate inside every repetition and each
-    // reports its best, so a slow phase of the host cannot favour one.
+    // EVD: the selected-eigenpair solver behind every `leading_from_gram`,
+    // on the Gram orders the workloads produce. Each sample times a batch and
+    // the row reports the best, so a slow phase of the host cannot count.
     const EVD_BOUND: f64 = 1e-13;
-    println!("-- evd: full (QL) vs selected (k leading pairs), best of 15 --");
+    println!("-- evd: selected (k leading pairs), best of 15 --");
     let mut evd_rows = Vec::new();
     for &(l, k) in evd_cases {
         // Gram of an l x 4l noise matrix whose columns decay geometrically.
@@ -233,13 +232,8 @@ pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Arti
         let g = syrk(&b);
         // Small orders finish in microseconds: time a batch per sample.
         let inner = (200_000 / (l * l * l)).max(1);
-        let (mut full_s, mut selected_s) = (f64::INFINITY, f64::INFINITY);
+        let mut selected_s = f64::INFINITY;
         for _ in 0..15 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..inner {
-                black_box(sym_evd(black_box(&g)));
-            }
-            full_s = full_s.min(t0.elapsed().as_secs_f64() / inner as f64);
             let t0 = std::time::Instant::now();
             for _ in 0..inner {
                 black_box(sym_evd_leading(black_box(g.clone()), k));
@@ -248,24 +242,6 @@ pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Arti
         }
         let selected = sym_evd_leading(g.clone(), k);
         let u = &selected.eigenvectors;
-        let front_door = leading_from_gram(&g, k).u;
-        let (picked, picked_s, other_s) = if front_door == *u {
-            ("selected", selected_s, full_s)
-        } else {
-            assert!(
-                front_door == sym_evd(&g).leading(k),
-                "leading_from_gram({l}, {k}) returned neither solver's vectors"
-            );
-            ("full", full_s, selected_s)
-        };
-        gates.check(picked_s > 0.0 && picked_s <= 1.10 * other_s, || {
-            format!(
-                "leading_from_gram picks the slower solver at L={l} K={k}: \
-                 {picked} {:.1}us vs {:.1}us",
-                picked_s * 1e6,
-                other_s * 1e6
-            )
-        });
         // max |UᵀU − I| and max |G·U − U·Λ| / ‖G‖_F of the selected pairs.
         let utu = gemm(u, Transpose::Yes, u, No, 1.0);
         let gu = gemm(&g, No, u, No, 1.0);
@@ -286,20 +262,15 @@ pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Arti
             )
         });
         println!(
-            "   L={l:>3} K={k:>2}: full {:>9.1}us  selected {:>9.1}us  ({:>5.2}x)  \
-             picked {picked:<8}  residual {residual:.1e}  orthogonality {orthogonality:.1e}",
-            full_s * 1e6,
-            selected_s * 1e6,
-            full_s / selected_s
+            "   L={l:>3} K={k:>2}: selected {:>9.1}us  \
+             residual {residual:.1e}  orthogonality {orthogonality:.1e}",
+            selected_s * 1e6
         );
         evd_rows.push(
             Obj::new()
                 .model("l", l)
                 .model("k", k)
-                .host("full_s", secs(full_s))
                 .host("selected_s", secs(selected_s))
-                .host("speedup", Fix(full_s / selected_s, 4))
-                .model("picked", picked)
                 .bounded("residual", Sci(residual, 3), EVD_BOUND)
                 .bounded("orthogonality", Sci(orthogonality, 3), EVD_BOUND),
         );

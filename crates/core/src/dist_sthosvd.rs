@@ -11,7 +11,8 @@
 //!   shows the order minimizing it sorts modes by `K_n / (1 − h_n)`
 //!   (ascending; `h_n = 1` modes — no compression — go last). This is the
 //!   single-chain specialization of the §3.3 tree optimization, implemented
-//!   in [`optimal_sthosvd_order`] and validated against brute force over all
+//!   in [`optimal_sthosvd_order`](crate::plan::order::optimal_sthosvd_order)
+//!   and validated against brute force over all
 //!   permutations in the tests.
 //! * **Gridding**: each truncation step is a distributed TTM whose
 //!   reduce-scatter volume follows the same `(q_n − 1)|Out|` model, executed
@@ -24,19 +25,13 @@ use crate::executor::{self, PlanProvenance, SweepStats};
 use crate::meta::TuckerMeta;
 use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe};
 
-pub use crate::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
-
-/// Measurements of one distributed STHOSVD run: the unified
-/// [`SweepStats`], reported identically by every backend (regrid fields are
-/// zero — the chain runs under one static grid). The same fields carry
-/// measured times in the default mode and α–β-modeled times under
-/// [`TimeSource::Virtual`](crate::engine::TimeSource).
-pub type SthosvdStats = SweepStats;
-
 /// Run distributed STHOSVD on `grid.nranks()` simulated ranks under a
 /// static grid, with the HOOI engine's [`EngineConfig`] (clock, core
 /// gather; always fail-stop). Returns `None` for the decomposition when
-/// `gather_core` is off.
+/// `gather_core` is off. The stats are the unified [`SweepStats`] (regrid
+/// fields zero — the chain runs under one static grid), measured in the
+/// default mode and α–β-modeled under
+/// [`TimeSource::Virtual`](crate::engine::TimeSource).
 ///
 /// # Panics
 /// Panics if the grid is invalid for the core, or if a rank panics.
@@ -46,7 +41,7 @@ pub fn run_distributed_sthosvd(
     grid: &Grid,
     order: &[usize],
     cfg: &EngineConfig,
-) -> (Option<TuckerDecomposition>, SthosvdStats) {
+) -> (Option<TuckerDecomposition>, SweepStats) {
     assert!(
         grid.is_valid_for(meta.core().dims()),
         "grid {grid} invalid for core {}",
@@ -74,7 +69,7 @@ pub fn run_distributed_sthosvd(
     })
     .into_results();
 
-    let mut agg = SthosvdStats::default();
+    let mut agg = SweepStats::default();
     let mut decomp = None;
     for (d, s) in out.results {
         agg.merge_max(&s);
@@ -92,6 +87,7 @@ pub fn run_distributed_sthosvd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
     use crate::sthosvd::sthosvd_with_order;
     use tucker_tensor::DenseTensor;
 

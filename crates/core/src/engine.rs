@@ -868,7 +868,7 @@ fn fill_region_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooi::hooi_invocation;
+    use crate::executor::{hooi_sweep, SeqBackend};
     use crate::meta::TuckerMeta;
     use crate::plan::{GridStrategy, TreeStrategy};
 
@@ -959,25 +959,28 @@ mod tests {
         // Sequential reference: same HOSVD-style init (non-truncated Gram
         // per mode on the raw tensor).
         let t = tucker_tensor::DenseTensor::from_fn(meta.input().clone(), smooth);
-        let init_factors = crate::sthosvd::hosvd_init_factors(&t, &meta);
-        let mut core = t.clone();
-        for (n, f) in init_factors.iter().enumerate() {
-            core = tucker_tensor::ttm(&core, n, &f.transpose());
-        }
-        let init = TuckerDecomposition::new(core, init_factors);
-        let seq = hooi_invocation(&t, &meta, &init, &plan.tree);
+        let init = crate::sthosvd::hosvd_init_factors(&t, &meta);
+        let norm_sq = tucker_tensor::norm::fro_norm_sq(&t);
+        let seq = hooi_sweep(
+            &mut SeqBackend::new(),
+            &t,
+            &meta,
+            &plan.tree,
+            &init,
+            norm_sq,
+        );
 
         assert!(
-            (dist.per_sweep[0].error - seq.error).abs() < 1e-9,
+            (dist.per_sweep[0].error - seq.stats.error).abs() < 1e-9,
             "dist {} vs seq {}",
             dist.per_sweep[0].error,
-            seq.error
+            seq.stats.error
         );
         let dist_d = dist.expect_decomposition();
-        for (fd, fs) in dist_d.factors.iter().zip(&seq.decomposition.factors) {
+        for (fd, fs) in dist_d.factors.iter().zip(&seq.factors) {
             assert!(fd.max_abs_diff(fs) < 1e-7);
         }
-        assert!(dist_d.core.max_abs_diff(&seq.decomposition.core) < 1e-7);
+        assert!(dist_d.core.max_abs_diff(&seq.core) < 1e-7);
     }
 
     #[test]

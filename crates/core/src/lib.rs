@@ -15,13 +15,15 @@
 //!   [`plan::NetCostModel`] priced in the engine's virtual nanoseconds —
 //!   the joint grid × tree × order DP (`plan::search`), and the
 //!   brute-force certification oracle (`plan::brute_force`);
-//! * [`decomposition`], [`hooi`], [`sthosvd`] — sequential reference
-//!   implementations of the decomposition, HOOI sweeps and STHOSVD
-//!   initialization;
+//! * [`decomposition`], [`sthosvd`] — the decomposition type and the
+//!   sequential STHOSVD / HOSVD initializers;
 //! * [`executor`] — the **sweep executor**: the one canonical
 //!   Gram → EVD-truncation → TTM loop, pluggable over execution backends
 //!   ([`executor::SeqBackend`], [`executor::RayonBackend`], and the
-//!   engine's distsim backend);
+//!   engine's distsim backend). Sequential HOOI is
+//!   [`executor::hooi_sweep`] / [`executor::hooi_loop`] on a `SeqBackend`,
+//!   with [`executor::gauss_seidel_sweep`] as De Lathauwer et al.'s
+//!   reference variant;
 //! * [`engine`] — the distributed *engine* (§5): executes a plan on the
 //!   simulated MPI universe (the distsim backend of the executor), with
 //!   per-phase time and volume accounting. One epoch loop runs every
@@ -60,7 +62,6 @@ pub mod decomposition;
 pub mod dist_sthosvd;
 pub mod engine;
 pub mod executor;
-pub mod hooi;
 pub mod meta;
 pub mod outofcore;
 pub mod plan;

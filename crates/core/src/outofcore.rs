@@ -273,8 +273,8 @@ pub struct OocOutcome {
 }
 
 /// Full out-of-core Tucker: [`sthosvd_outofcore`] init, then
-/// [`hooi_sweep_outofcore`] sweeps under the same `|Δerror| < tol`
-/// convergence rule as [`executor::hooi_loop`]. The caller's workspace
+/// [`hooi_sweep_outofcore`] sweeps until [`LoopCfg::converged`], the rule
+/// of [`executor::hooi_loop`]. The caller's workspace
 /// carries the pooled buffers (cap it with
 /// [`TtmWorkspace::set_pooled_bytes_limit`] to bound resident scratch).
 ///
@@ -294,14 +294,14 @@ pub fn tucker_outofcore(
     ws.recycle(init.core);
     let mut core: Option<DenseTensor> = None;
     let mut errors = Vec::new();
-    for sweep in 0..cfg.max_sweeps {
+    for _ in 0..cfg.max_sweeps {
         let (nf, c, e) = hooi_sweep_outofcore(t, meta, &factors, tile_len, ws, input_norm_sq);
         factors = nf;
         if let Some(old) = core.replace(c) {
             ws.recycle(old);
         }
         errors.push(e);
-        if sweep >= 1 && (errors[sweep - 1] - e).abs() < cfg.tol {
+        if cfg.converged(&errors) {
             break;
         }
     }
@@ -555,7 +555,6 @@ pub fn full_recompute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooi::hooi_iterate;
 
     /// Smooth, compressible but non-separable synthetic field with a small
     /// deterministic noise floor and a phase knob (`shift`) so sliding
@@ -601,16 +600,13 @@ mod tests {
         let t = smooth_tensor(&dims, 0);
         let meta = TuckerMeta::new(dims.to_vec(), vec![3, 3, 4]);
         let cfg = LoopCfg::exactly(4);
-        let init = sthosvd(&t, &meta);
-        let tree = chain_tree(&meta, &[0, 1, 2]);
-        let (incore, _trace) = hooi_iterate(&t, &meta, init, &tree, cfg.max_sweeps, cfg.tol);
+        let (_, e_in, _) = full_recompute(&t, &meta, cfg);
         let mut ws = TtmWorkspace::new();
         let ooc = tucker_outofcore(&t, &meta, 5, cfg, &mut ws);
         let e_ooc = *ooc.errors.last().unwrap();
         assert!(
-            (incore.error - e_ooc).abs() < 1e-10,
-            "in-core {} vs out-of-core {e_ooc}",
-            incore.error
+            (e_in - e_ooc).abs() < 1e-10,
+            "in-core {e_in} vs out-of-core {e_ooc}"
         );
         assert!(ooc.decomposition.factors_orthonormal(1e-9));
     }
@@ -652,11 +648,9 @@ mod tests {
             "pool {} exceeds cap {limit}",
             ws.pooled_bytes()
         );
-        let init = sthosvd(&t, &meta);
-        let tree = chain_tree(&meta, &[0, 1, 2]);
-        let (incore, _) = hooi_iterate(&t, &meta, init, &tree, cfg.max_sweeps, cfg.tol);
+        let (_, e_in, _) = full_recompute(&t, &meta, cfg);
         assert!(
-            (incore.error - ooc.errors.last().unwrap()).abs() < 1e-10,
+            (e_in - ooc.errors.last().unwrap()).abs() < 1e-10,
             "capped out-of-core must match in-core"
         );
     }

@@ -5,13 +5,13 @@
 //! `PROPTEST_CASES` explore other streams or bound the case count.
 
 use proptest::prelude::*;
-use tucker_core::dist_sthosvd::{optimal_sthosvd_order, sthosvd_chain_flops};
 use tucker_core::plan::brute_force::exhaustive_optimal_flops;
 use tucker_core::plan::cost::tree_flops;
 use tucker_core::plan::grid::{
     optimal_dynamic_grids, optimal_static_grid, scheme_volume, static_volume, DynGridObjective,
 };
 use tucker_core::plan::order::ModeOrdering;
+use tucker_core::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
 use tucker_core::plan::tree::{
     balanced_tree, chain_tree, greedy_reuse_tree, optimal_flops, optimal_tree,
 };

@@ -107,19 +107,9 @@ impl DistTensor {
         &self.local
     }
 
-    /// Mutable access to the local block.
-    pub fn local_mut(&mut self) -> &mut DenseTensor {
-        &mut self.local
-    }
-
     /// The global region this block covers.
     pub fn region(&self) -> Region {
         rank_region(self.global_shape(), self.grid(), self.rank())
-    }
-
-    /// Consume into the local block.
-    pub fn into_local(self) -> DenseTensor {
-        self.local
     }
 
     /// Sum of squared elements of the **global** tensor (all-reduced, so

@@ -164,12 +164,6 @@ impl NetModel {
         )
     }
 
-    /// An idealized zero-latency model (β only); useful for isolating the
-    /// bandwidth term in tests and ablations.
-    pub fn zero_latency(bytes_per_sec: f64) -> Self {
-        Self::new(Duration::ZERO, bytes_per_sec)
-    }
-
     /// Per-message latency α of the inter-node (flat) link.
     pub fn alpha(&self) -> Duration {
         Duration::from_nanos(self.alpha_ns)

@@ -1,7 +1,7 @@
 //! Symmetric eigendecomposition.
 //!
 //! The workspace's replacement for LAPACK `dsyevx`, the *selected*-eigenpair
-//! routine the paper uses for the SVD-via-Gram step (§5). Three solvers:
+//! routine the paper uses for the SVD-via-Gram step (§5). Two solvers:
 //!
 //! * [`sym_evd_leading`] — the `k` algebraically largest eigenpairs:
 //!   Householder tridiagonalization with the reflectors kept factored,
@@ -9,25 +9,17 @@
 //!   with cluster re-orthogonalization, back-transformation of those `k`
 //!   vectors only. `4/3·n³ + 2·n²·k` flops. This is what
 //!   [`leading_from_gram`](crate::svd::leading_from_gram) — and through it
-//!   every factor update of the Tucker engine — calls whenever it does less
-//!   work than the full solver (everything but small, barely truncated
-//!   Grams).
-//! * [`sym_evd`] — the full spectrum: Householder tridiagonalization
-//!   accumulating `Q` (`tred2`) followed by the implicit-shift QL iteration
-//!   rotating all `n` eigenvector columns (`tql2`), `≈ 6·n³` flops.
-//!   `leading_from_gram` keeps it for small Grams, where forming `Q` is
-//!   cheaper than `k` inverse iterations; the differential suites use it to
-//!   audit eigengaps, and it is the reference `sym_evd_leading` is tested
-//!   against.
+//!   every factor update of the Tucker engine — calls; a caller that wants
+//!   the full spectrum asks for `k = n`.
 //! * [`jacobi_evd`] — cyclic Jacobi rotations. Slower but extremely robust;
-//!   used in tests as an independent cross-check of the other two.
+//!   used in tests as an independent oracle.
 //!
-//! All return eigenvalues sorted in **descending** order (the Tucker code
+//! Both return eigenvalues sorted in **descending** order (the Tucker code
 //! always wants the leading subspace) with a deterministic eigenvector sign
 //! convention: the component of largest magnitude in each eigenvector is
 //! positive. The convention makes results reproducible across the sequential
-//! and distributed engines so they can be compared elementwise. The solvers
-//! agree with each other to round-off, not to the bit.
+//! and distributed engines so they can be compared elementwise. The two
+//! solvers agree with each other to round-off, not to the bit.
 
 use crate::matrix::Matrix;
 use crate::syrk::unrolled_dot;
@@ -60,144 +52,14 @@ impl SymEvd {
 /// Maximum QL iterations per eigenvalue before declaring failure.
 const MAX_QL_ITERS: usize = 50;
 
-/// Symmetric EVD via Householder tridiagonalization + implicit-shift QL.
-///
-/// # Panics
-/// Panics if `a` is not square, or if the QL iteration fails to converge
-/// (which does not happen for finite symmetric input).
-pub fn sym_evd(a: &Matrix) -> SymEvd {
-    let (n, m) = a.shape();
-    assert_eq!(n, m, "sym_evd needs a square matrix");
-    if n == 0 {
-        return SymEvd {
-            eigenvalues: vec![],
-            eigenvectors: Matrix::zeros(0, 0),
-        };
-    }
-
-    // Work on a copy; `z` will accumulate the orthogonal transform and end as
-    // the eigenvector matrix.
-    let mut z = a.clone();
-    let mut d = vec![0.0; n]; // diagonal
-    let mut e = vec![0.0; n]; // sub-diagonal
-    tred2(&mut z, &mut d, &mut e);
-    tql2(&mut d, &mut e, &mut z);
-
-    sort_descending_and_fix_signs(d, z)
-}
-
-/// Householder reduction of the symmetric matrix stored in `z` to tridiagonal
-/// form; on exit `z` holds the accumulated orthogonal transformation, `d` the
-/// diagonal and `e[1..]` the sub-diagonal. (Port of EISPACK `tred2`.)
-fn tred2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
-    let n = d.len();
-    for i in (1..n).rev() {
-        let l = i - 1;
-        let mut h = 0.0;
-        if l > 0 {
-            let mut scale = 0.0;
-            for k in 0..=l {
-                scale += z[(i, k)].abs();
-            }
-            if scale == 0.0 {
-                e[i] = z[(i, l)];
-            } else {
-                for k in 0..=l {
-                    let v = z[(i, k)] / scale;
-                    z[(i, k)] = v;
-                    h += v * v;
-                }
-                let mut f = z[(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                z[(i, l)] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * z[(i, j)];
-                }
-                let hh = f / (h + h);
-                for j in 0..=l {
-                    let f = z[(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        let delta = f * e[k] + g * z[(i, k)];
-                        z[(j, k)] -= delta;
-                    }
-                }
-            }
-        } else {
-            e[i] = z[(i, l)];
-        }
-        d[i] = h;
-    }
-    d[0] = 0.0;
-    e[0] = 0.0;
-    for i in 0..n {
-        if d[i] != 0.0 {
-            // Accumulate transformation.
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..i {
-                    let delta = g * z[(k, i)];
-                    z[(k, j)] -= delta;
-                }
-            }
-        }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        for j in 0..i {
-            z[(j, i)] = 0.0;
-            z[(i, j)] = 0.0;
-        }
-    }
-}
-
-/// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), accumulating
-/// rotations into `z`. (Port of EISPACK `tql2`.)
-fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) {
-    let n = d.len();
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
-    e[n - 1] = 0.0;
-    ql_implicit(d, e, 0.0, f64::hypot, |i, s, c| {
-        for k in 0..n {
-            let f = z[(k, i + 1)];
-            z[(k, i + 1)] = s * z[(k, i)] + c * f;
-            z[(k, i)] = c * z[(k, i)] - s * f;
-        }
-    });
-}
-
-/// The implicit-shift QL iteration shared by both solvers: on entry `d` is
-/// the diagonal and `e[i]` the `(i+1, i)` entry of the tridiagonal
-/// (`e[n-1]` unused), on exit `d` holds the eigenvalues, unordered. An
-/// off-diagonal entry is negligible, and the matrix splits there, once it is
-/// below `ε` times the larger of its two diagonal neighbours' magnitudes and
-/// `floor`. `hyp` computes `sqrt(f² + g²)`; `rotate(i, s, c)` receives every
-/// plane rotation of columns `(i, i+1)`, in order, for a caller that
-/// accumulates vectors.
-fn ql_implicit(
-    d: &mut [f64],
-    e: &mut [f64],
-    floor: f64,
-    hyp: impl Fn(f64, f64) -> f64,
-    mut rotate: impl FnMut(usize, f64, f64),
-) {
+/// The implicit-shift QL iteration for the eigenvalues of a symmetric
+/// tridiagonal matrix of 1-norm `onenrm`: on entry `d` is the diagonal and
+/// `e[i]` the `(i+1, i)` entry (`e[n-1]` unused), on exit `d` holds the
+/// eigenvalues, unordered. An off-diagonal entry is negligible, and the
+/// matrix splits there, once it is below `ε` times the larger of its two
+/// diagonal neighbours' magnitudes and `onenrm`. Entries must be pre-scaled
+/// to `O(1)` ([`pythag_scaled`]).
+fn ql_implicit(d: &mut [f64], e: &mut [f64], onenrm: f64) {
     let n = d.len();
     for l in 0..n {
         let mut iter = 0;
@@ -206,7 +68,7 @@ fn ql_implicit(
             let mut m = l;
             while m + 1 < n {
                 let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd.max(floor) {
+                if e[m].abs() <= f64::EPSILON * dd.max(onenrm) {
                     break;
                 }
                 m += 1;
@@ -217,12 +79,12 @@ fn ql_implicit(
             iter += 1;
             assert!(
                 iter <= MAX_QL_ITERS,
-                "tql2 failed to converge at eigenvalue {l}"
+                "QL iteration failed to converge at eigenvalue {l}"
             );
 
             // Form implicit shift.
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = hyp(g, 1.0);
+            let mut r = pythag_scaled(g, 1.0);
             g = d[m] - d[l] + e[l] / (g + r.copysign(g));
             let mut s = 1.0;
             let mut c = 1.0;
@@ -231,7 +93,7 @@ fn ql_implicit(
             for i in (l..m).rev() {
                 let f = s * e[i];
                 let b = c * e[i];
-                r = hyp(f, g);
+                r = pythag_scaled(f, g);
                 e[i + 1] = r;
                 if r == 0.0 {
                     d[i + 1] -= p;
@@ -246,7 +108,6 @@ fn ql_implicit(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                rotate(i, s, c);
             }
             if underflow {
                 continue;
@@ -263,8 +124,9 @@ fn ql_implicit(
 const MAX_INVIT_ITERS: usize = 5;
 
 /// The `k` algebraically largest eigenpairs of the symmetric matrix `a`:
-/// `eigenvalues` has length `k` (descending) and `eigenvectors` is `n x k`,
-/// with the same order and sign convention as [`sym_evd`].
+/// `eigenvalues` has length `k` (descending) and `eigenvectors` is `n x k`
+/// in the same order, under the sign convention of the module docs; `k = n`
+/// is the full spectrum.
 ///
 /// `a` is taken as symmetric — past the finiteness check only its lower
 /// triangle is used — and by value, because it is the routine's workspace:
@@ -273,8 +135,8 @@ const MAX_INVIT_ITERS: usize = 5;
 /// Four stages (the shape of LAPACK `dsyevx`):
 ///
 /// 1. `A = Q·T·Qᵀ` by `n − 2` reflectors, `dsytd2('L')` form — `4/3·n³` flops;
-/// 2. all eigenvalues of `T` by the QL iteration of [`sym_evd`] without the
-///    vector accumulation — `O(n²)`;
+/// 2. all eigenvalues of `T` by implicit-shift QL, no vectors accumulated —
+///    `O(n²)`;
 /// 3. the `k` leading eigenvectors of `T` by inverse iteration, vectors whose
 ///    eigenvalues are closer than `1e-2·‖T‖₁` re-orthogonalized against each
 ///    other (`dstein`) — `O(n·k)` per solve plus `O(n·k·c)` for clusters of
@@ -321,8 +183,7 @@ pub fn sym_evd_leading(mut a: Matrix, k: usize) -> SymEvd {
 
     // `tridiagonalize` starts from column 0, so `T` comes out graded large
     // at the top, and QL — which deflates from the top — wants the small end
-    // there (as `tred2`, working up from the last row, leaves it): hand it
-    // the flipped matrix, a permutation similarity.
+    // there: hand it the flipped matrix, a permutation similarity.
     let mut eigenvalues: Vec<f64> = d.iter().rev().copied().collect();
     for (wr, &er) in w.iter_mut().zip(e[..n - 1].iter().rev()) {
         *wr = er;
@@ -334,13 +195,7 @@ pub fn sym_evd_leading(mut a: Matrix, k: usize) -> SymEvd {
     let onenrm = (0..n)
         .map(|i| d[i].abs() + e[i].abs() + if i > 0 { e[i - 1].abs() } else { 0.0 })
         .fold(0.0, f64::max);
-    ql_implicit(
-        &mut eigenvalues,
-        &mut w,
-        onenrm,
-        pythag_scaled,
-        |_, _, _| {},
-    );
+    ql_implicit(&mut eigenvalues, &mut w, onenrm);
     eigenvalues.sort_by(|x, y| y.partial_cmp(x).expect("NaN eigenvalue"));
     eigenvalues.truncate(k);
 
@@ -636,7 +491,7 @@ fn back_transform(a: &[f64], tau: &[f64], z: &mut Matrix) {
 }
 
 /// Cyclic Jacobi eigensolver. Robust `O(n³ · sweeps)` reference
-/// implementation used to cross-check [`sym_evd`].
+/// implementation, the test oracle for [`sym_evd_leading`].
 ///
 /// # Panics
 /// Panics if `a` is not square or the sweep limit (30) is exhausted.
@@ -767,6 +622,11 @@ mod tests {
         Matrix::from_fn(n, n, |i, j| 0.5 * (b[(i, j)] + b[(j, i)]))
     }
 
+    /// The full spectrum: every eigenpair of `a`.
+    fn full(a: &Matrix) -> SymEvd {
+        sym_evd_leading(a.clone(), a.nrows())
+    }
+
     fn check_reconstruction(a: &Matrix, evd: &SymEvd, tol: f64) {
         let n = a.nrows();
         assert!(
@@ -793,7 +653,7 @@ mod tests {
     #[test]
     fn diagonal_matrix() {
         let a = Matrix::from_rows(&[&[3.0, 0.0, 0.0], &[0.0, -1.0, 0.0], &[0.0, 0.0, 7.0]]);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         let expect = [7.0, 3.0, -1.0];
         for (got, want) in evd.eigenvalues.iter().zip(expect) {
             assert!((got - want).abs() < 1e-12);
@@ -805,7 +665,7 @@ mod tests {
     fn known_2x2() {
         // Eigenvalues of [[2,1],[1,2]] are 3 and 1.
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         assert!((evd.eigenvalues[0] - 3.0).abs() < 1e-12);
         assert!((evd.eigenvalues[1] - 1.0).abs() < 1e-12);
         check_reconstruction(&a, &evd, 1e-12);
@@ -815,7 +675,7 @@ mod tests {
     fn random_matrices_reconstruct() {
         for (n, seed) in [(1usize, 5u64), (2, 6), (5, 7), (24, 8), (60, 9)] {
             let a = rand_sym(n, seed);
-            let evd = sym_evd(&a);
+            let evd = full(&a);
             check_reconstruction(&a, &evd, 1e-9);
         }
     }
@@ -824,7 +684,7 @@ mod tests {
     fn ql_and_jacobi_agree() {
         for (n, seed) in [(3usize, 21u64), (10, 22), (31, 23)] {
             let a = rand_sym(n, seed);
-            let e1 = sym_evd(&a);
+            let e1 = full(&a);
             let e2 = jacobi_evd(&a);
             for (l1, l2) in e1.eigenvalues.iter().zip(&e2.eigenvalues) {
                 assert!((l1 - l2).abs() < 1e-9, "eigenvalue mismatch n={n}");
@@ -849,7 +709,7 @@ mod tests {
         // A = x xᵀ has one nonzero eigenvalue = |x|².
         let x = [1.0, 2.0, 2.0];
         let a = Matrix::from_fn(3, 3, |i, j| x[i] * x[j]);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         assert!((evd.eigenvalues[0] - 9.0).abs() < 1e-10);
         assert!(evd.eigenvalues[1].abs() < 1e-10);
         assert!(evd.eigenvalues[2].abs() < 1e-10);
@@ -861,7 +721,7 @@ mod tests {
         // 2*I has eigenvalue 2 with multiplicity 4; any orthonormal basis ok.
         let mut a = Matrix::identity(4);
         a.scale(2.0);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         for l in &evd.eigenvalues {
             assert!((l - 2.0).abs() < 1e-12);
         }
@@ -871,7 +731,7 @@ mod tests {
     #[test]
     fn leading_truncates() {
         let a = rand_sym(10, 40);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         let lead = evd.leading(3);
         assert_eq!(lead.shape(), (10, 3));
         assert!(lead.has_orthonormal_columns(1e-9));
@@ -880,8 +740,8 @@ mod tests {
     #[test]
     fn sign_convention_is_deterministic() {
         let a = rand_sym(12, 55);
-        let e1 = sym_evd(&a);
-        let e2 = sym_evd(&a);
+        let e1 = full(&a);
+        let e2 = full(&a);
         assert!(e1.eigenvectors.max_abs_diff(&e2.eigenvectors) == 0.0);
         // Pivot component positive in each column.
         for j in 0..12 {
@@ -897,7 +757,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = Matrix::zeros(0, 0);
-        let evd = sym_evd(&a);
+        let evd = full(&a);
         assert!(evd.eigenvalues.is_empty());
     }
 }

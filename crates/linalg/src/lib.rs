@@ -22,13 +22,11 @@
 //! * [`evd`] — symmetric eigendecomposition: [`sym_evd_leading`], the
 //!   selected-eigenpair solver in the shape of `dsyevx` (tridiagonalization
 //!   without forming `Q`, QL for the eigenvalues, inverse iteration and
-//!   back-transformation for the `k` wanted vectors) that the engine runs on;
-//!   [`sym_evd`], the full-spectrum Householder + QL solver kept for small
-//!   Grams and as the reference; and a cyclic Jacobi solver as an independent
-//!   cross-check,
+//!   back-transformation for the `k` wanted vectors; `k = n` is the full
+//!   spectrum), and a cyclic Jacobi solver as the independent test oracle,
 //! * [`svd`] — leading left singular vectors via the Gram-matrix + EVD route
-//!   used by the paper (§5); [`leading_from_gram`] is the one place that
-//!   picks between the two solvers, from the Gram's order and `k` alone.
+//!   used by the paper (§5); [`leading_from_gram`] runs every Gram through
+//!   [`sym_evd_leading`].
 //!
 //! Everything is pure Rust with no BLAS dependency so the workspace builds on
 //! any platform; performance is adequate for the scaled experiments and, more
@@ -43,7 +41,7 @@ pub mod qr;
 pub mod svd;
 pub mod syrk;
 
-pub use evd::{jacobi_evd, sym_evd, sym_evd_leading, SymEvd};
+pub use evd::{jacobi_evd, sym_evd_leading, SymEvd};
 pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
 pub use pack::{

@@ -7,7 +7,7 @@
 //! provides the sequential building block; the distributed Gram accumulation
 //! lives in `tucker-distsim`.
 
-use crate::evd::{sym_evd, sym_evd_leading, SymEvd};
+use crate::evd::{sym_evd_leading, SymEvd};
 use crate::matrix::Matrix;
 use crate::syrk::{symmetrize, syrk};
 
@@ -35,12 +35,9 @@ pub fn leading_left_singular_vectors(a: &Matrix, k: usize) -> GramSvd {
 /// Leading `k` eigenvector/singular-value pairs from an already-computed
 /// Gram matrix (e.g. one that was all-reduced across ranks).
 ///
-/// This is the one place the eigensolver is chosen, from `(order, k)` alone
-/// (`selected_saves_work` below): the selected-eigenpair solver
-/// [`sym_evd_leading`] wherever it does less work than the full-spectrum
-/// [`sym_evd`]. Both give the same order and sign convention, so the choice
-/// is invisible to callers up to round-off — and two callers handing in
-/// bit-identical Grams get bit-identical factors.
+/// The eigenpairs come from the selected-eigenpair solver
+/// [`sym_evd_leading`], the one solver of the crate, so two callers handing
+/// in bit-identical Grams get bit-identical factors.
 ///
 /// Negative eigenvalues produced by round-off are clamped to zero before the
 /// square root.
@@ -59,46 +56,12 @@ pub fn leading_from_gram(gram: &Matrix, k: usize) -> GramSvd {
     let SymEvd {
         eigenvalues,
         eigenvectors,
-    } = if selected_saves_work(m, k) {
-        sym_evd_leading(g, k)
-    } else {
-        sym_evd(&g)
-    };
-    let u = eigenvectors.truncate_cols(k);
-    let singular_values = eigenvalues[..k]
-        .iter()
-        .map(|&l| l.max(0.0).sqrt())
-        .collect();
-    GramSvd { u, singular_values }
-}
-
-/// Whether [`sym_evd_leading`] does less work than [`sym_evd`] for `k`
-/// vectors of an order-`l` Gram. Both tridiagonalize (`4/3·l³` flops) and
-/// iterate for the eigenvalues (`O(l²)`); past that, per row of the matrix,
-///
-/// * the full solver forms `Q` (`4/3·l²`) and rotates all `l` eigenvector
-///   columns through every QL step (`≈ 3·l²`),
-/// * the selected one back-transforms `k` vectors (`2·l·k`), finds them by
-///   inverse iteration (two or three tridiagonal solves each, `≈ 60·k`) and
-///   re-orthogonalizes within clusters (at most `k²`),
-///
-/// so it pays when `13/3·l² > 2·l·k + 60·k + k²`. The constant `60` is where
-/// the measured crossover sits (`experiments -- kernels`, the `"evd"` rows of
-/// `results/BENCH_kernels.json`; µs on a 2-core AVX2 VM):
-///
-/// | `(l, k)` | (10,6) | (16,8) | (32,8) | (64,16) | (160,32) | (256,32) |
-/// |---|---|---|---|---|---|---|
-/// | full | 7.9 | 26 | 148 | 851 | 6695 | 41990 |
-/// | selected | 8.3 | 23 | 69 | 281 | 1604 | 4948 |
-/// | picked | full | selected | selected | selected | selected | selected |
-///
-/// On a finer grid (twelve orders up to 64, five `k` each, two spectra) every
-/// case the rule gets wrong is a near-tie, selected/full between 0.94 and
-/// 1.04. Of the Grams every rank of the P = 1024 scaling runs decomposes,
-/// 12→8 and 10→6 stay on QL and 16→8 sits on the tie; with `k = l` the
-/// selected path only wins from about `l = 45`.
-const fn selected_saves_work(l: usize, k: usize) -> bool {
-    13 * l * l > 3 * (2 * l * k + 60 * k + k * k)
+    } = sym_evd_leading(g, k);
+    let singular_values = eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+    GramSvd {
+        u: eigenvectors,
+        singular_values,
+    }
 }
 
 #[cfg(test)]
@@ -185,40 +148,6 @@ mod tests {
                     0.0
                 };
                 assert!((ugu[(i, j)] - expect).abs() < 1e-7, "at ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn both_sides_of_the_dispatch_boundary_agree() {
-        // Order 16: the largest k on the selected solver, and the next one,
-        // which stays on QL.
-        let below = (1..16)
-            .rev()
-            .find(|&k| selected_saves_work(16, k))
-            .expect("small k is on the selected path");
-        assert!(!selected_saves_work(16, below + 1));
-        // Singular values 0.8^j: every eigengap is wide, so the vectors
-        // themselves (not just the subspace) are determined to round-off.
-        let mut a = rand_mat(16, 48, 7);
-        for j in 0..48 {
-            for v in a.col_mut(j) {
-                *v *= 0.8f64.powi((j % 16) as i32);
-            }
-        }
-        let gram = syrk(&a);
-        for k in [below, below + 1] {
-            let got = leading_from_gram(&gram, k);
-            let full = sym_evd(&gram);
-            let selected = sym_evd_leading(gram.clone(), k);
-            for (name, evd) in [("sym_evd", &full), ("sym_evd_leading", &selected)] {
-                assert!(
-                    got.u.max_abs_diff(&evd.leading(k)) < 1e-12,
-                    "k={k}: u differs from {name}'s"
-                );
-                for (s, l) in got.singular_values.iter().zip(&evd.eigenvalues) {
-                    assert!((s - l.sqrt()).abs() < 1e-12, "k={k}: sigma vs {name}");
-                }
             }
         }
     }

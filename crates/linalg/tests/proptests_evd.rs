@@ -1,6 +1,6 @@
 //! Property tests fencing the selected-eigenpair solver
-//! (`tucker_linalg::sym_evd_leading`) against the two full-spectrum solvers
-//! of the crate, `sym_evd` (Householder + QL) and `jacobi_evd`.
+//! (`tucker_linalg::sym_evd_leading`) against the independent Jacobi oracle
+//! (`jacobi_evd`) and against its own full spectrum (`k = L`).
 //!
 //! The inputs are Grams `B·Bᵀ` of tall and wide matrices `B = Q·diag(σ)·Wᵀ`
 //! with a prescribed singular spectrum — geometric (well separated), flat
@@ -16,8 +16,7 @@
 
 use proptest::prelude::*;
 use tucker_linalg::{
-    gemm, jacobi_evd, orthonormal_columns, sym_evd, sym_evd_leading, syrk, Matrix, SymEvd,
-    Transpose,
+    gemm, jacobi_evd, orthonormal_columns, sym_evd_leading, syrk, Matrix, SymEvd, Transpose,
 };
 
 /// Deterministic hash noise in [-0.5, 0.5).
@@ -145,17 +144,13 @@ fn check_against(g: &Matrix, k: usize, reference: &SymEvd, name: &str) -> Result
     Ok(())
 }
 
-/// Both full-spectrum references for `g`. `sym_evd`'s QL splits relative to
-/// the neighbouring diagonal entries only, and on a few large Grams with an
-/// exact null cluster (about 1 in 400 rank-L/2 projectors of order 96) that
-/// test never fires and it gives up with "tql2 failed to converge"; such a
-/// matrix is then checked against Jacobi alone.
-fn references(g: &Matrix) -> Vec<(SymEvd, &'static str)> {
-    let mut refs = vec![(jacobi_evd(g), "jacobi_evd")];
-    if let Ok(ql) = std::panic::catch_unwind(|| sym_evd(g)) {
-        refs.push((ql, "sym_evd"));
-    }
-    refs
+/// Both full-spectrum references for `g`: the Jacobi oracle, and the
+/// selected solver's own full spectrum, of which every `k` must be a prefix.
+fn references(g: &Matrix) -> [(SymEvd, &'static str); 2] {
+    [
+        (jacobi_evd(g), "jacobi_evd"),
+        (sym_evd_leading(g.clone(), g.nrows()), "full spectrum"),
+    ]
 }
 
 fn ks(l: usize) -> [usize; 6] {
@@ -198,10 +193,11 @@ proptest! {
     fn indefinite_matrices(l in 1usize..=64, seed in 0u64..10_000) {
         let b = noise_mat(seed, l, l);
         let g = Matrix::from_fn(l, l, |i, j| b[(i, j)] + b[(j, i)]);
-        let ql = sym_evd(&g);
-        for k in ks(l) {
-            if let Err(why) = check_against(&g, k, &ql, "sym_evd") {
-                prop_assert!(false, "L={l} seed={seed} k={k}: {why}");
+        for (reference, name) in references(&g) {
+            for k in ks(l) {
+                if let Err(why) = check_against(&g, k, &reference, name) {
+                    prop_assert!(false, "L={l} seed={seed} k={k}: {why}");
+                }
             }
         }
     }
@@ -248,17 +244,17 @@ fn order_one() {
 fn k_cuts_into_the_null_cluster() {
     let g = gram(24, 5, Spectrum::Geometric, 77);
     check_all_ks(&g);
-    let ql = sym_evd(&g);
-    for k in [5, 6, 7, 13] {
-        check_against(&g, k, &ql, "sym_evd").unwrap_or_else(|why| panic!("k={k}: {why}"));
+    for (reference, name) in references(&g) {
+        for k in [5, 6, 7, 13] {
+            check_against(&g, k, &reference, name).unwrap_or_else(|why| panic!("k={k}: {why}"));
+        }
     }
 }
 
 /// A spectrum graded 23 decades, most of it below the round-off of the Gram
 /// product. `T` ends in a block of pure noise, where a deflation test
-/// relative to the neighbouring diagonal entries can stall: `sym_evd` gives
-/// up on this matrix ("tql2 failed to converge"), the selected path splits
-/// relative to `‖T‖` and must not.
+/// relative to the neighbouring diagonal entries alone can stall for good;
+/// the QL iteration splits relative to `‖T‖` and must not.
 #[test]
 fn graded_far_below_roundoff() {
     let (l, cols) = (75, 225);
@@ -270,6 +266,22 @@ fn graded_far_below_roundoff() {
     for k in ks(l) {
         check_against(&g, k, &jacobi, "jacobi_evd").unwrap_or_else(|why| panic!("k={k}: {why}"));
     }
+}
+
+/// A graded Gram of the generator — order 96, two clusters six decades
+/// apart — on which a QL iteration that splits relative to the neighbouring
+/// diagonal entries alone never deflates the lower cluster and gives up. The
+/// full spectrum must come out with residual `‖G·U − U·Λ‖_F / ‖G‖_F` and
+/// orthonormality defect `max |UᵀU − I|` both at most `1e-13`.
+#[test]
+fn two_level_gram_of_order_96_decomposes_in_full() {
+    let g = gram(96, 97, Spectrum::TwoLevel, 37);
+    let full = sym_evd_leading(g.clone(), 96);
+    let res = residual(&g, &full) / g.fro_norm();
+    assert!(res <= 1e-13, "relative residual {res:.2e}");
+    let defect = orthonormality_defect(&full.eigenvectors);
+    assert!(defect <= 1e-13, "orthonormality defect {defect:.2e}");
+    check_all_ks(&g);
 }
 
 /// Diagonal input: every column below the diagonal is already zero, so every
@@ -289,7 +301,7 @@ fn diagonal_input() {
 #[test]
 fn extreme_scales() {
     let base = gram(20, 60, Spectrum::Geometric, 5);
-    let reference = sym_evd(&base);
+    let reference = jacobi_evd(&base);
     let want = sym_evd_leading(base.clone(), 6);
     for scale in [1e140, 1e-140, 1e300, 1e-300] {
         let mut g = base.clone();

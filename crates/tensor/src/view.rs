@@ -430,15 +430,6 @@ impl<'a> TensorViewMut<'a> {
         self.dims.iter().product()
     }
 
-    /// Reborrow as an immutable view.
-    pub fn as_view(&self) -> TensorView<'_> {
-        TensorView {
-            data: unsafe { std::slice::from_raw_parts(self.ptr, self.len) },
-            dims: self.dims.clone(),
-            strides: self.strides.clone(),
-        }
-    }
-
     /// Restrict mode `mode` to `[start, start + len)`, consuming the view
     /// (mutable windows must not overlap, so narrowing takes ownership).
     ///

@@ -11,10 +11,10 @@
 //! across time) while spatial factors capture the scene.
 
 use std::time::Instant;
-use tucker_core::hooi::hooi_invocation_gauss_seidel;
+use tucker_core::executor::{gauss_seidel_sweep, SeqBackend, SweepBackend};
 use tucker_core::meta::TuckerMeta;
 use tucker_core::sthosvd::sthosvd;
-use tucker_core::{full_recompute, tucker_outofcore, LoopCfg, SlidingTucker};
+use tucker_core::{full_recompute, tucker_outofcore, LoopCfg, SlidingTucker, TuckerDecomposition};
 use tucker_suite::fields::video_field;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, Shape, TtmWorkspace};
@@ -32,22 +32,27 @@ fn main() {
     for ranks in [(2usize, 2usize, 2usize), (4, 4, 3), (8, 8, 4)] {
         let meta = TuckerMeta::new(dims.to_vec(), vec![ranks.0, ranks.1, ranks.2]);
         let init = sthosvd(&t, &meta);
-        let e0 = init.error_from_core_norm(fro_norm_sq(&t));
-        // Polish with two monotone HOOI sweeps.
-        let out1 = hooi_invocation_gauss_seidel(&t, &meta, &init);
-        let out2 = hooi_invocation_gauss_seidel(&t, &meta, &out1.decomposition);
+        let norm_sq = fro_norm_sq(&t);
+        let e0 = init.error_from_core_norm(norm_sq);
+        // Polish with two monotone (Gauss–Seidel) HOOI sweeps.
+        let mut b = SeqBackend::new();
+        let out1 = gauss_seidel_sweep(&mut b, &t, &meta, &init.factors, norm_sq);
+        b.recycle(out1.core);
+        let out2 = gauss_seidel_sweep(&mut b, &t, &meta, &out1.factors, norm_sq);
+        let error = out2.stats.error;
+        let polished = TuckerDecomposition::new(out2.core, out2.factors);
         println!(
             "core {:?}: STHOSVD err {:.4} -> HOOI err {:.4} (storage compression {:.1}x)",
             [ranks.0, ranks.1, ranks.2],
             e0,
-            out2.error,
-            out2.decomposition.storage_compression_ratio(),
+            error,
+            polished.storage_compression_ratio(),
         );
 
         if ranks.0 == 4 {
             // The frame-mode factor is time-PCA: its leading column is the
             // dominant temporal pattern. Print it like a tiny spectrum.
-            let f_time = &out2.decomposition.factors[2];
+            let f_time = &polished.factors[2];
             println!("  leading temporal component (frames 0..16):");
             print!("  ");
             for fr in 0..16 {

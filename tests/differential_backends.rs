@@ -5,9 +5,8 @@
 //! floating-point summation grouping) differs — so errors must agree to
 //! 1e-10 wherever the truncations are spectrally well-posed.
 //!
-//! Also re-proves the steady-state tensor-alloc-free invariant through the
-//! executor path (the canonical loop + `SeqBackend`), guarding the refactor
-//! that moved the sweep bodies out of `hooi.rs`/`engine.rs`.
+//! Also proves the steady-state tensor-alloc-free invariant through the
+//! executor path (the canonical loop + `SeqBackend`).
 
 use proptest::prelude::*;
 use tucker_core::executor::{self, RayonBackend, SeqBackend, SweepBackend};
@@ -46,7 +45,7 @@ fn field(c: &[usize]) -> f64 {
 /// `k` the kept subspace is not a stable function of the matrix, and a
 /// 1e-15 regrouping perturbation may legitimately rotate it.
 fn gapped(g: &Matrix, k: usize) -> bool {
-    let evd = tucker_linalg::sym_evd(g);
+    let evd = tucker_linalg::sym_evd_leading(g.clone(), g.nrows());
     if k >= evd.eigenvalues.len() {
         return true; // no truncation
     }
@@ -145,7 +144,7 @@ fn check_backends(meta: &TuckerMeta) {
 /// Rayon vs seq on the STHOSVD chain (ascending-K order).
 fn check_backends_sthosvd(meta: &TuckerMeta) {
     let t = DenseTensor::from_fn(meta.input().clone(), field);
-    let order = tucker_core::dist_sthosvd::optimal_sthosvd_order(meta);
+    let order = tucker_core::plan::order::optimal_sthosvd_order(meta);
     // Audit the chain's truncations on the sequential reference.
     {
         let mut cur = t.clone();
@@ -268,11 +267,10 @@ fn field_rank16(c: &[usize]) -> f64 {
     v + 1e-4 * hash_noise(c, 0xD1FF)
 }
 
-/// The randomized shapes above have modes of length ≤ 6, which
-/// `leading_from_gram` keeps on the full QL solver. This fixed shape has a
-/// 64 → 16 mode, so the same rayon-vs-seq comparison runs through the
-/// selected-eigenpair solver (mode 0) and through QL (modes 1, 2) in one
-/// sweep.
+/// The randomized shapes above have modes of length ≤ 6. This fixed shape
+/// has a 64 → 16 mode, so the same rayon-vs-seq comparison takes a large,
+/// deeply truncated Gram through the selected-eigenpair solver (mode 0) next
+/// to small ones (modes 1, 2) in one sweep.
 #[test]
 fn rayon_matches_seq_through_the_selected_solver() {
     let meta = TuckerMeta::new([64, 12, 10], [16, 4, 4]);

@@ -6,10 +6,10 @@
 //! communication, distribution, or clock-plumbing bug.
 
 use proptest::prelude::*;
-use tucker_core::decomposition::TuckerDecomposition;
-use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
+use tucker_core::dist_sthosvd::run_distributed_sthosvd;
 use tucker_core::engine::{run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig};
-use tucker_core::hooi::hooi_invocation;
+use tucker_core::executor::{hooi_sweep, SeqBackend};
+use tucker_core::plan::order::optimal_sthosvd_order;
 use tucker_core::plan::{NetCostModel, Planner, SearchBudget};
 use tucker_core::sthosvd::{hosvd_init_factors, sthosvd_with_order};
 use tucker_core::TuckerMeta;
@@ -19,6 +19,7 @@ use tucker_distsim::{
 };
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
+use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::DenseTensor;
 
 const NRANKS: usize = 4;
@@ -53,7 +54,7 @@ fn field(c: &[usize]) -> f64 {
 /// error) is not a well-defined function of the tensor and the differential
 /// property cannot be expected to hold to 1e-10.
 fn gapped(g: &Matrix, k: usize) -> bool {
-    let evd = tucker_linalg::sym_evd(g);
+    let evd = tucker_linalg::sym_evd_leading(g.clone(), g.nrows());
     if k >= evd.eigenvalues.len() {
         return true; // no truncation
     }
@@ -68,7 +69,7 @@ fn gapped(g: &Matrix, k: usize) -> bool {
 fn hooi_plan_well_posed(
     t: &DenseTensor,
     meta: &TuckerMeta,
-    init: &TuckerDecomposition,
+    init: &[Matrix],
     tree: &tucker_core::plan::tree::TtmTree,
 ) -> bool {
     use tucker_core::plan::tree::NodeLabel;
@@ -86,8 +87,7 @@ fn hooi_plan_well_posed(
         match tree.node(id).label {
             NodeLabel::Root => unreachable!(),
             NodeLabel::Ttm(n) => {
-                let out =
-                    std::rc::Rc::new(tucker_tensor::ttm(&*input, n, &init.factors[n].transpose()));
+                let out = std::rc::Rc::new(tucker_tensor::ttm(&*input, n, &init[n].transpose()));
                 for &c in tree.node(id).children.iter().rev() {
                     stack.push((c, std::rc::Rc::clone(&out)));
                 }
@@ -128,15 +128,15 @@ fn viable(meta: &TuckerMeta) -> bool {
         && !enumerate_valid_grids(NRANKS, meta.core().dims()).is_empty()
 }
 
-/// The engine's HOSVD-style initialization, sequentially: non-truncated Gram
-/// per mode of the raw tensor.
-fn hosvd_init(t: &DenseTensor, meta: &TuckerMeta) -> TuckerDecomposition {
-    let factors = hosvd_init_factors(t, meta);
-    let mut core = t.clone();
-    for (n, f) in factors.iter().enumerate() {
-        core = tucker_tensor::ttm(&core, n, &f.transpose());
-    }
-    TuckerDecomposition::new(core, factors)
+/// The error of one sequential HOOI sweep of `tree` from `init`.
+fn seq_error(
+    t: &DenseTensor,
+    meta: &TuckerMeta,
+    init: &[Matrix],
+    tree: &tucker_core::plan::tree::TtmTree,
+) -> f64 {
+    let out = hooi_sweep(&mut SeqBackend::new(), t, meta, tree, init, fro_norm_sq(t));
+    out.stats.error
 }
 
 fn modes() -> [(&'static str, EngineConfig); 2] {
@@ -150,21 +150,20 @@ fn modes() -> [(&'static str, EngineConfig); 2] {
 /// invocation from the identical initialization.
 fn check_hooi_lineup(meta: &TuckerMeta) {
     let t = DenseTensor::from_fn(meta.input().clone(), field);
-    let init = hosvd_init(&t, meta);
+    let init = hosvd_init_factors(&t, meta);
     let planner = Planner::new(meta.clone(), NRANKS);
     for plan in planner.paper_lineup() {
         if !hooi_plan_well_posed(&t, meta, &init, &plan.tree) {
             continue; // spectrally degenerate draw: the property is undefined
         }
-        let seq = hooi_invocation(&t, meta, &init, &plan.tree);
+        let seq = seq_error(&t, meta, &init, &plan.tree);
         for (label, cfg) in modes() {
             let dist = run_distributed_hooi(field, &plan, 1, &cfg);
             let de = dist.per_sweep[0].error;
             assert!(
-                (de - seq.error).abs() < 1e-10,
-                "{meta}: {} [{label}]: dist {de} vs seq {}",
-                plan.name(),
-                seq.error
+                (de - seq).abs() < 1e-10,
+                "{meta}: {} [{label}]: dist {de} vs seq {seq}",
+                plan.name()
             );
         }
     }
@@ -260,11 +259,11 @@ fn field_rank16(c: &[usize]) -> f64 {
     v + 1e-4 * hash_noise(c, 0xD1FF)
 }
 
-/// The randomized shapes above have modes of length ≤ 6, which
-/// `leading_from_gram` keeps on the full QL solver. This fixed shape has a
-/// 64 → 16 mode, so every rank of the distributed run and the sequential
-/// invocation go through the selected-eigenpair solver (mode 0) and through
-/// QL (modes 1, 2) in one sweep, under both clocks.
+/// The randomized shapes above have modes of length ≤ 6. This fixed shape
+/// has a 64 → 16 mode, so every rank of the distributed run and the
+/// sequential sweep take a large, deeply truncated Gram through the
+/// selected-eigenpair solver (mode 0) next to small ones (modes 1, 2), under
+/// both clocks.
 #[test]
 fn hooi_matches_sequential_through_the_selected_solver() {
     let meta = TuckerMeta::new([64, 12, 10], [16, 4, 4]);
@@ -276,7 +275,7 @@ fn hooi_matches_sequential_through_the_selected_solver() {
             "degenerate fixture: mode {n} init"
         );
     }
-    let init = hosvd_init(&t, &meta);
+    let init = hosvd_init_factors(&t, &meta);
     let planner = Planner::new(meta.clone(), NRANKS);
     for plan in planner.paper_lineup() {
         assert!(
@@ -284,15 +283,14 @@ fn hooi_matches_sequential_through_the_selected_solver() {
             "degenerate fixture: {}",
             plan.name()
         );
-        let seq = hooi_invocation(&t, &meta, &init, &plan.tree);
+        let seq = seq_error(&t, &meta, &init, &plan.tree);
         for (label, cfg) in modes() {
             let dist = run_distributed_hooi(field_rank16, &plan, 1, &cfg);
             let de = dist.per_sweep[0].error;
             assert!(
-                (de - seq.error).abs() < 1e-10,
-                "{} [{label}]: dist {de} vs seq {}",
-                plan.name(),
-                seq.error
+                (de - seq).abs() < 1e-10,
+                "{} [{label}]: dist {de} vs seq {seq}",
+                plan.name()
             );
         }
     }

@@ -10,11 +10,12 @@
 //! so everything lives in a single `#[test]`: no other test in this binary
 //! may run concurrently and observe a flipped mode.
 
-use tucker_core::hooi::hooi_iterate;
+use tucker_core::executor::{self, LoopOutcome, SeqBackend, SweepBackend};
 use tucker_core::sthosvd::sthosvd;
-use tucker_core::{chain_tree, TuckerMeta};
-use tucker_linalg::{set_kernel_mode, sym_evd, KernelMode};
+use tucker_core::{chain_tree, LoopCfg, TuckerMeta};
+use tucker_linalg::{set_kernel_mode, sym_evd_leading, KernelMode, Matrix};
 use tucker_suite::fields::hash_noise;
+use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::DenseTensor;
 
 /// Structured low-rank field (same construction as the backend
@@ -40,8 +41,8 @@ fn field(c: &[usize]) -> f64 {
 /// Every mode's truncation must sit on a clear relative eigengap, otherwise
 /// the kept subspace is not a stable function of the matrix and a roundoff
 /// regrouping may legitimately rotate it.
-fn gapped(g: &tucker_linalg::Matrix, k: usize) -> bool {
-    let evd = sym_evd(g);
+fn gapped(g: &Matrix, k: usize) -> bool {
+    let evd = sym_evd_leading(g.clone(), g.nrows());
     if k >= evd.eigenvalues.len() {
         return true;
     }
@@ -59,16 +60,12 @@ fn input_well_posed(t: &DenseTensor, meta: &TuckerMeta) -> bool {
 /// must have a clear gap at the truncation index. Without it, the kept
 /// subspace is degenerate at the fixed point itself and a roundoff
 /// regrouping legitimately returns a rotated basis.
-fn converged_well_posed(
-    t: &DenseTensor,
-    meta: &TuckerMeta,
-    dec: &tucker_core::TuckerDecomposition,
-) -> bool {
+fn converged_well_posed(t: &DenseTensor, meta: &TuckerMeta, factors: &[Matrix]) -> bool {
     (0..meta.order()).all(|n| {
         let mut cur = t.clone();
-        for m in 0..meta.order() {
+        for (m, f) in factors.iter().enumerate() {
             if m != n {
-                cur = tucker_tensor::ttm(&cur, m, &dec.factors[m].transpose());
+                cur = tucker_tensor::ttm(&cur, m, &f.transpose());
             }
         }
         gapped(&tucker_tensor::gram(&cur, n), meta.k(n))
@@ -76,16 +73,18 @@ fn converged_well_posed(
 }
 
 /// One full pipeline run — ST-HOSVD init, then up to 4 chain-tree HOOI
-/// invocations — under the given kernel mode.
-fn run_pipeline(
-    t: &DenseTensor,
-    meta: &TuckerMeta,
-    mode: KernelMode,
-) -> tucker_core::hooi::HooiOutput {
+/// sweeps — under the given kernel mode.
+fn run_pipeline(t: &DenseTensor, meta: &TuckerMeta, mode: KernelMode) -> LoopOutcome<DenseTensor> {
     set_kernel_mode(mode);
     let init = sthosvd(t, meta);
     let tree = chain_tree(meta, &(0..meta.order()).collect::<Vec<_>>());
-    let (out, _trace) = hooi_iterate(t, meta, init, &tree, 4, 1e-13);
+    let mut b = SeqBackend::new();
+    b.recycle(init.core);
+    let cfg = LoopCfg {
+        max_sweeps: 4,
+        tol: 1e-13,
+    };
+    let out = executor::hooi_loop(&mut b, t, meta, &tree, init.factors, fro_norm_sq(t), cfg);
     set_kernel_mode(KernelMode::Auto);
     out
 }
@@ -93,7 +92,7 @@ fn run_pipeline(
 /// Orthogonal projector `F·Fᵀ` onto a factor's column span: invariant to
 /// the sign/rotation indeterminacy of eigenvectors inside a kept subspace,
 /// which a floating-point regrouping may legitimately exercise.
-fn projector(f: &tucker_linalg::Matrix) -> tucker_linalg::Matrix {
+fn projector(f: &Matrix) -> Matrix {
     tucker_linalg::gemm(
         f,
         tucker_linalg::Transpose::No,
@@ -124,31 +123,25 @@ fn hooi_packed_matches_naive_kernels_5d() {
         }
 
         let naive = run_pipeline(&t, &meta, KernelMode::Naive);
-        if !converged_well_posed(&t, &meta, &naive.decomposition) {
+        if !converged_well_posed(&t, &meta, &naive.factors) {
             continue; // degenerate fixed point: basis not comparable
         }
         checked += 1;
         let packed = run_pipeline(&t, &meta, KernelMode::Packed);
 
+        let (e_naive, e_packed) = (naive.errors.last().unwrap(), packed.errors.last().unwrap());
         assert!(
-            (naive.error - packed.error).abs() < 1e-10,
-            "{meta}: packed error {} vs naive {}",
-            packed.error,
-            naive.error
+            (e_naive - e_packed).abs() < 1e-10,
+            "{meta}: packed error {e_packed} vs naive {e_naive}"
         );
         // Core energy (= represented energy) is basis-invariant.
-        let en = tucker_tensor::norm::fro_norm_sq(&naive.decomposition.core).sqrt();
-        let ep = tucker_tensor::norm::fro_norm_sq(&packed.decomposition.core).sqrt();
+        let en = fro_norm_sq(&naive.core).sqrt();
+        let ep = fro_norm_sq(&packed.core).sqrt();
         assert!(
             (en - ep).abs() < 1e-8 * en.max(1.0),
             "{meta}: core energy {ep} vs {en}"
         );
-        for (fp, fn_) in packed
-            .decomposition
-            .factors
-            .iter()
-            .zip(&naive.decomposition.factors)
-        {
+        for (fp, fn_) in packed.factors.iter().zip(&naive.factors) {
             let pd = projector(fp).max_abs_diff(&projector(fn_));
             assert!(pd < 1e-7, "{meta}: factor subspace mismatch ({pd:.3e})");
         }

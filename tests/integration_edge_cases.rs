@@ -1,8 +1,9 @@
 //! Edge cases and misuse across the public API surface.
 
-use tucker_core::dist_sthosvd::{optimal_sthosvd_order, run_distributed_sthosvd};
+use tucker_core::dist_sthosvd::run_distributed_sthosvd;
 use tucker_core::engine::{run_distributed_hooi, EngineConfig};
 use tucker_core::meta::TuckerMeta;
+use tucker_core::plan::order::optimal_sthosvd_order;
 use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 use tucker_distsim::Grid;
 use tucker_suite::fields::hash_noise;

@@ -4,9 +4,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tucker_core::decomposition::TuckerDecomposition;
-use tucker_core::hooi::{hooi_invocation, hooi_invocation_gauss_seidel};
+use tucker_core::executor::{self, SeqBackend, SweepBackend};
 use tucker_core::meta::TuckerMeta;
-use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_tree};
+use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_tree, TtmTree};
 use tucker_core::sthosvd::{random_init, sthosvd};
 use tucker_linalg::{orthonormal_columns, Matrix};
 use tucker_suite::fields::combustion_field;
@@ -16,6 +16,26 @@ use tucker_tensor::{DenseTensor, Shape};
 fn plume(dims: &[usize]) -> DenseTensor {
     let d = dims.to_vec();
     DenseTensor::from_fn(Shape::new(dims.to_vec()), move |c| combustion_field(c, &d))
+}
+
+/// One tree-based HOOI sweep of `tree` from `init`'s factors on the
+/// sequential backend: the new decomposition and its error.
+fn hooi(
+    t: &DenseTensor,
+    meta: &TuckerMeta,
+    init: &TuckerDecomposition,
+    tree: &TtmTree,
+) -> (TuckerDecomposition, f64) {
+    let out = executor::hooi_sweep(
+        &mut SeqBackend::new(),
+        t,
+        meta,
+        tree,
+        &init.factors,
+        fro_norm_sq(t),
+    );
+    let error = out.stats.error;
+    (TuckerDecomposition::new(out.core, out.factors), error)
 }
 
 #[test]
@@ -29,18 +49,13 @@ fn sthosvd_then_hooi_compresses_structured_field() {
     // of the energy.
     assert!(e0 < 0.2, "STHOSVD error too high: {e0}");
 
-    let tree = optimal_tree(&meta).tree;
-    let out = hooi_invocation(&t, &meta, &init, &tree);
-    assert!(
-        out.error <= e0 * 1.05,
-        "HOOI regressed badly: {e0} -> {}",
-        out.error
-    );
-    assert!(out.decomposition.factors_orthonormal(1e-8));
+    let (out, error) = hooi(&t, &meta, &init, &optimal_tree(&meta).tree);
+    assert!(error <= e0 * 1.05, "HOOI regressed badly: {e0} -> {error}");
+    assert!(out.factors_orthonormal(1e-8));
 
     // The core-norm error formula must agree with direct reconstruction.
-    let direct = relative_error(&t, &out.decomposition.reconstruct());
-    assert!((direct - out.error).abs() < 1e-8);
+    let direct = relative_error(&t, &out.reconstruct());
+    assert!((direct - error).abs() < 1e-8);
 }
 
 #[test]
@@ -49,12 +64,16 @@ fn gauss_seidel_converges_monotonically_to_fixed_point() {
     let t = plume(&dims);
     let meta = TuckerMeta::new(dims.to_vec(), vec![4, 4, 4]);
     let mut rng = StdRng::seed_from_u64(7);
-    let mut cur = random_init(&t, &meta, &mut rng);
-    let mut errors = vec![cur.error_from_core_norm(fro_norm_sq(&t))];
+    let init = random_init(&t, &meta, &mut rng);
+    let norm_sq = fro_norm_sq(&t);
+    let mut errors = vec![init.error_from_core_norm(norm_sq)];
+    let mut factors = init.factors;
+    let mut b = SeqBackend::new();
     for _ in 0..8 {
-        let out = hooi_invocation_gauss_seidel(&t, &meta, &cur);
-        errors.push(out.error);
-        cur = out.decomposition;
+        let out = executor::gauss_seidel_sweep(&mut b, &t, &meta, &factors, norm_sq);
+        errors.push(out.stats.error);
+        factors = out.factors;
+        b.recycle(out.core);
     }
     for w in errors.windows(2) {
         assert!(w[1] <= w[0] + 1e-10, "not monotone: {errors:?}");
@@ -71,18 +90,12 @@ fn tree_choice_does_not_change_results_only_cost() {
     let meta = TuckerMeta::new(dims.to_vec(), vec![3, 4, 3, 2]);
     let init = sthosvd(&t, &meta);
     let perm: Vec<usize> = (0..4).collect();
-    let out_chain = hooi_invocation(&t, &meta, &init, &chain_tree(&meta, &perm));
-    let out_bal = hooi_invocation(&t, &meta, &init, &balanced_tree(&meta, &perm));
-    let out_opt = hooi_invocation(&t, &meta, &init, &optimal_tree(&meta).tree);
-    assert!((out_chain.error - out_bal.error).abs() < 1e-9);
-    assert!((out_chain.error - out_opt.error).abs() < 1e-9);
-    assert!(
-        out_chain
-            .decomposition
-            .core
-            .max_abs_diff(&out_opt.decomposition.core)
-            < 1e-7
-    );
+    let (chain, e_chain) = hooi(&t, &meta, &init, &chain_tree(&meta, &perm));
+    let (_, e_bal) = hooi(&t, &meta, &init, &balanced_tree(&meta, &perm));
+    let (opt, e_opt) = hooi(&t, &meta, &init, &optimal_tree(&meta).tree);
+    assert!((e_chain - e_bal).abs() < 1e-9);
+    assert!((e_chain - e_opt).abs() < 1e-9);
+    assert!(chain.core.max_abs_diff(&opt.core) < 1e-7);
 }
 
 #[test]
@@ -100,10 +113,10 @@ fn exactly_low_rank_input_recovered_through_whole_pipeline() {
 
     let init = sthosvd(&t, &meta);
     assert!(init.error_from_core_norm(fro_norm_sq(&t)) < 1e-8);
-    let out = hooi_invocation(&t, &meta, &init, &optimal_tree(&meta).tree);
-    assert!(out.error < 1e-8);
+    let (out, error) = hooi(&t, &meta, &init, &optimal_tree(&meta).tree);
+    assert!(error < 1e-8);
     // Reconstruction matches the original elementwise.
-    let z = out.decomposition.reconstruct();
+    let z = out.reconstruct();
     assert!(z.max_abs_diff(&t) < 1e-7 * fro_norm_sq(&t).sqrt());
 }
 
