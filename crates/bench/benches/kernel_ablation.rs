@@ -5,8 +5,8 @@
 //! * fused slab-wise Gram (`gram`) vs the explicit-unfold baseline
 //!   `syrk(&unfold(..))` — the only place the unfold path survives,
 //! * GEMM vs SYRK for Gram matrices (SYRK exploits symmetry),
-//! * the selected-eigenpair solver (`k = n/5` leading pairs, the production
-//!   path, and `k = n`, the full spectrum) vs cyclic Jacobi.
+//! * the selected-eigenpair solver: `k = n/5` leading pairs, the production
+//!   path, vs `k = n`, the full spectrum.
 //!
 //! `cargo run --release -p tucker-bench --bin experiments -- kernels`
 //! re-times the TTM and Gram arms with plain medians and persists them to
@@ -15,7 +15,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tucker_linalg::{gemm, jacobi_evd, sym_evd_leading, syrk, Matrix, Transpose};
+use tucker_linalg::{gemm, sym_evd_leading, syrk, Matrix, Transpose};
 use tucker_tensor::{fold, gram, ttm, unfold, DenseTensor, Shape};
 
 /// The explicit-unfold TTM baseline: `fold(A · unfold(T, n))`.
@@ -96,9 +96,6 @@ fn bench_evd_solvers(c: &mut Criterion) {
     });
     g.bench_function("selected_k=n", |b| {
         b.iter(|| sym_evd_leading(black_box(a.clone()), 72).eigenvalues[0])
-    });
-    g.bench_function("cyclic_jacobi", |b| {
-        b.iter(|| jacobi_evd(black_box(&a)).eigenvalues[0])
     });
     g.finish();
 }

@@ -30,8 +30,7 @@ use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe};
 /// gather; always fail-stop). Returns `None` for the decomposition when
 /// `gather_core` is off. The stats are the unified [`SweepStats`] (regrid
 /// fields zero — the chain runs under one static grid), measured in the
-/// default mode and α–β-modeled under
-/// [`TimeSource::Virtual`](crate::engine::TimeSource).
+/// default mode and α–β-modeled when [`EngineConfig::net`] is set.
 ///
 /// # Panics
 /// Panics if the grid is invalid for the core, or if a rank panics.
@@ -56,7 +55,7 @@ pub fn run_distributed_sthosvd(
         let t = DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c));
         let input_norm_sq = t.global_norm_sq(ctx);
 
-        let mut backend = DistsimBackend::new(&mut *ctx, cfg.time(), None);
+        let mut backend = DistsimBackend::new(&mut *ctx, None);
         let run = executor::sthosvd_sweep(&mut backend, &t, meta, order, input_norm_sq);
 
         let decomp = if cfg.gather_core {

@@ -20,29 +20,26 @@
 //! [`MeshCfg`] and a scripted fault); [`run_distributed_hooi_mesh_from`]
 //! restarts from a durable checkpoint.
 //!
-//! Two clocks drive the phase accounting; [`EngineConfig::time`] derives the
-//! [`TimeSource`] from whether a [`NetModel`] is attached (the adapter lives
-//! in `tucker_distsim::backend`):
+//! Compute phases are timed in the rank's thread CPU time; communication
+//! phases read the rank's one communication clock, `RankCtx::comm`. Whether
+//! [`EngineConfig::net`] attaches a [`NetModel`] decides what that clock is:
 //!
-//! * [`TimeSource::Measured`] — compute phases in thread CPU time,
-//!   communication phases in measured wall time (honest runs at host-scale
-//!   rank counts);
-//! * [`TimeSource::Virtual`] — compute phases still in thread CPU time (the
-//!   per-rank work genuinely shrinks with `P`), communication phases from
-//!   the per-rank α–β virtual clock charged by the attached [`NetModel`].
-//!   This replays the engine at paper-scale rank counts (P = 2⁶…2¹³) in
-//!   seconds, reporting through the **same** [`SweepStats`] fields as
-//!   measured runs.
+//! * without one it is measured wall time (honest runs at host-scale rank
+//!   counts), and a sweep's `wall` is the host's elapsed time;
+//! * with one it is the per-rank α–β virtual clock, and a sweep's `wall` is
+//!   the rank's CPU work plus its modeled communication. This replays the
+//!   engine at paper-scale rank counts (P = 2⁶…2¹³) in seconds, reporting
+//!   through the **same** [`SweepStats`] fields as measured runs.
 
 use crate::checkpoint::{RecoveryLog, SweepCheckpoint};
 use crate::decomposition::TuckerDecomposition;
-use crate::executor::{self, PlanProvenance, SweepBackend, SweepObserver, SweepPhase, SweepStats};
+use crate::executor::{self, PlanProvenance, SweepBackend, SweepObserver, SweepStats};
 use crate::meta::TuckerMeta;
 use crate::plan::cost::NetCostModel;
 use crate::plan::grid::DynGridScheme;
 use crate::plan::{FlopVolumeModel, Plan, Planner, SearchBudget};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::{allreduce_sum, Group};
 use tucker_distsim::comm::thread_cpu_time;
@@ -52,13 +49,11 @@ use tucker_distsim::grid::largest_usable_rank_count;
 use tucker_distsim::mesh::MeshCfg;
 use tucker_distsim::net::NetModel;
 use tucker_distsim::redistribute::{redistribute, BlockStore};
-use tucker_distsim::{DistTensor, RankCtx, Universe, VolumeCategory, VolumeReport};
+use tucker_distsim::{CommTimers, DistTensor, RankCtx, Universe, VolumeCategory, VolumeReport};
 use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::subtensor::Region;
 use tucker_tensor::DenseTensor;
-
-pub use tucker_distsim::backend::{PhaseSnap, TimeSource};
 
 /// Tag of the scalar (norm) all-reduce — the same tag
 /// [`DistTensor::global_norm_sq`] uses, so both paths are bit-identical.
@@ -102,7 +97,7 @@ pub struct CheckpointCfg {
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// α–β model attached to the universe. With one, runs report the
-    /// virtual clock ([`TimeSource::Virtual`]); without, measured time.
+    /// virtual clock; without, measured time.
     pub net: Option<NetModel>,
     /// Gather the final core to a dense tensor on rank 0. Disable for
     /// scaling sweeps where only the stats matter — the world-wide
@@ -137,15 +132,6 @@ impl EngineConfig {
         }
     }
 
-    /// The clock feeding the [`SweepStats`] of a run: virtual iff a
-    /// [`NetModel`] is attached.
-    pub fn time(&self) -> TimeSource {
-        match self.net {
-            Some(_) => TimeSource::Virtual,
-            None => TimeSource::Measured,
-        }
-    }
-
     /// Spill the recovery log to `path` after every `n` committed sweeps
     /// (see [`CheckpointCfg`]).
     ///
@@ -163,30 +149,48 @@ impl EngineConfig {
 }
 
 /// The distsim [`SweepBackend`]: every executor operation runs distributed
-/// on one simulated rank, charging measured or α–β-modeled time (per
-/// [`TimeSource`]) and ledger volume to the matching [`SweepPhase`].
+/// on one simulated rank, charging its CPU time, its communication clock
+/// (measured or α–β, see the module docs) and ledger volume to the matching
+/// [`SweepStats`] fields.
 pub(crate) struct DistsimBackend<'a, 'p> {
     ctx: &'a mut RankCtx,
-    time: TimeSource,
     /// Dynamic-gridding scheme; `None` never regrids (static-grid chains).
     grids: Option<&'p DynGridScheme>,
-    sweep_snap: Option<PhaseSnap>,
-    sweep_vol: Option<VolumeReport>,
+    /// The open sweep window: its start and the ledger at that point.
+    sweep: Option<(Snap, VolumeReport)>,
+}
+
+/// The start of a timed phase: the rank's CPU clock, its communication
+/// clock and a host wall anchor.
+struct Snap {
+    cpu: Duration,
+    comm: CommTimers,
+    t0: Instant,
 }
 
 impl<'a, 'p> DistsimBackend<'a, 'p> {
-    pub(crate) fn new(
-        ctx: &'a mut RankCtx,
-        time: TimeSource,
-        grids: Option<&'p DynGridScheme>,
-    ) -> Self {
+    pub(crate) fn new(ctx: &'a mut RankCtx, grids: Option<&'p DynGridScheme>) -> Self {
         DistsimBackend {
             ctx,
-            time,
             grids,
-            sweep_snap: None,
-            sweep_vol: None,
+            sweep: None,
         }
+    }
+
+    fn snap(&self) -> Snap {
+        Snap {
+            cpu: thread_cpu_time(),
+            comm: self.ctx.comm.clone(),
+            t0: Instant::now(),
+        }
+    }
+
+    /// CPU time and communication time accrued since `snap`.
+    fn since(&self, snap: &Snap) -> (Duration, CommTimers) {
+        (
+            thread_cpu_time().saturating_sub(snap.cpu),
+            self.ctx.comm.since(&snap.comm),
+        )
     }
 }
 
@@ -200,15 +204,21 @@ impl SweepBackend for DistsimBackend<'_, '_> {
     }
 
     fn sweep_begin(&mut self) {
-        self.sweep_vol = Some(self.ctx.volume());
-        self.sweep_snap = Some(self.time.snap(self.ctx));
+        let vol0 = self.ctx.volume();
+        self.sweep = Some((self.snap(), vol0));
     }
 
+    /// `comm_wall` is the rank's communication clock over the window. `wall`
+    /// is the host's elapsed time on the measured clock; under virtual time
+    /// it is the rank's CPU work plus its modeled communication.
     fn sweep_end(&mut self, stats: &mut SweepStats) {
-        let snap = self.sweep_snap.take().expect("sweep_begin not called");
-        let vol0 = self.sweep_vol.take().expect("sweep_begin not called");
-        stats.wall = self.time.wall_since(self.ctx, &snap);
-        stats.comm_wall = self.time.comm_wall_since(self.ctx, &snap);
+        let (snap, vol0) = self.sweep.take().expect("sweep_begin not called");
+        let (cpu, comm) = self.since(&snap);
+        stats.comm_wall = comm.total();
+        stats.wall = match self.ctx.net() {
+            Some(_) => cpu + stats.comm_wall,
+            None => snap.t0.elapsed(),
+        };
         let vol = self.ctx.volume().since(&vol0);
         stats.ttm_volume = vol.elements(VolumeCategory::TtmReduceScatter);
         stats.regrid_volume = vol.elements(VolumeCategory::Regrid);
@@ -216,13 +226,11 @@ impl SweepBackend for DistsimBackend<'_, '_> {
     }
 
     fn gram(&mut self, t: &DistTensor, n: usize, stats: &mut SweepStats) -> Matrix {
-        let snap = self.time.snap(self.ctx);
+        let snap = self.snap();
         let g = dist_gram(self.ctx, t, n);
-        stats.add(
-            SweepPhase::GramComm,
-            self.time.comm_since(self.ctx, &snap, VolumeCategory::Gram),
-        );
-        stats.add(SweepPhase::Svd, self.time.cpu_since(&snap));
+        let (cpu, comm) = self.since(&snap);
+        stats.gram_comm += comm.time(VolumeCategory::Gram);
+        stats.svd += cpu;
         g
     }
 
@@ -233,14 +241,11 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         factor_t: &Matrix,
         stats: &mut SweepStats,
     ) -> DistTensor {
-        let snap = self.time.snap(self.ctx);
+        let snap = self.snap();
         let out = dist_ttm(self.ctx, t, n, factor_t);
-        stats.add(
-            SweepPhase::TtmComm,
-            self.time
-                .comm_since(self.ctx, &snap, VolumeCategory::TtmReduceScatter),
-        );
-        stats.add(SweepPhase::TtmCompute, self.time.cpu_since(&snap));
+        let (cpu, comm) = self.since(&snap);
+        stats.ttm_comm += comm.time(VolumeCategory::TtmReduceScatter);
+        stats.ttm_compute += cpu;
         out
     }
 
@@ -254,18 +259,16 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         if !grids.regrid[node] {
             return None;
         }
-        let snap = self.time.snap(self.ctx);
+        let snap = self.snap();
         let regridded = redistribute(self.ctx, t, &grids.node_grids[node]);
-        let comm = self
-            .time
-            .comm_since(self.ctx, &snap, VolumeCategory::Regrid);
+        let (cpu, comm) = self.since(&snap);
+        let comm = comm.time(VolumeCategory::Regrid);
         // Regrid is pure communication; pack/unpack is charged to it as
         // well (CPU in virtual time, elapsed otherwise).
-        let charge = match self.time {
-            TimeSource::Measured => snap.elapsed().max(comm),
-            TimeSource::Virtual => comm + self.time.cpu_since(&snap),
+        stats.regrid_comm += match self.ctx.net() {
+            Some(_) => comm + cpu,
+            None => snap.t0.elapsed().max(comm),
         };
-        stats.add(SweepPhase::RegridComm, charge);
         Some(regridded)
     }
 
@@ -476,9 +479,9 @@ pub fn run_distributed_hooi(
     run_distributed_hooi_on(global_fn, plan, sweeps, cfg, &MeshCfg::default())
 }
 
-/// [`run_distributed_hooi`] on an explicit mesh configuration (worker pool,
-/// fiber stacks): what a run reports under the virtual clock must not depend
-/// on it, and the tests that hold that vary it.
+/// [`run_distributed_hooi`] on an explicit mesh configuration (its worker
+/// pool): what a run reports under the virtual clock must not depend on it,
+/// and the tests that hold that vary it.
 pub fn run_distributed_hooi_on(
     global_fn: impl Fn(&[usize]) -> f64 + Sync,
     plan: &Plan,
@@ -706,7 +709,7 @@ fn hooi_epochs(
                 leaves_this_sweep: 0,
                 spill: spill.as_ref(),
             };
-            let mut backend = DistsimBackend::new(&mut *ctx, cfg.time(), Some(&plan.grids));
+            let mut backend = DistsimBackend::new(&mut *ctx, Some(&plan.grids));
             let run = executor::hooi_loop_from(
                 &mut backend,
                 &t,

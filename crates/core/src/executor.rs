@@ -15,13 +15,15 @@
 //! * [`gauss_seidel_sweep`] — the textbook ALS variant (latest factors,
 //!   `N·(N−1)` TTMs), kept as the convergence reference;
 //! * [`hooi_loop`] — iterate [`hooi_sweep`] with the convergence check
-//!   (`|Δerror| < tol`), recycling each superseded core.
+//!   (`|Δerror| < tol`), recycling each superseded core. It is the one HOOI
+//!   loop: [`hooi_loop_from`] is its checkpoint/restore form, the engine
+//!   runs it per rank and the server per distinct request.
 //!
 //! What varies between sequential, shared-memory-parallel, and simulated-MPI
 //! execution is captured by the [`SweepBackend`] trait: `gram`, `ttm`, an
 //! optional per-node `regrid`, an `allreduce`, buffer recycling, and the
-//! timer hooks that key every measurement into a phase of the unified
-//! [`SweepStats`]. The three backends are
+//! sweep-window hooks. Each operation adds its own time to the named phase
+//! fields of the unified [`SweepStats`]. The three backends are
 //!
 //! * [`SeqBackend`] — strictly sequential host execution through a
 //!   [`TtmWorkspace`] (zero tensor-sized allocations at steady state);
@@ -47,22 +49,6 @@ use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::{fro_norm_sq, relative_error_from_core};
 use tucker_tensor::{gram_threads, DenseTensor, TtmWorkspace};
 
-/// Phases of a sweep, the keys of [`SweepStats`]. Communication phases are
-/// zero on shared-memory backends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepPhase {
-    /// Time inside TTM kernels minus their communication share.
-    TtmCompute,
-    /// Communication time of TTM reduce-scatters.
-    TtmComm,
-    /// Communication time of regrid all-to-alls.
-    RegridComm,
-    /// Local Gram + EVD time (the paper's "SVD" bar in Figure 10c).
-    Svd,
-    /// Communication time of the Gram all-gather/all-reduce.
-    GramComm,
-}
-
 /// Provenance of the plan that drove a sweep, recorded by the engines so
 /// stats consumers can key measurements back to the planner's decision.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,9 +67,8 @@ pub struct PlanProvenance {
 /// distributed backends, aggregated across ranks by
 /// [`SweepStats::merge_max`]: times are the maximum over ranks, the way an
 /// MPI experiment reports them; volumes are the sum of what each rank itself
-/// sent during its sweep). The phase times are keyed by [`SweepPhase`]
-/// through [`SweepStats::add`]/[`SweepStats::time`]; the named fields remain
-/// for ergonomic consumption.
+/// sent during its sweep). Backends add each phase's time to its field;
+/// communication phases stay zero on shared-memory backends.
 #[derive(Clone, Debug, Default)]
 pub struct SweepStats {
     /// Time inside TTM kernels minus their communication share.
@@ -92,7 +77,7 @@ pub struct SweepStats {
     pub ttm_comm: Duration,
     /// Communication time of regrid all-to-alls.
     pub regrid_comm: Duration,
-    /// Local Gram + EVD time.
+    /// Local Gram + EVD time (the paper's "SVD" bar in Figure 10c).
     pub svd: Duration,
     /// Communication time of the Gram all-gather/all-reduce.
     pub gram_comm: Duration,
@@ -126,34 +111,6 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// The accumulated time of one phase.
-    pub fn time(&self, phase: SweepPhase) -> Duration {
-        match phase {
-            SweepPhase::TtmCompute => self.ttm_compute,
-            SweepPhase::TtmComm => self.ttm_comm,
-            SweepPhase::RegridComm => self.regrid_comm,
-            SweepPhase::Svd => self.svd,
-            SweepPhase::GramComm => self.gram_comm,
-        }
-    }
-
-    /// Charge `d` to `phase` (the timer hook backends report through).
-    pub fn add(&mut self, phase: SweepPhase, d: Duration) {
-        let slot = match phase {
-            SweepPhase::TtmCompute => &mut self.ttm_compute,
-            SweepPhase::TtmComm => &mut self.ttm_comm,
-            SweepPhase::RegridComm => &mut self.regrid_comm,
-            SweepPhase::Svd => &mut self.svd,
-            SweepPhase::GramComm => &mut self.gram_comm,
-        };
-        *slot += d;
-    }
-
-    /// Total communication time (TTM + regrid + Gram).
-    pub fn comm_total(&self) -> Duration {
-        self.ttm_comm + self.regrid_comm + self.gram_comm
-    }
-
     /// Merge another rank's stats: times and kernel bytes max, volumes
     /// summed, error replicated.
     pub fn merge_max(&mut self, other: &SweepStats) {
@@ -188,7 +145,7 @@ pub trait SweepBackend {
     type Tensor;
 
     /// The backend's compute clock (monotonic within a run). Used by the
-    /// executor to time the EVD-truncation step onto [`SweepPhase::Svd`]
+    /// executor to time the EVD-truncation step onto [`SweepStats::svd`]
     /// consistently with how the backend times its Gram.
     fn clock(&self) -> Duration;
 
@@ -200,11 +157,11 @@ pub trait SweepBackend {
     fn sweep_end(&mut self, stats: &mut SweepStats);
 
     /// The (globally replicated) Gram matrix of the mode-`n` unfolding.
-    /// Charges [`SweepPhase::Svd`] and [`SweepPhase::GramComm`].
+    /// Adds to [`SweepStats::svd`] and [`SweepStats::gram_comm`].
     fn gram(&mut self, t: &Self::Tensor, n: usize, stats: &mut SweepStats) -> Matrix;
 
     /// `t ×_n factor_t` with `factor_t` already transposed (`K × L_n`).
-    /// Charges [`SweepPhase::TtmCompute`] and [`SweepPhase::TtmComm`].
+    /// Adds to [`SweepStats::ttm_compute`] and [`SweepStats::ttm_comm`].
     fn ttm(
         &mut self,
         t: &Self::Tensor,
@@ -215,8 +172,8 @@ pub trait SweepBackend {
 
     /// Optional redistribution before executing tree node `node` (the
     /// dynamic-gridding hook; `None` means "keep the current grid", which is
-    /// the only answer shared-memory backends ever give). Charges
-    /// [`SweepPhase::RegridComm`].
+    /// the only answer shared-memory backends ever give). Adds to
+    /// [`SweepStats::regrid_comm`].
     fn regrid(
         &mut self,
         t: &Self::Tensor,
@@ -350,11 +307,11 @@ fn chain<B: SweepBackend>(
 }
 
 /// EVD-truncate a Gram matrix to its leading `k` eigenvectors, charging the
-/// time to [`SweepPhase::Svd`] on the backend's compute clock.
+/// time to [`SweepStats::svd`] on the backend's compute clock.
 fn truncate<B: SweepBackend>(b: &mut B, g: &Matrix, k: usize, stats: &mut SweepStats) -> Matrix {
     let t0 = b.clock();
     let f = b.leading(g, k);
-    stats.add(SweepPhase::Svd, b.clock().saturating_sub(t0));
+    stats.svd += b.clock().saturating_sub(t0);
     f
 }
 
@@ -738,99 +695,6 @@ pub fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
     }
 }
 
-/// One request of [`hooi_loop_batch`]: a root tensor plus everything
-/// [`hooi_loop`] needs to iterate it. Metadata, tree, and factors are
-/// borrowed so a batch of same-shape requests can share one plan.
-pub struct BatchItem<'a, T> {
-    /// The input tensor (borrowed for the whole batch, never recycled).
-    pub root: &'a T,
-    /// Input/core shapes.
-    pub meta: &'a TuckerMeta,
-    /// The TTM-tree schedule driving every sweep.
-    pub tree: &'a TtmTree,
-    /// Starting factors (consumed; replaced by the sweep outputs).
-    pub init_factors: Vec<Matrix>,
-    /// `‖root‖²_F`, for the core-norm error identity.
-    pub input_norm_sq: f64,
-}
-
-/// The shared-sweep batching hook: run several HOOI requests through **one**
-/// backend, interleaved sweep-by-sweep — sweep `s` of item 0, sweep `s` of
-/// item 1, … — instead of item-by-item. On workspace backends this is what
-/// makes serving batches cheap: a batch of same-shape requests ping-pongs
-/// through the *same* pooled buffers (each item's intermediates are recycled
-/// before the next item's sweep acquires them), so every sweep after the
-/// first is allocation-free across the whole batch, exactly as if the batch
-/// were one request. Per-item convergence (`cfg.tol`) is honored
-/// independently: converged items drop out of later rounds.
-///
-/// Results are returned in item order and are bit-identical to running
-/// [`hooi_loop`] per item (the interleaving only reorders buffer reuse,
-/// never arithmetic).
-///
-/// # Panics
-/// Panics if `cfg.max_sweeps` is zero or any item's tree/factors are
-/// invalid.
-pub fn hooi_loop_batch<B: SweepBackend>(
-    b: &mut B,
-    items: Vec<BatchItem<'_, B::Tensor>>,
-    cfg: LoopCfg,
-) -> Vec<LoopOutcome<B::Tensor>> {
-    assert!(cfg.max_sweeps >= 1, "need at least one sweep");
-    struct Slot<'a, B: SweepBackend> {
-        item: BatchItem<'a, B::Tensor>,
-        core: Option<B::Tensor>,
-        per_sweep: Vec<SweepStats>,
-        errors: Vec<f64>,
-        done: bool,
-    }
-    let mut slots: Vec<Slot<B>> = items
-        .into_iter()
-        .map(|item| Slot {
-            item,
-            core: None,
-            per_sweep: Vec::with_capacity(cfg.max_sweeps),
-            errors: Vec::with_capacity(cfg.max_sweeps),
-            done: false,
-        })
-        .collect();
-
-    for _ in 0..cfg.max_sweeps {
-        let mut any_active = false;
-        for s in slots.iter_mut().filter(|s| !s.done) {
-            any_active = true;
-            let out = hooi_sweep(
-                b,
-                s.item.root,
-                s.item.meta,
-                s.item.tree,
-                &s.item.init_factors,
-                s.item.input_norm_sq,
-            );
-            s.item.init_factors = out.factors;
-            if let Some(old) = s.core.replace(out.core) {
-                b.recycle(old);
-            }
-            s.errors.push(out.stats.error);
-            s.per_sweep.push(out.stats);
-            s.done = cfg.converged(&s.errors);
-        }
-        if !any_active {
-            break;
-        }
-    }
-
-    slots
-        .into_iter()
-        .map(|s| LoopOutcome {
-            factors: s.item.init_factors,
-            core: s.core.expect("at least one sweep ran"),
-            per_sweep: s.per_sweep,
-            errors: s.errors,
-        })
-        .collect()
-}
-
 // ------------------------------------------------------------ host backends
 
 /// Shared implementation of the two host (shared-memory) backends: a
@@ -955,7 +819,7 @@ impl<const PAR: bool> SweepBackend for HostBackend<PAR> {
         let t0 = self.epoch.elapsed();
         let threads = if PAR { self.threads } else { 1 };
         let g = gram_threads(t, n, threads);
-        stats.add(SweepPhase::Svd, self.epoch.elapsed().saturating_sub(t0));
+        stats.svd += self.epoch.elapsed().saturating_sub(t0);
         g
     }
 
@@ -969,10 +833,7 @@ impl<const PAR: bool> SweepBackend for HostBackend<PAR> {
         let t0 = self.epoch.elapsed();
         let threads = if PAR { self.threads } else { 1 };
         let out = self.ws.ttm_threads(t, n, factor_t, threads);
-        stats.add(
-            SweepPhase::TtmCompute,
-            self.epoch.elapsed().saturating_sub(t0),
-        );
+        stats.ttm_compute += self.epoch.elapsed().saturating_sub(t0);
         out
     }
 
@@ -1157,34 +1018,6 @@ mod tests {
         assert!(out.stats.ttm_compute > Duration::ZERO);
         assert!(out.stats.svd > Duration::ZERO);
         assert!(out.stats.wall >= out.stats.ttm_compute + out.stats.svd);
-    }
-
-    /// `add`/`time` and the named fields are two views of one phase map;
-    /// this pins them together so a new `SweepPhase` variant cannot update
-    /// one match without the other.
-    #[test]
-    fn stats_phase_accessors_and_fields_agree() {
-        let phases = [
-            SweepPhase::TtmCompute,
-            SweepPhase::TtmComm,
-            SweepPhase::RegridComm,
-            SweepPhase::Svd,
-            SweepPhase::GramComm,
-        ];
-        let mut s = SweepStats::default();
-        for (i, &p) in phases.iter().enumerate() {
-            s.add(p, Duration::from_nanos(10 * (i as u64 + 1)));
-            s.add(p, Duration::from_nanos(1));
-        }
-        for (i, &p) in phases.iter().enumerate() {
-            assert_eq!(s.time(p), Duration::from_nanos(10 * (i as u64 + 1) + 1));
-        }
-        assert_eq!(s.time(SweepPhase::TtmCompute), s.ttm_compute);
-        assert_eq!(s.time(SweepPhase::TtmComm), s.ttm_comm);
-        assert_eq!(s.time(SweepPhase::RegridComm), s.regrid_comm);
-        assert_eq!(s.time(SweepPhase::Svd), s.svd);
-        assert_eq!(s.time(SweepPhase::GramComm), s.gram_comm);
-        assert_eq!(s.comm_total(), s.ttm_comm + s.regrid_comm + s.gram_comm);
     }
 
     /// `merge_max` keeps the per-rank maximum of the kernel-bytes gauge,

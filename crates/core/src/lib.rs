@@ -75,8 +75,7 @@ pub use engine::{
     FailurePolicy, InjectedFault, MeshHooiOutput, RecoveryEvent,
 };
 pub use executor::{
-    LoopCfg, LoopOutcome, PlanProvenance, RayonBackend, SeqBackend, SweepBackend, SweepPhase,
-    SweepStats,
+    LoopCfg, LoopOutcome, PlanProvenance, RayonBackend, SeqBackend, SweepBackend, SweepStats,
 };
 pub use meta::TuckerMeta;
 pub use outofcore::{

@@ -1,7 +1,7 @@
 //! Cost models for plans: the §3.1 FLOP model, the classic flops + volume
 //! objective, and the α–β network-priced [`NetCostModel`] whose objective is
-//! the same virtual nanoseconds the engine's
-//! [`TimeSource::Virtual`](crate::engine::TimeSource) clocks accumulate.
+//! the same virtual nanoseconds each rank's communication clock accumulates
+//! when the engine runs under a [`NetModel`](tucker_distsim::NetModel).
 //!
 //! Everything the planner optimizes goes through one [`CostModel`] trait:
 //! per-phase prices (TTM, regrid, leaf Gram, core chain, per-sweep
@@ -97,11 +97,6 @@ pub fn tree_cost(tree: &TtmTree, meta: &TuckerMeta) -> TreeCost {
 /// Total FLOPs of a tree (convenience wrapper over [`tree_cost`]).
 pub fn tree_flops(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
     tree_cost(tree, meta).total_flops
-}
-
-/// Cost normalized by `|T|`, as in the paper's Figure 4.
-pub fn tree_flops_normalized(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
-    tree_flops(tree, meta) / meta.input_cardinality()
 }
 
 /// Machine-balance constant of [`FlopVolumeModel`]: how many FLOPs one
@@ -313,8 +308,8 @@ pub struct SweepPrediction {
     pub other_comm: Duration,
     /// Total modeled communication of the sweep — the maximum over ranks of
     /// the per-rank sum across all categories. This is exactly what the
-    /// engine's `SweepStats::comm_wall` reports under
-    /// [`TimeSource::Virtual`](crate::engine::TimeSource).
+    /// engine's `SweepStats::comm_wall` reports under a
+    /// [`NetModel`](tucker_distsim::NetModel).
     pub comm_wall: Duration,
 }
 
@@ -1034,14 +1029,6 @@ mod tests {
             c1 < c2,
             "compressing mode 0 first must be cheaper: {c1} vs {c2}"
         );
-    }
-
-    #[test]
-    fn normalized_cost_matches() {
-        let meta = TuckerMeta::new([10, 10, 10], [2, 2, 2]);
-        let tree = chain_tree(&meta, &[0, 1, 2]);
-        let norm = tree_flops_normalized(&tree, &meta);
-        assert!((norm * 1000.0 - tree_flops(&tree, &meta)).abs() < 1e-9);
     }
 
     #[test]

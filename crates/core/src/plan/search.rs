@@ -52,29 +52,18 @@ pub struct SearchBudget {
     /// always kept; a budget of 1 skips building the heuristic lineup
     /// entirely — see [`SearchBudget::winner_only`]).
     pub max_candidates: usize,
-    /// Optional cap on the number of candidate grids fed to the DP (the
-    /// lexicographically-first `cap` valid grids are kept). With a cap the
-    /// DP is still optimal *over the reduced grid set*, but the brute-force
-    /// certification guarantee only holds uncapped.
-    pub grid_cap: Option<usize>,
 }
 
 impl Default for SearchBudget {
     fn default() -> Self {
-        SearchBudget {
-            max_candidates: 16,
-            grid_cap: None,
-        }
+        SearchBudget { max_candidates: 16 }
     }
 }
 
 impl SearchBudget {
     /// Return only the DP winner (no heuristic lineup is built or scored).
     pub fn winner_only() -> Self {
-        SearchBudget {
-            max_candidates: 1,
-            grid_cap: None,
-        }
+        SearchBudget { max_candidates: 1 }
     }
 }
 
@@ -125,9 +114,6 @@ pub fn optimize(
     budget: &SearchBudget,
 ) -> RankedPlans {
     let mut grids = candidate_grids(meta, nranks);
-    if let Some(cap) = budget.grid_cap {
-        grids.truncate(cap.max(1));
-    }
     // Topology-aware models add node-aligned rank-ordering variants here;
     // the DP prices them like any other candidate.
     model.augment_grids(meta, &mut grids);
@@ -656,10 +642,7 @@ mod tests {
 
     #[test]
     fn budget_caps_candidates() {
-        let budget = SearchBudget {
-            max_candidates: 2,
-            grid_cap: None,
-        };
+        let budget = SearchBudget { max_candidates: 2 };
         let ranked = optimize(&meta(), 16, &FlopVolumeModel, &budget);
         assert_eq!(ranked.plans.len(), 2);
     }

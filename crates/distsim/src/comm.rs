@@ -16,12 +16,12 @@
 //!   another rank, split by [`VolumeCategory`]; the universe total
 //!   ([`crate::mesh::MeshOutput::volume`]) is the sum over ranks, collected
 //!   as each rank exits (failed ranks included);
-//! * [`RankCtx::timers`] accumulates wall time spent inside communication
-//!   calls (including waiting), the same accounting an MPI profiler would
-//!   produce;
-//! * when a [`NetModel`] is attached, the virtual clock
-//!   [`RankCtx::vtimers`] charges every off-rank message `α + β·bytes` to
-//!   both endpoints, again split by category (see [`crate::net`]).
+//! * [`RankCtx::comm`] is the rank's one communication clock, split by
+//!   category. When a [`NetModel`] is attached it is the α–β virtual clock:
+//!   every off-rank message charges `α + β·bytes` to both endpoints (see
+//!   [`crate::net`]) and no host clock is read. Without one it accumulates
+//!   the wall time spent inside communication calls (including waiting), the
+//!   same accounting an MPI profiler would produce.
 //!
 //! A send touches the destination's mailbox and the scheduler's wake-up and
 //! nothing else that ranks share, and a step every rank replicates on an
@@ -170,20 +170,16 @@ impl std::ops::Add for VolumeReport {
     }
 }
 
-/// Per-rank time spent inside communication calls, by category. Holds
-/// measured wall nanoseconds in [`RankCtx::timers`] and modeled α–β
-/// nanoseconds in [`RankCtx::vtimers`].
+/// Per-rank time spent inside communication calls, by category: the
+/// nanoseconds of [`RankCtx::comm`], modeled α–β time under a [`NetModel`],
+/// measured wall time without one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommTimers {
     nanos: [u64; CATEGORY_COUNT],
 }
 
 impl CommTimers {
-    fn add(&mut self, cat: VolumeCategory, d: Duration) {
-        self.nanos[cat.idx()] += d.as_nanos() as u64;
-    }
-
-    fn add_nanos(&mut self, cat: VolumeCategory, ns: u64) {
+    fn add(&mut self, cat: VolumeCategory, ns: u64) {
         self.nanos[cat.idx()] += ns;
     }
 
@@ -195,13 +191,6 @@ impl CommTimers {
     /// Total communication time.
     pub fn total(&self) -> Duration {
         Duration::from_nanos(self.nanos.iter().sum())
-    }
-
-    /// Merge another rank's timers (used when aggregating max/mean).
-    pub fn merge_max(&mut self, other: &CommTimers) {
-        for (a, b) in self.nanos.iter_mut().zip(&other.nanos) {
-            *a = (*a).max(*b);
-        }
     }
 
     /// Difference of two snapshots (`self − earlier`), used to attribute
@@ -306,14 +295,9 @@ pub struct RankCtx {
     rank: usize,
     nranks: usize,
     shared: Arc<Shared>,
-    /// Measured communication-time accounting for this rank.
-    pub timers: CommTimers,
-    /// Modeled (α–β virtual clock) communication time for this rank; all
-    /// zero unless the universe was configured with a [`NetModel`].
-    pub vtimers: CommTimers,
-    /// Communication ops issued so far (the clock the simulated allocator
-    /// schedules kills against).
-    ops: u64,
+    /// This rank's communication clock: α–β time under the universe's
+    /// [`NetModel`], measured wall time without one.
+    pub comm: CommTimers,
     /// Payload bytes this rank sent to other ranks.
     sent: VolumeReport,
     /// Calls to [`RankCtx::leading_from_gram`] so far, split by outcome.
@@ -338,9 +322,7 @@ impl RankCtx {
             rank,
             nranks,
             shared,
-            timers: CommTimers::default(),
-            vtimers: CommTimers::default(),
-            ops: 0,
+            comm: CommTimers::default(),
             sent: VolumeReport::default(),
             evd_computed: 0,
             evd_reused: 0,
@@ -410,35 +392,57 @@ impl RankCtx {
         u
     }
 
+    /// Start timing a communication call: a wall anchor on the measured
+    /// clock, nothing under a [`NetModel`] (the α–β clock reads no host
+    /// time).
+    fn start(&self) -> Option<Instant> {
+        self.shared.net.is_none().then(Instant::now)
+    }
+
+    /// Charge one communication call to [`RankCtx::comm`]: `priced`'s α–β
+    /// nanoseconds under a [`NetModel`], else the wall time since `t0`.
+    fn charge(
+        &mut self,
+        cat: VolumeCategory,
+        t0: Option<Instant>,
+        priced: impl FnOnce(&NetModel) -> u64,
+    ) {
+        let ns = match &self.shared.net {
+            Some(net) => priced(net),
+            None => t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
+        };
+        self.comm.add(cat, ns);
+    }
+
     /// Block until every rank reaches the barrier.
     pub fn barrier(&mut self) {
-        let t0 = Instant::now();
-        self.shared.mesh.precheck(self.rank, &mut self.ops);
+        let t0 = self.start();
+        self.shared.mesh.precheck();
         self.shared.mesh.barrier(self.rank);
-        self.timers.add(VolumeCategory::Other, t0.elapsed());
-        if let Some(net) = &self.shared.net {
-            self.vtimers
-                .add_nanos(VolumeCategory::Other, net.barrier_ns(self.nranks));
-        }
+        let p = self.nranks;
+        self.charge(VolumeCategory::Other, t0, |net| net.barrier_ns(p));
     }
 
     /// Send `payload` to `dst`. Never blocks (queues are unbounded).
     /// Self-sends are delivered but cost neither volume nor modeled time.
     pub fn send(&mut self, dst: usize, tag: u32, payload: Vec<f64>, cat: VolumeCategory) {
         debug_assert!(dst < self.nranks, "bad destination {dst}");
-        self.shared.mesh.precheck(self.rank, &mut self.ops);
-        if dst != self.rank {
-            let bytes = (payload.len() * 8) as u64;
+        let me = self.rank;
+        self.shared.mesh.precheck();
+        let bytes = (payload.len() * 8) as u64;
+        if dst != me {
             self.sent.add(cat, bytes);
-            if let Some(net) = &self.shared.net {
-                self.vtimers
-                    .add_nanos(cat, net.msg_ns_between(self.rank, dst, bytes));
-            }
         }
-        let t0 = Instant::now();
-        self.shared.mail[dst].push(self.rank, Msg { tag, payload });
-        self.shared.mesh.on_message(dst, self.rank);
-        self.timers.add(cat, t0.elapsed());
+        let t0 = self.start();
+        self.shared.mail[dst].push(me, Msg { tag, payload });
+        self.shared.mesh.on_message(dst, me);
+        self.charge(cat, t0, |net| {
+            if dst == me {
+                0
+            } else {
+                net.msg_ns_between(me, dst, bytes)
+            }
+        });
     }
 
     /// Receive the next message from `src`, asserting the expected tag.
@@ -449,19 +453,19 @@ impl RankCtx {
     /// match.
     pub fn recv(&mut self, src: usize, tag: u32, cat: VolumeCategory) -> Vec<f64> {
         debug_assert!(src < self.nranks, "bad source {src}");
-        let t0 = Instant::now();
+        let me = self.rank;
+        let t0 = self.start();
         let mesh = &self.shared.mesh;
-        mesh.precheck(self.rank, &mut self.ops);
-        let msg = mesh.recv_wait(self.rank, src, || self.shared.mail[self.rank].pop(src));
-        self.timers.add(cat, t0.elapsed());
-        if src != self.rank {
-            if let Some(net) = &self.shared.net {
-                self.vtimers.add_nanos(
-                    cat,
-                    net.msg_ns_between(src, self.rank, (msg.payload.len() * 8) as u64),
-                );
+        mesh.precheck();
+        let msg = mesh.recv_wait(me, src, || self.shared.mail[me].pop(src));
+        let bytes = (msg.payload.len() * 8) as u64;
+        self.charge(cat, t0, |net| {
+            if src == me {
+                0
+            } else {
+                net.msg_ns_between(src, me, bytes)
             }
-        }
+        });
         assert_eq!(
             msg.tag, tag,
             "rank {}: tag mismatch receiving from {src} (got {}, want {tag})",
@@ -702,7 +706,7 @@ mod tests {
             } else {
                 ctx.recv(0, 1, VolumeCategory::Regrid);
             }
-            ctx.vtimers.clone()
+            ctx.comm.clone()
         })
         .into_results();
         let expect = net.msg_ns(32);
@@ -722,20 +726,9 @@ mod tests {
         let out = Universe::run_mesh(1, &MeshCfg::virtual_time(NetModel::bgq()), |ctx| {
             ctx.send(0, 1, vec![1.0; 64], VolumeCategory::Other);
             let _ = ctx.recv(0, 1, VolumeCategory::Other);
-            ctx.vtimers.total()
+            ctx.comm.total()
         })
         .into_results();
         assert_eq!(out.results[0], Duration::ZERO);
-    }
-
-    #[test]
-    fn measured_universe_has_zero_virtual_time() {
-        let out = Universe::run(3, |ctx| {
-            let next = (ctx.rank() + 1) % 3;
-            ctx.send(next, 4, vec![1.0], VolumeCategory::Other);
-            let _ = ctx.recv((ctx.rank() + 2) % 3, 4, VolumeCategory::Other);
-            ctx.vtimers.total()
-        });
-        assert!(out.results.iter().all(|&d| d == Duration::ZERO));
     }
 }

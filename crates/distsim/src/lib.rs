@@ -23,25 +23,24 @@
 //! Every payload byte that crosses ranks is counted by the rank that sent
 //! it ([`RankCtx::volume`], by [`VolumeCategory`]; the universe's
 //! [`VolumeReport`] is the sum over ranks), and every second a rank spends
-//! inside a collective is tallied in its [`CommTimers`], so experiments can
-//! report exactly the communication-volume and communication-time splits
-//! the paper plots.
+//! inside a collective is tallied on its one communication clock
+//! ([`RankCtx::comm`], a [`CommTimers`]), so experiments can report exactly
+//! the communication-volume and communication-time splits the paper plots.
 //!
 //! # Virtual time (paper-scale rank counts)
 //!
 //! Measured times are honest only while the ranks fit the host's cores.
 //! For the paper's 2⁶–2¹³-node experiments attach a [`net`] model
 //! ([`MeshCfg::virtual_time`], DESIGN.md §2–§3): the α–β (postal)
-//! [`net::NetModel`] — with a BG/Q preset — charges every off-rank message
-//! `α + β·bytes` to both endpoints on a per-rank virtual clock
-//! ([`comm::RankCtx::vtimers`]), split by [`VolumeCategory`] exactly like
-//! the measured timers. The same runtime executes both: a handful of worker
+//! [`net::NetModel`] — with a BG/Q preset — turns [`RankCtx::comm`] into a
+//! per-rank virtual clock that charges every off-rank message
+//! `α + β·bytes` to both endpoints, split by [`VolumeCategory`], and reads
+//! no host clock. The same runtime executes both: a handful of worker
 //! threads replays universes of thousands of ranks in seconds, and neither
 //! the virtual clocks nor the volume counters — both owned by the rank —
 //! depend on how many workers there are (`MeshCfg { workers: 1, .. }` is the deterministic
 //! one-rank-at-a-time mode).
 
-pub mod backend;
 pub mod block;
 pub mod collectives;
 pub mod comm;
@@ -53,7 +52,6 @@ pub mod mesh;
 pub mod net;
 pub mod redistribute;
 
-pub use backend::{PhaseSnap, TimeSource};
 pub use block::{block_region, split_extents};
 pub use comm::{CommTimers, RankCtx, Universe, VolumeCategory, VolumeReport};
 pub use dist_tensor::DistTensor;
@@ -61,7 +59,7 @@ pub use grid::{
     count_grids, enumerate_grids, enumerate_valid_grids, largest_usable_rank_count, Grid,
 };
 pub use mesh::{
-    mesh_switches, process_thread_count, MeshCfg, MeshOutput, RankOutcome, SimAllocator,
-    MESH_STACK_BYTES, MESH_WORKER_CAP,
+    mesh_switches, process_thread_count, MeshCfg, MeshOutput, RankOutcome, MESH_STACK_BYTES,
+    MESH_WORKER_CAP,
 };
 pub use net::NetModel;

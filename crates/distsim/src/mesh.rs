@@ -17,8 +17,9 @@
 //! `workers: 1` is the deterministic mode (one rank at a time, fixed
 //! round-robin order); `workers: nranks` gives every rank an OS thread of
 //! its own, so per-thread counters read inside a rank body are per-rank.
-//! Virtual clocks and volume counters are owned by the rank and do not
-//! depend on the pool size.
+//! The communication clock ([`RankCtx::comm`]) and the volume counters are
+//! owned by the rank, so under a [`NetModel`] they do not depend on the pool
+//! size.
 //!
 //! # Failure semantics
 //!
@@ -32,16 +33,13 @@
 //! outcome table to re-plan on the surviving ranks and resume from its last
 //! checkpoint. Callers that want the old fail-stop behavior call
 //! [`MeshOutput::into_results`], which re-raises the root panic payload.
-//!
-//! The [`SimAllocator`] plays the role of a cluster resource manager for
-//! elasticity tests: it leases simulated procs to a mesh run and can be
-//! scripted to kill a rank at its `k`-th communication call, injecting
-//! deterministic mid-sweep failures without touching guest code.
+//! A failure is injected the way it happens: a rank body panics (the
+//! engine's scripted `InjectedFault` panics at a chosen leaf of a sweep).
 
 use crate::comm::{lock_ignore_poison as lock, RankCtx, RunOutput, Shared, Universe, VolumeReport};
 use crate::net::NetModel;
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
@@ -61,8 +59,8 @@ pub fn mesh_switches() -> u64 {
 /// of the design.
 pub const MESH_WORKER_CAP: usize = 8;
 
-/// Default usable fiber stack, the budget every [`Universe::run`] body runs
-/// on: the engine's rank bodies keep bulk data on the heap, so a small
+/// Usable fiber stack, the budget every rank body runs on: the engine's
+/// rank bodies keep bulk data on the heap, so a small
 /// stack keeps a P = 8192 universe cheap. The page below it is a guard page
 /// — an overflow faults there, it never corrupts a neighbouring stack.
 pub const MESH_STACK_BYTES: usize = 192 * 1024;
@@ -85,93 +83,6 @@ fn payload_msg(p: &(dyn Any + Send)) -> String {
         s.clone()
     } else {
         "rank panicked (non-string payload)".to_string()
-    }
-}
-
-// ------------------------------------------------------------ sim allocator
-
-#[derive(Debug, Default)]
-struct AllocInner {
-    /// Total simulated procs (0 = unbounded).
-    capacity: usize,
-    state: Mutex<AllocState>,
-}
-
-#[derive(Debug, Default)]
-struct AllocState {
-    leased: usize,
-    /// rank → communication-op index at which to kill it.
-    kills: HashMap<usize, u64>,
-    killed: Vec<usize>,
-}
-
-/// Simulated cluster allocator for elasticity tests (monarch's `alloc/sim`
-/// idiom): leases procs to mesh runs and injects deterministic failures.
-///
-/// Cloning is cheap and shares state, so a test can keep a handle while a
-/// run owns another.
-#[derive(Clone, Debug, Default)]
-pub struct SimAllocator {
-    inner: Arc<AllocInner>,
-}
-
-impl SimAllocator {
-    /// Unbounded allocator (lease always succeeds).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocator with a hard proc capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SimAllocator {
-            inner: Arc::new(AllocInner {
-                capacity,
-                state: Mutex::default(),
-            }),
-        }
-    }
-
-    /// Lease `n` procs; `false` if capacity would be exceeded.
-    pub fn lease(&self, n: usize) -> bool {
-        let mut g = lock(&self.inner.state);
-        if self.inner.capacity != 0 && g.leased + n > self.inner.capacity {
-            return false;
-        }
-        g.leased += n;
-        true
-    }
-
-    /// Return `n` procs to the pool.
-    pub fn release(&self, n: usize) {
-        let mut g = lock(&self.inner.state);
-        g.leased = g.leased.saturating_sub(n);
-    }
-
-    /// Procs currently leased.
-    pub fn leased(&self) -> usize {
-        lock(&self.inner.state).leased
-    }
-
-    /// Script a failure: rank `rank` panics at its `at_op`-th communication
-    /// call (1-based; send, recv and barrier each count one op).
-    pub fn schedule_kill(&self, rank: usize, at_op: u64) {
-        lock(&self.inner.state).kills.insert(rank, at_op);
-    }
-
-    /// Ranks whose scheduled kills have fired, in firing order.
-    pub fn killed(&self) -> Vec<usize> {
-        lock(&self.inner.state).killed.clone()
-    }
-
-    fn kill_plan(&self, nranks: usize) -> Vec<u64> {
-        let g = lock(&self.inner.state);
-        (0..nranks)
-            .map(|r| g.kills.get(&r).copied().unwrap_or(u64::MAX))
-            .collect()
-    }
-
-    fn note_killed(&self, rank: usize) {
-        lock(&self.inner.state).killed.push(rank);
     }
 }
 
@@ -627,17 +538,10 @@ pub(crate) struct MeshSched {
     /// Fast-path abort flag so per-op prechecks skip the state mutex.
     aborted: AtomicBool,
     workers: usize,
-    /// Per-rank kill schedule from the [`SimAllocator`] (`u64::MAX` = never).
-    kills: Vec<u64>,
-    alloc: Option<SimAllocator>,
 }
 
 impl MeshSched {
-    fn new(nranks: usize, workers: usize, alloc: Option<SimAllocator>) -> MeshSched {
-        let kills = alloc
-            .as_ref()
-            .map(|a| a.kill_plan(nranks))
-            .unwrap_or_default();
+    fn new(nranks: usize, workers: usize) -> MeshSched {
         MeshSched {
             state: Mutex::new(MeshState {
                 states: vec![ActorState::Runnable; nranks],
@@ -659,8 +563,6 @@ impl MeshSched {
             work: Condvar::new(),
             aborted: AtomicBool::new(false),
             workers,
-            kills,
-            alloc,
         }
     }
 
@@ -677,15 +579,8 @@ impl MeshSched {
     }
 
     /// Per-communication-op entry check, called from `RankCtx`: dies if the
-    /// epoch aborted or if the allocator scheduled a kill at this op.
-    pub(crate) fn precheck(&self, me: usize, ops: &mut u64) {
-        *ops += 1;
-        if !self.kills.is_empty() && self.kills[me] <= *ops {
-            if let Some(a) = &self.alloc {
-                a.note_killed(me);
-            }
-            panic!("rank {me} killed by simulated allocator (comm op {ops})");
-        }
+    /// epoch aborted.
+    pub(crate) fn precheck(&self) {
         if self.aborted.load(Ordering::Acquire) {
             self.raise_abort();
         }
@@ -888,14 +783,9 @@ pub struct MeshCfg {
     /// to `1..=nranks`. `1` is the deterministic one-rank-at-a-time mode;
     /// `nranks` gives each rank its own OS thread (see the module docs).
     pub workers: usize,
-    /// Usable fiber stack bytes; `0` = [`MESH_STACK_BYTES`].
-    pub stack_bytes: usize,
-    /// Attach an α–β model: every off-rank message charges
-    /// [`RankCtx::vtimers`] at both endpoints.
+    /// Attach an α–β model: [`RankCtx::comm`] becomes the virtual clock,
+    /// every off-rank message charged at both endpoints.
     pub net: Option<NetModel>,
-    /// Simulated resource manager: leases procs for the run and can inject
-    /// scripted rank kills.
-    pub allocator: Option<SimAllocator>,
 }
 
 impl MeshCfg {
@@ -1024,9 +914,8 @@ impl Universe {
     /// per rank instead of poisoning the universe.
     ///
     /// # Panics
-    /// Panics if `nranks == 0` or the allocator cannot lease `nranks`
-    /// procs. Rank panics do **not** propagate — they come back as
-    /// [`RankOutcome::Failed`].
+    /// Panics if `nranks == 0`. Rank panics do **not** propagate — they come
+    /// back as [`RankOutcome::Failed`].
     pub fn run_mesh<R, F>(nranks: usize, cfg: &MeshCfg, f: F) -> MeshOutput<R>
     where
         R: Send,
@@ -1035,20 +924,9 @@ impl Universe {
         assert!(nranks > 0, "need at least one rank");
         install_quiet_hook();
         let workers = cfg.effective_workers(nranks);
-        let stack_bytes = if cfg.stack_bytes == 0 {
-            MESH_STACK_BYTES
-        } else {
-            cfg.stack_bytes
-        };
-        if let Some(alloc) = &cfg.allocator {
-            assert!(
-                alloc.lease(nranks),
-                "simulated allocator out of capacity: cannot lease {nranks} procs"
-            );
-        }
         let shared = Arc::new(Shared::new(
             nranks,
-            MeshSched::new(nranks, workers, cfg.allocator.clone()),
+            MeshSched::new(nranks, workers),
             cfg.net,
         ));
 
@@ -1078,7 +956,7 @@ impl Universe {
                 let entry: Box<dyn FnOnce() + Send + 'static> =
                     unsafe { std::mem::transmute(entry) };
                 FiberSlot(std::cell::UnsafeCell::new(fib::Fiber::new(
-                    stack_bytes,
+                    MESH_STACK_BYTES,
                     entry,
                 )))
             })
@@ -1110,9 +988,6 @@ impl Universe {
         for slot in &fibers {
             // SAFETY: workers have joined; exclusive access.
             unsafe { (*slot.0.get()).join() };
-        }
-        if let Some(alloc) = &cfg.allocator {
-            alloc.release(nranks);
         }
 
         let (fail_msgs, root, root_payload) = {
@@ -1227,7 +1102,7 @@ mod tests {
             ctx.send(next, 3, vec![1.0; 16], VolumeCategory::Regrid);
             let _ = ctx.recv(prev, 3, VolumeCategory::Regrid);
             ctx.barrier();
-            ctx.vtimers.clone()
+            ctx.comm.clone()
         };
         let run = |workers: usize| {
             let cfg = MeshCfg {
@@ -1316,32 +1191,6 @@ mod tests {
                 .unwrap()
                 .contains("deadlock in mesh scheduler"));
         }
-    }
-
-    #[test]
-    fn allocator_kill_injection_is_deterministic() {
-        let alloc = SimAllocator::with_capacity(16);
-        alloc.schedule_kill(2, 2); // rank 2 dies at its second comm op
-        let cfg = MeshCfg {
-            allocator: Some(alloc.clone()),
-            ..MeshCfg::default()
-        };
-        let p = 4;
-        let out = Universe::run_mesh(p, &cfg, |ctx| {
-            let next = (ctx.rank() + 1) % p;
-            let prev = (ctx.rank() + p - 1) % p;
-            ctx.send(next, 1, vec![0.0], VolumeCategory::Other); // op 1
-            let _ = ctx.recv(prev, 1, VolumeCategory::Other); // op 2 — rank 2 dies here
-            ctx.barrier();
-            ctx.rank()
-        });
-        assert_eq!(out.first_failure, Some(2));
-        assert_eq!(alloc.killed(), vec![2]);
-        assert_eq!(alloc.leased(), 0, "procs released after the run");
-        assert!(out
-            .failure_message(2)
-            .unwrap()
-            .contains("killed by simulated allocator"));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! ```
 //!
 //! to **both** endpoints (injection and reception are both link-limited on a
-//! torus like BG/Q's). Costs accumulate per rank in
-//! [`RankCtx::vtimers`](crate::comm::RankCtx), split by
-//! [`VolumeCategory`](crate::comm::VolumeCategory) exactly like the measured
-//! communication timers, so engines report modeled phase breakdowns through
-//! the same stats structs as measured ones.
+//! torus like BG/Q's). Costs accumulate per rank on its one communication
+//! clock, [`RankCtx::comm`](crate::comm::RankCtx), split by
+//! [`VolumeCategory`](crate::comm::VolumeCategory) exactly as measured wall
+//! time would be, so engines report modeled phase breakdowns through the
+//! same stats structs as measured ones.
 //!
 //! Because payload sizes are deterministic in an SPMD program, the per-rank
 //! accounting admits closed forms. The functions below state the critical

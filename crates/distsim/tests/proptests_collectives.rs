@@ -194,7 +194,7 @@ fn virtual_nanos(
 ) -> Vec<u64> {
     let out = Universe::run_mesh(p, &MeshCfg::virtual_time(net), |ctx| {
         f(ctx);
-        ctx.vtimers.time(cat).as_nanos() as u64
+        ctx.comm.time(cat).as_nanos() as u64
     });
     out.into_results().results
 }
@@ -395,7 +395,7 @@ proptest! {
             } else {
                 None
             };
-            (vals, ctx.vtimers.time(VolumeCategory::Gram).as_nanos() as u64)
+            (vals, ctx.comm.time(VolumeCategory::Gram).as_nanos() as u64)
         })
         .into_results();
         for (rank, (vals, ns)) in out.results.into_iter().enumerate() {
@@ -592,7 +592,7 @@ fn sent_and_priced(
         f(ctx);
         (
             ctx.volume().bytes(cat),
-            ctx.vtimers.time(cat).as_nanos() as u64,
+            ctx.comm.time(cat).as_nanos() as u64,
         )
     })
     .into_results();

@@ -1,25 +1,22 @@
 //! Symmetric eigendecomposition.
 //!
 //! The workspace's replacement for LAPACK `dsyevx`, the *selected*-eigenpair
-//! routine the paper uses for the SVD-via-Gram step (§5). Two solvers:
+//! routine the paper uses for the SVD-via-Gram step (§5):
+//! [`sym_evd_leading`], the `k` algebraically largest eigenpairs by
+//! Householder tridiagonalization with the reflectors kept factored,
+//! eigenvalues by implicit-shift QL, `k` eigenvectors by inverse iteration
+//! with cluster re-orthogonalization, back-transformation of those `k`
+//! vectors only. `4/3·n³ + 2·n²·k` flops. This is what
+//! [`leading_from_gram`](crate::svd::leading_from_gram) — and through it
+//! every factor update of the Tucker engine — calls; a caller that wants the
+//! full spectrum asks for `k = n`. Its independent oracle, a cyclic Jacobi
+//! solver, lives with the property tests (`tests/proptests_evd.rs`).
 //!
-//! * [`sym_evd_leading`] — the `k` algebraically largest eigenpairs:
-//!   Householder tridiagonalization with the reflectors kept factored,
-//!   eigenvalues by implicit-shift QL, `k` eigenvectors by inverse iteration
-//!   with cluster re-orthogonalization, back-transformation of those `k`
-//!   vectors only. `4/3·n³ + 2·n²·k` flops. This is what
-//!   [`leading_from_gram`](crate::svd::leading_from_gram) — and through it
-//!   every factor update of the Tucker engine — calls; a caller that wants
-//!   the full spectrum asks for `k = n`.
-//! * [`jacobi_evd`] — cyclic Jacobi rotations. Slower but extremely robust;
-//!   used in tests as an independent oracle.
-//!
-//! Both return eigenvalues sorted in **descending** order (the Tucker code
-//! always wants the leading subspace) with a deterministic eigenvector sign
+//! Eigenvalues come sorted in **descending** order (the Tucker code always
+//! wants the leading subspace) with a deterministic eigenvector sign
 //! convention: the component of largest magnitude in each eigenvector is
 //! positive. The convention makes results reproducible across the sequential
-//! and distributed engines so they can be compared elementwise. The two
-//! solvers agree with each other to round-off, not to the bit.
+//! and distributed engines so they can be compared elementwise.
 
 use crate::matrix::Matrix;
 use crate::syrk::unrolled_dot;
@@ -490,104 +487,6 @@ fn back_transform(a: &[f64], tau: &[f64], z: &mut Matrix) {
     }
 }
 
-/// Cyclic Jacobi eigensolver. Robust `O(n³ · sweeps)` reference
-/// implementation, the test oracle for [`sym_evd_leading`].
-///
-/// # Panics
-/// Panics if `a` is not square or the sweep limit (30) is exhausted.
-pub fn jacobi_evd(a: &Matrix) -> SymEvd {
-    let (n, m) = a.shape();
-    assert_eq!(n, m, "jacobi_evd needs a square matrix");
-    let mut a = a.clone();
-    let mut v = Matrix::identity(n);
-    if n == 0 {
-        return SymEvd {
-            eigenvalues: vec![],
-            eigenvectors: v,
-        };
-    }
-
-    let mut off = off_diag_norm(&a);
-    let threshold = f64::EPSILON * a.fro_norm().max(f64::MIN_POSITIVE);
-    let mut sweeps = 0;
-    while off > threshold {
-        sweeps += 1;
-        assert!(sweeps <= 30, "jacobi_evd failed to converge");
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = a[(p, q)];
-                if apq.abs() <= threshold * 1e-2 {
-                    continue;
-                }
-                let app = a[(p, p)];
-                let aqq = a[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Apply rotation to rows/cols p,q of a.
-                for k in 0..n {
-                    let akp = a[(k, p)];
-                    let akq = a[(k, q)];
-                    a[(k, p)] = c * akp - s * akq;
-                    a[(k, q)] = s * akp + c * akq;
-                }
-                for k in 0..n {
-                    let apk = a[(p, k)];
-                    let aqk = a[(q, k)];
-                    a[(p, k)] = c * apk - s * aqk;
-                    a[(q, k)] = s * apk + c * aqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-        off = off_diag_norm(&a);
-    }
-
-    let d: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-    sort_descending_and_fix_signs(d, v)
-}
-
-fn off_diag_norm(a: &Matrix) -> f64 {
-    let n = a.nrows();
-    let mut s = 0.0;
-    for p in 0..n {
-        for q in (p + 1)..n {
-            s += 2.0 * a[(p, q)] * a[(p, q)];
-        }
-    }
-    s.sqrt()
-}
-
-/// Sort eigenpairs by descending eigenvalue and apply the sign convention
-/// (largest-magnitude component of each eigenvector is positive).
-fn sort_descending_and_fix_signs(d: Vec<f64>, z: Matrix) -> SymEvd {
-    let n = d.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("NaN eigenvalue"));
-
-    let mut eigenvalues = Vec::with_capacity(n);
-    let mut eigenvectors = Matrix::zeros(n, n);
-    for (dst, &src) in order.iter().enumerate() {
-        eigenvalues.push(d[src]);
-        let col = z.col(src);
-        let sign = pivot_sign(col);
-        let dst_col = eigenvectors.col_mut(dst);
-        for (o, &v) in dst_col.iter_mut().zip(col) {
-            *o = sign * v;
-        }
-    }
-    SymEvd {
-        eigenvalues,
-        eigenvectors,
-    }
-}
-
 /// The deterministic sign convention: `-1.0` if the component of largest
 /// magnitude in `col` is negative (ties broken by the first index), else
 /// `1.0`.
@@ -677,30 +576,6 @@ mod tests {
             let a = rand_sym(n, seed);
             let evd = full(&a);
             check_reconstruction(&a, &evd, 1e-9);
-        }
-    }
-
-    #[test]
-    fn ql_and_jacobi_agree() {
-        for (n, seed) in [(3usize, 21u64), (10, 22), (31, 23)] {
-            let a = rand_sym(n, seed);
-            let e1 = full(&a);
-            let e2 = jacobi_evd(&a);
-            for (l1, l2) in e1.eigenvalues.iter().zip(&e2.eigenvalues) {
-                assert!((l1 - l2).abs() < 1e-9, "eigenvalue mismatch n={n}");
-            }
-            // With distinct eigenvalues the sign convention makes vectors
-            // match elementwise.
-            let gaps_ok = e1
-                .eigenvalues
-                .windows(2)
-                .all(|w| (w[0] - w[1]).abs() > 1e-6);
-            if gaps_ok {
-                assert!(
-                    e1.eigenvectors.max_abs_diff(&e2.eigenvectors) < 1e-7,
-                    "eigenvector mismatch n={n}"
-                );
-            }
         }
     }
 

@@ -249,34 +249,6 @@ fn kernel(a: &[f64], m: usize, k: usize, b: &[f64], jn: usize, alpha: f64, c: &m
     }
 }
 
-/// Matrix-vector product `y = op_a(A) * x`, allocating the output.
-///
-/// # Panics
-/// Panics if `x.len()` does not match the columns of `op_a(A)`.
-pub fn gemv(a: &Matrix, op_a: Transpose, x: &[f64]) -> Vec<f64> {
-    let (m, k) = op_a.apply(a.shape());
-    assert_eq!(x.len(), k, "gemv dimension mismatch");
-    let mut y = vec![0.0; m];
-    match op_a {
-        Transpose::No => {
-            for (l, &xl) in x.iter().enumerate() {
-                if xl == 0.0 {
-                    continue;
-                }
-                for (yv, av) in y.iter_mut().zip(a.col(l)) {
-                    *yv += xl * av;
-                }
-            }
-        }
-        Transpose::Yes => {
-            for (i, yv) in y.iter_mut().enumerate() {
-                *yv = a.col(i).iter().zip(x).map(|(av, xv)| av * xv).sum();
-            }
-        }
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,20 +338,6 @@ mod tests {
                 assert!((c[(i, j)] - expect).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn gemv_matches_gemm() {
-        let a = rand_mat(8, 6, 30);
-        let x: Vec<f64> = (0..6).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let y = gemv(&a, Transpose::No, &x);
-        let xm = Matrix::from_vec(6, 1, x.clone());
-        let ym = gemm(&a, Transpose::No, &xm, Transpose::No, 1.0);
-        for i in 0..8 {
-            assert!((y[i] - ym[(i, 0)]).abs() < 1e-13);
-        }
-        let yt = gemv(&a, Transpose::Yes, &y);
-        assert_eq!(yt.len(), 6);
     }
 
     #[test]

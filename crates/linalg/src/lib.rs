@@ -23,7 +23,7 @@
 //!   selected-eigenpair solver in the shape of `dsyevx` (tridiagonalization
 //!   without forming `Q`, QL for the eigenvalues, inverse iteration and
 //!   back-transformation for the `k` wanted vectors; `k = n` is the full
-//!   spectrum), and a cyclic Jacobi solver as the independent test oracle,
+//!   spectrum),
 //! * [`svd`] — leading left singular vectors via the Gram-matrix + EVD route
 //!   used by the paper (§5); [`leading_from_gram`] runs every Gram through
 //!   [`sym_evd_leading`].
@@ -41,7 +41,7 @@ pub mod qr;
 pub mod svd;
 pub mod syrk;
 
-pub use evd::{jacobi_evd, sym_evd_leading, SymEvd};
+pub use evd::{sym_evd_leading, SymEvd};
 pub use gemm::{gemm, gemm_into, Transpose};
 pub use matrix::Matrix;
 pub use pack::{
@@ -49,7 +49,7 @@ pub use pack::{
 };
 pub use pool::Pool;
 pub use qr::{householder_qr, orthonormal_columns};
-pub use svd::{leading_from_gram, leading_left_singular_vectors, GramSvd};
+pub use svd::{leading_from_gram, GramSvd};
 pub use syrk::{
     mirror_lower, syrk, syrk_aat_lower, syrk_ata_lower, syrk_into, unrolled_dot,
     unrolled_dot_strided,

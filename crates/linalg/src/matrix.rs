@@ -143,21 +143,6 @@ impl Matrix {
         Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
-    /// Keep only the first `k` columns.
-    ///
-    /// # Panics
-    /// Panics if `k > ncols`.
-    pub fn truncate_cols(mut self, k: usize) -> Matrix {
-        assert!(
-            k <= self.ncols,
-            "cannot truncate {} cols to {k}",
-            self.ncols
-        );
-        self.data.truncate(self.nrows * k);
-        self.ncols = k;
-        self
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -294,16 +279,6 @@ mod tests {
         assert_eq!(t.shape(), (5, 3));
         assert_eq!(t[(4, 2)], m[(2, 4)]);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn truncate_cols_keeps_prefix() {
-        let m = Matrix::from_fn(3, 4, |i, j| (i + 10 * j) as f64);
-        let t = m.clone().truncate_cols(2);
-        assert_eq!(t.shape(), (3, 2));
-        for j in 0..2 {
-            assert_eq!(t.col(j), m.col(j));
-        }
     }
 
     #[test]

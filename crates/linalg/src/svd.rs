@@ -9,7 +9,7 @@
 
 use crate::evd::{sym_evd_leading, SymEvd};
 use crate::matrix::Matrix;
-use crate::syrk::{symmetrize, syrk};
+use crate::syrk::symmetrize;
 
 /// Result of a Gram-based truncated SVD.
 #[derive(Clone, Debug)]
@@ -20,20 +20,9 @@ pub struct GramSvd {
     pub singular_values: Vec<f64>,
 }
 
-/// Leading `k` left singular vectors of `a` (`m x n`), computed from the
-/// `m x m` Gram matrix `a·aᵀ`.
-///
-/// # Panics
-/// Panics if `k > m`.
-pub fn leading_left_singular_vectors(a: &Matrix, k: usize) -> GramSvd {
-    let m = a.nrows();
-    assert!(k <= m, "cannot take {k} singular vectors from {m} rows");
-    let gram = syrk(a);
-    leading_from_gram(&gram, k)
-}
-
 /// Leading `k` eigenvector/singular-value pairs from an already-computed
-/// Gram matrix (e.g. one that was all-reduced across ranks).
+/// Gram matrix `a·aᵀ` (e.g. one that was all-reduced across ranks): the
+/// leading left singular vectors and singular values of `a`.
 ///
 /// The eigenpairs come from the selected-eigenpair solver
 /// [`sym_evd_leading`], the one solver of the crate, so two callers handing
@@ -68,6 +57,7 @@ pub fn leading_from_gram(gram: &Matrix, k: usize) -> GramSvd {
 mod tests {
     use super::*;
     use crate::gemm::{gemm, Transpose};
+    use crate::syrk::syrk;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -77,11 +67,16 @@ mod tests {
         Matrix::random(r, c, &dist, &mut rng)
     }
 
+    /// The leading `k` left singular vectors of `a`, through its Gram.
+    fn svd_of(a: &Matrix, k: usize) -> GramSvd {
+        leading_from_gram(&syrk(a), k)
+    }
+
     #[test]
     fn diagonal_singular_values() {
         // A = diag(3, 2) padded: singular values are 3, 2.
         let a = Matrix::from_rows(&[&[3.0, 0.0, 0.0], &[0.0, 2.0, 0.0]]);
-        let svd = leading_left_singular_vectors(&a, 2);
+        let svd = svd_of(&a, 2);
         assert!((svd.singular_values[0] - 3.0).abs() < 1e-10);
         assert!((svd.singular_values[1] - 2.0).abs() < 1e-10);
         assert!(svd.u.has_orthonormal_columns(1e-10));
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn u_is_orthonormal_and_captures_energy() {
         let a = rand_mat(12, 40, 3);
-        let svd = leading_left_singular_vectors(&a, 12);
+        let svd = svd_of(&a, 12);
         assert!(svd.u.has_orthonormal_columns(1e-9));
         // Full set of singular values captures all the Frobenius energy.
         let energy: f64 = svd.singular_values.iter().map(|s| s * s).sum();
@@ -114,7 +109,7 @@ mod tests {
                 a[(i, j)] += 100.0 * u0[i] * vj;
             }
         }
-        let svd = leading_left_singular_vectors(&a, 1);
+        let svd = svd_of(&a, 1);
         // Leading left vector aligned with u0 up to sign.
         let dot: f64 = svd.u.col(0).iter().zip(&u0).map(|(a, b)| a * b).sum();
         assert!(dot.abs() > 0.999, "dominant direction not recovered: {dot}");
@@ -122,21 +117,23 @@ mod tests {
 
     #[test]
     fn matches_gram_eigenvalues() {
+        // σ² are the Gram's leading eigenvalues, and the vectors are the
+        // eigensolver's own, bit for bit.
         let a = rand_mat(8, 15, 5);
         let gram = syrk(&a);
-        let svd1 = leading_left_singular_vectors(&a, 5);
-        let svd2 = leading_from_gram(&gram, 5);
-        for (s1, s2) in svd1.singular_values.iter().zip(&svd2.singular_values) {
-            assert!((s1 - s2).abs() < 1e-10);
+        let svd = leading_from_gram(&gram, 5);
+        let evd = sym_evd_leading(gram, 5);
+        for (s, l) in svd.singular_values.iter().zip(&evd.eigenvalues) {
+            assert!((s * s - l).abs() < 1e-10 * l.abs().max(1.0));
         }
-        assert!(svd1.u.max_abs_diff(&svd2.u) < 1e-8);
+        assert_eq!(svd.u, evd.eigenvectors);
     }
 
     #[test]
     fn left_vectors_diagonalize() {
         // uᵀ A Aᵀ u must be diag(σ²).
         let a = rand_mat(9, 20, 6);
-        let svd = leading_left_singular_vectors(&a, 9);
+        let svd = svd_of(&a, 9);
         let gram = syrk(&a);
         let ug = gemm(&svd.u, Transpose::Yes, &gram, Transpose::No, 1.0);
         let ugu = gemm(&ug, Transpose::No, &svd.u, Transpose::No, 1.0);

@@ -1,6 +1,7 @@
 //! Property tests fencing the selected-eigenpair solver
-//! (`tucker_linalg::sym_evd_leading`) against the independent Jacobi oracle
-//! (`jacobi_evd`) and against its own full spectrum (`k = L`).
+//! (`tucker_linalg::sym_evd_leading`) against an independent oracle, the
+//! cyclic Jacobi solver `jacobi_evd` defined here, and against its own full
+//! spectrum (`k = L`).
 //!
 //! The inputs are Grams `B·Bᵀ` of tall and wide matrices `B = Q·diag(σ)·Wᵀ`
 //! with a prescribed singular spectrum — geometric (well separated), flat
@@ -15,9 +16,80 @@
 //! streams or bound the case count.
 
 use proptest::prelude::*;
-use tucker_linalg::{
-    gemm, jacobi_evd, orthonormal_columns, sym_evd_leading, syrk, Matrix, SymEvd, Transpose,
-};
+use tucker_linalg::{gemm, orthonormal_columns, sym_evd_leading, syrk, Matrix, SymEvd, Transpose};
+
+/// Cyclic Jacobi eigensolver: a robust `O(n³ · sweeps)` oracle sharing
+/// nothing with `sym_evd_leading` but the output convention — eigenvalues
+/// descending, the largest-magnitude component of each vector positive.
+///
+/// # Panics
+/// Panics if `a` is not square or the sweep limit (30) is exhausted.
+fn jacobi_evd(a: &Matrix) -> SymEvd {
+    let (n, m) = a.shape();
+    assert_eq!(n, m, "jacobi_evd needs a square matrix");
+    let mut a = a.clone();
+    let mut v = Matrix::identity(n);
+    let off_diag_norm = |a: &Matrix| {
+        let mut s = 0.0;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                s += 2.0 * a[(p, q)] * a[(p, q)];
+            }
+        }
+        f64::sqrt(s)
+    };
+    let threshold = f64::EPSILON * a.fro_norm().max(f64::MIN_POSITIVE);
+    let mut sweeps = 0;
+    while off_diag_norm(&a) > threshold {
+        sweeps += 1;
+        assert!(sweeps <= 30, "jacobi_evd failed to converge");
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = a[(p, q)];
+                if apq.abs() <= threshold * 1e-2 {
+                    continue;
+                }
+                let theta = (a[(q, q)] - a[(p, p)]) / (2.0 * apq);
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+                // Rotate columns p, q of A and V, then rows p, q of A.
+                for k in 0..n {
+                    let (akp, akq) = (a[(k, p)], a[(k, q)]);
+                    a[(k, p)] = c * akp - s * akq;
+                    a[(k, q)] = s * akp + c * akq;
+                    let (vkp, vkq) = (v[(k, p)], v[(k, q)]);
+                    v[(k, p)] = c * vkp - s * vkq;
+                    v[(k, q)] = s * vkp + c * vkq;
+                }
+                for k in 0..n {
+                    let (apk, aqk) = (a[(p, k)], a[(q, k)]);
+                    a[(p, k)] = c * apk - s * aqk;
+                    a[(q, k)] = s * apk + c * aqk;
+                }
+            }
+        }
+    }
+
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| a[(j, j)].partial_cmp(&a[(i, i)]).expect("NaN eigenvalue"));
+    let eigenvalues = order.iter().map(|&i| a[(i, i)]).collect();
+    let mut eigenvectors = Matrix::zeros(n, n);
+    for (dst, &src) in order.iter().enumerate() {
+        let col = v.col(src);
+        let pivot = col
+            .iter()
+            .fold(0.0f64, |m, &x| if x.abs() > m.abs() { x } else { m });
+        let sign = if pivot < 0.0 { -1.0 } else { 1.0 };
+        for (o, &x) in eigenvectors.col_mut(dst).iter_mut().zip(col) {
+            *o = sign * x;
+        }
+    }
+    SymEvd {
+        eigenvalues,
+        eigenvectors,
+    }
+}
 
 /// Deterministic hash noise in [-0.5, 0.5).
 fn noise(seed: u64, i: usize) -> f64 {
@@ -199,6 +271,32 @@ proptest! {
                     prop_assert!(false, "L={l} seed={seed} k={k}: {why}");
                 }
             }
+        }
+    }
+}
+
+/// Where the spectrum has no near-ties the sign convention pins every
+/// eigenvector, so the selected solver's full spectrum and the oracle's
+/// agree elementwise, not just as subspaces.
+#[test]
+fn ql_and_jacobi_agree() {
+    for (n, seed) in [(3usize, 21u64), (10, 22), (31, 23)] {
+        let b = noise_mat(seed, n, n);
+        let a = Matrix::from_fn(n, n, |i, j| b[(i, j)] + b[(j, i)]);
+        let e1 = sym_evd_leading(a.clone(), n);
+        let e2 = jacobi_evd(&a);
+        for (l1, l2) in e1.eigenvalues.iter().zip(&e2.eigenvalues) {
+            assert!((l1 - l2).abs() < 1e-9, "eigenvalue mismatch n={n}");
+        }
+        let gaps_ok = e1
+            .eigenvalues
+            .windows(2)
+            .all(|w| (w[0] - w[1]).abs() > 1e-6);
+        if gaps_ok {
+            assert!(
+                e1.eigenvectors.max_abs_diff(&e2.eigenvectors) < 1e-7,
+                "eigenvector mismatch n={n}"
+            );
         }
     }
 }
