@@ -39,6 +39,7 @@ use crate::plan::cost::NetCostModel;
 use crate::plan::grid::DynGridScheme;
 use crate::plan::{FlopVolumeModel, Plan, Planner, SearchBudget};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::{allreduce_sum, Group};
@@ -397,21 +398,46 @@ struct SpillState<'r> {
     meta: &'r TuckerMeta,
     total_sweeps: usize,
     last_spilled: AtomicUsize,
+    /// The first failed spill's error. A failed write is the host's I/O, not
+    /// a dead rank: the spilling rank records it and carries on, and the
+    /// epoch loop ends the run with it once the epoch returns.
+    failed: OnceLock<std::io::Error>,
 }
 
 impl SpillState<'_> {
     /// Spill if `log` has newly reached a cadence multiple. The committing
     /// rank (the last to report the sweep) usually wins the `fetch_max`
-    /// race; any later observer sees `last_spilled` already advanced.
+    /// race; any later observer sees `last_spilled` already advanced. After
+    /// a failed spill nothing more is written.
     fn maybe_spill(&self, log: &RecoveryLog) {
         let committed = log.committed_count();
-        if committed == 0 || !committed.is_multiple_of(self.cfg.every) {
+        if committed == 0
+            || !committed.is_multiple_of(self.cfg.every)
+            || self.failed.get().is_some()
+        {
             return;
         }
         if self.last_spilled.fetch_max(committed, Ordering::SeqCst) < committed {
-            log.checkpoint(self.meta, self.total_sweeps)
-                .save(&self.cfg.path)
-                .expect("checkpoint spill failed");
+            let saved = log
+                .checkpoint(self.meta, self.total_sweeps)
+                .save(&self.cfg.path);
+            if let Err(e) = saved {
+                let _ = self.failed.set(e);
+            }
+        }
+    }
+
+    /// End the run if a spill failed.
+    ///
+    /// # Panics
+    /// Panics with the destination and the I/O error of the first failed
+    /// spill.
+    fn check(&self) {
+        if let Some(e) = self.failed.get() {
+            panic!(
+                "checkpoint spill to {} failed: {e}",
+                self.cfg.path.display()
+            );
         }
     }
 }
@@ -594,6 +620,7 @@ fn hooi_epochs(
         meta,
         total_sweeps: sweeps,
         last_spilled: AtomicUsize::new(log.committed_count()),
+        failed: OnceLock::new(),
     });
     let fault_fired = AtomicBool::new(false);
     let recover = matches!(cfg.on_failure, FailurePolicy::Recover { .. });
@@ -731,6 +758,10 @@ fn hooi_epochs(
                 None
             }
         });
+        // A failed spill ends the run under either policy: no rank died.
+        if let Some(spill) = &spill {
+            spill.check();
+        }
         epoch_volumes.push(out.volume);
         evd_computed += out.evd_computed;
         evd_reused += out.evd_reused;
@@ -1295,6 +1326,35 @@ mod tests {
                 b.error.to_bits(),
                 "pre-kill sweeps round-trip bit-exactly through the spill"
             );
+        }
+    }
+
+    #[test]
+    fn failed_checkpoint_spill_ends_the_run_instead_of_killing_ranks() {
+        // A spill into a directory that does not exist fails on every
+        // commit. Under either policy the run must end with the I/O error
+        // and its path, not quarantine the committing rank as dead.
+        let meta = meta_small();
+        let path = std::env::temp_dir()
+            .join(format!("tucker-no-such-dir-{}", std::process::id()))
+            .join("ckpt.txt");
+        for on_failure in [FailurePolicy::recover(), FailurePolicy::Abort] {
+            let cfg = EngineConfig {
+                gather_core: false,
+                on_failure,
+                ..EngineConfig::virtual_time(NetModel::bgq())
+            }
+            .checkpoint_every(1, &path);
+            let res = std::panic::catch_unwind(|| {
+                run_distributed_hooi_mesh(smooth, &meta, 4, 2, &cfg, &MeshCfg::default(), None)
+            });
+            let payload = res.expect_err("a failed spill must end the run");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let want = format!("checkpoint spill to {} failed: ", path.display());
+            assert!(msg.starts_with(&want), "{on_failure:?}: {msg}");
         }
     }
 

@@ -416,28 +416,17 @@ struct Shared {
     jobs: Condvar,
     /// Signaled when the worker frees queue slots.
     space: Condvar,
-    /// Worker totals mirrored after every batch, so the report survives a
-    /// worker death (the join result is then an unwind payload, not stats).
-    totals: Mutex<(WorkerStats, PlanCacheStats)>,
+    /// The worker's report mirrored after every batch, so it survives a
+    /// worker death (the join result is then an unwind payload, not a
+    /// report).
+    totals: Mutex<ServerReport>,
 }
 
-/// Counters the worker accumulates; merged into [`ServerReport`] at
-/// shutdown.
-#[derive(Clone, Copy, Debug, Default)]
-struct WorkerStats {
-    jobs: u64,
-    batches: u64,
-    multi_job_batches: u64,
-    batched_jobs: u64,
-    coalesced_jobs: u64,
-    executed_sweeps: u64,
-    requested_sweeps: u64,
-    workspace_bytes_hwm: usize,
-    worker_panics: u64,
-}
-
-/// Lifetime counters of one server, returned by [`Server::shutdown`].
-#[derive(Clone, Debug)]
+/// Lifetime counters of one server, returned by [`Server::shutdown`]. The
+/// worker accumulates into one directly; `shutdown` adds what the queue
+/// counted (`rejected`, `queue_depth_hwm`) and how the worker ended
+/// (`worker_error`).
+#[derive(Clone, Debug, Default)]
 pub struct ServerReport {
     /// Jobs answered.
     pub jobs: u64,
@@ -476,7 +465,7 @@ pub struct ServerReport {
 pub struct Server {
     shared: Arc<Shared>,
     cfg: ServeCfg,
-    worker: Option<JoinHandle<(WorkerStats, PlanCacheStats)>>,
+    worker: Option<JoinHandle<ServerReport>>,
 }
 
 impl Server {
@@ -499,7 +488,7 @@ impl Server {
             }),
             jobs: Condvar::new(),
             space: Condvar::new(),
-            totals: Mutex::new((WorkerStats::default(), PlanCacheStats::default())),
+            totals: Mutex::new(ServerReport::default()),
         });
         let worker_shared = Arc::clone(&shared);
         let worker_cfg = cfg.clone();
@@ -571,30 +560,18 @@ impl Server {
     /// last mirrored totals are reported with the panic message in
     /// [`ServerReport::worker_error`].
     pub fn shutdown(mut self) -> ServerReport {
-        let (worker_stats, cache_stats, worker_error) = self.begin_shutdown();
+        let mut report = self.begin_shutdown();
         let st = self.shared.state.lock().unwrap();
-        ServerReport {
-            jobs: worker_stats.jobs,
-            batches: worker_stats.batches,
-            multi_job_batches: worker_stats.multi_job_batches,
-            batched_jobs: worker_stats.batched_jobs,
-            coalesced_jobs: worker_stats.coalesced_jobs,
-            executed_sweeps: worker_stats.executed_sweeps,
-            requested_sweeps: worker_stats.requested_sweeps,
-            cache: cache_stats,
-            rejected: st.rejected,
-            queue_depth_hwm: st.queue_depth_hwm,
-            workspace_bytes_hwm: worker_stats.workspace_bytes_hwm,
-            worker_panics: worker_stats.worker_panics,
-            worker_error,
-        }
+        report.rejected = st.rejected;
+        report.queue_depth_hwm = st.queue_depth_hwm;
+        report
     }
 
     /// Flag shutdown, wake everyone and join the worker. A join error
     /// (worker panic) is swallowed — `Drop` runs this too, and a panic
     /// while already unwinding aborts the process — and reported as the
-    /// panic message alongside the last mirrored totals.
-    fn begin_shutdown(&mut self) -> (WorkerStats, PlanCacheStats, Option<String>) {
+    /// panic message in the last mirrored report.
+    fn begin_shutdown(&mut self) -> ServerReport {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.shutting_down = true;
@@ -603,13 +580,14 @@ impl Server {
         self.shared.space.notify_all();
         match self.worker.take() {
             Some(h) => match h.join() {
-                Ok((stats, cache)) => (stats, cache, None),
+                Ok(report) => report,
                 Err(payload) => {
-                    let (stats, cache) = *self.shared.totals.lock().unwrap();
-                    (stats, cache, Some(panic_message(payload.as_ref())))
+                    let mut report = self.shared.totals.lock().unwrap().clone();
+                    report.worker_error = Some(panic_message(payload.as_ref()));
+                    report
                 }
             },
-            None => (WorkerStats::default(), PlanCacheStats::default(), None),
+            None => ServerReport::default(),
         }
     }
 }
@@ -635,13 +613,13 @@ impl Drop for Server {
 
 /// The worker: pop → batch → execute → answer, until shutdown drains the
 /// queue.
-fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> (WorkerStats, PlanCacheStats) {
+fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> ServerReport {
     let mut cache = PlanCache::new(cfg.plan_cache_capacity);
     let mut ws = match cfg.workspace_limit_bytes {
         Some(limit) => TtmWorkspace::with_limit(limit),
         None => TtmWorkspace::new(),
     };
-    let mut stats = WorkerStats::default();
+    let mut report = ServerReport::default();
     let mut next_batch_id = 0u64;
 
     loop {
@@ -654,7 +632,8 @@ fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> (WorkerStats, PlanCacheStats)
                     break;
                 }
                 if !parked && st.shutting_down {
-                    return (stats, cache.stats());
+                    report.cache = cache.stats();
+                    return report;
                 }
                 st = shared.jobs.wait(st).unwrap();
             }
@@ -675,11 +654,11 @@ fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> (WorkerStats, PlanCacheStats)
 
         let batch_id = next_batch_id;
         next_batch_id += 1;
-        stats.batches += 1;
-        stats.jobs += batch.len() as u64;
+        report.batches += 1;
+        report.jobs += batch.len() as u64;
         if batch.len() > 1 {
-            stats.multi_job_batches += 1;
-            stats.batched_jobs += batch.len() as u64;
+            report.multi_job_batches += 1;
+            report.batched_jobs += batch.len() as u64;
         }
         let info = BatchInfo {
             batch_id,
@@ -694,15 +673,15 @@ fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> (WorkerStats, PlanCacheStats)
             batch.iter().map(|p| p.tx.clone()).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match batch[0].spec.kind.tag() {
-                0 => execute_compress_batch(batch, info, cfg, &mut cache, &mut ws, &mut stats),
+                0 => execute_compress_batch(batch, info, cfg, &mut cache, &mut ws, &mut report),
                 1 => execute_reconstruct_batch(batch, info, &mut ws),
                 2 => execute_query_batch(batch, info, cfg, &mut cache),
                 _ => execute_fault_batch(&batch),
             }
         }));
-        stats.workspace_bytes_hwm = stats.workspace_bytes_hwm.max(ws.pooled_bytes());
+        report.workspace_bytes_hwm = report.workspace_bytes_hwm.max(ws.pooled_bytes());
         if let Err(payload) = outcome {
-            stats.worker_panics += 1;
+            report.worker_panics += 1;
             // Answer the fatal batch. Jobs answered before the panic have
             // their real result first in channel order; the extra error is
             // never read.
@@ -730,11 +709,15 @@ fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> (WorkerStats, PlanCacheStats)
                 for p in drained {
                     let _ = p.tx.send(Err(JobError::WorkerLost));
                 }
-                *shared.totals.lock().unwrap() = (stats, cache.stats());
+                report.cache = cache.stats();
+                shared.totals.lock().unwrap().clone_from(&report);
                 std::panic::resume_unwind(payload);
             }
         }
-        *shared.totals.lock().unwrap() = (stats, cache.stats());
+        // No allocation: `worker_error` stays `None` while serving, so the
+        // mirror copies counters only.
+        report.cache = cache.stats();
+        shared.totals.lock().unwrap().clone_from(&report);
     }
 }
 
@@ -763,7 +746,7 @@ fn execute_compress_batch(
     cfg: &ServeCfg,
     cache: &mut PlanCache,
     ws: &mut TtmWorkspace,
-    stats: &mut WorkerStats,
+    report: &mut ServerReport,
 ) {
     let meta = batch[0].spec.meta();
     // One plan lookup per job: all keys agree within a batch, so this is
@@ -774,7 +757,7 @@ fn execute_compress_batch(
         .map(|p| plan_for(cfg, cache, &p.spec))
         .collect();
     let plan = &plans[0];
-    stats.requested_sweeps += batch.iter().map(|p| p.spec.sweeps as u64).sum::<u64>();
+    report.requested_sweeps += batch.iter().map(|p| p.spec.sweeps as u64).sum::<u64>();
 
     // Coalesce identical jobs: one executed item per distinct seed.
     let mut seeds: Vec<u64> = Vec::new();
@@ -825,7 +808,7 @@ fn execute_compress_batch(
             o
         })
         .collect();
-    stats.executed_sweeps += outcomes
+    report.executed_sweeps += outcomes
         .iter()
         .map(|o| o.per_sweep.len() as u64)
         .sum::<u64>();
@@ -850,7 +833,7 @@ fn execute_compress_batch(
             },
         }));
     }
-    stats.coalesced_jobs += (batch.len() - seeds.len()) as u64;
+    report.coalesced_jobs += (batch.len() - seeds.len()) as u64;
 
     // Recycle the cores (results hold clones when requested) and reclaim
     // the workspace.

@@ -10,8 +10,8 @@
 //! is infeasible there) — × grid assignments (exhaustive when the space is
 //! small, deterministic sampling plus all static schemes otherwise). The
 //! small-N *fully* exhaustive certification (every tree × every
-//! assignment) lives in `suite::driver::dp_certification`, run by
-//! `experiments -- planner` and CI.
+//! assignment) lives in the `planner` generator of `tucker-bench`, run by
+//! `experiments -- planner`, `tests/artifact_contract.rs` and CI.
 //!
 //! Cases are generated deterministically from a fixed per-test seed (see
 //! `vendor/proptest`): CI runs are reproducible, and `PROPTEST_SEED` /

@@ -8,9 +8,8 @@
 //!   and their scaled-down variants for measured runs;
 //! * [`percentile`] — the normalized percentile-curve summaries used by
 //!   Figures 10 and 11;
-//! * [`driver`] — runs the paper's four-strategy lineup over the suite
-//!   analytically (load + volume) or measured (wall time), producing the
-//!   series each figure plots;
+//! * [`driver`] — the analytic load and volume comparisons behind Figures
+//!   11c–f, and the problem the virtual-time experiments replay;
 //! * [`fields`] — synthetic dense fields (combustion-like plumes, video
 //!   frames) used to fill tensors for measured runs.
 
@@ -20,7 +19,6 @@ pub mod generator;
 pub mod percentile;
 pub mod real;
 
-pub use driver::{analytic_lineup, AnalyticRow};
 pub use generator::{benchmark_5d, benchmark_6d, full_enumeration, paper_sized_subsample};
 pub use percentile::{normalized_percentiles, percentile_curve, PercentileCurve};
 pub use real::{real_tensors, RealTensor};

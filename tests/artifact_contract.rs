@@ -46,7 +46,7 @@ fn committed(file: &str) -> String {
 /// incremental arm as `model`).
 const TWICE: [&str; 5] = ["scaling", "topology", "planner", "recovery", "views"];
 
-/// Every `BENCH_*` document, built once for both tests (`planner` alone
+/// Every `BENCH_*` document, built once for every test (`planner` alone
 /// spends a minute certifying the DP against brute force): all of them on
 /// the default pool, the [`TWICE`] ones again on one mesh worker, the two
 /// sets side by side.
@@ -247,6 +247,58 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
     );
 }
 
+/// The leaves of `doc` whose path ends in `.{field}`, as JSON text, in
+/// document order.
+fn column<'a>(doc: &'a Doc, field: &str) -> Vec<&'a str> {
+    let suffix = format!(".{field}");
+    let leaves = doc.leaves().into_iter();
+    leaves
+        .filter(|(path, ..)| path.ends_with(&suffix) || path == field)
+        .map(|(_, text, _)| text)
+        .collect()
+}
+
+/// The pooled build of the artifact `file`.
+fn pooled(file: &str) -> &'static Doc {
+    let (_, doc) = docs().pool.iter().find(|(f, _)| *f == file).expect("built");
+    doc
+}
+
+#[test]
+fn planner_document_certifies_the_dp_against_the_oracle() {
+    // The joint DP agrees with the exhaustive oracle on every case: four
+    // metas under both cost models, each over a non-empty candidate set.
+    let planner = pooled("BENCH_planner.json");
+    assert_eq!(column(planner, "dp_agreed"), ["8"]);
+    assert_eq!(column(planner, "dp_total"), ["8"]);
+    assert_eq!(column(planner, "agreed"), ["true"; 8]);
+    for candidates in column(planner, "candidates") {
+        assert!(candidates.parse::<usize>().expect("a count") > 0);
+    }
+}
+
+#[test]
+fn backends_document_holds_one_row_per_backend() {
+    // One row per backend, in lineup order, each timed, each on a thread,
+    // each with a relative error (the cross-backend 1e-10 agreement is
+    // asserted where the lineup runs).
+    let backends = pooled("BENCH_backends.json");
+    assert_eq!(
+        column(backends, "backend"),
+        ["\"seq\"", "\"rayon\"", "\"distsim\""]
+    );
+    let num = |text: &str| text.parse::<f64>().expect("a number");
+    for wall in column(backends, "wall_s") {
+        assert!(num(wall) > 0.0, "zero wall");
+    }
+    for threads in column(backends, "threads") {
+        assert!(num(threads) >= 1.0);
+    }
+    for error in column(backends, "error") {
+        assert!((0.0..=1.0).contains(&num(error)), "error {error}");
+    }
+}
+
 #[test]
 fn model_leaves_do_not_depend_on_the_worker_pool_or_the_run() {
     for (cmd, one) in &docs().one {
@@ -255,7 +307,7 @@ fn model_leaves_do_not_depend_on_the_worker_pool_or_the_run() {
             .find(|e| e.cmd == *cmd)
             .expect("listed")
             .file;
-        let (_, pool) = docs().pool.iter().find(|(f, _)| *f == file).expect("built");
+        let pool = pooled(file);
         let (a, b) = (one.leaves(), pool.leaves());
         assert_eq!(a.len(), b.len(), "{cmd}");
         let mut model = 0;

@@ -136,8 +136,8 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
     // lineup — the paper's four strategies plus the joint-DP winner — the
     // NetCostModel's predicted communication wall must match the
     // distsim-executed virtual clock within 5% (in practice: exactly).
-    // P ∈ {64, 256} here keeps the test fast; the scaling driver asserts
-    // the same invariant at P ∈ {1024, 4096} in CI.
+    // P ∈ {64, 256} here keeps the test fast; the `planner` and `scaling`
+    // generators assert the same invariant up to P = 4096 and 8192.
     let meta = tucker_suite::driver::scaling_meta();
     let net = NetModel::bgq();
     let cfg = EngineConfig {

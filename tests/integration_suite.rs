@@ -1,7 +1,8 @@
 //! Integration: the benchmark suite drives the planner at scale and the
 //! headline claims of §6.2 hold in the models.
 
-use tucker_suite::driver::{analytic_lineup, gridding_comparison, load_comparison};
+use tucker_core::plan::Planner;
+use tucker_suite::driver::{gridding_comparison, load_comparison};
 use tucker_suite::generator::{full_enumeration, paper_sized_subsample};
 use tucker_suite::percentile::normalized_percentiles;
 use tucker_suite::real::real_tensors;
@@ -18,13 +19,13 @@ fn suite_wide_dominance_on_a_slice() {
     // assert volume dominance within the opt tree only.
     let sample = paper_sized_subsample(&full_enumeration(5), 80);
     for meta in &sample {
-        let rows = analytic_lineup(meta, 32);
-        let opt = &rows[3];
-        for r in &rows[..3] {
+        let lineup = Planner::new(meta.clone(), 32).paper_lineup();
+        let opt = &lineup[3];
+        for plan in &lineup[..3] {
             assert!(
-                opt.flops <= r.flops * (1.0 + 1e-12),
+                opt.flops <= plan.flops * (1.0 + 1e-12),
                 "{meta}: {}",
-                r.strategy
+                plan.name()
             );
         }
         let (stat, dynv) = gridding_comparison(meta, 32);
@@ -92,11 +93,11 @@ fn real_tensor_gains_are_substantial() {
     // §6.2 reports 4.1x–5.8x overall on the real tensors; the analytic
     // volume model should show the communication side of that gap.
     for rt in real_tensors() {
-        let rows = analytic_lineup(&rt.meta, 32);
-        let opt = &rows[3];
-        let best_prior = rows[..3]
+        let lineup = Planner::new(rt.meta.clone(), 32).paper_lineup();
+        let opt = &lineup[3];
+        let best_prior = lineup[..3]
             .iter()
-            .map(|r| r.volume)
+            .map(|plan| plan.volume)
             .fold(f64::INFINITY, f64::min);
         assert!(
             opt.volume * 2.0 <= best_prior,
