@@ -329,6 +329,11 @@ impl SweepCheckpoint {
     }
 
     /// Parse the `tucker-checkpoint/v1` text format.
+    ///
+    /// Malformed input is an `Err`, never a panic: the shapes are checked
+    /// before [`TuckerMeta`] asserts them, every factor must be `L_n × K_n`
+    /// with one per mode, and counts read from the text only bound loops —
+    /// nothing is pre-allocated from them.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty checkpoint")?;
@@ -337,44 +342,46 @@ impl SweepCheckpoint {
         }
         let dims = parse_usizes(lines.next(), "dims")?;
         let core = parse_usizes(lines.next(), "core")?;
-        let meta = TuckerMeta::new(dims, core);
+        let meta = checked_meta(dims, core)?;
         let total_sweeps = parse_count(lines.next(), "total_sweeps")?;
         let init_line = lines.next().ok_or("missing init line")?;
         let init_factors = match init_line.strip_prefix("init ") {
             Some("-") => None,
             Some(n) => {
                 let n: usize = n.parse().map_err(|e| format!("init count: {e}"))?;
-                let mut fs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fs.push(parse_matrix(&mut lines)?);
-                }
-                Some(fs)
+                Some(parse_factors(&mut lines, &meta, n, "init")?)
             }
             None => return Err(format!("expected init line, got {init_line:?}")),
         };
         let n_committed = parse_count(lines.next(), "committed")?;
-        let mut committed = Vec::with_capacity(n_committed);
+        let mut committed = Vec::new();
         for _ in 0..n_committed {
             let stats = parse_stats(&mut lines)?;
             let nf = parse_count(lines.next(), "factors")?;
-            let mut factors = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                factors.push(parse_matrix(&mut lines)?);
-            }
+            let factors = parse_factors(&mut lines, &meta, nf, "factors")?;
             committed.push(CommittedSweep { factors, stats });
         }
         let n_partial = parse_count(lines.next(), "partial")?;
-        let mut partial = Vec::with_capacity(n_partial);
-        for _ in 0..n_partial {
+        if n_partial != meta.order() {
+            return Err(format!(
+                "partial: {n_partial} modes for an order-{} problem",
+                meta.order()
+            ));
+        }
+        let mut partial = Vec::with_capacity(meta.order());
+        for n in 0..n_partial {
             let line = lines.next().ok_or("missing mode line")?;
             let rest = line
                 .strip_prefix("mode ")
                 .ok_or_else(|| format!("expected mode line, got {line:?}"))?;
-            let (_, flag) = rest
+            let (mode, flag) = rest
                 .split_once(' ')
                 .ok_or_else(|| format!("malformed mode line {line:?}"))?;
+            if mode.parse() != Ok(n) {
+                return Err(format!("expected mode {n}, got {line:?}"));
+            }
             match flag {
-                "+" => partial.push(Some(parse_matrix(&mut lines)?)),
+                "+" => partial.push(Some(parse_factor(&mut lines, &meta, n)?)),
                 "-" => partial.push(None),
                 other => return Err(format!("bad mode flag {other:?}")),
             }
@@ -460,16 +467,68 @@ fn parse_matrix<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Matrix,
                 .map_err(|e| format!("matrix word {t:?}: {e}"))
         })
         .collect::<Result<_, _>>()?;
-    if data.len() != nrows * ncols {
+    let words = nrows
+        .checked_mul(*ncols)
+        .ok_or_else(|| format!("matrix {nrows}x{ncols} overflows"))?;
+    if data.len() != words {
         return Err(format!(
-            "matrix {}x{} needs {} words, got {}",
-            nrows,
-            ncols,
-            nrows * ncols,
+            "matrix {nrows}x{ncols} needs {words} words, got {}",
             data.len()
         ));
     }
     Ok(Matrix::from_vec(*nrows, *ncols, data))
+}
+
+/// [`TuckerMeta::new`] after checking what it asserts: one nonzero order
+/// shared by both shapes and `1 ≤ K_n ≤ L_n` in every mode.
+fn checked_meta(dims: Vec<usize>, core: Vec<usize>) -> Result<TuckerMeta, String> {
+    if dims.is_empty() || dims.len() != core.len() {
+        return Err(format!(
+            "dims {dims:?} and core {core:?} need one nonzero order"
+        ));
+    }
+    if let Some(n) = (0..dims.len()).find(|&n| core[n] == 0 || core[n] > dims[n]) {
+        return Err(format!(
+            "core length K_{n} = {} is not in 1..=L_{n} = {}",
+            core[n], dims[n]
+        ));
+    }
+    Ok(TuckerMeta::new(dims, core))
+}
+
+/// Mode `n`'s factor: a matrix that must be `L_n × K_n`.
+fn parse_factor<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    meta: &TuckerMeta,
+    n: usize,
+) -> Result<Matrix, String> {
+    let f = parse_matrix(lines)?;
+    if (f.nrows(), f.ncols()) != (meta.l(n), meta.k(n)) {
+        return Err(format!(
+            "mode-{n} factor is {}x{}, expected {}x{}",
+            f.nrows(),
+            f.ncols(),
+            meta.l(n),
+            meta.k(n)
+        ));
+    }
+    Ok(f)
+}
+
+/// A full factor list under `key`: `count` must be the order `N`.
+fn parse_factors<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    meta: &TuckerMeta,
+    count: usize,
+    key: &str,
+) -> Result<Vec<Matrix>, String> {
+    if count != meta.order() {
+        return Err(format!(
+            "{key}: {count} factors for an order-{} problem",
+            meta.order()
+        ));
+    }
+    (0..count).map(|n| parse_factor(lines, meta, n)).collect()
 }
 
 fn push_stats(s: &mut String, st: &SweepStats) {
@@ -663,6 +722,72 @@ mod tests {
             ck.committed[0].stats.error.to_bits()
         );
         assert_eq!(back.to_text(), ck.to_text());
+    }
+
+    /// `sample()`'s text with `from` replaced by `to` (which must occur).
+    fn edited(from: &str, to: &str) -> String {
+        let text = sample().to_text();
+        assert!(text.contains(from), "{from:?} not in the sample text");
+        text.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn malformed_meta_is_an_error() {
+        for (from, to) in [
+            ("core 3 3 2", "core 9 3 2"),
+            ("core 3 3 2", "core 3 3"),
+            ("core 3 3 2", "core 3 0 2"),
+            ("dims 8 7 6\ncore 3 3 2", "dims\ncore"),
+        ] {
+            let err = SweepCheckpoint::from_text(&edited(from, to)).unwrap_err();
+            assert!(
+                err.contains("core") || err.contains("dims"),
+                "{to:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_counts_are_an_error_not_an_allocation() {
+        for (from, to) in [
+            ("init 3\n", "init 18446744073709551615\n"),
+            ("committed 1\n", "committed 18446744073709551615\n"),
+            ("factors 3\n", "factors 18446744073709551615\n"),
+            ("partial 3\n", "partial 18446744073709551615\n"),
+        ] {
+            assert!(
+                SweepCheckpoint::from_text(&edited(from, to)).is_err(),
+                "{to:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_matrix_header_is_an_error() {
+        let text = edited(
+            "init 3\nmatrix 8 3\n",
+            "init 3\nmatrix 4294967296 4294967297\n",
+        );
+        let err = SweepCheckpoint::from_text(&text).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn factors_must_be_l_by_k_one_per_mode() {
+        // Same 24 words, transposed header: a 3x8 where an 8x3 belongs.
+        let err =
+            SweepCheckpoint::from_text(&edited("init 3\nmatrix 8 3\n", "init 3\nmatrix 3 8\n"))
+                .unwrap_err();
+        assert!(err.contains("expected 8x3"), "{err}");
+    }
+
+    #[test]
+    fn partial_list_must_have_one_entry_per_mode() {
+        let short = edited("partial 3\n", "partial 2\n").replacen("mode 2 -\n", "", 1);
+        let err = SweepCheckpoint::from_text(&short).unwrap_err();
+        assert!(err.contains("partial"), "{err}");
+        let long = edited("partial 3\n", "partial 4\n") + "mode 3 -\n";
+        assert!(SweepCheckpoint::from_text(&long).is_err());
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct SweepStats {
     pub regrid_comm: Duration,
     /// Local Gram + EVD time (the paper's "SVD" bar in Figure 10c).
     pub svd: Duration,
-    /// Communication time of the Gram all-gather/all-reduce.
+    /// Communication time of the Gram column-share exchange and all-reduce.
     pub gram_comm: Duration,
     /// End-to-end time of the sweep (max over ranks).
     pub wall: Duration,

@@ -89,6 +89,6 @@ pub use plan::{
     Planner, RankedPlans, SearchBudget, TreeStrategy,
 };
 pub use serve::{
-    JobError, JobKind, JobOutput, JobResult, JobSpec, PlanModel, ServeCfg, Server, ServerReport,
-    SubmitError, Ticket,
+    JobError, JobKind, JobOutput, JobResult, JobSpec, ServeCfg, Server, ServerReport, SubmitError,
+    Ticket,
 };

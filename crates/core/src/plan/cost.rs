@@ -1075,7 +1075,7 @@ mod tests {
         let got = model.ttm_cost(&meta, 0, 0, &g);
         // partial: 8 local rows of mode 1, K=8 split in chunks of 2:
         // each message is 2*8 = 16 elements.
-        let expect = model.net().reduce_scatter_ns(&[16, 16, 16, 16]) as f64;
+        let expect = (2 * 3 * model.net().msg_elems_ns_between(0, 1, 16)) as f64;
         assert_eq!(got, expect);
     }
 

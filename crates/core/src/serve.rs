@@ -21,8 +21,9 @@
 //!   execution, results cloned. Every executed sweep is stamped with
 //!   [`PlanProvenance`] so the batch can be audited post-hoc.
 //! * **Plan cache** — every compress/query job resolves its plan through a
-//!   [`PlanCache`] keyed by `(shape, core, P, model)`; the joint DP is pure,
-//!   so hits are exact (see [`crate::plan::cache`]).
+//!   [`PlanCache`] under [`FlopVolumeModel`], keyed by `(shape, core, P,
+//!   model)`; the joint DP is pure, so hits are exact (see
+//!   [`crate::plan::cache`]).
 //! * **Admission control / backpressure** — a full queue rejects
 //!   [`Server::submit`] with [`SubmitError::QueueFull`] (counted in the
 //!   report); [`Server::submit_blocking`] instead parks the client until the
@@ -39,13 +40,12 @@ use crate::executor::{
 };
 use crate::meta::TuckerMeta;
 use crate::plan::cache::{PlanCache, PlanCacheStats};
-use crate::plan::{CostModel, FlopVolumeModel, NetCostModel, Plan};
+use crate::plan::{FlopVolumeModel, Plan};
 use crate::sthosvd::hosvd_init_factors;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use tucker_distsim::NetModel;
 use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, Shape, TtmWorkspace};
@@ -97,25 +97,6 @@ fn synthetic_root(dims: &[usize], seed: u64) -> DenseTensor {
     DenseTensor::from_vec(shape, data)
 }
 
-/// Which cost model the server plans under.
-#[derive(Clone, Debug)]
-pub enum PlanModel {
-    /// The machine-independent closed-form objective.
-    FlopVolume,
-    /// The α–β model; each job is priced for its own `nranks`.
-    Net(NetModel),
-}
-
-impl PlanModel {
-    /// The concrete model for a job on `nranks` ranks.
-    fn model_for(&self, nranks: usize) -> Box<dyn CostModel> {
-        match self {
-            PlanModel::FlopVolume => Box::new(FlopVolumeModel),
-            PlanModel::Net(net) => Box::new(NetCostModel::new(*net, nranks)),
-        }
-    }
-}
-
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeCfg {
@@ -125,8 +106,6 @@ pub struct ServeCfg {
     pub batch_max: usize,
     /// Capacity of the LRU plan cache.
     pub plan_cache_capacity: usize,
-    /// The cost model plans are searched under.
-    pub model: PlanModel,
     /// Byte cap on the worker's pooled TTM workspace (see
     /// [`TtmWorkspace::with_limit`]); `None` keeps the pool grow-only.
     pub workspace_limit_bytes: Option<usize>,
@@ -152,7 +131,6 @@ impl Default for ServeCfg {
             queue_depth: 64,
             batch_max: 8,
             plan_cache_capacity: 32,
-            model: PlanModel::FlopVolume,
             workspace_limit_bytes: None,
             return_decompositions: true,
             start_paused: false,
@@ -675,7 +653,7 @@ fn worker_loop(shared: &Shared, cfg: &ServeCfg) -> ServerReport {
             match batch[0].spec.kind.tag() {
                 0 => execute_compress_batch(batch, info, cfg, &mut cache, &mut ws, &mut report),
                 1 => execute_reconstruct_batch(batch, info, &mut ws),
-                2 => execute_query_batch(batch, info, cfg, &mut cache),
+                2 => execute_query_batch(batch, info, &mut cache),
                 _ => execute_fault_batch(&batch),
             }
         }));
@@ -734,10 +712,8 @@ fn execute_fault_batch(batch: &[Pending]) {
 
 /// Resolve a job's plan through the cache (one lookup per job, so repeated
 /// same-shape jobs register as hits even inside one batch).
-fn plan_for(cfg: &ServeCfg, cache: &mut PlanCache, spec: &JobSpec) -> Plan {
-    let meta = spec.meta();
-    let model = cfg.model.model_for(spec.nranks);
-    cache.plan(&meta, spec.nranks, model.as_ref())
+fn plan_for(cache: &mut PlanCache, spec: &JobSpec) -> Plan {
+    cache.plan(&spec.meta(), spec.nranks, &FlopVolumeModel)
 }
 
 fn execute_compress_batch(
@@ -752,10 +728,7 @@ fn execute_compress_batch(
     // One plan lookup per job: all keys agree within a batch, so this is
     // 1 miss + (k−1) hits on a cold cache — the hit-rate signal the bench
     // asserts on.
-    let plans: Vec<Plan> = batch
-        .iter()
-        .map(|p| plan_for(cfg, cache, &p.spec))
-        .collect();
+    let plans: Vec<Plan> = batch.iter().map(|p| plan_for(cache, &p.spec)).collect();
     let plan = &plans[0];
     report.requested_sweeps += batch.iter().map(|p| p.spec.sweeps as u64).sum::<u64>();
 
@@ -859,14 +832,9 @@ fn execute_reconstruct_batch(batch: Vec<Pending>, info: BatchInfo, ws: &mut TtmW
     }
 }
 
-fn execute_query_batch(
-    batch: Vec<Pending>,
-    info: BatchInfo,
-    cfg: &ServeCfg,
-    cache: &mut PlanCache,
-) {
+fn execute_query_batch(batch: Vec<Pending>, info: BatchInfo, cache: &mut PlanCache) {
     for p in batch {
-        let plan = plan_for(cfg, cache, &p.spec);
+        let plan = plan_for(cache, &p.spec);
         let _ = p.tx.send(Ok(JobResult {
             job_id: p.job_id,
             plan: plan.name(),

@@ -1,22 +1,23 @@
 //! Group collectives built on the point-to-point layer.
 //!
 //! A [`Group`] is the analogue of an MPI sub-communicator: an ordered list of
-//! ranks that all enter the same collective together. The all-reduce is a
-//! binomial tree above eight members (the scaling runs reach P = 8192);
-//! the other collectives favour simplicity over asymptotic optimality. What
-//! matters for the paper's metrics is that the *byte counts* are the
-//! canonical ones:
+//! ranks that all enter the same collective together. Only the two
+//! collectives the engine runs live here, each moving the canonical byte
+//! count:
 //!
-//! * `allreduce_sum`: gather-to-root + broadcast — `2(g−1)·len` elements,
-//! * `bcast`: root sends to each member — `(g−1)·len`,
-//! * `gather`: each non-root member sends once — `Σ len_i` over non-roots,
-//! * `alltoallv`: pairwise exchange — exactly the nonzero off-diagonal
-//!   payloads.
+//! * [`allreduce_sum`] (the Gram and norm reductions): flat gather at the
+//!   root plus broadcast up to `TREE_ALLREDUCE_THRESHOLD` (8) members, a
+//!   binomial tree above it (the scaling runs reach P = 8192), and a
+//!   node-leader three-phase variant under a hierarchical model — `2(g−1)`
+//!   messages of `len` elements in every case;
+//! * [`allgather`] (the core gather): direct exchange — every member sends
+//!   its buffer to each of the other `g − 1`.
 //!
-//! The distributed TTM's reduce-scatter and the Gram step's all-gather
-//! operate on tensor *regions* rather than flat buffers, so they live with
-//! their callers in [`crate::dist_ttm`] / [`crate::dist_gram`] and use the
-//! same point-to-point layer (and therefore the same per-rank counters).
+//! The distributed TTM's reduce-scatter ([`crate::dist_ttm`]), the Gram's
+//! column-share exchange ([`crate::dist_gram`]) and the regrid's all-to-all
+//! ([`crate::redistribute`]) move tensor *regions* rather than flat buffers,
+//! so they live with their callers and use the same point-to-point layer
+//! (and therefore the same per-rank counters and clock).
 //!
 //! # Failure semantics (DESIGN.md §2, §9)
 //!
@@ -119,14 +120,14 @@ impl Group {
 
 /// Group size above which [`allreduce_sum`] switches from the flat
 /// gather+broadcast to the binomial-tree algorithm. Shared with
-/// [`crate::net::NetModel::allreduce_ns`] so the α–β closed form dispatches
+/// [`crate::net::allreduce_msgs`] so the α–β per-rank forms dispatch
 /// identically.
 pub(crate) const TREE_ALLREDUCE_THRESHOLD: usize = 8;
 
 /// Elementwise sum-all-reduce of `buf` across the group.
 ///
 /// Small groups use a flat gather-at-root + broadcast; larger groups use a
-/// binomial reduce/broadcast tree ([`allreduce_sum_tree`]). Both move
+/// binomial reduce/broadcast tree (`allreduce_sum_tree`). Both move
 /// `2(g−1)·len` elements in total; the tree variant has `O(log g)` depth
 /// instead of `O(g)` serialization at the root, mirroring real MPI
 /// implementations.
@@ -212,7 +213,7 @@ fn allreduce_sum_hier(
 }
 
 /// Flat allreduce: gather at the group root, sum, broadcast.
-pub fn allreduce_sum_flat(
+pub(crate) fn allreduce_sum_flat(
     ctx: &mut RankCtx,
     g: &Group,
     buf: &mut [f64],
@@ -244,7 +245,7 @@ pub fn allreduce_sum_flat(
 /// Binomial-tree allreduce: reduce up the tree (`⌈log₂ g⌉` rounds), then
 /// broadcast down it. Deterministic round structure keeps the SPMD matching
 /// trivial.
-pub fn allreduce_sum_tree(
+pub(crate) fn allreduce_sum_tree(
     ctx: &mut RankCtx,
     g: &Group,
     buf: &mut [f64],
@@ -298,42 +299,6 @@ pub fn allreduce_sum_tree(
     }
 }
 
-/// Broadcast `buf` from group index 0 to every member.
-pub fn bcast(ctx: &mut RankCtx, g: &Group, buf: &mut Vec<f64>, tag: u32, cat: VolumeCategory) {
-    if g.len() == 1 {
-        return;
-    }
-    if g.my_index() == 0 {
-        for i in 1..g.len() {
-            ctx.send(g.member(i), tag, buf.clone(), cat);
-        }
-    } else {
-        *buf = ctx.recv(g.member(0), tag, cat);
-    }
-}
-
-/// Gather each member's `buf` at group index 0; returns `Some(parts)` (in
-/// group order) at the root, `None` elsewhere.
-pub fn gather(
-    ctx: &mut RankCtx,
-    g: &Group,
-    buf: Vec<f64>,
-    tag: u32,
-    cat: VolumeCategory,
-) -> Option<Vec<Vec<f64>>> {
-    if g.my_index() == 0 {
-        let mut parts = Vec::with_capacity(g.len());
-        parts.push(buf);
-        for i in 1..g.len() {
-            parts.push(ctx.recv(g.member(i), tag, cat));
-        }
-        Some(parts)
-    } else {
-        ctx.send(g.member(0), tag, buf, cat);
-        None
-    }
-}
-
 /// All-gather: every member ends with every member's buffer, in group order.
 pub fn allgather(
     ctx: &mut RankCtx,
@@ -357,37 +322,6 @@ pub fn allgather(
         }
     }
     out
-}
-
-/// Personalized all-to-all: `send[i]` goes to group index `i`; returns the
-/// buffers received from each index (in group order). Empty vectors are not
-/// transmitted (matching `MPI_Alltoallv` with zero counts).
-pub fn alltoallv(
-    ctx: &mut RankCtx,
-    g: &Group,
-    send: Vec<Vec<f64>>,
-    tag: u32,
-    cat: VolumeCategory,
-) -> Vec<Vec<f64>> {
-    assert_eq!(send.len(), g.len(), "alltoallv needs one buffer per member");
-    // Record which peers will actually send to us. In SPMD use the caller
-    // knows the full exchange pattern is symmetric knowledge: peer i sends to
-    // us iff its send[my_index] is nonempty — but we cannot see that here, so
-    // we transmit an (possibly empty) header count first ... To stay simple
-    // and deadlock-free with unbounded channels, we always send, even when
-    // empty.
-    let me = g.my_index();
-    for (i, buf) in send.into_iter().enumerate() {
-        if i != me {
-            ctx.send(g.member(i), tag, buf, cat);
-        } else {
-            // Keep own chunk aside via self-send (free).
-            ctx.send(g.member(i), tag, buf, cat);
-        }
-    }
-    (0..g.len())
-        .map(|i| ctx.recv(g.member(i), tag, cat))
-        .collect()
 }
 
 #[cfg(test)]
@@ -422,37 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_distributes_root_value() {
-        let out = Universe::run(5, |ctx| {
-            let g = Group::world(ctx);
-            let mut buf = if ctx.rank() == 0 {
-                vec![3.0, 4.0]
-            } else {
-                vec![]
-            };
-            bcast(ctx, &g, &mut buf, 20, VolumeCategory::Other);
-            buf
-        });
-        for r in out.results {
-            assert_eq!(r, vec![3.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_group_order() {
-        let out = Universe::run(4, |ctx| {
-            let g = Group::world(ctx);
-            gather(ctx, &g, vec![ctx.rank() as f64], 30, VolumeCategory::Other)
-        });
-        let parts = out.results[0].as_ref().unwrap();
-        assert_eq!(parts.len(), 4);
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(p, &vec![i as f64]);
-        }
-        assert!(out.results[1].is_none());
-    }
-
-    #[test]
     fn allgather_everyone_gets_everything() {
         let out = Universe::run(3, |ctx| {
             let g = Group::world(ctx);
@@ -470,27 +373,6 @@ mod tests {
                 assert_eq!(p, &vec![i as f64; 2]);
             }
         }
-    }
-
-    #[test]
-    fn alltoallv_routes_correctly() {
-        let p = 4;
-        let out = Universe::run(p, |ctx| {
-            let g = Group::world(ctx);
-            // Rank r sends [r*10 + i] to member i.
-            let send: Vec<Vec<f64>> = (0..p).map(|i| vec![(ctx.rank() * 10 + i) as f64]).collect();
-            alltoallv(ctx, &g, send, 50, VolumeCategory::Regrid)
-        });
-        for (r, recvd) in out.results.iter().enumerate() {
-            for (i, buf) in recvd.iter().enumerate() {
-                assert_eq!(buf, &vec![(i * 10 + r) as f64], "rank {r} from {i}");
-            }
-        }
-        // Volume: p*(p-1) single-element messages.
-        assert_eq!(
-            out.volume.bytes(VolumeCategory::Regrid),
-            (p * (p - 1) * 8) as u64
-        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub enum VolumeCategory {
     TtmReduceScatter,
     /// All-to-all regridding traffic (paper: `|In(u)|`).
     Regrid,
-    /// All-gather + all-reduce supporting the Gram/SVD step.
+    /// Column-share exchange + all-reduce supporting the Gram/SVD step.
     Gram,
     /// Everything else (setup, gathers for verification, …).
     Other,
@@ -709,7 +709,7 @@ mod tests {
             ctx.comm.clone()
         })
         .into_results();
-        let expect = net.msg_ns(32);
+        let expect = net.msg_ns_between(0, 1, 32);
         assert_eq!(
             out.results[0].time(VolumeCategory::Regrid).as_nanos() as u64,
             expect

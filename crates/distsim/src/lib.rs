@@ -10,7 +10,7 @@
 //! * [`mesh`]: the rank runtime ([`Universe::run_mesh`]; [`Universe::run`]
 //!   is its fail-stop front) with per-rank failure quarantine,
 //! * [`comm`]: the rank handle ([`RankCtx`]) and point-to-point layer,
-//! * [`collectives`]: all-reduce / broadcast / gather / all-to-all-v,
+//! * [`collectives`]: the group all-reduce and all-gather,
 //! * [`grid`]: `N`-dimensional processor grids, the `ψ(P, N)` grid count of
 //!   Table 1, and grid enumeration,
 //! * [`block`]: the Cartesian block distribution of §4.1,

@@ -16,10 +16,14 @@
 //! same stats structs as measured ones.
 //!
 //! Because payload sizes are deterministic in an SPMD program, the per-rank
-//! accounting admits closed forms. The functions below state the critical
-//! path (maximum over ranks) for every collective the engine uses; property
-//! tests assert that running the real collective under a virtual-time
-//! universe accumulates exactly these values.
+//! accounting admits closed forms. This module states them for the
+//! collectives of [`crate::collectives`] and the barrier — each member's own
+//! charge, not just the critical path; property tests assert that running
+//! the real collective under a virtual-time universe accumulates exactly
+//! these values on every rank. The region exchanges (the TTM's
+//! reduce-scatter, the Gram's column shares, the regrid's all-to-all) are
+//! priced message by message through [`NetModel::msg_elems_ns_between`] by
+//! the planner's `NetCostModel`, whose replay equals the executed clock.
 //!
 //! All costs are kept in integer nanoseconds: each message's cost is rounded
 //! once, so closed forms reproduce the accumulated sums bit-exactly.
@@ -60,7 +64,7 @@ fn ceil_log2(n: usize) -> u32 {
 /// Every message in one allreduce carries the same payload, so a member's
 /// charge is this count times the per-message cost of the link class it
 /// runs on.
-pub fn allreduce_msgs(g: usize, index: usize) -> u64 {
+pub(crate) fn allreduce_msgs(g: usize, index: usize) -> u64 {
     if g <= 1 {
         return 0;
     }
@@ -220,18 +224,18 @@ impl NetModel {
 
     /// Modeled cost of one **inter-node** (or flat) message of `bytes`, in
     /// nanoseconds: `α + β·bytes`, rounded once.
-    pub fn msg_ns(&self, bytes: u64) -> u64 {
+    fn msg_ns(&self, bytes: u64) -> u64 {
         self.alpha_ns + (self.beta_ns_per_byte * bytes as f64).round() as u64
     }
 
     /// Modeled cost of one **intra-node** message of `bytes`.
-    pub fn intra_msg_ns(&self, bytes: u64) -> u64 {
+    fn intra_msg_ns(&self, bytes: u64) -> u64 {
         self.intra_alpha_ns + (self.intra_beta_ns_per_byte * bytes as f64).round() as u64
     }
 
     /// Cost of one message between two concrete ranks: picks the link class
     /// from the endpoints' node ids.
-    pub fn msg_ns_between(&self, src: usize, dst: usize, bytes: u64) -> u64 {
+    pub(crate) fn msg_ns_between(&self, src: usize, dst: usize, bytes: u64) -> u64 {
         if self.same_node(src, dst) {
             self.intra_msg_ns(bytes)
         } else {
@@ -239,18 +243,13 @@ impl NetModel {
         }
     }
 
-    /// [`NetModel::msg_ns`] as a [`Duration`].
-    pub fn msg(&self, bytes: u64) -> Duration {
-        Duration::from_nanos(self.msg_ns(bytes))
-    }
-
     /// Cost of an inter-node (or flat) message of `len` f64 elements.
-    pub fn msg_elems_ns(&self, len: usize) -> u64 {
+    fn msg_elems_ns(&self, len: usize) -> u64 {
         self.msg_ns((len * 8) as u64)
     }
 
     /// Cost of an intra-node message of `len` f64 elements.
-    pub fn intra_msg_elems_ns(&self, len: usize) -> u64 {
+    fn intra_msg_elems_ns(&self, len: usize) -> u64 {
         self.intra_msg_ns((len * 8) as u64)
     }
 
@@ -261,43 +260,17 @@ impl NetModel {
 
     // ------------------------------------------------ collective closed forms
     //
-    // Each form is the per-rank modeled communication time of the matching
-    // implementation in `collectives.rs` / `dist_ttm.rs`, maximized over
-    // ranks: every off-rank send and recv charges its endpoint
-    // `msg_ns(bytes)`.
-
-    /// Flat gather+broadcast allreduce of `len` elements over `g` members:
-    /// the root receives and then sends `g − 1` messages.
-    pub fn allreduce_flat_ns(&self, g: usize, len: usize) -> u64 {
-        if g <= 1 {
-            return 0;
-        }
-        2 * (g as u64 - 1) * self.msg_elems_ns(len)
-    }
-
-    /// Binomial-tree allreduce of `len` elements over `g` members: the group
-    /// root takes `⌈log₂ g⌉` receives up and `⌈log₂ g⌉` sends down.
-    pub fn allreduce_tree_ns(&self, g: usize, len: usize) -> u64 {
-        if g <= 1 {
-            return 0;
-        }
-        2 * u64::from(ceil_log2(g)) * self.msg_elems_ns(len)
-    }
-
-    /// Allreduce critical path as dispatched by
-    /// [`crate::collectives::allreduce_sum`] for a **world-style group**
-    /// (members are `node_size`-contiguous, e.g. ranks `0..g`): the group
-    /// root (index 0) always carries the critical path.
-    pub fn allreduce_ns(&self, g: usize, len: usize) -> u64 {
-        self.allreduce_rank_ns(g, 0, len)
-    }
+    // Each form is the modeled communication time one member accumulates in
+    // the matching implementation in `collectives.rs` (or `RankCtx::barrier`):
+    // every off-rank send and recv charges its endpoint the message's price
+    // on the link class between the two ranks.
 
     /// The allreduce charge accumulated by the member at group `index` (not
     /// just the critical path): counts that member's sends and receives in
     /// the exact algorithm [`crate::collectives::allreduce_sum`] dispatches
-    /// to. `allreduce_rank_ns(g, 0, len) == allreduce_ns(g, len)` — the
-    /// group root is the critical path. Used to predict per-rank virtual
-    /// clocks exactly (the planner's `NetCostModel`).
+    /// to. For a node-contiguous group the root (`index == 0`) carries the
+    /// critical path. Used to predict per-rank virtual clocks exactly (the
+    /// planner's `NetCostModel`).
     ///
     /// For hierarchical models this assumes the group's member ranks are
     /// node-contiguous starting on a node boundary (true for world groups),
@@ -381,108 +354,6 @@ impl NetModel {
         buckets
     }
 
-    /// Flat broadcast of `len` elements to `g` members: the root serializes
-    /// `g − 1` sends.
-    pub fn bcast_ns(&self, g: usize, len: usize) -> u64 {
-        if g <= 1 {
-            return 0;
-        }
-        (g as u64 - 1) * self.msg_elems_ns(len)
-    }
-
-    /// Gather at the root; `nonroot_lens` are the element counts contributed
-    /// by the non-root members. The root pays one receive per member.
-    pub fn gather_ns(&self, nonroot_lens: &[usize]) -> u64 {
-        nonroot_lens.iter().map(|&l| self.msg_elems_ns(l)).sum()
-    }
-
-    /// Direct-exchange all-gather of `len` elements over `g` members: every
-    /// rank sends and receives `g − 1` messages.
-    pub fn allgather_ns(&self, g: usize, len: usize) -> u64 {
-        if g <= 1 {
-            return 0;
-        }
-        2 * (g as u64 - 1) * self.msg_elems_ns(len)
-    }
-
-    /// Personalized all-to-all with payload matrix `lens[src][dst]`
-    /// (elements; empty chunks still cost a header message of α). Returns
-    /// the critical path: `max_i Σ_{j≠i} (msg(lens[i][j]) + msg(lens[j][i]))`.
-    pub fn alltoallv_ns(&self, lens: &[Vec<usize>]) -> u64 {
-        let g = lens.len();
-        (0..g)
-            .map(|i| {
-                (0..g)
-                    .filter(|&j| j != i)
-                    .map(|j| self.msg_elems_ns(lens[i][j]) + self.msg_elems_ns(lens[j][i]))
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Reduce-scatter over a mode group (the distributed TTM of §4.1):
-    /// member `i` ships every chunk but its own and receives `q − 1` copies
-    /// of its own chunk. `chunk_lens` are the per-member chunk element
-    /// counts. Returns the critical path over the members.
-    pub fn reduce_scatter_ns(&self, chunk_lens: &[usize]) -> u64 {
-        let q = chunk_lens.len();
-        (0..q)
-            .map(|i| {
-                let sends: u64 = (0..q)
-                    .filter(|&j| j != i)
-                    .map(|j| self.msg_elems_ns(chunk_lens[j]))
-                    .sum();
-                sends + (q as u64 - 1) * self.msg_elems_ns(chunk_lens[i])
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    // ------------------------------------------- member-aware per-rank forms
-    //
-    // The collectives other than allreduce keep their direct-exchange
-    // algorithms under a hierarchical model — only the link class of each
-    // individual message changes. These forms take the concrete member rank
-    // ids so each peer pair resolves to its own link class; under a flat
-    // model they collapse to the closed forms above.
-
-    /// Per-member charge of the flat broadcast from `members[0]`.
-    pub fn bcast_members_rank_ns(&self, members: &[usize], index: usize, len: usize) -> u64 {
-        let g = members.len();
-        if g <= 1 {
-            return 0;
-        }
-        debug_assert!(index < g);
-        if index == 0 {
-            (1..g)
-                .map(|j| self.msg_elems_ns_between(members[0], members[j], len))
-                .sum()
-        } else {
-            self.msg_elems_ns_between(members[0], members[index], len)
-        }
-    }
-
-    /// Per-member charge of the gather at `members[0]`; `nonroot_lens[j-1]`
-    /// is the element count contributed by member `j`.
-    pub fn gather_members_rank_ns(
-        &self,
-        members: &[usize],
-        index: usize,
-        nonroot_lens: &[usize],
-    ) -> u64 {
-        let g = members.len();
-        debug_assert_eq!(nonroot_lens.len() + 1, g);
-        debug_assert!(index < g);
-        if index == 0 {
-            (1..g)
-                .map(|j| self.msg_elems_ns_between(members[j], members[0], nonroot_lens[j - 1]))
-                .sum()
-        } else {
-            self.msg_elems_ns_between(members[index], members[0], nonroot_lens[index - 1])
-        }
-    }
-
     /// Per-member charge of the direct-exchange all-gather of `len` elements.
     pub fn allgather_members_rank_ns(&self, members: &[usize], index: usize, len: usize) -> u64 {
         let g = members.len();
@@ -490,47 +361,6 @@ impl NetModel {
         (0..g)
             .filter(|&j| j != index)
             .map(|j| 2 * self.msg_elems_ns_between(members[index], members[j], len))
-            .sum()
-    }
-
-    /// Per-member charge of the personalized all-to-all with payload matrix
-    /// `lens[src][dst]` (group indices; empty chunks still cost a header).
-    pub fn alltoallv_members_rank_ns(
-        &self,
-        members: &[usize],
-        index: usize,
-        lens: &[Vec<usize>],
-    ) -> u64 {
-        let g = members.len();
-        debug_assert_eq!(lens.len(), g);
-        debug_assert!(index < g);
-        (0..g)
-            .filter(|&j| j != index)
-            .map(|j| {
-                self.msg_elems_ns_between(members[index], members[j], lens[index][j])
-                    + self.msg_elems_ns_between(members[j], members[index], lens[j][index])
-            })
-            .sum()
-    }
-
-    /// Per-member charge of the mode-group reduce-scatter (distributed TTM):
-    /// member `i` ships every chunk but its own and receives `q − 1` copies
-    /// of its own chunk, each message priced on its endpoint pair's link.
-    pub fn reduce_scatter_members_rank_ns(
-        &self,
-        members: &[usize],
-        index: usize,
-        chunk_lens: &[usize],
-    ) -> u64 {
-        let q = members.len();
-        debug_assert_eq!(chunk_lens.len(), q);
-        debug_assert!(index < q);
-        (0..q)
-            .filter(|&j| j != index)
-            .map(|j| {
-                self.msg_elems_ns_between(members[index], members[j], chunk_lens[j])
-                    + self.msg_elems_ns_between(members[j], members[index], chunk_lens[index])
-            })
             .sum()
     }
 
@@ -569,17 +399,17 @@ mod tests {
         // 1.8 GB/s → ~0.556 ns/byte.
         assert!((m.beta_ns_per_byte() - 0.5555).abs() < 1e-3);
         // An 8 MB message is bandwidth-dominated: ≈ 4.66 ms.
-        let t = m.msg(8 << 20);
+        let t = Duration::from_nanos(m.msg_ns(8 << 20));
         assert!(t > Duration::from_millis(4) && t < Duration::from_millis(5));
     }
 
     #[test]
     fn closed_forms_degenerate_to_zero_for_singletons() {
         let m = NetModel::bgq();
-        assert_eq!(m.allreduce_ns(1, 100), 0);
-        assert_eq!(m.bcast_ns(1, 100), 0);
-        assert_eq!(m.allgather_ns(1, 100), 0);
-        assert_eq!(m.reduce_scatter_ns(&[7]), 0);
+        assert_eq!(m.allreduce_rank_ns(1, 0, 100), 0);
+        assert_eq!(m.allreduce_members_rank_ns(&[3], 0, 100), 0);
+        assert_eq!(m.allgather_members_rank_ns(&[3], 0, 100), 0);
+        assert_eq!(m.barrier_ns(1), 0);
     }
 
     #[test]
@@ -596,7 +426,6 @@ mod tests {
         let m = NetModel::bgq();
         for g in [2usize, 3, 5, 8, 9, 16, 23, 64] {
             let root = m.allreduce_rank_ns(g, 0, 17);
-            assert_eq!(root, m.allreduce_ns(g, 17), "g={g}");
             for i in 1..g {
                 assert!(m.allreduce_rank_ns(g, i, 17) <= root, "g={g} i={i}");
             }
@@ -649,7 +478,6 @@ mod tests {
         let m = NetModel::cluster();
         for g in [2usize, 16, 17, 48, 64, 100, 256] {
             let root = m.allreduce_rank_ns(g, 0, 17);
-            assert_eq!(root, m.allreduce_ns(g, 17), "g={g}");
             for i in 1..g {
                 assert!(m.allreduce_rank_ns(g, i, 17) <= root, "g={g} i={i}");
             }
@@ -698,10 +526,14 @@ mod tests {
 
     #[test]
     fn tree_beats_flat_for_large_groups() {
+        // The root of a flat group pays 2(g−1) messages, the root of a tree
+        // 2⌈log₂ g⌉; the switch sits at the implementation's threshold.
         let m = NetModel::bgq();
-        assert!(m.allreduce_tree_ns(64, 100) < m.allreduce_flat_ns(64, 100));
-        // Dispatch matches the implementation threshold.
-        assert_eq!(m.allreduce_ns(4, 10), m.allreduce_flat_ns(4, 10));
-        assert_eq!(m.allreduce_ns(64, 10), m.allreduce_tree_ns(64, 10));
+        let msg = m.msg_elems_ns(10);
+        assert_eq!(m.allreduce_rank_ns(8, 0, 10), 2 * 7 * msg);
+        assert_eq!(m.allreduce_rank_ns(9, 0, 10), 2 * 4 * msg);
+        let tree = m.allreduce_rank_ns(64, 0, 100);
+        assert_eq!(tree, 2 * 6 * m.msg_elems_ns(100));
+        assert!(tree < 2 * 63 * m.msg_elems_ns(100));
     }
 }

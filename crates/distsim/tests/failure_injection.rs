@@ -2,7 +2,7 @@
 //! the original diagnostics when an SPMD program is malformed — silent
 //! corruption or deadlock would invalidate every experiment built on it.
 
-use tucker_distsim::collectives::{allreduce_sum_flat, Group};
+use tucker_distsim::collectives::{allreduce_sum, Group};
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe, VolumeCategory};
 use tucker_linalg::Matrix;
@@ -44,7 +44,7 @@ fn allreduce_length_mismatch_detected() {
         } else {
             vec![0.0; 5]
         };
-        allreduce_sum_flat(ctx, &g, &mut buf, 1, VolumeCategory::Other);
+        allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Other);
     });
 }
 
@@ -70,17 +70,6 @@ fn grid_universe_mismatch_detected() {
 }
 
 #[test]
-#[should_panic(expected = "one buffer per member")]
-fn alltoallv_wrong_buffer_count_detected() {
-    Universe::run(3, |ctx| {
-        let g = Group::world(ctx);
-        // Two buffers for a three-member group.
-        let send = vec![vec![1.0], vec![2.0]];
-        let _ = tucker_distsim::collectives::alltoallv(ctx, &g, send, 9, VolumeCategory::Other);
-    });
-}
-
-#[test]
 fn disjoint_subgroups_do_not_interfere() {
     // Two halves run independent collectives concurrently; traffic and
     // results must not leak across groups.
@@ -92,7 +81,7 @@ fn disjoint_subgroups_do_not_interfere() {
         };
         let g = Group::new(ctx, members);
         let mut buf = vec![ctx.rank() as f64];
-        allreduce_sum_flat(ctx, &g, &mut buf, 11, VolumeCategory::Other);
+        allreduce_sum(ctx, &g, &mut buf, 11, VolumeCategory::Other);
         buf[0]
     });
     assert_eq!(out.results, vec![3.0, 3.0, 3.0, 12.0, 12.0, 12.0]);
@@ -111,7 +100,7 @@ fn interleaved_p2p_and_collectives_stay_ordered() {
         let from_prev = ctx.recv((me + 2) % 3, 50, VolumeCategory::Other);
         let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum_flat(ctx, &g, &mut buf, 60, VolumeCategory::Other);
+        allreduce_sum(ctx, &g, &mut buf, 60, VolumeCategory::Other);
         (buf[0], from_prev[0])
     });
     for (r, &(sum, prev)) in out.results.iter().enumerate() {
@@ -179,7 +168,7 @@ fn mesh_quarantines_root_failure_and_labels_cascades() {
         }
         let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum_flat(ctx, &g, &mut buf, 3, VolumeCategory::Other);
+        allreduce_sum(ctx, &g, &mut buf, 3, VolumeCategory::Other);
         buf[0]
     });
     assert!(!out.all_ok());
@@ -211,7 +200,7 @@ fn mesh_into_results_reraises_root_payload() {
         }
         let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum_flat(ctx, &g, &mut buf, 3, VolumeCategory::Other);
+        allreduce_sum(ctx, &g, &mut buf, 3, VolumeCategory::Other);
         buf[0]
     });
     let _ = out.into_results();

@@ -9,10 +9,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tucker_distsim::collectives::{allreduce_sum_flat, allreduce_sum_tree, Group};
+use tucker_distsim::collectives::{allreduce_sum, Group};
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::redistribute::redistribute;
-use tucker_distsim::{enumerate_valid_grids, DistTensor, Grid, Universe, VolumeCategory};
+use tucker_distsim::{
+    enumerate_valid_grids, DistTensor, Grid, MeshCfg, NetModel, Universe, VolumeCategory,
+};
 use tucker_linalg::Matrix;
 use tucker_tensor::{DenseTensor, Shape};
 
@@ -60,30 +62,45 @@ proptest! {
         }
     }
 
-    /// Flat and tree allreduce agree elementwise for random group sizes and
-    /// payload lengths.
+    /// The single-link all-reduce (flat up to eight members, a tree above)
+    /// and the hierarchical three-phase one agree elementwise on every rank
+    /// and move the same `2(g − 1)·len` elements, for random group sizes,
+    /// node sizes and payload lengths.
     #[test]
-    fn allreduce_variants_agree(p in 1usize..=9, len in 1usize..=17, seed in 0u64..1000) {
-        let out = Universe::run(p, move |ctx| {
+    fn allreduce_variants_agree(
+        p in 1usize..=12,
+        node_size in 2usize..=5,
+        len in 1usize..=17,
+        seed in 0u64..1000,
+    ) {
+        let body = |ctx: &mut tucker_distsim::RankCtx| {
             let g = Group::world(ctx);
             let mut rng = StdRng::seed_from_u64(seed + ctx.rank() as u64);
             let dist = rand::distributions::Uniform::new(-1.0, 1.0);
             use rand::Rng;
-            let base: Vec<f64> = (0..len).map(|_| rng.sample(dist)).collect();
-            let mut a = base.clone();
-            let mut b = base;
-            allreduce_sum_flat(ctx, &g, &mut a, 1, VolumeCategory::Other);
-            allreduce_sum_tree(ctx, &g, &mut b, 3, VolumeCategory::Other);
-            (a, b)
-        });
-        // All ranks agree with each other and across algorithms.
-        let reference = out.results[0].0.clone();
-        for (a, b) in &out.results {
-            for i in 0..a.len() {
+            let mut buf: Vec<f64> = (0..len).map(|_| rng.sample(dist)).collect();
+            allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Other);
+            buf
+        };
+        let single = Universe::run(p, body);
+        let net = NetModel::hierarchical(
+            std::time::Duration::from_nanos(300),
+            8.0e9,
+            std::time::Duration::from_nanos(4_000),
+            1.0e9,
+            node_size,
+        );
+        let hier = Universe::run_mesh(p, &MeshCfg::virtual_time(net), body).into_results();
+        let reference = &single.results[0];
+        for (a, b) in single.results.iter().zip(&hier.results) {
+            for i in 0..len {
                 prop_assert!((a[i] - reference[i]).abs() < 1e-12);
                 prop_assert!((b[i] - reference[i]).abs() < 1e-12);
             }
         }
+        let moved = (2 * (p - 1) * len * 8) as u64;
+        prop_assert_eq!(single.volume.bytes(VolumeCategory::Other), moved);
+        prop_assert_eq!(hier.volume.bytes(VolumeCategory::Other), moved);
     }
 
     /// Conservation (paper §4.1): the ledger's TTM reduce-scatter volume of
