@@ -2,8 +2,9 @@
 //!
 //! Two layers:
 //!
-//! * [`RecoveryLog`] — the thread-safe in-flight recorder the engine shares
-//!   with every rank's [`SweepObserver`](crate::executor::SweepObserver).
+//! * `RecoveryLog` — the crate-private, thread-safe in-flight recorder the
+//!   engine shares with every rank's
+//!   [`SweepObserver`](crate::executor::SweepObserver).
 //!   Leaf factors are recorded first-write-wins (they are replicated: the
 //!   Gram is all-reduced and the EVD truncation deterministic, so every
 //!   rank computes the bit-identical matrix); a sweep **commits** once all
@@ -12,7 +13,7 @@
 //!   log therefore holds exactly the resumable state: every committed
 //!   sweep, plus the leaves the interrupted sweep already finished.
 //! * [`SweepCheckpoint`] — the durable snapshot of a log
-//!   ([`RecoveryLog::checkpoint`]): factors, stats and tree position, with
+//!   (`RecoveryLog::checkpoint`): factors, stats and tree position, with
 //!   a text serialization (`tucker-checkpoint/v1`) whose floats round-trip
 //!   exactly (hex `f64::to_bits`), so a restart resumes the identical run.
 //!
@@ -67,7 +68,7 @@ struct LogInner {
 
 /// Thread-safe recorder of sweep progress across the ranks of an epoch.
 /// See the module docs for the commit rule.
-pub struct RecoveryLog {
+pub(crate) struct RecoveryLog {
     inner: Mutex<LogInner>,
 }
 
@@ -123,11 +124,6 @@ impl RecoveryLog {
         if g.init_factors.is_none() {
             g.init_factors = Some(factors.to_vec());
         }
-    }
-
-    /// The recorded initialization factors, if any rank got that far.
-    pub fn init_factors(&self) -> Option<Vec<Matrix>> {
-        self.lock().init_factors.clone()
     }
 
     /// Observer hook: mode `n`'s leaf of `sweep` finished with `factor`.
@@ -802,10 +798,10 @@ mod tests {
         );
         log.record_init(&[mat(1, 4, 2), mat(2, 4, 2)]);
         log.record_init(&[mat(9, 4, 2), mat(9, 4, 2)]); // loses: first wins
-        assert_eq!(
-            log.init_factors().unwrap()[0].max_abs_diff(&mat(1, 4, 2)),
-            0.0
-        );
+        let init = log
+            .checkpoint(&TuckerMeta::new([4, 4], [2, 2]), 1)
+            .init_factors;
+        assert_eq!(init.unwrap()[0].max_abs_diff(&mat(1, 4, 2)), 0.0);
 
         let fs = [mat(3, 4, 2), mat(4, 4, 2)];
         let stats = SweepStats {

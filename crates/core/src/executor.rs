@@ -350,7 +350,7 @@ pub fn hooi_sweep<B: SweepBackend>(
 /// Panics if a non-empty `predone` mismatches the mode count, or the tree
 /// or factor arity is invalid.
 #[allow(clippy::too_many_arguments)]
-pub fn hooi_sweep_resumed<B: SweepBackend, O: SweepObserver>(
+fn hooi_sweep_resumed<B: SweepBackend, O: SweepObserver>(
     b: &mut B,
     root: &B::Tensor,
     meta: &TuckerMeta,

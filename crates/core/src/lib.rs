@@ -32,9 +32,10 @@
 //!   ranks scheduled as resumable fibers over a bounded worker pool, and
 //!   survives rank failures via quarantine → survivor re-plan → resume
 //!   (DESIGN.md §9);
-//! * [`checkpoint`] — the sweep-granular [`checkpoint::RecoveryLog`] and
-//!   the durable [`checkpoint::SweepCheckpoint`] (bit-exact text format)
-//!   behind that recovery path, also usable to restart long HOOI runs;
+//! * [`checkpoint`] — the durable [`checkpoint::SweepCheckpoint`]
+//!   (bit-exact text format) behind that recovery path, recorded by the
+//!   engine's crate-private sweep log, also usable to restart long HOOI
+//!   runs;
 //! * [`serve`] — the in-process decomposition **server**: a bounded job
 //!   queue with admission control, same-shape batching through the sweep
 //!   executor, and an exact [`plan::cache::PlanCache`] over the joint DP.
@@ -68,7 +69,7 @@ pub mod plan;
 pub mod serve;
 pub mod sthosvd;
 
-pub use checkpoint::{RecoveryLog, SweepCheckpoint};
+pub use checkpoint::SweepCheckpoint;
 pub use decomposition::TuckerDecomposition;
 pub use engine::{
     run_distributed_hooi_mesh, run_distributed_hooi_mesh_from, CheckpointCfg, EngineConfig,

@@ -43,7 +43,6 @@ use cost::tree_flops;
 use grid::{optimal_dynamic_grids, optimal_static_grid, DynGridObjective, DynGridScheme};
 use order::{core_chain_order, ModeOrdering};
 use tree::{balanced_tree, chain_tree, greedy_reuse_tree, optimal_tree, NodeLabel, TtmTree};
-use tucker_distsim::Grid;
 
 /// Which TTM-tree to build.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,12 +90,8 @@ impl TreeStrategy {
 pub enum GridStrategy {
     /// One grid for the whole tree, chosen by exhaustive search (§4.2).
     StaticOptimal,
-    /// One fixed grid for the whole tree (no search).
-    StaticFixed(Grid),
     /// The optimal dynamic scheme from the §4.4 DP.
     Dynamic,
-    /// Dynamic with the paper-literal regrid-target objective (ablation).
-    DynamicChildrenOnly,
 }
 
 impl GridStrategy {
@@ -104,9 +99,7 @@ impl GridStrategy {
     pub fn label(&self) -> &'static str {
         match self {
             GridStrategy::StaticOptimal => "static",
-            GridStrategy::StaticFixed(_) => "static-fixed",
             GridStrategy::Dynamic => "dynamic",
-            GridStrategy::DynamicChildrenOnly => "dynamic-lit",
         }
     }
 }
@@ -275,24 +268,9 @@ impl Planner {
                 let choice = optimal_static_grid(&tree, &self.meta, self.nranks);
                 DynGridScheme::static_scheme(&tree, &self.meta, choice.grid)
             }
-            GridStrategy::StaticFixed(g) => {
-                assert_eq!(g.nranks(), self.nranks, "fixed grid has wrong rank count");
-                assert!(
-                    g.is_valid_for(self.meta.core().dims()),
-                    "fixed grid {g} invalid for core {}",
-                    self.meta.core()
-                );
-                DynGridScheme::static_scheme(&tree, &self.meta, g.clone())
-            }
             GridStrategy::Dynamic => {
                 optimal_dynamic_grids(&tree, &self.meta, self.nranks, DynGridObjective::Exact)
             }
-            GridStrategy::DynamicChildrenOnly => optimal_dynamic_grids(
-                &tree,
-                &self.meta,
-                self.nranks,
-                DynGridObjective::ChildrenOnly,
-            ),
         };
         let volume = grids.volume;
         Plan {
@@ -459,17 +437,6 @@ mod tests {
         for g in &plan.grids.node_grids {
             assert_eq!(g, &plan.grids.initial);
         }
-    }
-
-    #[test]
-    fn fixed_grid_respected() {
-        let p = planner();
-        let g = Grid::new([2, 4, 2, 1]);
-        let plan = p.plan(
-            TreeStrategy::chain_k(),
-            GridStrategy::StaticFixed(g.clone()),
-        );
-        assert_eq!(plan.grids.initial, g);
     }
 
     #[test]
