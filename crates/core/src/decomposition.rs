@@ -83,13 +83,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tucker_linalg::orthonormal_columns;
+    use tucker_linalg::{leading_from_gram, syrk};
     use tucker_tensor::Shape;
 
     fn random_orthonormal(l: usize, k: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let dist = rand::distributions::Uniform::new(-1.0, 1.0);
-        orthonormal_columns(&Matrix::random(l, k, &dist, &mut rng))
+        leading_from_gram(&syrk(&Matrix::random(l, k, &dist, &mut rng)), k).u
     }
 
     fn random_decomp(ls: &[usize], ks: &[usize], seed: u64) -> TuckerDecomposition {

@@ -988,12 +988,8 @@ mod tests {
         let core = DenseTensor::random(meta.core().clone(), &dist, &mut rng);
         let factors: Vec<Matrix> = (0..3)
             .map(|n| {
-                tucker_linalg::orthonormal_columns(&Matrix::random(
-                    meta.l(n),
-                    meta.k(n),
-                    &dist,
-                    &mut rng,
-                ))
+                let g = Matrix::random(meta.l(n), meta.k(n), &dist, &mut rng);
+                tucker_linalg::leading_from_gram(&tucker_linalg::syrk(&g), meta.k(n)).u
             })
             .collect();
         let t = crate::TuckerDecomposition::new(core, factors).reconstruct();

@@ -165,7 +165,10 @@ pub trait CostModel {
     /// model charges rank 0's exact share of the all-to-all (the message
     /// pattern — and therefore the α term — depends heavily on how the two
     /// grids overlap). Must be non-negative: the search skips regrid targets
-    /// whose continuation alone cannot beat the running optimum.
+    /// whose continuation alone cannot beat the running optimum. Must be
+    /// symmetric, `regrid_cost(p, a, b) == regrid_cost(p, b, a)` bit for bit:
+    /// the search prices each unordered grid pair once and stores the price
+    /// for both directions.
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64;
 
     /// Price of the leaf for mode `n`: the distributed Gram of `T[premult]`
@@ -507,7 +510,19 @@ impl NetCostModel {
     /// `rank`'s charge for the messages between its block under `mine` and
     /// the overlapping blocks under `theirs` (the overlap volumes are
     /// symmetric, so the send and receive phases are the same enumeration
-    /// with the grids swapped).
+    /// with the grids swapped). Flat models price the messages grouped by
+    /// volume ([`NetCostModel::regrid_direction_grouped_ns`]); hierarchical
+    /// ones walk them, because there the link class depends on the peer.
+    fn regrid_direction_ns(&self, shape: &[usize], mine: &Grid, theirs: &Grid, rank: usize) -> u64 {
+        if self.net.is_hierarchical() {
+            self.regrid_direction_walk_ns(shape, mine, theirs, rank)
+        } else {
+            self.regrid_direction_grouped_ns(shape, mine, theirs, rank)
+        }
+    }
+
+    /// [`NetCostModel::regrid_direction_ns`] message by message, each priced
+    /// on its `(rank, peer)` link.
     ///
     /// The overlapping blocks form a box of `theirs` coordinates (per mode,
     /// the interval of chunks covering my extent); an odometer walks it,
@@ -515,7 +530,13 @@ impl NetCostModel {
     /// carry the overlap volume and rank offset contributed by modes `≥ m`,
     /// so a step that carries into mode `m` recomputes only the entries
     /// `≤ m` — amortized one chunk lookup per message.
-    fn regrid_direction_ns(&self, shape: &[usize], mine: &Grid, theirs: &Grid, rank: usize) -> u64 {
+    fn regrid_direction_walk_ns(
+        &self,
+        shape: &[usize],
+        mine: &Grid,
+        theirs: &Grid,
+        rank: usize,
+    ) -> u64 {
         let order = shape.len();
         let mut my_coord = [0usize; MAX_ORDER];
         mine.coord_into(rank, &mut my_coord[..order]);
@@ -560,6 +581,68 @@ impl NetCostModel {
             }
             stale = m + 1;
         }
+    }
+
+    /// [`NetCostModel::regrid_direction_ns`] under a flat model, where a
+    /// message's price depends only on its element count. A message's
+    /// volume is the product of its per-mode overlaps, and along one mode
+    /// the covering chunks overlap my extent in at most four distinct
+    /// lengths: a partial first chunk, the `⌈L/q⌉` and `⌊L/q⌋` full chunks
+    /// and a partial last chunk. So the box sums as `count · price(volume)`
+    /// over the product of the per-mode `(overlap, count)` lists, less the
+    /// free self-message when my own `theirs` coordinate lies in the box:
+    /// `Σ_m cover_m` chunk lookups instead of `Π_m cover_m`, and the same
+    /// integer nanoseconds as the walk.
+    fn regrid_direction_grouped_ns(
+        &self,
+        shape: &[usize],
+        mine: &Grid,
+        theirs: &Grid,
+        rank: usize,
+    ) -> u64 {
+        let order = shape.len();
+        let (mut my_coord, mut self_coord) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
+        mine.coord_into(rank, &mut my_coord[..order]);
+        theirs.coord_into(rank, &mut self_coord[..order]);
+        // Per mode, the distinct `(overlap, count)` pairs; a zero count
+        // marks an unused slot.
+        let mut groups = [[(0usize, 0u64); 4]; MAX_ORDER];
+        // The self-message's volume; `None` once a mode's cover misses my
+        // own `theirs` coordinate.
+        let mut self_vol = Some(1usize);
+        for m in 0..order {
+            let (start, len) = chunk(shape[m], mine.dim(m), my_coord[m]);
+            let (lo, hi) = chunk_cover(shape[m], theirs.dim(m), start, len);
+            let mut self_overlap = None;
+            for c in lo..hi {
+                let (ts, tl) = chunk(shape[m], theirs.dim(m), c);
+                let overlap = (start + len).min(ts + tl) - start.max(ts);
+                if c == self_coord[m] {
+                    self_overlap = Some(overlap);
+                }
+                let slot = groups[m]
+                    .iter_mut()
+                    .find(|slot| slot.1 == 0 || slot.0 == overlap)
+                    .expect("at most four distinct overlaps per mode");
+                *slot = (overlap, slot.1 + 1);
+            }
+            self_vol = self_vol.zip(self_overlap).map(|(v, o)| v * o);
+        }
+        self.grouped_ns(&groups[..order], 1, 1) - self_vol.map_or(0, |v| self.net.msg_elems_ns(v))
+    }
+
+    /// `Σ count · price(volume)` over one `(overlap, count)` pick per mode
+    /// of `groups`, each pick's volume and count multiplied onto `vol` and
+    /// `count`.
+    fn grouped_ns(&self, groups: &[[(usize, u64); 4]], vol: usize, count: u64) -> u64 {
+        let Some((first, rest)) = groups.split_first() else {
+            return count * self.net.msg_elems_ns(vol);
+        };
+        first
+            .iter()
+            .take_while(|&&(_, c)| c > 0)
+            .map(|&(o, c)| self.grouped_ns(rest, vol * o, count * c))
+            .sum()
     }
 
     /// Exact replay of one HOOI sweep's communication under this model:
@@ -697,14 +780,15 @@ impl CostModel for NetCostModel {
     /// and payloads from the real chunk geometry. At paper-scale α
     /// dominates regrids, and the message count — the number of
     /// overlapping blocks — depends on *both* grids, which is why this
-    /// price is source-aware (the search memoizes it per
-    /// `(premult, from, to)`).
+    /// price is source-aware. It is symmetric — every rank's charge sums
+    /// both directions of the exchange — so the search memoizes it per
+    /// premult mask and unordered grid pair.
     ///
     /// Flat models: rank 0's charge (front-loaded chunks make it maximal).
     /// Hierarchical models: the max over a bounded set of structurally
     /// distinct representative ranks (node leaders, node tails, the middle
     /// and the ends of the machine) — a full max over ranks would cost
-    /// `O(P · blocks)` per memoized `(premult, from, to)` triple, which the
+    /// `O(P · blocks)` per memoized `(premult, {from, to})` pair, which the
     /// joint DP cannot afford at paper-scale P, while rank 0 alone
     /// systematically *underprices* regrids whose node-crossing traffic
     /// lands elsewhere. The exact per-rank replay happens in
@@ -969,6 +1053,43 @@ mod tests {
                         prop_assert_eq!(
                             model.gram_exchange_rank_ns(&shape, n, &to, r),
                             reference::gram_exchange_rank_ns(&net, &shape, n, &to, r)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Grouped flat regrid pricing equals the message-by-message walk
+        /// bit for bit, in both directions and for every rank of the grid:
+        /// random shapes whose extents the grid counts rarely divide,
+        /// premult masks, and random pairs of the candidate grids.
+        #[test]
+        fn grouped_flat_regrid_price_matches_the_walk(
+            order in 2usize..=5,
+            ls in prop::collection::vec(5usize..=29, 5),
+            ks in prop::collection::vec(2usize..=9, 5),
+            premult in 0u32..32,
+            p in prop::sample::select(vec![4usize, 6, 8, 12, 16, 30, 36, 64]),
+            picks in (0usize..10_000, 0usize..10_000),
+        ) {
+            let ks: Vec<usize> = (0..order).map(|n| ks[n].min(ls[n])).collect();
+            let meta = TuckerMeta::new(ls[..order].to_vec(), ks);
+            // The set `candidate_grids` returns (it panics when empty).
+            let grids = tucker_distsim::enumerate_valid_grids(p, meta.core().dims());
+            prop_assume!(!grids.is_empty());
+            let (a, b) = (&grids[picks.0 % grids.len()], &grids[picks.1 % grids.len()]);
+            let shape = premult_shape(&meta, premult & ((1 << order) - 1));
+            for net in [NetModel::bgq(), NetModel::cluster().flattened()] {
+                let model = NetCostModel::new(net, p);
+                for r in 0..p {
+                    for (mine, theirs) in [(a, b), (b, a)] {
+                        prop_assert_eq!(
+                            model.regrid_direction_grouped_ns(&shape, mine, theirs, r),
+                            model.regrid_direction_walk_ns(&shape, mine, theirs, r)
                         );
                     }
                 }

@@ -22,7 +22,9 @@
 //! *continuation vector* (`ttm + solve` for every target grid) and memoize
 //! the source-dependent regrid prices in dense `|grids| × |grids|` tables,
 //! one per premult mask, allocated when a state with that mask first scans
-//! its regrid targets (at most `2^N − 1` tables of `8 · |grids|²` bytes). The grid × grid scan
+//! its regrid targets (at most `2^N − 1` tables of `8 · |grids|²` bytes).
+//! Regrid prices are symmetric in the two grids, so the tables are filled
+//! symmetrically: each unordered grid pair is priced once. The grid × grid scan
 //! skips — without pricing it — every target whose continuation alone
 //! already reaches the state's running optimum: regrid prices are
 //! non-negative and the optimum only moves on a strict improvement, so the
@@ -197,6 +199,8 @@ struct JointDp<'a> {
     tails: Vec<Option<Vec<f64>>>,
     /// Memoized source-dependent regrid prices: per premult mask a dense
     /// row-major `ng × ng` table `[from · ng + to]`, NaN = not priced yet.
+    /// The table is symmetric ([`CostModel::regrid_cost`]'s contract): one
+    /// pricing fills `[from · ng + to]` and `[to · ng + from]`.
     /// A table is allocated when a state with its mask first scans regrid
     /// targets, so the footprint is `8 · ng²` bytes per mask that actually
     /// reuses a mode (at most `2^N − 1` of them), never `2^N · ng²` up front.
@@ -281,7 +285,6 @@ impl<'a> JointDp<'a> {
             let mut prices = self.regrid_prices[p as usize]
                 .take()
                 .unwrap_or_else(|| vec![f64::NAN; ng * ng].into_boxed_slice());
-            let row = &mut prices[gi * ng..(gi + 1) * ng];
             if tail[gi] < best {
                 best = tail[gi];
                 best_choice = JChoice::Reuse {
@@ -296,11 +299,16 @@ impl<'a> JointDp<'a> {
                 if tgt == gi || tail[tgt] >= best {
                     continue;
                 }
-                if row[tgt].is_nan() {
-                    row[tgt] = model.regrid_cost(meta, p, &grids[gi], &grids[tgt]);
-                    debug_assert!(row[tgt] >= 0.0, "regrid prices must be non-negative");
+                let mut price = prices[gi * ng + tgt];
+                if price.is_nan() {
+                    // Regrid prices are symmetric in the two grids: one
+                    // pricing fills the pair's entry in both directions.
+                    price = model.regrid_cost(meta, p, &grids[gi], &grids[tgt]);
+                    debug_assert!(price >= 0.0, "regrid prices must be non-negative");
+                    prices[gi * ng + tgt] = price;
+                    prices[tgt * ng + gi] = price;
                 }
-                let re = row[tgt] + tail[tgt];
+                let re = price + tail[tgt];
                 if re < best {
                     best = re;
                     best_choice = JChoice::Reuse {
@@ -750,6 +758,74 @@ mod tests {
                 "p={p}: topo {} vs flat-plan-under-hier {flat_under_hier}",
                 topo.best().cost
             );
+        }
+    }
+
+    /// Forwards the prices and grid hooks the DP's states use to `inner`,
+    /// and records each regrid pricing as `(premult, from, to)`.
+    struct CountingModel<'a> {
+        inner: &'a dyn CostModel,
+        priced: std::cell::RefCell<Vec<(u32, Grid, Grid)>>,
+    }
+
+    impl CostModel for CountingModel<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn ttm_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
+            self.inner.ttm_cost(meta, premult, n, g)
+        }
+        fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64 {
+            self.priced
+                .borrow_mut()
+                .push((premult, from.clone(), to.clone()));
+            self.inner.regrid_cost(meta, premult, from, to)
+        }
+        fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
+            self.inner.leaf_cost(meta, premult, n, g)
+        }
+        fn grid_symmetry_invariant(&self) -> bool {
+            self.inner.grid_symmetry_invariant()
+        }
+        fn augment_grids(&self, meta: &TuckerMeta, grids: &mut Vec<Grid>) {
+            self.inner.augment_grids(meta, grids)
+        }
+    }
+
+    #[test]
+    fn the_dp_prices_each_unordered_grid_pair_once() {
+        // The search proper — every root state `run` solves, before the
+        // winner is reconstructed and re-scored by `sweep_cost` — never
+        // prices a `(mask, {a, b})` pair twice, in either direction.
+        let meta = meta();
+        let p = 16;
+        let bgq = NetCostModel::new(NetModel::bgq(), p);
+        let cluster = NetCostModel::new(NetModel::cluster(), p);
+        let models: [&dyn CostModel; 3] = [&FlopVolumeModel, &bgq, &cluster];
+        for inner in models {
+            let model = CountingModel {
+                inner,
+                priced: Default::default(),
+            };
+            let mut grids = candidate_grids(&meta, p);
+            model.augment_grids(&meta, &mut grids);
+            let mut dp = JointDp::new(&meta, &model, &grids);
+            for gi in dp.orbit_representatives() {
+                dp.solve(0, dp.full, gi);
+            }
+            let priced = model.priced.into_inner();
+            assert!(!priced.is_empty(), "{}: no regrid was priced", inner.name());
+            let mut seen = std::collections::HashSet::new();
+            for (mask, from, to) in priced {
+                let mirror = (mask, to.clone(), from.clone());
+                assert!(
+                    !seen.contains(&mirror) && seen.insert((mask, from, to)),
+                    "{}: priced mask {mask:b}, {{{:?}, {:?}}} twice",
+                    inner.name(),
+                    mirror.1,
+                    mirror.2
+                );
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 use crate::decomposition::TuckerDecomposition;
 use crate::executor::{self, SeqBackend};
 use crate::meta::TuckerMeta;
-use tucker_linalg::{leading_from_gram, Matrix};
+use tucker_linalg::{leading_from_gram, syrk, Matrix};
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, TtmWorkspace};
 
@@ -55,8 +55,9 @@ pub fn hosvd_init_factors(t: &DenseTensor, meta: &TuckerMeta) -> Vec<Matrix> {
         .collect()
 }
 
-/// Random orthonormal initialization: factors are Q-factors of Gaussian
-/// matrices, core is the corresponding projection of `t`. A deliberately
+/// Random orthonormal initialization: factors are the leading left singular
+/// vectors of uniform random matrices (Gram + EVD, the route every factor
+/// update takes), core is the corresponding projection of `t`. A deliberately
 /// weak starting point for studying HOOI's error reduction.
 pub fn random_init<R: rand::Rng>(
     t: &DenseTensor,
@@ -68,7 +69,7 @@ pub fn random_init<R: rand::Rng>(
     let factors: Vec<Matrix> = (0..meta.order())
         .map(|n| {
             let g = Matrix::random(meta.l(n), meta.k(n), &dist, rng);
-            tucker_linalg::orthonormal_columns(&g)
+            leading_from_gram(&syrk(&g), meta.k(n)).u
         })
         .collect();
     let factors_t: Vec<Matrix> = factors.iter().map(Matrix::transpose).collect();
@@ -98,7 +99,7 @@ mod tests {
         let core = DenseTensor::random(Shape::new(ks.to_vec()), &dist, &mut rng);
         let mut cur = core;
         for (n, (&l, &k)) in dims.iter().zip(ks).enumerate() {
-            let f = tucker_linalg::orthonormal_columns(&Matrix::random(l, k, &dist, &mut rng));
+            let f = leading_from_gram(&syrk(&Matrix::random(l, k, &dist, &mut rng)), k).u;
             let _ = n;
             cur = ttm(&cur, cur.order() - dims.len() + n, &f); // mode n
         }

@@ -167,4 +167,37 @@ proptest! {
             }
         }
     }
+
+    /// Regrid prices are symmetric in the two grids, bit for bit, under
+    /// every model in the repo (the joint DP prices each unordered grid pair
+    /// once and stores the price both ways): the flop + volume model, the
+    /// flat BG/Q α–β model, and the hierarchical cluster model over the
+    /// candidate grids plus its node-aligned variants.
+    #[test]
+    fn regrid_prices_are_symmetric(
+        order in 3usize..=5,
+        meta in meta_strategy(5),
+        p in prop::sample::select(vec![16usize, 64, 256]),
+        premult in 0u32..32,
+        picks in prop::collection::vec((0usize..10_000, 0usize..10_000), 8),
+    ) {
+        let meta = TuckerMeta::new(&meta.input().dims()[..order], &meta.core().dims()[..order]);
+        prop_assume!((p as f64) <= meta.core_cardinality());
+        let premult = premult & ((1 << meta.order()) - 1);
+        let bgq = NetCostModel::new(NetModel::bgq(), p);
+        let cluster = NetCostModel::new(NetModel::cluster(), p);
+        let models: [&dyn CostModel; 3] = [&FlopVolumeModel, &bgq, &cluster];
+        for model in models {
+            let mut grids = candidate_grids(&meta, p);
+            model.augment_grids(&meta, &mut grids);
+            for &(i, j) in &picks {
+                let (a, b) = (&grids[i % grids.len()], &grids[j % grids.len()]);
+                prop_assert_eq!(
+                    model.regrid_cost(&meta, premult, a, b).to_bits(),
+                    model.regrid_cost(&meta, premult, b, a).to_bits(),
+                    "{} prices {:?} -> {:?} differently from its mirror", model.name(), a, b
+                );
+            }
+        }
+    }
 }

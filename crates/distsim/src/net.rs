@@ -28,6 +28,7 @@
 //! All costs are kept in integer nanoseconds: each message's cost is rounded
 //! once, so closed forms reproduce the accumulated sums bit-exactly.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Per-link latency/bandwidth model. See the module docs for the cost rule.
@@ -243,8 +244,9 @@ impl NetModel {
         }
     }
 
-    /// Cost of an inter-node (or flat) message of `len` f64 elements.
-    fn msg_elems_ns(&self, len: usize) -> u64 {
+    /// Cost of an inter-node (or flat) message of `len` f64 elements: under
+    /// a flat model, the price of every message between distinct ranks.
+    pub fn msg_elems_ns(&self, len: usize) -> u64 {
         self.msg_ns((len * 8) as u64)
     }
 
@@ -339,17 +341,14 @@ impl NetModel {
     /// node decomposition the hierarchical
     /// [`crate::collectives::allreduce_sum`] uses.
     pub fn node_buckets(&self, members: &[usize]) -> Vec<Vec<usize>> {
-        let mut nodes: Vec<usize> = Vec::new();
+        let mut bucket_of: HashMap<usize, usize> = HashMap::new();
         let mut buckets: Vec<Vec<usize>> = Vec::new();
         for (i, &r) in members.iter().enumerate() {
-            let nd = self.node_of(r);
-            match nodes.iter().position(|&x| x == nd) {
-                Some(p) => buckets[p].push(i),
-                None => {
-                    nodes.push(nd);
-                    buckets.push(vec![i]);
-                }
-            }
+            let b = *bucket_of.entry(self.node_of(r)).or_insert_with(|| {
+                buckets.push(Vec::new());
+                buckets.len() - 1
+            });
+            buckets[b].push(i);
         }
         buckets
     }

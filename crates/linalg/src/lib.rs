@@ -18,7 +18,6 @@
 //! * [`syrk`] — symmetric rank-k update `C = A·Aᵀ` exploiting symmetry, with
 //!   accumulating (`β`-aware) and raw-slice `AᵀA` entry points backing the
 //!   fused Gram kernel in `tucker-tensor`,
-//! * [`qr`] — Householder QR factorization (orthonormalization),
 //! * [`evd`] — symmetric eigendecomposition: [`sym_evd_leading`], the
 //!   selected-eigenpair solver in the shape of `dsyevx` (tridiagonalization
 //!   without forming `Q`, QL for the eigenvalues, inverse iteration and
@@ -37,7 +36,6 @@ pub mod gemm;
 pub mod matrix;
 pub mod pack;
 pub mod pool;
-pub mod qr;
 pub mod svd;
 pub mod syrk;
 
@@ -48,7 +46,6 @@ pub use pack::{
     bytes_packed, kernel_isa, kernel_mode, set_kernel_mode, KernelMode, PackBuf, PackPair,
 };
 pub use pool::Pool;
-pub use qr::{householder_qr, orthonormal_columns};
 pub use svd::{leading_from_gram, GramSvd};
 pub use syrk::{
     mirror_lower, syrk, syrk_aat_lower, syrk_ata_lower, syrk_into, unrolled_dot,

@@ -4,6 +4,8 @@
 //! spectrum (`k = L`).
 //!
 //! The inputs are Grams `B·Bᵀ` of tall and wide matrices `B = Q·diag(σ)·Wᵀ`
+//! (`Q`, `W` orthonormalized by the Householder QR `householder_qr`, also
+//! defined here, so no input passes through the solver under test)
 //! with a prescribed singular spectrum — geometric (well separated), flat
 //! (one exact cluster, plus an exact null cluster when `B` is tall) and
 //! two-level (two clusters six orders apart) — because clustered spectra are
@@ -16,7 +18,68 @@
 //! streams or bound the case count.
 
 use proptest::prelude::*;
-use tucker_linalg::{gemm, orthonormal_columns, sym_evd_leading, syrk, Matrix, SymEvd, Transpose};
+use tucker_linalg::{gemm, sym_evd_leading, syrk, Matrix, SymEvd, Transpose};
+
+/// Householder QR of `a` (`m x n`): the thin orthonormal factor `Q`
+/// (`m x k`) and the upper-triangular `R` (`k x n`), `k = min(m, n)`.
+fn householder_qr(a: &Matrix) -> (Matrix, Matrix) {
+    let (m, n) = a.shape();
+    let k = m.min(n);
+    let mut r_full = a.clone();
+    // The Householder vectors; v[j] has length m - j (all zero: identity step).
+    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(k);
+    for j in 0..k {
+        let mut v: Vec<f64> = (j..m).map(|i| r_full[(i, j)]).collect();
+        let alpha = -v[0].signum() * v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if alpha == 0.0 {
+            vs.push(vec![0.0; m - j]);
+            continue;
+        }
+        v[0] -= alpha;
+        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+        if vnorm2 == 0.0 {
+            vs.push(vec![0.0; m - j]);
+            continue;
+        }
+        // Apply H = I - 2 v vᵀ / |v|² to the trailing submatrix.
+        for c in j..n {
+            let dot: f64 = (j..m).map(|i| v[i - j] * r_full[(i, c)]).sum();
+            let f = 2.0 * dot / vnorm2;
+            for i in j..m {
+                r_full[(i, c)] -= f * v[i - j];
+            }
+        }
+        vs.push(v);
+    }
+    let r = Matrix::from_fn(k, n, |i, j| if j >= i { r_full[(i, j)] } else { 0.0 });
+    // Q = H_0 H_1 ... H_{k-1} applied to the first k columns of I.
+    let mut q = Matrix::from_fn(m, k, |i, j| if i == j { 1.0 } else { 0.0 });
+    for (j, v) in vs.iter().enumerate().rev() {
+        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+        if vnorm2 == 0.0 {
+            continue;
+        }
+        for c in 0..k {
+            let dot: f64 = (j..m).map(|i| v[i - j] * q[(i, c)]).sum();
+            let f = 2.0 * dot / vnorm2;
+            for i in j..m {
+                q[(i, c)] -= f * v[i - j];
+            }
+        }
+    }
+    (q, r)
+}
+
+/// An `m x k` matrix with orthonormal columns spanning (and, for
+/// rank-deficient input, completing) the columns of `a`: its thin QR `Q`.
+///
+/// # Panics
+/// Panics if `k > m`.
+fn orthonormal_columns(a: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    assert!(k <= m, "need at least as many rows ({m}) as columns ({k})");
+    householder_qr(a).0
+}
 
 /// Cyclic Jacobi eigensolver: a robust `O(n³ · sweeps)` oracle sharing
 /// nothing with `sym_evd_leading` but the output convention — eigenvalues
@@ -433,4 +496,58 @@ fn nan_entry_panics_instead_of_looping() {
 #[should_panic(expected = "cannot take 5 eigenpairs")]
 fn k_beyond_the_order_panics() {
     sym_evd_leading(Matrix::identity(4), 5);
+}
+
+#[test]
+fn qr_reconstructs() {
+    for (m, n, seed) in [(6usize, 4usize, 1u64), (4, 4, 2), (10, 7, 3), (30, 5, 4)] {
+        let a = noise_mat(seed, m, n);
+        let (q, r) = householder_qr(&a);
+        assert!(
+            q.has_orthonormal_columns(1e-10),
+            "Q not orthonormal ({m}x{n})"
+        );
+        let qr = gemm(&q, Transpose::No, &r, Transpose::No, 1.0);
+        assert!(qr.max_abs_diff(&a) < 1e-10, "QR != A ({m}x{n})");
+    }
+}
+
+#[test]
+fn r_is_upper_triangular() {
+    let (_, r) = householder_qr(&noise_mat(9, 8, 6));
+    for j in 0..6 {
+        for i in (j + 1)..6 {
+            assert_eq!(r[(i, j)], 0.0);
+        }
+    }
+}
+
+#[test]
+fn orthonormalize_tall() {
+    let q = orthonormal_columns(&noise_mat(10, 50, 8));
+    assert_eq!(q.shape(), (50, 8));
+    assert!(q.has_orthonormal_columns(1e-10));
+}
+
+#[test]
+fn orthonormalize_rank_deficient() {
+    // Two identical columns: Q must still be orthonormal.
+    let mut a = noise_mat(11, 10, 3);
+    let c0: Vec<f64> = a.col(0).to_vec();
+    a.col_mut(1).copy_from_slice(&c0);
+    assert!(orthonormal_columns(&a).has_orthonormal_columns(1e-9));
+}
+
+#[test]
+fn identity_is_fixed_point() {
+    // For identity input the reflectors give Q = ±I; orthonormality is the
+    // contract.
+    let q = orthonormal_columns(&Matrix::identity(5));
+    assert!(q.has_orthonormal_columns(1e-12));
+}
+
+#[test]
+#[should_panic(expected = "at least as many rows")]
+fn wide_input_panics() {
+    let _ = orthonormal_columns(&Matrix::zeros(3, 5));
 }

@@ -113,8 +113,10 @@ proptest! {
         let n = seed as usize % t.order();
         let ln = t.shape().dim(n);
         let k = 1 + (seed as usize % ln);
-        // Orthonormal K x Ln: QR of random Ln x K, transposed.
-        let q = tucker_linalg::orthonormal_columns(&mat_from_seed(ln, k, seed + 3));
+        // Orthonormal K x Ln: the leading left singular vectors of a random
+        // Ln x K, transposed.
+        let m = mat_from_seed(ln, k, seed + 3);
+        let q = tucker_linalg::leading_from_gram(&tucker_linalg::syrk(&m), k).u;
         let a = q.transpose();
         let z = ttm(&t, n, &a);
         prop_assert!(fro_norm_sq(&z) <= fro_norm_sq(&t) * (1.0 + 1e-10));

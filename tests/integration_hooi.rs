@@ -8,7 +8,7 @@ use tucker_core::executor::{self, SeqBackend, SweepBackend};
 use tucker_core::meta::TuckerMeta;
 use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_tree, TtmTree};
 use tucker_core::sthosvd::{random_init, sthosvd};
-use tucker_linalg::{orthonormal_columns, Matrix};
+use tucker_linalg::{leading_from_gram, syrk, Matrix};
 use tucker_suite::fields::combustion_field;
 use tucker_tensor::norm::{fro_norm_sq, relative_error};
 use tucker_tensor::{DenseTensor, Shape};
@@ -106,7 +106,10 @@ fn exactly_low_rank_input_recovered_through_whole_pipeline() {
     let dist = rand::distributions::Uniform::new(-1.0, 1.0);
     let core = DenseTensor::random(meta.core().clone(), &dist, &mut rng);
     let factors: Vec<Matrix> = (0..3)
-        .map(|n| orthonormal_columns(&Matrix::random(meta.l(n), meta.k(n), &dist, &mut rng)))
+        .map(|n| {
+            let g = Matrix::random(meta.l(n), meta.k(n), &dist, &mut rng);
+            leading_from_gram(&syrk(&g), meta.k(n)).u
+        })
         .collect();
     let truth = TuckerDecomposition::new(core, factors);
     let t = truth.reconstruct();
