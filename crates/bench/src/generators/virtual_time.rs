@@ -95,9 +95,9 @@ type Replay = (Plan, MeshHooiOutput, f64);
 ///   relative, and the regrid volume must stay within the §4.3 `Σ |In(u)|`
 ///   bound;
 /// * **virtual time**: the planner's `NetCostModel::predict_sweep`
-///   communication wall (and its TTM/Gram splits) must match the
-///   engine-executed virtual clocks within 5% — the prediction-vs-execution
-///   invariant of DESIGN.md §6 (in practice the match is exact).
+///   communication wall and its TTM, regrid and Gram splits must equal the
+///   engine-executed virtual clocks to the nanosecond — the
+///   prediction-vs-execution invariant of DESIGN.md §6.
 ///
 /// # Panics
 /// Panics if a measured volume or virtual clock contradicts its model.
@@ -133,31 +133,17 @@ fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, mesh: &MeshC
                 plan.name()
             );
 
-            // Prediction vs execution: the planner's α–β forecast must
-            // match the virtual clocks the engine accumulated.
+            // Prediction vs execution: the planner's α–β forecast equals
+            // the virtual clocks the engine accumulated.
             let pred = plan.predict_net(&net_model);
-            let within = |predicted: Duration, executed: Duration, what: &str| {
-                let p_ns = predicted.as_nanos() as f64;
-                let e_ns = executed.as_nanos() as f64;
-                assert!(
-                    (p_ns - e_ns).abs() <= e_ns.max(1.0) * 0.05,
-                    "{} P={p}: predicted {what} {predicted:?} vs executed {executed:?}",
-                    plan.name()
-                );
-            };
-            within(pred.comm_wall, s.comm_wall, "comm wall");
-            within(pred.ttm_comm, s.ttm_comm, "TTM comm");
-            within(pred.gram_comm, s.gram_comm, "Gram comm");
-            // Regrid phase time additionally carries the pack/unpack CPU
-            // (see `DistsimBackend::regrid`), so only the pure-α–β side of
-            // the comparison is exact: the prediction never exceeds it.
-            assert!(
-                pred.regrid_comm <= s.regrid_comm + Duration::from_nanos(1),
-                "{} P={p}: predicted regrid {:?} exceeds executed {:?}",
-                plan.name(),
-                pred.regrid_comm,
-                s.regrid_comm
-            );
+            for (predicted, executed, what) in [
+                (pred.comm_wall, s.comm_wall, "comm wall"),
+                (pred.ttm_comm, s.ttm_comm, "TTM comm"),
+                (pred.regrid_comm, s.regrid_comm, "regrid comm"),
+                (pred.gram_comm, s.gram_comm, "Gram comm"),
+            ] {
+                assert_eq!(predicted, executed, "{} P={p}: {what}", plan.name());
+            }
             replays.push((plan, out, host_s));
         }
     }
@@ -165,7 +151,7 @@ fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, mesh: &MeshC
 }
 
 /// Planning-layer certification: predicted-vs-simulated virtual time for
-/// every plan of the scaling lineup at P = 64…4096 (the 5% invariant is
+/// every plan of the scaling lineup at P = 64…4096 (their equality is
 /// asserted inside [`lineup_replay`]), plus the joint-DP-vs-brute-force
 /// agreement under both cost models (schema `tucker-bench/planner/v1`).
 pub(super) fn planner(o: &Opts) -> (Artifact, Gate) {
@@ -196,7 +182,7 @@ pub(super) fn planner(o: &Opts) -> (Artifact, Gate) {
         .iter()
         .map(|(_, out, _)| rel_err(&out.per_sweep[0]))
         .fold(0.0, f64::max);
-    println!("   worst relative prediction error: {max_rel:.2e} (tolerance 5e-2)");
+    println!("   worst relative prediction error: {max_rel:.2e} (asserted 0)");
 
     // Certify the joint grid × tree × order DP against full brute-force
     // enumeration (every TTM-tree, every grid assignment) under both cost
@@ -340,7 +326,7 @@ pub(super) fn scaling(o: &Opts) -> (Artifact, Gate) {
                 .host("wall_s", dsecs(s.wall))
                 .host("ttm_compute_s", dsecs(s.ttm_compute))
                 .model("ttm_comm_s", dsecs(s.ttm_comm))
-                // Virtual α–β time *plus* the measured pack/unpack CPU.
+                // Host: the committed value still holds pack/unpack CPU.
                 .host("regrid_comm_s", dsecs(s.regrid_comm))
                 .model("gram_comm_s", dsecs(s.gram_comm))
                 .host("svd_s", dsecs(s.svd))
@@ -725,7 +711,7 @@ mod tests {
                 assert!(s.error.is_finite());
                 assert!((s.error - error).abs() < 1e-9, "{}", plan.name());
                 assert!(s.wall >= s.ttm_comm.max(s.gram_comm));
-                assert!(rel_err(s) <= 0.05, "{} P={p}", plan.name());
+                assert_eq!(predicted(s), s.comm_wall, "{} P={p}", plan.name());
             }
         }
         // Communication volume grows with P for the same problem.

@@ -262,12 +262,11 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         }
         let snap = self.snap();
         let regridded = redistribute(self.ctx, t, &grids.node_grids[node]);
-        let (cpu, comm) = self.since(&snap);
-        let comm = comm.time(VolumeCategory::Regrid);
-        // Regrid is pure communication; pack/unpack is charged to it as
-        // well (CPU in virtual time, elapsed otherwise).
+        let comm = self.ctx.comm.since(&snap.comm).time(VolumeCategory::Regrid);
+        // Regrid is pure communication: in virtual time its α–β clock (the
+        // pack/unpack CPU counts in the sweep's wall), else elapsed time.
         stats.regrid_comm += match self.ctx.net() {
-            Some(_) => comm + cpu,
+            Some(_) => comm,
             None => snap.t0.elapsed().max(comm),
         };
         Some(regridded)

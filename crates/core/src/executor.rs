@@ -58,8 +58,8 @@ pub struct PlanProvenance {
     pub plan: String,
     /// The planner's α–β prediction of this sweep's communication wall
     /// (`NetCostModel::predict_sweep(..).comm_wall`); only populated for
-    /// virtual-time runs, where it must match [`SweepStats::comm_wall`]
-    /// within 5% (asserted by the scaling suite).
+    /// virtual-time runs, where it equals [`SweepStats::comm_wall`] to the
+    /// nanosecond (asserted by the planner and scaling suites).
     pub predicted_comm: Option<Duration>,
 }
 

@@ -21,8 +21,8 @@
 //!   exchanges and all-reduces). On top of the additive objective it offers
 //!   [`NetCostModel::predict_sweep`]: an exact per-rank replay of one HOOI
 //!   sweep's communication that reproduces the engine's virtual
-//!   communication clock **to the nanosecond** — the prediction the scaling
-//!   suite certifies against execution within 5%.
+//!   communication clock **to the nanosecond** — the planner and scaling
+//!   suites assert equality with the executed clocks.
 //!
 //! Costs are model-specific scalars (FLOP-equivalents vs. nanoseconds);
 //! only comparisons within one model are meaningful.
@@ -33,6 +33,7 @@ use crate::plan::order::core_chain_order;
 use crate::plan::tree::{NodeLabel, TtmTree};
 use std::time::Duration;
 use tucker_distsim::block::{chunk, chunk_cover};
+use tucker_distsim::exchange::{regrid_msgs, GroupExchange, MAX_ORDER};
 use tucker_distsim::{Grid, NetModel};
 
 /// Per-node cardinalities and costs for a tree under given metadata.
@@ -107,11 +108,6 @@ pub fn tree_flops(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
 /// lineup's optimal plan dominates on both, so plan selection is
 /// insensitive to it (verified against brute-force enumeration in tests).
 pub const VOLUME_FLOP_EQUIV: f64 = 16.0;
-
-/// Capacity of the per-mode stack buffers the α–β prices work in (the joint
-/// DP asserts the same bound on the mode count; a longer shape panics on
-/// the buffer slice).
-const MAX_ORDER: usize = 16;
 
 /// The global tensor shape after multiplying the modes in `premult` (a
 /// bitmask): `L_n` for untouched modes, `K_n` for multiplied ones.
@@ -317,9 +313,11 @@ pub struct SweepPrediction {
 }
 
 /// The α–β network cost model: plans are priced in modeled communication
-/// nanoseconds. See the module docs for the rank-0 argument; the prices
-/// mirror the message patterns of `tucker_distsim::{dist_ttm, dist_gram,
-/// redistribute, collectives}` exactly (chunk sizes included).
+/// nanoseconds. See the module docs for the rank-0 argument. A region
+/// exchange (TTM reduce-scatter, Gram column shares, regrid) is priced as
+/// the α–β fold over the messages `tucker_distsim::exchange` enumerates for
+/// the rank — the messages `dist_ttm`, `dist_gram` and `redistribute` send —
+/// and the all-reduces by the per-rank forms of `tucker_distsim::net`.
 #[derive(Clone, Copy, Debug)]
 pub struct NetCostModel {
     net: NetModel,
@@ -350,72 +348,17 @@ impl NetCostModel {
     }
 
     /// The reduce-scatter charge of one distributed TTM as accumulated by
-    /// `rank` (both endpoints pay α + β·bytes per message): sends every
-    /// peer's chunk of its partial, receives `q − 1` copies of its own
-    /// chunk. Each message is priced on the link class of the concrete
-    /// `(rank, peer)` endpoint pair.
+    /// `rank`: the α–β fold over its messages.
     fn ttm_rank_ns(&self, shape: &[usize], n: usize, k: usize, g: &Grid, rank: usize) -> u64 {
-        let q = g.dim(n);
-        assert!(q <= k, "invalid split: {q} processors for length {k}");
-        self.mode_group_exchange_ns(shape, n, g, rank, |fibers, _, dst| {
-            fibers * chunk(k, q, dst).1
-        })
+        let exchange = GroupExchange::reduce_scatter(shape, g, rank, n, k);
+        self.net.exchange_ns(exchange.messages())
     }
 
-    /// The mode-group column-share exchange of one distributed Gram as
-    /// accumulated by `rank`: member `src` sends member `dst` its rows
-    /// `chunk(L_n, q, src)` of the fibers in `dst`'s share
-    /// `chunk(nf, q, dst)` — so `rank` sends its rows of every other share
-    /// and receives every other member's rows of its own, each message priced
-    /// on its endpoint pair's link.
+    /// The column-share exchange of one distributed Gram as accumulated by
+    /// `rank`: the α–β fold over its messages.
     fn gram_exchange_rank_ns(&self, shape: &[usize], n: usize, g: &Grid, rank: usize) -> u64 {
-        let q = g.dim(n);
-        self.mode_group_exchange_ns(shape, n, g, rank, |fibers, src, dst| {
-            chunk(shape[n], q, src).1 * chunk(fibers, q, dst).1
-        })
-    }
-
-    /// The pairwise exchange both mode-`n` group collectives reduce to:
-    /// `rank` (group member `j`) sends every other member `i` a message of
-    /// `elems(nf, j, i)` elements and receives one of `elems(nf, i, j)`,
-    /// where `nf` is the number of mode-`n` fibers of its block; a message of
-    /// zero elements is never sent (the Gram exchange skips empty shares; no
-    /// TTM reduce-scatter message is empty, `q ≤ K`). The link class of a
-    /// pair does not depend on the direction. Works in stack buffers: the
-    /// member with mode-`n` coordinate `i` is `rank + (i − j) · stride_n`.
-    fn mode_group_exchange_ns(
-        &self,
-        shape: &[usize],
-        n: usize,
-        g: &Grid,
-        rank: usize,
-        elems: impl Fn(usize, usize, usize) -> usize,
-    ) -> u64 {
-        let q = g.dim(n);
-        if q <= 1 {
-            return 0;
-        }
-        let order = shape.len();
-        let (mut coord, mut stride) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
-        g.coord_into(rank, &mut coord[..order]);
-        g.strides_into(&mut stride[..order]);
-        let fibers: usize = (0..order)
-            .filter(|&m| m != n)
-            .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
-            .product();
-        let j = coord[n];
-        let mut ns = 0u64;
-        for i in (0..q).filter(|&i| i != j) {
-            let peer = rank - j * stride[n] + i * stride[n];
-            let (sent, received) = (elems(fibers, j, i), elems(fibers, i, j));
-            if sent > 0 {
-                ns += self.net.msg_elems_ns_between(rank, peer, sent);
-            }
-            if received > 0 {
-                ns += self.net.msg_elems_ns_between(peer, rank, received);
-            }
-        }
-        ns
+        let exchange = GroupExchange::column_shares(shape, g, rank, n);
+        self.net.exchange_ns(exchange.messages())
     }
 
     /// The node-aligned axis-order variant of `g`: modes sorted by
@@ -499,100 +442,33 @@ impl NetCostModel {
     }
 
     /// The all-to-all charge of one regrid (`from → to`) as accumulated by
-    /// `rank`: one message per overlapping destination block of its old
-    /// block, one per overlapping source block of its new block
-    /// (self-overlaps are free, exactly like the transport).
+    /// `rank`: the α–β fold over its messages. Under a flat model a
+    /// message's price depends only on its element count, so the fold is
+    /// summed grouped by volume instead
+    /// ([`NetCostModel::regrid_direction_grouped_ns`], once per direction).
     fn regrid_rank_ns(&self, shape: &[usize], from: &Grid, to: &Grid, rank: usize) -> u64 {
-        self.regrid_direction_ns(shape, from, to, rank)
-            + self.regrid_direction_ns(shape, to, from, rank)
-    }
-
-    /// `rank`'s charge for the messages between its block under `mine` and
-    /// the overlapping blocks under `theirs` (the overlap volumes are
-    /// symmetric, so the send and receive phases are the same enumeration
-    /// with the grids swapped). Flat models price the messages grouped by
-    /// volume ([`NetCostModel::regrid_direction_grouped_ns`]); hierarchical
-    /// ones walk them, because there the link class depends on the peer.
-    fn regrid_direction_ns(&self, shape: &[usize], mine: &Grid, theirs: &Grid, rank: usize) -> u64 {
         if self.net.is_hierarchical() {
-            self.regrid_direction_walk_ns(shape, mine, theirs, rank)
-        } else {
-            self.regrid_direction_grouped_ns(shape, mine, theirs, rank)
+            let sends = regrid_msgs(shape, from, to, rank, false);
+            return self
+                .net
+                .exchange_ns(sends.chain(regrid_msgs(shape, from, to, rank, true)));
         }
+        self.regrid_direction_grouped_ns(shape, from, to, rank)
+            + self.regrid_direction_grouped_ns(shape, to, from, rank)
     }
 
-    /// [`NetCostModel::regrid_direction_ns`] message by message, each priced
-    /// on its `(rank, peer)` link.
-    ///
-    /// The overlapping blocks form a box of `theirs` coordinates (per mode,
-    /// the interval of chunks covering my extent); an odometer walks it,
-    /// mode 0 fastest, in fixed-size stack buffers. `vol[m]` / `peer[m]`
-    /// carry the overlap volume and rank offset contributed by modes `≥ m`,
-    /// so a step that carries into mode `m` recomputes only the entries
-    /// `≤ m` — amortized one chunk lookup per message.
-    fn regrid_direction_walk_ns(
-        &self,
-        shape: &[usize],
-        mine: &Grid,
-        theirs: &Grid,
-        rank: usize,
-    ) -> u64 {
-        let order = shape.len();
-        let mut my_coord = [0usize; MAX_ORDER];
-        mine.coord_into(rank, &mut my_coord[..order]);
-        let mut stride = [0usize; MAX_ORDER];
-        theirs.strides_into(&mut stride[..order]);
-        // Per mode: my extent `[start, end)` and the `[lo, hi)` interval of
-        // `theirs` coordinates whose chunks intersect it.
-        let mut extent = [(0usize, 0usize); MAX_ORDER];
-        let mut cover = [(0usize, 0usize); MAX_ORDER];
-        let mut coord = [0usize; MAX_ORDER];
-        for m in 0..order {
-            let (start, len) = chunk(shape[m], mine.dim(m), my_coord[m]);
-            extent[m] = (start, start + len);
-            cover[m] = chunk_cover(shape[m], theirs.dim(m), start, len);
-            coord[m] = cover[m].0;
-        }
-        let mut vol = [1usize; MAX_ORDER + 1];
-        let mut peer = [0usize; MAX_ORDER + 1];
-        let mut stale = order; // modes `< stale` changed since the last message
-        let mut ns = 0u64;
-        loop {
-            for m in (0..stale).rev() {
-                let (ts, tl) = chunk(shape[m], theirs.dim(m), coord[m]);
-                let overlap = extent[m].1.min(ts + tl) - extent[m].0.max(ts);
-                vol[m] = vol[m + 1] * overlap;
-                peer[m] = peer[m + 1] + coord[m] * stride[m];
-            }
-            if peer[0] != rank {
-                ns += self.net.msg_elems_ns_between(rank, peer[0], vol[0]);
-            }
-            let mut m = 0;
-            loop {
-                if m == order {
-                    return ns;
-                }
-                coord[m] += 1;
-                if coord[m] < cover[m].1 {
-                    break;
-                }
-                coord[m] = cover[m].0;
-                m += 1;
-            }
-            stale = m + 1;
-        }
-    }
-
-    /// [`NetCostModel::regrid_direction_ns`] under a flat model, where a
-    /// message's price depends only on its element count. A message's
-    /// volume is the product of its per-mode overlaps, and along one mode
-    /// the covering chunks overlap my extent in at most four distinct
-    /// lengths: a partial first chunk, the `⌈L/q⌉` and `⌊L/q⌋` full chunks
-    /// and a partial last chunk. So the box sums as `count · price(volume)`
-    /// over the product of the per-mode `(overlap, count)` lists, less the
-    /// free self-message when my own `theirs` coordinate lies in the box:
-    /// `Σ_m cover_m` chunk lookups instead of `Π_m cover_m`, and the same
-    /// integer nanoseconds as the walk.
+    /// The flat-model charge of `rank`'s messages between its block under
+    /// `mine` and the overlapping blocks under `theirs`: the sends of a
+    /// regrid `mine → theirs`, or with the grids swapped its receives (the
+    /// overlap volumes are symmetric). A message's volume is the product of
+    /// its per-mode overlaps, and along one mode the covering chunks overlap
+    /// my extent in at most four distinct lengths: a partial first chunk,
+    /// the `⌈L/q⌉` and `⌊L/q⌋` full chunks and a partial last chunk. So the
+    /// box sums as `count · price(volume)` over the product of the per-mode
+    /// `(overlap, count)` lists, less the free self-message when my own
+    /// `theirs` coordinate lies in the box: `Σ_m cover_m` chunk lookups
+    /// instead of `Π_m cover_m`, and the same integer nanoseconds as the
+    /// fold.
     fn regrid_direction_grouped_ns(
         &self,
         shape: &[usize],
@@ -649,9 +525,9 @@ impl NetCostModel {
     /// accumulate every rank's modeled charge for every tree-node TTM,
     /// regrid, leaf Gram (share exchange + world all-reduce), the core-update chain
     /// and the scalar norm all-reduce — then take the engine's maxima. The
-    /// result matches the virtual clocks the engine accumulates for the
-    /// same plan bit-for-bit (certified within 5% by the scaling suite, see
-    /// DESIGN.md §6).
+    /// result equals the virtual clocks the engine accumulates for the same
+    /// plan to the nanosecond (asserted by the planner and scaling suites,
+    /// see DESIGN.md §6).
     ///
     /// # Panics
     /// Panics if the scheme does not match the tree or the initial grid's
@@ -861,212 +737,14 @@ mod tests {
     use crate::plan::tree::{balanced_tree, chain_tree, optimal_tree};
     use proptest::prelude::*;
 
-    /// Allocating per-rank enumerations, the oracle for
-    /// `stack_buffer_prices_match_reference_enumerations`: one `Vec` per
-    /// coordinate / region / range, `Grid::rank` and every `chunk`
-    /// recomputed per message (the TTM and regrid ones are the code the
-    /// stack-buffer prices replaced, verbatim).
-    mod reference {
-        use tucker_distsim::block::{chunk, chunk_cover, split_extents};
-        use tucker_distsim::{Grid, NetModel};
-
-        pub fn ttm_rank_ns(
-            net: &NetModel,
-            shape: &[usize],
-            n: usize,
-            k: usize,
-            g: &Grid,
-            rank: usize,
-        ) -> u64 {
-            let q = g.dim(n);
-            if q <= 1 {
-                return 0;
-            }
-            let coord = g.coord(rank);
-            let prod_other: usize = (0..shape.len())
-                .filter(|&m| m != n)
-                .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
-                .product();
-            let kchunks = split_extents(k, q);
-            let j = coord[n];
-            let mut peer_coord = coord.clone();
-            let mut ns = 0u64;
-            for (i, &(_, klen)) in kchunks.iter().enumerate() {
-                if i != j {
-                    peer_coord[n] = i;
-                    let peer = g.rank(&peer_coord);
-                    ns += net.msg_elems_ns_between(rank, peer, prod_other * klen);
-                    ns += net.msg_elems_ns_between(peer, rank, prod_other * kchunks[j].1);
-                }
-            }
-            ns
-        }
-
-        /// The column-share exchange: a `(rows, share)` table per member,
-        /// one message per ordered pair whose payload is non-empty.
-        pub fn gram_exchange_rank_ns(
-            net: &NetModel,
-            shape: &[usize],
-            n: usize,
-            g: &Grid,
-            rank: usize,
-        ) -> u64 {
-            let q = g.dim(n);
-            if q <= 1 {
-                return 0;
-            }
-            let coord = g.coord(rank);
-            let fibers: usize = (0..shape.len())
-                .filter(|&m| m != n)
-                .map(|m| chunk(shape[m], g.dim(m), coord[m]).1)
-                .product();
-            // `chunk`, not `split_extents`: trailing shares may be empty.
-            let rows: Vec<usize> = (0..q).map(|i| chunk(shape[n], q, i).1).collect();
-            let shares: Vec<usize> = (0..q).map(|i| chunk(fibers, q, i).1).collect();
-            let j = coord[n];
-            let mut peer_coord = coord.clone();
-            let mut ns = 0u64;
-            for i in (0..q).filter(|&i| i != j) {
-                peer_coord[n] = i;
-                let peer = g.rank(&peer_coord);
-                if rows[j] * shares[i] > 0 {
-                    ns += net.msg_elems_ns_between(rank, peer, rows[j] * shares[i]);
-                }
-                if rows[i] * shares[j] > 0 {
-                    ns += net.msg_elems_ns_between(peer, rank, rows[i] * shares[j]);
-                }
-            }
-            ns
-        }
-
-        pub fn regrid_rank_ns(
-            net: &NetModel,
-            shape: &[usize],
-            from: &Grid,
-            to: &Grid,
-            rank: usize,
-        ) -> u64 {
-            regrid_direction_ns(net, shape, from, to, rank)
-                + regrid_direction_ns(net, shape, to, from, rank)
-        }
-
-        fn regrid_direction_ns(
-            net: &NetModel,
-            shape: &[usize],
-            mine: &Grid,
-            theirs: &Grid,
-            rank: usize,
-        ) -> u64 {
-            let order = shape.len();
-            let my_coord = mine.coord(rank);
-            let my_region: Vec<(usize, usize)> = (0..order)
-                .map(|m| chunk(shape[m], mine.dim(m), my_coord[m]))
-                .collect();
-            let ranges: Vec<(usize, usize)> = (0..order)
-                .map(|m| chunk_cover(shape[m], theirs.dim(m), my_region[m].0, my_region[m].1))
-                .collect();
-            let mut coord: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-            let count: usize = ranges.iter().map(|&(lo, hi)| hi - lo).product();
-            let mut ns = 0u64;
-            for _ in 0..count {
-                let peer = theirs.rank(&coord);
-                if peer != rank {
-                    let overlap: usize = (0..order)
-                        .map(|m| {
-                            let (ms, ml) = my_region[m];
-                            let (ts, tl) = chunk(shape[m], theirs.dim(m), coord[m]);
-                            (ms + ml).min(ts + tl) - ms.max(ts)
-                        })
-                        .product();
-                    ns += net.msg_elems_ns_between(rank, peer, overlap);
-                }
-                for m in 0..order {
-                    coord[m] += 1;
-                    if coord[m] < ranges[m].1 {
-                        break;
-                    }
-                    coord[m] = ranges[m].0;
-                }
-            }
-            ns
-        }
-    }
-
-    /// A deterministic permutation of `0..n` from `seed` (Fisher–Yates over
-    /// an LCG); seed 0 is reserved for the identity.
-    fn seeded_axes(n: usize, seed: u64) -> Vec<usize> {
-        let mut axes: Vec<usize> = (0..n).collect();
-        if seed == 0 {
-            return axes;
-        }
-        let mut state = seed;
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            axes.swap(i, (state >> 33) as usize % (i + 1));
-        }
-        axes
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The stack-buffer per-rank prices equal the allocating reference
-        /// enumerations for every rank: random shapes (extents the grid
-        /// counts do not divide), premult masks, grid pairs with random
-        /// axis orders, under the flat and the hierarchical preset.
-        #[test]
-        fn stack_buffer_prices_match_reference_enumerations(
-            order in 2usize..=4,
-            ls in prop::collection::vec(3usize..=13, 4),
-            ks in prop::collection::vec(2usize..=6, 4),
-            premult in 0u32..16,
-            p in prop::sample::select(vec![4usize, 6, 8, 12, 18, 24, 36, 48]),
-            picks in (0usize..10_000, 0usize..10_000),
-            axes_seeds in (0u64..4, 0u64..4),
-        ) {
-            let ks: Vec<usize> = (0..order).map(|n| ks[n].min(ls[n])).collect();
-            let meta = TuckerMeta::new(ls[..order].to_vec(), ks.clone());
-            let valid = tucker_distsim::enumerate_valid_grids(p, &ks);
-            prop_assume!(!valid.is_empty());
-            let pick = |i: usize, seed: u64| {
-                let dims = valid[i % valid.len()].dims().to_vec();
-                Grid::with_axes(dims, seeded_axes(order, seed))
-            };
-            let from = pick(picks.0, axes_seeds.0);
-            let to = pick(picks.1, axes_seeds.1);
-            let premult = premult & ((1 << order) - 1);
-            let shape = premult_shape(&meta, premult);
-            for net in [NetModel::bgq(), NetModel::cluster()] {
-                let model = NetCostModel::new(net, p);
-                for r in 0..p {
-                    prop_assert_eq!(
-                        model.regrid_rank_ns(&shape, &from, &to, r),
-                        reference::regrid_rank_ns(&net, &shape, &from, &to, r)
-                    );
-                    for n in 0..order {
-                        prop_assert_eq!(
-                            model.ttm_rank_ns(&shape, n, meta.k(n), &from, r),
-                            reference::ttm_rank_ns(&net, &shape, n, meta.k(n), &from, r)
-                        );
-                        prop_assert_eq!(
-                            model.gram_exchange_rank_ns(&shape, n, &to, r),
-                            reference::gram_exchange_rank_ns(&net, &shape, n, &to, r)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Grouped flat regrid pricing equals the message-by-message walk
-        /// bit for bit, in both directions and for every rank of the grid:
-        /// random shapes whose extents the grid counts rarely divide,
-        /// premult masks, and random pairs of the candidate grids.
+        /// Grouped flat regrid pricing equals the α–β fold over the shared
+        /// message enumeration bit for bit, for both regrid directions and
+        /// every rank of the grid: random shapes whose extents the grid
+        /// counts rarely divide, premult masks, and random pairs of the
+        /// candidate grids.
         #[test]
         fn grouped_flat_regrid_price_matches_the_walk(
             order in 2usize..=5,
@@ -1086,10 +764,11 @@ mod tests {
             for net in [NetModel::bgq(), NetModel::cluster().flattened()] {
                 let model = NetCostModel::new(net, p);
                 for r in 0..p {
-                    for (mine, theirs) in [(a, b), (b, a)] {
+                    for (from, to) in [(a, b), (b, a)] {
+                        let msgs = [false, true].map(|inb| regrid_msgs(&shape, from, to, r, inb));
                         prop_assert_eq!(
-                            model.regrid_direction_grouped_ns(&shape, mine, theirs, r),
-                            model.regrid_direction_walk_ns(&shape, mine, theirs, r)
+                            model.regrid_rank_ns(&shape, from, to, r),
+                            net.exchange_ns(msgs.into_iter().flatten())
                         );
                     }
                 }

@@ -28,6 +28,7 @@ use crate::block::chunk;
 use crate::collectives::{allreduce_sum, Group};
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
+use crate::exchange::GroupExchange;
 use tucker_linalg::Matrix;
 use tucker_tensor::ColumnShare;
 
@@ -60,34 +61,24 @@ fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
         let (c0, len) = chunk(nf, q, j);
         ColumnShare::new(slab.dims(), n, c0, len)
     };
-    // Member `j` of my mode-n group is rank `base + j · stride`.
-    let (me, base, stride) = t.grid().mode_group_span(ctx.rank(), n);
+    let exchange = GroupExchange::column_shares(t.global_shape().dims(), t.grid(), ctx.rank(), n);
+    let me = exchange.member();
     let (r0, rows) = chunk(ln, q, me);
     let src = block.as_slice();
 
-    // No message carries zero elements (an empty share, or no rows).
-    for j in (0..q).filter(|&j| j != me) {
-        let theirs = share(j);
-        if rows * theirs.fibers() > 0 {
-            let payload = theirs.pack(src, rows);
-            ctx.send(
-                base + j * stride,
-                GRAM_SHARE_TAG,
-                payload,
-                VolumeCategory::Gram,
-            );
-        }
+    for (j, msg) in exchange.msgs(false) {
+        let payload = share(j).pack(src, rows);
+        debug_assert_eq!(payload.len(), msg.elems);
+        ctx.send(msg.dst, GRAM_SHARE_TAG, payload, VolumeCategory::Gram);
     }
 
     let mine = share(me);
     let mut buf = vec![0.0; mine.buf_len()];
     mine.copy_rows(&mut buf, src, r0, rows);
-    for j in (0..q).filter(|&j| j != me) {
+    for (j, msg) in exchange.msgs(true) {
         let (rj, rows_j) = chunk(ln, q, j);
-        if rows_j * mine.fibers() > 0 {
-            let payload = ctx.recv(base + j * stride, GRAM_SHARE_TAG, VolumeCategory::Gram);
-            mine.place(&mut buf, &payload, rj, rows_j);
-        }
+        let payload = ctx.recv(msg.src, GRAM_SHARE_TAG, VolumeCategory::Gram);
+        mine.place(&mut buf, &payload, rj, rows_j);
     }
     mine.gram(&buf)
 }
@@ -254,7 +245,7 @@ mod tests {
                 (region.start[n], region.len[n]) = (0, ln);
                 let slab = DenseTensor::from_vec(region.shape(), extract(&global, &region));
                 let nf = slab.shape().num_fibers(n);
-                let (me, ..) = grid.mode_group_span(rank, n);
+                let me = grid.coord(rank)[n];
                 let (c0, clen) = chunk(nf, q, me);
                 let cols = ColumnShare::new(slab.shape().dims(), n, c0, clen);
                 let want = cols.gram(&cols.pack(slab.as_slice(), ln));

@@ -15,6 +15,7 @@
 use crate::block::chunk;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
+use crate::exchange::GroupExchange;
 use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::extract_window;
 use tucker_tensor::{ttm_into_threads, DenseTensor, Dims};
@@ -41,8 +42,8 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let qn = grid.dim(n);
     assert!(qn <= k, "grid invalid for output: q_{n} = {qn} > K = {k}");
 
-    // Member `j` of my mode-n group is rank `base + j · stride`.
-    let (my_idx, base, stride) = grid.mode_group_span(ctx.rank(), n);
+    let exchange = GroupExchange::reduce_scatter(shape.dims(), grid, ctx.rank(), n, k);
+    let my_idx = exchange.member();
     let (r0, bn) = chunk(ln, qn, my_idx);
 
     // Local partial product: slice of Fᵀ covering this rank's fiber segment.
@@ -59,11 +60,11 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     // partial, moved along mode n from peer to peer.
     let mut start = Dims::filled(shape.order(), 0);
     let mut len = Dims::from(partial.shape().dims());
-    let peers = |j: usize| base + j * stride;
-    for j in (0..qn).filter(|&j| j != my_idx) {
+    for (j, msg) in exchange.msgs(false) {
         (start[n], len[n]) = chunk(k, qn, j);
         let data = extract_window(&partial, &start, &len);
-        ctx.send(peers(j), TTM_TAG, data, VolumeCategory::TtmReduceScatter);
+        debug_assert_eq!(data.len(), msg.elems);
+        ctx.send(msg.dst, TTM_TAG, data, VolumeCategory::TtmReduceScatter);
     }
 
     // Local output starts as my own chunk of my partial.
@@ -72,13 +73,9 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     drop(partial); // not held across the blocking receives below
 
     // Sum contributions from the other group members.
-    for j in (0..qn).filter(|&j| j != my_idx) {
-        let data = ctx.recv(peers(j), TTM_TAG, VolumeCategory::TtmReduceScatter);
-        assert_eq!(
-            data.len(),
-            out_data.len(),
-            "reduce-scatter payload mismatch"
-        );
+    for (_, msg) in exchange.msgs(true) {
+        let data = ctx.recv(msg.src, TTM_TAG, VolumeCategory::TtmReduceScatter);
+        assert_eq!(data.len(), msg.elems, "reduce-scatter payload mismatch");
         for (o, v) in out_data.iter_mut().zip(&data) {
             *o += v;
         }

@@ -150,32 +150,6 @@ impl Grid {
         }
         r
     }
-
-    /// The ranks in the same mode-`n` group as `rank` — i.e. those whose grid
-    /// coordinates agree everywhere except mode `n` — ordered by their
-    /// mode-`n` coordinate. This is the "group communicator" the distributed
-    /// TTM reduce-scatters over.
-    pub fn mode_group(&self, rank: usize, n: usize) -> Vec<usize> {
-        let (_, base, stride) = self.mode_group_span(rank, n);
-        (0..self.q[n]).map(|j| base + j * stride).collect()
-    }
-
-    /// Where `rank` sits in its mode-`n` group, as `(index, base, stride)`:
-    /// `rank` has mode-`n` coordinate `index`, and the member with
-    /// coordinate `j` is rank `base + j · stride` — [`Grid::mode_group`]
-    /// without the list, for the per-peer loops every rank runs.
-    pub fn mode_group_span(&self, rank: usize, n: usize) -> (usize, usize, usize) {
-        debug_assert!(rank < self.nranks());
-        let mut stride = 1;
-        for &ax in &self.axes {
-            if ax == n {
-                break;
-            }
-            stride *= self.q[ax];
-        }
-        let index = rank / stride % self.q[n];
-        (index, rank - index * stride, stride)
-    }
 }
 
 impl fmt::Debug for Grid {
@@ -440,7 +414,7 @@ mod tests {
             assert_eq!(g.rank(&g.coord(r)), r);
         }
         // The fastest axis's mode group is a window of consecutive ranks.
-        assert_eq!(g.mode_group(0, 2), vec![0, 1, 2, 3]);
+        assert_eq!(mode_group(&g, 0, 2), vec![0, 1, 2, 3]);
         // The buffer-filling variants agree with the allocating ones.
         let (mut c, mut strides) = ([0usize; 3], [0usize; 3]);
         g.strides_into(&mut strides);
@@ -456,13 +430,33 @@ mod tests {
         assert_eq!(format!("{}", Grid::with_axes([2, 3], [1, 0])), "2x3[a=1,0]");
     }
 
+    /// The ranks whose grid coordinates agree with `rank`'s everywhere but
+    /// mode `n` (the group a mode-`n` exchange runs in), ordered by their
+    /// mode-`n` coordinate.
+    fn mode_group(g: &Grid, rank: usize, n: usize) -> Vec<usize> {
+        let (mut c, mut stride) = (g.coord(rank), vec![0; g.order()]);
+        g.strides_into(&mut stride);
+        let base = rank - c[n] * stride[n];
+        (0..g.dim(n))
+            .map(|j| {
+                c[n] = j;
+                assert_eq!(
+                    g.rank(&c),
+                    base + j * stride[n],
+                    "strides agree with `rank`"
+                );
+                g.rank(&c)
+            })
+            .collect()
+    }
+
     #[test]
     fn mode_groups_partition_ranks_with_axes() {
         let g = Grid::with_axes([2, 3, 2], [1, 2, 0]);
         for n in 0..3 {
             let mut seen = [false; 12];
             for r in 0..12 {
-                let grp = g.mode_group(r, n);
+                let grp = mode_group(&g, r, n);
                 assert_eq!(grp.len(), g.dim(n));
                 assert!(grp.contains(&r));
                 if grp[0] == r {
@@ -482,12 +476,12 @@ mod tests {
         for n in 0..3 {
             let mut seen = [false; 12];
             for r in 0..12 {
-                let grp = g.mode_group(r, n);
+                let grp = mode_group(&g, r, n);
                 assert_eq!(grp.len(), g.dim(n));
                 assert!(grp.contains(&r));
                 // Group is consistent: every member computes the same group.
                 for &m in &grp {
-                    assert_eq!(g.mode_group(m, n), grp);
+                    assert_eq!(mode_group(&g, m, n), grp);
                 }
                 if grp[0] == r {
                     for &m in &grp {
@@ -503,7 +497,7 @@ mod tests {
     #[test]
     fn group_ordered_by_mode_coordinate() {
         let g = Grid::new([4, 2]);
-        let grp = g.mode_group(5, 0); // rank 5 = coord [1,1]
+        let grp = mode_group(&g, 5, 0); // rank 5 = coord [1,1]
         let coords: Vec<usize> = grp.iter().map(|&r| g.coord(r)[0]).collect();
         assert_eq!(coords, vec![0, 1, 2, 3]);
     }

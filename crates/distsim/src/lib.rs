@@ -18,7 +18,9 @@
 //! * [`redistribute`]: regridding via all-to-all exchange (§4.3, §5),
 //! * [`dist_ttm`]: the distributed TTM of Austin et al. — local blocked
 //!   multiply + reduce-scatter along the mode's grid group (§4.1, §5),
-//! * [`dist_gram`]: distributed Gram matrices for the SVD step (§5).
+//! * [`dist_gram`]: distributed Gram matrices for the SVD step (§5),
+//! * [`exchange`]: each rank's messages in the previous three's region
+//!   exchanges, which they send and the planner prices.
 //!
 //! Every payload byte that crosses ranks is counted by the rank that sent
 //! it ([`RankCtx::volume`], by [`VolumeCategory`]; the universe's
@@ -47,6 +49,7 @@ pub mod comm;
 pub mod dist_gram;
 pub mod dist_tensor;
 pub mod dist_ttm;
+pub mod exchange;
 pub mod grid;
 pub mod mesh;
 pub mod net;

@@ -22,12 +22,13 @@
 //! the real collective under a virtual-time universe accumulates exactly
 //! these values on every rank. The region exchanges (the TTM's
 //! reduce-scatter, the Gram's column shares, the regrid's all-to-all) are
-//! priced message by message through [`NetModel::msg_elems_ns_between`] by
-//! the planner's `NetCostModel`, whose replay equals the executed clock.
+//! priced by [`NetModel::exchange_ns`], the fold over the messages the
+//! transport sends, as [`crate::exchange`] enumerates them.
 //!
 //! All costs are kept in integer nanoseconds: each message's cost is rounded
 //! once, so closed forms reproduce the accumulated sums bit-exactly.
 
+use crate::exchange::Msg;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -258,6 +259,14 @@ impl NetModel {
     /// Cost of a message of `len` f64 elements between two concrete ranks.
     pub fn msg_elems_ns_between(&self, src: usize, dst: usize, len: usize) -> u64 {
         self.msg_ns_between(src, dst, (len * 8) as u64)
+    }
+
+    /// The α–β charge of one rank's messages in a region exchange
+    /// ([`crate::exchange`]), each priced on its endpoint pair's link.
+    pub fn exchange_ns(&self, msgs: impl IntoIterator<Item = Msg>) -> u64 {
+        msgs.into_iter()
+            .map(|m| self.msg_elems_ns_between(m.src, m.dst, m.elems))
+            .sum()
     }
 
     // ------------------------------------------------ collective closed forms

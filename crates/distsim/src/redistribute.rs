@@ -7,63 +7,22 @@
 //! that stay put — bounded by the `|In(u)|` the volume model charges for a
 //! regrid (§4.3).
 
-use crate::block::{chunk_cover, rank_block};
+use crate::block::rank_block;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
+use crate::exchange::{regrid_msgs, Msg};
 use crate::grid::Grid;
-use tucker_tensor::subtensor::{extract_window, insert_window, Block, Region};
-use tucker_tensor::{copy_into, DenseTensor, Dims, Shape, TensorView, TensorViewMut};
+use tucker_tensor::subtensor::{extract_window, insert_window, Region};
+use tucker_tensor::{copy_into, DenseTensor, Shape, TensorView, TensorViewMut};
 
 /// Tag base for regrid traffic (messages carry `tag = REGRID_TAG`).
 const REGRID_TAG: u32 = 0x5E61;
-
-/// Ranks of `grid` whose blocks of `shape` intersect `region`, in ascending
-/// rank order. The overlapping coordinates form a box (per-mode chunk
-/// intervals via [`chunk_cover`]), so this enumerates `O(overlaps)` ranks
-/// instead of scanning all `P` — the difference between `O(P)` and `O(P²)`
-/// work per regrid at paper-scale rank counts.
-pub fn overlapping_ranks(shape: &Shape, grid: &Grid, region: &Block) -> Vec<usize> {
-    let order = shape.order();
-    let (mut lo, mut hi) = (Dims::filled(order, 0), Dims::filled(order, 0));
-    for n in 0..order {
-        (lo[n], hi[n]) = chunk_cover(shape.dim(n), grid.dim(n), region.start[n], region.len[n]);
-    }
-    let mut coord = lo.clone();
-    let count: usize = lo.iter().zip(&hi).map(|(&lo, &hi)| hi - lo).product();
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(grid.rank(&coord));
-        // Mixed-radix increment, mode 0 fastest — matches rank ordering.
-        for n in 0..order {
-            coord[n] += 1;
-            if coord[n] < hi[n] {
-                break;
-            }
-            coord[n] = lo[n];
-        }
-    }
-    out.sort_unstable();
-    out
-}
 
 /// Redistribute `t` onto `new_grid`, returning this rank's new block.
 ///
 /// When the grids are equal the tensor is returned unchanged and no traffic
 /// is generated (the planner's "do not regrid" branch).
 pub fn redistribute(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid) -> DistTensor {
-    regrid(ctx, t, new_grid, false)
-}
-
-/// The seed's regrid: **every** intersecting block goes through the wire,
-/// including the one staying on this rank (extract into a send buffer, ship
-/// to self, insert — two copies where [`redistribute`] performs one direct
-/// view-to-view copy). Kept as the baseline arm of the views bench and the
-/// differential suite; results are element-identical to [`redistribute`].
-pub fn redistribute_via_wire(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid) -> DistTensor {
-    regrid(ctx, t, new_grid, true)
-}
-
-fn regrid(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid, self_via_wire: bool) -> DistTensor {
     let shape = t.global_shape();
     assert_eq!(
         new_grid.nranks(),
@@ -78,26 +37,25 @@ fn regrid(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid, self_via_wire: boo
     let my_old = rank_block(shape, t.grid(), me);
     let my_new = rank_block(shape, new_grid, me);
     let mut local = DenseTensor::zeros(&my_new.len[..]);
+    let dims = shape.dims();
 
     // Send phase: only the new-grid blocks that actually intersect my old
     // block (a box of coordinates, not all P ranks). The wire pack is one
     // strided view-to-buffer copy; the block staying on this rank never
     // touches the wire at all — it is copied view-to-view below.
-    for dst in overlapping_ranks(shape, new_grid, &my_old) {
-        if dst == me && !self_via_wire {
-            continue;
-        }
+    for msg in listed(|| regrid_msgs(dims, t.grid(), new_grid, me, false)) {
         let window = my_old
-            .intersect(&rank_block(shape, new_grid, dst))
+            .intersect(&rank_block(shape, new_grid, msg.dst))
             .expect("cover is exact")
             .relative_to(&my_old.start);
         let data = extract_window(t.local(), &window.start, &window.len);
-        ctx.send(dst, REGRID_TAG, data, VolumeCategory::Regrid);
+        debug_assert_eq!(data.len(), msg.elems);
+        ctx.send(msg.dst, REGRID_TAG, data, VolumeCategory::Regrid);
     }
 
     // Self-overlap: a single strided copy from the old block's view into the
     // new block's view — no wire buffer, no scratch tensor.
-    if let Some(overlap) = my_old.intersect(&my_new).filter(|_| !self_via_wire) {
+    if let Some(overlap) = my_old.intersect(&my_new) {
         let from = overlap.clone().relative_to(&my_old.start);
         let to = overlap.relative_to(&my_new.start);
         copy_into(
@@ -106,24 +64,29 @@ fn regrid(ctx: &mut RankCtx, t: &DistTensor, new_grid: &Grid, self_via_wire: boo
         );
     }
 
-    // Receive phase: collect from every rank whose old block intersects my
-    // new block. Receives are issued in ascending rank order — the
-    // deterministic SPMD schedule guarantees matching. The unpack is again
+    // Receive phase: one message from every rank whose old block intersects
+    // my new block. Every pair exchanges at most one message, so the order
+    // the receives are issued in cannot mismatch them. The unpack is again
     // one strided copy.
-    for src in overlapping_ranks(shape, t.grid(), &my_new) {
-        if src == me && !self_via_wire {
-            continue;
-        }
-        let window = rank_block(shape, t.grid(), src)
+    for msg in listed(|| regrid_msgs(dims, t.grid(), new_grid, me, true)) {
+        let window = rank_block(shape, t.grid(), msg.src)
             .intersect(&my_new)
             .expect("cover is exact")
             .relative_to(&my_new.start);
-        let data = ctx.recv(src, REGRID_TAG, VolumeCategory::Regrid);
-        assert_eq!(data.len(), window.cardinality(), "regrid payload mismatch");
+        let data = ctx.recv(msg.src, REGRID_TAG, VolumeCategory::Regrid);
+        assert_eq!(data.len(), msg.elems, "regrid payload mismatch");
         insert_window(&mut local, &window.start, &window.len, &data);
     }
 
     DistTensor::from_parts(shape.clone(), new_grid.clone(), me, local)
+}
+
+/// `msgs()` collected in a frame of its own: the walk's state then never
+/// sits under a blocking receive on the rank's fiber stack, which keeps
+/// every page it touches.
+#[inline(never)]
+fn listed<I: Iterator<Item = Msg>>(msgs: impl FnOnce() -> I) -> Vec<Msg> {
+    msgs().collect()
 }
 
 /// Host-side archive of the live blocks of one mesh epoch, used by the
@@ -214,6 +177,7 @@ mod tests {
     use crate::mesh::MeshCfg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tucker_tensor::subtensor::extract;
     use tucker_tensor::Shape;
 
     fn rand_tensor(dims: &[usize], seed: u64) -> DenseTensor {
@@ -253,12 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn view_regrid_matches_wire_and_moves_fewer_bytes() {
-        // Both arms ship the same cross-rank traffic, but the wire arm
-        // stages the self block through a scratch buffer (extract + insert
-        // = two copies of every self element) while the view arm performs
-        // one direct view-to-view copy. The strided-copy byte counter sees
-        // the difference: exactly one extra pass over the self overlap.
+    fn regrid_copies_each_element_once() {
+        // Every element of the old block is read once (packed for the wire,
+        // or copied view-to-view when it stays) and every element of the
+        // new block written once (unpacked, or that same copy): a rank
+        // copies `|old| + |new| − kept` elements, the elements it keeps
+        // crossing no scratch buffer. Staging them through the wire like the
+        // rest would copy `|old| + |new|`.
         let global = rand_tensor(&[8, 6, 4], 7);
         let g1 = Grid::new([2, 2, 1]);
         let g2 = Grid::new([1, 2, 2]);
@@ -268,41 +233,28 @@ mod tests {
             workers: 4,
             ..MeshCfg::default()
         };
-        let wire = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
-            let before = tucker_tensor::view_bytes_copied();
+        let out = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
             let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
-            let local = redistribute_via_wire(ctx, &dt, &g2).local().clone();
-            (local, tucker_tensor::view_bytes_copied() - before)
-        })
-        .into_results();
-        let view = Universe::run_mesh(4, &one_thread_per_rank, |ctx| {
             let before = tucker_tensor::view_bytes_copied();
-            let dt = DistTensor::scatter_from_global(ctx, &global, &g1);
             let local = redistribute(ctx, &dt, &g2).local().clone();
             (local, tucker_tensor::view_bytes_copied() - before)
         })
         .into_results();
-        let mut self_elems = 0usize;
-        for (r, ((a, wb), (b, vb))) in wire.results.iter().zip(&view.results).enumerate() {
-            assert_eq!(a.max_abs_diff(b), 0.0);
+        let (mut kept_total, mut moved) = (0usize, 0usize);
+        for (r, (local, copied)) in out.results.iter().enumerate() {
             let old = block_of(global.shape(), &g1, r);
             let new = block_of(global.shape(), &g2, r);
+            assert_eq!(local.as_slice(), extract(&global, &new), "rank {r}");
             let kept = old.intersect(&new).map_or(0, |o| o.cardinality());
-            self_elems += kept;
-            assert_eq!(
-                wb - vb,
-                (kept * 8) as u64,
-                "rank {r}: view regrid must save one copy of its self block"
-            );
+            let once = old.cardinality() + new.cardinality() - kept;
+            assert_eq!(*copied, (once * 8) as u64, "rank {r}");
+            kept_total += kept;
+            moved += old.cardinality() - kept;
         }
         // The grids are chosen so some rank keeps data (otherwise the test
-        // would pass vacuously).
-        assert!(self_elems > 0, "test grids must produce self overlaps");
-        // Cross-rank wire volume is identical: self blocks never counted.
-        assert_eq!(
-            wire.volume.bytes(VolumeCategory::Regrid),
-            view.volume.bytes(VolumeCategory::Regrid)
-        );
+        // would pass vacuously); what it keeps never crosses the wire.
+        assert!(kept_total > 0, "test grids must produce self overlaps");
+        assert_eq!(out.volume.elements(VolumeCategory::Regrid), moved as u64);
     }
 
     #[test]

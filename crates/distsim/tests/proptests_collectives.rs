@@ -6,6 +6,9 @@
 //! on **every rank** exactly the α–β per-rank forms of
 //! [`tucker_distsim::net::NetModel`] (the reduce-scatter's form is stated
 //! here, message by message), and send exactly its per-rank bytes.
+//! The Gram's column shares and the regrid, and the reduce-scatter on
+//! random shapes and grids, are held to their message enumeration in
+//! `proptests_distsim.rs`.
 
 use proptest::prelude::*;
 use std::time::Duration;

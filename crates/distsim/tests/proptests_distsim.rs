@@ -1,6 +1,7 @@
 //! Property tests for the distributed substrate: random shapes, grids and
-//! regrid sequences must preserve the global tensor exactly, and collective
-//! results must be rank-invariant.
+//! regrid sequences must preserve the global tensor exactly, collective
+//! results must be rank-invariant, and the region exchanges must send
+//! exactly the messages `tucker_distsim::exchange` enumerates.
 //!
 //! Cases are generated deterministically from a fixed per-test seed (see
 //! `vendor/proptest`): CI runs are reproducible, and `PROPTEST_SEED` /
@@ -8,9 +9,14 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::time::Duration;
+use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::{allreduce_sum, Group};
+use tucker_distsim::dist_gram::dist_gram;
 use tucker_distsim::dist_ttm::dist_ttm;
+use tucker_distsim::exchange::{regrid_msgs, GroupExchange, Msg};
 use tucker_distsim::redistribute::redistribute;
 use tucker_distsim::{
     enumerate_valid_grids, DistTensor, Grid, MeshCfg, NetModel, Universe, VolumeCategory,
@@ -22,6 +28,23 @@ fn rand_tensor(dims: &[usize], seed: u64) -> DenseTensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = rand::distributions::Uniform::new(-1.0, 1.0);
     DenseTensor::random(Shape::new(dims.to_vec()), &dist, &mut rng)
+}
+
+/// A hierarchical model with very different link classes, so a message
+/// priced on the wrong class cannot cancel out.
+fn hier_net(node_size: usize) -> NetModel {
+    NetModel::hierarchical(
+        Duration::from_nanos(300),
+        8.0e9,
+        Duration::from_nanos(4_000),
+        1.0e9,
+        node_size,
+    )
+}
+
+/// Elements carried by `msgs`.
+fn elems(msgs: impl Iterator<Item = Msg>) -> u64 {
+    msgs.map(|m| m.elems as u64).sum()
 }
 
 /// Random small shape plus two valid grids over 4 ranks.
@@ -83,14 +106,8 @@ proptest! {
             buf
         };
         let single = Universe::run(p, body);
-        let net = NetModel::hierarchical(
-            std::time::Duration::from_nanos(300),
-            8.0e9,
-            std::time::Duration::from_nanos(4_000),
-            1.0e9,
-            node_size,
-        );
-        let hier = Universe::run_mesh(p, &MeshCfg::virtual_time(net), body).into_results();
+        let hier = Universe::run_mesh(p, &MeshCfg::virtual_time(hier_net(node_size)), body)
+            .into_results();
         let reference = &single.results[0];
         for (a, b) in single.results.iter().zip(&hier.results) {
             for i in 0..len {
@@ -191,5 +208,92 @@ proptest! {
             }
         }
         prop_assert!(counts.iter().all(|&x| x == 1));
+    }
+
+    /// One shared enumeration, executed: under a virtual-time mesh, each
+    /// rank's sent bytes and α–β clock for `dist_ttm`, `dist_gram` and
+    /// `redistribute` equal its messages in `tucker_distsim::exchange` and
+    /// their fold (plus `allreduce_rank_ns` for the Gram's world
+    /// all-reduce), and the sent elements agree with forms that do not read
+    /// the enumeration: per rank, a TTM member ships its partial minus its
+    /// own chunk; over all ranks, `(q_n − 1)·|Out|` for the TTM and `|T|`
+    /// minus the kept elements for a regrid. Random uneven shapes, grids
+    /// with permuted axes, flat (`node_size == 0`) and hierarchical models.
+    #[test]
+    fn region_exchanges_send_their_enumerated_messages(
+        dims in prop::collection::vec(3usize..=9, 2..=4),
+        p in prop::sample::select(vec![2usize, 4, 6, 8, 12]),
+        picks in (0usize..1000, 0usize..1000),
+        axes_seeds in (0u64..1000, 0u64..1000),
+        modes in (0usize..4, 0usize..4),
+        k_sel in 0usize..8,
+        node_size in 0usize..=5,
+        seed in 0u64..10_000,
+    ) {
+        let grids = enumerate_valid_grids(p, &dims);
+        prop_assume!(!grids.is_empty());
+        let order = dims.len();
+        let permuted = |i: usize, seed: u64| {
+            let mut axes: Vec<usize> = (0..order).collect();
+            axes.shuffle(&mut StdRng::seed_from_u64(seed));
+            Grid::with_axes(grids[i % grids.len()].dims().to_vec(), axes)
+        };
+        let (from, to) = (permuted(picks.0, axes_seeds.0), permuted(picks.1, axes_seeds.1));
+        let (n, gram_mode) = (modes.0 % order, modes.1 % order);
+        // Output extent K: any value in q_n ..= L_n keeps the grid valid.
+        let q = from.dim(n);
+        let k = q + k_sel % (dims[n] - q + 1);
+        let net = if node_size == 0 { NetModel::bgq() } else { hier_net(node_size) };
+        let global = rand_tensor(&dims, seed);
+        let f = {
+            let mut rng = StdRng::seed_from_u64(seed + 77);
+            let dist = rand::distributions::Uniform::new(-1.0, 1.0);
+            Matrix::random(k, dims[n], &dist, &mut rng)
+        };
+        let gram_len = dims[gram_mode] * dims[gram_mode];
+        let cats = [
+            VolumeCategory::TtmReduceScatter,
+            VolumeCategory::Gram,
+            VolumeCategory::Regrid,
+            VolumeCategory::Other,
+        ];
+        let out = Universe::run_mesh(p, &MeshCfg::virtual_time(net), |ctx| {
+            let dt = DistTensor::scatter_from_global(ctx, &global, &from);
+            let _ = dist_ttm(ctx, &dt, n, &f);
+            let _ = dist_gram(ctx, &dt, gram_mode);
+            let _ = redistribute(ctx, &dt, &to);
+            // The Gram's all-reduce again, alone: what it sends.
+            let world = Group::world(ctx);
+            allreduce_sum(ctx, &world, &mut vec![0.0; gram_len], 1, VolumeCategory::Other);
+            cats.map(|c| (ctx.volume().elements(c), ctx.comm.time(c).as_nanos() as u64))
+        })
+        .into_results();
+
+        let out_card: usize = (0..order).map(|m| if m == n { k } else { dims[m] }).product();
+        let (mut ttm_total, mut regrid_total, mut kept) = (0u64, 0u64, 0usize);
+        for (r, [ttm, gram, regrid, other]) in out.results.into_iter().enumerate() {
+            let rs = GroupExchange::reduce_scatter(&dims, &from, r, n, k);
+            prop_assert_eq!(ttm, (elems(rs.msgs(false).map(|(_, m)| m)), net.exchange_ns(rs.messages())));
+            let block = rank_region(global.shape(), &from, r);
+            let own = tucker_distsim::block::chunk(k, q, rs.member()).1;
+            prop_assert_eq!(ttm.0 as usize, block.cardinality() / block.len[n] * (k - own));
+            ttm_total += ttm.0;
+
+            let shares = GroupExchange::column_shares(&dims, &from, r, gram_mode);
+            let reduce_ns = net.allreduce_rank_ns(p, r, gram_len);
+            prop_assert_eq!(gram.0 - other.0, elems(shares.msgs(false).map(|(_, m)| m)));
+            prop_assert_eq!(gram.1, net.exchange_ns(shares.messages()) + reduce_ns);
+            prop_assert_eq!(other.1, reduce_ns);
+
+            let sent = elems(regrid_msgs(&dims, &from, &to, r, false));
+            let msgs = [false, true].map(|inbound| regrid_msgs(&dims, &from, &to, r, inbound));
+            let priced = net.exchange_ns(msgs.into_iter().flatten());
+            prop_assert_eq!(regrid, (sent, priced));
+            regrid_total += regrid.0;
+            let new = rank_region(global.shape(), &to, r);
+            kept += block.intersect(&new).map_or(0, |o| o.cardinality());
+        }
+        prop_assert_eq!(ttm_total as usize, (q - 1) * out_card);
+        prop_assert_eq!(regrid_total as usize, global.cardinality() - kept);
     }
 }

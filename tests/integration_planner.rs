@@ -134,8 +134,8 @@ fn grid_count_scales_with_rank_budget() {
 fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
     // The tentpole invariant (DESIGN.md §6): for every plan of the scaling
     // lineup — the paper's four strategies plus the joint-DP winner — the
-    // NetCostModel's predicted communication wall must match the
-    // distsim-executed virtual clock within 5% (in practice: exactly).
+    // NetCostModel's predicted communication wall and every category's
+    // share equal the distsim-executed virtual clocks to the nanosecond.
     // P ∈ {64, 256} here keeps the test fast; the `planner` and `scaling`
     // generators assert the same invariant up to P = 4096 and 8192.
     let meta = tucker_suite::driver::scaling_meta();
@@ -154,26 +154,13 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
             let pred = plan.predict_net(&model);
             let out = run_distributed_hooi(fill, &plan, 1, &cfg);
             let s = &out.per_sweep[0];
-            let p_ns = pred.comm_wall.as_nanos() as f64;
-            let e_ns = s.comm_wall.as_nanos() as f64;
-            assert!(
-                (p_ns - e_ns).abs() <= e_ns.max(1.0) * 0.05,
-                "{} P={p}: predicted {:?} vs executed {:?}",
-                plan.name(),
-                pred.comm_wall,
-                s.comm_wall
-            );
-            // Per-category splits agree too (pure α–β phases).
-            for (pc, ec, what) in [
+            for (predicted, executed, what) in [
+                (pred.comm_wall, s.comm_wall, "comm wall"),
                 (pred.ttm_comm, s.ttm_comm, "ttm"),
+                (pred.regrid_comm, s.regrid_comm, "regrid"),
                 (pred.gram_comm, s.gram_comm, "gram"),
             ] {
-                let (pc, ec) = (pc.as_nanos() as f64, ec.as_nanos() as f64);
-                assert!(
-                    (pc - ec).abs() <= ec.max(1.0) * 0.05,
-                    "{} P={p}: {what} predicted {pc} vs executed {ec}",
-                    plan.name()
-                );
+                assert_eq!(predicted, executed, "{} P={p}: {what}", plan.name());
             }
             // The engine recorded matching provenance.
             let prov = s.provenance.as_ref().expect("engine records provenance");
