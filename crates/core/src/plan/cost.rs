@@ -24,6 +24,14 @@
 //!   communication clock **to the nanosecond** — the planner and scaling
 //!   suites assert equality with the executed clocks.
 //!
+//! The joint DP prices regrids through a [`RegridPricer`] it prepares once
+//! per search ([`CostModel::regrid_pricer`]), bit-identical to
+//! [`CostModel::regrid_cost`]. The flat α–β model's pricer reads rank 0's
+//! per-mode block overlaps from a table filled once for the search's
+//! candidate grids, so the search does no chunk arithmetic; the per-rank
+//! walk of [`NetCostModel::predict_sweep`] computes the same per-mode
+//! overlaps with the same function.
+//!
 //! Costs are model-specific scalars (FLOP-equivalents vs. nanoseconds);
 //! only comparisons within one model are meaningful.
 
@@ -133,6 +141,10 @@ fn premult_shape_into<'b>(
     &buf[..order]
 }
 
+/// A regrid price by premult mask and two indices into one search's
+/// candidate grids ([`CostModel::regrid_pricer`]).
+pub type RegridPricer<'s> = Box<dyn Fn(u32, usize, usize) -> f64 + 's>;
+
 /// The pluggable objective of the planning layer. All prices are per
 /// *operation of one HOOI sweep* and additive: [`sweep_cost`] sums them over
 /// a concrete `(tree, grid scheme)` and is exactly the functional the
@@ -164,8 +176,21 @@ pub trait CostModel {
     /// whose continuation alone cannot beat the running optimum. Must be
     /// symmetric, `regrid_cost(p, a, b) == regrid_cost(p, b, a)` bit for bit:
     /// the search prices each unordered grid pair once and stores the price
-    /// for both directions.
+    /// for both directions. The search itself prices through
+    /// [`CostModel::regrid_pricer`], which must agree with this bit for bit;
+    /// [`sweep_cost`] and the brute-force oracle call this directly.
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64;
+
+    /// A pricer of the regrids between one search's candidate `grids`:
+    /// `pricer(premult, a, b)` equals
+    /// `regrid_cost(meta, premult, &grids[a], &grids[b])` bit for bit. The
+    /// joint DP prepares one per search and prices every regrid through it,
+    /// so a model can tabulate once what the candidate grids share.
+    /// Preparing may allocate; a price must not. The default prices through
+    /// `regrid_cost`.
+    fn regrid_pricer<'s>(&'s self, meta: &'s TuckerMeta, grids: &'s [Grid]) -> RegridPricer<'s> {
+        Box::new(move |premult, a, b| self.regrid_cost(meta, premult, &grids[a], &grids[b]))
+    }
 
     /// Price of the leaf for mode `n`: the distributed Gram of `T[premult]`
     /// (mode-group column-share exchange + world all-reduce of the
@@ -330,6 +355,128 @@ const REGRID: usize = 1;
 const GRAM: usize = 2;
 const OTHER: usize = 3;
 
+/// One mode of a flat regrid direction, seen from one rank: how its chunk
+/// under the grid it sends from overlaps the chunks covering it under the
+/// grid it sends to.
+#[derive(Clone, Copy, Debug)]
+struct ModeOverlaps {
+    /// The distinct `(overlap, count)` pairs; a zero count marks an unused
+    /// slot.
+    groups: [(usize, u64); 4],
+    /// The overlap with the chunk of the rank's own coordinate under the
+    /// target grid; `None` when the cover misses it.
+    self_overlap: Option<usize>,
+}
+
+impl ModeOverlaps {
+    const EMPTY: Self = ModeOverlaps {
+        groups: [(0, 0); 4],
+        self_overlap: None,
+    };
+}
+
+/// The chunk geometry of one mode of a regrid (paper §4.1): a length-
+/// `extent` mode split `q_mine` ways, where the rank holds chunk `mine`,
+/// against the same mode split `q_theirs` ways, where the rank holds chunk
+/// `theirs`. The covering chunks overlap `mine` in at most four distinct
+/// lengths — a partial first chunk, the `⌈L/q⌉` and `⌊L/q⌋` full chunks and
+/// a partial last chunk — so the cover is listed as `(overlap, count)`
+/// pairs: `cover` chunk lookups per mode instead of one per message.
+fn mode_overlaps(
+    extent: usize,
+    q_mine: usize,
+    q_theirs: usize,
+    mine: usize,
+    theirs: usize,
+) -> ModeOverlaps {
+    let (start, len) = chunk(extent, q_mine, mine);
+    let (lo, hi) = chunk_cover(extent, q_theirs, start, len);
+    let mut out = ModeOverlaps::EMPTY;
+    for c in lo..hi {
+        let (ts, tl) = chunk(extent, q_theirs, c);
+        let overlap = (start + len).min(ts + tl) - start.max(ts);
+        if c == theirs {
+            out.self_overlap = Some(overlap);
+        }
+        let slot = out
+            .groups
+            .iter_mut()
+            .find(|slot| slot.1 == 0 || slot.0 == overlap)
+            .expect("at most four distinct overlaps per mode");
+        *slot = (overlap, slot.1 + 1);
+    }
+    out
+}
+
+/// Rank 0's [`mode_overlaps`] for every pair of one search's candidate
+/// grids under a flat model. Rank 0 holds chunk 0 under every grid, so a
+/// mode's list depends only on `(extent, q_from, q_to)`: the extent is `L_m`
+/// or `K_m` by the premult bit, and both counts range over the `d_m`
+/// distinct counts the grids give mode `m` — divisors of P, so `d_m` is at
+/// most P's divisor count. The table holds `Σ_m 2 · d_m²` lists (at most
+/// 490, 38 KiB, for five modes at P = 64), and a price reads `2 · order` of
+/// them.
+struct FlatRegridTable {
+    order: usize,
+    /// Per grid, per mode (`[grid · order + m]`): the index of the grid's
+    /// count among the mode's distinct counts.
+    count_idx: Vec<usize>,
+    /// Per mode: the first list of its block and its distinct-count number
+    /// `d_m`.
+    blocks: [(usize, usize); MAX_ORDER],
+    /// Per mode, the `2 × d_m × d_m` block `[premult bit][i][j]`: rank 0's
+    /// overlaps from count `i` to count `j`.
+    lists: Vec<ModeOverlaps>,
+}
+
+impl FlatRegridTable {
+    fn new(meta: &TuckerMeta, grids: &[Grid]) -> Self {
+        let order = meta.order();
+        assert!(order <= MAX_ORDER, "mode count {order} exceeds {MAX_ORDER}");
+        let mut count_idx = vec![0; grids.len() * order];
+        let mut blocks = [(0, 0); MAX_ORDER];
+        let mut lists = Vec::new();
+        for (m, block) in blocks[..order].iter_mut().enumerate() {
+            let mut counts: Vec<usize> = grids.iter().map(|g| g.dim(m)).collect();
+            counts.sort_unstable();
+            counts.dedup();
+            for (gi, g) in grids.iter().enumerate() {
+                count_idx[gi * order + m] = counts.binary_search(&g.dim(m)).expect("listed");
+            }
+            *block = (lists.len(), counts.len());
+            for extent in [meta.l(m), meta.k(m)] {
+                for &qf in &counts {
+                    lists.extend(counts.iter().map(|&qt| mode_overlaps(extent, qf, qt, 0, 0)));
+                }
+            }
+        }
+        FlatRegridTable {
+            order,
+            count_idx,
+            blocks,
+            lists,
+        }
+    }
+
+    /// `model.regrid_cost(meta, premult, &grids[a], &grids[b])`, bit for
+    /// bit, from the table.
+    fn price(&self, model: &NetCostModel, premult: u32, a: usize, b: usize) -> f64 {
+        let order = self.order;
+        let (ia, ib) = (&self.count_idx[a * order..], &self.count_idx[b * order..]);
+        let (mut there, mut back) = (
+            [ModeOverlaps::EMPTY; MAX_ORDER],
+            [ModeOverlaps::EMPTY; MAX_ORDER],
+        );
+        for m in 0..order {
+            let (first, d) = self.blocks[m];
+            let block = first + (premult >> m & 1) as usize * d * d;
+            there[m] = self.lists[block + ia[m] * d + ib[m]];
+            back[m] = self.lists[block + ib[m] * d + ia[m]];
+        }
+        (model.direction_ns(&there[..order]) + model.direction_ns(&back[..order])) as f64
+    }
+}
+
 impl NetCostModel {
     /// Price plans for `nranks` ranks under `net`.
     pub fn new(net: NetModel, nranks: usize) -> Self {
@@ -444,8 +591,8 @@ impl NetCostModel {
     /// The all-to-all charge of one regrid (`from → to`) as accumulated by
     /// `rank`: the α–β fold over its messages. Under a flat model a
     /// message's price depends only on its element count, so the fold is
-    /// summed grouped by volume instead
-    /// ([`NetCostModel::regrid_direction_grouped_ns`], once per direction).
+    /// summed grouped by volume instead ([`NetCostModel::direction_ns`] over
+    /// [`mode_overlaps`], once per direction).
     fn regrid_rank_ns(&self, shape: &[usize], from: &Grid, to: &Grid, rank: usize) -> u64 {
         if self.net.is_hierarchical() {
             let sends = regrid_msgs(shape, from, to, rank, false);
@@ -453,68 +600,47 @@ impl NetCostModel {
                 .net
                 .exchange_ns(sends.chain(regrid_msgs(shape, from, to, rank, true)));
         }
-        self.regrid_direction_grouped_ns(shape, from, to, rank)
-            + self.regrid_direction_grouped_ns(shape, to, from, rank)
+        let order = shape.len();
+        let (mut from_coord, mut to_coord) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
+        from.coord_into(rank, &mut from_coord[..order]);
+        to.coord_into(rank, &mut to_coord[..order]);
+        let (mut there, mut back) = (
+            [ModeOverlaps::EMPTY; MAX_ORDER],
+            [ModeOverlaps::EMPTY; MAX_ORDER],
+        );
+        for m in 0..order {
+            let (qf, qt, cf, ct) = (from.dim(m), to.dim(m), from_coord[m], to_coord[m]);
+            there[m] = mode_overlaps(shape[m], qf, qt, cf, ct);
+            back[m] = mode_overlaps(shape[m], qt, qf, ct, cf);
+        }
+        self.direction_ns(&there[..order]) + self.direction_ns(&back[..order])
     }
 
-    /// The flat-model charge of `rank`'s messages between its block under
-    /// `mine` and the overlapping blocks under `theirs`: the sends of a
-    /// regrid `mine → theirs`, or with the grids swapped its receives (the
-    /// overlap volumes are symmetric). A message's volume is the product of
-    /// its per-mode overlaps, and along one mode the covering chunks overlap
-    /// my extent in at most four distinct lengths: a partial first chunk,
-    /// the `⌈L/q⌉` and `⌊L/q⌋` full chunks and a partial last chunk. So the
-    /// box sums as `count · price(volume)` over the product of the per-mode
-    /// `(overlap, count)` lists, less the free self-message when my own
-    /// `theirs` coordinate lies in the box: `Σ_m cover_m` chunk lookups
-    /// instead of `Π_m cover_m`, and the same integer nanoseconds as the
-    /// fold.
-    fn regrid_direction_grouped_ns(
-        &self,
-        shape: &[usize],
-        mine: &Grid,
-        theirs: &Grid,
-        rank: usize,
-    ) -> u64 {
-        let order = shape.len();
-        let (mut my_coord, mut self_coord) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER]);
-        mine.coord_into(rank, &mut my_coord[..order]);
-        theirs.coord_into(rank, &mut self_coord[..order]);
-        // Per mode, the distinct `(overlap, count)` pairs; a zero count
-        // marks an unused slot.
-        let mut groups = [[(0usize, 0u64); 4]; MAX_ORDER];
-        // The self-message's volume; `None` once a mode's cover misses my
-        // own `theirs` coordinate.
-        let mut self_vol = Some(1usize);
-        for m in 0..order {
-            let (start, len) = chunk(shape[m], mine.dim(m), my_coord[m]);
-            let (lo, hi) = chunk_cover(shape[m], theirs.dim(m), start, len);
-            let mut self_overlap = None;
-            for c in lo..hi {
-                let (ts, tl) = chunk(shape[m], theirs.dim(m), c);
-                let overlap = (start + len).min(ts + tl) - start.max(ts);
-                if c == self_coord[m] {
-                    self_overlap = Some(overlap);
-                }
-                let slot = groups[m]
-                    .iter_mut()
-                    .find(|slot| slot.1 == 0 || slot.0 == overlap)
-                    .expect("at most four distinct overlaps per mode");
-                *slot = (overlap, slot.1 + 1);
-            }
-            self_vol = self_vol.zip(self_overlap).map(|(v, o)| v * o);
-        }
-        self.grouped_ns(&groups[..order], 1, 1) - self_vol.map_or(0, |v| self.net.msg_elems_ns(v))
+    /// The flat-model charge of a rank's messages between its block under
+    /// one grid and the overlapping blocks under another, given each mode's
+    /// [`mode_overlaps`]: the sends of a regrid, or with the grids swapped
+    /// its receives (the overlap volumes are symmetric). A message's volume
+    /// is the product of its per-mode overlaps, so the box sums as
+    /// `count · price(volume)` over the product of the per-mode
+    /// `(overlap, count)` lists, less the free self-message when every mode
+    /// covers the rank's own coordinate: the same integer nanoseconds as the
+    /// fold over the messages.
+    fn direction_ns(&self, modes: &[ModeOverlaps]) -> u64 {
+        let self_vol = modes
+            .iter()
+            .try_fold(1usize, |v, m| m.self_overlap.map(|o| v * o));
+        self.grouped_ns(modes, 1, 1) - self_vol.map_or(0, |v| self.net.msg_elems_ns(v))
     }
 
     /// `Σ count · price(volume)` over one `(overlap, count)` pick per mode
-    /// of `groups`, each pick's volume and count multiplied onto `vol` and
+    /// of `modes`, each pick's volume and count multiplied onto `vol` and
     /// `count`.
-    fn grouped_ns(&self, groups: &[[(usize, u64); 4]], vol: usize, count: u64) -> u64 {
-        let Some((first, rest)) = groups.split_first() else {
+    fn grouped_ns(&self, modes: &[ModeOverlaps], vol: usize, count: u64) -> u64 {
+        let Some((first, rest)) = modes.split_first() else {
             return count * self.net.msg_elems_ns(vol);
         };
         first
+            .groups
             .iter()
             .take_while(|&&(_, c)| c > 0)
             .map(|&(o, c)| self.grouped_ns(rest, vol * o, count * c))
@@ -679,6 +805,20 @@ impl CostModel for NetCostModel {
             .map(|r| self.regrid_rank_ns(shape, from, to, r))
             .max()
             .unwrap_or(0) as f64
+    }
+
+    /// Flat models: a `FlatRegridTable` of rank 0's per-mode overlaps,
+    /// filled once per search, so a price is `2 · order` table reads and
+    /// the grouped α–β sum — no chunk, cover or coordinate arithmetic.
+    /// Hierarchical models price through `regrid_cost`.
+    fn regrid_pricer<'s>(&'s self, meta: &'s TuckerMeta, grids: &'s [Grid]) -> RegridPricer<'s> {
+        if self.net.is_hierarchical() {
+            return Box::new(move |premult, a, b| {
+                self.regrid_cost(meta, premult, &grids[a], &grids[b])
+            });
+        }
+        let table = FlatRegridTable::new(meta, grids);
+        Box::new(move |premult, a, b| table.price(self, premult, a, b))
     }
 
     /// The Gram critical path: mode-group column-share exchange plus the

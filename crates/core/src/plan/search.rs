@@ -24,7 +24,10 @@
 //! one per premult mask, allocated when a state with that mask first scans
 //! its regrid targets (at most `2^N − 1` tables of `8 · |grids|²` bytes).
 //! Regrid prices are symmetric in the two grids, so the tables are filled
-//! symmetrically: each unordered grid pair is priced once. The grid × grid scan
+//! symmetrically: each unordered grid pair is priced once, through the
+//! pricer the model prepares for the candidate grids once per search
+//! ([`CostModel::regrid_pricer`]; the flat α–β model's reads a per-search
+//! table of per-mode block overlaps). The grid × grid scan
 //! skips — without pricing it — every target whose continuation alone
 //! already reaches the state's running optimum: regrid prices are
 //! non-negative and the optimum only moves on a strict improvement, so the
@@ -41,7 +44,7 @@
 //! it, so the optimality guarantee holds over the *full* grid set.
 
 use crate::meta::TuckerMeta;
-use crate::plan::cost::{sweep_cost, CostModel};
+use crate::plan::cost::{sweep_cost, CostModel, RegridPricer};
 use crate::plan::grid::{candidate_grids, scheme_volume, DynGridScheme};
 use crate::plan::tree::{NodeLabel, TtmTree};
 use crate::plan::{GridStrategy, Plan, Planner, TreeStrategy};
@@ -173,10 +176,12 @@ enum JChoice {
     /// Base case: the single remaining leaf.
     Leaf,
     /// One shared TTM along `mode`, optionally after a regrid to the grid
-    /// index in `regrid_to`.
+    /// index in `regrid_to`. The narrow fields keep the per-state table,
+    /// `|states| · |grids|` of these, at 12 bytes an entry: the DP's
+    /// largest allocation after the regrid price memo.
     Reuse {
-        mode: usize,
-        regrid_to: Option<usize>,
+        mode: u8,
+        regrid_to: Option<u32>,
     },
     /// Split `Q`; payload is the `Q₁` submask.
     Split(u32),
@@ -205,6 +210,10 @@ struct JointDp<'a> {
     /// targets, so the footprint is `8 · ng²` bytes per mask that actually
     /// reuses a mode (at most `2^N − 1` of them), never `2^N · ng²` up front.
     regrid_prices: Vec<Option<Box<[f64]>>>,
+    /// The model's regrid pricer for `grids`, prepared once per search
+    /// ([`CostModel::regrid_pricer`]); every memo miss above prices
+    /// through it.
+    regrid: RegridPricer<'a>,
 }
 
 impl<'a> JointDp<'a> {
@@ -217,6 +226,10 @@ impl<'a> JointDp<'a> {
         }
         let states = pow3[n];
         let ng = grids.len();
+        assert!(
+            u32::try_from(ng).is_ok(),
+            "{ng} grids overflow a grid index"
+        );
         JointDp {
             meta,
             model,
@@ -229,6 +242,7 @@ impl<'a> JointDp<'a> {
             choice: vec![JChoice::Unset; states * ng],
             tails: vec![None; states * n],
             regrid_prices: vec![None; 1 << n],
+            regrid: model.regrid_pricer(meta, grids),
         }
     }
 
@@ -270,7 +284,7 @@ impl<'a> JointDp<'a> {
 
         // Reuse a mode of R, with or without a regrid first. Keeping the
         // grid is evaluated first so ties never pay a pointless regrid.
-        let (ng, model, meta, grids) = (self.ng, self.model, self.meta, self.grids);
+        let ng = self.ng;
         let mut rm = r;
         while rm != 0 {
             let m = rm.trailing_zeros() as usize;
@@ -288,7 +302,7 @@ impl<'a> JointDp<'a> {
             if tail[gi] < best {
                 best = tail[gi];
                 best_choice = JChoice::Reuse {
-                    mode: m,
+                    mode: m as u8,
                     regrid_to: None,
                 };
             }
@@ -303,7 +317,7 @@ impl<'a> JointDp<'a> {
                 if price.is_nan() {
                     // Regrid prices are symmetric in the two grids: one
                     // pricing fills the pair's entry in both directions.
-                    price = model.regrid_cost(meta, p, &grids[gi], &grids[tgt]);
+                    price = (self.regrid)(p, gi, tgt);
                     debug_assert!(price >= 0.0, "regrid prices must be non-negative");
                     prices[gi * ng + tgt] = price;
                     prices[tgt * ng + gi] = price;
@@ -312,8 +326,8 @@ impl<'a> JointDp<'a> {
                 if re < best {
                     best = re;
                     best_choice = JChoice::Reuse {
-                        mode: m,
-                        regrid_to: Some(tgt),
+                        mode: m as u8,
+                        regrid_to: Some(tgt as u32),
                     };
                 }
             }
@@ -487,7 +501,7 @@ impl<'a> JointDp<'a> {
                 out.regrid.push(false);
             }
             JChoice::Reuse { mode, regrid_to } => {
-                let gnew = regrid_to.unwrap_or(gi);
+                let (mode, gnew) = (mode as usize, regrid_to.map_or(gi, |t| t as usize));
                 let u = out.tree.add_child(attach, NodeLabel::Ttm(mode));
                 out.node_gi.push(gnew);
                 out.regrid.push(regrid_to.is_some());
@@ -762,7 +776,9 @@ mod tests {
     }
 
     /// Forwards the prices and grid hooks the DP's states use to `inner`,
-    /// and records each regrid pricing as `(premult, from, to)`.
+    /// and records each regrid pricing of the prepared pricer as
+    /// `(premult, from, to)`. The search proper must not call
+    /// `regrid_cost` itself.
     struct CountingModel<'a> {
         inner: &'a dyn CostModel,
         priced: std::cell::RefCell<Vec<(u32, Grid, Grid)>>,
@@ -775,11 +791,20 @@ mod tests {
         fn ttm_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
             self.inner.ttm_cost(meta, premult, n, g)
         }
-        fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64 {
-            self.priced
-                .borrow_mut()
-                .push((premult, from.clone(), to.clone()));
-            self.inner.regrid_cost(meta, premult, from, to)
+        fn regrid_cost(&self, _: &TuckerMeta, _: u32, _: &Grid, _: &Grid) -> f64 {
+            panic!("the search prices regrids through its prepared pricer")
+        }
+        fn regrid_pricer<'s>(
+            &'s self,
+            meta: &'s TuckerMeta,
+            grids: &'s [Grid],
+        ) -> RegridPricer<'s> {
+            let inner = self.inner.regrid_pricer(meta, grids);
+            Box::new(move |premult, a, b| {
+                let (from, to) = (grids[a].clone(), grids[b].clone());
+                self.priced.borrow_mut().push((premult, from, to));
+                inner(premult, a, b)
+            })
         }
         fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
             self.inner.leaf_cost(meta, premult, n, g)
@@ -796,7 +821,9 @@ mod tests {
     fn the_dp_prices_each_unordered_grid_pair_once() {
         // The search proper — every root state `run` solves, before the
         // winner is reconstructed and re-scored by `sweep_cost` — never
-        // prices a `(mask, {a, b})` pair twice, in either direction.
+        // prices a `(mask, {a, b})` pair twice, in either direction, on the
+        // path production runs: the pricer it prepared (the flat table, and
+        // the hierarchical and classic models' `regrid_cost` forwards).
         let meta = meta();
         let p = 16;
         let bgq = NetCostModel::new(NetModel::bgq(), p);
@@ -813,6 +840,7 @@ mod tests {
             for gi in dp.orbit_representatives() {
                 dp.solve(0, dp.full, gi);
             }
+            drop(dp);
             let priced = model.priced.into_inner();
             assert!(!priced.is_empty(), "{}: no regrid was priced", inner.name());
             let mut seen = std::collections::HashSet::new();

@@ -1,8 +1,9 @@
 //! The α–β prices the joint DP evaluates hundreds of thousands of times per
 //! plan must not touch the heap: a counting global allocator sees zero
-//! allocations across `regrid_cost`, `ttm_cost` and `leaf_cost` calls,
-//! under the flat and the hierarchical preset (including a
-//! [`Grid::with_axes`] rank ordering).
+//! allocations across `regrid_cost`, `ttm_cost` and `leaf_cost` calls, and
+//! across the prices of the regrid pricer the DP prepares once per search
+//! (preparing it may allocate), under the flat and the hierarchical preset
+//! (including [`Grid::with_axes`] rank orderings).
 //!
 //! The counter is thread-local, so the test harness's own threads cannot
 //! disturb it.
@@ -10,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tucker_core::plan::cost::{CostModel, NetCostModel};
+use tucker_core::plan::grid::candidate_grids;
 use tucker_core::TuckerMeta;
 use tucker_distsim::{Grid, NetModel};
 
@@ -72,6 +74,35 @@ fn net_prices_are_allocation_free() {
                         allocations_during(|| model.leaf_cost(&meta, premult, mode, g));
                     assert!(price > 0.0);
                     assert_eq!(n, 0, "leaf_cost allocated ({premult:#b}, mode {mode}, {g})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn prepared_regrid_prices_are_allocation_free() {
+    let meta = TuckerMeta::new([20, 50, 50, 30], [10, 40, 5, 6]);
+    let p = 64;
+    for net in [NetModel::bgq(), NetModel::cluster()] {
+        let model = NetCostModel::new(net, p);
+        // The search's grid list: the hierarchical preset adds node-aligned
+        // `Grid::with_axes` variants.
+        let mut grids = candidate_grids(&meta, p);
+        model.augment_grids(&meta, &mut grids);
+        let pricer = model.regrid_pricer(&meta, &grids);
+        let picks: Vec<usize> = (0..grids.len()).step_by(grids.len() / 12 + 1).collect();
+        for premult in [0u32, 0b0101, 0b1110] {
+            for &a in &picks {
+                for &b in &picks {
+                    let (n, price) = allocations_during(|| pricer(premult, a, b));
+                    assert_eq!(
+                        n, 0,
+                        "pricer allocated ({premult:#b}, {} -> {})",
+                        grids[a], grids[b]
+                    );
+                    let expect = model.regrid_cost(&meta, premult, &grids[a], &grids[b]);
+                    assert_eq!(price.to_bits(), expect.to_bits());
                 }
             }
         }

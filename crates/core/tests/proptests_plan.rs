@@ -201,3 +201,43 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pricer the joint DP prepares per search equals `regrid_cost`
+    /// bit for bit, and is symmetric, on every candidate-grid pair under
+    /// every premult mask: random metas whose extents the grid counts rarely
+    /// divide, under the flat BG/Q preset and the flattened cluster preset
+    /// (the flat pricer reads rank 0's per-mode overlaps from a table).
+    #[test]
+    fn prepared_regrid_pricer_matches_regrid_cost(
+        order in 2usize..=5,
+        ls in prop::collection::vec(5usize..=29, 5),
+        ks in prop::collection::vec(2usize..=9, 5),
+        p in prop::sample::select(vec![4usize, 6, 8, 12, 16, 30, 36, 64]),
+    ) {
+        let ks: Vec<usize> = (0..order).map(|n| ks[n].min(ls[n])).collect();
+        let meta = TuckerMeta::new(ls[..order].to_vec(), ks);
+        // The set `candidate_grids` returns (it panics when empty).
+        let grids = tucker_distsim::enumerate_valid_grids(p, meta.core().dims());
+        prop_assume!(!grids.is_empty());
+        for net in [NetModel::bgq(), NetModel::cluster().flattened()] {
+            let model = NetCostModel::new(net, p);
+            let pricer = model.regrid_pricer(&meta, &grids);
+            for premult in 0..1u32 << order {
+                for (i, a) in grids.iter().enumerate() {
+                    for (j, b) in grids.iter().enumerate().skip(i) {
+                        let price = pricer(premult, i, j);
+                        prop_assert_eq!(
+                            price.to_bits(),
+                            model.regrid_cost(&meta, premult, a, b).to_bits(),
+                            "mask {:b}: {} -> {}", premult, a, b
+                        );
+                        prop_assert_eq!(price.to_bits(), pricer(premult, j, i).to_bits());
+                    }
+                }
+            }
+        }
+    }
+}

@@ -210,6 +210,7 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
         "executed_comm_s",
         "ttm_comm_s",
         "gram_comm_s",
+        "regrid_comm_s",
     ] {
         let path = format!("rows[].{path}");
         assert_eq!(kind_of("BENCH_planner.json", &path), Kind::Model, "{path}");
@@ -219,6 +220,7 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
         "comm_wall_s",
         "ttm_comm_s",
         "gram_comm_s",
+        "regrid_comm_s",
     ] {
         let path = format!("rows[].{path}");
         assert_eq!(kind_of("BENCH_scaling.json", &path), Kind::Model, "{path}");
@@ -233,9 +235,7 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
         assert_eq!(kind_of("BENCH_recovery.json", path), Kind::Model, "{path}");
     }
     for (file, path) in [
-        ("BENCH_scaling.json", "rows[].regrid_comm_s"),
         ("BENCH_scaling.json", "rows[].wall_s"),
-        ("BENCH_planner.json", "rows[].regrid_comm_s"),
         ("BENCH_topology.json", "rows[].host_s"),
         ("BENCH_recovery.json", "rows[].recover_total_s"),
     ] {
