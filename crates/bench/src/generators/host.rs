@@ -968,8 +968,9 @@ fn pack_timing(host_cores: usize, gates: &mut Gates) -> Obj {
 /// STHOSVD + a fixed number of HOOI sweeps in-core and out-of-core (tiled,
 /// workspace capped at a quarter of the tensor) on the same input, a
 /// tensor whose footprint exceeds the workspace cap several times over.
+/// The tiled run streams the input `1 + N + S·(N+1)` times for `S` sweeps.
 fn outofcore(gates: &mut Gates) -> Obj {
-    use tucker_core::{full_recompute, tucker_outofcore};
+    use tucker_core::{full_recompute, tucker_outofcore, TiledBackend};
     const OOC_BOUND: f64 = 1e-10;
     const TILE: usize = 8;
     const SWEEPS: usize = 3;
@@ -987,10 +988,14 @@ fn outofcore(gates: &mut Gates) -> Obj {
     let incore_s = t0.elapsed().as_secs_f64();
 
     let mut ws = TtmWorkspace::with_limit(limit_bytes);
+    let mut tiled = TiledBackend::new(&t, TILE, &mut ws);
     let t0 = Instant::now();
-    let ooc = tucker_outofcore(&t, &meta, TILE, cfg, &mut ws);
+    let ooc = tucker_outofcore(&mut tiled, &meta, cfg);
     let outofcore_s = t0.elapsed().as_secs_f64();
     let err_outofcore = *ooc.errors.last().expect("at least one sweep");
+    let passes = tiled.passes();
+    let order = dims.len();
+    let expected_passes = 1 + order + ooc.errors.len() * (order + 1);
     // The pool's high-water mark after the run (must stay under the cap).
     let pooled_bytes = ws.pooled_bytes();
 
@@ -998,7 +1003,7 @@ fn outofcore(gates: &mut Gates) -> Obj {
     println!(
         "   out-of-core {dims:?} -> {ranks:?} (tile {TILE}, cap {} KiB of {} KiB): \
          err {err_outofcore:.6} vs in-core {err_incore:.6} (|delta| {delta:.1e}), \
-         {:.1}ms vs {:.1}ms, pool {} KiB",
+         {:.1}ms vs {:.1}ms, pool {} KiB, {passes} passes over the input",
         limit_bytes / 1024,
         tensor_bytes / 1024,
         outofcore_s * 1e3,
@@ -1014,6 +1019,9 @@ fn outofcore(gates: &mut Gates) -> Obj {
     gates.check(pooled_bytes <= limit_bytes, || {
         format!("the tile pool must respect the byte cap ({pooled_bytes} > {limit_bytes})")
     });
+    gates.check(passes == expected_passes, || {
+        format!("the tiled run must stream the input 1 + N + S(N+1) = {expected_passes} times (got {passes})")
+    });
     Obj::new()
         .model_list("dims", dims)
         .model_list("ranks", ranks)
@@ -1022,6 +1030,7 @@ fn outofcore(gates: &mut Gates) -> Obj {
         .model("pooled_bytes", pooled_bytes)
         .model("tile_len", TILE)
         .model("sweeps", SWEEPS)
+        .model("passes", passes)
         .model("err_incore", Fix(err_incore, 12))
         .model("err_outofcore", Fix(err_outofcore, 12))
         .bounded("err_delta", Sci(delta, 3), OOC_BOUND)

@@ -24,6 +24,10 @@
 //!   [`executor::hooi_sweep`] / [`executor::hooi_loop`] on a `SeqBackend`,
 //!   with [`executor::gauss_seidel_sweep`] as De Lathauwer et al.'s
 //!   reference variant;
+//! * [`outofcore`] — the executor's loops on an input streamed in
+//!   last-mode tiles ([`outofcore::TiledBackend`], any TTM-tree, a capped
+//!   workspace), and the incremental sliding-window entry
+//!   ([`outofcore::SlidingTucker`]);
 //! * [`engine`] — the distributed *engine* (§5): executes a plan on the
 //!   simulated MPI universe (the distsim backend of the executor), with
 //!   per-phase time and volume accounting. One epoch loop runs every
@@ -79,10 +83,7 @@ pub use executor::{
     LoopCfg, LoopOutcome, PlanProvenance, RayonBackend, SeqBackend, SweepBackend, SweepStats,
 };
 pub use meta::TuckerMeta;
-pub use outofcore::{
-    full_recompute, hooi_sweep_outofcore, sthosvd_outofcore, tucker_outofcore, OocOutcome,
-    SlidingTucker,
-};
+pub use outofcore::{full_recompute, tucker_outofcore, SlidingTucker, TiledBackend};
 pub use plan::order::ModeOrdering;
 pub use plan::tree::{balanced_tree, chain_tree, TtmTree};
 pub use plan::{

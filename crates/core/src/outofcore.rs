@@ -1,54 +1,46 @@
 //! Out-of-core tiled Tucker sweeps and an incremental sliding-window entry.
 //!
-//! The in-core executor ([`crate::executor`]) assumes the input tensor and
-//! every TTM-tree intermediate fit in memory. This module lifts the input
-//! out of that budget: the tensor is processed as **tiles** — slabs along
-//! the last mode, each a *contiguous* [`TensorView`] of the canonical
-//! layout — and only tile-sized intermediates plus core-sized accumulators
-//! ever stream through the (byte-capped) [`TtmWorkspace`]. Nothing
-//! proportional to the full input is materialized beyond the input itself,
-//! so a workspace limited to a fraction of the tensor's footprint suffices
-//! (`outofcore_respects_workspace_limit` below pins this down).
+//! [`TiledBackend`] runs the executor's loops ([`executor::sthosvd_sweep`],
+//! [`executor::hooi_loop`], any TTM-tree) on an input read as **tiles**:
+//! slabs along the last mode, each a *contiguous* [`TensorView`]. Only
+//! tile-sized intermediates and core-sized results stream through the
+//! (byte-capped) [`TtmWorkspace`], so a workspace limited to a fraction of
+//! the tensor's footprint suffices. Its tensor is a [`Projection`], the
+//! input times a list of `(mode, Fᵀ)` operands:
 //!
-//! Two algorithms are provided on top of the tiling:
+//! - a TTM appends one operand and computes nothing;
+//! - a Gram or norm streams the tiles once. Mode-`n` fibers (`n < N-1`)
+//!   never cross a tile, so with no last-mode operand per-tile Grams and
+//!   squared norms sum exactly. Otherwise the projection's values are
+//!   computed: projected tiles are concatenated (a last-mode Gram), or each
+//!   is contracted against its columns of `F_{N-1}ᵀ` and the results summed;
+//! - values are computed at most once, and a TTM on computed values runs in
+//!   core, so STHOSVD's last truncation and a sweep's core cost no extra pass.
 //!
-//! - **Out-of-core STHOSVD + HOOI** ([`sthosvd_outofcore`],
-//!   [`tucker_outofcore`]): per mode `n < N-1` the Gram matrix is the sum
-//!   of per-tile Grams (mode-`n` fibers never cross a last-mode slab
-//!   boundary, so the sum is exact); for the last mode the projected
-//!   tensor `Y = T ×_{j<N-1} F_jᵀ` is core-sized in every mode but the
-//!   last and is assembled slab by slab. A HOOI sweep accumulates each
-//!   leaf `Y_n = T ×_{j≠n} F_jᵀ` across tiles, restricting the last-mode
-//!   operand to the tile's columns of `F_{N-1}ᵀ`. Per-tile summation
-//!   reorders floating-point additions relative to the in-core TTM tree,
-//!   so results agree to roundoff (≪ 1e-10 on the error), not bitwise.
+//! The input norm takes one pass, the STHOSVD init `N` and a HOOI sweep
+//! `N + 1` whatever the tree ([`TiledBackend::passes`]). Per-tile summation
+//! reorders floating-point additions, so results agree with in-core
+//! execution to roundoff (≪ 1e-10 on the error), not bitwise.
 //!
-//! - **Sliding-window Tucker** ([`SlidingTucker`]): the last mode is time;
-//!   advancing the window is one in-place `memmove` (drop the oldest
-//!   frames) plus one slab write (append the new ones). The warm state
-//!   carried across pushes is the set of **spatial Gram matrices**, which
-//!   are additive over frames and hence downdated/updated at *slab* cost;
-//!   the HOOI re-convergence starts from factors refreshed out of those
-//!   Grams instead of paying the cold start's window-sized Grams
-//!   ([`full_recompute`] is the cold comparator).
+//! **Sliding-window Tucker** ([`SlidingTucker`]): the last mode is time;
+//! advancing the window is one in-place `memmove` (drop the oldest frames)
+//! plus one slab write (append the new ones). The warm state carried across
+//! pushes is the set of **spatial Gram matrices**, which are additive over
+//! frames and hence downdated/updated at *slab* cost; the HOOI
+//! re-convergence starts from factors refreshed out of those Grams instead
+//! of paying the cold start's window-sized Grams ([`full_recompute`] is the
+//! cold comparator).
 
 use crate::decomposition::TuckerDecomposition;
-use crate::executor::{self, LoopCfg, SeqBackend, SweepBackend};
+use crate::executor::{self, LoopCfg, LoopOutcome, SeqBackend, SweepBackend, SweepStats};
 use crate::meta::TuckerMeta;
 use crate::plan::tree::{chain_tree, TtmTree};
 use crate::sthosvd::sthosvd;
+use std::cell::OnceCell;
+use std::time::{Duration, Instant};
 use tucker_linalg::{leading_from_gram, Matrix};
-use tucker_tensor::norm::{fro_norm_sq, relative_error_from_core};
+use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{copy_into, gram, DenseTensor, Shape, TensorView, TensorViewMut, TtmWorkspace};
-
-/// Tile extents `(start, len)` covering `0..total` along the last mode.
-fn tiles(total: usize, tile_len: usize) -> Vec<(usize, usize)> {
-    assert!(tile_len >= 1, "tile length must be at least 1");
-    (0..total)
-        .step_by(tile_len)
-        .map(|t0| (t0, tile_len.min(total - t0)))
-        .collect()
-}
 
 /// Project `tile` by every `(mode, Fᵀ)` op, streaming through the
 /// workspace: the first TTM consumes the borrowed view (contiguous tiles
@@ -73,14 +65,6 @@ fn project_view(
     cur
 }
 
-/// Columns `[c0, c0+len)` of a column-major matrix as an owned block —
-/// the tile-restricted operand `F_{N-1}ᵀ[:, tile]` (contiguous in the
-/// underlying buffer, so this is one `memcpy`).
-fn cols_block(m: &Matrix, c0: usize, len: usize) -> Matrix {
-    let k = m.nrows();
-    Matrix::from_vec(k, len, m.as_slice()[c0 * k..(c0 + len) * k].to_vec())
-}
-
 /// Add `g`'s entries into `acc` (the per-tile Gram reduction).
 fn add_gram(acc: &mut [f64], g: &Matrix) {
     for (a, &x) in acc.iter_mut().zip(g.as_slice()) {
@@ -95,219 +79,247 @@ fn sub_gram(acc: &mut [f64], g: &Matrix) {
     }
 }
 
-/// Assemble `Y = T ×_{j<N-1} F_jᵀ` slab by slab. `Y` is core-sized in
-/// every mode but the last (`∏_{j<N-1} K_j · L_{N-1}` elements), so it is
-/// the largest in-memory object of the out-of-core sweeps. Each projected
-/// tile lands in its slab of `Y` via one view-to-view copy.
-fn assemble_projected(
-    t: &DenseTensor,
-    factors_t: &[Matrix],
-    tile_len: usize,
-    ws: &mut TtmWorkspace,
-) -> DenseTensor {
-    let last = t.order() - 1;
-    assert_eq!(factors_t.len(), last, "one operand per non-last mode");
-    let mut ydims: Vec<usize> = factors_t.iter().map(Matrix::nrows).collect();
-    ydims.push(t.shape().dim(last));
-    let mut y = DenseTensor::zeros(Shape::new(ydims));
-    let ops: Vec<(usize, &Matrix)> = factors_t.iter().enumerate().collect();
-    for (t0, len) in tiles(t.shape().dim(last), tile_len) {
-        let tile = TensorView::of(t).slice(last, t0, len);
-        let z = project_view(ws, &tile, &ops).expect("order >= 2 projects at least one mode");
-        let mut slab = TensorViewMut::of(&mut y).slice_mut(last, t0, len);
-        copy_into(&TensorView::of(&z), &mut slab);
-        ws.recycle(z);
+/// A projection `T ×_{m₁} A₁ ⋯ ×_{m_k} A_k` of a [`TiledBackend`]'s input,
+/// the backend's tensor. `Projection::default()`, with no operand, is the
+/// input itself (the root of every sweep), which is never copied. Its
+/// values are computed at most once, when a Gram or norm first needs them.
+#[derive(Default)]
+pub struct Projection {
+    /// `(mode, Fᵀ)` operands in application order.
+    ops: Vec<(usize, Matrix)>,
+    values: OnceCell<DenseTensor>,
+}
+
+impl Projection {
+    /// The computed values, `None` if nothing needed them yet.
+    pub fn into_values(self) -> Option<DenseTensor> {
+        self.values.into_inner()
     }
-    y
-}
 
-/// `‖T‖²` accumulated tile by tile (per-tile partial sums; never touches
-/// more than one slab's worth of data at a time).
-fn streamed_norm_sq(t: &DenseTensor, tile_len: usize) -> f64 {
-    let last = t.order() - 1;
-    tiles(t.shape().dim(last), tile_len)
-        .into_iter()
-        .map(|(t0, len)| {
-            let tile = TensorView::of(t).slice(last, t0, len);
-            let data = tile
-                .contiguous_data()
-                .expect("last-mode slabs are contiguous");
-            data.iter().map(|&x| x * x).sum::<f64>()
-        })
-        .sum()
-}
-
-/// Out-of-core STHOSVD: modes in natural order; mode `n < N-1` sums
-/// per-tile Grams of the partially truncated tensor, the last mode works
-/// on the assembled (small) projection. Same math as
-/// [`crate::sthosvd::sthosvd`], summation reordered across tiles.
-///
-/// # Panics
-/// Panics if `meta` disagrees with the tensor, the order is below 2, or
-/// `tile_len` is zero.
-pub fn sthosvd_outofcore(
-    t: &DenseTensor,
-    meta: &TuckerMeta,
-    tile_len: usize,
-    ws: &mut TtmWorkspace,
-) -> TuckerDecomposition {
-    assert_eq!(t.shape(), meta.input(), "tensor does not match metadata");
-    assert!(meta.order() >= 2, "out-of-core sweeps need order >= 2");
-    let last = meta.order() - 1;
-    let mut factors: Vec<Matrix> = Vec::with_capacity(meta.order());
-    let mut factors_t: Vec<Matrix> = Vec::with_capacity(meta.order());
-    for n in 0..last {
-        let ln = meta.l(n);
-        let mut acc = vec![0.0; ln * ln];
-        let ops: Vec<(usize, &Matrix)> = factors_t.iter().take(n).enumerate().collect();
-        for (t0, len) in tiles(meta.l(last), tile_len) {
-            let tile = TensorView::of(t).slice(last, t0, len);
-            match project_view(ws, &tile, &ops) {
-                Some(z) => {
-                    add_gram(&mut acc, &gram(&z, n));
-                    ws.recycle(z);
-                }
-                // Mode 0 projects nothing: Gram straight off the view.
-                None => add_gram(&mut acc, &gram(tile, n)),
-            }
-        }
-        let f = leading_from_gram(&Matrix::from_vec(ln, ln, acc), meta.k(n)).u;
-        factors_t.push(f.transpose());
-        factors.push(f);
+    /// The operands on modes other than `last`, in order, and the one on
+    /// `last` if any.
+    fn split(&self, last: usize) -> (Vec<(usize, &Matrix)>, Option<&Matrix>) {
+        let (spatial, on_last): (Vec<_>, Vec<_>) = self
+            .ops
+            .iter()
+            .map(|(m, a)| (*m, a))
+            .partition(|&(m, _)| m != last);
+        (spatial, on_last.first().map(|&(_, a)| a))
     }
-    let y = assemble_projected(t, &factors_t, tile_len, ws);
-    let f = leading_from_gram(&gram(&y, last), meta.k(last)).u;
-    let core = ws.ttm(&y, last, &f.transpose());
-    ws.recycle(y);
-    factors.push(f);
-    TuckerDecomposition::new(core, factors)
 }
 
-/// One Jacobi-style HOOI sweep computed without materializing anything
-/// larger than the assembled last-mode projection: every leaf
-/// `Y_n = T ×_{j≠n} F_jᵀ` is accumulated across tiles (the last-mode
-/// operand restricted to the tile's columns of `F_{N-1}ᵀ`), truncated to
-/// the new factor, and the new core is accumulated the same way. Returns
-/// `(new_factors, core, error)` with the error from the core-norm
-/// identity against `input_norm_sq`.
-///
-/// # Panics
-/// Panics if shapes are inconsistent (see [`sthosvd_outofcore`]).
-pub fn hooi_sweep_outofcore(
-    t: &DenseTensor,
-    meta: &TuckerMeta,
-    factors: &[Matrix],
-    tile_len: usize,
-    ws: &mut TtmWorkspace,
-    input_norm_sq: f64,
-) -> (Vec<Matrix>, DenseTensor, f64) {
-    assert_eq!(t.shape(), meta.input(), "tensor does not match metadata");
-    assert!(meta.order() >= 2, "out-of-core sweeps need order >= 2");
-    assert_eq!(factors.len(), meta.order(), "one factor per mode");
-    let last = meta.order() - 1;
-    let factors_t: Vec<Matrix> = factors.iter().map(Matrix::transpose).collect();
-
-    let mut new_factors: Vec<Matrix> = Vec::with_capacity(meta.order());
-    for n in 0..last {
-        let ops: Vec<(usize, &Matrix)> = (0..last)
-            .filter(|&j| j != n)
-            .map(|j| (j, &factors_t[j]))
-            .collect();
-        let mut y: Option<DenseTensor> = None;
-        for (t0, len) in tiles(meta.l(last), tile_len) {
-            let tile = TensorView::of(t).slice(last, t0, len);
-            let ft_cols = cols_block(&factors_t[last], t0, len);
-            let w = match project_view(ws, &tile, &ops) {
-                Some(z) => {
-                    let w = ws.ttm(&z, last, &ft_cols);
-                    ws.recycle(z);
-                    w
-                }
-                // Order 2, mode 0: the tile itself is the operand.
-                None => ws.ttm(tile, last, &ft_cols),
-            };
-            match y.as_mut() {
-                None => y = Some(w),
-                Some(acc) => {
-                    acc.add_assign(&w);
-                    ws.recycle(w);
-                }
-            }
-        }
-        let y = y.expect("at least one tile");
-        new_factors.push(leading_from_gram(&gram(&y, n), meta.k(n)).u);
-        ws.recycle(y);
-    }
-    let y = assemble_projected(t, &factors_t[..last], tile_len, ws);
-    new_factors.push(leading_from_gram(&gram(&y, last), meta.k(last)).u);
-    ws.recycle(y);
-
-    // New core from the new factors, accumulated over the same tiling.
-    let new_t: Vec<Matrix> = new_factors.iter().map(Matrix::transpose).collect();
-    let ops: Vec<(usize, &Matrix)> = new_t[..last].iter().enumerate().collect();
-    let mut core: Option<DenseTensor> = None;
-    for (t0, len) in tiles(meta.l(last), tile_len) {
-        let tile = TensorView::of(t).slice(last, t0, len);
-        let z = project_view(ws, &tile, &ops).expect("order >= 2 projects at least one mode");
-        let w = ws.ttm(&z, last, &cols_block(&new_t[last], t0, len));
-        ws.recycle(z);
-        match core.as_mut() {
-            None => core = Some(w),
-            Some(acc) => {
-                acc.add_assign(&w);
-                ws.recycle(w);
-            }
-        }
-    }
-    let core = core.expect("at least one tile");
-    let error = relative_error_from_core(input_norm_sq, fro_norm_sq(&core));
-    (new_factors, core, error)
-}
-
-/// Result of [`tucker_outofcore`].
-pub struct OocOutcome {
-    /// The converged decomposition.
-    pub decomposition: TuckerDecomposition,
-    /// Error trace, one entry per executed sweep.
-    pub errors: Vec<f64>,
-}
-
-/// Full out-of-core Tucker: [`sthosvd_outofcore`] init, then
-/// [`hooi_sweep_outofcore`] sweeps until [`LoopCfg::converged`], the rule
-/// of [`executor::hooi_loop`]. The caller's workspace
-/// carries the pooled buffers (cap it with
+/// The out-of-core [`SweepBackend`]: its tensors are [`Projection`]s of an
+/// input streamed in last-mode tiles of `tile_len` slices (see the module
+/// docs). Pooled buffers live in the caller's workspace (cap it with
 /// [`TtmWorkspace::set_pooled_bytes_limit`] to bound resident scratch).
-///
-/// # Panics
-/// Panics if `cfg.max_sweeps` is zero or shapes are inconsistent.
-pub fn tucker_outofcore(
-    t: &DenseTensor,
-    meta: &TuckerMeta,
+pub struct TiledBackend<'a> {
+    input: &'a DenseTensor,
     tile_len: usize,
-    cfg: LoopCfg,
-    ws: &mut TtmWorkspace,
-) -> OocOutcome {
-    assert!(cfg.max_sweeps >= 1, "need at least one sweep");
-    let input_norm_sq = streamed_norm_sq(t, tile_len);
-    let init = sthosvd_outofcore(t, meta, tile_len, ws);
-    let mut factors = init.factors;
-    ws.recycle(init.core);
-    let mut core: Option<DenseTensor> = None;
-    let mut errors = Vec::new();
-    for _ in 0..cfg.max_sweeps {
-        let (nf, c, e) = hooi_sweep_outofcore(t, meta, &factors, tile_len, ws, input_norm_sq);
-        factors = nf;
-        if let Some(old) = core.replace(c) {
-            ws.recycle(old);
-        }
-        errors.push(e);
-        if cfg.converged(&errors) {
-            break;
+    ws: &'a mut TtmWorkspace,
+    passes: usize,
+    epoch: Instant,
+    sweep_t0: Duration,
+    /// Time computing projection values this sweep, which `sweep_end`
+    /// charges to `ttm_compute` (a norm computes a core's values).
+    projecting: Duration,
+}
+
+impl<'a> TiledBackend<'a> {
+    /// Stream `input` in last-mode tiles of `tile_len` slices (the last
+    /// tile may be shorter), pooling intermediates in `ws`.
+    ///
+    /// # Panics
+    /// Panics if the input's order is below 2 or `tile_len` is zero.
+    pub fn new(input: &'a DenseTensor, tile_len: usize, ws: &'a mut TtmWorkspace) -> Self {
+        assert!(input.order() >= 2, "out-of-core sweeps need order >= 2");
+        assert!(tile_len >= 1, "tile length must be at least 1");
+        TiledBackend {
+            input,
+            tile_len,
+            ws,
+            passes: 0,
+            epoch: Instant::now(),
+            sweep_t0: Duration::ZERO,
+            projecting: Duration::ZERO,
         }
     }
-    OocOutcome {
-        decomposition: TuckerDecomposition::new(core.expect("max_sweeps >= 1"), factors),
-        errors,
+
+    /// Streaming passes over the input so far: one per streamed Gram or
+    /// norm and one per computed projection.
+    pub fn passes(&self) -> usize {
+        self.passes
+    }
+
+    /// One streaming pass: `each(ws, t0, z)` sees every last-mode tile
+    /// starting at slice `t0`, in order, projected by `spatial` (the
+    /// borrowed slab itself when `spatial` is empty). A projected tile goes
+    /// back to the pool once `each` returns.
+    fn stream(
+        &mut self,
+        spatial: &[(usize, &Matrix)],
+        mut each: impl FnMut(&mut TtmWorkspace, usize, TensorView<'_>),
+    ) {
+        self.passes += 1;
+        let last = self.input.order() - 1;
+        let total = self.input.shape().dim(last);
+        for t0 in (0..total).step_by(self.tile_len) {
+            let tile = TensorView::of(self.input).slice(last, t0, self.tile_len.min(total - t0));
+            match project_view(self.ws, &tile, spatial) {
+                Some(z) => {
+                    each(self.ws, t0, TensorView::of(&z));
+                    self.ws.recycle(z);
+                }
+                None => each(self.ws, t0, tile),
+            }
+        }
+    }
+
+    /// `p`'s values (not the input's), computed on first use in one
+    /// streaming pass.
+    fn values<'p>(&mut self, p: &'p Projection) -> &'p DenseTensor {
+        if let Some(v) = p.values.get() {
+            return v;
+        }
+        let start = self.epoch.elapsed();
+        let last = self.input.order() - 1;
+        let total = self.input.shape().dim(last);
+        let (spatial, last_op) = p.split(last);
+        let mut acc: Option<DenseTensor> = None;
+        match last_op {
+            // Contract each projected tile against its columns of F_{N-1}ᵀ
+            // (contiguous in the column-major operand: one copy) and sum.
+            Some(ft) => self.stream(&spatial, |ws, t0, z| {
+                let (k, len) = (ft.nrows(), z.dim(last));
+                let cols = Matrix::from_vec(k, len, ft.as_slice()[t0 * k..][..len * k].to_vec());
+                let w = ws.ttm(z, last, &cols);
+                acc.get_or_insert_with(|| ws.zeros(w.shape().clone()))
+                    .add_assign(&w);
+                ws.recycle(w);
+            }),
+            // Concatenate the projected tiles along the last mode.
+            None => self.stream(&spatial, |ws, t0, z| {
+                let y = acc.get_or_insert_with(|| {
+                    let mut dims = z.dims().to_vec();
+                    dims[last] = total;
+                    ws.zeros(Shape::new(dims))
+                });
+                let mut slab = TensorViewMut::of(y).slice_mut(last, t0, z.dim(last));
+                copy_into(&z, &mut slab);
+            }),
+        }
+        self.projecting += self.epoch.elapsed().saturating_sub(start);
+        p.values.get_or_init(|| acc.expect("at least one tile"))
+    }
+}
+
+impl SweepBackend for TiledBackend<'_> {
+    type Tensor = Projection;
+
+    fn clock(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    fn sweep_begin(&mut self) {
+        self.sweep_t0 = self.epoch.elapsed();
+        self.projecting = Duration::ZERO;
+    }
+
+    fn sweep_end(&mut self, stats: &mut SweepStats) {
+        stats.wall = self.epoch.elapsed().saturating_sub(self.sweep_t0);
+        stats.ttm_compute += self.projecting;
+    }
+
+    fn gram(&mut self, p: &Projection, n: usize, stats: &mut SweepStats) -> Matrix {
+        let (start, projecting) = (self.epoch.elapsed(), self.projecting);
+        let last = self.input.order() - 1;
+        let (spatial, last_op) = p.split(last);
+        let g = if p.values.get().is_none() && n < last && last_op.is_none() {
+            // Mode-n fibers stay inside a tile: the per-tile Grams sum.
+            let mut sum: Option<Matrix> = None;
+            self.stream(&spatial, |_, _, z| {
+                let g = gram(z, n);
+                let acc = sum.get_or_insert_with(|| Matrix::zeros(g.nrows(), g.nrows()));
+                add_gram(acc.as_mut_slice(), &g);
+            });
+            sum.expect("at least one tile")
+        } else if p.ops.is_empty() {
+            // A last-mode Gram of the input itself reads it whole.
+            self.passes += 1;
+            gram(self.input, n)
+        } else {
+            gram(self.values(p), n)
+        };
+        let projected = self.projecting - projecting;
+        stats.svd += self.epoch.elapsed().saturating_sub(start + projected);
+        g
+    }
+
+    fn ttm(
+        &mut self,
+        p: &Projection,
+        n: usize,
+        factor_t: &Matrix,
+        stats: &mut SweepStats,
+    ) -> Projection {
+        let values = OnceCell::new();
+        if let Some(v) = p.values.get() {
+            let start = self.epoch.elapsed();
+            let _ = values.set(self.ws.ttm(v, n, factor_t));
+            stats.ttm_compute += self.epoch.elapsed().saturating_sub(start);
+        } else {
+            assert!(p.ops.iter().all(|&(m, _)| m != n), "mode {n} repeats");
+        }
+        let mut ops = p.ops.clone();
+        ops.push((n, factor_t.clone()));
+        Projection { ops, values }
+    }
+
+    fn recycle(&mut self, p: Projection) {
+        if let Some(v) = p.into_values() {
+            self.ws.recycle(v);
+        }
+    }
+
+    fn local_norm_sq(&mut self, p: &Projection) -> f64 {
+        let (spatial, last_op) = p.split(self.input.order() - 1);
+        if p.values.get().is_some() || last_op.is_some() {
+            return fro_norm_sq(self.values(p));
+        }
+        // No last-mode operand: the per-tile squared norms sum.
+        let mut sum = 0.0;
+        self.stream(&spatial, |_, _, z| {
+            let data = z.contiguous_data().expect("tiles are contiguous");
+            sum += data.iter().map(|&x| x * x).sum::<f64>();
+        });
+        sum
+    }
+}
+
+/// Full out-of-core Tucker on `b`'s tiles: [`executor::sthosvd_sweep`] in
+/// natural mode order, then [`executor::hooi_loop`] over the natural chain
+/// tree until [`LoopCfg::converged`]. Streams the input
+/// `1 + N + S·(N+1)` times for `S` sweeps.
+///
+/// # Panics
+/// Panics if `cfg.max_sweeps` is zero or `meta` disagrees with the input.
+pub fn tucker_outofcore(
+    b: &mut TiledBackend,
+    meta: &TuckerMeta,
+    cfg: LoopCfg,
+) -> LoopOutcome<DenseTensor> {
+    assert_eq!(b.input.shape(), meta.input(), "meta mismatch");
+    let modes: Vec<usize> = (0..meta.order()).collect();
+    let root = Projection::default();
+    let input_norm_sq = b.norm_sq(&root);
+    let init = executor::sthosvd_sweep(b, &root, meta, &modes, input_norm_sq);
+    b.recycle(init.core);
+    let tree = chain_tree(meta, &modes);
+    let out = executor::hooi_loop(b, &root, meta, &tree, init.factors, input_norm_sq, cfg);
+    LoopOutcome {
+        factors: out.factors,
+        core: out.core.into_values().expect("core computed"),
+        per_sweep: out.per_sweep,
+        errors: out.errors,
     }
 }
 
@@ -341,9 +353,8 @@ pub struct SlidingTucker {
     error: f64,
     sweeps_last_push: usize,
     /// Exact raw Gram of the current window per spatial (non-time) mode,
-    /// maintained across pushes by slab downdate/update. Floating-point
-    /// noise accumulates at roundoff scale per push; `refresh_grams`
-    /// rebuilds from scratch if a long-running stream ever cares.
+    /// maintained across pushes by slab downdate/update (floating-point
+    /// noise accumulates at roundoff scale per push).
     spatial_grams: Vec<Matrix>,
 }
 
@@ -430,14 +441,6 @@ impl SlidingTucker {
         self.reconverge()
     }
 
-    /// Rebuild the spatial Grams from the window contents, discarding the
-    /// roundoff the repeated downdate/update accumulates (one window-sized
-    /// Gram per spatial mode — the cost a cold start pays every push).
-    pub fn refresh_grams(&mut self) {
-        let last = self.window.order() - 1;
-        self.spatial_grams = (0..last).map(|n| gram(&self.window, n)).collect();
-    }
-
     /// HOOI on the current window, warm-started from the maintained Gram
     /// state: spatial factors are the leading eigenvectors of the
     /// downdated Grams (per-window exact, obtained without a window-sized
@@ -453,18 +456,10 @@ impl SlidingTucker {
         let mut init: Vec<Matrix> = (0..last)
             .map(|n| leading_from_gram(&self.spatial_grams[n], self.meta.k(n)).u)
             .collect();
-        let mut y: Option<DenseTensor> = None;
-        for (n, f) in init.iter().enumerate() {
-            let ft = f.transpose();
-            let next = match y.as_ref() {
-                None => ws.ttm(&self.window, n, &ft),
-                Some(z) => ws.ttm(z, n, &ft),
-            };
-            if let Some(old) = y.replace(next) {
-                ws.recycle(old);
-            }
-        }
-        let y = y.expect("order >= 2 leaves at least one spatial mode");
+        let init_t = executor::transpose_all(&init);
+        let ops: Vec<(usize, &Matrix)> = init_t.iter().enumerate().collect();
+        let y = project_view(&mut ws, &TensorView::of(&self.window), &ops)
+            .expect("order >= 2 leaves at least one spatial mode");
         init.push(leading_from_gram(&gram(&y, last), self.meta.k(last)).u);
         ws.recycle(y);
         self.backend = SeqBackend::from_workspace(ws);
@@ -575,21 +570,36 @@ mod tests {
         })
     }
 
+    /// `tucker_outofcore` on a fresh backend over `t` with `ws`.
+    fn tucker_tiled(
+        t: &DenseTensor,
+        meta: &TuckerMeta,
+        tile_len: usize,
+        cfg: LoopCfg,
+        ws: &mut TtmWorkspace,
+    ) -> LoopOutcome<DenseTensor> {
+        tucker_outofcore(&mut TiledBackend::new(t, tile_len, ws), meta, cfg)
+    }
+
     #[test]
     fn outofcore_sthosvd_matches_incore() {
         let dims = [12usize, 10, 8];
         let t = smooth_tensor(&dims, 0);
         let meta = TuckerMeta::new(dims.to_vec(), vec![4, 3, 3]);
         let incore = sthosvd(&t, &meta);
+        let e_in = incore.error_from_core_norm(fro_norm_sq(&t));
         let mut ws = TtmWorkspace::new();
         for tile_len in [1usize, 3, 8] {
-            let ooc = sthosvd_outofcore(&t, &meta, tile_len, &mut ws);
-            assert!(ooc.factors_orthonormal(1e-9));
-            let e_in = incore.error_from_core_norm(fro_norm_sq(&t));
-            let e_ooc = ooc.error_from_core_norm(fro_norm_sq(&t));
+            let mut b = TiledBackend::new(&t, tile_len, &mut ws);
+            let root = Projection::default();
+            let input_norm_sq = b.norm_sq(&root);
+            let ooc = executor::sthosvd_sweep(&mut b, &root, &meta, &[0, 1, 2], input_norm_sq);
+            let core = ooc.core.into_values().expect("the last TTM ran in core");
+            assert!(TuckerDecomposition::new(core, ooc.factors).factors_orthonormal(1e-9));
             assert!(
-                (e_in - e_ooc).abs() < 1e-10,
-                "tile_len {tile_len}: {e_in} vs {e_ooc}"
+                (e_in - ooc.stats.error).abs() < 1e-10,
+                "tile_len {tile_len}: {e_in} vs {}",
+                ooc.stats.error
             );
         }
     }
@@ -602,13 +612,13 @@ mod tests {
         let cfg = LoopCfg::exactly(4);
         let (_, e_in, _) = full_recompute(&t, &meta, cfg);
         let mut ws = TtmWorkspace::new();
-        let ooc = tucker_outofcore(&t, &meta, 5, cfg, &mut ws);
+        let ooc = tucker_tiled(&t, &meta, 5, cfg, &mut ws);
         let e_ooc = *ooc.errors.last().unwrap();
         assert!(
             (e_in - e_ooc).abs() < 1e-10,
             "in-core {e_in} vs out-of-core {e_ooc}"
         );
-        assert!(ooc.decomposition.factors_orthonormal(1e-9));
+        assert!(TuckerDecomposition::new(ooc.core, ooc.factors).factors_orthonormal(1e-9));
     }
 
     #[test]
@@ -619,9 +629,9 @@ mod tests {
         let cfg = LoopCfg::exactly(3);
         let mut ws = TtmWorkspace::new();
         // tile_len == L_last is the "everything is one tile" degenerate case.
-        let whole = tucker_outofcore(&t, &meta, 10, cfg, &mut ws);
+        let whole = tucker_tiled(&t, &meta, 10, cfg, &mut ws);
         for tile_len in [1usize, 2, 3, 7] {
-            let tiled = tucker_outofcore(&t, &meta, tile_len, cfg, &mut ws);
+            let tiled = tucker_tiled(&t, &meta, tile_len, cfg, &mut ws);
             assert!(
                 (whole.errors.last().unwrap() - tiled.errors.last().unwrap()).abs() < 1e-10,
                 "tile_len {tile_len}"
@@ -642,7 +652,7 @@ mod tests {
         let cfg = LoopCfg::exactly(3);
         let limit = tensor_bytes / 2;
         let mut ws = TtmWorkspace::with_limit(limit);
-        let ooc = tucker_outofcore(&t, &meta, 2, cfg, &mut ws);
+        let ooc = tucker_tiled(&t, &meta, 2, cfg, &mut ws);
         assert!(
             ws.pooled_bytes() <= limit,
             "pool {} exceeds cap {limit}",
@@ -653,6 +663,84 @@ mod tests {
             (e_in - ooc.errors.last().unwrap()).abs() < 1e-10,
             "capped out-of-core must match in-core"
         );
+    }
+
+    /// The input is streamed once for its norm, `N` times by the STHOSVD
+    /// init and `N + 1` times per HOOI sweep.
+    #[test]
+    fn passes_follow_the_closed_form() {
+        for dims in [vec![9usize, 7], vec![8, 6, 7], vec![6, 5, 4, 7]] {
+            let t = smooth_tensor(&dims, 0);
+            let ranks = vec![2; dims.len()];
+            let meta = TuckerMeta::new(dims.clone(), ranks);
+            let n = dims.len();
+            for sweeps in [1usize, 3] {
+                let mut ws = TtmWorkspace::new();
+                let mut b = TiledBackend::new(&t, 3, &mut ws);
+                let out = tucker_outofcore(&mut b, &meta, LoopCfg::exactly(sweeps));
+                assert_eq!(out.errors.len(), sweeps);
+                assert_eq!(b.passes(), 1 + n + sweeps * (n + 1), "dims {dims:?}");
+            }
+        }
+    }
+
+    /// Any TTM-tree runs out of core: from the same init factors,
+    /// `hooi_loop` on the tiles tracks `SeqBackend` sweep by sweep, for
+    /// orders 2–5 (order 2's spatial leaf contracts the bare tile) and
+    /// tiles of one slice, a non-divisor of `L_{N-1}` and all of it.
+    #[test]
+    fn every_tree_runs_out_of_core() {
+        use crate::plan::tree::{balanced_tree, optimal_tree};
+        let metas = [
+            (vec![9usize, 7], vec![3usize, 2]),
+            (vec![8, 6, 7], vec![3, 2, 3]),
+            (vec![6, 5, 4, 7], vec![3, 2, 2, 3]),
+            (vec![5, 4, 3, 4, 7], vec![2, 2, 2, 2, 3]),
+        ];
+        let cfg = LoopCfg::exactly(3);
+        for (dims, ranks) in metas {
+            let t = smooth_tensor(&dims, 0);
+            let meta = TuckerMeta::new(dims.clone(), ranks);
+            let init = sthosvd(&t, &meta).factors;
+            let norm_sq = fro_norm_sq(&t);
+            let perm: Vec<usize> = (0..meta.order()).collect();
+            let trees = [
+                ("chain", chain_tree(&meta, &perm)),
+                ("balanced", balanced_tree(&meta, &perm)),
+                ("optimal", optimal_tree(&meta).tree),
+            ];
+            let limit = t.cardinality() * std::mem::size_of::<f64>() / 2;
+            for (name, tree) in &trees {
+                let seq = executor::hooi_loop(
+                    &mut SeqBackend::new(),
+                    &t,
+                    &meta,
+                    tree,
+                    init.clone(),
+                    norm_sq,
+                    cfg,
+                );
+                for tile_len in [1usize, 3, 7] {
+                    let mut ws = TtmWorkspace::with_limit(limit);
+                    let mut b = TiledBackend::new(&t, tile_len, &mut ws);
+                    let root = Projection::default();
+                    let ooc =
+                        executor::hooi_loop(&mut b, &root, &meta, tree, init.clone(), norm_sq, cfg);
+                    let at = format!("{name} tree, dims {dims:?}, tile {tile_len}");
+                    assert_eq!(ooc.errors.len(), seq.errors.len(), "{at}");
+                    for (s, (e_seq, e_ooc)) in seq.errors.iter().zip(&ooc.errors).enumerate() {
+                        assert!(
+                            (e_seq - e_ooc).abs() < 1e-10,
+                            "{at}, sweep {s}: {e_seq} vs {e_ooc}"
+                        );
+                    }
+                    let core = ooc.core.into_values().expect("the norm computed the core");
+                    let dec = TuckerDecomposition::new(core, ooc.factors);
+                    assert!(dec.factors_orthonormal(1e-9), "{at}");
+                    assert!(ws.pooled_bytes() <= limit, "{at}: pool over its cap");
+                }
+            }
+        }
     }
 
     /// One element of a drifting, essentially rank-3 stream: three smooth

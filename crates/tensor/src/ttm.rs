@@ -777,6 +777,20 @@ impl TtmWorkspace {
         cur.unwrap_or_else(|| t.clone())
     }
 
+    /// A zero tensor of `shape` in a pooled buffer, allocation-free like
+    /// [`TtmWorkspace::ttm`]: the destination of a tensor assembled slab by
+    /// slab.
+    pub fn zeros(&mut self, shape: impl Into<Shape>) -> DenseTensor {
+        let shape = shape.into();
+        let mut buf = self.acquire(shape.cardinality());
+        if buf.capacity() < shape.cardinality() {
+            note_buffer_alloc();
+        }
+        buf.clear();
+        buf.resize(shape.cardinality(), 0.0);
+        DenseTensor::from_vec(shape, buf)
+    }
+
     /// Return a tensor's buffer to the pool for reuse. If a pooled-bytes
     /// limit is set, smallest-capacity buffers are dropped until the pool
     /// fits (the incoming buffer competes on equal terms, so a single
@@ -1236,6 +1250,18 @@ mod tests {
             ws.recycle(z);
         }
         assert!(ws.pooled() >= 1);
+    }
+
+    #[test]
+    fn pooled_zeros_reuse_a_recycled_buffer() {
+        let mut ws = TtmWorkspace::new();
+        ws.recycle(rand_tensor(&[4, 5, 6], 15));
+        let before = crate::dense::tensor_buffer_allocs();
+        let z = ws.zeros(Shape::new(vec![3, 5, 4]));
+        assert_eq!(crate::dense::tensor_buffer_allocs(), before);
+        assert_eq!(ws.pooled(), 0, "the recycled buffer was taken");
+        assert_eq!(z.shape().dims(), &[3, 5, 4]);
+        assert!(z.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

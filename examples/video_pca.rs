@@ -14,7 +14,9 @@ use std::time::Instant;
 use tucker_core::executor::{gauss_seidel_sweep, SeqBackend, SweepBackend};
 use tucker_core::meta::TuckerMeta;
 use tucker_core::sthosvd::sthosvd;
-use tucker_core::{full_recompute, tucker_outofcore, LoopCfg, SlidingTucker, TuckerDecomposition};
+use tucker_core::{
+    full_recompute, tucker_outofcore, LoopCfg, SlidingTucker, TiledBackend, TuckerDecomposition,
+};
 use tucker_suite::fields::video_field;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, Shape, TtmWorkspace};
@@ -82,7 +84,7 @@ fn main() {
     };
     let mut ws = TtmWorkspace::with_limit(tensor_bytes / 4);
     let t0 = Instant::now();
-    let ooc = tucker_outofcore(&stream, &meta, 8, cfg, &mut ws);
+    let ooc = tucker_outofcore(&mut TiledBackend::new(&stream, 8, &mut ws), &meta, cfg);
     println!(
         "\nout-of-core tiled Tucker of the full {}-frame stream (tile = 8 frames):",
         total_frames
