@@ -5,10 +5,11 @@
 //! rank"), and collects the per-rank results in rank order. The ranks are
 //! scheduled by the fiber mesh ([`Universe::run_mesh`] in [`crate::mesh`],
 //! the one rank runtime); `run` is its fail-stop front. Ranks communicate
-//! through per-destination mailboxes (one FIFO queue per ordered rank pair,
-//! created lazily), so sends never block, memory is `O(P + pairs)` rather
-//! than `O(P²)`, and deterministic SPMD programs match sends to receives by
-//! (source, program order) exactly as MPI does with a single tag.
+//! through per-destination mailboxes (one arrival-order FIFO of
+//! `(source, message)` per rank), so sends never block, memory is
+//! `O(P + queued messages)` rather than `O(P²)`, and deterministic SPMD
+//! programs match sends to receives by (source, program order) exactly as
+//! MPI does with a single tag.
 //!
 //! Every ledger is owned by the rank, so nothing a rank reports depends on
 //! how the workers interleave its neighbours:
@@ -23,8 +24,9 @@
 //!   the wall time spent inside communication calls (including waiting), the
 //!   same accounting an MPI profiler would produce.
 //!
-//! A send touches the destination's mailbox and the scheduler's wake-up and
-//! nothing else that ranks share, and a step every rank replicates on an
+//! A send touches the destination's mailbox and nothing else that ranks
+//! share unless the destination is waiting on it (then it also takes the
+//! scheduler lock to wake it), and a step every rank replicates on an
 //! all-reduced input runs once per universe
 //! ([`RankCtx::leading_from_gram`]).
 
@@ -207,36 +209,57 @@ impl CommTimers {
 /// A message: an operation tag for sanity checking plus the payload.
 #[derive(Debug)]
 pub(crate) struct Msg {
-    tag: u32,
-    payload: Vec<f64>,
+    pub(crate) tag: u32,
+    pub(crate) payload: Vec<f64>,
 }
 
-/// One rank's inbox: a FIFO queue per source rank, created on that source's
-/// first message and kept in a vector sorted by source, so a universe costs
-/// `O(P + communicating pairs)` memory, not `O(P²)`, and a lookup is a
-/// binary search over the handful of peers a rank really has.
+/// One rank's inbox: every message queued for it, in arrival order and
+/// tagged with its source, plus the source its owner is waiting on, if any.
+/// A receive takes the oldest entry from its source, so matching is by
+/// (source, program order) while a universe costs `O(P + queued messages)`
+/// memory and no per-pair queue is ever created.
+///
+/// The wait registration is what keeps the scheduler lock off the message
+/// path: a send takes only this lock unless [`Mailbox::push`] finds the
+/// owner registered on the sender, and a receive whose message is queued
+/// takes only this lock too (see [`crate::mesh`], "Wake protocol").
 #[derive(Default)]
 pub(crate) struct Mailbox {
-    queues: Mutex<Vec<(usize, VecDeque<Msg>)>>,
+    inbox: Mutex<Inbox>,
+}
+
+#[derive(Default)]
+struct Inbox {
+    pending: VecDeque<(usize, Msg)>,
+    /// The source the owner missed on and no push has reported since.
+    waiting_on: Option<usize>,
 }
 
 impl Mailbox {
-    fn push(&self, src: usize, msg: Msg) {
-        let mut q = lock_ignore_poison(&self.queues);
-        let i = match q.binary_search_by_key(&src, |&(s, _)| s) {
-            Ok(i) => i,
-            Err(i) => {
-                q.insert(i, (src, VecDeque::new()));
-                i
-            }
-        };
-        q[i].1.push_back(msg);
+    /// Queue `msg` from `src`. Returns `true` iff the owner was registered
+    /// as waiting on `src`; the registration is consumed, so exactly one
+    /// push reports it.
+    pub(crate) fn push(&self, src: usize, msg: Msg) -> bool {
+        let mut inbox = lock_ignore_poison(&self.inbox);
+        inbox.pending.push_back((src, msg));
+        let awaited = inbox.waiting_on == Some(src);
+        if awaited {
+            inbox.waiting_on = None;
+        }
+        awaited
     }
 
-    fn pop(&self, src: usize) -> Option<Msg> {
-        let mut q = lock_ignore_poison(&self.queues);
-        let i = q.binary_search_by_key(&src, |&(s, _)| s).ok()?;
-        q[i].1.pop_front()
+    /// Take the oldest message from `src`, or register that the owner now
+    /// waits on `src` and return `None`.
+    pub(crate) fn pop_or_wait(&self, src: usize) -> Option<Msg> {
+        let mut inbox = lock_ignore_poison(&self.inbox);
+        match inbox.pending.iter().position(|&(s, _)| s == src) {
+            Some(i) => inbox.pending.remove(i).map(|(_, m)| m),
+            None => {
+                inbox.waiting_on = Some(src);
+                None
+            }
+        }
     }
 }
 
@@ -434,8 +457,9 @@ impl RankCtx {
             self.sent.add(cat, bytes);
         }
         let t0 = self.start();
-        self.shared.mail[dst].push(me, Msg { tag, payload });
-        self.shared.mesh.on_message(dst, me);
+        if self.shared.mail[dst].push(me, Msg { tag, payload }) {
+            self.shared.mesh.wake_receiver(dst, me);
+        }
         self.charge(cat, t0, |net| {
             if dst == me {
                 0
@@ -457,7 +481,8 @@ impl RankCtx {
         let t0 = self.start();
         let mesh = &self.shared.mesh;
         mesh.precheck();
-        let msg = mesh.recv_wait(me, src, || self.shared.mail[me].pop(src));
+        let mail = &self.shared.mail[me];
+        let msg = mesh.recv_wait(me, src, || mail.pop_or_wait(src));
         let bytes = (msg.payload.len() * 8) as u64;
         self.charge(cat, t0, |net| {
             if src == me {
@@ -613,49 +638,76 @@ mod tests {
         );
     }
 
+    impl Mailbox {
+        fn is_empty(&self) -> bool {
+            let inbox = lock_ignore_poison(&self.inbox);
+            inbox.pending.is_empty() && inbox.waiting_on.is_none()
+        }
+    }
+
     #[test]
     fn fifo_per_pair_survives_interleaved_sources() {
         // The mailbox itself: three sources pushed out of rank order and
-        // interleaved; each source's queue pops in its own push order, and a
-        // source that never sent has nothing.
+        // interleaved into the one FIFO; each source pops in its own push
+        // order, and no push reports a wait nobody registered.
         let mb = Mailbox::default();
+        let msg = |tag: u32, src: usize| Msg {
+            tag,
+            payload: vec![src as f64],
+        };
         for i in 0..4u32 {
             for src in [5usize, 1, 3] {
-                mb.push(
-                    src,
-                    Msg {
-                        tag: i,
-                        payload: vec![src as f64],
-                    },
-                );
+                assert!(!mb.push(src, msg(i, src)));
             }
         }
-        assert!(mb.pop(2).is_none());
         for i in 0..4u32 {
             for src in [3usize, 5, 1] {
-                let m = mb.pop(src).expect("queued");
+                let m = mb.pop_or_wait(src).expect("queued");
                 assert_eq!((m.tag, m.payload[0]), (i, src as f64));
             }
         }
-        assert!(mb.pop(1).is_none() && mb.pop(3).is_none() && mb.pop(5).is_none());
+        assert!(mb.is_empty());
+
+        // A miss registers the wait; only a push from the awaited source
+        // reports it, exactly once, and the registration is then gone.
+        assert!(mb.pop_or_wait(2).is_none());
+        assert!(!mb.is_empty(), "a miss registers the wait");
+        assert!(!mb.push(4, msg(0, 4)), "another source's push");
+        assert!(mb.push(2, msg(1, 2)), "the awaited source's push");
+        assert!(!mb.push(2, msg(2, 2)), "reported once");
+        assert_eq!(mb.pop_or_wait(2).map(|m| m.tag), Some(1));
+        assert_eq!(mb.pop_or_wait(2).map(|m| m.tag), Some(2));
+        assert_eq!(mb.pop_or_wait(4).map(|m| m.tag), Some(0));
+        assert!(mb.is_empty());
 
         // And through the ranks: 1, 2 and 3 each stream numbered messages at
-        // rank 0, which drains them round-robin.
-        let out = Universe::run(4, |ctx| {
-            if ctx.rank() > 0 {
-                for i in 0..10 {
-                    let v = (ctx.rank() * 100 + i) as f64;
-                    ctx.send(0, i as u32, vec![v], VolumeCategory::Other);
+        // rank 0, which drains them round-robin; afterwards no mailbox holds
+        // a message or a registration.
+        for workers in [1, 2, 4] {
+            let cfg = MeshCfg {
+                workers,
+                ..MeshCfg::default()
+            };
+            let out = Universe::run_mesh(4, &cfg, |ctx| {
+                let shared = Arc::clone(&ctx.shared);
+                if ctx.rank() > 0 {
+                    for i in 0..10 {
+                        let v = (ctx.rank() * 100 + i) as f64;
+                        ctx.send(0, i as u32, vec![v], VolumeCategory::Other);
+                    }
+                    return (true, shared);
                 }
-                return true;
-            }
-            (0..10).all(|i| {
-                (1..4).all(|src| {
-                    ctx.recv(src, i as u32, VolumeCategory::Other)[0] == (src * 100 + i) as f64
-                })
+                let ok = (0..10).all(|i| {
+                    (1..4).all(|src| {
+                        ctx.recv(src, i as u32, VolumeCategory::Other)[0] == (src * 100 + i) as f64
+                    })
+                });
+                (ok, shared)
             })
-        });
-        assert!(out.results.iter().all(|&ok| ok));
+            .into_results();
+            assert!(out.results.iter().all(|(ok, _)| *ok));
+            assert!(out.results[0].1.mail.iter().all(Mailbox::is_empty));
+        }
     }
 
     #[test]

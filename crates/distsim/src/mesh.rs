@@ -9,17 +9,35 @@
 //! barrier) or finish. A `P = 8192` universe therefore costs 8192 mailboxes
 //! and 8192 mostly-untouched stacks, **not** 8192 OS threads.
 //!
-//! Each actor is pinned to the worker `rank % workers`. Pinning keeps the
-//! fiber's thread-local state (panic bookkeeping, any TLS the guest code
-//! touches, compiler-cached TLS base registers) valid across suspensions:
-//! a fiber only ever runs on one OS thread. Peers on other workers wake it
-//! by pushing it onto its owner's run queue, never by resuming it directly.
+//! Each actor is pinned to one worker: worker `w` of `W` owns the
+//! contiguous block of ranks `r` with `r·W/P = w` (block sizes differ by at
+//! most one), so tree partners and mode-group peers, which are neighbouring
+//! ranks, mostly share a worker. Pinning keeps the fiber's thread-local
+//! state (panic bookkeeping, any TLS the guest code touches,
+//! compiler-cached TLS base registers) valid across suspensions: a fiber
+//! only ever runs on one OS thread. Peers on other workers wake it by
+//! pushing it onto its owner's run queue, never by resuming it directly.
 //! `workers: 1` is the deterministic mode (one rank at a time, fixed
 //! round-robin order); `workers: nranks` gives every rank an OS thread of
 //! its own, so per-thread counters read inside a rank body are per-rank.
 //! The communication clock ([`RankCtx::comm`]) and the volume counters are
 //! owned by the rank, so under a [`NetModel`] they do not depend on the pool
 //! size.
+//!
+//! # Wake protocol
+//!
+//! A message takes one lock, its destination's mailbox, unless its
+//! receiver is waiting on it. A receive that misses registers "waiting on
+//! `src`" inside its own mailbox lock; a send pushes under that lock and
+//! takes the scheduler lock (`MeshState`) only when the push finds its
+//! receiver registered on it. The receiver, after its miss, takes the
+//! scheduler lock to block — unless that push already came, which the
+//! push records in the receiver's `woken` flag when it finds the receiver
+//! not yet blocked; the receiver reads the flag under the scheduler lock
+//! and retries instead of suspending, so no wake-up is lost. No path holds
+//! a mailbox lock and the scheduler lock at once. The scheduler lock is
+//! left with blocking, waking, barriers, failure and deadlock detection,
+//! and a worker's condvar is signalled only while the worker is parked.
 //!
 //! # Failure semantics
 //!
@@ -515,8 +533,15 @@ enum ActorState {
 
 struct MeshState {
     states: Vec<ActorState>,
-    /// Per-worker run queues (actor `r` is owned by worker `r % workers`).
+    /// Per-rank "a sender already woke you": set when a push finds the rank
+    /// registered in its mailbox but not yet suspended, consumed by the
+    /// rank's [`MeshSched::recv_wait`] before it would block.
+    woken: Vec<bool>,
+    /// Per-worker run queues (actor `r` is owned by worker [`owner`]).
     ready: Vec<VecDeque<usize>>,
+    /// Per-worker "parked on its condvar", so a wake-up signals only a
+    /// worker that is waiting for one.
+    parked: Vec<bool>,
     /// Actors currently in `Running`.
     running: usize,
     /// Actors not yet `Done`/`Failed`.
@@ -532,26 +557,35 @@ struct MeshState {
     fail_msgs: Vec<Option<String>>,
 }
 
+/// The worker that owns rank `rank`: workers own contiguous blocks of
+/// ranks whose sizes differ by at most one, so tree partners and
+/// mode-group peers (neighbouring ranks) mostly share a worker.
+fn owner(rank: usize, nranks: usize, workers: usize) -> usize {
+    rank * workers / nranks
+}
+
 pub(crate) struct MeshSched {
     state: Mutex<MeshState>,
-    work: Condvar,
+    /// One condvar per worker, signalled only while that worker is parked.
+    work: Vec<Condvar>,
     /// Fast-path abort flag so per-op prechecks skip the state mutex.
     aborted: AtomicBool,
+    nranks: usize,
     workers: usize,
 }
 
 impl MeshSched {
     fn new(nranks: usize, workers: usize) -> MeshSched {
+        let mut ready = vec![VecDeque::new(); workers];
+        for r in 0..nranks {
+            ready[owner(r, nranks, workers)].push_back(r);
+        }
         MeshSched {
             state: Mutex::new(MeshState {
                 states: vec![ActorState::Runnable; nranks],
-                ready: {
-                    let mut q = vec![VecDeque::new(); workers];
-                    for r in 0..nranks {
-                        q[r % workers].push_back(r);
-                    }
-                    q
-                },
+                woken: vec![false; nranks],
+                ready,
+                parked: vec![false; workers],
                 running: 0,
                 live: nranks,
                 barrier_waiting: 0,
@@ -560,14 +594,22 @@ impl MeshSched {
                 root_payload: None,
                 fail_msgs: vec![None; nranks],
             }),
-            work: Condvar::new(),
+            work: (0..workers).map(|_| Condvar::new()).collect(),
             aborted: AtomicBool::new(false),
+            nranks,
             workers,
         }
     }
 
-    fn owner(&self, rank: usize) -> usize {
-        rank % self.workers
+    /// Queue `rank` on its owner's run queue and signal the owner if it is
+    /// parked.
+    fn make_runnable(&self, g: &mut MeshState, rank: usize) {
+        g.states[rank] = ActorState::Runnable;
+        let w = owner(rank, self.nranks, self.workers);
+        g.ready[w].push_back(rank);
+        if g.parked[w] {
+            self.work[w].notify_one();
+        }
     }
 
     fn raise_abort(&self) -> ! {
@@ -586,50 +628,64 @@ impl MeshSched {
         }
     }
 
-    /// Blocking receive: loop of (pop under the scheduler lock, else mark
-    /// blocked and suspend). `try_pop` may take the mailbox lock — the lock
-    /// order `state → mailbox` is safe because senders never hold the
-    /// mailbox lock when they take the state lock.
+    /// Blocking receive of rank `me` from `src`. `pop_or_wait` runs under
+    /// `me`'s mailbox lock alone: it takes the message, or registers the
+    /// wait on `src` there and misses. Only a miss takes the scheduler lock
+    /// ([`MeshSched::block_recv`]), after the mailbox lock is released: no
+    /// path holds both.
     pub(crate) fn recv_wait<T>(
         &self,
         me: usize,
         src: usize,
-        mut try_pop: impl FnMut() -> Option<T>,
+        mut pop_or_wait: impl FnMut() -> Option<T>,
     ) -> T {
         loop {
-            {
-                let mut g = lock(&self.state);
-                if g.abort_msg.is_some() {
-                    drop(g);
-                    self.raise_abort();
-                }
-                if let Some(m) = try_pop() {
-                    return m;
-                }
-                match g.states[src] {
-                    ActorState::Done | ActorState::Failed => {
-                        drop(g);
-                        panic!("sender dropped: a rank panicked");
-                    }
-                    _ => {}
-                }
-                g.states[me] = ActorState::BlockedRecv(src);
-                g.running -= 1;
-                // Workers may need to re-evaluate idle/deadlock conditions.
-                self.work.notify_all();
+            if let Some(m) = pop_or_wait() {
+                return m;
             }
-            fiber_suspend();
+            if self.block_recv(me, src) {
+                fiber_suspend();
+                self.precheck();
+            }
         }
     }
 
-    /// Mark `dst` runnable if it is blocked on a message from `src`.
-    pub(crate) fn on_message(&self, dst: usize, src: usize) {
+    /// After `me` missed on `src` and registered the wait: mark `me`
+    /// blocked on `src` and return `true` (the caller suspends), or return
+    /// `false` when a push answered the registration in between (the
+    /// `woken` flag; the caller retries its mailbox). Checked before the
+    /// sender's state, so `"sender dropped"` fires only when nothing from
+    /// `src` is queued: a finished sender's last push either preceded the
+    /// miss or found the registration.
+    fn block_recv(&self, me: usize, src: usize) -> bool {
+        let mut g = lock(&self.state);
+        if g.abort_msg.is_some() {
+            drop(g);
+            self.raise_abort();
+        }
+        if std::mem::take(&mut g.woken[me]) {
+            return false;
+        }
+        if matches!(g.states[src], ActorState::Done | ActorState::Failed) {
+            drop(g);
+            panic!("sender dropped: a rank panicked");
+        }
+        g.states[me] = ActorState::BlockedRecv(src);
+        g.running -= 1;
+        // The worker this fiber yields to runs `next_actor` next, which
+        // sees `running` and detects idle or deadlock itself.
+        true
+    }
+
+    /// Wake `dst`, whose mailbox push from `src` found it registered as
+    /// waiting on `src`: mark it runnable if it has blocked, else tell it
+    /// not to block (it is between its miss and its suspension).
+    pub(crate) fn wake_receiver(&self, dst: usize, src: usize) {
         let mut g = lock(&self.state);
         if g.states[dst] == ActorState::BlockedRecv(src) {
-            g.states[dst] = ActorState::Runnable;
-            let w = self.owner(dst);
-            g.ready[w].push_back(dst);
-            self.work.notify_all();
+            self.make_runnable(&mut g, dst);
+        } else {
+            g.woken[dst] = true;
         }
     }
 
@@ -645,20 +701,16 @@ impl MeshSched {
             g.barrier_waiting += 1;
             if g.barrier_waiting >= g.live {
                 self.release_barrier(&mut g);
-                self.work.notify_all();
                 false
             } else {
                 g.states[me] = ActorState::BlockedBarrier;
                 g.running -= 1;
-                self.work.notify_all();
                 true
             }
         };
         if must_suspend {
             fiber_suspend();
-            if self.aborted.load(Ordering::Acquire) {
-                self.raise_abort();
-            }
+            self.precheck();
         }
     }
 
@@ -666,9 +718,7 @@ impl MeshSched {
         g.barrier_waiting = 0;
         for r in 0..g.states.len() {
             if g.states[r] == ActorState::BlockedBarrier {
-                g.states[r] = ActorState::Runnable;
-                let w = self.owner(r);
-                g.ready[w].push_back(r);
+                self.make_runnable(g, r);
             }
         }
     }
@@ -687,12 +737,9 @@ impl MeshSched {
                 g.states[r],
                 ActorState::BlockedRecv(_) | ActorState::BlockedBarrier
             ) {
-                g.states[r] = ActorState::Runnable;
-                let w = self.owner(r);
-                g.ready[w].push_back(r);
+                self.make_runnable(g, r);
             }
         }
-        self.work.notify_all();
     }
 
     /// Worker `w`'s scheduling loop body: next runnable owned actor, or
@@ -703,7 +750,6 @@ impl MeshSched {
         let mut g = lock(&self.state);
         loop {
             if g.live == 0 {
-                self.work.notify_all();
                 return None;
             }
             if let Some(a) = g.ready[w].pop_front() {
@@ -721,15 +767,12 @@ impl MeshSched {
                 for r in 0..g.states.len() {
                     if let ActorState::BlockedRecv(src) = g.states[r] {
                         if matches!(g.states[src], ActorState::Done | ActorState::Failed) {
-                            g.states[r] = ActorState::Runnable;
-                            let o = self.owner(r);
-                            g.ready[o].push_back(r);
+                            self.make_runnable(&mut g, r);
                             revived = true;
                         }
                     }
                 }
                 if revived {
-                    self.work.notify_all();
                     continue;
                 }
                 // … otherwise every live rank waits on a live rank.
@@ -740,7 +783,9 @@ impl MeshSched {
                 self.abort(&mut g, msg);
                 continue;
             }
-            g = self.work.wait(g).unwrap_or_else(|e| e.into_inner());
+            g.parked[w] = true;
+            g = self.work[w].wait(g).unwrap_or_else(|e| e.into_inner());
+            g.parked[w] = false;
         }
     }
 
@@ -766,11 +811,15 @@ impl MeshSched {
                     g.root_payload = Some(payload);
                     let cascade = format!("epoch aborted: rank {rank} failed: {msg}");
                     self.abort(&mut g, cascade);
-                    return; // abort() already notified
                 }
             }
         }
-        self.work.notify_all();
+        if g.live == 0 {
+            // The universe drained: every parked worker leaves its loop.
+            for (w, _) in g.parked.iter().enumerate().filter(|(_, &p)| p) {
+                self.work[w].notify_one();
+            }
+        }
     }
 }
 
@@ -1029,6 +1078,7 @@ impl Universe {
 mod tests {
     use super::*;
     use crate::comm::VolumeCategory;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn mesh_ring_matches_threaded() {
@@ -1213,6 +1263,257 @@ mod tests {
             (t1 - t0).as_nanos() as u64
         });
         assert!(out.all_ok());
+    }
+
+    #[test]
+    fn a_push_inside_the_receivers_window_is_not_lost() {
+        use crate::comm::{Mailbox, Msg};
+        let msg = |tag| Msg {
+            tag,
+            payload: vec![],
+        };
+        // Rank 0 receives from rank 1; each runs on a worker of its own.
+        // The push comes after rank 0's miss and before it blocks, and
+        // rank 1 finishes in that window too: the flag makes rank 0 retry,
+        // it gets the message, and only then does "sender dropped" fire.
+        let sched = MeshSched::new(2, 2);
+        let mail = Mailbox::default();
+        assert_eq!(
+            (sched.next_actor(0), sched.next_actor(1)),
+            (Some(0), Some(1))
+        );
+        assert!(mail.pop_or_wait(1).is_none());
+        assert!(mail.push(1, msg(7)));
+        sched.wake_receiver(0, 1);
+        sched.actor_done(1, Ok(()));
+        assert!(!sched.block_recv(0, 1), "woken: retry, do not block");
+        assert_eq!(mail.pop_or_wait(1).map(|m| m.tag), Some(7));
+        assert!(mail.pop_or_wait(1).is_none());
+        let dropped = std::panic::catch_unwind(AssertUnwindSafe(|| sched.block_recv(0, 1)));
+        let payload = dropped.expect_err("nothing queued from a finished sender");
+        assert!(payload_msg(payload.as_ref()).contains("sender dropped"));
+
+        // The other order: rank 0 blocks first, and the push makes it
+        // runnable on its own worker's queue.
+        let sched = MeshSched::new(2, 2);
+        let mail = Mailbox::default();
+        assert_eq!(
+            (sched.next_actor(0), sched.next_actor(1)),
+            (Some(0), Some(1))
+        );
+        assert!(mail.pop_or_wait(1).is_none());
+        assert!(sched.block_recv(0, 1));
+        assert!(mail.push(1, msg(8)));
+        sched.wake_receiver(0, 1);
+        assert_eq!(sched.next_actor(0), Some(0));
+        assert_eq!(mail.pop_or_wait(1).map(|m| m.tag), Some(8));
+    }
+
+    /// splitmix64: the stress tests' seeded stream.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// One stress round's traffic: `sends[r]` lists `(dst, count)` in the
+    /// order rank `r` sends, `recvs[r]` lists `(src, count)` in the order
+    /// rank `r` receives — a seeded shuffle, not the arrival order.
+    struct Round {
+        sends: Vec<Vec<(usize, usize)>>,
+        recvs: Vec<Vec<(usize, usize)>>,
+    }
+
+    fn stress_rounds(p: usize, rounds: usize, seed: u64) -> Vec<Round> {
+        (0..rounds)
+            .map(|k| {
+                let mut sends = vec![Vec::new(); p];
+                let mut recvs = vec![Vec::new(); p];
+                for (r, out) in sends.iter_mut().enumerate() {
+                    let h = mix(seed ^ mix((k * p + r) as u64));
+                    for j in 0..(h % 5) as usize {
+                        let hj = mix(h ^ j as u64);
+                        let dst = (hj % p as u64) as usize;
+                        if out.iter().all(|&(d, _)| d != dst) {
+                            let count = 1 + (hj >> 32) as usize % 3;
+                            out.push((dst, count));
+                            recvs[dst].push((r, count));
+                        }
+                    }
+                }
+                for (r, inc) in recvs.iter_mut().enumerate() {
+                    let h = mix(seed ^ mix((k * p + r) as u64) ^ 0x5EED);
+                    inc.sort_by_key(|&(src, _)| mix(h ^ src as u64));
+                }
+                Round { sends, recvs }
+            })
+            .collect()
+    }
+
+    /// The payload of the `i`-th message `src` sends `dst` in round `k`.
+    fn stress_payload(k: usize, src: usize, dst: usize, i: usize) -> Vec<f64> {
+        let h = mix(((k as u64) << 40) ^ ((src as u64) << 20) ^ ((dst as u64) << 2) ^ i as u64);
+        (0..1 + h % 7).map(|e| (h ^ e) as f64).collect()
+    }
+
+    #[test]
+    fn seeded_random_traffic_matches_the_one_worker_run() {
+        // Every rank sends seeded payloads to a seeded peer set (itself
+        // included at times) and receives them source by source in a
+        // shuffled order, with a barrier every fourth round: every received
+        // payload, clock and sent byte must equal the one-worker run, on
+        // any pool, and no run may deadlock or lose a wake-up.
+        let net = NetModel::bgq();
+        for (p, rounds) in [(37, 48), (1023, 6)] {
+            let plan = stress_rounds(p, rounds, 0x00C0_FFEE ^ p as u64);
+            let program = |ctx: &mut RankCtx| {
+                let me = ctx.rank();
+                let mut digest = 0u64;
+                for (k, round) in plan.iter().enumerate() {
+                    for &(dst, count) in &round.sends[me] {
+                        for i in 0..count {
+                            let payload = stress_payload(k, me, dst, i);
+                            ctx.send(dst, k as u32, payload, VolumeCategory::Other);
+                        }
+                    }
+                    for &(src, count) in &round.recvs[me] {
+                        for i in 0..count {
+                            let got = ctx.recv(src, k as u32, VolumeCategory::Other);
+                            assert_eq!(got, stress_payload(k, src, me, i), "round {k}");
+                            digest = mix(digest ^ got.len() as u64 ^ ((src as u64) << 32));
+                        }
+                    }
+                    if k % 4 == 3 {
+                        ctx.barrier();
+                    }
+                }
+                (digest, ctx.comm.clone(), ctx.volume())
+            };
+            let run = |workers: usize| {
+                let cfg = MeshCfg {
+                    workers,
+                    ..MeshCfg::virtual_time(net)
+                };
+                let out = Universe::run_mesh(p, &cfg, program);
+                assert_eq!(out.workers, workers);
+                assert!(out.all_ok(), "P = {p}, {workers} workers");
+                out.into_results()
+            };
+            let one = run(1);
+            for workers in [2, 3, 4, p] {
+                let many = run(workers);
+                assert!(
+                    many.results == one.results,
+                    "P = {p}: {workers} workers differ from one"
+                );
+                assert_eq!(many.volume, one.volume);
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_sent_just_before_its_sender_finishes_is_received() {
+        // Each sender sends `K` messages and returns at once; its receiver
+        // must get all `K`, whether it was already waiting or not, and a
+        // further receive from the finished sender fails "sender dropped"
+        // (or, once one receiver has failed, "epoch aborted").
+        const K: usize = 3;
+        // One thread per rank makes the receivers contend for the scheduler
+        // lock, which widens the window between a miss and the block.
+        for (p, iters) in [(2, 300), (64, 20), (256, 20)] {
+            for workers in [1, 2, 3, p] {
+                for it in 0..iters {
+                    // Alternate which side of each pair has the lower rank,
+                    // so both the sender and the receiver get to run first.
+                    let sender = |r: usize| r % 2 == it % 2;
+                    let received = std::sync::atomic::AtomicUsize::new(0);
+                    let cfg = MeshCfg {
+                        workers,
+                        ..MeshCfg::default()
+                    };
+                    let out = Universe::run_mesh(p, &cfg, |ctx| {
+                        let peer = ctx.rank() ^ 1;
+                        if sender(ctx.rank()) {
+                            for i in 0..K {
+                                ctx.send(peer, i as u32, vec![i as f64], VolumeCategory::Other);
+                            }
+                            return;
+                        }
+                        for i in 0..K {
+                            let got = ctx.recv(peer, i as u32, VolumeCategory::Other);
+                            assert_eq!(got, vec![i as f64]);
+                            received.fetch_add(1, Ordering::SeqCst);
+                        }
+                        ctx.barrier();
+                        let _ = ctx.recv(peer, 9, VolumeCategory::Other);
+                    });
+                    assert_eq!(
+                        received.into_inner(),
+                        K * p / 2,
+                        "P = {p}, {workers} workers"
+                    );
+                    let root = out.first_failure.expect("the extra receive fails");
+                    assert!(!sender(root));
+                    assert!(out
+                        .failure_message(root)
+                        .unwrap()
+                        .contains("sender dropped"));
+                    for r in 0..p {
+                        match out.failure_message(r) {
+                            None => assert!(sender(r), "rank {r}"),
+                            Some(m) => assert!(
+                                !sender(r)
+                                    && (m.contains("sender dropped")
+                                        || m.contains("epoch aborted")),
+                                "rank {r}: {m}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workers_own_contiguous_rank_blocks_of_balanced_size() {
+        for nranks in [1, 2, 7, 37, 64, 1023, 1024] {
+            for workers in (1..=nranks.min(9)).chain([nranks / 2, nranks]) {
+                if workers == 0 {
+                    continue;
+                }
+                let owners: Vec<usize> = (0..nranks).map(|r| owner(r, nranks, workers)).collect();
+                assert_eq!(owners[0], 0);
+                assert_eq!(owners[nranks - 1], workers - 1);
+                assert!(owners.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+                let mut sizes = vec![0usize; workers];
+                for &o in &owners {
+                    sizes[o] += 1;
+                }
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(
+                    *lo >= 1 && hi - lo <= 1,
+                    "P = {nranks}, W = {workers}: {sizes:?}"
+                );
+            }
+        }
+        // `workers: nranks` still runs every rank on a thread of its own,
+        // before and after a suspension.
+        let p = 12;
+        let cfg = MeshCfg {
+            workers: p,
+            ..MeshCfg::default()
+        };
+        let out = Universe::run_mesh(p, &cfg, |ctx| {
+            let before = std::thread::current().id();
+            ctx.send((ctx.rank() + 1) % p, 1, vec![0.0], VolumeCategory::Other);
+            let _ = ctx.recv((ctx.rank() + p - 1) % p, 1, VolumeCategory::Other);
+            assert_eq!(std::thread::current().id(), before);
+            before
+        })
+        .into_results();
+        let threads: std::collections::HashSet<_> = out.results.into_iter().collect();
+        assert_eq!(threads.len(), p);
     }
 
     #[test]

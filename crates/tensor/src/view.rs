@@ -54,8 +54,8 @@ thread_local! {
 /// Total bytes moved by [`copy_into`] on the calling **OS thread** so far.
 /// Take a snapshot before and after a region to measure its copy traffic.
 ///
-/// Simulated ranks share worker threads (`tucker-distsim` pins rank `r` to
-/// worker `r % workers`), so a delta taken inside a rank body across a
+/// Simulated ranks share worker threads (`tucker-distsim` gives each worker
+/// a contiguous block of ranks), so a delta taken inside a rank body across a
 /// communication call also counts whatever the neighbouring ranks on that
 /// worker copied while this one was suspended. To read it per rank, run the
 /// universe with `MeshCfg { workers: nranks, .. }` — one rank per thread.
