@@ -6,7 +6,7 @@
 //! qualitative result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::engine::{DistRun, EngineConfig};
 use tucker_core::plan::Planner;
 use tucker_suite::fields::hash_noise;
 use tucker_suite::real::scaled_real_tensors;
@@ -23,7 +23,10 @@ fn bench_real(c: &mut Criterion) {
             let id = BenchmarkId::new(rt.name, plan.name());
             g.bench_with_input(id, &plan, |b, plan| {
                 b.iter(|| {
-                    run_distributed_hooi(|c| hash_noise(c, 0xBEEF), plan, 1, &cfg).per_sweep[0]
+                    DistRun::of(plan, 1)
+                        .config(cfg.clone())
+                        .run(|c| hash_noise(c, 0xBEEF))
+                        .per_sweep[0]
                         .error
                 })
             });

@@ -11,7 +11,7 @@ use super::{problem_header, Opts};
 use crate::artifact::{secs, Artifact, Fix, Gate, Gates, Obj, Sci};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::engine::DistRun;
 use tucker_core::executor::{hooi_loop, LoopCfg, RayonBackend, SeqBackend, SweepStats};
 use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
 use tucker_core::sthosvd::hosvd_init_factors;
@@ -386,7 +386,7 @@ fn backend_lineup(
 
     // Distributed row: same schedule on the measured distsim backend. One
     // run (the simulated universe timeshares the host, reps add no signal).
-    let dist = run_distributed_hooi(fill, &plan, sweeps, &EngineConfig::default()).per_sweep;
+    let dist = DistRun::of(&plan, sweeps).run(fill).per_sweep;
     let err = error(&dist);
     assert!(
         (err - err_seq).abs() < 1e-10,

@@ -10,14 +10,13 @@ mod virtual_time;
 
 use crate::artifact::{Artifact, Gate, Obj};
 use tucker_core::TuckerMeta;
-use tucker_distsim::MeshCfg;
 
 pub use host::{kernels_on, KernelShape};
 pub use paper::summary;
 
-/// What the command line can set, plus the mesh the simulated ranks run on
-/// (the default everywhere except the tests that show `model` leaves do not
-/// depend on it).
+/// What the command line can set, plus the mesh worker pool the simulated
+/// ranks run on (the default everywhere except the tests that show `model`
+/// leaves do not depend on it).
 #[derive(Clone, Debug)]
 pub struct Opts {
     /// Suite tensors sampled by the measured figures (`--sample`).
@@ -26,8 +25,9 @@ pub struct Opts {
     pub max_p: usize,
     /// Concurrent clients of the serving bench (`--clients`).
     pub clients: usize,
-    /// Worker pool under every simulated universe.
-    pub mesh: MeshCfg,
+    /// Mesh worker pool under every simulated universe (0 = the host's
+    /// default pool).
+    pub workers: usize,
 }
 
 impl Default for Opts {
@@ -36,7 +36,7 @@ impl Default for Opts {
             sample: 16,
             max_p: usize::MAX,
             clients: 6,
-            mesh: MeshCfg::default(),
+            workers: 0,
         }
     }
 }

@@ -8,7 +8,7 @@
 use super::Opts;
 use crate::artifact::{Artifact, Gate, Table};
 use crate::scale_for_measurement;
-use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::engine::DistRun;
 use tucker_core::plan::{GridStrategy, Plan, Planner, TreeStrategy};
 use tucker_core::{SweepStats, TuckerMeta};
 use tucker_distsim::count_grids;
@@ -141,9 +141,7 @@ fn fill(c: &[usize]) -> f64 {
 
 /// Run one plan once and return its per-sweep stats.
 fn run_once(plan: &Plan) -> SweepStats {
-    run_distributed_hooi(fill, plan, 1, &EngineConfig::default())
-        .per_sweep
-        .remove(0)
+    DistRun::of(plan, 1).run(fill).per_sweep.remove(0)
 }
 
 /// Deterministic measured sample: subsample the suite, scale each tensor to

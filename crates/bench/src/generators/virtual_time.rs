@@ -14,17 +14,14 @@
 use super::{problem_header, ranks_upto, Opts};
 use crate::artifact::{secs, Artifact, Fix, Gate, Gates, Obj, Sci};
 use std::time::{Duration, Instant};
-use tucker_core::engine::{
-    run_distributed_hooi_mesh, run_distributed_hooi_on, EngineConfig, FailurePolicy, InjectedFault,
-    MeshHooiOutput,
-};
+use tucker_core::engine::{DistRun, EngineConfig, FailurePolicy, InjectedFault, MeshHooiOutput};
 use tucker_core::executor::SweepStats;
 use tucker_core::plan::brute_force::{enumerate_all_trees, min_sweep_cost};
 use tucker_core::plan::cost::{sweep_cost, CostModel, FlopVolumeModel, NetCostModel};
 use tucker_core::plan::grid::candidate_grids;
 use tucker_core::plan::{Plan, Planner, SearchBudget};
 use tucker_core::TuckerMeta;
-use tucker_distsim::{MeshCfg, NetModel, VolumeCategory};
+use tucker_distsim::{NetModel, VolumeCategory};
 use tucker_suite::driver::scaling_meta;
 use tucker_suite::fields::hash_noise;
 
@@ -86,8 +83,8 @@ type Replay = (Plan, MeshHooiOutput, f64);
 /// Replay the paper's four-strategy lineup **plus the joint-DP plan**
 /// (`(dp, joint)`, ranked under the α–β [`NetCostModel`]) at each rank
 /// count under the virtual-time α–β clock (no core gather), one HOOI sweep
-/// each. `mesh` sizes the worker pool the simulated ranks run on; only the
-/// host-clock values may depend on it.
+/// each on `workers` mesh workers (0 = the host's default pool); only the
+/// host-clock values may depend on the pool.
 ///
 /// Every run is checked against its models, on two levels:
 /// * **volume**: the ledger's TTM reduce-scatter volume must equal the §4.1
@@ -101,7 +98,7 @@ type Replay = (Plan, MeshHooiOutput, f64);
 ///
 /// # Panics
 /// Panics if a measured volume or virtual clock contradicts its model.
-fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, mesh: &MeshCfg) -> Vec<Replay> {
+fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, workers: usize) -> Vec<Replay> {
     let cfg = stats_only(net);
     let mut replays = Vec::new();
     for &p in ranks {
@@ -111,7 +108,10 @@ fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, mesh: &MeshC
         lineup.push(planner.best_plan_with(&net_model, &SearchBudget::winner_only()));
         for plan in lineup {
             let host0 = Instant::now();
-            let out = run_distributed_hooi_on(fill, &plan, 1, &cfg, mesh);
+            let out = DistRun::of(&plan, 1)
+                .config(cfg.clone())
+                .workers(workers)
+                .run(fill);
             let host_s = host0.elapsed().as_secs_f64();
             let s = &out.per_sweep[0];
             // Sweeps ran once, so the run-level ledger *is* the sweep ledger
@@ -166,7 +166,7 @@ pub(super) fn planner(o: &Opts) -> (Artifact, Gate) {
     );
     println!("   problem {meta}, P in {ranks:?}");
 
-    let replays = lineup_replay(&meta, &ranks, net, &o.mesh);
+    let replays = lineup_replay(&meta, &ranks, net, o.workers);
     for (plan, out, _) in &replays {
         let s = &out.per_sweep[0];
         println!(
@@ -290,7 +290,7 @@ pub(super) fn scaling(o: &Opts) -> (Artifact, Gate) {
     println!("   problem {meta}, P in {ranks:?}");
 
     let t0 = Instant::now();
-    let replays = lineup_replay(&meta, &ranks, net, &o.mesh);
+    let replays = lineup_replay(&meta, &ranks, net, o.workers);
     let elapsed = t0.elapsed();
 
     let mut prev_p = 0;
@@ -395,7 +395,7 @@ fn topology_sweep(
     meta: &TuckerMeta,
     ranks: &[usize],
     hier: NetModel,
-    mesh: &MeshCfg,
+    workers: usize,
 ) -> Vec<TopologyReplay> {
     assert!(
         hier.is_hierarchical(),
@@ -417,9 +417,15 @@ fn topology_sweep(
         let flat_plan = planner.best_plan_with(&flat_model, &SearchBudget::winner_only());
 
         let host0 = Instant::now();
-        let topo_out = run_distributed_hooi_on(fill, &topo_plan, 1, &hier_cfg, mesh);
-        let flat_out = run_distributed_hooi_on(fill, &flat_plan, 1, &hier_cfg, mesh);
-        let ctrl_out = run_distributed_hooi_on(fill, &flat_plan, 1, &flat_cfg, mesh);
+        let run = |plan, cfg: &EngineConfig| {
+            DistRun::of(plan, 1)
+                .config(cfg.clone())
+                .workers(workers)
+                .run(fill)
+        };
+        let topo_out = run(&topo_plan, &hier_cfg);
+        let flat_out = run(&flat_plan, &hier_cfg);
+        let ctrl_out = run(&flat_plan, &flat_cfg);
         let host_s = host0.elapsed().as_secs_f64();
 
         // The §6 invariant, per topology: predict_sweep replays the exact
@@ -483,7 +489,7 @@ pub(super) fn topology(o: &Opts) -> (Artifact, Gate) {
     let mut gates = Gates::default();
     let mut rows = Vec::new();
     for (topo_plan, flat_plan, [topo, flat, ctrl], host_s) in
-        &topology_sweep(&meta, &ranks, hier, &o.mesh)
+        &topology_sweep(&meta, &ranks, hier, o.workers)
     {
         let p = topo_plan.nranks;
         let (topo, flat, ctrl) = (&topo.per_sweep[0], &flat.per_sweep[0], &ctrl.per_sweep[0]);
@@ -572,8 +578,10 @@ pub(super) fn recovery(o: &Opts) -> (Artifact, Gate) {
         ..stats_only(net)
     };
     let abort_cfg = stats_only(net);
-    let run = |p: usize, cfg: &EngineConfig, fault: Option<InjectedFault>| {
-        run_distributed_hooi_mesh(fill, &meta, p, RECOVERY_SWEEPS, cfg, &o.mesh, fault)
+    let run = |p: usize, cfg: &EngineConfig| {
+        DistRun::new(&meta, p, RECOVERY_SWEEPS)
+            .config(cfg.clone())
+            .workers(o.workers)
     };
     let mut gates = Gates::default();
     let mut rows = Vec::new();
@@ -585,7 +593,7 @@ pub(super) fn recovery(o: &Opts) -> (Artifact, Gate) {
         };
 
         let host0 = Instant::now();
-        let out = run(p, &recover_cfg, Some(fault));
+        let out = run(p, &recover_cfg).fault(fault).run(fill);
         let recover_total_s = host0.elapsed().as_secs_f64();
         assert_eq!(out.recoveries.len(), 1, "P={p}: exactly one recovery round");
         let ev = &out.recoveries[0];
@@ -598,7 +606,7 @@ pub(super) fn recovery(o: &Opts) -> (Artifact, Gate) {
         // Fail-stop prefix: the same fault under Abort, timed to the panic.
         let host1 = Instant::now();
         let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(p, &abort_cfg, Some(fault))
+            run(p, &abort_cfg).fault(fault).run(fill)
         }));
         let prefix_s = host1.elapsed().as_secs_f64();
         assert!(aborted.is_err(), "P={p}: Abort must re-raise the failure");
@@ -606,7 +614,7 @@ pub(super) fn recovery(o: &Opts) -> (Artifact, Gate) {
         // Fail-stop restart: from scratch on the survivor count, full
         // budget — also the 1e-10 differential oracle for the recovery.
         let host2 = Instant::now();
-        let clean = run(ev.survivors, &recover_cfg, None);
+        let clean = run(ev.survivors, &recover_cfg).run(fill);
         let restart_total_s = host2.elapsed().as_secs_f64();
         let recovered_error = out.per_sweep.last().unwrap().error;
         let failstop_error = clean.per_sweep.last().unwrap().error;
@@ -685,12 +693,7 @@ mod tests {
 
     #[test]
     fn lineup_replay_is_model_consistent() {
-        let replays = lineup_replay(
-            &scaling_meta(),
-            &[4, 16],
-            NetModel::bgq(),
-            &MeshCfg::default(),
-        );
+        let replays = lineup_replay(&scaling_meta(), &[4, 16], NetModel::bgq(), 0);
         // The paper's four strategies plus `(dp, joint)`, per P.
         assert_eq!(replays.len(), 10);
         let (p4, p16) = replays.split_at(5);
@@ -725,12 +728,7 @@ mod tests {
 
     #[test]
     fn topology_sweep_is_model_consistent() {
-        let replays = topology_sweep(
-            &scaling_meta(),
-            &[4, 16],
-            NetModel::cluster(),
-            &MeshCfg::default(),
-        );
+        let replays = topology_sweep(&scaling_meta(), &[4, 16], NetModel::cluster(), 0);
         assert_eq!(replays.len(), 2);
         for (topo_plan, _, runs, _) in &replays {
             let [topo, flat, ctrl] = runs.each_ref().map(|o| &o.per_sweep[0]);

@@ -17,7 +17,7 @@
 //!   a text serialization (`tucker-checkpoint/v1`) whose floats round-trip
 //!   exactly (hex `f64::to_bits`), so a restart resumes the identical run.
 //!
-//! The engine's recovery loop (`engine::run_distributed_hooi_mesh`) drives
+//! The engine's recovery loop ([`DistRun::run`](crate::engine::DistRun::run)) drives
 //! both: record during an epoch, checkpoint on failure, restore into
 //! [`hooi_loop_from`](crate::executor::hooi_loop_from) on the re-planned
 //! survivor grid.

@@ -20,10 +20,10 @@
 //!   would mirror §4.4).
 
 use crate::decomposition::TuckerDecomposition;
-use crate::engine::{DistsimBackend, EngineConfig};
+use crate::engine::{mesh_cfg, DistsimBackend, EngineConfig};
 use crate::executor::{self, PlanProvenance, SweepStats};
 use crate::meta::TuckerMeta;
-use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe};
+use tucker_distsim::{DistTensor, Grid, Universe};
 
 /// Run distributed STHOSVD on `grid.nranks()` simulated ranks under a
 /// static grid, with the HOOI engine's [`EngineConfig`] (clock, core
@@ -46,12 +46,8 @@ pub fn run_distributed_sthosvd(
         "grid {grid} invalid for core {}",
         meta.core()
     );
-    let mesh = MeshCfg {
-        net: cfg.net,
-        ..MeshCfg::default()
-    };
 
-    let out = Universe::run_mesh(grid.nranks(), &mesh, |ctx| {
+    let out = Universe::run_mesh(grid.nranks(), &mesh_cfg(cfg, 0), |ctx| {
         let t = DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c));
         let input_norm_sq = t.global_norm_sq(ctx);
 

@@ -11,14 +11,14 @@
 //! and per-category communication volume are recorded so the experiments can
 //! reproduce the paper's breakdowns (Figures 10c, 11a/b/e).
 //!
-//! One body runs every distributed HOOI: the private epoch loop
-//! (`hooi_epochs`) — materialise block → HOSVD init → sweep loop → gather
+//! One value describes every distributed HOOI, and one body runs it:
+//! [`DistRun::run`] — materialise block → HOSVD init → sweep loop → gather
 //! core — on the fiber mesh of `tucker-distsim`, re-planned and resumed on
 //! the survivors after a rank failure under [`FailurePolicy::Recover`].
-//! [`run_distributed_hooi`] executes a given [`Plan`];
-//! [`run_distributed_hooi_mesh`] searches for its own plan (and takes a
-//! [`MeshCfg`] and a scripted fault); [`run_distributed_hooi_mesh_from`]
-//! restarts from a durable checkpoint.
+//! [`DistRun::of`] executes a given [`Plan`], [`DistRun::new`] searches
+//! for its own; a scripted fault, a worker pool and a durable checkpoint to
+//! restart from are set on the value. Which ranks died is read from each
+//! failed rank's typed [`RankFault`], never from panic text.
 //!
 //! Compute phases are timed in the rank's thread CPU time; communication
 //! phases read the rank's one communication clock, `RankCtx::comm`. Whether
@@ -47,10 +47,12 @@ use tucker_distsim::comm::thread_cpu_time;
 use tucker_distsim::dist_gram::{dist_gram, dist_gram_all_with_norm};
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::grid::largest_usable_rank_count;
-use tucker_distsim::mesh::MeshCfg;
+use tucker_distsim::mesh::{MeshCfg, MeshOutput};
 use tucker_distsim::net::NetModel;
 use tucker_distsim::redistribute::{redistribute, BlockStore};
-use tucker_distsim::{CommTimers, DistTensor, RankCtx, Universe, VolumeCategory, VolumeReport};
+use tucker_distsim::{
+    CommTimers, DistTensor, RankCtx, RankFault, Universe, VolumeCategory, VolumeReport,
+};
 use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::subtensor::Region;
@@ -85,7 +87,7 @@ impl FailurePolicy {
 /// Periodic durable checkpointing: every `every` committed
 /// sweeps, one rank writes the bit-exact `tucker-checkpoint/v1` snapshot to
 /// `path`, so a killed **process** (not just a failed rank) restarts from
-/// the last spill via [`run_distributed_hooi_mesh_from`].
+/// the last spill via [`DistRun::resume`].
 #[derive(Clone, Debug)]
 pub struct CheckpointCfg {
     /// Spill after every `every` committed sweeps (must be ≥ 1).
@@ -478,73 +480,345 @@ impl SweepObserver for MeshObserver<'_> {
     }
 }
 
-/// Cascade panics the mesh injects into surviving ranks when quarantining a
-/// root failure — these ranks are alive, their epoch merely aborted.
-fn is_cascade_failure(msg: &str) -> bool {
-    msg.contains("epoch aborted") || msg.contains("sender dropped")
-}
-
-/// Run distributed HOOI executing `plan`: truncated-HOSVD initialization
-/// followed by `sweeps` HOOI invocations on `plan.nranks` simulated ranks.
-///
-/// The input tensor is provided as a closure over global coordinates so each
-/// rank materializes only its own block. Under [`FailurePolicy::Recover`]
-/// `plan` drives the first epoch only — every re-plan after a failure comes
-/// from the joint search, as in [`run_distributed_hooi_mesh`].
-///
-/// # Panics
-/// Panics on inconsistent metadata, if the plan's grids do not match its
-/// rank count, or like [`run_distributed_hooi_mesh`] on rank failures.
-pub fn run_distributed_hooi(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    plan: &Plan,
+/// One distributed HOOI run: truncated-HOSVD initialization followed by
+/// `sweeps` HOOI invocations on simulated ranks. [`DistRun::new`] plans
+/// with the joint grid × tree × order search, [`DistRun::of`] executes a
+/// given [`Plan`]; the methods set the rest, and [`DistRun::run`] executes.
+#[derive(Clone, Debug)]
+pub struct DistRun<'a> {
+    meta: &'a TuckerMeta,
+    nranks: usize,
     sweeps: usize,
-    cfg: &EngineConfig,
-) -> MeshHooiOutput {
-    run_distributed_hooi_on(global_fn, plan, sweeps, cfg, &MeshCfg::default())
+    /// Executed by epoch 0 instead of the joint search's winner.
+    plan: Option<&'a Plan>,
+    cfg: EngineConfig,
+    /// Mesh worker pool; `0` = auto (see [`MeshCfg::workers`]).
+    workers: usize,
+    fault: Option<InjectedFault>,
+    resume: Option<SweepCheckpoint>,
 }
 
-/// [`run_distributed_hooi`] on an explicit mesh configuration (its worker
-/// pool): what a run reports under the virtual clock must not depend on it,
-/// and the tests that hold that vary it.
-pub fn run_distributed_hooi_on(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    plan: &Plan,
-    sweeps: usize,
-    cfg: &EngineConfig,
-    mesh: &MeshCfg,
-) -> MeshHooiOutput {
-    hooi_epochs(
-        global_fn,
-        &plan.meta,
-        plan.nranks,
-        sweeps,
-        cfg,
-        mesh,
-        None,
-        None,
-        Some(plan),
-    )
+impl<'a> DistRun<'a> {
+    /// `sweeps` sweeps on `nranks` ranks, planned by the joint search.
+    pub fn new(meta: &'a TuckerMeta, nranks: usize, sweeps: usize) -> Self {
+        DistRun {
+            meta,
+            nranks,
+            sweeps,
+            plan: None,
+            cfg: EngineConfig::default(),
+            workers: 0,
+            fault: None,
+            resume: None,
+        }
+    }
+
+    /// `sweeps` sweeps executing `plan` on `plan.nranks` ranks.
+    pub fn of(plan: &'a Plan, sweeps: usize) -> Self {
+        DistRun {
+            plan: Some(plan),
+            ..DistRun::new(&plan.meta, plan.nranks, sweeps)
+        }
+    }
+
+    /// Clock, core gather, failure policy and checkpoint spill.
+    #[must_use]
+    pub fn config(mut self, cfg: EngineConfig) -> Self {
+        self.cfg = cfg;
+        self
+    }
+
+    /// Mesh worker pool size (`0` = auto); nothing a run reports under the
+    /// virtual clock depends on it.
+    #[must_use]
+    pub fn workers(mut self, n: usize) -> Self {
+        self.workers = n;
+        self
+    }
+
+    /// Fire a scripted rank failure.
+    #[must_use]
+    pub fn fault(mut self, fault: InjectedFault) -> Self {
+        self.fault = Some(fault);
+        self
+    }
+
+    /// Restart from a durable checkpoint (the crash-restart path, paired
+    /// with [`EngineConfig::checkpoint_every`]): committed sweeps replay for
+    /// free and execution continues from [`SweepCheckpoint::resume_sweep`],
+    /// skipping the salvaged leaves of the interrupted sweep.
+    #[must_use]
+    pub fn resume(mut self, ckpt: SweepCheckpoint) -> Self {
+        self.resume = Some(ckpt);
+        self
+    }
+
+    /// Execute the run: a loop of mesh epochs, each *(re-)plan → materialise
+    /// blocks → init or restore → sweep loop → gather*. The input is a
+    /// closure over global coordinates, so each rank materializes only its
+    /// own block.
+    ///
+    /// Under [`FailurePolicy::Abort`] a rank failure re-raises the root
+    /// panic. Under [`FailurePolicy::Recover`] the dead ranks are
+    /// quarantined and the run continues on the survivors: the joint search
+    /// re-plans for the shrunk universe (a given plan drives epoch 0 only),
+    /// live blocks of the aborted epoch are redistributed host-side onto the
+    /// new grid (only the dead ranks' regions are re-materialized from
+    /// `global_fn`), and the sweep loop resumes from the last committed
+    /// sweep, skipping leaves the interrupted sweep already finished.
+    /// Virtual-time epochs carry the per-epoch α–β prediction in their
+    /// provenance; a *resumed* sweep's prediction is voided — only part of
+    /// it executed under the new plan.
+    ///
+    /// # Panics
+    /// Panics on invalid arguments, on a checkpoint for another problem, on
+    /// a failed checkpoint spill, on a deadlock (a fault of the program, not
+    /// a dead rank) under either policy, on any rank failure under `Abort`,
+    /// and under `Recover` when `max_restarts` is exhausted or no survivor
+    /// remains.
+    pub fn run(&self, global_fn: impl Fn(&[usize]) -> f64 + Sync) -> MeshHooiOutput {
+        let (meta, sweeps, cfg) = (self.meta, self.sweeps, &self.cfg);
+        assert!(sweeps >= 1, "need at least one sweep");
+        assert!(self.nranks >= 1, "need at least one rank");
+
+        let log = RecoveryLog::new(meta.order());
+        if let Some(ckpt) = &self.resume {
+            assert_eq!(
+                ckpt.meta.input().dims(),
+                meta.input().dims(),
+                "checkpoint is for a different problem"
+            );
+            assert_eq!(ckpt.meta.core().dims(), meta.core().dims());
+            log.restore(ckpt);
+        }
+        let spill = cfg.checkpoint.as_ref().map(|c| SpillState {
+            cfg: c,
+            meta,
+            total_sweeps: sweeps,
+            last_spilled: AtomicUsize::new(log.committed_count()),
+            failed: OnceLock::new(),
+        });
+        let fault_fired = AtomicBool::new(false);
+        let recover = matches!(cfg.on_failure, FailurePolicy::Recover { .. });
+        let mut survivors = self.nranks;
+        let mut restarts = 0usize;
+        let mut prev_blocks: Option<(BlockStore, Vec<Region>)> = None;
+        let mut recoveries: Vec<RecoveryEvent> = Vec::new();
+        let mut epoch_volumes: Vec<VolumeReport> = Vec::new();
+        let (mut evd_computed, mut evd_reused) = (0, 0);
+        let mut plans: Vec<String> = Vec::new();
+
+        loop {
+            // Epoch 0 executes the caller's plan when it brought one; otherwise
+            // (and after every failure) plan at the current survivor count via
+            // the joint search.
+            let searched;
+            let plan = match self.plan {
+                Some(plan) if plans.is_empty() => plan,
+                _ => {
+                    let planner = Planner::new(meta.clone(), survivors);
+                    let budget = SearchBudget::winner_only();
+                    searched = match cfg.net {
+                        Some(net) => {
+                            planner.best_plan_with(&NetCostModel::new(net, survivors), &budget)
+                        }
+                        None => planner.best_plan_with(&FlopVolumeModel, &budget),
+                    };
+                    &searched
+                }
+            };
+            plans.push(plan.name());
+            if let Some(ev) = recoveries.last_mut() {
+                if ev.replanned.is_empty() {
+                    ev.replanned = plan.name();
+                }
+            }
+            // Virtual-time runs carry the planner's α–β prediction the executed
+            // `comm_wall` must match (the prediction-vs-execution invariant of
+            // DESIGN.md §6).
+            let predicted_comm = cfg.net.map(|net| {
+                NetCostModel::new(net, survivors)
+                    .predict_sweep(&plan.meta, &plan.tree, &plan.grids)
+                    .comm_wall
+            });
+            log.begin_epoch(
+                survivors,
+                Some(PlanProvenance {
+                    plan: plan.name(),
+                    predicted_comm,
+                }),
+            );
+
+            // Restore point: committed sweeps + salvaged leaves of the
+            // interrupted sweep. (Empty on the first epoch.)
+            let ckpt = log.checkpoint(meta, sweeps);
+            let first_sweep = ckpt.resume_sweep();
+            let basis: Option<Vec<Matrix>> =
+                (first_sweep > 0 || ckpt.init_factors.is_some()).then(|| ckpt.basis_factors());
+
+            let store = BlockStore::new(meta.input().clone());
+            let reused = AtomicU64::new(0);
+            let out = Universe::run_mesh(survivors, &mesh_cfg(cfg, self.workers), |ctx| {
+                let grid = &plan.grids.initial;
+                let t = match &prev_blocks {
+                    Some((live, dead_regions)) => {
+                        // Redistribute live blocks of the aborted epoch onto
+                        // this rank's new-grid block; only coordinates the dead
+                        // rank owned are re-materialized from the generator.
+                        let region = rank_region(meta.input(), grid, ctx.rank());
+                        let mut local = DenseTensor::zeros(region.shape());
+                        reused.fetch_add(live.fill(&region, &mut local), Ordering::Relaxed);
+                        for dead in dead_regions {
+                            if let Some(gap) = dead.intersect(&region) {
+                                fill_region_from(&mut local, &gap, &region, &global_fn);
+                            }
+                        }
+                        DistTensor::from_parts(
+                            meta.input().clone(),
+                            grid.clone(),
+                            ctx.rank(),
+                            local,
+                        )
+                    }
+                    None => DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c)),
+                };
+                if recover {
+                    store.deposit(ctx.rank(), t.region(), t.local().clone());
+                }
+
+                let (init_factors, input_norm_sq) = match &basis {
+                    Some(fs) => (fs.clone(), t.global_norm_sq(ctx)),
+                    None => {
+                        // Truncated-HOSVD initialization: leading eigenvectors
+                        // of each mode's Gram of the raw tensor (replicated
+                        // results). All mode Grams and the input norm share one
+                        // fused world all-reduce — collective rounds, not bytes,
+                        // dominate paper-scale runs.
+                        let (grams, norm) = dist_gram_all_with_norm(ctx, &t);
+                        let init: Vec<Matrix> = grams
+                            .iter()
+                            .enumerate()
+                            .map(|(n, gram)| ctx.leading_from_gram(gram, meta.k(n)))
+                            .collect();
+                        log.record_init(&init);
+                        (init, norm)
+                    }
+                };
+
+                let mut obs = MeshObserver {
+                    rank: ctx.rank(),
+                    log: &log,
+                    fault: self.fault,
+                    fault_fired: &fault_fired,
+                    leaves_this_sweep: 0,
+                    spill: spill.as_ref(),
+                };
+                let mut backend = DistsimBackend::new(&mut *ctx, Some(&plan.grids));
+                let run = executor::hooi_loop_from(
+                    &mut backend,
+                    &t,
+                    meta,
+                    &plan.tree,
+                    init_factors,
+                    input_norm_sq,
+                    executor::LoopCfg::exactly(sweeps),
+                    first_sweep,
+                    ckpt.predone(),
+                    &mut obs,
+                );
+
+                // Gather the core on every rank; only rank 0 keeps it.
+                if cfg.gather_core {
+                    let dense_core = run.core.allgather_global(ctx);
+                    (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, run.factors))
+                } else {
+                    None
+                }
+            });
+            // A failed spill ends the run under either policy: no rank died.
+            if let Some(spill) = &spill {
+                spill.check();
+            }
+            epoch_volumes.push(out.volume);
+            evd_computed += out.evd_computed;
+            evd_reused += out.evd_reused;
+            if let Some(ev) = recoveries.last_mut() {
+                if ev.reused_elements == 0 {
+                    ev.reused_elements = reused.load(Ordering::Relaxed);
+                }
+            }
+
+            if out.all_ok() {
+                let committed = log.committed();
+                assert_eq!(committed.len(), sweeps, "all sweeps must have committed");
+                let mut decomposition = None;
+                for o in out.results {
+                    if let tucker_distsim::RankOutcome::Ok(Some(d)) = o {
+                        decomposition = Some(d);
+                    }
+                }
+                return MeshHooiOutput {
+                    decomposition,
+                    per_sweep: committed.into_iter().map(|c| c.stats).collect(),
+                    epoch_volumes,
+                    evd_computed,
+                    evd_reused,
+                    recoveries,
+                    workers: out.workers,
+                    plans,
+                };
+            }
+
+            // Failure path: quarantine the ranks that died and go on, or
+            // re-raise (fail-stop, and a deadlock under either policy).
+            let dead = match (dead_ranks(&out), cfg.on_failure) {
+                (Some(dead), FailurePolicy::Recover { max_restarts }) => {
+                    restarts += 1;
+                    assert!(
+                        restarts <= max_restarts,
+                        "rank failures exceeded max_restarts ({max_restarts})"
+                    );
+                    assert!(
+                        dead.len() < survivors,
+                        "no survivors left after {dead:?} failed"
+                    );
+                    dead
+                }
+                _ => {
+                    let _ = out.into_results(); // re-raises the root payload
+                    unreachable!("into_results re-raises on failure");
+                }
+            };
+            let dead_regions: Vec<Region> = dead
+                .iter()
+                .map(|&r| rank_region(meta.input(), &plan.grids.initial, r))
+                .collect();
+            for &r in &dead {
+                store.evict(r);
+            }
+            // A survivor count that factors badly (e.g. a prime larger
+            // than every mode) admits no valid grid — shrink to the
+            // largest usable subset and idle the rest.
+            let usable = largest_usable_rank_count(survivors - dead.len(), meta.core().dims());
+            let salvaged = ckpt_salvaged(&log, meta);
+            recoveries.push(RecoveryEvent {
+                dead_ranks: dead.clone(),
+                survivors: usable,
+                resumed_sweep: log.committed_count(),
+                salvaged_leaves: salvaged,
+                replanned: String::new(), // filled after the re-plan
+                reused_elements: 0,       // filled after the next epoch
+            });
+            survivors = usable;
+            prev_blocks = Some((store, dead_regions));
+        }
+    }
 }
 
-/// Run distributed HOOI on `nranks` ranks, planned by the joint
-/// grid × tree × order search at the current survivor count.
-///
-/// Under [`FailurePolicy::Abort`] a rank failure re-raises the root panic.
-/// Under [`FailurePolicy::Recover`] the failed rank is quarantined and the
-/// run continues on the survivors: the
-/// planner re-optimizes for the shrunk universe, live blocks of the aborted
-/// epoch are redistributed host-side onto the new grid (only the dead
-/// rank's region is re-materialized from `global_fn`), and the sweep loop
-/// resumes from the last committed sweep, skipping leaves the interrupted
-/// sweep already finished. Virtual-time epochs carry the per-epoch α–β
-/// prediction in their provenance (the PR 5 predict-vs-execute invariant,
-/// per surviving-grid re-plan); a *resumed* sweep's prediction is voided —
-/// only part of it executed under the new plan.
-///
-/// # Panics
-/// Panics on invalid arguments, under `Abort` on any rank failure, or under
-/// `Recover` when `max_restarts` is exhausted or no survivor remains.
+/// The benchmark package's entry point, kept for the frozen `benchmark/`
+/// until it moves to [`DistRun`]: `DistRun::new(meta, nranks, sweeps)` with
+/// `cfg`, `mesh.workers` and `fault`. `mesh.net` is not read —
+/// [`EngineConfig::net`] decides the clock.
 pub fn run_distributed_hooi_mesh(
     global_fn: impl Fn(&[usize]) -> f64 + Sync,
     meta: &TuckerMeta,
@@ -554,298 +828,38 @@ pub fn run_distributed_hooi_mesh(
     mesh: &MeshCfg,
     fault: Option<InjectedFault>,
 ) -> MeshHooiOutput {
-    hooi_epochs(
-        global_fn, meta, nranks, sweeps, cfg, mesh, fault, None, None,
-    )
+    DistRun {
+        fault,
+        ..DistRun::new(meta, nranks, sweeps)
+            .config(cfg.clone())
+            .workers(mesh.workers)
+    }
+    .run(global_fn)
 }
 
-/// [`run_distributed_hooi_mesh`] restarted from a durable checkpoint (the
-/// whole-process crash-restart path, paired with
-/// [`EngineConfig::checkpoint_every`]): the recovery log is restored from
-/// `resume` before the first epoch, so committed sweeps replay for free and
-/// execution continues from [`SweepCheckpoint::resume_sweep`], skipping any
-/// salvaged leaves of the interrupted sweep.
-///
-/// # Panics
-/// Panics like [`run_distributed_hooi_mesh`], or if the checkpoint's
-/// metadata does not match `meta`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_hooi_mesh_from(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    meta: &TuckerMeta,
-    nranks: usize,
-    sweeps: usize,
-    cfg: &EngineConfig,
-    mesh: &MeshCfg,
-    fault: Option<InjectedFault>,
-    resume: Option<SweepCheckpoint>,
-) -> MeshHooiOutput {
-    hooi_epochs(
-        global_fn, meta, nranks, sweeps, cfg, mesh, fault, resume, None,
-    )
+/// The mesh a run executes on: its worker pool and `cfg`'s clock. The one
+/// place a run's [`MeshCfg::net`] is set.
+pub(crate) fn mesh_cfg(cfg: &EngineConfig, workers: usize) -> MeshCfg {
+    MeshCfg {
+        workers,
+        net: cfg.net,
+    }
 }
 
-/// The one distributed-HOOI body: a loop of mesh epochs, each
-/// *(re-)plan → materialise blocks → init or restore → sweep loop → gather*,
-/// repeated on the survivors after a quarantined failure. `first_plan`, when
-/// given, is executed by epoch 0 instead of the joint search's winner.
-#[allow(clippy::too_many_arguments)]
-fn hooi_epochs(
-    global_fn: impl Fn(&[usize]) -> f64 + Sync,
-    meta: &TuckerMeta,
-    nranks: usize,
-    sweeps: usize,
-    cfg: &EngineConfig,
-    mesh: &MeshCfg,
-    fault: Option<InjectedFault>,
-    resume: Option<SweepCheckpoint>,
-    first_plan: Option<&Plan>,
-) -> MeshHooiOutput {
-    assert!(sweeps >= 1, "need at least one sweep");
-    assert!(nranks >= 1, "need at least one rank");
-
-    let log = RecoveryLog::new(meta.order());
-    if let Some(ckpt) = &resume {
-        assert_eq!(
-            ckpt.meta.input().dims(),
-            meta.input().dims(),
-            "checkpoint is for a different problem"
-        );
-        assert_eq!(ckpt.meta.core().dims(), meta.core().dims());
-        log.restore(ckpt);
-    }
-    let spill = cfg.checkpoint.as_ref().map(|c| SpillState {
-        cfg: c,
-        meta,
-        total_sweeps: sweeps,
-        last_spilled: AtomicUsize::new(log.committed_count()),
-        failed: OnceLock::new(),
-    });
-    let fault_fired = AtomicBool::new(false);
-    let recover = matches!(cfg.on_failure, FailurePolicy::Recover { .. });
-    let mut survivors = nranks;
-    let mut restarts = 0usize;
-    let mut prev_blocks: Option<(BlockStore, Vec<Region>)> = None;
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut epoch_volumes: Vec<VolumeReport> = Vec::new();
-    let (mut evd_computed, mut evd_reused) = (0, 0);
-    let mut plans: Vec<String> = Vec::new();
-
-    loop {
-        // Epoch 0 executes the caller's plan when it brought one; otherwise
-        // (and after every failure) plan at the current survivor count via
-        // the joint search.
-        let searched;
-        let plan = match first_plan {
-            Some(plan) if plans.is_empty() => plan,
-            _ => {
-                let planner = Planner::new(meta.clone(), survivors);
-                let budget = SearchBudget::winner_only();
-                searched = match cfg.net {
-                    Some(net) => {
-                        planner.best_plan_with(&NetCostModel::new(net, survivors), &budget)
-                    }
-                    None => planner.best_plan_with(&FlopVolumeModel, &budget),
-                };
-                &searched
-            }
-        };
-        plans.push(plan.name());
-        if let Some(ev) = recoveries.last_mut() {
-            if ev.replanned.is_empty() {
-                ev.replanned = plan.name();
-            }
-        }
-        // Virtual-time runs carry the planner's α–β prediction the executed
-        // `comm_wall` must match (the prediction-vs-execution invariant of
-        // DESIGN.md §6).
-        let predicted_comm = cfg.net.map(|net| {
-            NetCostModel::new(net, survivors)
-                .predict_sweep(&plan.meta, &plan.tree, &plan.grids)
-                .comm_wall
-        });
-        log.begin_epoch(
-            survivors,
-            Some(PlanProvenance {
-                plan: plan.name(),
-                predicted_comm,
-            }),
-        );
-
-        // Restore point: committed sweeps + salvaged leaves of the
-        // interrupted sweep. (Empty on the first epoch.)
-        let ckpt = log.checkpoint(meta, sweeps);
-        let first_sweep = ckpt.resume_sweep();
-        let basis: Option<Vec<Matrix>> =
-            (first_sweep > 0 || ckpt.init_factors.is_some()).then(|| ckpt.basis_factors());
-
-        let store = BlockStore::new(meta.input().clone());
-        let reused = AtomicU64::new(0);
-        let mesh_cfg = MeshCfg {
-            net: cfg.net,
-            ..mesh.clone()
-        };
-        let out = Universe::run_mesh(survivors, &mesh_cfg, |ctx| {
-            let grid = &plan.grids.initial;
-            let t = match &prev_blocks {
-                Some((live, dead_regions)) => {
-                    // Redistribute live blocks of the aborted epoch onto
-                    // this rank's new-grid block; only coordinates the dead
-                    // rank owned are re-materialized from the generator.
-                    let region = rank_region(meta.input(), grid, ctx.rank());
-                    let mut local = DenseTensor::zeros(region.shape());
-                    reused.fetch_add(live.fill(&region, &mut local), Ordering::Relaxed);
-                    for dead in dead_regions {
-                        if let Some(gap) = dead.intersect(&region) {
-                            fill_region_from(&mut local, &gap, &region, &global_fn);
-                        }
-                    }
-                    DistTensor::from_parts(meta.input().clone(), grid.clone(), ctx.rank(), local)
-                }
-                None => DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c)),
-            };
-            if recover {
-                store.deposit(ctx.rank(), t.region(), t.local().clone());
-            }
-
-            let (init_factors, input_norm_sq) = match &basis {
-                Some(fs) => (fs.clone(), t.global_norm_sq(ctx)),
-                None => {
-                    // Truncated-HOSVD initialization: leading eigenvectors
-                    // of each mode's Gram of the raw tensor (replicated
-                    // results). All mode Grams and the input norm share one
-                    // fused world all-reduce — collective rounds, not bytes,
-                    // dominate paper-scale runs.
-                    let (grams, norm) = dist_gram_all_with_norm(ctx, &t);
-                    let init: Vec<Matrix> = grams
-                        .iter()
-                        .enumerate()
-                        .map(|(n, gram)| ctx.leading_from_gram(gram, meta.k(n)))
-                        .collect();
-                    log.record_init(&init);
-                    (init, norm)
-                }
-            };
-
-            let mut obs = MeshObserver {
-                rank: ctx.rank(),
-                log: &log,
-                fault,
-                fault_fired: &fault_fired,
-                leaves_this_sweep: 0,
-                spill: spill.as_ref(),
-            };
-            let mut backend = DistsimBackend::new(&mut *ctx, Some(&plan.grids));
-            let run = executor::hooi_loop_from(
-                &mut backend,
-                &t,
-                meta,
-                &plan.tree,
-                init_factors,
-                input_norm_sq,
-                executor::LoopCfg::exactly(sweeps),
-                first_sweep,
-                ckpt.predone(),
-                &mut obs,
-            );
-
-            // Gather the core on every rank; only rank 0 keeps it.
-            if cfg.gather_core {
-                let dense_core = run.core.allgather_global(ctx);
-                (ctx.rank() == 0).then(|| TuckerDecomposition::new(dense_core, run.factors))
-            } else {
-                None
-            }
-        });
-        // A failed spill ends the run under either policy: no rank died.
-        if let Some(spill) = &spill {
-            spill.check();
-        }
-        epoch_volumes.push(out.volume);
-        evd_computed += out.evd_computed;
-        evd_reused += out.evd_reused;
-        if let Some(ev) = recoveries.last_mut() {
-            if ev.reused_elements == 0 {
-                ev.reused_elements = reused.load(Ordering::Relaxed);
-            }
-        }
-
-        if out.all_ok() {
-            let committed = log.committed();
-            assert_eq!(committed.len(), sweeps, "all sweeps must have committed");
-            let mut decomposition = None;
-            for o in out.results {
-                if let tucker_distsim::RankOutcome::Ok(Some(d)) = o {
-                    decomposition = Some(d);
-                }
-            }
-            return MeshHooiOutput {
-                decomposition,
-                per_sweep: committed.into_iter().map(|c| c.stats).collect(),
-                epoch_volumes,
-                evd_computed,
-                evd_reused,
-                recoveries,
-                workers: out.workers,
-                plans,
-            };
-        }
-
-        // Failure path: identify root-cause deaths (cascade panics are
-        // survivors whose epoch aborted), then recover or re-raise.
-        let dead: Vec<usize> = out
-            .failed_ranks()
-            .into_iter()
-            .filter(|&r| {
-                out.failure_message(r)
-                    .is_some_and(|m| !is_cascade_failure(m))
-            })
-            .collect();
-        let dead = if dead.is_empty() {
-            vec![out.first_failure.expect("abort implies a root failure")]
-        } else {
-            dead
-        };
-        match cfg.on_failure {
-            FailurePolicy::Abort => {
-                let _ = out.into_results(); // re-raises the root payload
-                unreachable!("into_results re-raises on failure");
-            }
-            FailurePolicy::Recover { max_restarts } => {
-                restarts += 1;
-                assert!(
-                    restarts <= max_restarts,
-                    "rank failures exceeded max_restarts ({max_restarts})"
-                );
-                assert!(
-                    dead.len() < survivors,
-                    "no survivors left after {dead:?} failed"
-                );
-                let dead_regions: Vec<Region> = dead
-                    .iter()
-                    .map(|&r| rank_region(meta.input(), &plan.grids.initial, r))
-                    .collect();
-                for &r in &dead {
-                    store.evict(r);
-                }
-                // A survivor count that factors badly (e.g. a prime larger
-                // than every mode) admits no valid grid — shrink to the
-                // largest usable subset and idle the rest.
-                let usable = largest_usable_rank_count(survivors - dead.len(), meta.core().dims());
-                let salvaged = ckpt_salvaged(&log, meta);
-                recoveries.push(RecoveryEvent {
-                    dead_ranks: dead.clone(),
-                    survivors: usable,
-                    resumed_sweep: log.committed_count(),
-                    salvaged_leaves: salvaged,
-                    replanned: String::new(), // filled after the re-plan
-                    reused_elements: 0,       // filled after the next epoch
-                });
-                survivors = usable;
-                prev_blocks = Some((store, dead_regions));
-            }
+/// The ranks of a failed epoch that died of their own fault — a panic (an
+/// injected fault included) or a receive from a finished sender — read from
+/// their [`RankFault`] variants; ranks woken into the abort are alive.
+/// `None` for a deadlock: every live rank waited on a live rank, none died.
+fn dead_ranks<R>(out: &MeshOutput<R>) -> Option<Vec<usize>> {
+    let mut dead = Vec::new();
+    for r in out.failed_ranks() {
+        match out.fault(r) {
+            Some(RankFault::Deadlock { .. }) => return None,
+            Some(RankFault::Panicked(_) | RankFault::SenderFinished { .. }) => dead.push(r),
+            Some(RankFault::Aborted { .. }) | None => {}
         }
     }
+    Some(dead)
 }
 
 /// Leaves of the interrupted sweep the log salvaged (for recovery reports).
@@ -963,7 +977,7 @@ mod tests {
     fn runs_and_stays_stable() {
         let planner = Planner::new(meta_small(), 4);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let out = run_distributed_hooi(smooth, &plan, 3, &EngineConfig::default());
+        let out = DistRun::of(&plan, 3).run(smooth);
         assert_eq!(out.per_sweep.len(), 3);
         // Tree-based (Jacobi) HOOI is not strictly monotone; errors must
         // stay valid and in a tight band around the initial fit.
@@ -987,7 +1001,7 @@ mod tests {
         let meta = meta_small();
         let planner = Planner::new(meta.clone(), 4);
         let plan = planner.plan(TreeStrategy::chain_k(), GridStrategy::StaticOptimal);
-        let dist = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
+        let dist = DistRun::of(&plan, 1).run(smooth);
 
         // Sequential reference: same HOSVD-style init (non-truncated Gram
         // per mode on the raw tensor).
@@ -1022,7 +1036,7 @@ mod tests {
         let meta = TuckerMeta::new([12, 12, 12], [2, 2, 8]);
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let out = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
+        let out = DistRun::of(&plan, 1).run(smooth);
         let s = &out.per_sweep[0];
         if plan.grids.regrid_count() > 0 {
             assert!(s.regrid_volume > 0, "regrids must move data");
@@ -1039,7 +1053,7 @@ mod tests {
     fn single_rank_is_communication_free() {
         let planner = Planner::new(meta_small(), 1);
         let plan = planner.plan(TreeStrategy::Balanced, GridStrategy::StaticOptimal);
-        let out = run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default());
+        let out = DistRun::of(&plan, 1).run(smooth);
         let s = &out.per_sweep[0];
         assert_eq!(s.ttm_volume, 0);
         assert_eq!(s.regrid_volume, 0);
@@ -1053,9 +1067,7 @@ mod tests {
         let errs: Vec<f64> = planner
             .paper_lineup()
             .into_iter()
-            .map(|plan| {
-                run_distributed_hooi(smooth, &plan, 1, &EngineConfig::default()).per_sweep[0].error
-            })
+            .map(|plan| DistRun::of(&plan, 1).run(smooth).per_sweep[0].error)
             .collect();
         for e in &errs[1..] {
             assert!((e - errs[0]).abs() < 1e-9, "{errs:?}");
@@ -1069,9 +1081,10 @@ mod tests {
         let meta = TuckerMeta::new([10, 8, 8], [4, 3, 2]);
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let measured = run_distributed_hooi(smooth, &plan, 2, &EngineConfig::default());
-        let vcfg = EngineConfig::virtual_time(NetModel::bgq());
-        let virt = run_distributed_hooi(smooth, &plan, 2, &vcfg);
+        let measured = DistRun::of(&plan, 2).run(smooth);
+        let virt = DistRun::of(&plan, 2)
+            .config(EngineConfig::virtual_time(NetModel::bgq()))
+            .run(smooth);
         for (m, v) in measured.per_sweep.iter().zip(&virt.per_sweep) {
             assert_eq!(
                 m.error.to_bits(),
@@ -1095,8 +1108,8 @@ mod tests {
         let meta = TuckerMeta::new([12, 12, 12], [4, 4, 4]);
         let planner = Planner::new(meta, 8);
         let plan = planner.plan(TreeStrategy::chain_k(), GridStrategy::StaticOptimal);
-        let cfg = EngineConfig::virtual_time(NetModel::bgq());
-        let out = run_distributed_hooi(smooth, &plan, 1, &cfg);
+        let run = DistRun::of(&plan, 1).config(EngineConfig::virtual_time(NetModel::bgq()));
+        let out = run.run(smooth);
         let s = &out.per_sweep[0];
         assert!(s.ttm_comm > Duration::ZERO, "split modes must model comm");
         assert!(s.gram_comm > Duration::ZERO);
@@ -1104,7 +1117,7 @@ mod tests {
             assert!(s.wall >= t, "virtual wall must cover each phase");
         }
         // Virtual runs are deterministic: repeat and compare the clocks.
-        let again = run_distributed_hooi(smooth, &plan, 1, &cfg);
+        let again = run.run(smooth);
         assert_eq!(s.ttm_comm, again.per_sweep[0].ttm_comm);
         assert_eq!(s.gram_comm, again.per_sweep[0].gram_comm);
         assert_eq!(s.regrid_comm, again.per_sweep[0].regrid_comm);
@@ -1118,7 +1131,7 @@ mod tests {
             gather_core: false,
             ..EngineConfig::default()
         };
-        let out = run_distributed_hooi(smooth, &plan, 1, &cfg);
+        let out = DistRun::of(&plan, 1).config(cfg).run(smooth);
         assert!(out.decomposition.is_none());
         assert!(out.per_sweep[0].error.is_finite());
     }
@@ -1138,9 +1151,8 @@ mod tests {
             &NetCostModel::new(NetModel::bgq(), 4),
             &SearchBudget::winner_only(),
         );
-        let given = run_distributed_hooi(smooth, &winner, 2, &cfg);
-        let searched =
-            run_distributed_hooi_mesh(smooth, &meta, 4, 2, &cfg, &MeshCfg::default(), None);
+        let given = DistRun::of(&winner, 2).config(cfg.clone()).run(smooth);
+        let searched = DistRun::new(&meta, 4, 2).config(cfg).run(smooth);
         assert!(searched.recoveries.is_empty());
         assert_eq!(searched.plans, vec![winner.name()]);
         assert_eq!(given.plans, searched.plans);
@@ -1166,6 +1178,52 @@ mod tests {
     }
 
     #[test]
+    fn failed_epochs_are_classified_by_rank_fault() {
+        let mesh = MeshCfg::default();
+        // An injected panic: the root died; the ranks woken into its abort
+        // are alive.
+        let out = Universe::run_mesh(4, &mesh, |ctx| {
+            if ctx.rank() == 2 {
+                panic!("injected rank failure (rank 2)");
+            }
+            ctx.barrier();
+        });
+        assert!(matches!(
+            out.fault(0),
+            Some(RankFault::Aborted { root: 2, .. })
+        ));
+        assert_eq!(dead_ranks(&out), Some(vec![2]));
+        // A two-rank receive cycle while a third rank finishes: a deadlock,
+        // and no rank is quarantined (the finished rank does not make it a
+        // partial failure).
+        let out = Universe::run_mesh(3, &mesh, |ctx| {
+            if ctx.rank() < 2 {
+                let _ = ctx.recv(1 - ctx.rank(), 1, VolumeCategory::Other);
+            }
+        });
+        assert_eq!(out.failed_ranks(), vec![0, 1]);
+        assert_eq!(dead_ranks(&out), None);
+        // A receive from a sender that returned without sending: the
+        // receiver failed of its own fault.
+        let out = Universe::run_mesh(2, &mesh, |ctx| {
+            if ctx.rank() == 1 {
+                let _ = ctx.recv(0, 1, VolumeCategory::Other);
+            }
+        });
+        assert_eq!(out.fault(1), Some(&RankFault::SenderFinished { src: 0 }));
+        assert_eq!(dead_ranks(&out), Some(vec![1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint is for a different problem")]
+    fn resume_rejects_a_checkpoint_for_another_problem() {
+        let other = TuckerMeta::new([6, 6, 6], [2, 2, 2]);
+        let ckpt = RecoveryLog::new(3).checkpoint(&other, 1);
+        let meta = meta_small();
+        DistRun::new(&meta, 2, 1).resume(ckpt).run(smooth);
+    }
+
+    #[test]
     fn mesh_abort_policy_reraises_injected_failure() {
         let meta = meta_small();
         let fault = InjectedFault {
@@ -1173,17 +1231,7 @@ mod tests {
             sweep: 0,
             after_leaves: 1,
         };
-        let res = std::panic::catch_unwind(|| {
-            run_distributed_hooi_mesh(
-                smooth,
-                &meta,
-                4,
-                2,
-                &EngineConfig::default(),
-                &MeshCfg::default(),
-                Some(fault),
-            )
-        });
+        let res = std::panic::catch_unwind(|| DistRun::new(&meta, 4, 2).fault(fault).run(smooth));
         let payload = res.expect_err("abort policy must re-raise");
         let msg = payload
             .downcast_ref::<String>()
@@ -1211,8 +1259,10 @@ mod tests {
             sweep: 1,
             after_leaves: 1,
         };
-        let out =
-            run_distributed_hooi_mesh(smooth, &meta, 4, 3, &cfg, &MeshCfg::default(), Some(fault));
+        let out = DistRun::new(&meta, 4, 3)
+            .config(cfg.clone())
+            .fault(fault)
+            .run(smooth);
         assert_eq!(out.recoveries.len(), 1);
         let ev = &out.recoveries[0];
         assert_eq!(ev.dead_ranks, vec![2]);
@@ -1225,14 +1275,14 @@ mod tests {
         assert_eq!(out.epoch_volumes.len(), 2);
 
         // Differential: from-scratch survivor-grid run, same sweep budget.
-        let clean = run_distributed_hooi_mesh(smooth, &meta, 3, 3, &cfg, &MeshCfg::default(), None);
+        let clean = DistRun::new(&meta, 3, 3).config(cfg.clone()).run(smooth);
         let e = out.per_sweep.last().unwrap().error;
         let c = clean.per_sweep.last().unwrap().error;
         assert!((e - c).abs() < 1e-10, "recovered {e} vs from-scratch {c}");
 
         // Pre-failure sweeps keep the virtual clocks they measured under
         // the original 4-rank grid — not re-priced under the survivor plan.
-        let four = run_distributed_hooi_mesh(smooth, &meta, 4, 1, &cfg, &MeshCfg::default(), None);
+        let four = DistRun::new(&meta, 4, 1).config(cfg).run(smooth);
         assert_eq!(
             out.per_sweep[0].comm_wall, four.per_sweep[0].comm_wall,
             "pre-failure clocks must be preserved"
@@ -1276,7 +1326,10 @@ mod tests {
             after_leaves: 1,
         };
         let res = std::panic::catch_unwind(|| {
-            run_distributed_hooi_mesh(smooth, &meta, 4, 3, &cfg, &MeshCfg::default(), Some(fault))
+            DistRun::new(&meta, 4, 3)
+                .config(cfg)
+                .fault(fault)
+                .run(smooth)
         });
         assert!(res.is_err(), "abort policy must re-raise the kill");
 
@@ -1285,35 +1338,16 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(ckpt.resume_sweep(), 2, "sweeps 0 and 1 were spilled");
         assert_eq!(ckpt.total_sweeps, 3);
-        let out = run_distributed_hooi_mesh_from(
-            smooth,
-            &meta,
-            4,
-            3,
-            &EngineConfig {
-                gather_core: false,
-                ..EngineConfig::virtual_time(NetModel::bgq())
-            },
-            &MeshCfg::default(),
-            None,
-            Some(ckpt),
-        );
+        let clean = DistRun::new(&meta, 4, 3).config(EngineConfig {
+            gather_core: false,
+            ..EngineConfig::virtual_time(NetModel::bgq())
+        });
+        let out = clean.clone().resume(ckpt).run(smooth);
         assert_eq!(out.per_sweep.len(), 3);
         // Restored sweeps keep the stats they measured before the kill.
         assert!(out.per_sweep[0].comm_wall > Duration::ZERO);
 
-        let clean = run_distributed_hooi_mesh(
-            smooth,
-            &meta,
-            4,
-            3,
-            &EngineConfig {
-                gather_core: false,
-                ..EngineConfig::virtual_time(NetModel::bgq())
-            },
-            &MeshCfg::default(),
-            None,
-        );
+        let clean = clean.run(smooth);
         let (e, c) = (
             out.per_sweep.last().unwrap().error,
             clean.per_sweep.last().unwrap().error,
@@ -1344,9 +1378,8 @@ mod tests {
                 ..EngineConfig::virtual_time(NetModel::bgq())
             }
             .checkpoint_every(1, &path);
-            let res = std::panic::catch_unwind(|| {
-                run_distributed_hooi_mesh(smooth, &meta, 4, 2, &cfg, &MeshCfg::default(), None)
-            });
+            let res =
+                std::panic::catch_unwind(|| DistRun::new(&meta, 4, 2).config(cfg).run(smooth));
             let payload = res.expect_err("a failed spill must end the run");
             let msg = payload
                 .downcast_ref::<String>()
@@ -1376,13 +1409,15 @@ mod tests {
             sweep: 1,
             after_leaves: 0,
         };
-        let out =
-            run_distributed_hooi_mesh(smooth, &meta, 3, 2, &cfg, &MeshCfg::default(), Some(fault));
+        let out = DistRun::new(&meta, 3, 2)
+            .config(cfg.clone())
+            .fault(fault)
+            .run(smooth);
         assert_eq!(out.recoveries.len(), 1);
         assert_eq!(out.recoveries[0].salvaged_leaves, 3);
         assert_eq!(out.recoveries[0].resumed_sweep, 0);
         assert_eq!(out.per_sweep.len(), 2);
-        let clean = run_distributed_hooi_mesh(smooth, &meta, 2, 2, &cfg, &MeshCfg::default(), None);
+        let clean = DistRun::new(&meta, 2, 2).config(cfg).run(smooth);
         let (e, c) = (out.per_sweep[1].error, clean.per_sweep[1].error);
         assert!((e - c).abs() < 1e-10, "recovered {e} vs from-scratch {c}");
     }

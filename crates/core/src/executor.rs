@@ -36,7 +36,7 @@
 //!   backend over `tucker-distsim`, measured or virtual-time.
 //!
 //! Sequential HOOI is these functions on a [`SeqBackend`];
-//! `sthosvd_with_order`, `run_distributed_hooi*` and
+//! `sthosvd_with_order`, [`DistRun::run`](crate::engine::DistRun::run) and
 //! `run_distributed_sthosvd` are thin shims over them. A new scenario
 //! (strategy, machine model, backend) lands here and nowhere else.
 

@@ -30,12 +30,11 @@
 //!   ([`outofcore::SlidingTucker`]);
 //! * [`engine`] — the distributed *engine* (§5): executes a plan on the
 //!   simulated MPI universe (the distsim backend of the executor), with
-//!   per-phase time and volume accounting. One epoch loop runs every
-//!   distributed HOOI — [`engine::run_distributed_hooi`] with a given plan,
-//!   [`engine::run_distributed_hooi_mesh`] with the joint search's — on
-//!   ranks scheduled as resumable fibers over a bounded worker pool, and
-//!   survives rank failures via quarantine → survivor re-plan → resume
-//!   (DESIGN.md §9);
+//!   per-phase time and volume accounting. One value describes every
+//!   distributed HOOI, [`engine::DistRun`] — with a given plan or the joint
+//!   search's — and its one `run` executes it on ranks scheduled as
+//!   resumable fibers over a bounded worker pool, surviving rank failures
+//!   via quarantine → survivor re-plan → resume (DESIGN.md §9);
 //! * [`checkpoint`] — the durable [`checkpoint::SweepCheckpoint`]
 //!   (bit-exact text format) behind that recovery path, recorded by the
 //!   engine's crate-private sweep log, also usable to restart long HOOI
@@ -76,8 +75,8 @@ pub mod sthosvd;
 pub use checkpoint::SweepCheckpoint;
 pub use decomposition::TuckerDecomposition;
 pub use engine::{
-    run_distributed_hooi_mesh, run_distributed_hooi_mesh_from, CheckpointCfg, EngineConfig,
-    FailurePolicy, InjectedFault, MeshHooiOutput, RecoveryEvent,
+    CheckpointCfg, DistRun, EngineConfig, FailurePolicy, InjectedFault, MeshHooiOutput,
+    RecoveryEvent,
 };
 pub use executor::{
     LoopCfg, LoopOutcome, PlanProvenance, RayonBackend, SeqBackend, SweepBackend, SweepStats,

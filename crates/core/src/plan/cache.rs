@@ -283,7 +283,7 @@ mod tests {
     /// `optimize` returns — a cache hit changes nothing observable.
     #[test]
     fn cached_plan_executes_virtual_comm_bit_identical_to_fresh() {
-        use crate::engine::{run_distributed_hooi, EngineConfig};
+        use crate::engine::{DistRun, EngineConfig};
         use crate::serve::synthetic_fill;
 
         let meta = TuckerMeta::new([12, 10, 8], [6, 4, 4]);
@@ -300,8 +300,8 @@ mod tests {
 
         let cfg = EngineConfig::virtual_time(NetModel::bgq());
         let fill = |c: &[usize]| synthetic_fill(c, 42);
-        let a = run_distributed_hooi(fill, &cached, 2, &cfg);
-        let b = run_distributed_hooi(fill, &fresh, 2, &cfg);
+        let a = DistRun::of(&cached, 2).config(cfg.clone()).run(fill);
+        let b = DistRun::of(&fresh, 2).config(cfg).run(fill);
         assert_eq!(a.per_sweep.len(), b.per_sweep.len());
         for (sa, sb) in a.per_sweep.iter().zip(&b.per_sweep) {
             assert_eq!(

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-use tucker_core::engine::{run_distributed_hooi_mesh, EngineConfig, MeshHooiOutput};
+use tucker_core::engine::{DistRun, EngineConfig, MeshHooiOutput};
 use tucker_core::serve::synthetic_fill;
 use tucker_core::TuckerMeta;
 use tucker_distsim::comm::thread_cpu_time;
@@ -58,19 +58,10 @@ fn request() -> (MeshHooiOutput, TuckerMeta) {
         gather_core: false,
         ..EngineConfig::virtual_time(NetModel::bgq())
     };
-    let mesh = MeshCfg {
-        workers: 1,
-        ..MeshCfg::default()
-    };
-    let out = run_distributed_hooi_mesh(
-        |c| synthetic_fill(c, 7),
-        &meta,
-        P,
-        SWEEPS,
-        &cfg,
-        &mesh,
-        None,
-    );
+    let out = DistRun::new(&meta, P, SWEEPS)
+        .config(cfg)
+        .workers(1)
+        .run(|c| synthetic_fill(c, 7));
     (out, meta)
 }
 

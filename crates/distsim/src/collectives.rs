@@ -21,10 +21,10 @@
 //!
 //! # Failure semantics (DESIGN.md §2, §9)
 //!
-//! A member dying mid-collective quarantines the epoch ([`crate::mesh`]): every rank blocked in (or later entering) a
-//! point-to-point op of the collective panics with the typed abort payload
-//! ("epoch aborted: …") instead of deadlocking, and sends addressed to the
-//! dead rank fail with "sender dropped". No collective ever delivers a
+//! A member dying mid-collective quarantines the epoch ([`crate::mesh`]):
+//! every rank blocked in (or later entering) a point-to-point op of the
+//! collective panics with the typed abort payload
+//! ([`crate::RankFault::Aborted`]) instead of deadlocking. No collective ever delivers a
 //! *partial* result — a member either returns the full reduction (every
 //! contribution arrived before the death) or unwinds. The recovery layer
 //! leans on exactly this all-or-nothing property: a factor recorded by the

@@ -472,9 +472,10 @@ impl RankCtx {
     /// Receive the next message from `src`, asserting the expected tag.
     ///
     /// # Panics
-    /// Panics if the sender finished without sending (the classic
-    /// "sender dropped" of a mismatched SPMD program) or the tag does not
-    /// match.
+    /// Panics if the sender returned without sending (the
+    /// [`RankFault::SenderFinished`](crate::RankFault::SenderFinished) of a
+    /// mismatched SPMD program), if the epoch aborted (a failed sender
+    /// aborts it), or if the tag does not match.
     pub fn recv(&mut self, src: usize, tag: u32, cat: VolumeCategory) -> Vec<f64> {
         debug_assert!(src < self.nranks, "bad source {src}");
         let me = self.rank;

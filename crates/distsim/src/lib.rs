@@ -62,7 +62,7 @@ pub use grid::{
     count_grids, enumerate_grids, enumerate_valid_grids, largest_usable_rank_count, Grid,
 };
 pub use mesh::{
-    mesh_switches, process_thread_count, MeshCfg, MeshOutput, RankOutcome, MESH_STACK_BYTES,
-    MESH_WORKER_CAP,
+    mesh_switches, process_thread_count, MeshCfg, MeshOutput, RankFault, RankOutcome,
+    MESH_STACK_BYTES, MESH_WORKER_CAP,
 };
 pub use net::NetModel;

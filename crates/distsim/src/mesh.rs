@@ -42,22 +42,27 @@
 //! # Failure semantics
 //!
 //! A rank panic does **not** poison the universe. The mesh *quarantines*
-//! the failed rank — records its panic
-//! message, keeps its mailbox — then aborts the epoch: every surviving rank
-//! is woken into a typed `"epoch aborted"` panic at its next communication
-//! call, each caught at the fiber boundary, so all stacks unwind cleanly and
+//! the failed rank — records its [`RankFault`], keeps its mailbox — then
+//! aborts the epoch: every surviving rank is woken into a
+//! [`RankFault::Aborted`] panic at its next communication call, each caught
+//! at the fiber boundary, so all stacks unwind cleanly and
 //! [`Universe::run_mesh`] returns a per-rank [`RankOutcome`] table instead
-//! of propagating. The engine's recovery loop (`tucker-core`) uses the
-//! outcome table to re-plan on the surviving ranks and resume from its last
-//! checkpoint. Callers that want the old fail-stop behavior call
-//! [`MeshOutput::into_results`], which re-raises the root panic payload.
-//! A failure is injected the way it happens: a rank body panics (the
-//! engine's scripted `InjectedFault` panics at a chosen leaf of a sweep).
+//! of propagating. A fault the mesh raises itself (an abort, a receive from
+//! a finished sender, a deadlock) travels as its typed panic payload, so the
+//! table says *why* each rank failed without reading panic text; any other
+//! panic is the rank's own ([`RankFault::Panicked`]). The engine's recovery
+//! loop (`tucker-core`) matches on the variants to re-plan on the surviving
+//! ranks and resume from its last checkpoint. Callers that want the old
+//! fail-stop behavior call [`MeshOutput::into_results`], which re-raises
+//! the root panic payload. A failure is injected the way it happens: a rank
+//! body panics (the engine's scripted `InjectedFault` panics at a chosen
+//! leaf of a sweep).
 
 use crate::comm::{lock_ignore_poison as lock, RankCtx, RunOutput, Shared, Universe, VolumeReport};
 use crate::net::NetModel;
 use std::any::Any;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
@@ -547,14 +552,15 @@ struct MeshState {
     /// Actors not yet `Done`/`Failed`.
     live: usize,
     barrier_waiting: usize,
-    /// Cascade panic message, set on the first failure (or deadlock).
-    abort_msg: Option<String>,
+    /// The fault every woken rank raises, set on the first failure
+    /// ([`RankFault::Aborted`]) or deadlock ([`RankFault::Deadlock`]).
+    abort: Option<RankFault>,
     /// Root-cause rank of the abort, if a rank failure (not a deadlock).
     root: Option<usize>,
     /// The root failure's original panic payload, for fail-stop re-raise.
     root_payload: Option<Box<dyn Any + Send>>,
-    /// Panic message per failed rank.
-    fail_msgs: Vec<Option<String>>,
+    /// Fault per failed rank.
+    faults: Vec<Option<RankFault>>,
 }
 
 /// The worker that owns rank `rank`: workers own contiguous blocks of
@@ -589,10 +595,10 @@ impl MeshSched {
                 running: 0,
                 live: nranks,
                 barrier_waiting: 0,
-                abort_msg: None,
+                abort: None,
                 root: None,
                 root_payload: None,
-                fail_msgs: vec![None; nranks],
+                faults: vec![None; nranks],
             }),
             work: (0..workers).map(|_| Condvar::new()).collect(),
             aborted: AtomicBool::new(false),
@@ -612,12 +618,10 @@ impl MeshSched {
         }
     }
 
+    /// Unwind the calling rank with the epoch's abort fault.
     fn raise_abort(&self) -> ! {
-        let msg = lock(&self.state)
-            .abort_msg
-            .clone()
-            .unwrap_or_else(|| "epoch aborted".to_string());
-        panic!("{msg}");
+        let fault = lock(&self.state).abort.clone();
+        std::panic::panic_any(fault.expect("raised only after an abort"))
     }
 
     /// Per-communication-op entry check, called from `RankCtx`: dies if the
@@ -654,21 +658,23 @@ impl MeshSched {
     /// blocked on `src` and return `true` (the caller suspends), or return
     /// `false` when a push answered the registration in between (the
     /// `woken` flag; the caller retries its mailbox). Checked before the
-    /// sender's state, so `"sender dropped"` fires only when nothing from
-    /// `src` is queued: a finished sender's last push either preceded the
-    /// miss or found the registration.
+    /// sender's state, so [`RankFault::SenderFinished`] fires only when
+    /// nothing from `src` is queued: a finished sender's last push either
+    /// preceded the miss or found the registration. A *failed* sender has
+    /// already set the abort (`actor_done`, under this lock), so the sender
+    /// reached here returned normally.
     fn block_recv(&self, me: usize, src: usize) -> bool {
         let mut g = lock(&self.state);
-        if g.abort_msg.is_some() {
+        if g.abort.is_some() {
             drop(g);
             self.raise_abort();
         }
         if std::mem::take(&mut g.woken[me]) {
             return false;
         }
-        if matches!(g.states[src], ActorState::Done | ActorState::Failed) {
+        if g.states[src] == ActorState::Done {
             drop(g);
-            panic!("sender dropped: a rank panicked");
+            std::panic::panic_any(RankFault::SenderFinished { src });
         }
         g.states[me] = ActorState::BlockedRecv(src);
         g.running -= 1;
@@ -694,7 +700,7 @@ impl MeshSched {
     pub(crate) fn barrier(&self, me: usize) {
         let must_suspend = {
             let mut g = lock(&self.state);
-            if g.abort_msg.is_some() {
+            if g.abort.is_some() {
                 drop(g);
                 self.raise_abort();
             }
@@ -723,13 +729,13 @@ impl MeshSched {
         }
     }
 
-    /// Abort the epoch: record the cascade message and wake every blocked
-    /// actor so it unwinds through [`MeshSched::raise_abort`].
-    fn abort(&self, g: &mut MeshState, msg: String) {
-        if g.abort_msg.is_some() {
+    /// Abort the epoch: record the fault every survivor raises and wake
+    /// every blocked actor so it unwinds through [`MeshSched::raise_abort`].
+    fn abort(&self, g: &mut MeshState, fault: RankFault) {
+        if g.abort.is_some() {
             return;
         }
-        g.abort_msg = Some(msg);
+        g.abort = Some(fault);
         self.aborted.store(true, Ordering::Release);
         g.barrier_waiting = 0;
         for r in 0..g.states.len() {
@@ -762,11 +768,12 @@ impl MeshSched {
             }
             if g.running == 0 && g.ready.iter().all(VecDeque::is_empty) {
                 // Nothing runnable anywhere: receivers blocked on finished
-                // senders must be resumed so they can fail loudly …
+                // senders must be resumed so they can fail loudly (a failed
+                // sender's abort has woken its receivers already) …
                 let mut revived = false;
                 for r in 0..g.states.len() {
                     if let ActorState::BlockedRecv(src) = g.states[r] {
-                        if matches!(g.states[src], ActorState::Done | ActorState::Failed) {
+                        if g.states[src] == ActorState::Done {
                             self.make_runnable(&mut g, r);
                             revived = true;
                         }
@@ -776,11 +783,8 @@ impl MeshSched {
                     continue;
                 }
                 // … otherwise every live rank waits on a live rank.
-                let msg = format!(
-                    "deadlock in mesh scheduler: all {} live ranks are blocked",
-                    g.live
-                );
-                self.abort(&mut g, msg);
+                let live = g.live;
+                self.abort(&mut g, RankFault::Deadlock { live });
                 continue;
             }
             g.parked[w] = true;
@@ -804,14 +808,24 @@ impl MeshSched {
             }
             Err(payload) => {
                 g.states[rank] = ActorState::Failed;
-                let msg = payload_msg(payload.as_ref());
-                g.fail_msgs[rank] = Some(msg.clone());
-                if g.root.is_none() && g.abort_msg.is_none() {
+                // A fault the mesh raised arrives as its typed payload; any
+                // other panic is the rank's own.
+                let (fault, payload) = match payload.downcast::<RankFault>() {
+                    Ok(fault) => (*fault, None),
+                    Err(payload) => (
+                        RankFault::Panicked(payload_msg(payload.as_ref())),
+                        Some(payload),
+                    ),
+                };
+                if g.abort.is_none() {
+                    // The root failure. A fault the mesh raised is re-raised
+                    // fail-stop as its text, like any other panic message.
+                    let cause = fault.to_string();
                     g.root = Some(rank);
-                    g.root_payload = Some(payload);
-                    let cascade = format!("epoch aborted: rank {rank} failed: {msg}");
-                    self.abort(&mut g, cascade);
+                    g.root_payload = Some(payload.unwrap_or_else(|| Box::new(cause.clone())));
+                    self.abort(&mut g, RankFault::Aborted { root: rank, cause });
                 }
+                g.faults[rank] = Some(fault);
             }
         }
         if g.live == 0 {
@@ -857,14 +871,45 @@ impl MeshCfg {
     }
 }
 
+/// Why a rank failed: its own panic, or a fault the mesh raised in it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RankFault {
+    /// The rank's own panic (an injected fault included), with its message.
+    Panicked(String),
+    /// Woken into the abort of the epoch rank `root`'s fault (`cause`, as
+    /// text) ended.
+    Aborted { root: usize, cause: String },
+    /// A receive from rank `src`, which returned without sending.
+    SenderFinished { src: usize },
+    /// Each of the `live` ranks still running waited on a live rank.
+    Deadlock { live: usize },
+}
+
+impl fmt::Display for RankFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RankFault::Panicked(msg) => f.write_str(msg),
+            RankFault::Aborted { root, cause } => {
+                write!(f, "epoch aborted: rank {root} failed: {cause}")
+            }
+            RankFault::SenderFinished { src } => {
+                write!(f, "receive from rank {src}, which finished without sending")
+            }
+            RankFault::Deadlock { live } => write!(
+                f,
+                "deadlock in mesh scheduler: all {live} live ranks are blocked"
+            ),
+        }
+    }
+}
+
 /// How one rank's epoch ended.
 #[derive(Debug)]
 pub enum RankOutcome<R> {
     /// The rank's closure returned.
     Ok(R),
-    /// The rank panicked (root cause or cascade); quarantined with its
-    /// panic message.
-    Failed(String),
+    /// The rank failed (root cause or cascade); quarantined with its fault.
+    Failed(RankFault),
 }
 
 impl<R> RankOutcome<R> {
@@ -908,10 +953,10 @@ impl<R> MeshOutput<R> {
             .collect()
     }
 
-    /// The recorded panic message of a failed rank.
-    pub fn failure_message(&self, rank: usize) -> Option<&str> {
+    /// The fault of a failed rank.
+    pub fn fault(&self, rank: usize) -> Option<&RankFault> {
         match &self.results[rank] {
-            RankOutcome::Failed(m) => Some(m),
+            RankOutcome::Failed(fault) => Some(fault),
             RankOutcome::Ok(_) => None,
         }
     }
@@ -925,9 +970,9 @@ impl<R> MeshOutput<R> {
         for (r, o) in self.results.into_iter().enumerate() {
             match o {
                 RankOutcome::Ok(v) => out.push(v),
-                RankOutcome::Failed(msg) => match payload.take() {
+                RankOutcome::Failed(fault) => match payload.take() {
                     Some(p) => std::panic::resume_unwind(p),
-                    None => panic!("rank {r} failed: {msg}"),
+                    None => panic!("rank {r} failed: {fault}"),
                 },
             }
         }
@@ -1039,24 +1084,17 @@ impl Universe {
             unsafe { (*slot.0.get()).join() };
         }
 
-        let (fail_msgs, root, root_payload) = {
+        let (faults, root, root_payload) = {
             let mut g = lock(&mesh.state);
             debug_assert_eq!(g.live, 0, "mesh drained");
-            (
-                std::mem::take(&mut g.fail_msgs),
-                g.root,
-                g.root_payload.take(),
-            )
+            (std::mem::take(&mut g.faults), g.root, g.root_payload.take())
         };
         let out_results = results
             .into_iter()
-            .zip(fail_msgs)
-            .enumerate()
-            .map(|(r, (res, msg))| match res.into_inner().unwrap_or(None) {
+            .zip(faults)
+            .map(|(res, fault)| match res.into_inner().unwrap_or(None) {
                 Some(v) => RankOutcome::Ok(v),
-                None => RankOutcome::Failed(msg.unwrap_or_else(|| {
-                    format!("rank {r} produced no result (epoch aborted before it ran)")
-                })),
+                None => RankOutcome::Failed(fault.expect("a rank without a result failed")),
             })
             .collect();
         // Every fiber has finished, so every `RankCtx` has dropped and folded
@@ -1189,17 +1227,22 @@ mod tests {
         });
         assert!(!out.all_ok());
         assert_eq!(out.first_failure, Some(3));
-        assert!(out
-            .failure_message(3)
-            .unwrap()
-            .contains("deliberate mesh failure"));
+        assert_eq!(
+            out.fault(3),
+            Some(&RankFault::Panicked("deliberate mesh failure".into()))
+        );
         for r in (0..p).filter(|&r| r != 3) {
-            let msg = out.failure_message(r).expect("survivor aborted");
+            let fault = out.fault(r).expect("survivor aborted");
             assert!(
-                msg.contains("epoch aborted") || msg.contains("sender dropped"),
-                "rank {r}: {msg}"
+                matches!(fault, RankFault::Aborted { root: 3, .. }),
+                "rank {r}: {fault:?}"
             );
         }
+        let text = out.fault(0).unwrap().to_string();
+        assert_eq!(
+            text,
+            "epoch aborted: rank 3 failed: deliberate mesh failure"
+        );
     }
 
     #[test]
@@ -1235,12 +1278,34 @@ mod tests {
             let _ = ctx.recv(peer, 1, VolumeCategory::Other);
         });
         assert!(!out.all_ok());
+        assert_eq!(out.first_failure, None);
         for r in 0..2 {
-            assert!(out
-                .failure_message(r)
-                .unwrap()
-                .contains("deadlock in mesh scheduler"));
+            assert_eq!(out.fault(r), Some(&RankFault::Deadlock { live: 2 }));
         }
+        let text = out.fault(0).unwrap().to_string();
+        assert_eq!(
+            text,
+            "deadlock in mesh scheduler: all 2 live ranks are blocked"
+        );
+    }
+
+    #[test]
+    fn a_mesh_raised_root_fault_reraises_as_its_text() {
+        // The fail-stop adapter re-raises a String payload whether the root
+        // panicked itself or the mesh raised its fault.
+        let out = Universe::run_mesh(2, &MeshCfg::default(), |ctx| {
+            if ctx.rank() == 1 {
+                let _ = ctx.recv(0, 1, VolumeCategory::Other);
+            }
+        });
+        assert_eq!(out.first_failure, Some(1));
+        let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| out.into_results())) else {
+            panic!("a failed run re-raises");
+        };
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("receive from rank 0, which finished without sending")
+        );
     }
 
     #[test]
@@ -1275,7 +1340,7 @@ mod tests {
         // Rank 0 receives from rank 1; each runs on a worker of its own.
         // The push comes after rank 0's miss and before it blocks, and
         // rank 1 finishes in that window too: the flag makes rank 0 retry,
-        // it gets the message, and only then does "sender dropped" fire.
+        // it gets the message, and only then does `SenderFinished` fire.
         let sched = MeshSched::new(2, 2);
         let mail = Mailbox::default();
         assert_eq!(
@@ -1291,7 +1356,10 @@ mod tests {
         assert!(mail.pop_or_wait(1).is_none());
         let dropped = std::panic::catch_unwind(AssertUnwindSafe(|| sched.block_recv(0, 1)));
         let payload = dropped.expect_err("nothing queued from a finished sender");
-        assert!(payload_msg(payload.as_ref()).contains("sender dropped"));
+        assert_eq!(
+            payload.downcast_ref::<RankFault>(),
+            Some(&RankFault::SenderFinished { src: 1 })
+        );
 
         // The other order: rank 0 blocks first, and the push makes it
         // runnable on its own worker's queue.
@@ -1416,8 +1484,8 @@ mod tests {
     fn a_message_sent_just_before_its_sender_finishes_is_received() {
         // Each sender sends `K` messages and returns at once; its receiver
         // must get all `K`, whether it was already waiting or not, and a
-        // further receive from the finished sender fails "sender dropped"
-        // (or, once one receiver has failed, "epoch aborted").
+        // further receive from the finished sender fails `SenderFinished`
+        // (or, once one receiver has failed, `Aborted`).
         const K: usize = 3;
         // One thread per rank makes the receivers contend for the scheduler
         // lock, which widens the window between a miss and the block.
@@ -1455,18 +1523,21 @@ mod tests {
                     );
                     let root = out.first_failure.expect("the extra receive fails");
                     assert!(!sender(root));
-                    assert!(out
-                        .failure_message(root)
-                        .unwrap()
-                        .contains("sender dropped"));
+                    assert_eq!(
+                        out.fault(root),
+                        Some(&RankFault::SenderFinished { src: root ^ 1 })
+                    );
                     for r in 0..p {
-                        match out.failure_message(r) {
+                        match out.fault(r) {
                             None => assert!(sender(r), "rank {r}"),
-                            Some(m) => assert!(
+                            Some(f) => assert!(
                                 !sender(r)
-                                    && (m.contains("sender dropped")
-                                        || m.contains("epoch aborted")),
-                                "rank {r}: {m}"
+                                    && match f {
+                                        RankFault::SenderFinished { src } => *src == r ^ 1,
+                                        RankFault::Aborted { root: a, .. } => *a == root,
+                                        _ => false,
+                                    },
+                                "rank {r}: {f:?}"
                             ),
                         }
                     }

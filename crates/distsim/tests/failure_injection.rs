@@ -4,7 +4,7 @@
 
 use tucker_distsim::collectives::{allreduce_sum, Group};
 use tucker_distsim::dist_ttm::dist_ttm;
-use tucker_distsim::{DistTensor, Grid, MeshCfg, Universe, VolumeCategory};
+use tucker_distsim::{DistTensor, Grid, MeshCfg, RankFault, Universe, VolumeCategory};
 use tucker_linalg::Matrix;
 use tucker_tensor::{DenseTensor, Shape};
 
@@ -175,14 +175,14 @@ fn mesh_quarantines_root_failure_and_labels_cascades() {
     assert_eq!(out.first_failure, Some(4));
     let failed = out.failed_ranks();
     assert!(failed.contains(&4));
-    let root = out.failure_message(4).expect("root is quarantined");
-    assert!(root.contains("deliberate mesh failure"), "got: {root}");
+    let root = out.fault(4).expect("root is quarantined");
+    assert_eq!(*root, RankFault::Panicked("deliberate mesh failure".into()));
     for r in failed {
         if r != 4 {
-            let msg = out.failure_message(r).expect("cascade recorded");
+            let fault = out.fault(r).expect("cascade recorded");
             assert!(
-                msg.contains("epoch aborted") || msg.contains("sender dropped"),
-                "rank {r} should be a cascade, got: {msg}"
+                matches!(fault, RankFault::Aborted { root: 4, .. }),
+                "rank {r} should be a cascade, got: {fault:?}"
             );
         }
     }

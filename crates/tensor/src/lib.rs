@@ -6,7 +6,7 @@
 //! * a tensor `T` of size `L₁ × … × L_N` is a [`DenseTensor`] with a
 //!   [`Shape`];
 //! * a **mode-n fiber** is a vector varying the `n`-th coordinate with all
-//!   other coordinates fixed — see [`fiber`];
+//!   other coordinates fixed ([`Shape::num_fibers`] counts them);
 //! * the **mode-n unfolding** `T(n)` is the `L_n × (|T|/L_n)` matrix whose
 //!   columns are the mode-n fibers in lexicographic order — see [`unfold`]
 //!   (tests and the ablation baseline only; hot paths never materialize it);
@@ -35,7 +35,6 @@
 //! distributed crate can reuse it for block arithmetic.
 
 pub mod dense;
-pub mod fiber;
 pub mod gram;
 pub mod norm;
 pub mod shape;

@@ -8,7 +8,6 @@ use std::sync::OnceLock;
 use tucker_bench::artifact::{kind_of, Artifact, Doc, Kind, Kinds};
 use tucker_bench::generators::{kernels_on, Opts, ARTIFACTS};
 use tucker_bench::repro::diff_json;
-use tucker_distsim::MeshCfg;
 
 /// Build the document of one `BENCH_*` generator (its gates are not the
 /// subject here) at the smallest size, on `workers` mesh workers (0 = the
@@ -16,10 +15,7 @@ use tucker_distsim::MeshCfg;
 fn doc_of(cmd: &str, workers: usize) -> Doc {
     let opts = Opts {
         max_p: 64,
-        mesh: MeshCfg {
-            workers,
-            ..MeshCfg::default()
-        },
+        workers,
         ..Opts::default()
     };
     let entry = ARTIFACTS

@@ -7,16 +7,14 @@
 
 use proptest::prelude::*;
 use tucker_core::dist_sthosvd::run_distributed_sthosvd;
-use tucker_core::engine::{run_distributed_hooi, run_distributed_hooi_mesh, EngineConfig};
+use tucker_core::engine::{DistRun, EngineConfig};
 use tucker_core::executor::{hooi_sweep, SeqBackend};
 use tucker_core::plan::order::optimal_sthosvd_order;
 use tucker_core::plan::{NetCostModel, Planner, SearchBudget};
 use tucker_core::sthosvd::{hosvd_init_factors, sthosvd_with_order};
 use tucker_core::TuckerMeta;
 use tucker_distsim::dist_gram::dist_gram_all_with_norm;
-use tucker_distsim::{
-    enumerate_valid_grids, DistTensor, MeshCfg, NetModel, Universe, VolumeCategory,
-};
+use tucker_distsim::{enumerate_valid_grids, DistTensor, NetModel, Universe, VolumeCategory};
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_suite::fields::hash_noise;
 use tucker_tensor::norm::fro_norm_sq;
@@ -158,7 +156,7 @@ fn check_hooi_lineup(meta: &TuckerMeta) {
         }
         let seq = seq_error(&t, meta, &init, &plan.tree);
         for (label, cfg) in modes() {
-            let dist = run_distributed_hooi(field, &plan, 1, &cfg);
+            let dist = DistRun::of(&plan, 1).config(cfg).run(field);
             let de = dist.per_sweep[0].error;
             assert!(
                 (de - seq).abs() < 1e-10,
@@ -285,7 +283,7 @@ fn hooi_matches_sequential_through_the_selected_solver() {
         );
         let seq = seq_error(&t, &meta, &init, &plan.tree);
         for (label, cfg) in modes() {
-            let dist = run_distributed_hooi(field_rank16, &plan, 1, &cfg);
+            let dist = DistRun::of(&plan, 1).config(cfg).run(field_rank16);
             let de = dist.per_sweep[0].error;
             assert!(
                 (de - seq).abs() < 1e-10,
@@ -307,11 +305,10 @@ fn virtual_time_run_does_not_depend_on_the_worker_pool() {
     let meta = TuckerMeta::new([12, 10, 8], [6, 4, 4]);
     let cfg = EngineConfig::virtual_time(NetModel::bgq());
     let run = |workers: usize| {
-        let mesh = MeshCfg {
-            workers,
-            ..MeshCfg::default()
-        };
-        run_distributed_hooi_mesh(field, &meta, NRANKS, 2, &cfg, &mesh, None)
+        DistRun::new(&meta, NRANKS, 2)
+            .config(cfg.clone())
+            .workers(workers)
+            .run(field)
     };
     let one = run(1);
     assert_eq!(one.workers, 1);

@@ -1,7 +1,7 @@
 //! Edge cases and misuse across the public API surface.
 
 use tucker_core::dist_sthosvd::run_distributed_sthosvd;
-use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::engine::{DistRun, EngineConfig};
 use tucker_core::meta::TuckerMeta;
 use tucker_core::plan::order::optimal_sthosvd_order;
 use tucker_core::plan::{GridStrategy, Planner, TreeStrategy};
@@ -18,7 +18,7 @@ fn two_mode_problem_works_end_to_end() {
     let meta = TuckerMeta::new([12, 10], [3, 4]);
     let planner = Planner::new(meta, 4);
     for plan in planner.paper_lineup() {
-        let out = run_distributed_hooi(fill, &plan, 2, &EngineConfig::default());
+        let out = DistRun::of(&plan, 2).run(fill);
         assert!(out.per_sweep[1].error.is_finite());
         assert!(out.expect_decomposition().factors_orthonormal(1e-8));
     }
@@ -30,7 +30,7 @@ fn full_rank_core_reconstructs_exactly() {
     let meta = TuckerMeta::new([6, 6, 4], [6, 6, 4]);
     let planner = Planner::new(meta, 4);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::StaticOptimal);
-    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
+    let out = DistRun::of(&plan, 1).run(fill);
     assert!(
         out.per_sweep[0].error < 1e-7,
         "error {}",
@@ -43,7 +43,7 @@ fn rank_one_core_is_the_extreme_compression() {
     let meta = TuckerMeta::new([8, 8, 8], [1, 1, 1]);
     let planner = Planner::new(meta, 1);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
+    let out = DistRun::of(&plan, 1).run(fill);
     assert_eq!(out.expect_decomposition().core.cardinality(), 1);
     assert!(out.per_sweep[0].error <= 1.0 + 1e-12);
 }
@@ -55,7 +55,7 @@ fn prime_rank_counts_get_valid_grids() {
     let planner = Planner::new(meta, 7);
     let plan = planner.plan(TreeStrategy::Balanced, GridStrategy::StaticOptimal);
     assert_eq!(plan.grids.initial.nranks(), 7);
-    let out = run_distributed_hooi(fill, &plan, 1, &EngineConfig::default());
+    let out = DistRun::of(&plan, 1).run(fill);
     assert!(out.per_sweep[0].error.is_finite());
 }
 
@@ -73,7 +73,7 @@ fn sthosvd_and_hooi_agree_on_strongly_lowrank_data() {
 
     let planner = Planner::new(meta, 4);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::StaticOptimal);
-    let hooi = run_distributed_hooi(&field, &plan, 2, &EngineConfig::default());
+    let hooi = DistRun::of(&plan, 2).run(&field);
     let hooi_err = hooi.per_sweep.last().unwrap().error;
 
     assert!(
@@ -89,7 +89,7 @@ fn zero_sweeps_rejected() {
     let meta = TuckerMeta::new([4, 4], [2, 2]);
     let planner = Planner::new(meta, 2);
     let plan = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-    let _ = run_distributed_hooi(fill, &plan, 0, &EngineConfig::default());
+    let _ = DistRun::of(&plan, 0).run(fill);
 }
 
 #[test]

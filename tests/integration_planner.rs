@@ -3,7 +3,7 @@
 //! plus the planning layer's prediction-vs-execution certification at
 //! paper-scale rank counts.
 
-use tucker_core::engine::{run_distributed_hooi, EngineConfig};
+use tucker_core::engine::{DistRun, EngineConfig};
 use tucker_core::plan::cost::tree_flops;
 use tucker_core::plan::grid::{scheme_volume, static_volume};
 use tucker_core::plan::order::ModeOrdering;
@@ -152,7 +152,7 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
         lineup.push(planner.best_plan_with(&model, &SearchBudget::default()));
         for plan in lineup {
             let pred = plan.predict_net(&model);
-            let out = run_distributed_hooi(fill, &plan, 1, &cfg);
+            let out = DistRun::of(&plan, 1).config(cfg.clone()).run(fill);
             let s = &out.per_sweep[0];
             for (predicted, executed, what) in [
                 (pred.comm_wall, s.comm_wall, "comm wall"),
@@ -194,8 +194,9 @@ fn ranked_plans_cover_lineup_and_winner_executes_well() {
         ..EngineConfig::virtual_time(net)
     };
     let fill = |c: &[usize]| tucker_suite::fields::hash_noise(c, 0x90DE);
-    let exec =
-        |plan: &tucker_core::Plan| run_distributed_hooi(fill, plan, 1, &cfg).per_sweep[0].comm_wall;
+    let exec = |plan: &tucker_core::Plan| {
+        DistRun::of(plan, 1).config(cfg.clone()).run(fill).per_sweep[0].comm_wall
+    };
     let best_exec = exec(&ranked.best().plan);
     for other in planner.paper_lineup() {
         assert!(

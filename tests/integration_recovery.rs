@@ -7,12 +7,12 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use tucker_core::engine::{run_distributed_hooi_mesh, EngineConfig, FailurePolicy, InjectedFault};
+use tucker_core::engine::{DistRun, EngineConfig, FailurePolicy, InjectedFault};
 use tucker_core::plan::cost::NetCostModel;
 use tucker_core::plan::{Planner, SearchBudget};
 use tucker_core::TuckerMeta;
 use tucker_distsim::block::rank_region;
-use tucker_distsim::{process_thread_count, MeshCfg, NetModel};
+use tucker_distsim::{process_thread_count, NetModel};
 
 /// Smooth deterministic field with simple Gram spectra (the engine test
 /// field, restated here: integration tests build only on public APIs).
@@ -44,7 +44,10 @@ fn recovered_run_matches_from_scratch_survivor_run() {
         sweep: 1,
         after_leaves: 2,
     };
-    let out = run_distributed_hooi_mesh(field, &meta, 8, 3, &cfg, &MeshCfg::default(), Some(fault));
+    let out = DistRun::new(&meta, 8, 3)
+        .config(cfg.clone())
+        .fault(fault)
+        .run(field);
 
     assert_eq!(out.recoveries.len(), 1, "exactly one recovery round");
     let ev = &out.recoveries[0];
@@ -61,15 +64,9 @@ fn recovered_run_matches_from_scratch_survivor_run() {
     // sweep budget. HOOI's math is grid-independent and the resume seeds
     // from bit-exact checkpointed factors, so the recovered trajectory may
     // differ from the clean one only by summation-order ulps.
-    let clean = run_distributed_hooi_mesh(
-        field,
-        &meta,
-        ev.survivors,
-        3,
-        &cfg,
-        &MeshCfg::default(),
-        None,
-    );
+    let clean = DistRun::new(&meta, ev.survivors, 3)
+        .config(cfg.clone())
+        .run(field);
     let recovered_err = out.per_sweep.last().unwrap().error;
     let clean_err = clean.per_sweep.last().unwrap().error;
     assert!(
@@ -80,7 +77,7 @@ fn recovered_run_matches_from_scratch_survivor_run() {
     // Sweeps committed before the failure keep the virtual comm clocks they
     // measured under the original 8-rank grid — recovery must not re-price
     // history under the survivor plan.
-    let full = run_distributed_hooi_mesh(field, &meta, 8, 1, &cfg, &MeshCfg::default(), None);
+    let full = DistRun::new(&meta, 8, 1).config(cfg).run(field);
     assert_eq!(
         out.per_sweep[0].comm_wall, full.per_sweep[0].comm_wall,
         "pre-failure virtual clocks must be preserved"
@@ -123,8 +120,10 @@ fn recovery_regenerates_exactly_the_dead_block_element_for_element() {
         sweep: 1,
         after_leaves: 1,
     };
-    let out =
-        run_distributed_hooi_mesh(counted, &meta, 8, 3, &cfg, &MeshCfg::default(), Some(fault));
+    let out = DistRun::new(&meta, 8, 3)
+        .config(cfg.clone())
+        .fault(fault)
+        .run(counted);
     assert_eq!(out.recoveries.len(), 1);
     let ev = &out.recoveries[0];
     assert_eq!(ev.dead_ranks, vec![dead_rank]);
@@ -148,15 +147,7 @@ fn recovery_regenerates_exactly_the_dead_block_element_for_element() {
     // And the regenerated values landed where they belong: the recovered
     // trajectory equals a from-scratch survivor run to summation-order ulps
     // (one misplaced element would move the error by many orders more).
-    let clean = run_distributed_hooi_mesh(
-        field,
-        &meta,
-        ev.survivors,
-        3,
-        &cfg,
-        &MeshCfg::default(),
-        None,
-    );
+    let clean = DistRun::new(&meta, ev.survivors, 3).config(cfg).run(field);
     let recovered_err = out.per_sweep.last().unwrap().error;
     let clean_err = clean.per_sweep.last().unwrap().error;
     assert!(
@@ -173,17 +164,7 @@ fn abort_policy_is_fail_stop() {
         sweep: 0,
         after_leaves: 0,
     };
-    let res = std::panic::catch_unwind(|| {
-        run_distributed_hooi_mesh(
-            field,
-            &meta,
-            4,
-            1,
-            &EngineConfig::default(),
-            &MeshCfg::default(),
-            Some(fault),
-        )
-    });
+    let res = std::panic::catch_unwind(|| DistRun::new(&meta, 4, 1).fault(fault).run(field));
     assert!(res.is_err(), "Abort must re-raise the rank failure");
 }
 
@@ -215,7 +196,7 @@ fn paper_scale_mesh_runs_8192_ranks_without_8192_threads() {
         gather_core: false,
         ..EngineConfig::virtual_time(NetModel::bgq())
     };
-    let out = run_distributed_hooi_mesh(field, &meta, 8192, 1, &cfg, &MeshCfg::default(), None);
+    let out = DistRun::new(&meta, 8192, 1).config(cfg).run(field);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let peak = watcher.join().unwrap();
 
