@@ -12,7 +12,7 @@
 
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tucker_distsim::collectives::{allreduce_sum, Group};
+use tucker_distsim::collectives::allreduce_sum;
 use tucker_distsim::{MeshCfg, NetModel, Universe, VolumeCategory};
 
 const P: usize = 1024;
@@ -28,12 +28,11 @@ fn sample(workers: usize) -> f64 {
         ..MeshCfg::virtual_time(NetModel::bgq())
     };
     let out = Universe::run_mesh(P, &cfg, |ctx| {
-        let world = Group::world(ctx);
         ctx.barrier();
         start.get_or_init(Instant::now);
         let mut buf = [1.0];
         for round in 0..ROUNDS {
-            allreduce_sum(ctx, &world, &mut buf, round as u32, VolumeCategory::Gram);
+            allreduce_sum(ctx, &mut buf, round as u32, VolumeCategory::Gram);
         }
         let now = Instant::now();
         let mut end = end.lock().unwrap();

@@ -3,7 +3,7 @@
 //!
 //! The engine is the distsim backend of the sweep executor: the canonical
 //! Gram → EVD-truncation → TTM loop lives in [`crate::executor`], and this
-//! module contributes [`DistsimBackend`] — the adapter that runs each
+//! module contributes `DistsimBackend` — the adapter that runs each
 //! operation distributed. Tensors live as [`DistTensor`] blocks; the TTM at
 //! each tree node is the distributed local-multiply + reduce-scatter of
 //! `tucker-distsim`; regrids are all-to-all redistributions; the SVD step is
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tucker_distsim::block::rank_region;
-use tucker_distsim::collectives::{allreduce_sum, Group};
+use tucker_distsim::collectives::allreduce_sum;
 use tucker_distsim::comm::thread_cpu_time;
 use tucker_distsim::dist_gram::{dist_gram, dist_gram_all_with_norm};
 use tucker_distsim::dist_ttm::dist_ttm;
@@ -286,8 +286,7 @@ impl SweepBackend for DistsimBackend<'_, '_> {
 
     fn allreduce(&mut self, x: f64) -> f64 {
         let mut buf = [x];
-        let world = Group::world(self.ctx);
-        allreduce_sum(self.ctx, &world, &mut buf, NORM_TAG, VolumeCategory::Other);
+        allreduce_sum(self.ctx, &mut buf, NORM_TAG, VolumeCategory::Other);
         buf[0]
     }
 }

@@ -330,7 +330,7 @@ pub fn tucker_outofcore(
 /// fibers never cross a frame boundary, the raw Gram matrix of every
 /// spatial mode is additive over frames, so each push *downdates* the
 /// departing slab's Gram contribution and adds the arriving slab's (two
-/// slab-sized [`gram`] calls instead of a window-sized Gram — the
+/// slab-sized [`fn@gram`] calls instead of a window-sized Gram — the
 /// dominant init cost shrinks by `window/slab`). The refreshed factors
 /// warm-start the HOOI re-convergence on a persistent [`SeqBackend`]
 /// (pooled buffers survive pushes, so steady-state pushes are free of
@@ -401,7 +401,7 @@ impl SlidingTucker {
     /// Advance the window by `slab`'s last-mode extent `s`: frames
     /// `s..W` shift down in place, `slab` lands in the freed tail, the
     /// spatial Grams are downdated by the departing slab and updated by
-    /// the arriving one (four slab-sized [`gram`] calls on a 3-way
+    /// the arriving one (four slab-sized [`fn@gram`] calls on a 3-way
     /// window — never a window-sized Gram), and HOOI re-converges from
     /// factors refreshed out of that state. Returns the new relative
     /// error.

@@ -1,7 +1,7 @@
 //! Cost models for plans: the §3.1 FLOP model, the classic flops + volume
 //! objective, and the α–β network-priced [`NetCostModel`] whose objective is
 //! the same virtual nanoseconds each rank's communication clock accumulates
-//! when the engine runs under a [`NetModel`](tucker_distsim::NetModel).
+//! when the engine runs under a [`NetModel`].
 //!
 //! Everything the planner optimizes goes through one [`CostModel`] trait:
 //! per-phase prices (TTM, regrid, leaf Gram, core chain, per-sweep
@@ -14,7 +14,7 @@
 //!   [`VOLUME_FLOP_EQUIV`]. Machine-independent; its `sweep_cost` equals
 //!   the historical `Plan::modeled_cost`.
 //! * [`NetCostModel`] — every phase priced through the α–β
-//!   [`NetModel`](tucker_distsim::NetModel) as the modeled communication
+//!   [`NetModel`] as the modeled communication
 //!   nanoseconds **rank 0 accumulates** (rank 0 owns the largest block
 //!   under every grid and roots every collective, so its per-operation
 //!   charge is the critical path for TTM reduce-scatters, Gram share
@@ -333,7 +333,7 @@ pub struct SweepPrediction {
     /// Total modeled communication of the sweep — the maximum over ranks of
     /// the per-rank sum across all categories. This is exactly what the
     /// engine's `SweepStats::comm_wall` reports under a
-    /// [`NetModel`](tucker_distsim::NetModel).
+    /// [`NetModel`].
     pub comm_wall: Duration,
 }
 

@@ -10,9 +10,9 @@
 //!   order, the optimal STHOSVD order;
 //! * [`grid`] — the §4 volume model, optimal static grids, dynamic gridding
 //!   and its DP, candidate-grid utilities (symmetric-grid dedup);
-//! * [`cost`] — the [`CostModel`](cost::CostModel) contract with the
-//!   closed-form [`FlopVolumeModel`](cost::FlopVolumeModel) and the α–β
-//!   [`NetCostModel`](cost::NetCostModel) (whose
+//! * [`cost`] — the [`CostModel`] contract with the
+//!   closed-form [`FlopVolumeModel`] and the α–β
+//!   [`NetCostModel`] (whose
 //!   [`predict_sweep`](cost::NetCostModel::predict_sweep) reproduces the
 //!   engine's virtual communication clock exactly);
 //! * [`search`] — the joint grid × tree × order DP

@@ -9,7 +9,7 @@
 //!
 //! * **Queue lifecycle** — [`Server::submit`] enqueues a [`JobSpec`] behind
 //!   a bounded queue ([`ServeCfg::queue_depth`]); the worker thread pops the
-//!   head, *batches* every queued job with the same [`BatchKey`] (shape,
+//!   head, *batches* every queued job with the same `BatchKey` (shape,
 //!   core, `P`, sweep count, kind) up to `BATCH_MAX` (8) jobs, executes
 //!   the batch, and answers each job's [`Ticket`] over its own channel.
 //! * **Batching rule** — same-key compress jobs share one plan and **one**

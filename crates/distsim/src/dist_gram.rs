@@ -25,7 +25,7 @@
 //! [`ColumnShare::gram`]: tucker_tensor::ColumnShare::gram
 
 use crate::block::chunk;
-use crate::collectives::{allreduce_sum, Group};
+use crate::collectives::allreduce_sum;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use crate::exchange::GroupExchange;
@@ -89,14 +89,7 @@ pub fn dist_gram(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
     let mut g = local_gram_share(ctx, t, n);
 
     // Sum contributions over the whole universe.
-    let world = Group::world(ctx);
-    allreduce_sum(
-        ctx,
-        &world,
-        g.as_mut_slice(),
-        GRAM_REDUCE_TAG,
-        VolumeCategory::Gram,
-    );
+    allreduce_sum(ctx, g.as_mut_slice(), GRAM_REDUCE_TAG, VolumeCategory::Gram);
     g
 }
 
@@ -121,8 +114,7 @@ pub fn dist_gram_all_with_norm(ctx: &mut RankCtx, t: &DistTensor) -> (Vec<Matrix
         buf.extend_from_slice(g.as_slice());
     }
     buf.push(norm_local);
-    let world = Group::world(ctx);
-    allreduce_sum(ctx, &world, &mut buf, GRAM_REDUCE_TAG, VolumeCategory::Gram);
+    allreduce_sum(ctx, &mut buf, GRAM_REDUCE_TAG, VolumeCategory::Gram);
 
     let mut off = 0;
     for g in &mut grams {

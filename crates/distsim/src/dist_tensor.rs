@@ -123,18 +123,15 @@ impl DistTensor {
     pub fn global_norm_sq(&self, ctx: &mut RankCtx) -> f64 {
         let local = tucker_tensor::norm::fro_norm_sq(&self.local);
         let mut buf = [local];
-        let g = crate::collectives::Group::world(ctx);
-        crate::collectives::allreduce_sum(ctx, &g, &mut buf, 9001, VolumeCategory::Other);
+        crate::collectives::allreduce_sum(ctx, &mut buf, 9001, VolumeCategory::Other);
         buf[0]
     }
 
     /// Gather the full tensor on every rank (verification helper; volume is
     /// charged to [`VolumeCategory::Other`]).
     pub fn allgather_global(&self, ctx: &mut RankCtx) -> DenseTensor {
-        let g = crate::collectives::Group::world(ctx);
         let parts = crate::collectives::allgather(
             ctx,
-            &g,
             self.local.as_slice().to_vec(),
             9002,
             VolumeCategory::Other,

@@ -17,7 +17,7 @@
 //!
 //! Because payload sizes are deterministic in an SPMD program, the per-rank
 //! accounting admits closed forms. This module states them for the
-//! collectives of [`crate::collectives`] and the barrier — each member's own
+//! collectives of [`crate::collectives`] and the barrier — each rank's own
 //! charge, not just the critical path; property tests assert that running
 //! the real collective under a virtual-time universe accumulates exactly
 //! these values on every rank. The region exchanges (the TTM's
@@ -29,7 +29,7 @@
 //! once, so closed forms reproduce the accumulated sums bit-exactly.
 
 use crate::exchange::Msg;
-use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Per-link latency/bandwidth model. See the module docs for the cost rule.
@@ -57,6 +57,23 @@ pub struct NetModel {
 /// `⌈log₂ n⌉` for `n ≥ 1`.
 fn ceil_log2(n: usize) -> u32 {
     n.next_power_of_two().trailing_zeros()
+}
+
+/// Where one rank sits in the hierarchical all-reduce of a `p`-rank world
+/// under node size `s` ([`NetModel::node_layout`]): every value is a closed
+/// form of `(p, s, rank)`.
+#[derive(Clone, Debug)]
+pub(crate) struct NodeLayout {
+    /// The rank's node, `rank / s`; also its leader's index among the
+    /// leaders.
+    pub node: usize,
+    /// The node's leader, `node · s`: its lowest rank.
+    pub leader: usize,
+    /// The node's other ranks, `leader + 1 .. min(leader + s, p)`, in the
+    /// order the leader sums them.
+    pub bucket: Range<usize>,
+    /// The size of the leaders group, `⌈p / s⌉`: ranks `0, s, 2s, …`.
+    pub leaders: usize,
 }
 
 /// Number of messages (sends + receives) the member at group `index` moves
@@ -271,23 +288,33 @@ impl NetModel {
 
     // ------------------------------------------------ collective closed forms
     //
-    // Each form is the modeled communication time one member accumulates in
+    // Each form is the modeled communication time one rank accumulates in
     // the matching implementation in `collectives.rs` (or `RankCtx::barrier`):
     // every off-rank send and recv charges its endpoint the message's price
     // on the link class between the two ranks.
 
-    /// The allreduce charge accumulated by the member at group `index` (not
-    /// just the critical path): counts that member's sends and receives in
-    /// the exact algorithm [`crate::collectives::allreduce_sum`] dispatches
-    /// to. For a node-contiguous group the root (`index == 0`) carries the
-    /// critical path. Used to predict per-rank virtual clocks exactly (the
-    /// planner's `NetCostModel`).
-    ///
-    /// For hierarchical models this assumes the group's member ranks are
-    /// node-contiguous starting on a node boundary (true for world groups),
-    /// so node membership is arithmetic: member `i` lives on bucket
-    /// `i / node_size`. Arbitrary member lists are handled by
-    /// [`NetModel::allreduce_members_rank_ns`].
+    /// The node layout [`crate::collectives::allreduce_sum`]'s hierarchical
+    /// algorithm runs on, seen from world rank `rank` of a `p`-rank world.
+    /// Under a flat model every rank is its own node's leader.
+    pub(crate) fn node_layout(&self, p: usize, rank: usize) -> NodeLayout {
+        debug_assert!(rank < p);
+        let s = self.node_size;
+        let node = rank / s;
+        let leader = node * s;
+        NodeLayout {
+            node,
+            leader,
+            bucket: leader + 1..(leader + s).min(p),
+            leaders: p.div_ceil(s),
+        }
+    }
+
+    /// The allreduce charge accumulated by world rank `index` of a `g`-rank
+    /// world (not just the critical path): counts that rank's sends and
+    /// receives in the exact algorithm [`crate::collectives::allreduce_sum`]
+    /// dispatches to. The root (`index == 0`) carries the critical path.
+    /// Used to predict per-rank virtual clocks exactly (the planner's
+    /// `NetCostModel`).
     pub fn allreduce_rank_ns(&self, g: usize, index: usize, len: usize) -> u64 {
         if g <= 1 {
             return 0;
@@ -299,77 +326,24 @@ impl NetModel {
         // Hierarchical three-phase allreduce: intra-node flat gather at the
         // node leader, leader-level allreduce over the inter link (leaders
         // sit on distinct nodes by construction), intra-node broadcast.
-        let s = self.node_size;
-        let node = index / s;
-        let leader = node * s;
-        let bucket = s.min(g - leader);
-        let nleaders = g.div_ceil(s);
-        if index != leader {
+        let at = self.node_layout(g, index);
+        if index != at.leader {
             // One send up, one receive down, both intra-node.
             2 * self.intra_msg_elems_ns(len)
         } else {
-            self.intra_msg_elems_ns(len) * 2 * (bucket as u64 - 1)
-                + allreduce_msgs(nleaders, node) * self.msg_elems_ns(len)
+            self.intra_msg_elems_ns(len) * 2 * at.bucket.len() as u64
+                + allreduce_msgs(at.leaders, at.node) * self.msg_elems_ns(len)
         }
     }
 
-    /// Per-member allreduce charge for an **arbitrary member list** under
-    /// this model: `members` are the concrete rank ids in group order,
-    /// `index` selects the charged member. Mirrors the exact dispatch of
-    /// [`crate::collectives::allreduce_sum`], including the hierarchical
-    /// three-phase algorithm's first-appearance node bucketing.
-    pub fn allreduce_members_rank_ns(&self, members: &[usize], index: usize, len: usize) -> u64 {
-        let g = members.len();
-        if g <= 1 {
-            return 0;
-        }
+    /// The direct-exchange all-gather charge of world rank `index` of a
+    /// `g`-rank world, `len` elements per rank: a send to and a receive
+    /// from each other rank, intra-node for the rank's node peers.
+    pub fn allgather_rank_ns(&self, g: usize, index: usize, len: usize) -> u64 {
         debug_assert!(index < g);
-        if !self.is_hierarchical() {
-            return allreduce_msgs(g, index) * self.msg_elems_ns(len);
-        }
-        // Bucket member indices by node id in first-appearance order,
-        // exactly as the collective does.
-        let buckets = self.node_buckets(members);
-        let my_node = self.node_of(members[index]);
-        let my_bucket = buckets
-            .iter()
-            .position(|b| self.node_of(members[b[0]]) == my_node)
-            .expect("charged member must be bucketed");
-        let bucket = &buckets[my_bucket];
-        if bucket[0] != index {
-            // Non-leader: one send up, one receive down, both intra-node.
-            2 * self.intra_msg_elems_ns(len)
-        } else {
-            self.intra_msg_elems_ns(len) * 2 * (bucket.len() as u64 - 1)
-                + allreduce_msgs(buckets.len(), my_bucket) * self.msg_elems_ns(len)
-        }
-    }
-
-    /// Group member indices bucketed by node id in first-appearance order;
-    /// the first index of each bucket is that node's leader. This is the
-    /// node decomposition the hierarchical
-    /// [`crate::collectives::allreduce_sum`] uses.
-    pub fn node_buckets(&self, members: &[usize]) -> Vec<Vec<usize>> {
-        let mut bucket_of: HashMap<usize, usize> = HashMap::new();
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        for (i, &r) in members.iter().enumerate() {
-            let b = *bucket_of.entry(self.node_of(r)).or_insert_with(|| {
-                buckets.push(Vec::new());
-                buckets.len() - 1
-            });
-            buckets[b].push(i);
-        }
-        buckets
-    }
-
-    /// Per-member charge of the direct-exchange all-gather of `len` elements.
-    pub fn allgather_members_rank_ns(&self, members: &[usize], index: usize, len: usize) -> u64 {
-        let g = members.len();
-        debug_assert!(index < g);
-        (0..g)
-            .filter(|&j| j != index)
-            .map(|j| 2 * self.msg_elems_ns_between(members[index], members[j], len))
-            .sum()
+        let peers = self.node_layout(g, index).bucket.len() as u64;
+        let others = (g - 1) as u64 - peers;
+        2 * (peers * self.intra_msg_elems_ns(len) + others * self.msg_elems_ns(len))
     }
 
     /// Dissemination barrier over `p` ranks: `⌈log₂ p⌉` latency-only rounds.
@@ -415,8 +389,7 @@ mod tests {
     fn closed_forms_degenerate_to_zero_for_singletons() {
         let m = NetModel::bgq();
         assert_eq!(m.allreduce_rank_ns(1, 0, 100), 0);
-        assert_eq!(m.allreduce_members_rank_ns(&[3], 0, 100), 0);
-        assert_eq!(m.allgather_members_rank_ns(&[3], 0, 100), 0);
+        assert_eq!(m.allgather_rank_ns(1, 0, 100), 0);
         assert_eq!(m.barrier_ns(1), 0);
     }
 
@@ -507,16 +480,37 @@ mod tests {
     }
 
     #[test]
-    fn member_list_form_matches_world_form_for_contiguous_ranks() {
-        let m = NetModel::cluster();
-        for g in [1usize, 2, 16, 31, 64, 100] {
-            let members: Vec<usize> = (0..g).collect();
-            for i in 0..g {
-                assert_eq!(
-                    m.allreduce_members_rank_ns(&members, i, 9),
-                    m.allreduce_rank_ns(g, i, 9),
-                    "g={g} i={i}"
-                );
+    fn node_layout_matches_first_appearance_bucketing() {
+        // The reference: bucket ranks 0..p by node id in first-appearance
+        // order; a bucket's first rank leads it, and the leaders form a
+        // group in bucket order.
+        for s in [1usize, 3, 16] {
+            let m = NetModel::hierarchical(
+                Duration::from_nanos(500),
+                12.0e9,
+                Duration::from_nanos(5_000),
+                1.2e9,
+                s,
+            );
+            for p in [1usize, 2, 15, 16, 31, 64, 100] {
+                let mut buckets: Vec<Vec<usize>> = Vec::new();
+                for r in 0..p {
+                    match buckets.iter_mut().find(|b| m.same_node(b[0], r)) {
+                        Some(b) => b.push(r),
+                        None => buckets.push(vec![r]),
+                    }
+                }
+                let leaders: Vec<usize> = buckets.iter().map(|b| b[0]).collect();
+                for (b, bucket) in buckets.iter().enumerate() {
+                    for &r in bucket {
+                        let at = m.node_layout(p, r);
+                        assert_eq!(at.node, b, "s={s} p={p} r={r}");
+                        assert_eq!(at.leader, bucket[0], "s={s} p={p} r={r}");
+                        assert!(at.bucket.clone().eq(bucket[1..].iter().copied()));
+                        assert_eq!(at.leaders, leaders.len(), "s={s} p={p} r={r}");
+                        assert!((0..at.leaders).map(|i| i * s).eq(leaders.iter().copied()));
+                    }
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //! the original diagnostics when an SPMD program is malformed — silent
 //! corruption or deadlock would invalidate every experiment built on it.
 
-use tucker_distsim::collectives::{allreduce_sum, Group};
+use tucker_distsim::collectives::allreduce_sum;
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::{DistTensor, Grid, MeshCfg, RankFault, Universe, VolumeCategory};
 use tucker_linalg::Matrix;
@@ -38,13 +38,12 @@ fn mismatched_tags_are_detected() {
 #[should_panic(expected = "allreduce length mismatch")]
 fn allreduce_length_mismatch_detected() {
     Universe::run(2, |ctx| {
-        let g = Group::world(ctx);
         let mut buf = if ctx.rank() == 0 {
             vec![0.0; 3]
         } else {
             vec![0.0; 5]
         };
-        allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Other);
+        allreduce_sum(ctx, &mut buf, 1, VolumeCategory::Other);
     });
 }
 
@@ -71,20 +70,20 @@ fn grid_universe_mismatch_detected() {
 
 #[test]
 fn disjoint_subgroups_do_not_interfere() {
-    // Two halves run independent collectives concurrently; traffic and
-    // results must not leak across groups.
+    // The only traffic narrower than the world is a mode group's
+    // reduce-scatter: on a 3 x 2 grid the two mode-0 groups of three ranks
+    // exchange concurrently, and neither's partials may leak into the
+    // other's result. Integer data keeps every sum exact.
+    let global = DenseTensor::from_fn(Shape::from([6, 4]), |c| (c[0] * 4 + c[1]) as f64);
+    let f = Matrix::from_fn(3, 6, |k, l| ((k + 2 * l) % 5) as f64 - 2.0);
+    let expect = tucker_tensor::ttm(&global, 0, &f);
     let out = Universe::run(6, |ctx| {
-        let members: Vec<usize> = if ctx.rank() < 3 {
-            vec![0, 1, 2]
-        } else {
-            vec![3, 4, 5]
-        };
-        let g = Group::new(ctx, members);
-        let mut buf = vec![ctx.rank() as f64];
-        allreduce_sum(ctx, &g, &mut buf, 11, VolumeCategory::Other);
-        buf[0]
+        let dt = DistTensor::scatter_from_global(ctx, &global, &Grid::new([3, 2]));
+        dist_ttm(ctx, &dt, 0, &f).allgather_global(ctx)
     });
-    assert_eq!(out.results, vec![3.0, 3.0, 3.0, 12.0, 12.0, 12.0]);
+    for z in out.results {
+        assert_eq!(z.as_slice(), expect.as_slice());
+    }
 }
 
 #[test]
@@ -98,9 +97,8 @@ fn interleaved_p2p_and_collectives_stay_ordered() {
         let me = ctx.rank();
         ctx.send((me + 1) % 3, 50, vec![me as f64], VolumeCategory::Other);
         let from_prev = ctx.recv((me + 2) % 3, 50, VolumeCategory::Other);
-        let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum(ctx, &g, &mut buf, 60, VolumeCategory::Other);
+        allreduce_sum(ctx, &mut buf, 60, VolumeCategory::Other);
         (buf[0], from_prev[0])
     });
     for (r, &(sum, prev)) in out.results.iter().enumerate() {
@@ -166,9 +164,8 @@ fn mesh_quarantines_root_failure_and_labels_cascades() {
         if ctx.rank() == 4 {
             panic!("deliberate mesh failure");
         }
-        let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum(ctx, &g, &mut buf, 3, VolumeCategory::Other);
+        allreduce_sum(ctx, &mut buf, 3, VolumeCategory::Other);
         buf[0]
     });
     assert!(!out.all_ok());
@@ -198,9 +195,8 @@ fn mesh_into_results_reraises_root_payload() {
         if ctx.rank() == 1 {
             panic!("deliberate mesh failure");
         }
-        let g = Group::world(ctx);
         let mut buf = vec![1.0];
-        allreduce_sum(ctx, &g, &mut buf, 3, VolumeCategory::Other);
+        allreduce_sum(ctx, &mut buf, 3, VolumeCategory::Other);
         buf[0]
     });
     let _ = out.into_results();

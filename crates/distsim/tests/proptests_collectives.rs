@@ -1,8 +1,8 @@
 //! Property tests for the communication the engine runs: the world
 //! all-reduce (both sides of the flat/tree threshold), the all-gather, the
 //! barrier and `dist_ttm`'s mode-group reduce-scatter. Every collective must
-//! agree with a single-rank sequential reference on random payloads, rank
-//! counts and root choices — and, under a virtual-time universe, accumulate
+//! agree with a single-rank sequential reference on random payloads and
+//! rank counts — and, under a virtual-time universe, accumulate
 //! on **every rank** exactly the α–β per-rank forms of
 //! [`tucker_distsim::net::NetModel`] (the reduce-scatter's form is stated
 //! here, message by message), and send exactly its per-rank bytes.
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use tucker_distsim::collectives::{allgather, allreduce_sum, Group};
+use tucker_distsim::collectives::{allgather, allreduce_sum};
 use tucker_distsim::{MeshCfg, NetModel, Universe, VolumeCategory};
 
 /// Deterministic payload for (rank, slot).
@@ -24,65 +24,48 @@ fn val(rank: usize, slot: usize, seed: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
 }
 
-/// Group member list: the first `g` ranks of a `p`-rank universe, rotated by
-/// `rot` so that the root (group index 0) is an arbitrary member.
-fn rotated_members(g: usize, rot: usize) -> Vec<usize> {
-    (0..g).map(|i| (i + rot % g) % g).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The all-reduce equals the sequential elementwise sum for any subgroup
-    /// size on either side of the flat/tree threshold, root rotation, and
-    /// payload length.
+    /// The all-reduce equals the sequential elementwise sum for any world
+    /// size on either side of the flat/tree threshold and any payload
+    /// length.
     #[test]
     fn allreduce_matches_reference(
         p in 1usize..=12,
-        extra in 0usize..=2,
-        rot in 0usize..8,
         len in 1usize..=9,
         seed in 0u64..1000,
     ) {
-        let total = p + extra; // extra ranks sit outside the group
-        let members = rotated_members(p, rot);
         let expect: Vec<f64> = (0..len)
-            .map(|s| members.iter().map(|&r| val(r, s, seed)).sum::<f64>())
+            .map(|s| (0..p).map(|r| val(r, s, seed)).sum::<f64>())
             .collect();
-        let out = Universe::run(total, |ctx| {
-            if ctx.rank() >= p {
-                return None;
-            }
-            let g = Group::new(ctx, rotated_members(p, rot));
+        let out = Universe::run(p, |ctx| {
             let mut buf: Vec<f64> = (0..len).map(|s| val(ctx.rank(), s, seed)).collect();
-            allreduce_sum(ctx, &g, &mut buf, 30, VolumeCategory::Other);
-            Some(buf)
+            allreduce_sum(ctx, &mut buf, 30, VolumeCategory::Other);
+            buf
         });
-        for r in out.results.into_iter().flatten() {
+        for r in out.results {
             for (got, want) in r.iter().zip(&expect) {
                 prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
             }
         }
     }
 
-    /// All-gather gives every member every buffer in group order.
+    /// All-gather gives every rank every buffer in rank order.
     #[test]
     fn allgather_matches_reference(
         p in 1usize..=8,
-        rot in 0usize..8,
         len in 1usize..=5,
         seed in 0u64..1000,
     ) {
-        let members = rotated_members(p, rot);
         let out = Universe::run(p, |ctx| {
-            let g = Group::new(ctx, rotated_members(p, rot));
             let mine: Vec<f64> = (0..len).map(|s| val(ctx.rank(), s, seed)).collect();
-            allgather(ctx, &g, mine, 60, VolumeCategory::Other)
+            allgather(ctx, mine, 60, VolumeCategory::Other)
         });
         for r in out.results {
             prop_assert_eq!(r.len(), p);
             for (i, part) in r.iter().enumerate() {
-                let expect: Vec<f64> = (0..len).map(|s| val(members[i], s, seed)).collect();
+                let expect: Vec<f64> = (0..len).map(|s| val(i, s, seed)).collect();
                 prop_assert_eq!(part, &expect);
             }
         }
@@ -140,9 +123,8 @@ fn virtual_allreduce_matches_closed_forms() {
     for p in [1usize, 2, 3, 5, 8, 9, 11, 16] {
         for len in [1usize, 7] {
             let got = run_virtual(p, net, VolumeCategory::Gram, |ctx| {
-                let g = Group::world(ctx);
                 let mut buf = vec![1.0; len];
-                allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Gram);
+                allreduce_sum(ctx, &mut buf, 1, VolumeCategory::Gram);
             });
             for (r, &(sent, ns)) in got.iter().enumerate() {
                 assert_eq!(
@@ -160,15 +142,13 @@ fn virtual_allreduce_matches_closed_forms() {
 #[test]
 fn virtual_allgather_matches_closed_form() {
     let net = NetModel::bgq();
-    let members: Vec<usize> = (0..9).collect();
     for p in [1usize, 2, 5, 9] {
         let len = 11usize;
         let got = run_virtual(p, net, VolumeCategory::Other, |ctx| {
-            let g = Group::world(ctx);
-            let _ = allgather(ctx, &g, vec![1.0; len], 1, VolumeCategory::Other);
+            let _ = allgather(ctx, vec![1.0; len], 1, VolumeCategory::Other);
         });
         for (r, &(sent, ns)) in got.iter().enumerate() {
-            let priced = net.allgather_members_rank_ns(&members[..p], r, len);
+            let priced = net.allgather_rank_ns(p, r, len);
             assert_eq!(ns, priced, "allgather rank {r} p={p}");
             assert_eq!(sent, ((p - 1) * len * 8) as u64, "allgather rank {r} p={p}");
         }
@@ -241,7 +221,7 @@ fn virtual_barrier_matches_closed_form() {
 //
 // The two-level mirror of the flat suite above: the same collectives executed
 // under a `NetModel::hierarchical` universe must accumulate EXACTLY the
-// member-aware closed forms — every message priced on its endpoint pair's
+// per-rank world closed forms — every message priced on its endpoint pair's
 // link class, charged at both endpoints. `node_size == 1` degenerates to an
 // all-inter flat model and is included in the sampled range on purpose.
 
@@ -257,55 +237,79 @@ fn hier_net(node_size: usize) -> NetModel {
     )
 }
 
+/// The hierarchical all-reduce charge of world rank `rank`, stated member
+/// by member: the world's ranks bucketed by node id in first-appearance
+/// order, each bucket's first rank its leader. A non-leader sends its
+/// contribution to its leader and receives the result back; a leader
+/// receives from and sends to each of its bucket's other ranks, and runs
+/// the single-link all-reduce among the leaders, which receives as many
+/// messages as it sends (`allreduce_sent_elems` at one element), every
+/// leader pair on distinct nodes. Each message is priced on its endpoint
+/// pair's link class.
+fn hier_allreduce_member_ns(net: &NetModel, p: usize, rank: usize, len: usize) -> u64 {
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    for r in 0..p {
+        match buckets
+            .iter_mut()
+            .find(|b| net.node_of(b[0]) == net.node_of(r))
+        {
+            Some(b) => b.push(r),
+            None => buckets.push(vec![r]),
+        }
+    }
+    let node = buckets.iter().position(|b| b.contains(&rank)).unwrap();
+    let bucket = &buckets[node];
+    let leader = bucket[0];
+    if rank != leader {
+        return 2 * net.msg_elems_ns_between(rank, leader, len);
+    }
+    for (i, a) in buckets.iter().enumerate() {
+        for b in &buckets[i + 1..] {
+            assert!(!net.same_node(a[0], b[0]), "leaders share a node");
+        }
+    }
+    let intra: u64 = bucket[1..]
+        .iter()
+        .map(|&r| 2 * net.msg_elems_ns_between(r, leader, len))
+        .sum();
+    let leader_msgs = 2 * allreduce_sent_elems(buckets.len(), node, 1) as u64;
+    intra + leader_msgs * net.msg_elems_ns(len)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Hierarchical allreduce dispatch: values still equal the sequential
-    /// elementwise sum, and every member's executed virtual clock equals
-    /// `allreduce_members_rank_ns` exactly — leaders and non-leaders, any
-    /// node size, rotated member lists, ranks outside the group untouched.
+    /// Hierarchical allreduce dispatch, any node size — including one that
+    /// does not divide `p` and one above it: values still equal the
+    /// sequential elementwise sum, and every rank's executed virtual clock
+    /// equals the member-by-member form `hier_allreduce_member_ns` exactly
+    /// — leaders and non-leaders.
     #[test]
     fn hier_allreduce_matches_reference_and_member_closed_form(
         p in 1usize..=10,
         node_size in 1usize..=5,
-        extra in 0usize..=2,
-        rot in 0usize..8,
         len in 1usize..=9,
         seed in 0u64..1000,
     ) {
         let net = hier_net(node_size);
-        let total = p + extra; // extra ranks sit outside the group
-        let members = rotated_members(p, rot);
         let expect: Vec<f64> = (0..len)
-            .map(|s| members.iter().map(|&r| val(r, s, seed)).sum::<f64>())
+            .map(|s| (0..p).map(|r| val(r, s, seed)).sum::<f64>())
             .collect();
-        let out = Universe::run_mesh(total, &MeshCfg::virtual_time(net), |ctx| {
-            let vals = if ctx.rank() < p {
-                let g = Group::new(ctx, rotated_members(p, rot));
-                let mut buf: Vec<f64> = (0..len).map(|s| val(ctx.rank(), s, seed)).collect();
-                allreduce_sum(ctx, &g, &mut buf, 7, VolumeCategory::Gram);
-                Some(buf)
-            } else {
-                None
-            };
-            (vals, ctx.comm.time(VolumeCategory::Gram).as_nanos() as u64)
+        let out = Universe::run_mesh(p, &MeshCfg::virtual_time(net), |ctx| {
+            let mut buf: Vec<f64> = (0..len).map(|s| val(ctx.rank(), s, seed)).collect();
+            allreduce_sum(ctx, &mut buf, 7, VolumeCategory::Gram);
+            (buf, ctx.comm.time(VolumeCategory::Gram).as_nanos() as u64)
         })
         .into_results();
-        for (rank, (vals, ns)) in out.results.into_iter().enumerate() {
-            match vals {
-                Some(v) => {
-                    for (got, want) in v.iter().zip(&expect) {
-                        prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
-                    }
-                    let index = members.iter().position(|&m| m == rank).unwrap();
-                    prop_assert_eq!(
-                        ns,
-                        net.allreduce_members_rank_ns(&members, index, len),
-                        "rank {} node_size {}", rank, node_size
-                    );
-                }
-                None => prop_assert_eq!(ns, 0, "outside rank {} charged", rank),
+        for (rank, (v, ns)) in out.results.iter().enumerate() {
+            for (got, want) in v.iter().zip(&expect) {
+                prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
             }
+            prop_assert_eq!(
+                *ns,
+                hier_allreduce_member_ns(&net, p, rank, len),
+                "rank {} node_size {}", rank, node_size
+            );
         }
     }
 
@@ -319,9 +323,8 @@ proptest! {
     ) {
         let net = hier_net(node_size);
         let got = run_virtual(p, net, VolumeCategory::Gram, |ctx| {
-            let g = Group::world(ctx);
             let mut buf = vec![1.0; len];
-            allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Gram);
+            allreduce_sum(ctx, &mut buf, 1, VolumeCategory::Gram);
         });
         for (r, &(_, ns)) in got.iter().enumerate() {
             prop_assert_eq!(ns, net.allreduce_rank_ns(p, r, len), "rank {}", r);
@@ -331,25 +334,21 @@ proptest! {
 
     /// The all-gather keeps its direct-exchange algorithm under a
     /// hierarchical model; only per-message link classes change. Each
-    /// member's clock must equal the member-aware closed form exactly.
+    /// rank's clock must equal `allgather_rank_ns` exactly.
     #[test]
-    fn hier_collectives_match_member_closed_forms(
+    fn hier_allgather_matches_world_closed_form(
         p in 1usize..=8,
         node_size in 1usize..=4,
-        rot in 0usize..8,
         len in 1usize..=7,
     ) {
         let net = hier_net(node_size);
-        let members = rotated_members(p, rot);
-        let index_of = |rank: usize| members.iter().position(|&m| m == rank).unwrap();
         let ag = run_virtual(p, net, VolumeCategory::Other, |ctx| {
-            let g = Group::new(ctx, rotated_members(p, rot));
-            let _ = allgather(ctx, &g, vec![1.0; len], 1, VolumeCategory::Other);
+            let _ = allgather(ctx, vec![1.0; len], 1, VolumeCategory::Other);
         });
         for (rank, &(_, ns)) in ag.iter().enumerate() {
             prop_assert_eq!(
                 ns,
-                net.allgather_members_rank_ns(&members, index_of(rank), len),
+                net.allgather_rank_ns(p, rank, len),
                 "allgather rank {}", rank
             );
         }
@@ -409,8 +408,8 @@ fn hier_virtual_barrier_matches_closed_form() {
 //
 // Volume is counted by the sender, in the rank's own counters, so "executed
 // per-rank bytes == per-rank closed form" is assertable rank by rank. Under a
-// model that prices a message at exactly its byte count, the member-aware
-// closed forms above read in bytes: what the member sent plus what it
+// model that prices a message at exactly its byte count, the per-rank
+// closed forms above read in bytes: what the rank sent plus what it
 // received.
 
 /// α = 0 and 1 ns per byte on both link classes.
@@ -446,56 +445,50 @@ fn sent_and_priced(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Both collectives, any root rotation and node size: each member's own
-    /// sent bytes equal the collective's per-member form, and sent plus
-    /// received equal the member-aware closed form of `net.rs`.
+    /// Both collectives, any node size: each rank's own sent bytes equal
+    /// the collective's per-rank form, and sent plus received equal the
+    /// world closed form of `net.rs`.
     #[test]
-    fn per_rank_sent_bytes_match_member_closed_forms(
+    fn per_rank_sent_bytes_match_world_closed_forms(
         p in 1usize..=10,
         node_size in 1usize..=4,
-        rot in 0usize..10,
         len in 1usize..=7,
     ) {
         let net = byte_net(node_size);
-        let members = rotated_members(p, rot);
-        let index_of = |rank: usize| members.iter().position(|&m| m == rank).unwrap();
         let bytes = |elems: usize| (elems * 8) as u64;
 
         let got = sent_and_priced(p, net, VolumeCategory::Other, |ctx| {
-            let g = Group::new(ctx, rotated_members(p, rot));
-            let _ = allgather(ctx, &g, vec![1.0; len], 1, VolumeCategory::Other);
+            let _ = allgather(ctx, vec![1.0; len], 1, VolumeCategory::Other);
         });
         for (rank, &(sent, priced)) in got.iter().enumerate() {
             prop_assert_eq!(sent, bytes((p - 1) * len), "allgather {}", rank);
-            prop_assert_eq!(priced, net.allgather_members_rank_ns(&members, index_of(rank), len));
+            prop_assert_eq!(priced, net.allgather_rank_ns(p, rank, len));
         }
 
-        // All-reduce, whichever algorithm the dispatch picks: 2(g − 1)·len
-        // elements in total, and sent + received is the member-aware form.
-        // Under a hierarchical model a non-leader sends its contribution up
-        // once; a leader sends its share of the leader-level all-reduce and
-        // the result to each other member of its node.
+        // All-reduce, whichever algorithm the dispatch picks: 2(P − 1)·len
+        // elements in total, and sent + received is the world form. Under a
+        // hierarchical model a non-leader (a rank off its node's first)
+        // sends its contribution up once; a leader sends its share of the
+        // leader-level all-reduce and the result to each other rank of its
+        // node.
         let got = sent_and_priced(p, net, VolumeCategory::Gram, |ctx| {
-            let g = Group::new(ctx, rotated_members(p, rot));
             let mut buf = vec![1.0; len];
-            allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Gram);
+            allreduce_sum(ctx, &mut buf, 1, VolumeCategory::Gram);
         });
-        let buckets = net.node_buckets(&members);
-        let sent_elems = |i: usize| {
+        let sent_elems = |r: usize| {
             if !net.is_hierarchical() {
-                return allreduce_sent_elems(p, i, len);
+                return allreduce_sent_elems(p, r, len);
             }
-            let b = buckets.iter().position(|b| b.contains(&i)).unwrap();
-            if buckets[b][0] != i {
+            if !r.is_multiple_of(node_size) {
                 return len;
             }
-            (buckets[b].len() - 1) * len + allreduce_sent_elems(buckets.len(), b, len)
+            let node_ranks = node_size.min(p - r);
+            (node_ranks - 1) * len + allreduce_sent_elems(p.div_ceil(node_size), r / node_size, len)
         };
         prop_assert_eq!(got.iter().map(|r| r.0).sum::<u64>(), bytes(2 * (p - 1) * len));
         for (rank, &(sent, priced)) in got.iter().enumerate() {
-            let i = index_of(rank);
-            prop_assert_eq!(sent, bytes(sent_elems(i)), "allreduce {}", rank);
-            prop_assert_eq!(priced, net.allreduce_members_rank_ns(&members, i, len));
+            prop_assert_eq!(sent, bytes(sent_elems(rank)), "allreduce {}", rank);
+            prop_assert_eq!(priced, net.allreduce_rank_ns(p, rank, len));
         }
     }
 }

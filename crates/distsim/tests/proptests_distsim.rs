@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Duration;
 use tucker_distsim::block::rank_region;
-use tucker_distsim::collectives::{allreduce_sum, Group};
+use tucker_distsim::collectives::allreduce_sum;
 use tucker_distsim::dist_gram::dist_gram;
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::exchange::{regrid_msgs, GroupExchange, Msg};
@@ -97,12 +97,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let body = |ctx: &mut tucker_distsim::RankCtx| {
-            let g = Group::world(ctx);
             let mut rng = StdRng::seed_from_u64(seed + ctx.rank() as u64);
             let dist = rand::distributions::Uniform::new(-1.0, 1.0);
             use rand::Rng;
             let mut buf: Vec<f64> = (0..len).map(|_| rng.sample(dist)).collect();
-            allreduce_sum(ctx, &g, &mut buf, 1, VolumeCategory::Other);
+            allreduce_sum(ctx, &mut buf, 1, VolumeCategory::Other);
             buf
         };
         let single = Universe::run(p, body);
@@ -263,8 +262,7 @@ proptest! {
             let _ = dist_gram(ctx, &dt, gram_mode);
             let _ = redistribute(ctx, &dt, &to);
             // The Gram's all-reduce again, alone: what it sends.
-            let world = Group::world(ctx);
-            allreduce_sum(ctx, &world, &mut vec![0.0; gram_len], 1, VolumeCategory::Other);
+            allreduce_sum(ctx, &mut vec![0.0; gram_len], 1, VolumeCategory::Other);
             cats.map(|c| (ctx.volume().elements(c), ctx.comm.time(c).as_nanos() as u64))
         })
         .into_results();

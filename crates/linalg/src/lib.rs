@@ -4,7 +4,7 @@
 //! LAPACK stack used by the paper (ESSL `dgemm`, `dsyrk`, `dsyevx`):
 //!
 //! * [`Matrix`] — a column-major dense `f64` matrix,
-//! * [`gemm`] — blocked matrix multiply, column-panel parallel on the team,
+//! * [`mod@gemm`] — blocked matrix multiply, column-panel parallel on the team,
 //! * [`pool`] — the one thread story of the workspace: a persistent team of
 //!   parked workers ([`Pool::shared`], `os_threads()` wide) under every
 //!   parallel Gram/TTM/GEMM region; a kernel's `threads` argument is its
@@ -15,7 +15,7 @@
 //!   once operands are large enough to amortize packing; its one source body
 //!   is compiled for baseline and for AVX2 and picked per process
 //!   ([`kernel_isa`]), with identical output bits,
-//! * [`syrk`] — symmetric rank-k update `C = A·Aᵀ` exploiting symmetry, with
+//! * [`mod@syrk`] — symmetric rank-k update `C = A·Aᵀ` exploiting symmetry, with
 //!   accumulating (`β`-aware) and raw-slice `AᵀA` entry points backing the
 //!   fused Gram kernel in `tucker-tensor`,
 //! * [`evd`] — symmetric eigendecomposition: [`sym_evd_leading`], the
@@ -60,9 +60,6 @@ pub fn os_threads() -> usize {
     static OS_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *OS_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |w| w.get()))
 }
-
-/// Relative tolerance used by the crate's internal convergence checks.
-pub const EPS: f64 = 1e-12;
 
 #[cfg(test)]
 mod tests {

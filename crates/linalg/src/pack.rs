@@ -1,5 +1,5 @@
 //! Packed, register-tiled micro-kernel layer: the BLAS-3 floor under
-//! [`gemm`](crate::gemm), [`syrk`](crate::syrk), and the tensor kernels.
+//! [`gemm`](mod@crate::gemm), [`syrk`](mod@crate::syrk), and the tensor kernels.
 //!
 //! The classic cache-blocked GEMM loop nest (Goto/BLIS) is implemented here
 //! once and shared by every dense kernel in the workspace:

@@ -19,7 +19,7 @@
 //!   thread in ascending order: it never blocks and never spawns, and since
 //!   the partition is unchanged, neither are the bits.
 //! * **Hand-off.** A worker waiting for work, and the caller waiting for the
-//!   workers, poll for at most [`SPIN`] — yielding the core between polls,
+//!   workers, poll for at most `SPIN` — yielding the core between polls,
 //!   so a waiter never holds off the thread it waits for — and then
 //!   [`park`](thread::park); whoever publishes the awaited state unparks the
 //!   waiter afterwards. A region allocates nothing: the job is one slot in

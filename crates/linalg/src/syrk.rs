@@ -14,7 +14,7 @@
 //!   of the canonical tensor layout is one such contribution, so no unfolding
 //!   is ever materialized.
 //!
-//! Like [`crate::gemm`], every entry point picks between two kernels at
+//! Like [`mod@crate::gemm`], every entry point picks between two kernels at
 //! runtime: the packed, register-tiled triangle-aware macro-loop from
 //! [`crate::pack`] (only lower-panel tiles are packed and computed; tiles
 //! straddling the diagonal store under an `i ≥ j` mask) once the problem

@@ -3,7 +3,7 @@
 //!
 //! The mode-`n` unfolding's column `f = i + o·inner` is the fiber starting at
 //! linear offset `o·inner·L_n + i` with stride `inner` (see
-//! [`crate::unfold`]). Slab `o` — the contiguous block
+//! [`mod@crate::unfold`]). Slab `o` — the contiguous block
 //! `[o·inner·L_n, (o+1)·inner·L_n)` — is therefore an `inner × L_n`
 //! column-major matrix `S_o` whose `L_n` columns are contiguous in memory,
 //! and the Gram matrix decomposes into a sum of rank-`inner` updates on
@@ -16,7 +16,7 @@
 //! Every entry point takes `impl Into<TensorView>`: a `&DenseTensor` enters
 //! as its full view, a contiguous view (any last-mode slice) is read where it
 //! lies, and any other view is copied once into a grow-only thread-local
-//! scratch and then read from there ([`with_canonical`]) — one body, and
+//! scratch and then read from there (`with_canonical`) — one body, and
 //! view == extract to the bit because the view path *is* the extract path.
 //!
 //! [`gram`] evaluates that sum with [`tucker_linalg::syrk_ata_lower`]
@@ -303,7 +303,7 @@ pub fn gram<'a>(t: impl Into<TensorView<'a>>, n: usize) -> Matrix {
 /// build on (`SeqBackend` pins 1, `RayonBackend` pins the host core count).
 ///
 /// A contiguous view runs in place; any other view is copied once into a
-/// thread-local scratch first (see [`with_canonical`]), so the result is
+/// thread-local scratch first (see `with_canonical`), so the result is
 /// bit-identical to extracting the view and calling this on the copy.
 ///
 /// # Panics

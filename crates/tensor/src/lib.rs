@@ -8,17 +8,17 @@
 //! * a **mode-n fiber** is a vector varying the `n`-th coordinate with all
 //!   other coordinates fixed ([`Shape::num_fibers`] counts them);
 //! * the **mode-n unfolding** `T(n)` is the `L_n × (|T|/L_n)` matrix whose
-//!   columns are the mode-n fibers in lexicographic order — see [`unfold`]
+//!   columns are the mode-n fibers in lexicographic order — see [`mod@unfold`]
 //!   (tests and the ablation baseline only; hot paths never materialize it);
 //! * the **tensor-times-matrix product** `Z = T ×_n A` applies the linear map
-//!   `A` to every mode-n fiber — see [`ttm`]. The kernel uses the blocking
+//!   `A` to every mode-n fiber — see [`mod@ttm`]. The kernel uses the blocking
 //!   strategy of Austin et al. (paper §5) that avoids materializing the
 //!   unfolding by decomposing the product into a batch of GEMM calls on
 //!   contiguous slabs; [`ttm::ttm_into_threads`] + [`ttm::TtmWorkspace`]
 //!   reuse grow-only output buffers so iterative pipelines allocate nothing
 //!   at steady state;
 //! * the **Gram matrix** `T(n) · T(n)ᵀ` feeding the SVD step is computed by
-//!   the fused slab-wise kernel in [`gram`] — again without materializing
+//!   the fused slab-wise kernel in [`mod@gram`] — again without materializing
 //!   `T(n)`; the distributed 1/qₙ shares are [`ColumnShare`]s, one layout
 //!   for packing, assembling and the share's Gram;
 //! * **TTM-chains** (`×_{n₁} A₁ ×_{n₂} A₂ …`, commutative) — see
@@ -26,7 +26,7 @@
 //!
 //! Each kernel has one body and it takes a strided [`TensorView`]; a
 //! `&DenseTensor` converts into its full view, so the compute entry points
-//! are [`gram`], [`gram_threads`], [`ttm`](ttm::ttm), [`ttm_into_threads`],
+//! are [`fn@gram`], [`gram_threads`], [`ttm`](ttm::ttm), [`ttm_into_threads`],
 //! [`ttm_chain`] and the three [`TtmWorkspace`] methods, whatever the
 //! operand.
 //!

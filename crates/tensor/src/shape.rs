@@ -11,7 +11,7 @@ use std::fmt;
 const INLINE_MODES: usize = 8;
 
 /// A short vector of `usize` — mode lengths, strides, block coordinates —
-/// kept inline up to [`INLINE_MODES`] entries and on the heap beyond, so
+/// kept inline up to `INLINE_MODES` (8) entries and on the heap beyond, so
 /// there is no order limit. It is the storage behind [`Shape`], the strided
 /// views and `tucker-distsim`'s grids: cloning or building one for a tensor
 /// of ordinary order never touches the allocator, which is what a simulated

@@ -77,15 +77,9 @@ impl Region {
         self
     }
 
-    /// Shape of the region's extents (clones them; see [`Region::into_shape`]
-    /// when the region is owned and done with).
+    /// Shape of the region's extents.
     pub fn shape(&self) -> Shape {
         Shape::new(self.len.clone())
-    }
-
-    /// Shape of the region's extents, consuming the region (no clone).
-    pub fn into_shape(self) -> Shape {
-        Shape::new(self.len)
     }
 }
 

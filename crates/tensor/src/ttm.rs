@@ -23,7 +23,7 @@
 //! `tucker_linalg::pack`: a sequential call — free function or
 //! [`TtmWorkspace`] method alike — stages through `pack::with_thread_packs`,
 //! the parts of a parallel region through their participant's own scratch
-//! (`pack::with_part_packs`, [`with_stage`]), which stays warm because the
+//! (`pack::with_part_packs`, `with_stage`), which stays warm because the
 //! team's threads persist. Their growth is counted by the debug allocation
 //! counter exactly like tensor buffers, so steady-state sweeps stay
 //! allocation-free pack buffers included. Below the threshold (or under
@@ -34,7 +34,7 @@
 //! `impl Into<TensorView>`, a `&DenseTensor` being its full view. A
 //! contiguous view runs the slab kernels where it lies; a strided one runs
 //! the same kernels over maximal constant-stride runs
-//! ([`ttm_strided`]) — no copy, same bits.
+//! (`ttm_strided`) — no copy, same bits.
 //!
 //! The workhorse entry point is [`ttm_into_threads`], which writes into a
 //! caller-provided grow-only buffer; [`TtmWorkspace`] pools such buffers so
@@ -722,11 +722,11 @@ impl TtmWorkspace {
             .sum()
     }
 
-    /// [`ttm`](crate::ttm::ttm) into a pooled buffer. Allocation-free once
+    /// [`ttm`] into a pooled buffer. Allocation-free once
     /// the pool holds a buffer of sufficient capacity.
     ///
     /// # Panics
-    /// Like [`ttm`](crate::ttm::ttm).
+    /// Like [`ttm`].
     pub fn ttm<'a>(&mut self, t: impl Into<TensorView<'a>>, n: usize, a: &Matrix) -> DenseTensor {
         let v = t.into();
         let threads = auto_threads(&v, n, a);
@@ -741,7 +741,7 @@ impl TtmWorkspace {
     /// last-mode slice and only tile-sized intermediates ever touch the pool.
     ///
     /// # Panics
-    /// Like [`ttm`](crate::ttm::ttm).
+    /// Like [`ttm`].
     pub fn ttm_threads<'a>(
         &mut self,
         t: impl Into<TensorView<'a>>,

@@ -9,8 +9,8 @@
 //! `i + l·I + o·I·L_n` in the tensor buffer.
 //!
 //! **Invariant:** nothing on a hot path materializes an unfolding. TTMs use
-//! the blocked slab kernel ([`crate::ttm`]) and the SVD/Gram step uses the
-//! fused slab-wise kernel ([`crate::gram`]), both reading the canonical
+//! the blocked slab kernel ([`mod@crate::ttm`]) and the SVD/Gram step uses the
+//! fused slab-wise kernel ([`mod@crate::gram`]), both reading the canonical
 //! layout in place. `unfold`/`fold` exist *only* for tests and for the
 //! explicit-unfold baseline arm of the kernel-ablation bench; the
 //! allocation-regression smoke test in `tucker-core` keeps it that way.
