@@ -431,8 +431,9 @@ fn random_build(tree: &mut TtmTree, attach: usize, p: u32, q: u32, full: u32, st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::cost::{tree_cost, FlopVolumeModel};
+    use crate::plan::cost::FlopVolumeModel;
     use crate::plan::grid::{optimal_dynamic_grids, DynGridObjective};
+    use crate::plan::schedule::{sweep_on, OpKind};
     use crate::plan::tree::{chain_tree, optimal_flops, optimal_tree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -531,15 +532,23 @@ mod tests {
         // Every enumerated tree's in/out cardinalities satisfy the local
         // recurrences (spot-check of the §3.1 bookkeeping).
         let meta = TuckerMeta::new([20, 50, 100], [4, 25, 10]);
+        let g = Grid::trivial(3);
         for t in enumerate_all_trees(&meta).into_iter().take(50) {
-            let c = tree_cost(&t, &meta);
-            for id in t.internal_nodes() {
-                let NodeLabel::Ttm(n) = t.node(id).label else {
-                    unreachable!()
-                };
-                assert!((c.out_card[id] - c.in_card[id] * meta.h(n)).abs() < 1e-6);
-                assert!((c.node_flops[id] - meta.k(n) as f64 * c.in_card[id]).abs() < 1e-6);
+            let mut flops = 0.0;
+            for op in sweep_on(&meta, &t, &g) {
+                if let OpKind::Ttm {
+                    node: Some(_),
+                    mode,
+                    out,
+                } = op.kind
+                {
+                    let card = meta.premultiplied_cardinality(op.premult);
+                    assert!((op.input - card).abs() <= card * 1e-12);
+                    assert!((out - op.input * meta.h(mode)).abs() < 1e-6);
+                    flops += meta.k(mode) as f64 * op.input;
+                }
             }
+            assert!((tree_flops(&t, &meta) - flops).abs() < 1e-6);
         }
     }
 

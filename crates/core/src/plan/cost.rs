@@ -4,25 +4,28 @@
 //! when the engine runs under a [`NetModel`].
 //!
 //! Everything the planner optimizes goes through one [`CostModel`] trait:
-//! per-phase prices (TTM, regrid, leaf Gram, core chain, per-sweep
-//! overhead) that sum to [`sweep_cost`] — the additive functional the joint
+//! per-operation prices (TTM, regrid, leaf Gram, core chain, per-sweep
+//! overhead) that sum, over the operations of one sweep
+//! ([`schedule::sweep`]), to [`sweep_cost`] — the additive functional the joint
 //! DP in [`crate::plan::search`] minimizes and the brute-force oracle in
 //! [`crate::plan::brute_force`] certifies against. Two implementations:
 //!
 //! * [`FlopVolumeModel`] — the paper's closed forms: TTM FLOPs (§3.1) plus
 //!   the communication volume (§4.1/§4.3) weighted by
-//!   [`VOLUME_FLOP_EQUIV`]. Machine-independent; its `sweep_cost` equals
-//!   the historical `Plan::modeled_cost`.
-//! * [`NetCostModel`] — every phase priced through the α–β
-//!   [`NetModel`] as the modeled communication
-//!   nanoseconds **rank 0 accumulates** (rank 0 owns the largest block
-//!   under every grid and roots every collective, so its per-operation
-//!   charge is the critical path for TTM reduce-scatters, Gram share
-//!   exchanges and all-reduces). On top of the additive objective it offers
-//!   [`NetCostModel::predict_sweep`]: an exact per-rank replay of one HOOI
-//!   sweep's communication that reproduces the engine's virtual
-//!   communication clock **to the nanosecond** — the planner and scaling
-//!   suites assert equality with the executed clocks.
+//!   [`VOLUME_FLOP_EQUIV`]. Machine-independent.
+//! * [`NetCostModel`] — every operation priced through the α–β
+//!   [`NetModel`] as modeled communication nanoseconds. Under a flat model
+//!   a price is what **rank 0 accumulates**: rank 0 owns the largest block
+//!   under every grid and roots every collective, so its charge is the
+//!   critical path for TTM reduce-scatters, Gram share exchanges and
+//!   all-reduces. Under a hierarchical model rank 0 is no longer critical:
+//!   `ttm_cost` and `leaf_cost` take the max over all ranks, `regrid_cost`
+//!   the max over a bounded set of representative ranks (DESIGN.md §10).
+//!   On top of the additive objective it offers
+//!   [`NetCostModel::predict_sweep`]: an exact per-rank replay of the
+//!   schedule that reproduces the engine's virtual communication clock
+//!   **to the nanosecond** — the planner and scaling suites assert equality
+//!   with the executed clocks.
 //!
 //! The joint DP prices regrids through a [`RegridPricer`] it prepares once
 //! per search ([`CostModel::regrid_pricer`]), bit-identical to
@@ -37,75 +40,30 @@
 
 use crate::meta::TuckerMeta;
 use crate::plan::grid::DynGridScheme;
-use crate::plan::order::core_chain_order;
-use crate::plan::tree::{NodeLabel, TtmTree};
+use crate::plan::schedule::{self, core_chain, regrid_volume, ttm_volume, OpKind};
+use crate::plan::tree::TtmTree;
 use std::time::Duration;
 use tucker_distsim::block::{chunk, chunk_cover};
 use tucker_distsim::exchange::{regrid_msgs, GroupExchange, MAX_ORDER};
 use tucker_distsim::{Grid, NetModel};
 
-/// Per-node cardinalities and costs for a tree under given metadata.
-#[derive(Clone, Debug)]
-pub struct TreeCost {
-    /// `|In(u)|` per node id (`|T|` for the root; for leaves, the parent's
-    /// output cardinality).
-    pub in_card: Vec<f64>,
-    /// `|Out(u)|` per node id (equal to `in_card` for root and leaves).
-    pub out_card: Vec<f64>,
-    /// FLOPs per node id (0 for root and leaves).
-    pub node_flops: Vec<f64>,
-    /// Total FLOPs of the tree.
-    pub total_flops: f64,
-}
-
-/// Evaluate the §3.1 FLOP cost model on `tree`: an internal node `u` with
-/// label `n` costs `K_n · |In(u)|` multiply-adds and shrinks the tensor by
-/// `h_n`.
+/// The §3.1 FLOP cost model of `tree`: a TTM node `u` with label `n` costs
+/// `K_n · |In(u)|` multiply-adds (the tree TTMs of its schedule).
 ///
 /// # Panics
 /// Panics if the tree refers to modes outside `meta`.
-pub fn tree_cost(tree: &TtmTree, meta: &TuckerMeta) -> TreeCost {
-    let len = tree.len();
-    let mut in_card = vec![0.0; len];
-    let mut out_card = vec![0.0; len];
-    let mut node_flops = vec![0.0; len];
-    let mut total = 0.0;
-
-    for id in tree.topological_order() {
-        let node = tree.node(id);
-        let input = match node.parent {
-            None => meta.input_cardinality(),
-            Some(p) => out_card[p],
-        };
-        in_card[id] = input;
-        match node.label {
-            NodeLabel::Root => {
-                out_card[id] = input;
-            }
-            NodeLabel::Ttm(n) => {
-                assert!(n < meta.order(), "mode {n} out of range");
-                let flops = meta.k(n) as f64 * input;
-                node_flops[id] = flops;
-                total += flops;
-                out_card[id] = input * meta.h(n);
-            }
-            NodeLabel::Leaf(_) => {
-                out_card[id] = input;
-            }
-        }
-    }
-
-    TreeCost {
-        in_card,
-        out_card,
-        node_flops,
-        total_flops: total,
-    }
-}
-
-/// Total FLOPs of a tree (convenience wrapper over [`tree_cost`]).
 pub fn tree_flops(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
-    tree_cost(tree, meta).total_flops
+    let g = Grid::trivial(meta.order());
+    schedule::sweep_on(meta, tree, &g)
+        .iter()
+        .fold(0.0, |total, op| match op.kind {
+            OpKind::Ttm {
+                node: Some(_),
+                mode,
+                ..
+            } => total + meta.k(mode) as f64 * op.input,
+            _ => total,
+        })
 }
 
 /// Machine-balance constant of [`FlopVolumeModel`]: how many FLOPs one
@@ -118,13 +76,9 @@ pub fn tree_flops(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
 pub const VOLUME_FLOP_EQUIV: f64 = 16.0;
 
 /// The global tensor shape after multiplying the modes in `premult` (a
-/// bitmask): `L_n` for untouched modes, `K_n` for multiplied ones.
-pub fn premult_shape(meta: &TuckerMeta, premult: u32) -> Vec<usize> {
-    premult_shape_into(meta, premult, &mut [0; MAX_ORDER]).to_vec()
-}
-
-/// [`premult_shape`] written into a stack buffer; returns the filled prefix.
-fn premult_shape_into<'b>(
+/// bitmask): `L_n` for untouched modes, `K_n` for multiplied ones, written
+/// into a stack buffer; returns the filled prefix.
+pub fn premult_shape<'b>(
     meta: &TuckerMeta,
     premult: u32,
     buf: &'b mut [usize; MAX_ORDER],
@@ -146,8 +100,9 @@ fn premult_shape_into<'b>(
 pub type RegridPricer<'s> = Box<dyn Fn(u32, usize, usize) -> f64 + 's>;
 
 /// The pluggable objective of the planning layer. All prices are per
-/// *operation of one HOOI sweep* and additive: [`sweep_cost`] sums them over
-/// a concrete `(tree, grid scheme)` and is exactly the functional the
+/// *operation of one HOOI sweep* (an [`OpKind`]) and additive:
+/// [`sweep_cost`] sums them over the schedule of a concrete
+/// `(tree, grid scheme)` and is exactly the functional the
 /// [`crate::plan::search`] DP minimizes.
 pub trait CostModel {
     /// Short label for reports (`"flops+vol"`, `"net"`).
@@ -198,16 +153,13 @@ pub trait CostModel {
     /// under grid `g`.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64;
 
-    /// Price of the engine's core-update chain (all modes, strongest
-    /// compression first — [`core_chain_order`]) under the initial grid.
+    /// Price of the engine's core-update chain ([`core_chain`]) under the
+    /// initial grid. The default sums its TTM prices.
     fn chain_cost(&self, meta: &TuckerMeta, g: &Grid) -> f64 {
-        let mut mask = 0u32;
-        let mut total = 0.0;
-        for &n in &core_chain_order(meta) {
-            total += self.ttm_cost(meta, mask, n, g);
-            mask |= 1 << n;
-        }
-        total
+        core_chain(meta, g).fold(0.0, |total, op| match op.kind {
+            OpKind::Ttm { mode, .. } => total + self.ttm_cost(meta, op.premult, mode, g),
+            _ => unreachable!("the core chain is TTMs"),
+        })
     }
 
     /// Fixed per-sweep overhead (the scalar norm all-reduce) on `nranks`.
@@ -235,54 +187,40 @@ pub trait CostModel {
 }
 
 /// The additive model cost of one HOOI sweep executing `tree` under
-/// `scheme`: Σ over internal nodes of (regrid? + TTM) + Σ over leaves of the
-/// Gram price + the core-update chain under the initial grid + the per-sweep
-/// overhead. The joint DP minimizes exactly this; the brute-force oracle
+/// `scheme`: each tree operation of its [`schedule::sweep`] (regrid, TTM,
+/// leaf Gram) at its price, in issue order, then the core-update chain as
+/// one subtotal ([`CostModel::chain_cost`]) and the per-sweep overhead (the
+/// norm). The joint DP minimizes exactly this; the brute-force oracle
 /// scores candidates with exactly this.
 ///
 /// # Panics
-/// Panics if the scheme's vectors do not match the tree.
+/// Panics if the scheme does not match the tree ([`schedule::sweep`]).
 pub fn sweep_cost(
     model: &dyn CostModel,
     meta: &TuckerMeta,
     tree: &TtmTree,
     scheme: &DynGridScheme,
 ) -> f64 {
-    assert_eq!(scheme.node_grids.len(), tree.len());
-    assert_eq!(scheme.regrid.len(), tree.len());
-    let mut mask = vec![0u32; tree.len()];
     let mut total = 0.0;
-    for id in tree.topological_order() {
-        let node = tree.node(id);
-        let in_mask = node.parent.map_or(0, |p| mask[p]);
-        match node.label {
-            NodeLabel::Root => {}
-            NodeLabel::Ttm(n) => {
-                mask[id] = in_mask | (1 << n);
-                if scheme.regrid[id] {
-                    let parent = node.parent.expect("internal node has a parent");
-                    total += model.regrid_cost(
-                        meta,
-                        in_mask,
-                        &scheme.node_grids[parent],
-                        &scheme.node_grids[id],
-                    );
-                }
-                total += model.ttm_cost(meta, in_mask, n, &scheme.node_grids[id]);
-            }
-            NodeLabel::Leaf(n) => {
-                mask[id] = in_mask;
-                total += model.leaf_cost(meta, in_mask, n, &scheme.node_grids[id]);
-            }
-        }
+    for op in schedule::sweep(meta, tree, scheme) {
+        let (premult, grid) = (op.premult, op.grid);
+        total += match op.kind {
+            OpKind::Regrid { from, .. } => model.regrid_cost(meta, premult, from, grid),
+            OpKind::Ttm {
+                node: Some(_),
+                mode,
+                ..
+            } => model.ttm_cost(meta, premult, mode, grid),
+            OpKind::Gram(mode) => model.leaf_cost(meta, premult, mode, grid),
+            OpKind::Ttm { node: None, .. } | OpKind::Norm => continue,
+        };
     }
     total += model.chain_cost(meta, &scheme.initial);
     total + model.sweep_overhead(meta, scheme.initial.nranks())
 }
 
 /// The classic closed-form objective: §3.1 TTM FLOPs plus the §4.1/§4.3
-/// communication volume weighted by [`VOLUME_FLOP_EQUIV`]. Its
-/// [`sweep_cost`] equals the historical `Plan::modeled_cost` (the leaf Gram,
+/// communication volume weighted by [`VOLUME_FLOP_EQUIV`] (the leaf Gram,
 /// core chain and norm all-reduce are identical across plans of the §4
 /// model and are not priced). Machine-independent.
 #[derive(Clone, Copy, Debug, Default)]
@@ -295,11 +233,14 @@ impl CostModel for FlopVolumeModel {
 
     fn ttm_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
         let card = meta.premultiplied_cardinality(premult);
-        meta.k(n) as f64 * card + VOLUME_FLOP_EQUIV * (g.dim(n) as f64 - 1.0) * card * meta.h(n)
+        // The §4.1 volume `(q − 1)·|Out|` with `|Out| = |In|·h` applied
+        // last, as it always was (×16 is exact, so `16·((q − 1)·|In|)`
+        // equals `(16·(q − 1))·|In|` bit for bit).
+        meta.k(n) as f64 * card + VOLUME_FLOP_EQUIV * ttm_volume(g.dim(n), card) * meta.h(n)
     }
 
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, _from: &Grid, _to: &Grid) -> f64 {
-        VOLUME_FLOP_EQUIV * meta.premultiplied_cardinality(premult)
+        VOLUME_FLOP_EQUIV * regrid_volume(meta.premultiplied_cardinality(premult))
     }
 
     fn leaf_cost(&self, _meta: &TuckerMeta, _premult: u32, _n: usize, _g: &Grid) -> f64 {
@@ -338,7 +279,9 @@ pub struct SweepPrediction {
 }
 
 /// The α–β network cost model: plans are priced in modeled communication
-/// nanoseconds. See the module docs for the rank-0 argument. A region
+/// nanoseconds — rank 0's charge under a flat model, the max over ranks
+/// (all of them for TTMs and Grams, representative ones for regrids) under
+/// a hierarchical one; see the module docs and DESIGN.md §10. A region
 /// exchange (TTM reduce-scatter, Gram column shares, regrid) is priced as
 /// the α–β fold over the messages `tucker_distsim::exchange` enumerates for
 /// the rank — the messages `dist_ttm`, `dist_gram` and `redistribute` send —
@@ -354,6 +297,13 @@ const TTM: usize = 0;
 const REGRID: usize = 1;
 const GRAM: usize = 2;
 const OTHER: usize = 3;
+
+/// Add each rank's `rank_ns(rank)` to its `cat` accumulator.
+fn charge(acc: &mut [[u64; 4]], cat: usize, rank_ns: impl Fn(usize) -> u64) {
+    for (r, a) in acc.iter_mut().enumerate() {
+        a[cat] += rank_ns(r);
+    }
+}
 
 /// One mode of a flat regrid direction, seen from one rank: how its chunk
 /// under the grid it sends from overlaps the chunks covering it under the
@@ -543,6 +493,24 @@ impl NetCostModel {
         Some(Grid::with_axes(g.dims().to_vec(), modes))
     }
 
+    /// The critical path of one operation, from each rank's charge
+    /// `rank_ns`. Flat models: rank 0's — it holds the largest block of
+    /// every mode (chunks are front-loaded), the largest output chunk and
+    /// column share, and roots every collective, so no rank pays more.
+    /// Hierarchical models: the max over `ranks` — a node-aligned grid
+    /// makes rank 0's groups intra-node (cheap) while node-crossing groups
+    /// elsewhere pay inter-node prices (DESIGN.md §10).
+    fn critical_ns(
+        &self,
+        ranks: impl Iterator<Item = usize>,
+        rank_ns: impl Fn(usize) -> u64,
+    ) -> f64 {
+        if !self.net.is_hierarchical() {
+            return rank_ns(0) as f64;
+        }
+        ranks.map(rank_ns).max().unwrap_or(0) as f64
+    }
+
     /// A bounded set of structurally distinct ranks for hierarchical
     /// pricing: the first and last rank of the first node, the first rank
     /// of the second node, the middle of the machine and the last node's
@@ -648,12 +616,12 @@ impl NetCostModel {
     }
 
     /// Exact replay of one HOOI sweep's communication under this model:
-    /// accumulate every rank's modeled charge for every tree-node TTM,
-    /// regrid, leaf Gram (share exchange + world all-reduce), the core-update chain
-    /// and the scalar norm all-reduce — then take the engine's maxima. The
-    /// result equals the virtual clocks the engine accumulates for the same
-    /// plan to the nanosecond (asserted by the planner and scaling suites,
-    /// see DESIGN.md §6).
+    /// charge every operation of the plan's [`schedule::sweep`] to every
+    /// rank (regrids, tree and core-chain TTMs, leaf Grams as share exchange
+    /// plus world all-reduce, the norm all-reduce as
+    /// `VolumeCategory::Other`) — then take the engine's maxima. The result equals the virtual clocks
+    /// the engine accumulates for the same plan to the nanosecond (asserted
+    /// by the planner and scaling suites, see DESIGN.md §6).
     ///
     /// # Panics
     /// Panics if the scheme does not match the tree or the initial grid's
@@ -671,58 +639,28 @@ impl NetCostModel {
             "scheme is for {} ranks, model prices {p}",
             scheme.initial.nranks()
         );
-        assert_eq!(scheme.node_grids.len(), tree.len());
         let mut acc = vec![[0u64; 4]; p];
-
-        // Tree walk: regrids, TTMs, leaf Grams.
-        let mut mask = vec![0u32; tree.len()];
-        for id in tree.topological_order() {
-            let node = tree.node(id);
-            let in_mask = node.parent.map_or(0, |pid| mask[pid]);
-            match node.label {
-                NodeLabel::Root => {}
-                NodeLabel::Ttm(n) => {
-                    mask[id] = in_mask | (1 << n);
-                    let shape = premult_shape(meta, in_mask);
-                    if scheme.regrid[id] {
-                        let from = &scheme.node_grids[node.parent.expect("non-root")];
-                        let to = &scheme.node_grids[id];
-                        for (r, a) in acc.iter_mut().enumerate() {
-                            a[REGRID] += self.regrid_rank_ns(&shape, from, to, r);
-                        }
-                    }
-                    let g = &scheme.node_grids[id];
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        a[TTM] += self.ttm_rank_ns(&shape, n, meta.k(n), g, r);
-                    }
+        let mut buf = [0; MAX_ORDER];
+        for op in schedule::sweep(meta, tree, scheme) {
+            let (shape, g) = (premult_shape(meta, op.premult, &mut buf), op.grid);
+            match op.kind {
+                OpKind::Regrid { from, .. } => {
+                    charge(&mut acc, REGRID, |r| self.regrid_rank_ns(shape, from, g, r));
                 }
-                NodeLabel::Leaf(n) => {
-                    mask[id] = in_mask;
-                    let shape = premult_shape(meta, in_mask);
-                    let g = &scheme.node_grids[id];
+                OpKind::Ttm { mode, .. } => {
+                    charge(&mut acc, TTM, |r| {
+                        self.ttm_rank_ns(shape, mode, meta.k(mode), g, r)
+                    });
+                }
+                OpKind::Gram(n) => {
                     let len = shape[n] * shape[n];
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        a[GRAM] += self.gram_exchange_rank_ns(&shape, n, g, r)
-                            + self.net.allreduce_rank_ns(p, r, len);
-                    }
+                    charge(&mut acc, GRAM, |r| {
+                        self.gram_exchange_rank_ns(shape, n, g, r)
+                            + self.net.allreduce_rank_ns(p, r, len)
+                    });
                 }
+                OpKind::Norm => charge(&mut acc, OTHER, |r| self.net.allreduce_rank_ns(p, r, 1)),
             }
-        }
-
-        // Core-update chain under the initial grid (no regrids).
-        let mut chain_mask = 0u32;
-        for &n in &core_chain_order(meta) {
-            let shape = premult_shape(meta, chain_mask);
-            let g = &scheme.initial;
-            for (r, a) in acc.iter_mut().enumerate() {
-                a[TTM] += self.ttm_rank_ns(&shape, n, meta.k(n), g, r);
-            }
-            chain_mask |= 1 << n;
-        }
-
-        // Scalar norm all-reduce (VolumeCategory::Other).
-        for (r, a) in acc.iter_mut().enumerate() {
-            a[OTHER] += self.net.allreduce_rank_ns(p, r, 1);
         }
 
         let max_of =
@@ -759,23 +697,14 @@ impl CostModel for NetCostModel {
         )
     }
 
-    /// The reduce-scatter critical path of one distributed TTM. Flat
-    /// models: rank 0's charge — rank 0 holds the largest block of every
-    /// mode (chunks are front-loaded) and the largest output chunk, so no
-    /// rank pays more. Hierarchical models: the max over ranks — a
-    /// node-aligned grid makes rank 0's group intra-node (cheap) while a
-    /// node-crossing group elsewhere pays inter-node prices, so rank 0 is
-    /// no longer the critical path.
+    /// The reduce-scatter critical path of one distributed TTM, over every
+    /// rank (see the module docs).
     fn ttm_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
         let mut buf = [0; MAX_ORDER];
-        let shape = premult_shape_into(meta, premult, &mut buf);
-        if !self.net.is_hierarchical() {
-            return self.ttm_rank_ns(shape, n, meta.k(n), g, 0) as f64;
-        }
-        (0..self.nranks)
-            .map(|r| self.ttm_rank_ns(shape, n, meta.k(n), g, r))
-            .max()
-            .unwrap_or(0) as f64
+        let shape = premult_shape(meta, premult, &mut buf);
+        self.critical_ns(0..self.nranks, |r| {
+            self.ttm_rank_ns(shape, n, meta.k(n), g, r)
+        })
     }
 
     /// The all-to-all charge of one regrid (`from → to`), message pattern
@@ -786,25 +715,17 @@ impl CostModel for NetCostModel {
     /// both directions of the exchange — so the search memoizes it per
     /// premult mask and unordered grid pair.
     ///
-    /// Flat models: rank 0's charge (front-loaded chunks make it maximal).
-    /// Hierarchical models: the max over a bounded set of structurally
-    /// distinct representative ranks (node leaders, node tails, the middle
-    /// and the ends of the machine) — a full max over ranks would cost
-    /// `O(P · blocks)` per memoized `(premult, {from, to})` pair, which the
-    /// joint DP cannot afford at paper-scale P, while rank 0 alone
-    /// systematically *underprices* regrids whose node-crossing traffic
-    /// lands elsewhere. The exact per-rank replay happens in
-    /// [`NetCostModel::predict_sweep`].
+    /// A hierarchical model takes the critical path over the
+    /// representative ranks only: the full max would cost `O(P · blocks)`
+    /// per memoized `(premult, {from, to})` pair, which the joint DP
+    /// cannot afford at paper-scale P, while rank 0 alone underprices
+    /// regrids whose node-crossing traffic lands elsewhere.
     fn regrid_cost(&self, meta: &TuckerMeta, premult: u32, from: &Grid, to: &Grid) -> f64 {
         let mut buf = [0; MAX_ORDER];
-        let shape = premult_shape_into(meta, premult, &mut buf);
-        if !self.net.is_hierarchical() {
-            return self.regrid_rank_ns(shape, from, to, 0) as f64;
-        }
-        self.representative_ranks()
-            .map(|r| self.regrid_rank_ns(shape, from, to, r))
-            .max()
-            .unwrap_or(0) as f64
+        let shape = premult_shape(meta, premult, &mut buf);
+        self.critical_ns(self.representative_ranks(), |r| {
+            self.regrid_rank_ns(shape, from, to, r)
+        })
     }
 
     /// Flat models: a `FlatRegridTable` of rank 0's per-mode overlaps,
@@ -821,28 +742,18 @@ impl CostModel for NetCostModel {
         Box::new(move |premult, a, b| table.price(self, premult, a, b))
     }
 
-    /// The Gram critical path: mode-group column-share exchange plus the
-    /// rank's share of the world all-reduce of the `L_n × L_n` Gram. Rank 0
-    /// under flat models (largest block, rows and share; all-reduce root);
-    /// max over ranks of the *joint* charge under hierarchical ones — the two
-    /// phases accumulate on the same clock, so the critical rank is the one
-    /// maximizing the sum.
+    /// The Gram critical path over every rank: mode-group column-share
+    /// exchange plus the rank's share of the world all-reduce of the
+    /// `L_n × L_n` Gram — one charge, since both phases accumulate on the
+    /// same clock.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64 {
         let mut buf = [0; MAX_ORDER];
-        let shape = premult_shape_into(meta, premult, &mut buf);
+        let shape = premult_shape(meta, premult, &mut buf);
         let len = shape[n] * shape[n];
-        if !self.net.is_hierarchical() {
-            let exchange = self.gram_exchange_rank_ns(shape, n, g, 0);
-            let reduce = self.net.allreduce_rank_ns(self.nranks, 0, len);
-            return (exchange + reduce) as f64;
-        }
-        (0..self.nranks)
-            .map(|r| {
-                self.gram_exchange_rank_ns(shape, n, g, r)
-                    + self.net.allreduce_rank_ns(self.nranks, r, len)
-            })
-            .max()
-            .unwrap_or(0) as f64
+        self.critical_ns(0..self.nranks, |r| {
+            self.gram_exchange_rank_ns(shape, n, g, r)
+                + self.net.allreduce_rank_ns(self.nranks, r, len)
+        })
     }
 
     fn sweep_overhead(&self, _meta: &TuckerMeta, nranks: usize) -> f64 {
@@ -900,14 +811,15 @@ mod tests {
             let grids = tucker_distsim::enumerate_valid_grids(p, meta.core().dims());
             prop_assume!(!grids.is_empty());
             let (a, b) = (&grids[picks.0 % grids.len()], &grids[picks.1 % grids.len()]);
-            let shape = premult_shape(&meta, premult & ((1 << order) - 1));
+            let buf = &mut [0; MAX_ORDER];
+            let shape = premult_shape(&meta, premult & ((1 << order) - 1), buf);
             for net in [NetModel::bgq(), NetModel::cluster().flattened()] {
                 let model = NetCostModel::new(net, p);
                 for r in 0..p {
                     for (from, to) in [(a, b), (b, a)] {
-                        let msgs = [false, true].map(|inb| regrid_msgs(&shape, from, to, r, inb));
+                        let msgs = [false, true].map(|inb| regrid_msgs(shape, from, to, r, inb));
                         prop_assert_eq!(
-                            model.regrid_rank_ns(&shape, from, to, r),
+                            model.regrid_rank_ns(shape, from, to, r),
                             net.exchange_ns(msgs.into_iter().flatten())
                         );
                     }
@@ -937,12 +849,18 @@ mod tests {
     fn cardinalities_track_compression() {
         let meta = TuckerMeta::new([10, 10], [5, 2]);
         let tree = chain_tree(&meta, &[0, 1]);
-        let cost = tree_cost(&tree, &meta);
+        let g = Grid::trivial(2);
         // Root out = 100; chain head for leaf 0 multiplies mode 1 (h=0.2).
         let c1 = tree.node(tree.root()).children[0];
-        assert_eq!(cost.in_card[c1], 100.0);
-        assert_eq!(cost.out_card[c1], 20.0);
-        assert_eq!(cost.node_flops[c1], 2.0 * 100.0);
+        let head = schedule::sweep_on(&meta, &tree, &g)[0];
+        let kind = OpKind::Ttm {
+            node: Some(c1),
+            mode: 1,
+            out: 20.0,
+        };
+        assert_eq!((head.kind, head.input), (kind, 100.0));
+        // K_1 · 100 for that TTM, K_0 · 100 for the other chain's.
+        assert_eq!(tree_flops(&tree, &meta), 2.0 * 100.0 + 5.0 * 100.0);
     }
 
     #[test]
@@ -973,19 +891,17 @@ mod tests {
 
     #[test]
     fn leaf_and_root_cost_zero() {
+        // One TTM per chain, `K · |T|` = 2 · 36 each: the root and the
+        // leaves add no flops.
         let meta = TuckerMeta::new([6, 6], [2, 2]);
         let tree = chain_tree(&meta, &[0, 1]);
-        let cost = tree_cost(&tree, &meta);
-        assert_eq!(cost.node_flops[tree.root()], 0.0);
-        for l in tree.leaves() {
-            assert_eq!(cost.node_flops[l], 0.0);
-        }
+        assert_eq!(tree_flops(&tree, &meta), 2.0 * 2.0 * 36.0);
     }
 
     #[test]
     fn flop_volume_sweep_cost_matches_closed_forms() {
         // sweep_cost under the classic model == tree flops + 16 * scheme
-        // volume (the historical modeled_cost).
+        // volume.
         let meta = TuckerMeta::new([40, 100, 20, 50], [8, 20, 4, 10]);
         let tree = optimal_tree(&meta).tree;
         let scheme = optimal_dynamic_grids(&tree, &meta, 16, DynGridObjective::Exact);
@@ -1000,9 +916,10 @@ mod tests {
     #[test]
     fn premult_shape_tracks_mask() {
         let meta = TuckerMeta::new([10, 20, 30], [2, 4, 3]);
-        assert_eq!(premult_shape(&meta, 0), vec![10, 20, 30]);
-        assert_eq!(premult_shape(&meta, 0b101), vec![2, 20, 3]);
-        assert_eq!(premult_shape(&meta, 0b111), vec![2, 4, 3]);
+        let buf = &mut [0; MAX_ORDER];
+        assert_eq!(premult_shape(&meta, 0, buf), [10, 20, 30]);
+        assert_eq!(premult_shape(&meta, 0b101, buf), [2, 20, 3]);
+        assert_eq!(premult_shape(&meta, 0b111, buf), [2, 4, 3]);
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Grid planning (paper §4): the communication-volume model, optimal
+//! Grid planning (paper §4): the communication volume of a scheme, optimal
 //! static grids (§4.1–4.2), dynamic gridding and the optimal dynamic-grid
 //! DP (§4.3–4.4), and the candidate-grid utilities shared by every search.
 //!
 //! Under a grid `g`, the TTM at node `u` with label `n` incurs a
-//! reduce-scatter volume of `(g_n − 1) · |Out(u)|` elements; a regrid at
-//! node `u` costs `|In(u)|`. The optimal static grid is found by exhaustive
-//! search over the *valid* grids (`q_n ≤ K_n`, Table 1); the optimal
-//! dynamic scheme by a bottom-up DP over (node, parent-grid) pairs:
+//! reduce-scatter volume of `(g_n − 1) · |Out(u)|` elements
+//! ([`ttm_volume`]); a regrid at node `u` costs `|In(u)|`
+//! ([`regrid_volume`]). A scheme's volume sums them over the tree
+//! operations of its [`sweep`] schedule. The optimal static grid is found
+//! by exhaustive search over the *valid* grids (`q_n ≤ K_n`, Table 1); the
+//! optimal dynamic scheme by a bottom-up DP over (node, parent-grid) pairs:
 //!
 //! ```text
 //! A_u[g] = (g_n − 1)·|Out(u)| + Σ_{internal children c} dvol*(c | g)
@@ -20,26 +22,13 @@
 //! full right-hand side (never worse).
 
 use crate::meta::TuckerMeta;
-use crate::plan::cost::{tree_cost, TreeCost};
+use crate::plan::schedule::{elements, regrid_volume, sweep, sweep_on, ttm_volume, Op, OpKind};
 use crate::plan::tree::{NodeLabel, TtmTree};
 use tucker_distsim::{enumerate_valid_grids, Grid};
 
 /// Communication volume (elements) of `tree` under the static grid `g`.
 pub fn static_volume(tree: &TtmTree, meta: &TuckerMeta, g: &Grid) -> f64 {
-    let cost = tree_cost(tree, meta);
-    static_volume_with_cost(tree, &cost, g)
-}
-
-/// [`static_volume`] reusing a precomputed [`TreeCost`].
-pub fn static_volume_with_cost(tree: &TtmTree, cost: &TreeCost, g: &Grid) -> f64 {
-    let mut vol = 0.0;
-    for id in tree.internal_nodes() {
-        let NodeLabel::Ttm(n) = tree.node(id).label else {
-            unreachable!()
-        };
-        vol += (g.dim(n) as f64 - 1.0) * cost.out_card[id];
-    }
-    vol
+    elements(&sweep_on(meta, tree, g), Op::in_tree)
 }
 
 /// Result of the optimal static grid search.
@@ -60,11 +49,10 @@ pub struct StaticGridChoice {
 /// # Panics
 /// Panics if no valid grid exists (i.e. `P > ∏ K_n`).
 pub fn optimal_static_grid(tree: &TtmTree, meta: &TuckerMeta, nranks: usize) -> StaticGridChoice {
-    let cost = tree_cost(tree, meta);
     let grids = candidate_grids(meta, nranks);
     let mut best: Option<(f64, &Grid)> = None;
     for g in &grids {
-        let v = static_volume_with_cost(tree, &cost, g);
+        let v = static_volume(tree, meta, g);
         if best.is_none_or(|(bv, _)| v < bv) {
             best = Some((v, g));
         }
@@ -204,30 +192,9 @@ impl DynGridScheme {
 /// DP and to score hand-written schemes).
 ///
 /// # Panics
-/// Panics if the scheme's vectors do not match the tree.
+/// Panics if the scheme does not match the tree ([`sweep`]).
 pub fn scheme_volume(tree: &TtmTree, meta: &TuckerMeta, scheme: &DynGridScheme) -> f64 {
-    assert_eq!(scheme.node_grids.len(), tree.len());
-    assert_eq!(scheme.regrid.len(), tree.len());
-    let cost = tree_cost(tree, meta);
-    let mut vol = 0.0;
-    for id in tree.internal_nodes() {
-        let NodeLabel::Ttm(n) = tree.node(id).label else {
-            unreachable!()
-        };
-        let g = &scheme.node_grids[id];
-        if scheme.regrid[id] {
-            vol += cost.in_card[id];
-        } else {
-            // Without a regrid the node must inherit its parent's grid.
-            let parent = tree.node(id).parent.expect("internal node has a parent");
-            assert_eq!(
-                g, &scheme.node_grids[parent],
-                "node {id} changed grids without a regrid"
-            );
-        }
-        vol += (g.dim(n) as f64 - 1.0) * cost.out_card[id];
-    }
-    vol
+    elements(&sweep(meta, tree, scheme), Op::in_tree)
 }
 
 /// Compute the optimal dynamic grid scheme for `tree` on `nranks` ranks.
@@ -242,8 +209,13 @@ pub fn optimal_dynamic_grids(
 ) -> DynGridScheme {
     let grids = candidate_grids(meta, nranks);
     let ng = grids.len();
-    let cost = tree_cost(tree, meta);
     let len = tree.len();
+    let ttm_children = |u: usize| -> Vec<usize> {
+        let children = tree.node(u).children.iter().copied();
+        children
+            .filter(|&c| matches!(tree.node(c).label, NodeLabel::Ttm(_)))
+            .collect()
+    };
 
     // Per internal node: A_u[g] and dvol*(u | g), plus the chosen regrid
     // target and its cost.
@@ -252,53 +224,42 @@ pub fn optimal_dynamic_grids(
     let mut regrid_target: Vec<usize> = vec![usize::MAX; len];
     let mut regrid_cost: Vec<f64> = vec![f64::INFINITY; len];
 
-    // Bottom-up (children before parents).
-    let mut order = tree.topological_order();
-    order.reverse();
-    for &u in &order {
-        let NodeLabel::Ttm(n) = tree.node(u).label else {
+    // Bottom-up (children before parents): the tree's TTMs, last issued
+    // first.
+    for op in sweep_on(meta, tree, &grids[0]).iter().rev() {
+        let OpKind::Ttm {
+            node: Some(u),
+            mode: n,
+            out,
+        } = op.kind
+        else {
             continue;
         };
-        let internal_children: Vec<usize> = tree
-            .node(u)
-            .children
-            .iter()
-            .copied()
-            .filter(|&c| matches!(tree.node(c).label, NodeLabel::Ttm(_)))
-            .collect();
+        let internal_children = ttm_children(u);
 
         let mut au = vec![0.0; ng];
         let mut children_only = vec![0.0; ng];
         for (gi, g) in grids.iter().enumerate() {
-            let ttm = (g.dim(n) as f64 - 1.0) * cost.out_card[u];
+            let ttm = ttm_volume(g.dim(n), out);
             let kids: f64 = internal_children.iter().map(|&c| dvol[c][gi]).sum();
             au[gi] = ttm + kids;
             children_only[gi] = kids;
         }
 
-        // Regrid target selection.
-        let (target, target_a) = match objective {
-            DynGridObjective::Exact => {
-                let mut best = 0;
-                for gi in 1..ng {
-                    if au[gi] < au[best] {
-                        best = gi;
-                    }
-                }
-                (best, au[best])
-            }
-            DynGridObjective::ChildrenOnly => {
-                let mut best = 0;
-                for gi in 1..ng {
-                    if children_only[gi] < children_only[best] {
-                        best = gi;
-                    }
-                }
-                (best, au[best])
-            }
+        // Regrid target selection: the first grid minimizing the objective.
+        let key = match objective {
+            DynGridObjective::Exact => &au,
+            DynGridObjective::ChildrenOnly => &children_only,
         };
+        let mut target = 0;
+        for gi in 1..ng {
+            if key[gi] < key[target] {
+                target = gi;
+            }
+        }
+        let target_a = au[target];
         regrid_target[u] = target;
-        regrid_cost[u] = cost.in_card[u] + target_a;
+        regrid_cost[u] = regrid_volume(op.input) + target_a;
 
         let dv: Vec<f64> = au.iter().map(|&av| av.min(regrid_cost[u])).collect();
         a[u] = au;
@@ -307,14 +268,7 @@ pub fn optimal_dynamic_grids(
 
     // Root: choose the initial grid minimizing the sum over the root's
     // internal children (no regrid at the root, §4.4).
-    let root = tree.root();
-    let root_children: Vec<usize> = tree
-        .node(root)
-        .children
-        .iter()
-        .copied()
-        .filter(|&c| matches!(tree.node(c).label, NodeLabel::Ttm(_)))
-        .collect();
+    let root_children = ttm_children(tree.root());
     let mut best_g = 0;
     let mut best_total = f64::INFINITY;
     for (gi, _) in grids.iter().enumerate() {
@@ -386,15 +340,10 @@ mod tests {
         let meta = meta3();
         let tree = chain_tree(&meta, &[0, 1, 2]);
         let g = Grid::new([4, 1, 1]);
-        let cost = tree_cost(&tree, &meta);
-        let mut expect = 0.0;
-        for id in tree.internal_nodes() {
-            if let NodeLabel::Ttm(0) = tree.node(id).label {
-                expect += 3.0 * cost.out_card[id];
-            }
-        }
+        // The mode-0 TTMs head the chains of leaves 1 and 2, each with
+        // |Out| = 40³ · 0.2.
+        let expect = 2.0 * 3.0 * (40.0 * 40.0 * 40.0 * 0.2);
         assert_eq!(static_volume(&tree, &meta, &g), expect);
-        assert!(expect > 0.0);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!   the `O(4^N)` optimal-tree DP (§3.3);
 //! * [`order`] — every mode-ordering rule: chain orderings, the core-chain
 //!   order, the optimal STHOSVD order;
-//! * [`grid`] — the §4 volume model, optimal static grids, dynamic gridding
-//!   and its DP, candidate-grid utilities (symmetric-grid dedup);
+//! * [`schedule`] — one sweep's operations (regrids, tree TTMs, leaf Grams,
+//!   the core chain, the norm all-reduce) in the executor's issue order, and
+//!   the §4.1/§4.3 per-operation volumes; every price below folds over it;
+//! * [`grid`] — the §4 volume of a scheme, optimal static grids, dynamic
+//!   gridding and its DP, candidate-grid utilities (symmetric-grid dedup);
 //! * [`cost`] — the [`CostModel`] contract with the
 //!   closed-form [`FlopVolumeModel`] and the α–β
 //!   [`NetCostModel`] (whose
@@ -31,18 +34,20 @@ pub mod cache;
 pub mod cost;
 pub mod grid;
 pub mod order;
+pub mod schedule;
 pub mod search;
 pub mod tree;
 
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use cost::{CostModel, FlopVolumeModel, NetCostModel, SweepPrediction, VOLUME_FLOP_EQUIV};
+pub use schedule::{Op, OpKind};
 pub use search::{optimize, RankedPlans, ScoredPlan, SearchBudget};
 
 use crate::meta::TuckerMeta;
 use cost::tree_flops;
 use grid::{optimal_dynamic_grids, optimal_static_grid, DynGridObjective, DynGridScheme};
-use order::{core_chain_order, ModeOrdering};
-use tree::{balanced_tree, chain_tree, greedy_reuse_tree, optimal_tree, NodeLabel, TtmTree};
+use order::ModeOrdering;
+use tree::{balanced_tree, chain_tree, greedy_reuse_tree, optimal_tree, TtmTree};
 
 /// Which TTM-tree to build.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,48 +134,38 @@ impl Plan {
         format!("({}, {})", self.labels.0, self.labels.1)
     }
 
+    /// The operations of one sweep executing this plan.
+    pub fn schedule(&self) -> Vec<Op<'_>> {
+        schedule::sweep(&self.meta, &self.tree, &self.grids)
+    }
+
     /// §4.1 closed-form prediction of the tree's reduce-scatter traffic in
     /// elements: `Σ_u (q_n(u) − 1)·|Out(u)|` under each node's grid. The
     /// engine's ledger matches this **exactly** (uneven chunks included —
     /// the chunks partition `K_n`, so the per-group sums telescope).
     pub fn modeled_tree_ttm_elements(&self) -> f64 {
-        let cost = cost::tree_cost(&self.tree, &self.meta);
-        let mut vol = 0.0;
-        for id in self.tree.internal_nodes() {
-            let NodeLabel::Ttm(n) = self.tree.node(id).label else {
-                unreachable!()
-            };
-            vol += (self.grids.node_grids[id].dim(n) as f64 - 1.0) * cost.out_card[id];
-        }
-        vol
+        let tree_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: Some(_), .. });
+        schedule::elements(&self.schedule(), tree_ttm)
     }
 
     /// §4.3 model of the regrid traffic in elements: `Σ |In(u)|` over the
     /// regridded nodes. This is an upper bound on the ledger (elements whose
     /// owner does not change are not transmitted).
     pub fn modeled_regrid_elements(&self) -> f64 {
-        let cost = cost::tree_cost(&self.tree, &self.meta);
-        self.tree
-            .internal_nodes()
-            .into_iter()
-            .filter(|&id| self.grids.regrid[id])
-            .map(|id| cost.in_card[id])
-            .sum()
+        // `Sum` starts from -0.0: a plan that never regrids reads -0.0, the
+        // value its artifacts record.
+        let schedule = self.schedule();
+        let regrids = schedule
+            .iter()
+            .filter(|op| matches!(op.kind, OpKind::Regrid { .. }));
+        regrids.map(Op::elements).sum()
     }
 
-    /// §4.1 prediction for the engine's core-update chain (all modes, in
-    /// [`core_chain_order`], under the initial grid — mirroring `hooi_sweep`
-    /// exactly), in elements.
+    /// §4.1 prediction for the engine's core-update chain (every mode, in
+    /// the schedule's chain order, under the initial grid), in elements.
     pub fn modeled_core_chain_elements(&self) -> f64 {
-        let meta = &self.meta;
-        let g = &self.grids.initial;
-        let mut card = meta.input_cardinality();
-        let mut vol = 0.0;
-        for &n in &core_chain_order(meta) {
-            card *= meta.h(n);
-            vol += (g.dim(n) as f64 - 1.0) * card;
-        }
-        vol
+        let chain_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: None, .. });
+        schedule::elements(&self.schedule(), chain_ttm)
     }
 
     /// Total `TtmReduceScatter` ledger prediction for one engine sweep:
@@ -202,14 +197,6 @@ impl Plan {
             grids,
             ..self.clone()
         })
-    }
-
-    /// Scalar modeled cost of one HOOI invocation under the classic
-    /// closed-form objective: TTM FLOPs plus the communication volume
-    /// weighted by [`VOLUME_FLOP_EQUIV`] — equal to
-    /// `self.cost(&FlopVolumeModel)`.
-    pub fn modeled_cost(&self) -> f64 {
-        self.flops + VOLUME_FLOP_EQUIV * self.volume
     }
 }
 
@@ -413,8 +400,10 @@ mod tests {
         let p = planner();
         let best = p.best_plan();
         let recomputed = sweep_cost(&FlopVolumeModel, p.meta(), &best.tree, &best.grids);
-        // Classic model: sweep_cost == flops + 16 * volume == modeled_cost.
-        assert!((recomputed - best.modeled_cost()).abs() <= best.modeled_cost() * 1e-9);
+        // Classic model: sweep_cost == flops + 16 * volume.
+        let reported = best.flops + VOLUME_FLOP_EQUIV * best.volume;
+        assert!((recomputed - reported).abs() <= reported * 1e-9);
+        assert_eq!(recomputed, best.cost(&FlopVolumeModel));
         assert!(best.tree.validate().is_ok());
     }
 

@@ -155,20 +155,6 @@ impl TtmTree {
         out
     }
 
-    /// The set of modes multiplied on the path from the root down to and
-    /// including `id`, as a bitmask.
-    pub fn premultiplied_mask(&self, id: usize) -> u32 {
-        let mut mask = 0u32;
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            if let NodeLabel::Ttm(n) = self.nodes[c].label {
-                mask |= 1 << n;
-            }
-            cur = self.nodes[c].parent;
-        }
-        mask
-    }
-
     /// Maximum number of internal nodes on any root-to-leaf path.
     pub fn depth(&self) -> usize {
         self.leaves()
@@ -646,17 +632,6 @@ mod tests {
             );
             assert!(bal.validate().is_ok());
         }
-    }
-
-    #[test]
-    fn premultiplied_mask_accumulates() {
-        let meta = meta4();
-        let t = chain_tree(&meta, &[0, 1, 2, 3]);
-        // Walk the first chain: masks grow 1 -> 11 -> 111 (modes 1,2,3 for leaf 0).
-        let c1 = t.node(t.root()).children[0];
-        let c2 = t.node(c1).children[0];
-        assert_eq!(t.premultiplied_mask(c1), 0b0010);
-        assert_eq!(t.premultiplied_mask(c2), 0b0110);
     }
 
     #[test]

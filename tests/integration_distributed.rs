@@ -80,14 +80,7 @@ fn measured_regrid_volume_bounded_by_model() {
     );
 
     // Model upper bound: sum of |In(u)| over regridded nodes.
-    let cost = tucker_core::plan::cost::tree_cost(&plan.tree, &meta);
-    let model: f64 = plan
-        .tree
-        .internal_nodes()
-        .into_iter()
-        .filter(|&id| plan.grids.regrid[id])
-        .map(|id| cost.in_card[id])
-        .sum();
+    let model = plan.modeled_regrid_elements();
 
     let out = DistRun::of(&plan, 1).run(field_for(&meta));
     let s = &out.per_sweep[0];
