@@ -60,8 +60,18 @@ const KERNEL_SHAPES: [KernelShape; 3] = [
 /// produce.
 const EVD_CASES: [(usize, usize); 6] = [(10, 6), (16, 8), (32, 8), (64, 16), (160, 32), (256, 32)];
 
+/// The streamed-vs-packed table's tensor: `(dims, rows of each mode's
+/// factor, the modes timed, timed repetitions per arm)`.
+pub type StreamShape = (&'static [usize], &'static [usize], &'static [usize], usize);
+
+/// The `host-skinny5d` workload's full-tensor TTMs that stream: mode 0
+/// (K = 8, the tensor streamed as the B side) and the last mode (K = 4,
+/// streamed as the A side). Mode 1 (K = 6 > `NR`) is packed on every host
+/// and has no streamed kernel to time.
+const STREAM_SHAPE: StreamShape = (&[32, 24, 32, 24, 16], &[8, 6, 8, 6, 4], &[0, 4], 9);
+
 pub(super) fn kernels(_: &Opts) -> (Artifact, Gate) {
-    kernels_on(&KERNEL_SHAPES, &EVD_CASES)
+    kernels_on(&KERNEL_SHAPES, &EVD_CASES, &STREAM_SHAPE)
 }
 
 /// Kernel ablation: the packed, cache-blocked micro-kernels of
@@ -78,8 +88,13 @@ pub(super) fn kernels(_: &Opts) -> (Artifact, Gate) {
 /// cache-busting shape beats naive (>= 1.3x on >= 4 cores); the small-inner
 /// TTM beats naive; the warm workspace chain beats fresh allocation where the
 /// buffers outgrow the cache; every EVD row meets residual and orthogonality
-/// `<= 1e-13`.
-pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Artifact, Gate) {
+/// `<= 1e-13`; the streamed and packed arms of every `streamed` row agree
+/// bit for bit.
+pub fn kernels_on(
+    shapes: &[KernelShape],
+    evd_cases: &[(usize, usize)],
+    stream_shape: &StreamShape,
+) -> (Artifact, Gate) {
     use tucker_linalg::{
         gemm, gemm_into, set_kernel_mode, sym_evd_leading, syrk, syrk_into, KernelMode, Transpose,
         Transpose::No,
@@ -295,14 +310,120 @@ pub fn kernels_on(shapes: &[KernelShape], evd_cases: &[(usize, usize)]) -> (Arti
         );
     }
 
+    let streamed = streamed_rows(stream_shape, &mut gates);
+
     let doc = Obj::new()
         .model("schema", "tucker-bench/kernels/v2")
         .host("host_cores", host_cores)
         .host("isa", isa)
         .host("skipped_single_core", host_cores < 2)
         .rows("shapes", shape_docs)
-        .rows("evd", evd_rows);
+        .rows("evd", evd_rows)
+        .obj("streamed", streamed);
     (Artifact::Json(doc), gates.finish())
+}
+
+/// Full-tensor TTMs run on `tucker_linalg::pack` directly, one thread, both
+/// ways: packed (the tensor copied block by block into pack panels) and
+/// streamed (only the factor packed, the tensor read where it lies). The
+/// seconds of each arm are `host`. The arms' bitwise agreement and what the
+/// production TTM (`ttm_into_threads`, one part) packs per call are
+/// `model`.
+fn streamed_rows(&(dims, core, modes, reps): &StreamShape, gates: &mut Gates) -> Obj {
+    use tucker_linalg::pack::{self, PackPair};
+    use tucker_tensor::ttm_into_threads;
+
+    let t = DenseTensor::from_fn(Shape::new(dims.to_vec()), |c| hash_noise(c, 0x57EA));
+    let src = t.as_slice();
+    println!("-- streamed vs packed TTM, one thread, median of {reps} --");
+    let mut rows = Vec::new();
+    for &n in modes {
+        let (k, ln) = (core[n], dims[n]);
+        let inner: usize = dims[..n].iter().product();
+        assert!(
+            k <= if inner == 1 { pack::MR } else { pack::NR },
+            "mode {n} has no streamed kernel: K = {k}"
+        );
+        let outer: usize = dims[n + 1..].iter().product();
+        let f = Matrix::from_fn(k, ln, |i, j| hash_noise(&[n, i, j], 0xFAC7));
+        let a = f.as_slice();
+        let mut packs = PackPair::new();
+        let mut outs = [vec![0.0; inner * k * outer], vec![0.0; inner * k * outer]];
+        let (streamed_s, packed_s) = median_pair_secs(reps, |streamed| {
+            let out = &mut outs[usize::from(streamed)];
+            out.fill(0.0);
+            if streamed {
+                let len = pack::packed_factor_len(ln);
+                packs.a.ensure(len);
+                pack::pack_factor(packs.a.slice_mut(len), k, ln, a, 1, k);
+                let fp = packs.a.slice(len);
+                if inner == 1 {
+                    pack::gemm_streamed_b(k, outer, ln, fp, src, ln, 1.0, out, k);
+                } else {
+                    for (o, dst) in out.chunks_mut(inner * k).enumerate() {
+                        let slab = &src[o * inner * ln..];
+                        pack::gemm_streamed_a(inner, k, ln, slab, inner, fp, 1.0, dst, inner);
+                    }
+                }
+            } else if inner == 1 {
+                pack::gemm_packed(k, outer, ln, a, 1, k, src, 1, ln, 1.0, out, k, &mut packs);
+            } else {
+                let len = pack::packed_b_full_len(ln, k);
+                packs.b.ensure(len);
+                pack::pack_b_full(packs.b.slice_mut(len), ln, k, a, k, 1);
+                for (o, dst) in out.chunks_mut(inner * k).enumerate() {
+                    let slab = &src[o * inner * ln..];
+                    let bp = packs.b.slice(len);
+                    pack::gemm_prepacked_b(
+                        inner,
+                        k,
+                        ln,
+                        slab,
+                        1,
+                        inner,
+                        bp,
+                        1.0,
+                        dst,
+                        inner,
+                        &mut packs.a,
+                    );
+                }
+            }
+            black_box(out);
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let equal = bits(&outs[0]) == bits(&outs[1]);
+        gates.check(equal, || {
+            format!("streamed TTM mode {n} differs from packed in some bit")
+        });
+        let mut prod = Vec::new();
+        let before = tucker_linalg::bytes_packed();
+        ttm_into_threads(&t, n, &f, &mut prod, 1);
+        let bytes = tucker_linalg::bytes_packed() - before;
+        println!(
+            "   mode {n} K={k}: packed {:>9.1}us  streamed {:>9.1}us  speedup {:>5.2}x  \
+             production packs {bytes} B of {} B",
+            packed_s * 1e6,
+            streamed_s * 1e6,
+            packed_s / streamed_s,
+            src.len() * 8
+        );
+        rows.push(
+            Obj::new()
+                .model("mode", n)
+                .model("k", k)
+                .host("packed_s", secs(packed_s))
+                .host("streamed_s", secs(streamed_s))
+                .host("speedup", Fix(packed_s / streamed_s, 4))
+                .model("bitwise_equal", equal)
+                .model("bytes_packed", bytes),
+        );
+    }
+    Obj::new()
+        .model_list("shape", dims.iter().copied())
+        .model("input_bytes", src.len() * 8)
+        .model("reps", reps)
+        .rows("ttm", rows)
 }
 
 // --------------------------------------------------------------- Backends

@@ -11,7 +11,7 @@ mod virtual_time;
 use crate::artifact::{Artifact, Gate, Obj};
 use tucker_core::TuckerMeta;
 
-pub use host::{kernels_on, KernelShape};
+pub use host::{kernels_on, KernelShape, StreamShape};
 pub use paper::summary;
 
 /// What the command line can set, plus the mesh worker pool the simulated

@@ -533,18 +533,31 @@ impl NetCostModel {
     /// equal grids stay equal and the scheme's regrid flags remain faithful;
     /// the geometric volume is unchanged (only the rank → coordinate mapping
     /// moves). Returns `None` when no grid changes.
-    pub fn node_align_scheme(
+    pub fn node_align_scheme<'s>(
         &self,
         meta: &TuckerMeta,
-        scheme: &DynGridScheme,
+        scheme: &'s DynGridScheme,
     ) -> Option<DynGridScheme> {
         let mut changed = false;
-        let mut align = |g: &Grid| match self.node_aligned_variant(meta, g) {
-            Some(v) => {
-                changed = true;
-                v
+        // A scheme repeats few distinct grids over many nodes: work out each
+        // one's variant once.
+        let mut seen: Vec<(&Grid, Option<Grid>)> = Vec::new();
+        let mut align = |g: &'s Grid| {
+            let variant = match seen.iter().find(|(s, _)| *s == g) {
+                Some((_, v)) => v.clone(),
+                None => {
+                    let v = self.node_aligned_variant(meta, g);
+                    seen.push((g, v.clone()));
+                    v
+                }
+            };
+            match variant {
+                Some(v) => {
+                    changed = true;
+                    v
+                }
+                None => g.clone(),
             }
-            None => g.clone(),
         };
         let initial = align(&scheme.initial);
         let node_grids: Vec<Grid> = scheme.node_grids.iter().map(&mut align).collect();

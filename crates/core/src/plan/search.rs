@@ -214,6 +214,10 @@ struct JointDp<'a> {
     /// ([`CostModel::regrid_pricer`]); every memo miss above prices
     /// through it.
     regrid: RegridPricer<'a>,
+    /// Per `(premult, mode)` slot `premult · n + mode`: the TTM price under
+    /// every candidate grid, filled the first time a tail needs it and
+    /// shared by every `Q` with that premult.
+    ttm_prices: Vec<Option<Box<[f64]>>>,
 }
 
 impl<'a> JointDp<'a> {
@@ -243,6 +247,7 @@ impl<'a> JointDp<'a> {
             tails: vec![None; states * n],
             regrid_prices: vec![None; 1 << n],
             regrid: model.regrid_pricer(meta, grids),
+            ttm_prices: vec![None; (1 << n) * n],
         }
     }
 
@@ -370,17 +375,23 @@ impl<'a> JointDp<'a> {
     /// Compute (once) the continuation vector for reusing `m` at `(p, q)`
     /// into slot `key = index3(p, q) · n + m`:
     /// `tail[g'] = ttm(P, m, g') + solve(P ∪ {m}, Q, g')`, memoized per
-    /// `(state, mode)` and shared by every current grid's transitions.
+    /// `(state, mode)` and shared by every current grid's transitions. The
+    /// `ttm` prices themselves depend on the premult alone: they are priced
+    /// once per `(P, m)` and reused for every `Q`.
     fn ensure_tail(&mut self, key: usize, p: u32, q: u32, m: usize) {
         if self.tails[key].is_some() {
             return;
         }
-        let tail: Vec<f64> = (0..self.ng)
-            .map(|gi| {
-                self.model.ttm_cost(self.meta, p, m, &self.grids[gi])
-                    + self.solve(p | (1 << m), q, gi)
-            })
+        let slot = p as usize * self.n + m;
+        let prices = self.ttm_prices[slot].take().unwrap_or_else(|| {
+            (0..self.ng)
+                .map(|gi| self.model.ttm_cost(self.meta, p, m, &self.grids[gi]))
+                .collect()
+        });
+        let tail = (0..self.ng)
+            .map(|gi| prices[gi] + self.solve(p | (1 << m), q, gi))
             .collect();
+        self.ttm_prices[slot] = Some(prices);
         self.tails[key] = Some(tail);
     }
 

@@ -234,9 +234,6 @@ fn kernel(a: &[f64], m: usize, k: usize, b: &[f64], jn: usize, alpha: f64, c: &m
                 let bj = &b[j * k..(j + 1) * k];
                 for l in l0..l0 + lb {
                     let blj = alpha * bj[l];
-                    if blj == 0.0 {
-                        continue;
-                    }
                     let al = &a[l * m + i0..l * m + i0 + ib];
                     let cji = &mut cj[i0..i0 + ib];
                     // Inner axpy: auto-vectorizes.

@@ -15,6 +15,18 @@
 //!   per step), [`MC`] (rows of `A` resident in L2), and [`NC`] (columns of
 //!   `B` per outermost step).
 //!
+//! Packing pays only when a packed panel is read more than once. A `B`
+//! panel is read by every row tile, so a product with `m ≤ MR` rows reads
+//! each `B` panel once ([`b_panel_readers`]). An `A` panel is read once when
+//! one register tile spans all `n` columns of `C`, which holds for
+//! `n ≤ NR`, the packed tile's own width. For those shapes the **streamed** kernels
+//! ([`gemm_streamed_b`], [`gemm_streamed_a`]) pack only the small factor
+//! ([`pack_factor`]) and feed the other operand from where it lies into an
+//! exact-width register tile. They keep the `KC` split, the per-element sum
+//! from `0.0` over `l` ascending and the `c += alpha·acc` store, so they
+//! give every element of `C` the bits the packed kernels give it. The TTM
+//! picks them by this rule (DESIGN.md §8, "Streaming what is read once").
+//!
 //! Because packing costs `O(mk + kn)` against `O(mnk)` compute, the packed
 //! path only wins once the operands amortize it; [`use_packed`] is the
 //! one-shot runtime pick (`m·n·k` against a fixed threshold), overridable
@@ -567,15 +579,22 @@ fn mk_accumulate<const BS: usize>(ap: &[f64], bp: &[f64], off: usize) -> [[f64; 
     acc
 }
 
-/// Scale-and-add a micro-tile into `C` (`c` points at the tile origin,
-/// element `(i, j)` at `c[i + j·ldc]`); edge tiles store the `mr×nr` live
-/// corner only.
+/// Scale-and-add an `M×N` micro-tile into `C` (`c` points at the tile
+/// origin, element `(i, j)` at `c[i + j·ldc]`); edge tiles store the `mr×nr`
+/// live corner only.
 #[inline(always)]
-fn mk_store(acc: &[[f64; MR]; NR], alpha: f64, c: &mut [f64], ldc: usize, mr: usize, nr: usize) {
-    if mr == MR && nr == NR {
+fn mk_store<const M: usize, const N: usize>(
+    acc: &[[f64; M]; N],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    if mr == M && nr == N {
         for (j, aj) in acc.iter().enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + MR];
-            for i in 0..MR {
+            let cj = &mut c[j * ldc..j * ldc + M];
+            for i in 0..M {
                 cj[i] += alpha * aj[i];
             }
         }
@@ -802,6 +821,276 @@ pub fn gemm_prepacked_b_on(
         },
     );
     grew
+}
+
+/// How many register tiles read one packed `B` panel (`NR` columns, all
+/// rows) of a product with `m` rows of `C`. Packing a panel pays off only
+/// when more than one tile reads it: at one, [`gemm_streamed_b`] reads `B`
+/// where it lies and computes the same bits.
+pub fn b_panel_readers(m: usize) -> usize {
+    m.div_ceil(MR)
+}
+
+/// Packed length of a factor for the streamed kernels: one `MR`-lane panel
+/// spanning the whole depth, its `KC` blocks back to back.
+pub fn packed_factor_len(depth: usize) -> usize {
+    MR * depth
+}
+
+/// Pack the `lanes × depth` factor operand of [`gemm_streamed_b`] or
+/// [`gemm_streamed_a`] (lane `w`, depth `l` at `f[w·lane_stride +
+/// l·depth_stride]`, `lanes ≤ MR`) into one zero-padded `MR`-lane panel:
+/// element `(w, l)` at `l·MR + w`, so depth block `pc..pc+kc` is the
+/// contiguous run `pc·MR..(pc+kc)·MR`. A TTM's `K × L` factor packs with
+/// its rows as the lanes (`lane_stride = 1`, `depth_stride = K`) whichever
+/// side of the product it sits on.
+pub fn pack_factor(
+    dst: &mut [f64],
+    lanes: usize,
+    depth: usize,
+    f: &[f64],
+    lane_stride: usize,
+    depth_stride: usize,
+) {
+    assert!(lanes <= MR, "a streamed factor has at most MR = {MR} lanes");
+    debug_assert_eq!(dst.len(), packed_factor_len(depth));
+    Isa::detect().run(
+        #[inline(always)]
+        || pack_panels::<MR>(dst, f, lane_stride, depth_stride, 0, lanes, 0, depth),
+    )
+}
+
+// The streamed kernels enumerate their exact-width tiles by hand.
+const _: () = assert!(MR == 8 && NR == 4);
+
+/// The streamed-`B` register tile: `acc[j][i] = Σ_l fp[l·MR + i] · col_j[l]`
+/// for `i < M`, over the depth of `fp` (an `MR`-lane factor panel) and four
+/// depth-contiguous `B` columns read where they lie. Per element the sum is
+/// [`mk_accumulate`]'s: `l` ascending from `0.0`, `A`-side times `B`-side.
+#[inline(always)]
+fn mk_stream_b<const M: usize>(fp: &[f64], cols: [&[f64]; NR]) -> [[f64; M]; NR] {
+    let [c0, c1, c2, c3] = cols;
+    let mut acc = [[0.0f64; M]; NR];
+    for ((((f, &b0), &b1), &b2), &b3) in fp.chunks_exact(MR).zip(c0).zip(c1).zip(c2).zip(c3) {
+        let b4 = [b0, b1, b2, b3];
+        for j in 0..NR {
+            let bj = b4[j];
+            for i in 0..M {
+                acc[j][i] += f[i] * bj;
+            }
+        }
+    }
+    acc
+}
+
+/// The streamed-`A` register tile: `acc[j][i] = Σ_l row(l)[i] · fp[l·MR + j]`
+/// for `j < N`, where `row(l)` loads the tile's `MR` rows of `A` at depth
+/// `l` where they lie. Per element the sum is [`mk_accumulate`]'s.
+#[inline(always)]
+fn mk_stream_a<const N: usize>(fp: &[f64], row: impl Fn(usize) -> [f64; MR]) -> [[f64; MR]; N] {
+    let mut acc = [[0.0f64; MR]; N];
+    for (l, f) in fp.chunks_exact(MR).enumerate() {
+        let a8 = row(l);
+        for j in 0..N {
+            let fj = f[j];
+            for i in 0..MR {
+                acc[j][i] += a8[i] * fj;
+            }
+        }
+    }
+    acc
+}
+
+/// [`gemm_streamed_b`]'s loop nest for `m == M`: `NR`-column tiles, each
+/// over the `KC` blocks in ascending order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stream_b_body<const M: usize>(
+    n: usize,
+    k: usize,
+    fpack: &[f64],
+    b: &[f64],
+    b_cs: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for jr in (0..n).step_by(NR) {
+        let nr = NR.min(n - jr);
+        // An edge tile's dead lanes re-read its last live column; their sums
+        // are never stored.
+        let cols: [&[f64]; NR] = std::array::from_fn(|j| &b[(jr + j.min(nr - 1)) * b_cs..][..k]);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let acc = mk_stream_b::<M>(
+                &fpack[pc * MR..(pc + kc) * MR],
+                cols.map(|col| &col[pc..pc + kc]),
+            );
+            mk_store(&acc, alpha, &mut c[jr * ldc..], ldc, M, nr);
+        }
+    }
+}
+
+/// [`gemm_streamed_a`]'s loop nest for `n == N`: `MR`-row tiles, each over
+/// the `KC` blocks in ascending order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stream_a_body<const N: usize>(
+    m: usize,
+    k: usize,
+    a: &[f64],
+    a_cs: usize,
+    fpack: &[f64],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for ir in (0..m).step_by(MR) {
+        let mr = MR.min(m - ir);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let fp = &fpack[pc * MR..(pc + kc) * MR];
+            let base = ir + pc * a_cs;
+            let acc = if mr == MR {
+                mk_stream_a::<N>(fp, |l| {
+                    a[base + l * a_cs..][..MR]
+                        .try_into()
+                        .expect("an MR-row slice")
+                })
+            } else {
+                // An edge tile's dead rows re-read its last live row; their
+                // sums are never stored.
+                mk_stream_a::<N>(fp, |l| {
+                    std::array::from_fn(|i| a[base + l * a_cs + i.min(mr - 1)])
+                })
+            };
+            mk_store(&acc, alpha, &mut c[ir..], ldc, mr, N);
+        }
+    }
+}
+
+/// Streamed GEMM with the factor on the left: `C[m×n] += alpha · F·B` for
+/// `m ≤ MR`, `F` packed by [`pack_factor`] (`m` lanes, depth `k`) and `B`
+/// read in place, column by column (element `(l, j)` at `b[l + j·b_cs]`).
+///
+/// This is the mode-0 TTM (`Out = A · Src`, `B` the tensor's fibers): with
+/// `m ≤ MR` a packed `B` panel would be read by a single register tile, so
+/// [`gemm_packed`] copies every byte of `B` to read it once. Here only `F`
+/// is packed, and an exact-`m` tile reads `B` where it lies. Every element
+/// of `C` sums the same products in the same order as [`gemm_packed`] — per
+/// `KC` block from `0.0`, `l` ascending, then `c += alpha·acc` — so the two
+/// agree in every bit.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_streamed_b(
+    m: usize,
+    n: usize,
+    k: usize,
+    fpack: &[f64],
+    b: &[f64],
+    b_cs: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    gemm_streamed_b_on(Isa::detect(), m, n, k, fpack, b, b_cs, alpha, c, ldc)
+}
+
+/// [`gemm_streamed_b`] compiled for `isa` (for tests: same body, same bits).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_streamed_b_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    fpack: &[f64],
+    b: &[f64],
+    b_cs: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
+    assert!(m <= MR, "a streamed-B product has at most MR = {MR} rows");
+    debug_assert_eq!(fpack.len(), packed_factor_len(k));
+    let (f, cs) = (fpack, b_cs);
+    isa.run(
+        #[inline(always)]
+        || match m {
+            1 => stream_b_body::<1>(n, k, f, b, cs, alpha, c, ldc),
+            2 => stream_b_body::<2>(n, k, f, b, cs, alpha, c, ldc),
+            3 => stream_b_body::<3>(n, k, f, b, cs, alpha, c, ldc),
+            4 => stream_b_body::<4>(n, k, f, b, cs, alpha, c, ldc),
+            5 => stream_b_body::<5>(n, k, f, b, cs, alpha, c, ldc),
+            6 => stream_b_body::<6>(n, k, f, b, cs, alpha, c, ldc),
+            7 => stream_b_body::<7>(n, k, f, b, cs, alpha, c, ldc),
+            _ => stream_b_body::<MR>(n, k, f, b, cs, alpha, c, ldc),
+        },
+    )
+}
+
+/// Streamed GEMM with the factor on the right: `C[m×n] += alpha · A·F` for
+/// `n ≤ NR`, `A` read in place, row tile by row tile (element `(i, l)` at
+/// `a[i + l·a_cs]`), and `F` packed by [`pack_factor`] (`n` lanes, depth
+/// `k`).
+///
+/// This is the slab TTM (`Out_o = S_o · Aᵀ`, `A` the slab's rows): with
+/// `n ≤ NR` a packed `A` panel would be read by a single register tile. An
+/// exact-`n` tile (`MR × n`, at most the packed kernels' `MR × NR`) reads
+/// each element of `A` once, where it lies. Wider tiles were measured and
+/// not kept: `n = 8` spills and ran 0.69× of the packed kernel on 768-row
+/// slabs, and `n = 6` under AVX2 did not win reliably.
+/// Every element of `C` carries the bits [`gemm_prepacked_b`] gives it.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_streamed_a(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    a_cs: usize,
+    fpack: &[f64],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    gemm_streamed_a_on(Isa::detect(), m, n, k, a, a_cs, fpack, alpha, c, ldc)
+}
+
+/// [`gemm_streamed_a`] compiled for `isa` (for tests: same body, same bits).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_streamed_a_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    a_cs: usize,
+    fpack: &[f64],
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
+    assert!(
+        n <= NR,
+        "a streamed-A product has at most NR = {NR} columns"
+    );
+    debug_assert_eq!(fpack.len(), packed_factor_len(k));
+    let (f, cs) = (fpack, a_cs);
+    isa.run(
+        #[inline(always)]
+        || match n {
+            1 => stream_a_body::<1>(m, k, a, cs, f, alpha, c, ldc),
+            2 => stream_a_body::<2>(m, k, a, cs, f, alpha, c, ldc),
+            3 => stream_a_body::<3>(m, k, a, cs, f, alpha, c, ldc),
+            _ => stream_a_body::<NR>(m, k, a, cs, f, alpha, c, ldc),
+        },
+    )
 }
 
 /// Triangle-aware packed SYRK: `C[i, j] += alpha · Σ_l A[i, l] · A[j, l]`

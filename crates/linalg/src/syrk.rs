@@ -72,9 +72,6 @@ pub fn syrk_into(a: &Matrix, alpha: f64, beta: f64, c: &mut Matrix) {
         for l in 0..k {
             let al = &a_buf[l * m..(l + 1) * m];
             let alj = alpha * al[j];
-            if alj == 0.0 {
-                continue;
-            }
             // Only rows i >= j (lower triangle).
             for (cv, av) in cj[j..].iter_mut().zip(&al[j..]) {
                 *cv += alj * av;
@@ -214,9 +211,6 @@ pub fn syrk_aat_lower(a: &[f64], m: usize, c0: usize, c1: usize, c: &mut [f64]) 
     }
     for col in a[c0 * m..c1 * m].chunks_exact(m) {
         for (j, &v) in col.iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
             let cj = &mut c[j * m..(j + 1) * m];
             for (cv, av) in cj[j..].iter_mut().zip(&col[j..]) {
                 *cv += v * av;

@@ -365,3 +365,79 @@ proptest! {
         prop_assert_eq!(bits(&portable), bits(&want), "portable syrk n={n} k={k}");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The streamed kernels against the packed ones, in every bit: with the
+    /// factor (`K ≤ MR` lanes, any depth on both sides of `KC`) on the left,
+    /// `gemm_streamed_b` == `gemm_packed`; on the right (`K ≤ NR`, `A`'s
+    /// columns padded apart as a slab of a larger tensor's rows are),
+    /// `gemm_streamed_a` == `gemm_prepacked_b`. Both also equal their
+    /// portable instantiations. The operands hold signed zeros, and `C`
+    /// starts from noise so the `c += alpha·acc` store is compared too.
+    #[test]
+    fn streamed_kernels_equal_packed_bits(
+        kf in 1usize..=MR,
+        len in 1usize..=70,
+        di in 0usize..DEPTH_EDGES.len(),
+        pad in 0usize..=2,
+        seed in 0u64..10_000,
+    ) {
+        let depth = DEPTH_EDGES[di].max(1);
+        let alpha = 0.5 + noise(seed, 2).abs();
+        let signed_zeros = |mut v: Vec<f64>| {
+            for (i, x) in v.iter_mut().enumerate() {
+                match i % 7 {
+                    3 => *x = 0.0,
+                    5 => *x = -0.0,
+                    _ => {}
+                }
+            }
+            v
+        };
+        // The factor: K × depth, column-major (a TTM's A).
+        let f = signed_zeros(noise_vec(seed ^ 41, kf * depth));
+        let mut fpack = vec![0.0; pack::packed_factor_len(depth)];
+        pack::pack_factor(&mut fpack, kf, depth, &f, 1, kf);
+        // The streamed operand: depth × len for B (columns contiguous),
+        // len × depth for A (rows contiguous).
+        let t = signed_zeros(noise_vec(seed ^ 42, len * depth));
+        let mut packs = PackPair::new();
+
+        // Left factor: C[kf × len] += alpha · F · B.
+        let ldc = kf + pad;
+        let c0 = noise_vec(seed ^ 43, ldc * len);
+        let mut want = c0.clone();
+        pack::gemm_packed(
+            kf, len, depth, &f, 1, kf, &t, 1, depth, alpha, &mut want, ldc, &mut packs,
+        );
+        for isa in [Isa::detect(), Isa::PORTABLE] {
+            let mut got = c0.clone();
+            pack::gemm_streamed_b_on(isa, kf, len, depth, &fpack, &t, depth, alpha, &mut got, ldc);
+            prop_assert_eq!(bits(&got), bits(&want), "B-side {:?} {kf}x{len}x{depth}", isa);
+        }
+
+        // Right factor: C[len × kf] += alpha · A · Fᵀ, A len × depth with
+        // column stride len + pad.
+        let kf = kf.min(NR);
+        let f = &f[..kf * depth];
+        let mut fpack = vec![0.0; pack::packed_factor_len(depth)];
+        pack::pack_factor(&mut fpack, kf, depth, f, 1, kf);
+        let a_cs = len + pad;
+        let t = signed_zeros(noise_vec(seed ^ 45, a_cs * depth));
+        let ldc = len + pad;
+        let c0 = noise_vec(seed ^ 44, ldc * kf);
+        let mut bpack = vec![0.0; pack::packed_b_full_len(depth, kf)];
+        pack::pack_b_full(&mut bpack, depth, kf, f, kf, 1);
+        let mut want = c0.clone();
+        pack::gemm_prepacked_b(
+            len, kf, depth, &t, 1, a_cs, &bpack, alpha, &mut want, ldc, &mut packs.a,
+        );
+        for isa in [Isa::detect(), Isa::PORTABLE] {
+            let mut got = c0.clone();
+            pack::gemm_streamed_a_on(isa, len, kf, depth, &t, a_cs, &fpack, alpha, &mut got, ldc);
+            prop_assert_eq!(bits(&got), bits(&want), "A-side {:?} {len}x{kf}x{depth}", isa);
+        }
+    }
+}

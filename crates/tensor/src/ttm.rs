@@ -16,8 +16,8 @@
 //! Above the packing threshold the slab GEMMs run on the packed
 //! micro-kernels of `tucker_linalg::pack`, and this is where packing
 //! amortizes best: the factor operand `Aᵀ` is **packed once per TTM call**
-//! (`pack_b_full`) and the same pack is streamed by every outer slab and
-//! every part; only the slab operand is packed per block. Mode 0
+//! (`pack_b_full`) and the same pack is read by every outer slab and every
+//! part; only the slab operand is packed per block. Mode 0
 //! (`inner == 1`) collapses to a single column-partitioned GEMM
 //! `Out = A · Src`. Pack buffers have one owner, the thread-local slots of
 //! `tucker_linalg::pack`: a sequential call — free function or
@@ -29,6 +29,15 @@
 //! allocation-free pack buffers included. Below the threshold (or under
 //! `KernelMode::Naive`) the original unrolled dot/axpy slab loops run
 //! unchanged.
+//!
+//! A skinny factor changes which operand is worth packing. With `K ≤ MR`
+//! (mode 0) a packed panel of the tensor would be read by one register
+//! tile, and with `K ≤ NR` (every other mode, slab rows contiguous) a
+//! packed panel of slab rows would be too. Those products **stream** the
+//! tensor instead: only the factor is packed (`pack_factor`), and `gemm_streamed_b` (mode-0 fibers)
+//! or `gemm_streamed_a` (slab rows) read the tensor where it lies. The
+//! streamed kernels give the packed kernels' bits, so the dispatch is a rule
+//! of the shape that no caller can observe, except in `bytes_packed`.
 //!
 //! There is one body, and it takes a view: every entry point accepts
 //! `impl Into<TensorView>`, a `&DenseTensor` being its full view. A
@@ -213,9 +222,6 @@ fn ttm_src_body(
                 let sl = &s[l * inner..(l + 1) * inner];
                 let acol = &a_buf[l * k..(l + 1) * k];
                 for (kk, &alk) in acol.iter().enumerate() {
-                    if alk == 0.0 {
-                        continue;
-                    }
                     let dcol = &mut dst[kk * inner..(kk + 1) * inner];
                     for (d, v) in dcol.iter_mut().zip(sl) {
                         *d += alk * v;
@@ -229,9 +235,6 @@ fn ttm_src_body(
             for i in 0..inner {
                 for l in 0..ln {
                     let x = s[i + l * inner];
-                    if x == 0.0 {
-                        continue;
-                    }
                     let acol = &a_buf[l * k..(l + 1) * k];
                     for (kk, &alk) in acol.iter().enumerate() {
                         dst[i + kk * inner] += alk * x;
@@ -279,59 +282,44 @@ fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
             if inner == 1 {
                 // Mode 0: Out = A · V(0) — one GEMM per maximal constant-stride
                 // column run of the outer space (a column split, which never
-                // changes the per-element KC accumulation order).
+                // changes the per-element KC accumulation order). Contiguous
+                // fibers stream when a packed panel would be read once.
                 let (crun, cstride, orest) = outer_span.split_run();
-                let mut col = 0usize;
+                let runs = || {
+                    let cols = orest.offsets().enumerate();
+                    cols.map(|(r, base)| (r * crun * k, &data[base..]))
+                };
+                if sn == 1 && pack::b_panel_readers(k) == 1 {
+                    let fp = pack_streamed_factor(a_buf, k, ln, &mut packs.a);
+                    for (at, fibers) in runs() {
+                        let dst = &mut out[at..at + crun * k];
+                        pack::gemm_streamed_b(k, crun, ln, fp, fibers, cstride, 1.0, dst, k);
+                    }
+                    return;
+                }
                 let mut grew = false;
-                for base in orest.offsets() {
-                    let dst = &mut out[col * k..(col + crun) * k];
+                for (at, fibers) in runs() {
+                    let dst = &mut out[at..at + crun * k];
                     grew |= pack::gemm_packed(
-                        k,
-                        crun,
-                        ln,
-                        a_buf,
-                        1,
-                        k,
-                        &data[base..],
-                        sn,
-                        cstride,
-                        1.0,
-                        dst,
-                        k,
-                        packs,
+                        k, crun, ln, a_buf, 1, k, fibers, sn, cstride, 1.0, dst, k, packs,
                     );
-                    col += crun;
                 }
                 note_growth(grew);
                 return;
             }
 
-            // General mode: pack Aᵀ once and stream it from one GEMM per
-            // (outer position × maximal inner run) — a row split of the slab
-            // GEMMs, equally harmless to the bits.
-            let bp_len = pack::packed_b_full_len(ln, k);
-            note_growth(packs.b.ensure(bp_len));
-            pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
-            let bpack: &[f64] = packs.b.slice(bp_len);
+            // General mode: pack the factor once and share it with one GEMM
+            // per (outer position × maximal inner run) — a row split of the
+            // slab GEMMs, equally harmless to the bits.
+            let factor = SlabFactor::pack(a_buf, ln, k, rstride == 1, &mut packs.b);
             let apack = &mut packs.a;
             let mut grew = false;
             for (o, obase) in outer_span.offsets().enumerate() {
                 let mut i0 = 0usize;
                 for ibase in irest.offsets() {
                     let dst = &mut out[o * out_slab + i0..][..(k - 1) * inner + run];
-                    grew |= pack::gemm_prepacked_b(
-                        run,
-                        k,
-                        ln,
-                        &data[obase + ibase..],
-                        rstride,
-                        sn,
-                        bpack,
-                        1.0,
-                        dst,
-                        inner,
-                        apack,
-                    );
+                    let rows = &data[obase + ibase..];
+                    grew |= factor.gemm(run, k, ln, rows, rstride, sn, dst, inner, apack);
                     i0 += run;
                 }
             }
@@ -340,7 +328,7 @@ fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
     }
 
     // Naive branches: structural twins of the canonical slab loops, strided
-    // reads, identical per-element accumulation order and zero-skips.
+    // reads, identical per-element accumulation order.
     let a_rows: Option<Matrix> = (inner == 1).then(|| a.transpose());
     for (o, obase) in outer_span.offsets().enumerate() {
         let dst = &mut out[o * out_slab..(o + 1) * out_slab];
@@ -355,9 +343,6 @@ fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
             for l in 0..ln {
                 let acol = &a_buf[l * k..(l + 1) * k];
                 for (kk, &alk) in acol.iter().enumerate() {
-                    if alk == 0.0 {
-                        continue;
-                    }
                     let dcol = &mut dst[kk * inner..(kk + 1) * inner];
                     let mut i = 0usize;
                     for ibase in irest.offsets() {
@@ -376,9 +361,6 @@ fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
                 for t in 0..run {
                     for l in 0..ln {
                         let x = data[obase + ibase + t * rstride + l * sn];
-                        if x == 0.0 {
-                            continue;
-                        }
                         let acol = &a_buf[l * k..(l + 1) * k];
                         for (kk, &alk) in acol.iter().enumerate() {
                             dst[i + t + kk * inner] += alk * x;
@@ -394,15 +376,16 @@ fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
 /// The packed-kernel TTM body: `out` is zeroed, shapes validated.
 ///
 /// * `inner == 1` (mode 0): one GEMM `Out[k×outer] = A[k×ln] · Src[ln×outer]`,
-///   column-partitioned across the parts. Per-element accumulation order only
-///   depends on the `KC` blocking of `ln`, so any partition produces
-///   bit-identical results.
-/// * `inner > 1`: `Aᵀ` is packed **once** into `packs.b` and shared
-///   (read-only) by every slab and every part; each slab runs
-///   `Out_o[inner×k] = S_o[inner×ln] · Aᵀ` with only its `A`-side blocks
-///   packed. Parts are contiguous slab runs; the last mode (`outer == 1`)
-///   has one slab and splits its rows instead
-///   ([`ttm_packed_last_mode_rows`]).
+///   column-partitioned across the parts; with `k ≤ MR` it streams `Src`
+///   (`gemm_streamed_b`). Per-element accumulation order only depends on
+///   the `KC` blocking of `ln`, so any partition produces bit-identical
+///   results.
+/// * `inner > 1`: the factor is packed **once** into `packs.b`
+///   ([`SlabFactor`]) and shared (read-only) by every slab and every part;
+///   each slab runs `Out_o[inner×k] = S_o[inner×ln] · Aᵀ` with its rows
+///   packed per block, or streamed when `k ≤ NR`. Parts are
+///   contiguous slab runs; the last mode (`outer == 1`) has one slab and
+///   splits its rows instead ([`ttm_packed_last_mode_rows`]).
 ///
 /// A sequential call stages through `packs`; the parts of a parallel region
 /// stage through their participant's own scratch. Either way pack growth is
@@ -421,15 +404,28 @@ fn ttm_packed(
 ) {
     pack::with_thread_packs(|packs| {
         let workers = threads.max(1).min(outer.max(1));
+        let per = outer.div_ceil(workers);
         if inner == 1 {
             // Mode 0: Out = A · Src with A[kk,l] = a_buf[kk + l*k] (strides 1, k)
             // and Src[l,o] = src[l + o*ln] (strides 1, ln).
-            if workers > 1 {
-                let per = outer.div_ceil(workers);
-                Pool::shared().chunks_mut(out, k * per, |w, dst| {
-                    let o0 = w * per;
+            if pack::b_panel_readers(k) == 1 {
+                // A packed Src panel would be read by one register tile:
+                // pack A alone and stream Src's fibers where they lie.
+                let fp = pack_streamed_factor(a_buf, k, ln, &mut packs.a);
+                let gemm = |src: &[f64], dst: &mut [f64]| {
                     let cols = dst.len() / k;
-                    let src = &src[o0 * ln..];
+                    pack::gemm_streamed_b(k, cols, ln, fp, src, ln, 1.0, dst, k)
+                };
+                if workers > 1 {
+                    Pool::shared()
+                        .chunks_mut(out, k * per, |w, dst| gemm(&src[w * per * ln..], dst));
+                } else {
+                    gemm(src, out);
+                }
+            } else if workers > 1 {
+                Pool::shared().chunks_mut(out, k * per, |w, dst| {
+                    let cols = dst.len() / k;
+                    let src = &src[w * per * ln..];
                     note_growth(pack::with_part_packs(|part| {
                         pack::gemm_packed(k, cols, ln, a_buf, 1, k, src, 1, ln, 1.0, dst, k, part)
                     }));
@@ -442,13 +438,9 @@ fn ttm_packed(
             return;
         }
 
-        // General mode: pack the factor operand Aᵀ once (element (l, j) of Aᵀ is
-        // A[j, l] = a_buf[j + l*k], i.e. strides (k, 1)) and stream it from
-        // every slab GEMM.
-        let bp_len = pack::packed_b_full_len(ln, k);
-        note_growth(packs.b.ensure(bp_len));
-        pack::pack_b_full(packs.b.slice_mut(bp_len), ln, k, a_buf, k, 1);
-        let bpack: &[f64] = packs.b.slice(bp_len);
+        // General mode: pack the factor once and share it with every slab
+        // GEMM `Out_o = S_o · Aᵀ`.
+        let factor = SlabFactor::pack(a_buf, ln, k, true, &mut packs.b);
         let in_slab = inner * ln;
         let out_slab = inner * k;
 
@@ -456,14 +448,13 @@ fn ttm_packed(
             // Small inner: single slabs cannot fill MR-row register tiles, so
             // consecutive slabs are staged together (see the run function).
             if workers > 1 {
-                let per = outer.div_ceil(workers);
                 Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
                     let src = &src[w * per * in_slab..];
                     let slabs = run.len() / out_slab;
                     pack::with_part_packs(|part| {
                         ttm_packed_small_inner_run(
                             src,
-                            bpack,
+                            factor,
                             inner,
                             ln,
                             k,
@@ -474,7 +465,7 @@ fn ttm_packed(
                     });
                 });
             } else {
-                ttm_packed_small_inner_run(src, bpack, inner, ln, k, outer, out, &mut packs.a);
+                ttm_packed_small_inner_run(src, factor, inner, ln, k, outer, out, &mut packs.a);
             }
             return;
         }
@@ -483,34 +474,96 @@ fn ttm_packed(
             let mut grew = false;
             for (i, dst) in run.chunks_mut(out_slab).enumerate() {
                 let o = first + i;
-                grew |= pack::gemm_prepacked_b(
-                    inner,
-                    k,
-                    ln,
-                    &src[o * in_slab..(o + 1) * in_slab],
-                    1,
-                    inner,
-                    bpack,
-                    1.0,
-                    dst,
-                    inner,
-                    apack,
-                );
+                let s = &src[o * in_slab..(o + 1) * in_slab];
+                grew |= factor.gemm(inner, k, ln, s, 1, inner, dst, inner, apack);
             }
             note_growth(grew);
         };
         let row_parts = threads.max(1).min(inner.div_ceil(pack::MC));
         if workers > 1 {
-            let per = outer.div_ceil(workers);
             Pool::shared().chunks_mut(out, out_slab * per, |w, run| {
                 pack::with_part_packs(|part| slab_run(w * per, run, &mut part.a));
             });
         } else if outer == 1 && row_parts > 1 {
-            ttm_packed_last_mode_rows(src, bpack, inner, ln, k, out, row_parts);
+            ttm_packed_last_mode_rows(src, factor, inner, ln, k, out, row_parts);
         } else {
             slab_run(0, out, &mut packs.a);
         }
     })
+}
+
+/// Pack a TTM's `K × Lₙ` factor (`a_buf`, column-major) for the streamed
+/// kernels into `buf`, counting growth: one `MR`-lane panel with `A`'s rows
+/// as the lanes, which is the streamed operand's partner on either side —
+/// `A` of `Out = A · Src` (mode 0) and `Aᵀ` of `Out_o = S_o · Aᵀ`.
+fn pack_streamed_factor<'p>(a_buf: &[f64], k: usize, ln: usize, buf: &'p mut PackBuf) -> &'p [f64] {
+    let len = pack::packed_factor_len(ln);
+    note_growth(buf.ensure(len));
+    pack::pack_factor(buf.slice_mut(len), k, ln, a_buf, 1, k);
+    buf.slice(len)
+}
+
+/// The factor of a slab TTM (`inner > 1`), packed once per call for the
+/// kernel the shape takes and shared, read-only, by every slab and part.
+#[derive(Clone, Copy)]
+enum SlabFactor<'a> {
+    /// `Aᵀ` packed by `pack_b_full`; each slab's rows are packed per block
+    /// (`gemm_prepacked_b`).
+    Packed(&'a [f64]),
+    /// `Aᵀ` packed by `pack_factor`: `K ≤ NR`, so a packed
+    /// slab panel would be read by one register tile, and the rows stream
+    /// into the tile where they lie (`gemm_streamed_a`). Same bits.
+    Streamed(&'a [f64]),
+}
+
+impl<'a> SlabFactor<'a> {
+    /// Pack the `K × Lₙ` factor `a_buf` into `buf` (growth counted), for
+    /// slabs whose rows are contiguous (`rows_contiguous`) or not.
+    fn pack(
+        a_buf: &[f64],
+        ln: usize,
+        k: usize,
+        rows_contiguous: bool,
+        buf: &'a mut PackBuf,
+    ) -> Self {
+        if rows_contiguous && k <= pack::NR {
+            return SlabFactor::Streamed(pack_streamed_factor(a_buf, k, ln, buf));
+        }
+        // Element (l, j) of Aᵀ is A[j, l] = a_buf[j + l*k]: strides (k, 1).
+        let len = pack::packed_b_full_len(ln, k);
+        note_growth(buf.ensure(len));
+        pack::pack_b_full(buf.slice_mut(len), ln, k, a_buf, k, 1);
+        SlabFactor::Packed(buf.slice(len))
+    }
+
+    /// `C[m×k] += S · Aᵀ` for the `m × Lₙ` slab rows `s` (element `(i, l)`
+    /// at `s[i·s_rs + l·s_cs]`), `C` column-major with leading dimension
+    /// `ldc`; returns whether `apack` grew. A streamed factor was packed for
+    /// contiguous rows (`s_rs == 1`).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        self,
+        m: usize,
+        k: usize,
+        ln: usize,
+        s: &[f64],
+        s_rs: usize,
+        s_cs: usize,
+        c: &mut [f64],
+        ldc: usize,
+        apack: &mut PackBuf,
+    ) -> bool {
+        match self {
+            SlabFactor::Streamed(fp) => {
+                debug_assert_eq!(s_rs, 1);
+                pack::gemm_streamed_a(m, k, ln, s, s_cs, fp, 1.0, c, ldc);
+                false
+            }
+            SlabFactor::Packed(bp) => {
+                pack::gemm_prepacked_b(m, k, ln, s, s_rs, s_cs, bp, 1.0, c, ldc, apack)
+            }
+        }
+    }
 }
 
 /// Count a pack or staging buffer's growth as one tensor-buffer allocation.
@@ -525,11 +578,11 @@ fn note_growth(grew: bool) {
 /// ranges of whole `MC` row blocks, so the last mode uses the team like
 /// every other one. A row range of the column-major output is not a slice,
 /// so each `MC` block is computed into the participant's `mc × k` staging
-/// buffer — the very block, pack and register tiles of the unsplit kernel,
+/// buffer — the very block and register tiles of the unsplit kernel,
 /// accumulated from the same `0.0` — and copied out column by column.
 fn ttm_packed_last_mode_rows(
     src: &[f64],
-    bpack: &[f64],
+    factor: SlabFactor,
     inner: usize,
     ln: usize,
     k: usize,
@@ -546,19 +599,8 @@ fn ttm_packed_last_mode_rows(
                     let mc = pack::MC.min(rows - ic);
                     stage.clear();
                     stage.resize(mc * k, 0.0);
-                    grew |= pack::gemm_prepacked_b(
-                        mc,
-                        k,
-                        ln,
-                        &src[row0 + ic..],
-                        1,
-                        inner,
-                        bpack,
-                        1.0,
-                        stage,
-                        mc,
-                        &mut part.a,
-                    );
+                    let rows = &src[row0 + ic..];
+                    grew |= factor.gemm(mc, k, ln, rows, 1, inner, stage, mc, &mut part.a);
                     for (j, col) in stage.chunks_exact(mc).enumerate() {
                         block.col_mut(j)[ic..ic + mc].copy_from_slice(col);
                     }
@@ -594,7 +636,7 @@ fn with_stage<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
 /// `MC/inner` consecutive slabs are gathered into one `(g·inner) × ln`
 /// column-major staging matrix (row `o·inner + i` is fiber `i` of slab `o` —
 /// every copy is a contiguous `inner`-length run), multiplied against the
-/// shared `Aᵀ` pack with full tiles, and scattered back into the interleaved
+/// shared factor with full tiles, and scattered back into the interleaved
 /// output layout. Gather + scatter move `O((ln + k)·g·inner)` values per
 /// group against `O(ln·k·g·inner)` multiply work, so the copies amortize for
 /// any nontrivial `ln`, `k`. Per-element accumulation order depends only on
@@ -607,7 +649,7 @@ fn with_stage<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
 #[allow(clippy::too_many_arguments)]
 fn ttm_packed_small_inner_run(
     src: &[f64],
-    bpack: &[f64],
+    factor: SlabFactor,
     inner: usize,
     ln: usize,
     k: usize,
@@ -642,9 +684,7 @@ fn ttm_packed_small_inner_run(
             }
             stage_out.clear();
             stage_out.resize(rows * k, 0.0);
-            grew |= pack::gemm_prepacked_b(
-                rows, k, ln, stage_in, 1, rows, bpack, 1.0, stage_out, rows, apack,
-            );
+            grew |= factor.gemm(rows, k, ln, stage_in, 1, rows, stage_out, rows, apack);
             for ol in 0..g {
                 let dst = &mut out_run[(o + ol) * out_slab..][..out_slab];
                 for kk in 0..k {
@@ -1151,7 +1191,9 @@ mod tests {
     fn strided_view_ttm_packed_path_matches_bitwise() {
         // Interior region of a tensor big enough for the packed dispatch on
         // every mode (including the small-inner staging path on mode 1 of
-        // the stepped view below).
+        // the stepped view below). K = 4 streams the region's slab rows
+        // with their parent's column stride (modes 1 and 2); K = 6, 8
+        // pack them.
         use crate::subtensor::{extract, Region};
         let t = rand_tensor(&[24, 20, 18], 42);
         let r = Region {
@@ -1160,16 +1202,18 @@ mod tests {
         };
         let v = crate::view::TensorView::region(&t, &r);
         let c = DenseTensor::from_vec(r.shape(), extract(&t, &r));
-        for n in 0..3 {
-            let a = rand_mat(8, c.shape().dim(n), 420 + n as u64);
-            let mut b1 = Vec::new();
-            let s1 = ttm_into_threads(v.clone(), n, &a, &mut b1, 1);
-            let mut b2 = Vec::new();
-            let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
-            assert_eq!(s1.dims(), s2.dims(), "mode {n}");
-            let z1 = DenseTensor::from_vec(s1, b1);
-            let z2 = DenseTensor::from_vec(s2, b2);
-            assert_eq!(z1.max_abs_diff(&z2), 0.0, "mode {n}");
+        for k in [4, 6, 8] {
+            for n in 0..3 {
+                let a = rand_mat(k, c.shape().dim(n), 420 + n as u64);
+                let mut b1 = Vec::new();
+                let s1 = ttm_into_threads(v.clone(), n, &a, &mut b1, 1);
+                let mut b2 = Vec::new();
+                let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
+                assert_eq!(s1.dims(), s2.dims(), "mode {n}, K = {k}");
+                let z1 = DenseTensor::from_vec(s1, b1);
+                let z2 = DenseTensor::from_vec(s2, b2);
+                assert_eq!(z1.max_abs_diff(&z2), 0.0, "mode {n}, K = {k}");
+            }
         }
     }
 

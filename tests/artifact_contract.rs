@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use tucker_bench::artifact::{kind_of, Artifact, Doc, Kind, Kinds};
-use tucker_bench::generators::{kernels_on, Opts, ARTIFACTS};
+use tucker_bench::generators::{kernels_on, Opts, StreamShape, ARTIFACTS};
 use tucker_bench::repro::diff_json;
 
 /// Build the document of one `BENCH_*` generator (its gates are not the
@@ -58,12 +58,13 @@ fn docs() -> &'static Docs {
     DOCS.get_or_init(|| {
         std::thread::scope(|s| {
             let one = s.spawn(|| TWICE.map(|cmd| (cmd, doc_of(cmd, 1))).to_vec());
-            // The committed kernels artifact times a 35 MB tensor; its
-            // declaration is the same on a toy one.
+            // The committed kernels artifact times 35 and 75 MB tensors;
+            // its declaration is the same on toy ones.
             let toy = [([6, 5, 4], 2, 1)];
+            let toy_streamed: StreamShape = (&[6, 5, 4], &[2, 3, 2], &[0, 2], 1);
             let pool = ARTIFACTS.iter().filter(|e| e.file.ends_with(".json"));
             let pool = pool.map(|e| match e.cmd {
-                "kernels" => (e.file, json(kernels_on(&toy, &[(4, 2)]).0)),
+                "kernels" => (e.file, json(kernels_on(&toy, &[(4, 2)], &toy_streamed).0)),
                 cmd => (e.file, doc_of(cmd, 0)),
             });
             Docs {
