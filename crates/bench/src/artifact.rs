@@ -2,9 +2,9 @@
 //! written by a call that also states what kind of number it is, so the
 //! writer and `repro --check` read one declaration.
 //!
-//! A JSON artifact is an [`Obj`] tree built with [`Obj::model`],
-//! [`Obj::host`], [`Obj::bounded`]; a CSV artifact is a [`Table`] whose cells
-//! share one kind. [`Obj::render`] is the only JSON writer in the workspace.
+//! A JSON artifact is an [`Obj`] tree built with `Obj::model`,
+//! `Obj::host`, `Obj::bounded`; a CSV artifact is a [`Table`] whose cells
+//! share one kind. `Obj::render` is the only JSON writer in the workspace.
 
 use crate::repro::{diff_csv, diff_json, FileDiff};
 use std::collections::BTreeMap;
@@ -27,7 +27,7 @@ pub enum Kind {
 /// bools render as themselves, a bare `f64` shortest-round-trip; [`Fix`] and
 /// [`Sci`] pin the digits, which makes the precision a field is written at
 /// part of its declaration.
-pub trait Value {
+pub(crate) trait Value {
     /// The JSON literal.
     fn json(&self) -> String;
 }
@@ -70,9 +70,9 @@ impl Value for String {
 }
 
 /// `Fix(x, d)`: `x` with `d` digits after the point (`{:.d}`).
-pub struct Fix(pub f64, pub usize);
+pub(crate) struct Fix(pub f64, pub usize);
 /// `Sci(x, d)`: `x` in scientific notation with `d` mantissa digits (`{:.de}`).
-pub struct Sci(pub f64, pub usize);
+pub(crate) struct Sci(pub f64, pub usize);
 
 impl Value for Fix {
     fn json(&self) -> String {
@@ -87,7 +87,7 @@ impl Value for Sci {
 }
 
 /// Seconds at nanosecond resolution — what every clock field is written at.
-pub fn secs(s: f64) -> Fix {
+pub(crate) fn secs(s: f64) -> Fix {
     Fix(s, 9)
 }
 
@@ -135,7 +135,7 @@ pub fn kind_of(kinds: &Kinds, path: &str) -> Option<Kind> {
 
 impl Obj {
     /// An empty object.
-    pub fn new() -> Obj {
+    pub(crate) fn new() -> Obj {
         Obj::default()
     }
 
@@ -147,43 +147,43 @@ impl Obj {
 
     /// A [`Kind::Model`] leaf.
     #[must_use]
-    pub fn model(self, key: &str, v: impl Value) -> Obj {
+    pub(crate) fn model(self, key: &str, v: impl Value) -> Obj {
         self.put(key, Node::Leaf(v.json(), Kind::Model))
     }
 
     /// A [`Kind::Host`] leaf.
     #[must_use]
-    pub fn host(self, key: &str, v: impl Value) -> Obj {
+    pub(crate) fn host(self, key: &str, v: impl Value) -> Obj {
         self.put(key, Node::Leaf(v.json(), Kind::Host))
     }
 
     /// A [`Kind::Bounded`] leaf: `v` is a roundoff difference gated at `bound`.
     #[must_use]
-    pub fn bounded(self, key: &str, v: impl Value, bound: f64) -> Obj {
+    pub(crate) fn bounded(self, key: &str, v: impl Value, bound: f64) -> Obj {
         self.put(key, Node::Leaf(v.json(), Kind::Bounded(bound)))
     }
 
     /// An array of [`Kind::Model`] scalars (shapes, rank lists).
     #[must_use]
-    pub fn model_list<V: Value>(self, key: &str, vs: impl IntoIterator<Item = V>) -> Obj {
+    pub(crate) fn model_list<V: Value>(self, key: &str, vs: impl IntoIterator<Item = V>) -> Obj {
         let leaves = vs.into_iter().map(|v| Node::Leaf(v.json(), Kind::Model));
         self.put(key, Node::Arr(leaves.collect()))
     }
 
     /// A nested object.
     #[must_use]
-    pub fn obj(self, key: &str, o: Obj) -> Obj {
+    pub(crate) fn obj(self, key: &str, o: Obj) -> Obj {
         self.put(key, Node::Obj(o))
     }
 
     /// An array of objects, one per row.
     #[must_use]
-    pub fn rows(self, key: &str, rows: impl IntoIterator<Item = Obj>) -> Obj {
+    pub(crate) fn rows(self, key: &str, rows: impl IntoIterator<Item = Obj>) -> Obj {
         self.put(key, Node::Arr(rows.into_iter().map(Node::Obj).collect()))
     }
 
     /// The document as written to disk.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         write_obj(self, 0, &mut out);
         out.push('\n');
@@ -191,7 +191,7 @@ impl Obj {
     }
 
     /// Every leaf as `(flattened path, JSON text, kind)`, in document order —
-    /// paths as [`crate::repro::flatten_json`] spells them.
+    /// paths as `crate::repro::flatten_json` spells them.
     pub fn leaves(&self) -> Vec<(String, &str, Kind)> {
         fn walk<'a>(n: &'a Node, path: String, out: &mut Vec<(String, &'a str, Kind)>) {
             match n {
@@ -337,18 +337,18 @@ pub type Gate = Result<(), String>;
 /// Collects failed gates while a generator runs, so the artifact is always
 /// produced and every failure is named.
 #[derive(Debug, Default)]
-pub struct Gates(Vec<String>);
+pub(crate) struct Gates(Vec<String>);
 
 impl Gates {
     /// Record `why()` as a failed gate unless `ok`.
-    pub fn check(&mut self, ok: bool, why: impl FnOnce() -> String) {
+    pub(crate) fn check(&mut self, ok: bool, why: impl FnOnce() -> String) {
         if !ok {
             self.0.push(why());
         }
     }
 
     /// `Ok` iff every check held.
-    pub fn finish(self) -> Gate {
+    pub(crate) fn finish(self) -> Gate {
         if self.0.is_empty() {
             Ok(())
         } else {

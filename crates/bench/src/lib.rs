@@ -13,7 +13,7 @@ pub mod repro;
 /// if the scaled core becomes too small to host `nranks` (no valid grid) —
 /// such tensors are skipped by the measured experiments and the skip is
 /// reported.
-pub fn scale_for_measurement(
+pub(crate) fn scale_for_measurement(
     meta: &TuckerMeta,
     max_card: f64,
     nranks: usize,
@@ -46,13 +46,6 @@ pub fn write_results(name: &str, body: &str) -> std::path::PathBuf {
     path
 }
 
-/// Geometric mean of positive values.
-pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    let s: f64 = values.iter().map(|v| v.ln()).sum();
-    (s / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,11 +68,5 @@ mod tests {
         let meta = TuckerMeta::new([400, 400, 400, 400, 400], [40, 40, 40, 40, 40]);
         let s = scale_for_measurement(&meta, 100.0, 8);
         assert!(s.is_none());
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
     }
 }

@@ -13,11 +13,11 @@ use std::collections::BTreeMap;
 /// Relative tolerance of a non-integral `model` number: room for the last
 /// printed digit of an error norm to move between instruction sets, none
 /// for a nanosecond of virtual time.
-pub const MODEL_REL_TOL: f64 = 1e-9;
+pub(crate) const MODEL_REL_TOL: f64 = 1e-9;
 
 /// A JSON leaf value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Atom {
+pub(crate) enum Atom {
     /// Any JSON number (parsed as `f64`).
     Num(f64),
     /// A string literal.
@@ -85,7 +85,7 @@ impl FileDiff {
 
 /// Flatten a JSON document to sorted `(path, atom)` pairs. Object keys
 /// join with `.`, array elements index as `[i]`. Rejects trailing junk.
-pub fn flatten_json(src: &str) -> Result<BTreeMap<String, Atom>, String> {
+pub(crate) fn flatten_json(src: &str) -> Result<BTreeMap<String, Atom>, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
     let mut out = BTreeMap::new();
@@ -275,7 +275,7 @@ pub fn diff_json(committed: &str, fresh: &str, kinds: &Kinds) -> FileDiff {
 /// Diff two CSVs: identical header line and row/column counts; unless the
 /// table is declared `host`, numeric cells under the `model` rule and other
 /// cells byte-equal.
-pub fn diff_csv(committed: &str, fresh: &str, host: bool) -> FileDiff {
+pub(crate) fn diff_csv(committed: &str, fresh: &str, host: bool) -> FileDiff {
     let mut d = FileDiff::default();
     let a: Vec<&str> = committed.lines().collect();
     let b: Vec<&str> = fresh.lines().collect();

@@ -4,7 +4,7 @@
 //!
 //! * `RecoveryLog` — the crate-private, thread-safe in-flight recorder the
 //!   engine shares with every rank's
-//!   [`SweepObserver`](crate::executor::SweepObserver).
+//!   `SweepObserver`.
 //!   Leaf factors are recorded first-write-wins (they are replicated: the
 //!   Gram is all-reduced and the EVD truncation deterministic, so every
 //!   rank computes the bit-identical matrix); a sweep **commits** once all
@@ -19,7 +19,7 @@
 //!
 //! The engine's recovery loop ([`DistRun::run`](crate::engine::DistRun::run)) drives
 //! both: record during an epoch, checkpoint on failure, restore into
-//! [`hooi_loop_from`](crate::executor::hooi_loop_from) on the re-planned
+//! `hooi_loop_from` on the re-planned
 //! survivor grid.
 
 use crate::executor::{PlanProvenance, SweepStats};
@@ -34,7 +34,7 @@ use tucker_linalg::Matrix;
 /// A fully committed sweep: the factors it produced (replicated), its
 /// cross-rank merged stats, and the error.
 #[derive(Clone, Debug)]
-pub struct CommittedSweep {
+pub(crate) struct CommittedSweep {
     /// Factors after this sweep, one per mode.
     pub factors: Vec<Matrix>,
     /// Stats merged across ranks (`merge_max`), provenance-stamped.
@@ -74,7 +74,7 @@ pub(crate) struct RecoveryLog {
 
 impl RecoveryLog {
     /// An empty log for an `order`-mode problem.
-    pub fn new(order: usize) -> Self {
+    pub(crate) fn new(order: usize) -> Self {
         RecoveryLog {
             inner: Mutex::new(LogInner {
                 order,
@@ -101,7 +101,7 @@ impl RecoveryLog {
     /// Stale per-rank completion counts and unmerged stats from the
     /// previous (aborted) epoch are discarded; committed sweeps and
     /// first-wins leaves survive — they are the checkpoint.
-    pub fn begin_epoch(&self, live: usize, provenance: Option<PlanProvenance>) {
+    pub(crate) fn begin_epoch(&self, live: usize, provenance: Option<PlanProvenance>) {
         let mut g = self.lock();
         g.live = live;
         g.provenance = provenance;
@@ -119,7 +119,7 @@ impl RecoveryLog {
 
     /// Record the HOSVD initialization factors (first writer wins — they
     /// are replicated on every rank).
-    pub fn record_init(&self, factors: &[Matrix]) {
+    pub(crate) fn record_init(&self, factors: &[Matrix]) {
         let mut g = self.lock();
         if g.init_factors.is_none() {
             g.init_factors = Some(factors.to_vec());
@@ -127,7 +127,7 @@ impl RecoveryLog {
     }
 
     /// Observer hook: mode `n`'s leaf of `sweep` finished with `factor`.
-    pub fn leaf_done(&self, sweep: usize, mode: usize, factor: &Matrix) {
+    pub(crate) fn leaf_done(&self, sweep: usize, mode: usize, factor: &Matrix) {
         let mut g = self.lock();
         if sweep < g.committed.len() {
             return; // already committed (late reporter)
@@ -145,7 +145,7 @@ impl RecoveryLog {
     /// Observer hook: one rank finished `sweep`. Commits the sweep once
     /// all `live` ranks have reported it (in order — a sweep can only
     /// commit after its predecessor).
-    pub fn sweep_done(&self, sweep: usize, factors: &[Matrix], stats: &SweepStats) {
+    pub(crate) fn sweep_done(&self, sweep: usize, factors: &[Matrix], stats: &SweepStats) {
         let mut g = self.lock();
         if sweep < g.committed.len() {
             return;
@@ -182,19 +182,19 @@ impl RecoveryLog {
     }
 
     /// Number of fully committed sweeps (the resume point).
-    pub fn committed_count(&self) -> usize {
+    pub(crate) fn committed_count(&self) -> usize {
         self.lock().committed.len()
     }
 
     /// Clone of the committed sweeps, in order.
-    pub fn committed(&self) -> Vec<CommittedSweep> {
+    pub(crate) fn committed(&self) -> Vec<CommittedSweep> {
         self.lock().committed.clone()
     }
 
     /// Snapshot the resumable state: committed sweeps, the interrupted
     /// sweep's first-wins leaves, and the factors the next executed sweep
     /// must start from.
-    pub fn checkpoint(&self, meta: &TuckerMeta, total_sweeps: usize) -> SweepCheckpoint {
+    pub(crate) fn checkpoint(&self, meta: &TuckerMeta, total_sweeps: usize) -> SweepCheckpoint {
         let g = self.lock();
         let resume = g.committed.len();
         let partial = g
@@ -214,7 +214,7 @@ impl RecoveryLog {
 
     /// Restore a checkpoint into an empty log (the restart path: committed
     /// sweeps and partial leaves become the new baseline).
-    pub fn restore(&self, ckpt: &SweepCheckpoint) {
+    pub(crate) fn restore(&self, ckpt: &SweepCheckpoint) {
         let mut g = self.lock();
         assert!(
             g.committed.is_empty() && g.partial.is_empty(),
@@ -248,7 +248,7 @@ pub struct SweepCheckpoint {
     /// HOSVD initialization factors (`None` if no rank got that far).
     pub init_factors: Option<Vec<Matrix>>,
     /// Fully committed sweeps, in order.
-    pub committed: Vec<CommittedSweep>,
+    pub(crate) committed: Vec<CommittedSweep>,
     /// First-wins leaf factors of sweep `committed.len()` (all `None` when
     /// the failure fell exactly on a sweep boundary).
     pub partial: Vec<Option<Matrix>>,
@@ -265,7 +265,7 @@ impl SweepCheckpoint {
     ///
     /// # Panics
     /// Panics if nothing was recorded (no init, no committed sweep).
-    pub fn basis_factors(&self) -> Vec<Matrix> {
+    pub(crate) fn basis_factors(&self) -> Vec<Matrix> {
         match self.committed.last() {
             Some(c) => c.factors.clone(),
             None => self
@@ -277,7 +277,7 @@ impl SweepCheckpoint {
 
     /// Leaves of the interrupted sweep already done (empty slice when none
     /// are — the executor treats both the same).
-    pub fn predone(&self) -> &[Option<Matrix>] {
+    pub(crate) fn predone(&self) -> &[Option<Matrix>] {
         if self.partial.iter().any(Option::is_some) {
             &self.partial
         } else {
@@ -288,7 +288,7 @@ impl SweepCheckpoint {
     /// Serialize to the `tucker-checkpoint/v1` text format. Floats are hex
     /// `f64::to_bits` words, so every factor entry and error round-trips
     /// bit-exactly.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut s = String::new();
         s.push_str("tucker-checkpoint/v1\n");
         push_usizes(&mut s, "dims", self.meta.input().dims());
@@ -330,7 +330,7 @@ impl SweepCheckpoint {
     /// before [`TuckerMeta`] asserts them, every factor must be `L_n × K_n`
     /// with one per mode, and counts read from the text only bound loops —
     /// nothing is pre-allocated from them.
-    pub fn from_text(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty checkpoint")?;
         if header != "tucker-checkpoint/v1" {
@@ -393,7 +393,7 @@ impl SweepCheckpoint {
 
     /// Write the checkpoint to `path` (atomic enough for a restart test:
     /// write then rename within the same directory).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;
@@ -403,7 +403,7 @@ impl SweepCheckpoint {
         std::fs::rename(&tmp, path)
     }
 
-    /// Load a checkpoint previously written by [`SweepCheckpoint::save`].
+    /// Load a checkpoint previously written by `SweepCheckpoint::save`.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
         Self::from_text(&text)

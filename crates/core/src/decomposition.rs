@@ -34,7 +34,7 @@ impl TuckerDecomposition {
     }
 
     /// The metadata `(L, K)` of this decomposition.
-    pub fn meta(&self) -> TuckerMeta {
+    pub(crate) fn meta(&self) -> TuckerMeta {
         let l: Vec<usize> = self.factors.iter().map(|f| f.nrows()).collect();
         TuckerMeta::new(l, self.core.shape().clone())
     }

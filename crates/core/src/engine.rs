@@ -353,11 +353,6 @@ pub struct MeshHooiOutput {
 }
 
 impl MeshHooiOutput {
-    /// Error trace (one entry per sweep).
-    pub fn errors(&self) -> Vec<f64> {
-        self.per_sweep.iter().map(|s| s.error).collect()
-    }
-
     /// The gathered decomposition.
     ///
     /// # Panics
@@ -655,7 +650,7 @@ impl<'a> DistRun<'a> {
             let basis: Option<Vec<Matrix>> =
                 (first_sweep > 0 || ckpt.init_factors.is_some()).then(|| ckpt.basis_factors());
 
-            let store = BlockStore::new(meta.input().clone());
+            let store = BlockStore::default();
             let reused = AtomicU64::new(0);
             let out = Universe::run_mesh(survivors, &mesh_cfg(cfg, self.workers), |ctx| {
                 let grid = &plan.grids.initial;
@@ -1300,65 +1295,6 @@ mod tests {
             .unwrap()
             .predicted_comm
             .is_some());
-    }
-
-    #[test]
-    fn checkpoint_spill_survives_a_process_kill_and_restart() {
-        // A mesh run spilling every committed sweep is killed mid-sweep 2
-        // (Abort policy: the whole process would die). A "restarted
-        // process" holding only the spill file resumes from it and must
-        // land within summation-order noise of an uninterrupted run.
-        let meta = meta_small();
-        let path = std::env::temp_dir().join(format!(
-            "tucker-ckpt-spill-{}-{:?}.txt",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let cfg = EngineConfig {
-            gather_core: false,
-            ..EngineConfig::virtual_time(NetModel::bgq())
-        }
-        .checkpoint_every(1, &path);
-        let fault = InjectedFault {
-            rank: 1,
-            sweep: 2,
-            after_leaves: 1,
-        };
-        let res = std::panic::catch_unwind(|| {
-            DistRun::new(&meta, 4, 3)
-                .config(cfg)
-                .fault(fault)
-                .run(smooth)
-        });
-        assert!(res.is_err(), "abort policy must re-raise the kill");
-
-        // Restart: only the spill file survives the process.
-        let ckpt = crate::checkpoint::SweepCheckpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(ckpt.resume_sweep(), 2, "sweeps 0 and 1 were spilled");
-        assert_eq!(ckpt.total_sweeps, 3);
-        let clean = DistRun::new(&meta, 4, 3).config(EngineConfig {
-            gather_core: false,
-            ..EngineConfig::virtual_time(NetModel::bgq())
-        });
-        let out = clean.clone().resume(ckpt).run(smooth);
-        assert_eq!(out.per_sweep.len(), 3);
-        // Restored sweeps keep the stats they measured before the kill.
-        assert!(out.per_sweep[0].comm_wall > Duration::ZERO);
-
-        let clean = clean.run(smooth);
-        let (e, c) = (
-            out.per_sweep.last().unwrap().error,
-            clean.per_sweep.last().unwrap().error,
-        );
-        assert!((e - c).abs() < 1e-10, "resumed {e} vs uninterrupted {c}");
-        for (a, b) in out.per_sweep[..2].iter().zip(&clean.per_sweep[..2]) {
-            assert_eq!(
-                a.error.to_bits(),
-                b.error.to_bits(),
-                "pre-kill sweeps round-trip bit-exactly through the spill"
-            );
-        }
     }
 
     #[test]

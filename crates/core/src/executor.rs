@@ -16,7 +16,7 @@
 //!   `N·(N−1)` TTMs), kept as the convergence reference;
 //! * [`hooi_loop`] — iterate [`hooi_sweep`] with the convergence check
 //!   (`|Δerror| < tol`), recycling each superseded core. It is the one HOOI
-//!   loop: [`hooi_loop_from`] is its checkpoint/restore form, the engine
+//!   loop: `hooi_loop_from` is its checkpoint/restore form, the engine
 //!   runs it per rank and the server per distinct request.
 //!
 //! What varies between sequential, shared-memory-parallel, and simulated-MPI
@@ -65,7 +65,7 @@ pub struct PlanProvenance {
 
 /// Per-sweep measurements, reported identically by every backend (for
 /// distributed backends, aggregated across ranks by
-/// [`SweepStats::merge_max`]: times are the maximum over ranks, the way an
+/// `SweepStats::merge_max`: times are the maximum over ranks, the way an
 /// MPI experiment reports them; volumes are the sum of what each rank itself
 /// sent during its sweep). Backends add each phase's time to its field;
 /// communication phases stay zero on shared-memory backends.
@@ -113,7 +113,7 @@ pub struct SweepStats {
 impl SweepStats {
     /// Merge another rank's stats: times and kernel bytes max, volumes
     /// summed, error replicated.
-    pub fn merge_max(&mut self, other: &SweepStats) {
+    pub(crate) fn merge_max(&mut self, other: &SweepStats) {
         self.ttm_compute = self.ttm_compute.max(other.ttm_compute);
         self.ttm_comm = self.ttm_comm.max(other.ttm_comm);
         self.regrid_comm = self.regrid_comm.max(other.regrid_comm);
@@ -218,7 +218,7 @@ pub trait SweepBackend {
 /// factor is replicated on every participant, so a first-write-wins
 /// recorder is exact), and sweep end. All methods default to no-ops; `()`
 /// is the "no observer" instance.
-pub trait SweepObserver {
+pub(crate) trait SweepObserver {
     /// Sweep `sweep` is about to walk the tree.
     fn sweep_started(&mut self, sweep: usize) {
         let _ = sweep;
@@ -594,12 +594,12 @@ impl LoopCfg {
 
     /// The one convergence rule of every sweep loop: the last two entries
     /// of the error trace `errors` differ by less than `tol`.
-    pub fn converged(&self, errors: &[f64]) -> bool {
+    pub(crate) fn converged(&self, errors: &[f64]) -> bool {
         matches!(errors, [.., prev, last] if (prev - last).abs() < self.tol)
     }
 }
 
-/// Iterate [`hooi_sweep`] until [`LoopCfg::converged`] or `cfg.max_sweeps`
+/// Iterate [`hooi_sweep`] until `LoopCfg::converged` or `cfg.max_sweeps`
 /// invocations have run. Each superseded core is recycled into
 /// the backend, so on workspace backends every sweep after the first is
 /// free of tensor-sized allocations.
@@ -642,7 +642,7 @@ pub fn hooi_loop<B: SweepBackend>(
 /// Panics if `first_sweep >= cfg.max_sweeps` or the tree/factors are
 /// invalid.
 #[allow(clippy::too_many_arguments)]
-pub fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
+pub(crate) fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
     b: &mut B,
     root: &B::Tensor,
     meta: &TuckerMeta,
@@ -746,7 +746,7 @@ impl<const PAR: bool> HostBackend<PAR> {
 
     /// Adopt an existing workspace (e.g. one kept warm across invocations
     /// by a caller that owns the iteration).
-    pub fn from_workspace(ws: TtmWorkspace) -> Self {
+    pub(crate) fn from_workspace(ws: TtmWorkspace) -> Self {
         let mut b = Self::with_thread_count(Self::auto_threads());
         b.ws = ws;
         b

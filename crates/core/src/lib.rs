@@ -72,7 +72,6 @@ pub mod plan;
 pub mod serve;
 pub mod sthosvd;
 
-pub use checkpoint::SweepCheckpoint;
 pub use decomposition::TuckerDecomposition;
 pub use engine::{
     CheckpointCfg, DistRun, EngineConfig, FailurePolicy, InjectedFault, MeshHooiOutput,

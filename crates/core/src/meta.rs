@@ -93,7 +93,7 @@ impl TuckerMeta {
     /// Cardinality of the intermediate tensor after multiplying along the
     /// modes in `premultiplied` (a bitmask over modes): `|T[P]|` in the
     /// paper's notation — `|T| · ∏_{n∈P} h_n`.
-    pub fn premultiplied_cardinality(&self, premultiplied: u32) -> f64 {
+    pub(crate) fn premultiplied_cardinality(&self, premultiplied: u32) -> f64 {
         let mut card = self.input_cardinality();
         for n in 0..self.order() {
             if premultiplied & (1 << n) != 0 {

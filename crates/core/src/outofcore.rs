@@ -92,7 +92,7 @@ pub struct Projection {
 
 impl Projection {
     /// The computed values, `None` if nothing needed them yet.
-    pub fn into_values(self) -> Option<DenseTensor> {
+    pub(crate) fn into_values(self) -> Option<DenseTensor> {
         self.values.into_inner()
     }
 
@@ -111,7 +111,7 @@ impl Projection {
 /// The out-of-core [`SweepBackend`]: its tensors are [`Projection`]s of an
 /// input streamed in last-mode tiles of `tile_len` slices (see the module
 /// docs). Pooled buffers live in the caller's workspace (cap it with
-/// [`TtmWorkspace::set_pooled_bytes_limit`] to bound resident scratch).
+/// [`TtmWorkspace::with_limit`] to bound resident scratch).
 pub struct TiledBackend<'a> {
     input: &'a DenseTensor,
     tile_len: usize,
@@ -297,7 +297,7 @@ impl SweepBackend for TiledBackend<'_> {
 
 /// Full out-of-core Tucker on `b`'s tiles: [`executor::sthosvd_sweep`] in
 /// natural mode order, then [`executor::hooi_loop`] over the natural chain
-/// tree until [`LoopCfg::converged`]. Streams the input
+/// tree until `LoopCfg::converged`. Streams the input
 /// `1 + N + S·(N+1)` times for `S` sweeps.
 ///
 /// # Panics
@@ -480,21 +480,6 @@ impl SlidingTucker {
         self.error
     }
 
-    /// Current factors (one orthonormal `L_n × K_n` matrix per mode).
-    pub fn factors(&self) -> &[Matrix] {
-        &self.factors
-    }
-
-    /// Current core tensor.
-    pub fn core(&self) -> &DenseTensor {
-        self.core.as_ref().expect("core present between pushes")
-    }
-
-    /// Relative error of the current decomposition on the current window.
-    pub fn error(&self) -> f64 {
-        self.error
-    }
-
     /// Sweeps the last (re-)convergence took — the warm-start dividend.
     pub fn sweeps_last_push(&self) -> usize {
         self.sweeps_last_push
@@ -512,7 +497,8 @@ impl SlidingTucker {
 
     /// Clone out the current decomposition.
     pub fn decomposition(&self) -> TuckerDecomposition {
-        TuckerDecomposition::new(self.core().clone(), self.factors.clone())
+        let core = self.core.as_ref().expect("core present between pushes");
+        TuckerDecomposition::new(core.clone(), self.factors.clone())
     }
 }
 
@@ -820,13 +806,13 @@ mod tests {
         let slab = DenseTensor::from_fn(Shape::new(vec![frame[0], frame[1], 1]), |c| {
             stream_at(c[0], c[1], c[2] + 10)
         });
-        st.push_slab(&slab);
+        let e_inc = st.push_slab(&slab);
         let (_, e_full, cold_sweeps) = full_recompute(st.window(), &meta, cfg);
         assert!(
             st.sweeps_last_push() <= cold_sweeps,
             "warm {} vs cold {cold_sweeps}",
             st.sweeps_last_push()
         );
-        assert!((st.error() - e_full).abs() <= 1e-8);
+        assert!((e_inc - e_full).abs() <= 1e-8);
     }
 }

@@ -9,7 +9,7 @@
 //!   each with the §3.1 cost model. Comparing its minimum against
 //!   [`crate::plan::tree::optimal_tree`] empirically validates both the DP
 //!   and Lemma 3.1 (an optimal binary tree exists).
-//! * [`brute_force_dynamic_volume`] enumerates every grid assignment to the
+//! * `brute_force_dynamic_volume` enumerates every grid assignment to the
 //!   internal nodes of a tree and scores each with the §4.3 volume model,
 //!   validating the §4.4 DP.
 //! * [`min_sweep_cost`] / [`sampled_sweep_costs`] score grid assignments
@@ -26,7 +26,7 @@
 
 use crate::meta::TuckerMeta;
 use crate::plan::cost::{sweep_cost, tree_flops, CostModel};
-use crate::plan::grid::{scheme_volume, DynGridScheme};
+use crate::plan::grid::DynGridScheme;
 use crate::plan::tree::{NodeLabel, TtmTree};
 use tucker_distsim::Grid;
 
@@ -251,15 +251,16 @@ fn for_each_assignment(
 
 /// Brute-force the optimal dynamic-grid volume for `tree`: every assignment
 /// of a candidate grid to every internal node (regrid wherever the grid
-/// differs from the parent's), scored by [`scheme_volume`].
+/// differs from the parent's), scored by [`scheme_volume`](crate::plan::grid::scheme_volume).
 ///
 /// # Panics
 /// Panics if the search space exceeds ~10⁷ assignments.
-pub fn brute_force_dynamic_volume(tree: &TtmTree, meta: &TuckerMeta, nranks: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn brute_force_dynamic_volume(tree: &TtmTree, meta: &TuckerMeta, nranks: usize) -> f64 {
     let grids = tucker_distsim::enumerate_valid_grids(nranks, meta.core().dims());
     let mut best = f64::INFINITY;
     for_each_assignment(tree, &grids, 1e7, |scheme| {
-        best = best.min(scheme_volume(tree, meta, scheme));
+        best = best.min(crate::plan::grid::scheme_volume(tree, meta, scheme));
     });
     best
 }
@@ -267,7 +268,7 @@ pub fn brute_force_dynamic_volume(tree: &TtmTree, meta: &TuckerMeta, nranks: usi
 /// Materialize the [`DynGridScheme`] of one brute-force assignment: grid
 /// index per internal node plus an initial grid (regrid flags wherever the
 /// grid differs from the parent's; the `volume` field is left `NaN`).
-pub fn materialize_scheme(
+pub(crate) fn materialize_scheme(
     tree: &TtmTree,
     grids: &[Grid],
     internal: &[usize],

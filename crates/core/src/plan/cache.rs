@@ -41,7 +41,7 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// The key [`PlanCache::plan`] uses for `(meta, nranks, model)`.
-    pub fn new(meta: &TuckerMeta, nranks: usize, model: &dyn CostModel) -> Self {
+    pub(crate) fn new(meta: &TuckerMeta, nranks: usize, model: &dyn CostModel) -> Self {
         PlanKey {
             input: meta.input().dims().to_vec(),
             core: meta.core().dims().to_vec(),
@@ -145,25 +145,9 @@ impl PlanCache {
         plan
     }
 
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// The counters accumulated so far.
-    pub fn stats(&self) -> PlanCacheStats {
+    pub(crate) fn stats(&self) -> PlanCacheStats {
         self.stats
-    }
-
-    /// Whether `(meta, nranks, model)` is currently cached (no counter or
-    /// LRU effect).
-    pub fn contains(&self, meta: &TuckerMeta, nranks: usize, model: &dyn CostModel) -> bool {
-        self.map.contains_key(&PlanKey::new(meta, nranks, model))
     }
 }
 
@@ -173,6 +157,11 @@ mod tests {
     use crate::plan::cost::{FlopVolumeModel, NetCostModel};
     use crate::plan::Planner;
     use tucker_distsim::NetModel;
+
+    /// Whether `(meta, nranks, model)` is cached (no counter or LRU effect).
+    fn cached(cache: &PlanCache, meta: &TuckerMeta, nranks: usize, model: &dyn CostModel) -> bool {
+        cache.map.contains_key(&PlanKey::new(meta, nranks, model))
+    }
 
     fn meta_a() -> TuckerMeta {
         TuckerMeta::new([16, 12, 10], [8, 6, 4])
@@ -198,14 +187,14 @@ mod tests {
         let p2 = cache.plan(&meta_a(), 8, &FlopVolumeModel);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.map.len(), 1);
         assert_eq!(p1.name(), p2.name());
         assert_eq!(p1.grids.node_grids, p2.grids.node_grids);
         assert_eq!(p1.flops, p2.flops);
         // Different P is a different key.
         let _ = cache.plan(&meta_a(), 4, &FlopVolumeModel);
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.len(), 2);
         // Different shape is a different key.
         let _ = cache.plan(&meta_b(), 8, &FlopVolumeModel);
         assert_eq!(cache.stats().misses, 3);
@@ -227,9 +216,9 @@ mod tests {
             2,
             "flops+vol and net searches must occupy distinct entries"
         );
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&meta, 8, &FlopVolumeModel));
-        assert!(cache.contains(&meta, 8, &net8));
+        assert_eq!(cache.map.len(), 2);
+        assert!(cached(&cache, &meta, 8, &FlopVolumeModel));
+        assert!(cached(&cache, &meta, 8, &net8));
         // Both answered from cache now.
         let _ = cache.plan(&meta, 8, &FlopVolumeModel);
         let _ = cache.plan(&meta, 8, &net8);
@@ -262,10 +251,10 @@ mod tests {
         let _ = cache.plan(&m, 2, &FlopVolumeModel); // touch A (hit)
         let _ = cache.plan(&m, 8, &FlopVolumeModel); // key C evicts B
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&m, 2, &FlopVolumeModel));
-        assert!(!cache.contains(&m, 4, &FlopVolumeModel));
-        assert!(cache.contains(&m, 8, &FlopVolumeModel));
+        assert_eq!(cache.map.len(), 2);
+        assert!(cached(&cache, &m, 2, &FlopVolumeModel));
+        assert!(!cached(&cache, &m, 4, &FlopVolumeModel));
+        assert!(cached(&cache, &m, 8, &FlopVolumeModel));
         // B is gone: looking it up again is a miss.
         let _ = cache.plan(&m, 4, &FlopVolumeModel);
         assert_eq!(cache.stats().misses, 4);

@@ -6,7 +6,7 @@
 //! Everything the planner optimizes goes through one [`CostModel`] trait:
 //! per-operation prices (TTM, regrid, leaf Gram, core chain, per-sweep
 //! overhead) that sum, over the operations of one sweep
-//! ([`schedule::sweep`]), to [`sweep_cost`] — the additive functional the joint
+//! (`schedule::sweep`), to [`sweep_cost`] — the additive functional the joint
 //! DP in [`crate::plan::search`] minimizes and the brute-force oracle in
 //! [`crate::plan::brute_force`] certifies against. Two implementations:
 //!
@@ -22,17 +22,17 @@
 //!   `ttm_cost` and `leaf_cost` take the max over all ranks, `regrid_cost`
 //!   the max over a bounded set of representative ranks (DESIGN.md §10).
 //!   On top of the additive objective it offers
-//!   [`NetCostModel::predict_sweep`]: an exact per-rank replay of the
+//!   `NetCostModel::predict_sweep`: an exact per-rank replay of the
 //!   schedule that reproduces the engine's virtual communication clock
 //!   **to the nanosecond** — the planner and scaling suites assert equality
 //!   with the executed clocks.
 //!
-//! The joint DP prices regrids through a [`RegridPricer`] it prepares once
+//! The joint DP prices regrids through a `RegridPricer` it prepares once
 //! per search ([`CostModel::regrid_pricer`]), bit-identical to
 //! [`CostModel::regrid_cost`]. The flat α–β model's pricer reads rank 0's
 //! per-mode block overlaps from a table filled once for the search's
 //! candidate grids, so the search does no chunk arithmetic; the per-rank
-//! walk of [`NetCostModel::predict_sweep`] computes the same per-mode
+//! walk of `NetCostModel::predict_sweep` computes the same per-mode
 //! overlaps with the same function.
 //!
 //! Costs are model-specific scalars (FLOP-equivalents vs. nanoseconds);
@@ -78,7 +78,7 @@ pub const VOLUME_FLOP_EQUIV: f64 = 16.0;
 /// The global tensor shape after multiplying the modes in `premult` (a
 /// bitmask): `L_n` for untouched modes, `K_n` for multiplied ones, written
 /// into a stack buffer; returns the filled prefix.
-pub fn premult_shape<'b>(
+pub(crate) fn premult_shape<'b>(
     meta: &TuckerMeta,
     premult: u32,
     buf: &'b mut [usize; MAX_ORDER],
@@ -97,10 +97,10 @@ pub fn premult_shape<'b>(
 
 /// A regrid price by premult mask and two indices into one search's
 /// candidate grids ([`CostModel::regrid_pricer`]).
-pub type RegridPricer<'s> = Box<dyn Fn(u32, usize, usize) -> f64 + 's>;
+pub(crate) type RegridPricer<'s> = Box<dyn Fn(u32, usize, usize) -> f64 + 's>;
 
 /// The pluggable objective of the planning layer. All prices are per
-/// *operation of one HOOI sweep* (an [`OpKind`]) and additive:
+/// *operation of one HOOI sweep* (an `OpKind`) and additive:
 /// [`sweep_cost`] sums them over the schedule of a concrete
 /// `(tree, grid scheme)` and is exactly the functional the
 /// [`crate::plan::search`] DP minimizes.
@@ -153,7 +153,7 @@ pub trait CostModel {
     /// under grid `g`.
     fn leaf_cost(&self, meta: &TuckerMeta, premult: u32, n: usize, g: &Grid) -> f64;
 
-    /// Price of the engine's core-update chain ([`core_chain`]) under the
+    /// Price of the engine's core-update chain (`core_chain`) under the
     /// initial grid. The default sums its TTM prices.
     fn chain_cost(&self, meta: &TuckerMeta, g: &Grid) -> f64 {
         core_chain(meta, g).fold(0.0, |total, op| match op.kind {
@@ -187,14 +187,14 @@ pub trait CostModel {
 }
 
 /// The additive model cost of one HOOI sweep executing `tree` under
-/// `scheme`: each tree operation of its [`schedule::sweep`] (regrid, TTM,
+/// `scheme`: each tree operation of its `schedule::sweep` (regrid, TTM,
 /// leaf Gram) at its price, in issue order, then the core-update chain as
 /// one subtotal ([`CostModel::chain_cost`]) and the per-sweep overhead (the
 /// norm). The joint DP minimizes exactly this; the brute-force oracle
 /// scores candidates with exactly this.
 ///
 /// # Panics
-/// Panics if the scheme does not match the tree ([`schedule::sweep`]).
+/// Panics if the scheme does not match the tree (`schedule::sweep`).
 pub fn sweep_cost(
     model: &dyn CostModel,
     meta: &TuckerMeta,
@@ -258,7 +258,7 @@ impl CostModel for FlopVolumeModel {
 // ---------------------------------------------------------- α–β cost model
 
 /// Exact per-rank communication prediction of one HOOI sweep (see
-/// [`NetCostModel::predict_sweep`]). Every field mirrors the engine's
+/// `NetCostModel::predict_sweep`). Every field mirrors the engine's
 /// aggregation: the maximum over ranks of that rank's accumulated modeled
 /// nanoseconds in the sweep window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -435,13 +435,8 @@ impl NetCostModel {
     }
 
     /// The α–β model in use.
-    pub fn net(&self) -> &NetModel {
+    pub(crate) fn net(&self) -> &NetModel {
         &self.net
-    }
-
-    /// The rank count this model prices for.
-    pub fn nranks(&self) -> usize {
-        self.nranks
     }
 
     /// The reduce-scatter charge of one distributed TTM as accumulated by
@@ -464,7 +459,7 @@ impl NetCostModel {
     /// best chance of keeping their groups inside one node. Returns `None`
     /// when the reordering would not change the rank mapping (e.g. flat
     /// models, or grids whose split modes are already heaviest-first).
-    pub fn node_aligned_variant(&self, meta: &TuckerMeta, g: &Grid) -> Option<Grid> {
+    pub(crate) fn node_aligned_variant(&self, meta: &TuckerMeta, g: &Grid) -> Option<Grid> {
         if !self.net.is_hierarchical() || !g.has_identity_axes() {
             return None;
         }
@@ -533,7 +528,7 @@ impl NetCostModel {
     /// equal grids stay equal and the scheme's regrid flags remain faithful;
     /// the geometric volume is unchanged (only the rank → coordinate mapping
     /// moves). Returns `None` when no grid changes.
-    pub fn node_align_scheme<'s>(
+    pub(crate) fn node_align_scheme<'s>(
         &self,
         meta: &TuckerMeta,
         scheme: &'s DynGridScheme,
@@ -639,7 +634,7 @@ impl NetCostModel {
     /// # Panics
     /// Panics if the scheme does not match the tree or the initial grid's
     /// rank count differs from this model's.
-    pub fn predict_sweep(
+    pub(crate) fn predict_sweep(
         &self,
         meta: &TuckerMeta,
         tree: &TtmTree,

@@ -4,9 +4,9 @@
 //!
 //! Under a grid `g`, the TTM at node `u` with label `n` incurs a
 //! reduce-scatter volume of `(g_n − 1) · |Out(u)|` elements
-//! ([`ttm_volume`]); a regrid at node `u` costs `|In(u)|`
-//! ([`regrid_volume`]). A scheme's volume sums them over the tree
-//! operations of its [`sweep`] schedule. The optimal static grid is found
+//! (`ttm_volume`); a regrid at node `u` costs `|In(u)|`
+//! (`regrid_volume`). A scheme's volume sums them over the tree
+//! operations of its `sweep` schedule. The optimal static grid is found
 //! by exhaustive search over the *valid* grids (`q_n ≤ K_n`, Table 1); the
 //! optimal dynamic scheme by a bottom-up DP over (node, parent-grid) pairs:
 //!
@@ -69,13 +69,14 @@ pub fn optimal_static_grid(tree: &TtmTree, meta: &TuckerMeta, nranks: usize) -> 
 /// (lexicographic) order — the candidate set every planner search scans.
 ///
 /// # Panics
-/// Panics if no valid grid exists (`P > ∏ K_n`).
+/// Panics if no valid grid exists: `P` is not a product `∏ q_n` with every
+/// `q_n ≤ K_n` (`P > ∏ K_n` is one way; P = 7 on `K = [4, 4, 4]` another).
 pub fn candidate_grids(meta: &TuckerMeta, nranks: usize) -> Vec<Grid> {
     let grids = enumerate_valid_grids(nranks, meta.core().dims());
     assert!(
         !grids.is_empty(),
-        "no valid grid: P = {nranks} exceeds core cardinality {}",
-        meta.core_cardinality()
+        "no valid grid: P = {nranks} is not a product of per-mode counts q_n <= K_n for K = {:?}",
+        meta.core().dims()
     );
     grids
 }
@@ -84,7 +85,7 @@ pub fn candidate_grids(meta: &TuckerMeta, nranks: usize) -> Vec<Grid> {
 /// `(L_n, K_n)` are interchangeable for planning purposes (equal cost
 /// factor, compression, chunking). Returned as one sorted index list per
 /// class with ≥ 2 members (singleton classes carry no symmetry).
-pub fn mode_symmetry_classes(meta: &TuckerMeta) -> Vec<Vec<usize>> {
+pub(crate) fn mode_symmetry_classes(meta: &TuckerMeta) -> Vec<Vec<usize>> {
     let mut classes: Vec<((usize, usize), Vec<usize>)> = Vec::new();
     for n in 0..meta.order() {
         let key = (meta.l(n), meta.k(n));
@@ -100,41 +101,13 @@ pub fn mode_symmetry_classes(meta: &TuckerMeta) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Drop mirror-image grids: when `meta` has interchangeable modes (identical
-/// `(L_n, K_n)`), two grids that differ only by permuting processor counts
-/// within such a class lead to tree searches of equal value — scoring both
-/// wastes candidate budget (the Table 1 enumeration otherwise scores each
-/// mirror image separately). A grid is kept iff its per-class processor
-/// counts are non-increasing in mode order (one canonical representative
-/// per orbit).
-///
-/// This is only a sound reduction for cost components that optimize over
-/// *trees as well as grids*: the joint DP ([`crate::plan::search`]) shares
-/// the tree-search value per orbit but still prices the (class-order-
-/// sensitive) core chain per grid, relabeling the representative's plan
-/// onto a non-canonical winner. For a fixed tree, mirror grids are
-/// genuinely different candidates and the exhaustive searches above keep
-/// all of them.
-pub fn dedup_symmetric_grids(grids: &[Grid], meta: &TuckerMeta) -> Vec<Grid> {
-    let classes = mode_symmetry_classes(meta);
-    if classes.is_empty() {
-        return grids.to_vec();
-    }
-    grids
-        .iter()
-        .filter(|g| g.dims() == canonical_symmetric_dims(g, &classes))
-        .cloned()
-        .collect()
-}
-
 /// The canonical arrangement of `g`'s processor counts under `classes`:
 /// within each symmetry class the counts are sorted non-increasing in mode
-/// order. This single definition is the orbit representative both
-/// [`dedup_symmetric_grids`] and the joint DP's root-loop sharing
-/// ([`crate::plan::search`]) key on; the canonical arrangement is itself a
+/// order. This single definition is the orbit representative the joint
+/// DP's root-loop sharing ([`crate::plan::search`]) keys on; the canonical arrangement is itself a
 /// valid grid (class modes share `K`), so it always appears in
 /// [`candidate_grids`]' enumeration.
-pub fn canonical_symmetric_dims(g: &Grid, classes: &[Vec<usize>]) -> Vec<usize> {
+pub(crate) fn canonical_symmetric_dims(g: &Grid, classes: &[Vec<usize>]) -> Vec<usize> {
     let mut dims = g.dims().to_vec();
     for class in classes {
         let mut vals: Vec<usize> = class.iter().map(|&m| g.dim(m)).collect();
@@ -172,7 +145,7 @@ pub struct DynGridScheme {
 
 impl DynGridScheme {
     /// A static scheme: one grid everywhere, no regrids.
-    pub fn static_scheme(tree: &TtmTree, meta: &TuckerMeta, grid: Grid) -> Self {
+    pub(crate) fn static_scheme(tree: &TtmTree, meta: &TuckerMeta, grid: Grid) -> Self {
         let volume = static_volume(tree, meta, &grid);
         DynGridScheme {
             initial: grid.clone(),
@@ -192,7 +165,7 @@ impl DynGridScheme {
 /// DP and to score hand-written schemes).
 ///
 /// # Panics
-/// Panics if the scheme does not match the tree ([`sweep`]).
+/// Panics if the scheme does not match the tree (`sweep`).
 pub fn scheme_volume(tree: &TtmTree, meta: &TuckerMeta, scheme: &DynGridScheme) -> f64 {
     elements(&sweep(meta, tree, scheme), Op::in_tree)
 }
@@ -324,6 +297,14 @@ mod tests {
 
     fn meta3() -> TuckerMeta {
         TuckerMeta::new([40, 40, 40], [8, 8, 8])
+    }
+
+    /// The grids that are their orbit's representative
+    /// ([`canonical_symmetric_dims`]): one per set of mirror images.
+    fn dedup_symmetric_grids(grids: &[Grid], meta: &TuckerMeta) -> Vec<Grid> {
+        let classes = mode_symmetry_classes(meta);
+        let canonical = |g: &&Grid| g.dims() == canonical_symmetric_dims(g, &classes);
+        grids.iter().filter(canonical).cloned().collect()
     }
 
     #[test]

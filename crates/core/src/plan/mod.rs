@@ -16,7 +16,7 @@
 //! * [`cost`] — the [`CostModel`] contract with the
 //!   closed-form [`FlopVolumeModel`] and the α–β
 //!   [`NetCostModel`] (whose
-//!   [`predict_sweep`](cost::NetCostModel::predict_sweep) reproduces the
+//!   `predict_sweep` reproduces the
 //!   engine's virtual communication clock exactly);
 //! * [`search`] — the joint grid × tree × order DP
 //!   ([`search::optimize`]) producing [`RankedPlans`];
@@ -40,7 +40,7 @@ pub mod tree;
 
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use cost::{CostModel, FlopVolumeModel, NetCostModel, SweepPrediction, VOLUME_FLOP_EQUIV};
-pub use schedule::{Op, OpKind};
+use schedule::{Op, OpKind};
 pub use search::{optimize, RankedPlans, ScoredPlan, SearchBudget};
 
 use crate::meta::TuckerMeta;
@@ -78,7 +78,7 @@ impl TreeStrategy {
     }
 
     /// Short label used in experiment output (matches the paper's legends).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TreeStrategy::Chain(ModeOrdering::Natural) => "chain",
             TreeStrategy::Chain(ModeOrdering::ByCostFactor) => "chain-K",
@@ -101,7 +101,7 @@ pub enum GridStrategy {
 
 impl GridStrategy {
     /// Short label used in experiment output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             GridStrategy::StaticOptimal => "static",
             GridStrategy::Dynamic => "dynamic",
@@ -135,7 +135,7 @@ impl Plan {
     }
 
     /// The operations of one sweep executing this plan.
-    pub fn schedule(&self) -> Vec<Op<'_>> {
+    pub(crate) fn schedule(&self) -> Vec<Op<'_>> {
         schedule::sweep(&self.meta, &self.tree, &self.grids)
     }
 
@@ -143,7 +143,7 @@ impl Plan {
     /// elements: `Σ_u (q_n(u) − 1)·|Out(u)|` under each node's grid. The
     /// engine's ledger matches this **exactly** (uneven chunks included —
     /// the chunks partition `K_n`, so the per-group sums telescope).
-    pub fn modeled_tree_ttm_elements(&self) -> f64 {
+    pub(crate) fn modeled_tree_ttm_elements(&self) -> f64 {
         let tree_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: Some(_), .. });
         schedule::elements(&self.schedule(), tree_ttm)
     }
@@ -163,7 +163,7 @@ impl Plan {
 
     /// §4.1 prediction for the engine's core-update chain (every mode, in
     /// the schedule's chain order, under the initial grid), in elements.
-    pub fn modeled_core_chain_elements(&self) -> f64 {
+    pub(crate) fn modeled_core_chain_elements(&self) -> f64 {
         let chain_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: None, .. });
         schedule::elements(&self.schedule(), chain_ttm)
     }
@@ -181,7 +181,7 @@ impl Plan {
     }
 
     /// The exact per-rank α–β communication prediction of one engine sweep
-    /// executing this plan (see [`cost::NetCostModel::predict_sweep`]).
+    /// executing this plan (see `cost::NetCostModel::predict_sweep`).
     pub fn predict_net(&self, model: &NetCostModel) -> SweepPrediction {
         model.predict_sweep(&self.meta, &self.tree, &self.grids)
     }
@@ -191,7 +191,7 @@ impl Plan {
     /// heaviest mode-reductions sit on the smallest rank strides (see
     /// [`cost::NetCostModel::node_align_scheme`]). `None` when no grid
     /// changes (flat models included).
-    pub fn node_aligned(&self, model: &NetCostModel) -> Option<Plan> {
+    pub(crate) fn node_aligned(&self, model: &NetCostModel) -> Option<Plan> {
         let grids = model.node_align_scheme(&self.meta, &self.grids)?;
         Some(Plan {
             grids,
@@ -211,25 +211,17 @@ impl Planner {
     /// Create a planner for a problem on `nranks` ranks.
     ///
     /// # Panics
-    /// Panics if `nranks` is zero or exceeds the core cardinality (then no
-    /// valid grid exists).
+    /// Panics if `nranks` is zero or no valid grid exists: `nranks` is not a
+    /// product `∏ q_n` with every `q_n ≤ K_n` (exceeding the core
+    /// cardinality is one way).
     pub fn new(meta: TuckerMeta, nranks: usize) -> Self {
         assert!(nranks >= 1, "need at least one rank");
         assert!(
-            (nranks as f64) <= meta.core_cardinality(),
-            "P = {nranks} exceeds core cardinality; no valid grid exists"
+            !tucker_distsim::enumerate_valid_grids(nranks, meta.core().dims()).is_empty(),
+            "no valid grid: P = {nranks} is not a product of per-mode counts q_n <= K_n for K = {:?}",
+            meta.core().dims()
         );
         Planner { meta, nranks }
-    }
-
-    /// The metadata this planner serves.
-    pub fn meta(&self) -> &TuckerMeta {
-        &self.meta
-    }
-
-    /// The rank count.
-    pub fn nranks(&self) -> usize {
-        self.nranks
     }
 
     /// Build the tree for a strategy.
@@ -306,7 +298,7 @@ impl Planner {
 
     /// Topology-aware plan selection under an α–β [`NetCostModel`]: build a
     /// candidate portfolio, then choose the plan minimizing the **exact**
-    /// predicted communication wall of [`NetCostModel::predict_sweep`].
+    /// predicted communication wall of `NetCostModel::predict_sweep`.
     ///
     /// The DP's scalar objective sums per-operation critical paths — an
     /// upper bound whose argmin can differ from the engine's aggregation
@@ -320,7 +312,7 @@ impl Planner {
     ///   its presence means the topology-aware choice can never lose to a
     ///   hierarchy-unaware planner on the exact clock;
     /// * the node-aligned relabeling of every candidate above
-    ///   ([`Plan::node_aligned`]): same geometry, heaviest mode-reductions
+    ///   (`Plan::node_aligned`): same geometry, heaviest mode-reductions
     ///   on the smallest rank strides.
     pub fn best_plan_net(&self, model: &NetCostModel, budget: &SearchBudget) -> Plan {
         let ranked = self.ranked_plans(model, budget);
@@ -399,7 +391,7 @@ mod tests {
     fn best_plan_cost_is_consistent_with_reported_fields() {
         let p = planner();
         let best = p.best_plan();
-        let recomputed = sweep_cost(&FlopVolumeModel, p.meta(), &best.tree, &best.grids);
+        let recomputed = sweep_cost(&FlopVolumeModel, &p.meta, &best.tree, &best.grids);
         // Classic model: sweep_cost == flops + 16 * volume.
         let reported = best.flops + VOLUME_FLOP_EQUIV * best.volume;
         assert!((recomputed - reported).abs() <= reported * 1e-9);
@@ -429,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds core cardinality")]
+    #[should_panic(expected = "no valid grid")]
     fn too_many_ranks_rejected() {
         let _ = Planner::new(TuckerMeta::new([4, 4], [2, 2]), 32);
     }
@@ -438,9 +430,9 @@ mod tests {
     fn plan_predictions_are_consistent() {
         let p = planner();
         let plan = p.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
-        let flops = cost::tree_flops(&plan.tree, p.meta());
+        let flops = cost::tree_flops(&plan.tree, &p.meta);
         assert!((plan.flops - flops).abs() < flops * 1e-12);
-        let vol = grid::scheme_volume(&plan.tree, p.meta(), &plan.grids);
+        let vol = grid::scheme_volume(&plan.tree, &p.meta, &plan.grids);
         assert!((plan.volume - vol).abs() <= vol.max(1.0) * 1e-9);
     }
 }

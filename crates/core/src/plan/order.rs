@@ -6,7 +6,7 @@
 //!
 //! * [`ModeOrdering`] — the orderings of Austin et al. used by the paper's
 //!   chain-tree heuristics ("(chain, K)" and "(chain, h)");
-//! * [`core_chain_order`] — the order the executor chains the new core in
+//! * `core_chain_order` — the order the executor chains the new core in
 //!   (strongest compression first; mathematically any order is equal, this
 //!   one minimizes cost and the cost models mirror it exactly);
 //! * [`optimal_sthosvd_order`] — the single-chain specialization of the
@@ -53,7 +53,7 @@ impl ModeOrdering {
 /// is mathematically equal; this one shrinks the tensor fastest. The §4.1
 /// volume model and the α–β cost model both walk the chain in exactly this
 /// order, so predictions match the executed chain node for node.
-pub fn core_chain_order(meta: &TuckerMeta) -> Vec<usize> {
+pub(crate) fn core_chain_order(meta: &TuckerMeta) -> Vec<usize> {
     let mut order: Vec<usize> = (0..meta.order()).collect();
     order.sort_by(|&a, &b| meta.h(a).partial_cmp(&meta.h(b)).unwrap());
     order

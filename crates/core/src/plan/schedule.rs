@@ -1,5 +1,5 @@
 //! One HOOI sweep's operations, listed once, in the order the executor
-//! issues them: [`TtmTree::topological_order`] (DFS pre-order, the
+//! issues them: `TtmTree::topological_order` (DFS pre-order, the
 //! executor's stack order), then the core-update chain under the initial
 //! grid, then the norm all-reduce. Every price of a plan folds over this
 //! list — `sweep_cost`, `NetCostModel::predict_sweep`, the §3.1 FLOPs and
@@ -14,19 +14,19 @@ use tucker_distsim::Grid;
 
 /// §4.1: a TTM along a mode split `q` ways reduce-scatters
 /// `(q − 1)·|Out(u)|` elements.
-pub fn ttm_volume(q: usize, out: f64) -> f64 {
+pub(crate) fn ttm_volume(q: usize, out: f64) -> f64 {
     (q as f64 - 1.0) * out
 }
 
 /// §4.3: a regrid moves (at most) its whole input, `|In(u)|` elements.
-pub fn regrid_volume(input: f64) -> f64 {
+pub(crate) fn regrid_volume(input: f64) -> f64 {
     input
 }
 
 /// One operation of a sweep, on the input `T[premult]` (the tensor with
 /// the modes `premult` multiplied, `input` elements) under `grid`.
 #[derive(Clone, Copy, Debug)]
-pub struct Op<'g> {
+pub(crate) struct Op<'g> {
     /// What the operation does.
     pub kind: OpKind<'g>,
     /// The modes multiplied into the input.
@@ -39,7 +39,7 @@ pub struct Op<'g> {
 
 /// What an [`Op`] does.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum OpKind<'g> {
+pub(crate) enum OpKind<'g> {
     /// Redistribute tree node `node`'s input from its parent's grid `from`,
     /// ahead of its TTM.
     Regrid { node: usize, from: &'g Grid },
@@ -60,7 +60,7 @@ pub enum OpKind<'g> {
 impl Op<'_> {
     /// Whether the operation belongs to the tree (§4's scope): a regrid or
     /// a tree-node TTM.
-    pub fn in_tree(&self) -> bool {
+    pub(crate) fn in_tree(&self) -> bool {
         matches!(
             self.kind,
             OpKind::Regrid { .. } | OpKind::Ttm { node: Some(_), .. }
@@ -69,7 +69,7 @@ impl Op<'_> {
 
     /// The §4 volume model's elements for the operation ([`ttm_volume`],
     /// [`regrid_volume`]; 0 for the Gram and the norm, which §4 leaves out).
-    pub fn elements(&self) -> f64 {
+    pub(crate) fn elements(&self) -> f64 {
         match self.kind {
             OpKind::Regrid { .. } => regrid_volume(self.input),
             OpKind::Ttm { mode, out, .. } => ttm_volume(self.grid.dim(mode), out),
@@ -84,7 +84,11 @@ impl Op<'_> {
 /// # Panics
 /// Panics if the scheme's vectors do not match the tree, or a TTM node
 /// that does not regrid has a grid other than its parent's.
-pub fn sweep<'g>(meta: &'g TuckerMeta, tree: &TtmTree, scheme: &'g DynGridScheme) -> Vec<Op<'g>> {
+pub(crate) fn sweep<'g>(
+    meta: &'g TuckerMeta,
+    tree: &TtmTree,
+    scheme: &'g DynGridScheme,
+) -> Vec<Op<'g>> {
     assert_eq!(scheme.node_grids.len(), tree.len());
     assert_eq!(scheme.regrid.len(), tree.len());
     let (grids, regrid) = (&scheme.node_grids, &scheme.regrid);
@@ -98,7 +102,7 @@ pub fn sweep<'g>(meta: &'g TuckerMeta, tree: &TtmTree, scheme: &'g DynGridScheme
 }
 
 /// [`sweep`] with every operation on `g` (no regrids).
-pub fn sweep_on<'g>(meta: &'g TuckerMeta, tree: &TtmTree, g: &'g Grid) -> Vec<Op<'g>> {
+pub(crate) fn sweep_on<'g>(meta: &'g TuckerMeta, tree: &TtmTree, g: &'g Grid) -> Vec<Op<'g>> {
     build(meta, tree, g, |_| g, |_| false)
 }
 
@@ -151,7 +155,7 @@ fn build<'g>(
 
 /// The [`Op::elements`] of the operations `pick` selects, summed in issue
 /// order.
-pub fn elements<'g>(ops: &[Op<'g>], pick: impl Fn(&Op<'g>) -> bool) -> f64 {
+pub(crate) fn elements<'g>(ops: &[Op<'g>], pick: impl Fn(&Op<'g>) -> bool) -> f64 {
     let picked = ops.iter().filter(|op| pick(op));
     picked.fold(0.0, |sum, op| sum + op.elements())
 }
@@ -159,7 +163,7 @@ pub fn elements<'g>(ops: &[Op<'g>], pick: impl Fn(&Op<'g>) -> bool) -> f64 {
 /// The core-update chain under `g`: one [`OpKind::Ttm`] per mode, strongest
 /// compression first ([`core_chain_order`]), each on the previous one's
 /// output.
-pub fn core_chain<'g>(meta: &'g TuckerMeta, g: &'g Grid) -> impl Iterator<Item = Op<'g>> {
+pub(crate) fn core_chain<'g>(meta: &'g TuckerMeta, g: &'g Grid) -> impl Iterator<Item = Op<'g>> {
     let (mut premult, mut out) = (0u32, meta.input_cardinality());
     core_chain_order(meta).into_iter().map(move |mode| {
         let (op_premult, input) = (premult, out);

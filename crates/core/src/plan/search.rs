@@ -37,8 +37,8 @@
 //! Mirror-image initial grids (processor counts permuted within classes of
 //! modes with identical `(L_n, K_n)`) are deduplicated before scoring the
 //! tree search: the search value is invariant under such permutations, so
-//! it runs once per orbit — on the canonical representative of
-//! [`crate::plan::grid::dedup_symmetric_grids`] — and only the (cheap,
+//! it runs once per orbit — on the canonical representative,
+//! `crate::plan::grid::canonical_symmetric_dims` — and only the (cheap,
 //! order-sensitive) core-chain price is evaluated per grid. A winning
 //! non-canonical grid gets the representative's plan relabeled back onto
 //! it, so the optimality guarantee holds over the *full* grid set.
@@ -472,9 +472,7 @@ impl<'a> JointDp<'a> {
     }
 
     /// Map every grid index to the index of its orbit's canonical
-    /// representative (the [`crate::plan::grid::dedup_symmetric_grids`]
-    /// survivor, shared via
-    /// [`crate::plan::grid::canonical_symmetric_dims`]).
+    /// representative ([`crate::plan::grid::canonical_symmetric_dims`]).
     fn orbit_representatives(&self) -> Vec<usize> {
         // Models whose prices see the rank mapping (hierarchical networks)
         // are not class-equivariant: every grid is its own representative.

@@ -51,7 +51,7 @@ pub struct TtmTree {
 
 impl TtmTree {
     /// Create an empty tree (just the root) over `order` modes.
-    pub fn new(order: usize) -> Self {
+    pub(crate) fn new(order: usize) -> Self {
         assert!(order >= 1);
         TtmTree {
             nodes: vec![Node {
@@ -61,11 +61,6 @@ impl TtmTree {
             }],
             order,
         }
-    }
-
-    /// Number of modes `N`.
-    pub fn order(&self) -> usize {
-        self.order
     }
 
     /// The root's node id (always 0).
@@ -93,7 +88,7 @@ impl TtmTree {
     ///
     /// # Panics
     /// Panics if `len == 0` (the root must survive).
-    pub fn truncate_nodes(&mut self, len: usize) {
+    pub(crate) fn truncate_nodes(&mut self, len: usize) {
         assert!(len >= 1, "cannot truncate the root away");
         self.nodes.truncate(len);
         for node in &mut self.nodes {
@@ -102,7 +97,7 @@ impl TtmTree {
     }
 
     /// Append a child with the given label under `parent`, returning its id.
-    pub fn add_child(&mut self, parent: usize, label: NodeLabel) -> usize {
+    pub(crate) fn add_child(&mut self, parent: usize, label: NodeLabel) -> usize {
         assert!(parent < self.nodes.len(), "bad parent id");
         assert!(
             !matches!(label, NodeLabel::Root),
@@ -127,7 +122,7 @@ impl TtmTree {
     }
 
     /// Ids of all leaves.
-    pub fn leaves(&self) -> Vec<usize> {
+    pub(crate) fn leaves(&self) -> Vec<usize> {
         (0..self.nodes.len())
             .filter(|&id| matches!(self.nodes[id].label, NodeLabel::Leaf(_)))
             .collect()
@@ -142,7 +137,7 @@ impl TtmTree {
     }
 
     /// All node ids in DFS pre-order from the root (parents before children).
-    pub fn topological_order(&self) -> Vec<usize> {
+    pub(crate) fn topological_order(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.nodes.len());
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
@@ -156,7 +151,8 @@ impl TtmTree {
     }
 
     /// Maximum number of internal nodes on any root-to-leaf path.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         self.leaves()
             .into_iter()
             .map(|l| {

@@ -49,6 +49,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use tucker_distsim::enumerate_valid_grids;
 use tucker_linalg::Matrix;
 use tucker_tensor::norm::fro_norm_sq;
 use tucker_tensor::{DenseTensor, Shape, TtmWorkspace};
@@ -204,6 +205,15 @@ impl JobSpec {
             return Err(format!(
                 "nranks {} outside [1, core cardinality {core_card}]",
                 self.nranks
+            ));
+        }
+        // A grid needs `∏ q_n = P` with every `q_n ≤ K_n`; `P ≤ ∏ K_n` alone
+        // admits e.g. P = 7 on K = [4, 4, 4], which would panic the worker's
+        // planner and shut the server down.
+        if enumerate_valid_grids(self.nranks, &self.core).is_empty() {
+            return Err(format!(
+                "nranks {} is not a product of per-mode counts q_n <= K_n for K = {:?}",
+                self.nranks, self.core
             ));
         }
         if self.sweeps == 0 {

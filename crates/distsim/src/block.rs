@@ -50,7 +50,7 @@ pub fn chunk(l: usize, q: usize, i: usize) -> (usize, usize) {
 ///
 /// # Panics
 /// Panics (via debug assertions) on `x ≥ l` or an invalid split.
-pub fn chunk_index(l: usize, q: usize, x: usize) -> usize {
+pub(crate) fn chunk_index(l: usize, q: usize, x: usize) -> usize {
     debug_assert!(x < l && q >= 1 && q <= l);
     let base = l / q;
     let rem = l % q;
@@ -88,7 +88,7 @@ pub fn rank_region(shape: &Shape, grid: &Grid, rank: usize) -> Region {
 
 /// [`rank_region`] without the heap: what every rank computes for itself
 /// and for each peer it exchanges data with.
-pub fn rank_block(shape: &Shape, grid: &Grid, rank: usize) -> Block {
+pub(crate) fn rank_block(shape: &Shape, grid: &Grid, rank: usize) -> Block {
     let mut coord = Dims::filled(grid.order(), 0);
     grid.coord_into(rank, &mut coord);
     block_at(shape, grid, &coord)

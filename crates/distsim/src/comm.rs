@@ -360,7 +360,7 @@ impl RankCtx {
 
     /// Total number of ranks.
     #[inline]
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.nranks
     }
 

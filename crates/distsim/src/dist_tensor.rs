@@ -88,17 +88,17 @@ impl DistTensor {
     }
 
     /// Global tensor shape.
-    pub fn global_shape(&self) -> &Shape {
+    pub(crate) fn global_shape(&self) -> &Shape {
         &self.layout.global_shape
     }
 
     /// The distribution grid.
-    pub fn grid(&self) -> &Grid {
+    pub(crate) fn grid(&self) -> &Grid {
         &self.layout.grid
     }
 
     /// Owning rank of this block.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.layout.rank
     }
 

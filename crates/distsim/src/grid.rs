@@ -84,12 +84,6 @@ impl Grid {
         &self.q
     }
 
-    /// The axis significance order (`axes[0]` varies fastest).
-    #[inline]
-    pub fn axes(&self) -> &[usize] {
-        &self.axes
-    }
-
     /// `true` when the rank numbering is the default mode-0-fastest order.
     pub fn has_identity_axes(&self) -> bool {
         self.axes.iter().enumerate().all(|(i, &ax)| i == ax)
@@ -109,14 +103,17 @@ impl Grid {
 
     /// Grid coordinate of `rank` (mixed radix in axis significance order;
     /// mode-0-fastest for default grids).
-    pub fn coord(&self, rank: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn coord(&self, rank: usize) -> Vec<usize> {
         let mut c = vec![0usize; self.order()];
         self.coord_into(rank, &mut c);
         c
     }
 
-    /// [`Grid::coord`] written into a caller-provided buffer of length
-    /// `order` — no allocation, for per-rank pricing loops.
+    /// Grid coordinate of `rank`, written into a caller-provided buffer of
+    /// length `order` (mixed radix in axis significance order;
+    /// mode-0-fastest for default grids) — no allocation, for per-rank
+    /// pricing loops.
     pub fn coord_into(&self, mut rank: usize, out: &mut [usize]) {
         debug_assert!(rank < self.nranks());
         debug_assert_eq!(out.len(), self.order());
@@ -129,7 +126,7 @@ impl Grid {
     /// The rank stride of every mode, written into a caller-provided buffer
     /// of length `order`: `rank(c) = Σ c[n] · out[n]`, so stepping one
     /// coordinate along mode `n` moves the rank by `out[n]`.
-    pub fn strides_into(&self, out: &mut [usize]) {
+    pub(crate) fn strides_into(&self, out: &mut [usize]) {
         debug_assert_eq!(out.len(), self.order());
         let mut stride = 1;
         for &ax in &self.axes {
@@ -139,7 +136,8 @@ impl Grid {
     }
 
     /// Inverse of [`Grid::coord`].
-    pub fn rank(&self, coord: &[usize]) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rank(&self, coord: &[usize]) -> usize {
         debug_assert_eq!(coord.len(), self.order());
         let mut r = 0;
         let mut stride = 1;
@@ -197,7 +195,7 @@ impl fmt::Display for Grid {
 }
 
 /// Prime factorization of `p` as `(prime, exponent)` pairs.
-pub fn factorize(mut p: u64) -> Vec<(u64, u32)> {
+pub(crate) fn factorize(mut p: u64) -> Vec<(u64, u32)> {
     assert!(p > 0, "cannot factorize zero");
     let mut out = Vec::new();
     let mut d = 2u64;
@@ -265,7 +263,7 @@ fn enumerate_rec(p: usize, remaining: usize, cur: &mut Vec<usize>, out: &mut Vec
 }
 
 /// Sorted divisors of `p`.
-pub fn divisors(p: usize) -> Vec<usize> {
+pub(crate) fn divisors(p: usize) -> Vec<usize> {
     let mut small = Vec::new();
     let mut large = Vec::new();
     let mut d = 1;

@@ -914,7 +914,7 @@ pub enum RankOutcome<R> {
 
 impl<R> RankOutcome<R> {
     /// `true` iff the rank completed.
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         matches!(self, RankOutcome::Ok(_))
     }
 }

@@ -13,7 +13,7 @@ use crate::dist_tensor::DistTensor;
 use crate::exchange::{regrid_msgs, Msg};
 use crate::grid::Grid;
 use tucker_tensor::subtensor::{extract_window, insert_window, Region};
-use tucker_tensor::{copy_into, DenseTensor, Shape, TensorView, TensorViewMut};
+use tucker_tensor::{copy_into, DenseTensor, TensorView, TensorViewMut};
 
 /// Tag base for regrid traffic (messages carry `tag = REGRID_TAG`).
 const REGRID_TAG: u32 = 0x5E61;
@@ -98,20 +98,12 @@ fn listed<I: Iterator<Item = Msg>>(msgs: impl FnOnce() -> I) -> Vec<Msg> {
 /// wire, performed host-side because the two epochs are different
 /// universes. Elements only the dead rank held are the caller's to
 /// re-materialize (the engine falls back to the input generator for them).
+#[derive(Default)]
 pub struct BlockStore {
-    shape: Shape,
     blocks: std::sync::Mutex<Vec<(usize, Region, DenseTensor)>>,
 }
 
 impl BlockStore {
-    /// An empty store for blocks of `shape`.
-    pub fn new(shape: Shape) -> Self {
-        BlockStore {
-            shape,
-            blocks: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(usize, Region, DenseTensor)>> {
         match self.blocks.lock() {
             Ok(g) => g,
@@ -130,16 +122,6 @@ impl BlockStore {
     /// Drop a dead rank's block (its data is lost with the rank).
     pub fn evict(&self, rank: usize) {
         self.lock().retain(|(r, _, _)| *r != rank);
-    }
-
-    /// Number of live blocks held.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the store holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Copy every stored intersection with `region` into `local` (shaped
@@ -161,11 +143,6 @@ impl BlockStore {
             copy_into(&sv, &mut dv);
         }
         reused
-    }
-
-    /// The global shape the blocks belong to.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
     }
 }
 
@@ -296,7 +273,7 @@ mod tests {
         let global = rand_tensor(&[6, 4], 6);
         let shape = global.shape().clone();
         let old = Grid::new([2, 2]);
-        let store = BlockStore::new(shape.clone());
+        let store = BlockStore::default();
         for r in 0..4 {
             let region = block_of(&shape, &old, r);
             let local = DenseTensor::from_fn(region.shape(), |c| {
@@ -305,9 +282,9 @@ mod tests {
             });
             store.deposit(r, region, local);
         }
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.lock().len(), 4);
         store.evict(2);
-        assert_eq!(store.len(), 3);
+        assert_eq!(store.lock().len(), 3);
 
         let new = Grid::new([3, 1]);
         let dead_region = block_of(&shape, &old, 2);

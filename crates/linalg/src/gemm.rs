@@ -32,7 +32,7 @@ pub enum Transpose {
 impl Transpose {
     /// Logical shape of an operand under this transpose flag.
     #[inline]
-    pub fn apply(self, (r, c): (usize, usize)) -> (usize, usize) {
+    pub(crate) fn apply(self, (r, c): (usize, usize)) -> (usize, usize) {
         match self {
             Transpose::No => (r, c),
             Transpose::Yes => (c, r),

@@ -47,10 +47,7 @@ pub use pack::{
 };
 pub use pool::Pool;
 pub use svd::{leading_from_gram, GramSvd};
-pub use syrk::{
-    mirror_lower, syrk, syrk_aat_lower, syrk_ata_lower, syrk_into, unrolled_dot,
-    unrolled_dot_strided,
-};
+pub use syrk::{mirror_lower, syrk, syrk_aat_lower, syrk_ata_lower, syrk_into, unrolled_dot};
 
 /// Worker threads the OS grants this process — `available_parallelism()`,
 /// `1` if it cannot tell — resolved once: on Linux every call of the std

@@ -114,11 +114,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow column `j` as a contiguous slice.
     #[inline]
     pub fn col(&self, j: usize) -> &[f64] {
@@ -131,11 +126,6 @@ impl Matrix {
     pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
         debug_assert!(j < self.ncols);
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
-    }
-
-    /// Copy of row `i` (rows are strided; this allocates).
-    pub fn row(&self, i: usize) -> Vec<f64> {
-        (0..self.ncols).map(|j| self[(i, j)]).collect()
     }
 
     /// Explicit transpose.
@@ -269,7 +259,7 @@ mod tests {
         assert_eq!(m.shape(), (2, 3));
         assert_eq!(m[(0, 2)], 3.0);
         assert_eq!(m[(1, 0)], 4.0);
-        assert_eq!(m.row(1), vec![4.0, 5.0, 6.0]);
+        assert_eq!([m[(1, 0)], m[(1, 1)], m[(1, 2)]], [4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   zero-padded to full tiles and 64-byte aligned, so the micro-kernel
 //!   streams two contiguous panels regardless of the source strides;
 //! * the macro loops block by [`KC`] (shared dimension, one packed `B` block
-//!   per step), [`MC`] (rows of `A` resident in L2), and [`NC`] (columns of
+//!   per step), [`MC`] (rows of `A` resident in L2), and `NC` (columns of
 //!   `B` per outermost step).
 //!
 //! Packing pays only when a packed panel is read more than once. A `B`
@@ -74,7 +74,7 @@ pub const KC: usize = 256;
 /// Row block: `MC × KC` of packed `A` is sized to stay L2-resident.
 pub const MC: usize = 96;
 /// Column block: columns of `B` per outermost loop step.
-pub const NC: usize = 2048;
+pub(crate) const NC: usize = 2048;
 
 /// `m·n·k` below which packing costs more than it saves (measured on the
 /// bench shapes; tiny operands stay on the unrolled naive paths).
@@ -344,13 +344,13 @@ pub fn kernel_isa() -> &'static str {
 
 /// Packed length of an `mb`-row block tiled into `MR`-row panels of depth `kb`.
 #[inline]
-pub fn packed_a_len(mb: usize, kb: usize) -> usize {
+pub(crate) fn packed_a_len(mb: usize, kb: usize) -> usize {
     mb.div_ceil(MR) * MR * kb
 }
 
 /// Packed length of an `nb`-column block tiled into `NR`-column panels.
 #[inline]
-pub fn packed_b_len(kb: usize, nb: usize) -> usize {
+pub(crate) fn packed_b_len(kb: usize, nb: usize) -> usize {
     nb.div_ceil(NR) * NR * kb
 }
 

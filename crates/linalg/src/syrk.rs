@@ -157,37 +157,6 @@ pub fn unrolled_dot(x: &[f64], y: &[f64]) -> f64 {
     s + ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))
 }
 
-/// Strided twin of [`unrolled_dot`]: `Σ_i x[i·sx] · y[i·sy]` over `len`
-/// terms with the **same** eight-lane accumulation structure (lane `i % 8`
-/// for the unrolled body, a sequential tail for the last `len % 8` terms,
-/// identical final reduction), so for equal operand values the result is
-/// bit-identical to [`unrolled_dot`]. This is what lets the view-native
-/// kernels in `tucker-tensor` run over non-contiguous fibers at 0 ulp from
-/// the contiguous path.
-///
-/// # Panics
-/// Debug-panics if either slice is too short for `len` strided reads.
-#[inline]
-pub fn unrolled_dot_strided(x: &[f64], sx: usize, y: &[f64], sy: usize, len: usize) -> f64 {
-    debug_assert!(len == 0 || (len - 1) * sx < x.len(), "x too short");
-    debug_assert!(len == 0 || (len - 1) * sy < y.len(), "y too short");
-    const LANES: usize = 8;
-    let main = len - len % LANES;
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i < main {
-        for l in 0..LANES {
-            acc[l] += x[(i + l) * sx] * y[(i + l) * sy];
-        }
-        i += LANES;
-    }
-    let mut s = 0.0;
-    for i in main..len {
-        s += x[i * sx] * y[i * sy];
-    }
-    s + ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))
-}
-
 /// Accumulating lower-triangle `A·Aᵀ` update over a contiguous **column**
 /// range of a column-major `m × k` matrix given as a raw slice:
 /// `C[i, j] += Σ_{c0 ≤ l < c1} A[i, l] · A[j, l]` for every `j ≤ i`.
@@ -234,7 +203,7 @@ pub fn mirror_lower(c: &mut [f64], n: usize) {
 ///
 /// Used after all-reducing Gram contributions, where floating-point
 /// non-associativity across ranks can introduce tiny asymmetries.
-pub fn symmetrize(c: &mut Matrix) {
+pub(crate) fn symmetrize(c: &mut Matrix) {
     let (m, n) = c.shape();
     assert_eq!(m, n, "symmetrize needs a square matrix");
     for j in 0..n {
@@ -334,24 +303,6 @@ mod tests {
         let before = split.clone();
         syrk_ata_lower(a.as_slice(), 10, 4, 7, 7, &mut split);
         assert_eq!(split, before);
-    }
-
-    #[test]
-    fn strided_dot_is_bit_identical_to_unrolled() {
-        let x = rand_mat(1, 40, 21);
-        let y = rand_mat(1, 40, 22);
-        for len in [0, 1, 7, 8, 9, 16, 23, 40] {
-            let want = unrolled_dot(&x.as_slice()[..len], &y.as_slice()[..len]);
-            let got = unrolled_dot_strided(x.as_slice(), 1, y.as_slice(), 1, len);
-            assert_eq!(want.to_bits(), got.to_bits(), "len={len}");
-        }
-        // Strided gather of every 3rd element equals the dense dot of the
-        // gathered values, bitwise.
-        let xs: Vec<f64> = x.as_slice().iter().step_by(3).copied().collect();
-        let ys: Vec<f64> = y.as_slice().iter().step_by(3).copied().collect();
-        let want = unrolled_dot(&xs, &ys);
-        let got = unrolled_dot_strided(x.as_slice(), 3, y.as_slice(), 3, xs.len());
-        assert_eq!(want.to_bits(), got.to_bits());
     }
 
     #[test]

@@ -17,14 +17,14 @@
 use tucker_core::TuckerMeta;
 
 /// The mode lengths of §6.1.
-pub const LENGTHS: [usize; 4] = [20, 50, 100, 400];
+pub(crate) const LENGTHS: [usize; 4] = [20, 50, 100, 400];
 
 /// The compression ratios `L/K` of §6.1 (paired `K` values are integral for
 /// every length).
-pub const RATIOS: [f64; 4] = [1.25, 2.0, 5.0, 10.0];
+pub(crate) const RATIOS: [f64; 4] = [1.25, 2.0, 5.0, 10.0];
 
 /// The cardinality cap of §6.1.
-pub const CARDINALITY_CAP: f64 = 8e9;
+pub(crate) const CARDINALITY_CAP: f64 = 8e9;
 
 /// One per-mode choice: `(L, K)`.
 fn pair_choices() -> Vec<(usize, usize)> {
@@ -44,7 +44,7 @@ fn pair_choices() -> Vec<(usize, usize)> {
 
 /// Enumerate the full benchmark for `order`-dimensional tensors: all
 /// multisets of `(L, K)` pairs of the given size whose input cardinality is
-/// at most [`CARDINALITY_CAP`]. Deterministic (lexicographic) order.
+/// at most `CARDINALITY_CAP`. Deterministic (lexicographic) order.
 pub fn full_enumeration(order: usize) -> Vec<TuckerMeta> {
     assert!(order >= 1, "order must be positive");
     let choices = pair_choices();

@@ -20,5 +20,5 @@ pub mod percentile;
 pub mod real;
 
 pub use generator::{benchmark_5d, benchmark_6d, full_enumeration, paper_sized_subsample};
-pub use percentile::{normalized_percentiles, percentile_curve, PercentileCurve};
+pub use percentile::{normalized_percentiles, PercentileCurve};
 pub use real::{real_tensors, RealTensor};

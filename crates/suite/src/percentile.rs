@@ -42,12 +42,6 @@ impl PercentileCurve {
         self.values[0]
     }
 
-    /// `(percentile, value)` pairs at integer percentiles 1..=100 — the
-    /// series a plot would draw.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        (1..=100).map(|p| (p as f64, self.at(p as f64))).collect()
-    }
-
     /// Fraction of tensors with value at least `threshold`.
     pub fn fraction_at_least(&self, threshold: f64) -> f64 {
         let n = self.values.len();
@@ -57,7 +51,7 @@ impl PercentileCurve {
 }
 
 /// Build a percentile curve from raw values.
-pub fn percentile_curve(mut values: Vec<f64>) -> PercentileCurve {
+pub(crate) fn percentile_curve(mut values: Vec<f64>) -> PercentileCurve {
     assert!(!values.is_empty(), "need at least one value");
     values.sort_by(|a, b| a.partial_cmp(b).expect("NaN metric value"));
     PercentileCurve { values }
@@ -136,10 +130,9 @@ mod tests {
     #[test]
     fn series_has_100_points() {
         let c = percentile_curve(vec![1.0; 7]);
-        let s = c.series();
-        assert_eq!(s.len(), 100);
-        assert_eq!(s[0].0, 1.0);
-        assert_eq!(s[99], (100.0, 1.0));
+        for p in 1..=100 {
+            assert_eq!(c.at(p as f64), 1.0, "percentile {p}");
+        }
     }
 
     #[test]

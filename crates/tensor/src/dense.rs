@@ -187,13 +187,6 @@ impl DenseTensor {
             .fold(0.0, f64::max)
     }
 
-    /// Scale every element in place.
-    pub fn scale(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Elementwise sum with another tensor, in place.
     ///
     /// # Panics
@@ -252,7 +245,7 @@ mod tests {
         let a = DenseTensor::from_fn([2, 2], |c| c[0] as f64);
         let mut b = a.clone();
         b.add_assign(&a);
-        b.scale(0.5);
+        b.as_mut_slice().iter_mut().for_each(|x| *x *= 0.5);
         assert_eq!(b.max_abs_diff(&a), 0.0);
     }
 

@@ -37,8 +37,7 @@
 //! baseline arm of the kernel-ablation bench; see `ROADMAP.md` and the
 //! `BENCH_kernels.json` trajectory for the measured gap.
 
-use crate::dense::note_buffer_alloc;
-use crate::view::{copy_into, TensorView, TensorViewMut};
+use crate::view::{with_canonical, TensorView};
 use tucker_linalg::{mirror_lower, syrk_aat_lower, syrk_ata_lower, Matrix, Pool};
 
 /// Minimum multiply-add count before the fiber range is split across threads.
@@ -143,11 +142,6 @@ impl ColumnShare {
         ColumnShare { ln, inner, c0, len }
     }
 
-    /// Number of fibers (unfolding columns) in the share.
-    pub fn fibers(&self) -> usize {
-        self.len
-    }
-
     /// Elements of the share's buffer: `L_n · len`.
     pub fn buf_len(&self) -> usize {
         self.ln * self.len
@@ -232,39 +226,6 @@ impl ColumnShare {
         mirror_lower(acc, ln);
         g
     }
-}
-
-thread_local! {
-    /// Grow-only landing buffer for the one copy a non-contiguous view pays
-    /// on its way into the slab kernel. Growth is counted as a tensor-buffer
-    /// allocation, so the zero-alloc steady-state invariant extends to views.
-    static VIEW_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
-/// Run `f` on the view's elements in canonical layout: in place when the
-/// view is contiguous (every full-tensor view and last-mode slice is), else
-/// copied **once** through [`copy_into`] into this thread's scratch — which
-/// is extract-then-compute minus the allocation, so the bits are those of
-/// the extracted tensor by construction. A strided Gram that walks the view
-/// in place has to gather each fiber element by element and measured
-/// 0.13–0.36× of this copy (DESIGN §11). The scratch is as large as the
-/// largest strided view this thread has taken a Gram of, and is kept.
-fn with_canonical<R>(v: &TensorView, f: impl FnOnce(&[f64]) -> R) -> R {
-    if let Some(src) = v.contiguous_data() {
-        return f(src);
-    }
-    VIEW_SCRATCH.with(|cell| {
-        let mut buf = cell.take();
-        let len = v.cardinality();
-        if buf.capacity() < len {
-            note_buffer_alloc();
-        }
-        buf.resize(len, 0.0);
-        copy_into(v, &mut TensorViewMut::packed(&mut buf, v.dims()));
-        let r = f(&buf);
-        cell.set(buf);
-        r
-    })
 }
 
 /// `(L_n, number of mode-n fibers)` of a view (`0` fibers when it is empty).

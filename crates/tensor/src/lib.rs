@@ -28,7 +28,10 @@
 //! `&DenseTensor` converts into its full view, so the compute entry points
 //! are [`fn@gram`], [`gram_threads`], [`ttm`](ttm::ttm), [`ttm_into_threads`],
 //! [`ttm_chain`] and the three [`TtmWorkspace`] methods, whatever the
-//! operand.
+//! operand. Both kernels take a view by one rule: a contiguous view is read
+//! where it lies, any other view is copied once through [`copy_into`] into a
+//! grow-only thread-local scratch (counted in [`view_bytes_copied`]) and
+//! read from there, so a view's result is extract-then-compute to the bit.
 //!
 //! Storage is the canonical layout generalizing column-major matrices: the
 //! first mode varies fastest. All index math lives in [`shape`] so that the

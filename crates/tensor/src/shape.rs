@@ -48,7 +48,7 @@ impl Dims {
     }
 
     /// Append one entry.
-    pub fn push(&mut self, value: usize) {
+    pub(crate) fn push(&mut self, value: usize) {
         match &mut self.0 {
             Repr::Inline { len, buf } if (*len as usize) < INLINE_MODES => {
                 buf[*len as usize] = value;
@@ -198,12 +198,6 @@ impl Shape {
         self.0.iter().map(|&d| d as f64).product()
     }
 
-    /// Stride of mode `n` in the canonical (mode-0-fastest) layout.
-    #[inline]
-    pub fn stride(&self, n: usize) -> usize {
-        self.0[..n].iter().product()
-    }
-
     /// All strides.
     pub fn strides(&self) -> Dims {
         canonical_strides(&self.0)
@@ -260,14 +254,14 @@ impl Shape {
     /// Product of the lengths of modes strictly before `n` (the "inner" slab
     /// extent for the blocked TTM kernel).
     #[inline]
-    pub fn inner_extent(&self, n: usize) -> usize {
+    pub(crate) fn inner_extent(&self, n: usize) -> usize {
         self.0[..n].iter().product()
     }
 
     /// Product of the lengths of modes strictly after `n` (the "outer" slab
     /// count for the blocked TTM kernel).
     #[inline]
-    pub fn outer_extent(&self, n: usize) -> usize {
+    pub(crate) fn outer_extent(&self, n: usize) -> usize {
         self.0[n + 1..].iter().product()
     }
 
@@ -390,7 +384,6 @@ mod tests {
     fn strides_are_mode0_fastest() {
         let s = Shape::from([3, 4, 5]);
         assert_eq!(s.strides(), vec![1, 3, 12]);
-        assert_eq!(s.stride(2), 12);
     }
 
     #[test]

@@ -105,11 +105,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Number of elements in the box.
-    pub fn cardinality(&self) -> usize {
-        self.len.iter().product()
-    }
-
     /// [`Region::intersect`].
     pub fn intersect(&self, other: &Block) -> Option<Block> {
         assert_eq!(self.start.len(), other.start.len(), "region order mismatch");

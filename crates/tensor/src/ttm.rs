@@ -41,9 +41,12 @@
 //!
 //! There is one body, and it takes a view: every entry point accepts
 //! `impl Into<TensorView>`, a `&DenseTensor` being its full view. A
-//! contiguous view runs the slab kernels where it lies; a strided one runs
-//! the same kernels over maximal constant-stride runs
-//! (`ttm_strided`) — no copy, same bits.
+//! contiguous view (every full tensor and last-mode slice) runs the slab
+//! kernels where it lies; any other view is copied once into a grow-only
+//! thread-local scratch first, exactly as the Gram does
+//! (`view::with_canonical`), and runs the same body at the same `threads`.
+//! The slab body's bits do not depend on the partition, so a view's TTM is
+//! extract-then-TTM to the bit.
 //!
 //! The workhorse entry point is [`ttm_into_threads`], which writes into a
 //! caller-provided grow-only buffer; [`TtmWorkspace`] pools such buffers so
@@ -59,9 +62,9 @@
 
 use crate::dense::{note_buffer_alloc, DenseTensor};
 use crate::shape::{Dims, Shape};
-use crate::view::{AxisSpan, TensorView};
+use crate::view::{with_canonical, TensorView};
 use tucker_linalg::pack::{self, PackBuf};
-use tucker_linalg::{unrolled_dot_strided, Matrix, Pool};
+use tucker_linalg::{Matrix, Pool};
 
 /// Minimum per-slab work before the slab loop goes parallel.
 const PAR_MIN_WORK: usize = 1 << 14;
@@ -109,23 +112,22 @@ fn auto_threads(v: &TensorView, n: usize, a: &Matrix) -> usize {
 /// tensor-buffer allocation, see
 /// [`tensor_buffer_allocs`](crate::dense::tensor_buffer_allocs)).
 ///
-/// A contiguous view (every full-tensor view and last-mode slice) runs the
-/// canonical slab kernels on the storage where it lies: the `outer` slab
-/// range is split into `threads` contiguous runs (the rows of the one slab,
-/// for a packed last-mode product), executed on the shared worker team
-/// however wide it is; `threads == 1` runs the slab loop strictly
-/// sequentially (no parallel region is opened). This is the par-ranged
-/// entry point the sweep-executor backends build on (`SeqBackend` pins 1,
-/// `RayonBackend` pins the host core count).
+/// The canonical slab kernels run with the `outer` slab range split into
+/// `threads` contiguous runs (the rows of the one slab, for a packed
+/// last-mode product), executed on the shared worker team however wide it
+/// is; `threads == 1` runs the slab loop strictly sequentially (no parallel
+/// region is opened). This is the par-ranged entry point the sweep-executor
+/// backends build on (`SeqBackend` pins 1, `RayonBackend` pins the host
+/// core count).
 ///
-/// A genuinely strided view runs a sequential run-decomposition instead —
-/// **no extraction, no scratch tensor**: the non-contracted index space is
-/// decomposed into maximal constant-stride runs, each fed to the packed
-/// micro-kernels (or the naive loops below the packing threshold) as a
-/// strided operand. Per-element accumulation order depends only on the `KC`
-/// blocking of the contracted extent `L_n`, which is never split, so the
-/// result is **bit-identical** to extracting the view and calling the dense
-/// kernel, at any `threads`.
+/// A contiguous view (every full-tensor view and last-mode slice) is read
+/// where it lies. Any other view is copied once (`copy_into`, counted in
+/// [`view_bytes_copied`](crate::view::view_bytes_copied)) into this
+/// thread's grow-only scratch, which stays allocation-free once warm, and
+/// runs the same body at the same `threads`. Per-element accumulation order
+/// depends only on the `KC` blocking of the contracted extent `L_n`, never
+/// on the partition, so the result is **bit-identical** to extracting the
+/// view and calling the dense kernel, at any `threads`.
 ///
 /// # Panics
 /// See [`ttm`].
@@ -140,7 +142,7 @@ pub fn ttm_into_threads<'a>(
 }
 
 /// The one TTM body behind every entry point: validate, size `out`, and
-/// dispatch on the view's layout.
+/// run the slab body on the view's canonical layout.
 fn ttm_into_impl(
     v: &TensorView,
     n: usize,
@@ -165,18 +167,14 @@ fn ttm_into_impl(
     }
     out.clear();
     out.resize(out_shape.cardinality(), 0.0);
-    if let Some(src) = v.contiguous_data() {
-        ttm_src_body(src, v.dims(), n, a, out, threads);
-    } else {
-        ttm_strided(v, n, a, out);
-    }
+    with_canonical(v, |src| ttm_src_body(src, v.dims(), n, a, out, threads));
     out_shape
 }
 
 /// The canonical-layout TTM body on raw storage: `src`/`dims` describe a
-/// tensor in canonical layout (a tensor's buffer, or a contiguous view's
-/// window), `out` is already zeroed to the output cardinality. Shared by the
-/// dense entry points and the contiguous fast path of the view entry points.
+/// tensor in canonical layout (a tensor's buffer, a contiguous view's
+/// window, or a strided view's scratch copy), `out` is already zeroed to
+/// the output cardinality.
 fn ttm_src_body(
     src: &[f64],
     dims: &[usize],
@@ -258,121 +256,6 @@ fn ttm_src_body(
     }
 }
 
-/// The strided-view TTM body: `out` is zeroed, shapes validated, view known
-/// non-contiguous. Sequential; see [`ttm_into_threads`] for the
-/// bit-exactness argument.
-fn ttm_strided(v: &TensorView, n: usize, a: &Matrix, out: &mut [f64]) {
-    let dims = v.dims();
-    let strides = v.strides();
-    let ln = dims[n];
-    let sn = strides[n];
-    let k = a.nrows();
-    let data = v.data();
-    let a_buf = a.as_slice();
-    let inner: usize = dims[..n].iter().product();
-    let outer: usize = dims[n + 1..].iter().product();
-    let out_slab = inner * k;
-
-    let outer_span = AxisSpan::over(dims, strides, |j| j > n);
-    let inner_span = AxisSpan::over(dims, strides, |j| j < n);
-    let (run, rstride, irest) = inner_span.split_run();
-
-    if pack::use_packed(inner.saturating_mul(outer), k, ln) {
-        return pack::with_thread_packs(|packs| {
-            if inner == 1 {
-                // Mode 0: Out = A · V(0) — one GEMM per maximal constant-stride
-                // column run of the outer space (a column split, which never
-                // changes the per-element KC accumulation order). Contiguous
-                // fibers stream when a packed panel would be read once.
-                let (crun, cstride, orest) = outer_span.split_run();
-                let runs = || {
-                    let cols = orest.offsets().enumerate();
-                    cols.map(|(r, base)| (r * crun * k, &data[base..]))
-                };
-                if sn == 1 && pack::b_panel_readers(k) == 1 {
-                    let fp = pack_streamed_factor(a_buf, k, ln, &mut packs.a);
-                    for (at, fibers) in runs() {
-                        let dst = &mut out[at..at + crun * k];
-                        pack::gemm_streamed_b(k, crun, ln, fp, fibers, cstride, 1.0, dst, k);
-                    }
-                    return;
-                }
-                let mut grew = false;
-                for (at, fibers) in runs() {
-                    let dst = &mut out[at..at + crun * k];
-                    grew |= pack::gemm_packed(
-                        k, crun, ln, a_buf, 1, k, fibers, sn, cstride, 1.0, dst, k, packs,
-                    );
-                }
-                note_growth(grew);
-                return;
-            }
-
-            // General mode: pack the factor once and share it with one GEMM
-            // per (outer position × maximal inner run) — a row split of the
-            // slab GEMMs, equally harmless to the bits.
-            let factor = SlabFactor::pack(a_buf, ln, k, rstride == 1, &mut packs.b);
-            let apack = &mut packs.a;
-            let mut grew = false;
-            for (o, obase) in outer_span.offsets().enumerate() {
-                let mut i0 = 0usize;
-                for ibase in irest.offsets() {
-                    let dst = &mut out[o * out_slab + i0..][..(k - 1) * inner + run];
-                    let rows = &data[obase + ibase..];
-                    grew |= factor.gemm(run, k, ln, rows, rstride, sn, dst, inner, apack);
-                    i0 += run;
-                }
-            }
-            note_growth(grew);
-        });
-    }
-
-    // Naive branches: structural twins of the canonical slab loops, strided
-    // reads, identical per-element accumulation order.
-    let a_rows: Option<Matrix> = (inner == 1).then(|| a.transpose());
-    for (o, obase) in outer_span.offsets().enumerate() {
-        let dst = &mut out[o * out_slab..(o + 1) * out_slab];
-        if let Some(at) = &a_rows {
-            // dst[kk] = <A[kk, :], fiber> — eight-lane strided dot.
-            for (d, row) in dst.iter_mut().zip(at.as_slice().chunks_exact(ln)) {
-                *d = unrolled_dot_strided(row, 1, &data[obase..], sn, ln);
-            }
-        } else if inner >= 16 {
-            // Out_o(:, kk) += A[kk, l] * V_o(:, l) — axpys over the inner
-            // runs.
-            for l in 0..ln {
-                let acol = &a_buf[l * k..(l + 1) * k];
-                for (kk, &alk) in acol.iter().enumerate() {
-                    let dcol = &mut dst[kk * inner..(kk + 1) * inner];
-                    let mut i = 0usize;
-                    for ibase in irest.offsets() {
-                        let s0 = obase + ibase + l * sn;
-                        for t in 0..run {
-                            dcol[i + t] += alk * data[s0 + t * rstride];
-                        }
-                        i += run;
-                    }
-                }
-            }
-        } else {
-            // Small inner: iterate the interleaved fibers, axpys over K.
-            let mut i = 0usize;
-            for ibase in irest.offsets() {
-                for t in 0..run {
-                    for l in 0..ln {
-                        let x = data[obase + ibase + t * rstride + l * sn];
-                        let acol = &a_buf[l * k..(l + 1) * k];
-                        for (kk, &alk) in acol.iter().enumerate() {
-                            dst[i + t + kk * inner] += alk * x;
-                        }
-                    }
-                }
-                i += run;
-            }
-        }
-    }
-}
-
 /// The packed-kernel TTM body: `out` is zeroed, shapes validated.
 ///
 /// * `inner == 1` (mode 0): one GEMM `Out[k×outer] = A[k×ln] · Src[ln×outer]`,
@@ -440,7 +323,7 @@ fn ttm_packed(
 
         // General mode: pack the factor once and share it with every slab
         // GEMM `Out_o = S_o · Aᵀ`.
-        let factor = SlabFactor::pack(a_buf, ln, k, true, &mut packs.b);
+        let factor = SlabFactor::pack(a_buf, ln, k, &mut packs.b);
         let in_slab = inner * ln;
         let out_slab = inner * k;
 
@@ -475,7 +358,7 @@ fn ttm_packed(
             for (i, dst) in run.chunks_mut(out_slab).enumerate() {
                 let o = first + i;
                 let s = &src[o * in_slab..(o + 1) * in_slab];
-                grew |= factor.gemm(inner, k, ln, s, 1, inner, dst, inner, apack);
+                grew |= factor.gemm(inner, k, ln, s, inner, dst, inner, apack);
             }
             note_growth(grew);
         };
@@ -517,16 +400,9 @@ enum SlabFactor<'a> {
 }
 
 impl<'a> SlabFactor<'a> {
-    /// Pack the `K × Lₙ` factor `a_buf` into `buf` (growth counted), for
-    /// slabs whose rows are contiguous (`rows_contiguous`) or not.
-    fn pack(
-        a_buf: &[f64],
-        ln: usize,
-        k: usize,
-        rows_contiguous: bool,
-        buf: &'a mut PackBuf,
-    ) -> Self {
-        if rows_contiguous && k <= pack::NR {
+    /// Pack the `K × Lₙ` factor `a_buf` into `buf` (growth counted).
+    fn pack(a_buf: &[f64], ln: usize, k: usize, buf: &'a mut PackBuf) -> Self {
+        if k <= pack::NR {
             return SlabFactor::Streamed(pack_streamed_factor(a_buf, k, ln, buf));
         }
         // Element (l, j) of Aᵀ is A[j, l] = a_buf[j + l*k]: strides (k, 1).
@@ -537,9 +413,8 @@ impl<'a> SlabFactor<'a> {
     }
 
     /// `C[m×k] += S · Aᵀ` for the `m × Lₙ` slab rows `s` (element `(i, l)`
-    /// at `s[i·s_rs + l·s_cs]`), `C` column-major with leading dimension
-    /// `ldc`; returns whether `apack` grew. A streamed factor was packed for
-    /// contiguous rows (`s_rs == 1`).
+    /// at `s[i + l·s_cs]`), `C` column-major with leading dimension `ldc`;
+    /// returns whether `apack` grew.
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         self,
@@ -547,7 +422,6 @@ impl<'a> SlabFactor<'a> {
         k: usize,
         ln: usize,
         s: &[f64],
-        s_rs: usize,
         s_cs: usize,
         c: &mut [f64],
         ldc: usize,
@@ -555,12 +429,11 @@ impl<'a> SlabFactor<'a> {
     ) -> bool {
         match self {
             SlabFactor::Streamed(fp) => {
-                debug_assert_eq!(s_rs, 1);
                 pack::gemm_streamed_a(m, k, ln, s, s_cs, fp, 1.0, c, ldc);
                 false
             }
             SlabFactor::Packed(bp) => {
-                pack::gemm_prepacked_b(m, k, ln, s, s_rs, s_cs, bp, 1.0, c, ldc, apack)
+                pack::gemm_prepacked_b(m, k, ln, s, 1, s_cs, bp, 1.0, c, ldc, apack)
             }
         }
     }
@@ -600,7 +473,7 @@ fn ttm_packed_last_mode_rows(
                     stage.clear();
                     stage.resize(mc * k, 0.0);
                     let rows = &src[row0 + ic..];
-                    grew |= factor.gemm(mc, k, ln, rows, 1, inner, stage, mc, &mut part.a);
+                    grew |= factor.gemm(mc, k, ln, rows, inner, stage, mc, &mut part.a);
                     for (j, col) in stage.chunks_exact(mc).enumerate() {
                         block.col_mut(j)[ic..ic + mc].copy_from_slice(col);
                     }
@@ -684,7 +557,7 @@ fn ttm_packed_small_inner_run(
             }
             stage_out.clear();
             stage_out.resize(rows * k, 0.0);
-            grew |= factor.gemm(rows, k, ln, stage_in, 1, rows, stage_out, rows, apack);
+            grew |= factor.gemm(rows, k, ln, stage_in, rows, stage_out, rows, apack);
             for ol in 0..g {
                 let dst = &mut out_run[(o + ol) * out_slab..][..out_slab];
                 for kk in 0..k {
@@ -716,7 +589,7 @@ fn ttm_packed_small_inner_run(
 /// The pool is grow-only **per shape schedule**, which is the right trade
 /// for a batch run but leaks in a long-running server whose request shapes
 /// vary: every new high-water shape parks another large buffer forever.
-/// [`TtmWorkspace::with_limit`] (or [`set_pooled_bytes_limit`](TtmWorkspace::set_pooled_bytes_limit))
+/// [`TtmWorkspace::with_limit`]
 /// caps the bytes parked in the pool; `recycle` sheds smallest-capacity
 /// buffers until the cap holds, so mixed-shape streams keep peak pooled
 /// bytes bounded while the hottest (largest) buffers stay resident.
@@ -740,17 +613,6 @@ impl TtmWorkspace {
             limit_bytes: Some(limit_bytes),
             ..Self::default()
         }
-    }
-
-    /// Set or clear (`None`) the parked-pool byte cap; applies immediately.
-    pub fn set_pooled_bytes_limit(&mut self, limit_bytes: Option<usize>) {
-        self.limit_bytes = limit_bytes;
-        self.enforce_limit();
-    }
-
-    /// Number of buffers currently parked in the pool.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
     }
 
     /// Bytes held by parked buffers (capacity, not length — capacity is what
@@ -1293,7 +1155,7 @@ mod tests {
             assert_eq!(z.max_abs_diff(&r), 0.0);
             ws.recycle(z);
         }
-        assert!(ws.pooled() >= 1);
+        assert!(ws.pooled_bytes() > 0);
     }
 
     #[test]
@@ -1303,7 +1165,7 @@ mod tests {
         let before = crate::dense::tensor_buffer_allocs();
         let z = ws.zeros(Shape::new(vec![3, 5, 4]));
         assert_eq!(crate::dense::tensor_buffer_allocs(), before);
-        assert_eq!(ws.pooled(), 0, "the recycled buffer was taken");
+        assert_eq!(ws.pooled_bytes(), 0, "the recycled buffer was taken");
         assert_eq!(z.shape().dims(), &[3, 5, 4]);
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
     }
@@ -1380,29 +1242,6 @@ mod tests {
              (unbounded peak was {unbounded_hwm})"
         );
         assert!(unbounded.pooled_bytes() > limit);
-    }
-
-    #[test]
-    fn limit_can_be_set_and_cleared_live() {
-        let mut ws = TtmWorkspace::new();
-        for i in 0..4 {
-            ws.recycle(DenseTensor::from_vec(
-                Shape::new(vec![256 * (i + 1)]),
-                vec![0.0; 256 * (i + 1)],
-            ));
-        }
-        let full = ws.pooled_bytes();
-        assert!(full >= 256 * 10 * 8);
-        ws.set_pooled_bytes_limit(Some(256 * 4 * 8));
-        assert!(ws.pooled_bytes() <= 256 * 4 * 8);
-        // Largest buffer survives the shed.
-        assert_eq!(ws.pooled(), 1);
-        ws.set_pooled_bytes_limit(None);
-        ws.recycle(DenseTensor::from_vec(
-            Shape::new(vec![4096]),
-            vec![0.0; 4096],
-        ));
-        assert!(ws.pooled_bytes() > 256 * 4 * 8);
     }
 
     #[test]

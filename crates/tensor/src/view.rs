@@ -7,34 +7,33 @@
 //! arbitrary, so one buffer can be read as sub-regions, step-sampled
 //! lattices, or whole tensors without copying. Views are the lingua franca
 //! of the subtensor hot paths: `gram*` / `ttm*` take `impl Into<TensorView>`
-//! (a `&DenseTensor` converts to its full view; a strided TTM feeds strided
-//! panels into the packed kernel layer, a strided Gram pays one counted
-//! copy), and [`copy_into`] is the single strided-copy primitive behind
-//! `subtensor::extract` / `insert`, the regrid wire packing and that copy.
+//! (a `&DenseTensor` converts to its full view). A contiguous view is read
+//! where it lies; any other view pays one counted copy into a grow-only
+//! thread-local scratch first (`with_canonical`), the same rule in both
+//! kernels. [`copy_into`] is the single strided-copy primitive behind
+//! `subtensor::extract` / `insert`, the regrid wire packing and that copy;
+//! no other code walks a non-contiguous view.
 //!
 //! # Ownership and borrow rules
 //!
 //! An immutable view borrows `&'a [f64]` and is freely clonable; overlapping
 //! immutable views are fine. A mutable view holds a raw pointer (plus a
 //! `PhantomData<&'a mut [f64]>` so the borrow checker still pins the source
-//! exclusively for `'a`) because two disjoint mutable windows of one buffer
-//! cannot be expressed as `&mut [f64]` slices. Safety then rests on one
-//! invariant, checked at every mutable-view constructor: the
+//! exclusively for `'a`), which [`copy_into`] writes through. Safety rests
+//! on one invariant, checked at every mutable-view constructor: the
 //! `(dims, strides)` map must be **injective** (no two coordinates share a
 //! linear offset). The check is the sorted-stride nesting test — order the
 //! modes with `dim > 1` by stride and require
 //! `stride[i+1] ≥ stride[i] · dim[i]` — which every region/slice/step of a
 //! canonical tensor satisfies by construction; hand-rolled aliasing layouts
 //! (stride 0, interleaved strides) panic instead of handing out overlapping
-//! `&mut` access. [`TensorViewMut::split_mut`] may therefore split along any
-//! mode: injectivity makes the halves element-disjoint even when their
-//! linear ranges interleave.
+//! `&mut` access.
 //!
 //! # Why views keep the zero-alloc steady state
 //!
 //! A view is a slice plus two inline index vectors of mode metadata — never a
 //! tensor-sized buffer. The kernels reuse the same grow-only staging (pack
-//! buffers, the strided Gram's landing scratch) whatever they are handed,
+//! buffers, the strided view's landing scratch) whatever they are handed,
 //! and every growth of that staging is counted by the same
 //! debug allocation counter ([`crate::dense::tensor_buffer_allocs`]), so a
 //! steady-state sweep over views performs zero tensor-buffer allocations
@@ -168,13 +167,13 @@ impl<'a> TensorView<'a> {
     ///
     /// # Panics
     /// Panics if `data` is shorter than the extent of `dims`.
-    pub fn packed(data: &'a [f64], dims: &[usize]) -> Self {
+    pub(crate) fn packed(data: &'a [f64], dims: &[usize]) -> Self {
         Self::from_parts(data, dims, canonical_strides(dims))
     }
 
     /// Number of modes.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.dims.len()
     }
 
@@ -190,27 +189,15 @@ impl<'a> TensorView<'a> {
         self.dims[n]
     }
 
-    /// Strides per mode.
-    #[inline]
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
-    }
-
-    /// Stride of mode `n`.
-    #[inline]
-    pub fn stride(&self, n: usize) -> usize {
-        self.strides[n]
-    }
-
     /// Number of elements addressed by the view.
     #[inline]
-    pub fn cardinality(&self) -> usize {
+    pub(crate) fn cardinality(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Whether the view addresses no elements.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.dims.contains(&0)
     }
 
@@ -238,12 +225,6 @@ impl<'a> TensorView<'a> {
             "mode {n} out of range for dims {:?}",
             self.dims
         );
-    }
-
-    /// The backing slice, starting at the view's origin.
-    #[inline]
-    pub(crate) fn data(&self) -> &'a [f64] {
-        self.data
     }
 
     /// Restrict mode `mode` to `[start, start + len)`.
@@ -283,17 +264,9 @@ impl<'a> TensorView<'a> {
         }
     }
 
-    /// Split mode `mode` at `at` into `[0, at)` and `[at, len)` halves.
-    pub fn split(&self, mode: usize, at: usize) -> (TensorView<'a>, TensorView<'a>) {
-        (
-            self.slice(mode, 0, at),
-            self.slice(mode, at, self.dims[mode] - at),
-        )
-    }
-
     /// Whether the view is exactly the canonical (mode-0-fastest, densely
     /// packed) layout of its dims — length-1 modes may carry any stride.
-    pub fn is_contiguous(&self) -> bool {
+    pub(crate) fn is_contiguous(&self) -> bool {
         let mut acc = 1usize;
         for (&d, &s) in self.dims.iter().zip(&self.strides) {
             if d > 1 && s != acc {
@@ -321,17 +294,14 @@ impl<'a> TensorView<'a> {
     /// Panics if the view is empty ([`Shape`] forbids zero dims).
     pub fn to_tensor(&self) -> DenseTensor {
         note_buffer_alloc();
-        let mut out = Vec::with_capacity(self.cardinality());
-        let span = AxisSpan::over(&self.dims, &self.strides, |_| true);
-        for base in span.offsets() {
-            out.push(self.data[base]);
-        }
+        let mut out = vec![0.0; self.cardinality()];
+        copy_into(self, &mut TensorViewMut::packed(&mut out, &self.dims));
         DenseTensor::from_vec(Shape::from(&self.dims[..]), out)
     }
 }
 
 /// A mutable strided view. Constructors enforce injectivity (see module
-/// docs), which is what makes the raw-pointer `split_mut` sound.
+/// docs), which is what makes [`copy_into`]'s raw-pointer writes sound.
 #[derive(Debug)]
 pub struct TensorViewMut<'a> {
     ptr: *mut f64,
@@ -408,26 +378,14 @@ impl<'a> TensorViewMut<'a> {
     ///
     /// # Panics
     /// Panics if `data` is shorter than the extent of `dims`.
-    pub fn packed(data: &'a mut [f64], dims: &[usize]) -> Self {
+    pub(crate) fn packed(data: &'a mut [f64], dims: &[usize]) -> Self {
         Self::from_parts(data, dims, canonical_strides(dims))
     }
 
     /// Mode lengths.
     #[inline]
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// Strides per mode.
-    #[inline]
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
-    }
-
-    /// Number of elements addressed by the view.
-    #[inline]
-    pub fn cardinality(&self) -> usize {
-        self.dims.iter().product()
     }
 
     /// Restrict mode `mode` to `[start, start + len)`, consuming the view
@@ -451,46 +409,6 @@ impl<'a> TensorViewMut<'a> {
             strides: self.strides,
             _life: PhantomData,
         }
-    }
-
-    /// Split mode `mode` at `at` into two disjoint mutable halves
-    /// (`[0, at)` and `[at, len)`).
-    ///
-    /// Sound even when the halves' linear ranges interleave: the injectivity
-    /// invariant guarantees their element sets are disjoint.
-    ///
-    /// # Panics
-    /// Panics if `at` exceeds the mode length.
-    pub fn split_mut(self, mode: usize, at: usize) -> (TensorViewMut<'a>, TensorViewMut<'a>) {
-        assert!(at <= self.dims[mode], "split point out of bounds");
-        let mut lo_dims = self.dims.clone();
-        lo_dims[mode] = at;
-        let off = (at * self.strides[mode]).min(self.len);
-        let mut hi_dims = self.dims.clone();
-        hi_dims[mode] -= at;
-        let lo = TensorViewMut {
-            ptr: self.ptr,
-            len: self.len,
-            dims: lo_dims,
-            strides: self.strides.clone(),
-            _life: PhantomData,
-        };
-        let hi = TensorViewMut {
-            ptr: unsafe { self.ptr.add(off) },
-            len: self.len - off,
-            dims: hi_dims,
-            strides: self.strides,
-            _life: PhantomData,
-        };
-        (lo, hi)
-    }
-
-    /// Write an element at a coordinate (test helper).
-    pub fn set(&mut self, coord: &[usize], value: f64) {
-        debug_assert_eq!(coord.len(), self.dims.len());
-        let off: usize = coord.iter().zip(&self.strides).map(|(&c, &s)| c * s).sum();
-        assert!(off < self.len);
-        unsafe { *self.ptr.add(off) = value };
     }
 }
 
@@ -586,114 +504,38 @@ pub fn copy_into(src: &TensorView, dst: &mut TensorViewMut) {
     BYTES_COPIED.with(|c| c.set(c.get() + (src.cardinality() * std::mem::size_of::<f64>()) as u64));
 }
 
-/// The index space of a subset of a view's modes (dims of length 1 dropped),
-/// enumerated in canonical lowest-mode-fastest order. Kernel helper: the
-/// strided TTM path (and `to_tensor`) uses it to walk slab spaces and to
-/// peel the leading single-stride run off a strided operand.
-#[derive(Clone, Debug)]
-pub(crate) struct AxisSpan {
-    dims: Dims,
-    strides: Dims,
+thread_local! {
+    /// Grow-only landing buffer for the one copy a non-contiguous view pays
+    /// on its way into a kernel. Growth is counted as a tensor-buffer
+    /// allocation, so the zero-alloc steady-state invariant extends to views.
+    static VIEW_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-impl AxisSpan {
-    /// Span over the modes of `(dims, strides)` selected by `keep` (called
-    /// with the mode index). Length-1 modes are dropped (they contribute a
-    /// single position at offset 0); zero-length modes are kept so the span
-    /// is empty.
-    pub fn over(dims: &[usize], strides: &[usize], keep: impl Fn(usize) -> bool) -> AxisSpan {
-        let mut d = Dims::default();
-        let mut s = Dims::default();
-        for (j, (&dj, &sj)) in dims.iter().zip(strides).enumerate() {
-            if keep(j) && dj != 1 {
-                d.push(dj);
-                s.push(sj);
-            }
-        }
-        AxisSpan {
-            dims: d,
-            strides: s,
-        }
+/// Run `f` on the view's elements in canonical layout: in place when the
+/// view is contiguous (every full-tensor view and last-mode slice is), else
+/// copied **once** through [`copy_into`] into this thread's scratch — which
+/// is extract-then-compute minus the allocation, so the bits are those of
+/// the extracted tensor by construction. The Gram and the TTM both take
+/// this one rule (DESIGN §11); a strided Gram that walks the view in place
+/// has to gather each fiber element by element and measured 0.13–0.36× of
+/// the copy. The scratch is as large as the largest strided view this
+/// thread has handed a kernel, and is kept.
+pub(crate) fn with_canonical<R>(v: &TensorView, f: impl FnOnce(&[f64]) -> R) -> R {
+    if let Some(src) = v.contiguous_data() {
+        return f(src);
     }
-
-    /// Number of positions (product of dims; 0 when empty).
-    pub fn count(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// Peel the maximal leading single-stride run: returns
-    /// `(run_len, run_stride, outer)` where positions factor as
-    /// `offset = outer_base + i · run_stride` for `i < run_len` and `outer`
-    /// enumerates the run bases. An empty span yields `(1, 1, empty)`.
-    pub fn split_run(&self) -> (usize, usize, AxisSpan) {
-        if self.dims.is_empty() {
-            return (
-                1,
-                1,
-                AxisSpan {
-                    dims: Dims::default(),
-                    strides: Dims::default(),
-                },
-            );
+    VIEW_SCRATCH.with(|cell| {
+        let mut buf = cell.take();
+        let len = v.cardinality();
+        if buf.capacity() < len {
+            note_buffer_alloc();
         }
-        let mut run = self.dims[0];
-        let mut j = 1;
-        while j < self.dims.len() && self.strides[j] == self.strides[j - 1] * self.dims[j - 1] {
-            run *= self.dims[j];
-            j += 1;
-        }
-        (
-            run,
-            self.strides[0],
-            AxisSpan {
-                dims: self.dims[j..].into(),
-                strides: self.strides[j..].into(),
-            },
-        )
-    }
-
-    /// Iterate all position offsets in canonical order.
-    pub fn offsets(&self) -> SpanOffsets {
-        SpanOffsets {
-            dims: self.dims.clone(),
-            strides: self.strides.clone(),
-            coord: Dims::filled(self.dims.len(), 0),
-            off: 0,
-            remaining: self.count(),
-        }
-    }
-}
-
-/// Incremental odometer over an [`AxisSpan`]'s offsets.
-pub(crate) struct SpanOffsets {
-    dims: Dims,
-    strides: Dims,
-    coord: Dims,
-    off: usize,
-    remaining: usize,
-}
-
-impl Iterator for SpanOffsets {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let current = self.off;
-        self.remaining -= 1;
-        for j in 0..self.dims.len() {
-            self.coord[j] += 1;
-            self.off += self.strides[j];
-            if self.coord[j] < self.dims[j] {
-                break;
-            }
-            self.off -= self.strides[j] * self.dims[j];
-            self.coord[j] = 0;
-        }
-        Some(current)
-    }
+        buf.resize(len, 0.0);
+        copy_into(v, &mut TensorViewMut::packed(&mut buf, v.dims()));
+        let r = f(&buf);
+        cell.set(buf);
+        r
+    })
 }
 
 #[cfg(test)]
@@ -738,11 +580,11 @@ mod tests {
         assert_eq!(s.dims(), &[2, 4]);
         assert_eq!(s.at(&[0, 0]), t.get(&[1, 0]));
         assert_eq!(s.at(&[1, 2]), t.get(&[3, 2]));
-        let (a, b) = v.split(1, 3);
+        let (a, b) = (v.slice(1, 0, 3), v.slice(1, 3, 1));
         assert_eq!(a.dims(), &[6, 3]);
         assert_eq!(b.dims(), &[6, 1]);
         assert_eq!(b.at(&[2, 0]), t.get(&[2, 3]));
-        assert!(a.is_contiguous(), "leading split of last mode stays packed");
+        assert!(a.is_contiguous(), "leading slice of last mode stays packed");
     }
 
     #[test]
@@ -795,16 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn split_mut_halves_are_disjoint_writable() {
-        let mut t = DenseTensor::zeros([4, 4]);
-        let (mut a, mut b) = TensorViewMut::of(&mut t).split_mut(0, 2);
-        a.set(&[1, 3], 1.0);
-        b.set(&[1, 3], 2.0);
-        assert_eq!(t.get(&[1, 3]), 1.0);
-        assert_eq!(t.get(&[3, 3]), 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "aliasing mutable view")]
     fn aliasing_mut_layout_rejected() {
         let mut buf = vec![0.0; 8];
@@ -824,24 +656,5 @@ mod tests {
     fn oob_view_rejected() {
         let buf = vec![0.0; 8];
         let _ = TensorView::from_parts(&buf, vec![3, 3], vec![1, 3]);
-    }
-
-    #[test]
-    fn axis_span_runs_and_offsets() {
-        // dims [4,1,3,2] strides [1,99,4,12]: modes 0,2,3 survive; 0 and 2
-        // nest (4*1=4) and 3 continues the nest (3*4=12), one run of 24.
-        let span = AxisSpan::over(&[4, 1, 3, 2], &[1, 99, 4, 12], |_| true);
-        assert_eq!(span.count(), 24);
-        let (run, rs, outer) = span.split_run();
-        assert_eq!((run, rs), (24, 1));
-        assert_eq!(outer.count(), 1);
-        // Broken nest: stride jumps to 5.
-        let span = AxisSpan::over(&[4, 3], &[1, 5], |_| true);
-        let (run, rs, outer) = span.split_run();
-        assert_eq!((run, rs), (4, 1));
-        assert_eq!(outer.count(), 3);
-        let offs: Vec<usize> = span.offsets().collect();
-        assert_eq!(offs[..5], [0, 1, 2, 3, 5]);
-        assert_eq!(offs.len(), 12);
     }
 }

@@ -3,12 +3,12 @@
 //! The contract of the view layer (DESIGN.md §11) is that feeding a strided
 //! [`TensorView`] straight into Gram/TTM is *indistinguishable to the bit*
 //! from materializing the view into a fresh canonical tensor and calling
-//! the kernel on that with the same worker count — a strided TTM's
-//! accumulation order depends only on the KC blocking of the contracted
-//! extent, never on the operand's strides, and a strided Gram runs the slab
-//! kernel on one scratch copy of the view. Randomized regions (empty, unit-length, interior,
-//! full-tensor) and non-unit step strides all route through here; both arms
-//! pin one worker so the pairing stays bit-comparable on any host.
+//! the kernel on that with the same worker count: both kernels run their
+//! one slab body on one scratch copy of a non-contiguous view, and the
+//! slab body's bits do not depend on the partition. Randomized regions
+//! (empty, unit-length, interior, full-tensor) and non-unit step strides
+//! all route through here; both arms of a pair use the same worker count
+//! so the pairing stays bit-comparable on any host.
 //!
 //! Also covered: the mutable-view aliasing guard (a layout mapping two
 //! coordinates to one offset must be rejected at construction) and the
@@ -21,7 +21,8 @@ use tucker_linalg::Matrix;
 use tucker_suite::fields::{hash_noise, video_field};
 use tucker_tensor::subtensor::{extract, Region};
 use tucker_tensor::{
-    gram_threads, ttm_into_threads, DenseTensor, Shape, TensorView, TensorViewMut,
+    gram_threads, tensor_buffer_allocs, ttm_into_threads, view_bytes_copied, DenseTensor, Shape,
+    TensorView, TensorViewMut,
 };
 
 /// Strategy: 1–4 random mode extents in 1..=6 plus a random region inside
@@ -110,24 +111,48 @@ proptest! {
         }
     }
 
-    /// View-native TTM over a random non-empty region is bit-identical to
-    /// extract-then-TTM, output buffer included, for every mode.
+    /// View-native TTM over a random non-empty region, step-strided on some
+    /// modes (a layout no region can produce), is bit-identical to
+    /// TTM-of-the-materialized-view at the same worker count (1, 2 or 3),
+    /// output buffer included, for every mode. The materialized arm reads
+    /// the view element by element (`at`), not through `copy_into`. A
+    /// non-contiguous view pays exactly one copy of itself (`8·|view|`
+    /// bytes of `view_bytes_copied`) per TTM, and once warm no
+    /// tensor-buffer allocation.
     #[test]
-    fn ttm_of_view_matches_extract_bitwise((dims, r) in dims_and_region(), seed in 0u64..1000, k in 1usize..5) {
+    fn ttm_of_view_matches_extract_bitwise(
+        (dims, r) in dims_and_region(),
+        steps in prop::collection::vec(1usize..=2, 4),
+        seed in 0u64..1000,
+        k in 1usize..5,
+        threads in 1usize..=3,
+    ) {
         prop_assume!(r.len.iter().all(|&l| l > 0));
         let t = tensor_from_seed(&dims, seed);
-        let sub = materialize(&t, &r);
-        let v = TensorView::region(&t, &r);
+        let mut v = TensorView::region(&t, &r);
+        for (n, &s) in steps.iter().take(dims.len()).enumerate() {
+            v = v.step(n, s);
+        }
+        let sub = DenseTensor::from_fn(Shape::new(v.dims().to_vec()), |c| v.at(c));
+        let copied = match v.contiguous_data() {
+            Some(_) => 0,
+            None => 8 * sub.cardinality() as u64,
+        };
         for n in 0..t.order() {
-            let a = Matrix::from_fn(k, r.len[n], |i, j| hash_noise(&[i, j], seed ^ 0xA1));
+            let a = Matrix::from_fn(k, v.dim(n), |i, j| hash_noise(&[i, j], seed ^ 0xA1));
             let mut out_v = Vec::new();
             let mut out_e = Vec::new();
-            let sh_v = ttm_into_threads(v.clone(), n, &a, &mut out_v, 1);
-            let sh_e = ttm_into_threads(&sub, n, &a, &mut out_e, 1);
+            ttm_into_threads(v.clone(), n, &a, &mut out_v, threads); // warm
+            let (allocs, bytes) = (tensor_buffer_allocs(), view_bytes_copied());
+            let sh_v = ttm_into_threads(v.clone(), n, &a, &mut out_v, threads);
+            prop_assert_eq!(view_bytes_copied() - bytes, copied);
+            prop_assert_eq!(tensor_buffer_allocs(), allocs, "warm view TTM allocated");
+            let sh_e = ttm_into_threads(&sub, n, &a, &mut out_e, threads);
             prop_assert_eq!(sh_v.dims(), sh_e.dims());
             prop_assert!(
                 bits_eq(&out_v, &out_e),
-                "ttm mode {n} diverged on region {:?}+{:?} of {dims:?}",
+                "ttm mode {n} diverged on region {:?}+{:?} of {dims:?}, steps {steps:?}, \
+                 {threads} threads",
                 r.start,
                 r.len
             );
@@ -186,7 +211,7 @@ fn shared_view_allows_broadcast_stride() {
 
 /// Sliding-window incremental Tucker (Gram downdate/update + warm-started
 /// re-convergence) must track per-push cold recompute within 1e-8 across a
-/// full pass over the stream.
+/// full pass over the stream, with orthonormal factors after every push.
 #[test]
 fn incremental_tucker_tracks_cold_recompute() {
     let stream = [12usize, 12, 24];
@@ -210,5 +235,6 @@ fn incremental_tucker_tracks_cold_recompute() {
             (e_inc - e_cold).abs() <= 1e-8,
             "push {push}: incremental err {e_inc} vs cold {e_cold}"
         );
+        assert!(st.decomposition().factors_orthonormal(1e-8), "push {push}");
     }
 }

@@ -101,6 +101,10 @@ fn dot_export_is_wellformed() {
     assert!(dot.starts_with("digraph"));
     assert!(dot.ends_with("}\n"));
     // One node statement per tree node, one edge per parent-child link.
+    assert!(
+        !plan.tree.is_empty(),
+        "a plan's tree has leaves below its root"
+    );
     let nodes = dot.matches("label=").count();
     assert_eq!(nodes, plan.tree.len());
     let edges = dot.matches(" -> ").count();

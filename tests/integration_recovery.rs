@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
+use tucker_core::checkpoint::SweepCheckpoint;
 use tucker_core::engine::{DistRun, EngineConfig, FailurePolicy, InjectedFault};
 use tucker_core::plan::cost::NetCostModel;
 use tucker_core::plan::{Planner, SearchBudget};
@@ -217,4 +218,63 @@ fn paper_scale_mesh_runs_8192_ranks_without_8192_threads() {
         "peak thread count {peak} exceeds bound {bound} (baseline {baseline}, workers {})",
         out.workers
     );
+}
+
+#[test]
+fn checkpoint_spill_survives_a_process_kill_and_restart() {
+    // A mesh run spilling every committed sweep is killed mid-sweep 2
+    // (Abort policy: the whole process would die). A "restarted
+    // process" holding only the spill file resumes from it and must
+    // land within summation-order noise of an uninterrupted run.
+    let meta = TuckerMeta::new([8, 8, 8], [3, 3, 3]);
+    let path = std::env::temp_dir().join(format!(
+        "tucker-ckpt-spill-{}-{:?}.txt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let cfg = EngineConfig {
+        gather_core: false,
+        ..EngineConfig::virtual_time(NetModel::bgq())
+    }
+    .checkpoint_every(1, &path);
+    let fault = InjectedFault {
+        rank: 1,
+        sweep: 2,
+        after_leaves: 1,
+    };
+    let res = std::panic::catch_unwind(|| {
+        DistRun::new(&meta, 4, 3)
+            .config(cfg)
+            .fault(fault)
+            .run(field)
+    });
+    assert!(res.is_err(), "abort policy must re-raise the kill");
+
+    // Restart: only the spill file survives the process.
+    let ckpt = SweepCheckpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ckpt.resume_sweep(), 2, "sweeps 0 and 1 were spilled");
+    assert_eq!(ckpt.total_sweeps, 3);
+    let clean = DistRun::new(&meta, 4, 3).config(EngineConfig {
+        gather_core: false,
+        ..EngineConfig::virtual_time(NetModel::bgq())
+    });
+    let out = clean.clone().resume(ckpt).run(field);
+    assert_eq!(out.per_sweep.len(), 3);
+    // Restored sweeps keep the stats they measured before the kill.
+    assert!(out.per_sweep[0].comm_wall > std::time::Duration::ZERO);
+
+    let clean = clean.run(field);
+    let (e, c) = (
+        out.per_sweep.last().unwrap().error,
+        clean.per_sweep.last().unwrap().error,
+    );
+    assert!((e - c).abs() < 1e-10, "resumed {e} vs uninterrupted {c}");
+    for (a, b) in out.per_sweep[..2].iter().zip(&clean.per_sweep[..2]) {
+        assert_eq!(
+            a.error.to_bits(),
+            b.error.to_bits(),
+            "pre-kill sweeps round-trip bit-exactly through the spill"
+        );
+    }
 }

@@ -176,3 +176,26 @@ fn burst_past_queue_depth_is_rejected_not_lost() {
     assert_eq!(report.rejected, 8);
     assert_eq!(report.queue_depth_hwm, 4);
 }
+
+/// `nranks ≤ ∏ K_n` is not enough for a grid: 7 ranks on a `[4, 4, 4]` core
+/// need `∏ q_n = 7` with every `q_n ≤ 4`, and 7 is a prime above 4. The job
+/// is refused at submission, and the server keeps serving the next one.
+#[test]
+fn a_rank_count_with_no_grid_is_invalid_and_the_server_keeps_serving() {
+    let server = Server::start(ServeCfg::default());
+    let bad = JobSpec::compress(vec![8, 8, 8], vec![4, 4, 4], 7, 1);
+    match server.submit(bad) {
+        Err(tucker_core::SubmitError::Invalid(why)) => assert!(why.contains("nranks 7"), "{why}"),
+        Err(e) => panic!("7 ranks on K = [4, 4, 4] must be invalid, got {e}"),
+        Ok(_) => panic!("7 ranks on K = [4, 4, 4] must be invalid, got admitted"),
+    }
+    let good = JobSpec::compress(vec![8, 8, 8], vec![4, 4, 4], 8, 1);
+    let r = server
+        .submit(good)
+        .expect("admitted")
+        .wait()
+        .expect("answered");
+    assert!(matches!(r.output, JobOutput::Compressed { .. }));
+    let report = server.shutdown();
+    assert_eq!((report.jobs, report.worker_panics), (1, 0));
+}
