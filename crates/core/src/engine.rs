@@ -33,10 +33,11 @@
 
 use crate::checkpoint::{RecoveryLog, SweepCheckpoint};
 use crate::decomposition::TuckerDecomposition;
-use crate::executor::{self, PlanProvenance, SweepBackend, SweepObserver, SweepStats};
+use crate::executor::{self, PlanProvenance, Resume, SweepBackend, SweepObserver, SweepStats};
 use crate::meta::TuckerMeta;
 use crate::plan::cost::NetCostModel;
 use crate::plan::grid::DynGridScheme;
+use crate::plan::schedule;
 use crate::plan::{FlopVolumeModel, Plan, Planner, SearchBudget};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -258,12 +259,10 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         node: usize,
         stats: &mut SweepStats,
     ) -> Option<DistTensor> {
-        let grids = self.grids?;
-        if !grids.regrid[node] {
-            return None;
-        }
+        // Called at the program's regrids only: the plan's flagged nodes.
+        let target = &self.grids?.node_grids[node];
         let snap = self.snap();
-        let regridded = redistribute(self.ctx, t, &grids.node_grids[node]);
+        let regridded = redistribute(self.ctx, t, target);
         let comm = self.ctx.comm.since(&snap.comm).time(VolumeCategory::Regrid);
         // Regrid is pure communication: in virtual time its α–β clock (the
         // pack/unpack CPU counts in the sweep's wall), else elapsed time.
@@ -650,6 +649,9 @@ impl<'a> DistRun<'a> {
             let basis: Option<Vec<Matrix>> =
                 (first_sweep > 0 || ckpt.init_factors.is_some()).then(|| ckpt.basis_factors());
 
+            // Every rank runs the program `predict_sweep` folds over, built
+            // once per epoch.
+            let program = schedule::sweep(meta, &plan.tree, &plan.grids);
             let store = BlockStore::default();
             let reused = AtomicU64::new(0);
             let out = Universe::run_mesh(survivors, &mesh_cfg(cfg, self.workers), |ctx| {
@@ -708,16 +710,19 @@ impl<'a> DistRun<'a> {
                     spill: spill.as_ref(),
                 };
                 let mut backend = DistsimBackend::new(&mut *ctx, Some(&plan.grids));
+                let from = Resume {
+                    sweep: first_sweep,
+                    factors: init_factors.into(),
+                    predone: ckpt.predone(),
+                };
+                let budget = executor::LoopCfg::exactly(sweeps);
                 let run = executor::hooi_loop_from(
                     &mut backend,
                     &t,
-                    meta,
-                    &plan.tree,
-                    init_factors,
+                    &program,
+                    from,
                     input_norm_sq,
-                    executor::LoopCfg::exactly(sweeps),
-                    first_sweep,
-                    ckpt.predone(),
+                    budget,
                     &mut obs,
                 );
 

@@ -1,23 +1,27 @@
-//! The sweep executor: **one** canonical implementation of the
-//! Gram → EVD-truncation → TTM execution loops, pluggable over execution
-//! backends.
+//! The sweep executor: **one** interpreter of the Gram → EVD-truncation →
+//! TTM programs, pluggable over execution backends.
 //!
 //! The paper frames distributed Tucker as a single algorithm — interleaved
 //! Gram/EVD/TTM sweeps — whose performance is determined by the *schedule*
-//! (TTM-tree, mode order, grid). This module owns that algorithm exactly
-//! once:
+//! (TTM-tree, mode order, grid). A sweep is a program of
+//! `plan::schedule`: its regrids, TTMs, Grams, truncations, frees and
+//! closing norm, in issue order, over numbered tensor slots — the same list
+//! every price of a plan folds over. One private interpreter runs any such
+//! program on a backend; three builders write them:
 //!
-//! * [`hooi_sweep`] — one HOOI invocation: walk the TTM-tree (sharing each
-//!   node's output across its children), EVD-truncate every leaf's Gram,
-//!   then chain the new core;
+//! * [`hooi_sweep`] — one HOOI invocation: the TTM-tree program (each
+//!   node's output shared across its children, every leaf's Gram
+//!   truncated), then the new core's chain;
 //! * [`sthosvd_sweep`] — the STHOSVD chain: per mode, Gram → leading
 //!   eigenvectors → truncate;
 //! * [`gauss_seidel_sweep`] — the textbook ALS variant (latest factors,
 //!   `N·(N−1)` TTMs), kept as the convergence reference;
-//! * [`hooi_loop`] — iterate [`hooi_sweep`] with the convergence check
+//! * [`hooi_loop`] — iterate the HOOI program with the convergence check
 //!   (`|Δerror| < tol`), recycling each superseded core. It is the one HOOI
-//!   loop: `hooi_loop_from` is its checkpoint/restore form, the engine
-//!   runs it per rank and the server per distinct request.
+//!   loop: `hooi_loop_from` is its checkpoint/restore form (the first
+//!   sweep runs the program less its salvaged leaves' subtrees), the
+//!   engine runs it per rank on its plan's program and the server per
+//!   distinct request.
 //!
 //! What varies between sequential, shared-memory-parallel, and simulated-MPI
 //! execution is captured by the [`SweepBackend`] trait: `gram`, `ttm`, an
@@ -37,14 +41,15 @@
 //!
 //! Sequential HOOI is these functions on a [`SeqBackend`];
 //! `sthosvd_with_order`, [`DistRun::run`](crate::engine::DistRun::run) and
-//! `run_distributed_sthosvd` are thin shims over them. A new scenario
-//! (strategy, machine model, backend) lands here and nowhere else.
+//! `run_distributed_sthosvd` are thin shims over them. A new sweep variant
+//! is a new program; a new machine is a new backend.
 
 use crate::meta::TuckerMeta;
-use crate::plan::order::core_chain_order;
-use crate::plan::tree::{NodeLabel, TtmTree};
-use std::rc::Rc;
+use crate::plan::schedule::{self, Factor, OpKind, Program};
+use crate::plan::tree::TtmTree;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
+use tucker_distsim::Grid;
 use tucker_linalg::{leading_from_gram, Matrix};
 use tucker_tensor::norm::{fro_norm_sq, relative_error_from_core};
 use tucker_tensor::{gram_threads, DenseTensor, TtmWorkspace};
@@ -170,9 +175,10 @@ pub trait SweepBackend {
         stats: &mut SweepStats,
     ) -> Self::Tensor;
 
-    /// Optional redistribution before executing tree node `node` (the
-    /// dynamic-gridding hook; `None` means "keep the current grid", which is
-    /// the only answer shared-memory backends ever give). Adds to
+    /// Redistribute `t` onto tree node `node`'s grid ahead of its TTM (the
+    /// dynamic-gridding hook). Called only at a program's regrids, which
+    /// must answer `Some`; the default `None` suits backends that run only
+    /// one-grid programs, as every host program is. Adds to
     /// [`SweepStats::regrid_comm`].
     fn regrid(
         &mut self,
@@ -213,13 +219,13 @@ pub trait SweepBackend {
 }
 
 /// Observer of sweep progress — the checkpoint hook of the recovery layer
-/// (DESIGN.md §9). The executor calls it at the three points a resumable
-/// run can be reconstructed from: sweep start, each completed leaf (the new
+/// (DESIGN.md §9). The interpreter calls it at the three points a resumable
+/// run can be reconstructed from: sweep start, each truncation (the new
 /// factor is replicated on every participant, so a first-write-wins
 /// recorder is exact), and sweep end. All methods default to no-ops; `()`
 /// is the "no observer" instance.
 pub(crate) trait SweepObserver {
-    /// Sweep `sweep` is about to walk the tree.
+    /// Sweep `sweep` is about to run its program.
     fn sweep_started(&mut self, sweep: usize) {
         let _ = sweep;
     }
@@ -239,34 +245,6 @@ pub(crate) trait SweepObserver {
 
 impl SweepObserver for () {}
 
-/// A node's input during a tree walk or chain: the root tensor is borrowed
-/// (never cloned, never recycled); intermediates are reference-counted so a
-/// node shared by several children is recycled exactly when its last
-/// consumer finishes.
-enum NodeInput<'a, T> {
-    Root(&'a T),
-    Interm(Rc<T>),
-}
-
-impl<T> NodeInput<'_, T> {
-    fn tensor(&self) -> &T {
-        match self {
-            NodeInput::Root(t) => t,
-            NodeInput::Interm(rc) => rc,
-        }
-    }
-
-    /// Consume this input, returning its buffer to the backend if this was
-    /// the last reference to an intermediate.
-    fn release<B: SweepBackend<Tensor = T>>(self, b: &mut B) {
-        if let NodeInput::Interm(rc) = self {
-            if let Ok(t) = Rc::try_unwrap(rc) {
-                b.recycle(t);
-            }
-        }
-    }
-}
-
 /// Result of one sweep: the new factors (replicated on every participant),
 /// the new core in the backend's representation, and the phase-keyed stats.
 pub struct SweepOutcome<T> {
@@ -279,40 +257,126 @@ pub struct SweepOutcome<T> {
 }
 
 /// Transpose every factor once (`F_n → F_nᵀ`), hoisting the per-TTM
-/// transpose out of tree walks and chains where each factor is used many
-/// times per sweep.
+/// transpose out of a sweep where each factor is used many times.
 pub(crate) fn transpose_all(factors: &[Matrix]) -> Vec<Matrix> {
     factors.iter().map(Matrix::transpose).collect()
 }
 
-/// Fold `root` through a TTM-chain over `modes` (pre-transposed factors),
-/// ping-ponging intermediates through the backend and recycling each as
-/// soon as the next step consumed it. Returns `None` when `modes` is empty
-/// (the result is `root` itself — no clone, no allocation).
-fn chain<B: SweepBackend>(
-    b: &mut B,
-    root: &B::Tensor,
-    modes: &[usize],
-    factors_t: &[Matrix],
-    stats: &mut SweepStats,
-) -> Option<B::Tensor> {
-    let mut cur: Option<B::Tensor> = None;
-    for &n in modes {
-        let next = b.ttm(cur.as_ref().unwrap_or(root), n, &factors_t[n], stats);
-        if let Some(old) = cur.replace(next) {
-            b.recycle(old);
-        }
-    }
-    cur
+/// Where a sweep starts: its global index (reported to the observer), the
+/// factors its [`Factor::Previous`] TTMs read (empty for ST-HOSVD; a loop
+/// owns them, so each set is dropped once superseded), and the leaf factors
+/// an interrupted run of it already computed (empty: none).
+pub(crate) struct Resume<'p> {
+    pub sweep: usize,
+    pub factors: Cow<'p, [Matrix]>,
+    pub predone: &'p [Option<Matrix>],
 }
 
-/// EVD-truncate a Gram matrix to its leading `k` eigenvectors, charging the
-/// time to [`SweepStats::svd`] on the backend's compute clock.
-fn truncate<B: SweepBackend>(b: &mut B, g: &Matrix, k: usize, stats: &mut SweepStats) -> Matrix {
-    let t0 = b.clock();
-    let f = b.leading(g, k);
-    stats.svd += b.clock().saturating_sub(t0);
-    f
+impl<'p> Resume<'p> {
+    /// Sweep 0 from `factors`, nothing predone.
+    pub(crate) fn start(factors: impl Into<Cow<'p, [Matrix]>>) -> Self {
+        Resume {
+            sweep: 0,
+            factors: factors.into(),
+            predone: &[],
+        }
+    }
+}
+
+/// The interpreter: run `program` on `root` in program order, issuing each
+/// operation to the backend. Slot 0 is the borrowed root; every other slot
+/// holds the backend tensor its regrid or TTM wrote until its `Free`
+/// returns it. `at.predone` factors are spliced in as if their truncations
+/// had run; the observer sees the sweep's start, each truncation and its
+/// end. The error uses the core-norm identity against `input_norm_sq`.
+///
+/// # Panics
+/// Panics if the backend declines a scheduled regrid, or the program reads
+/// a slot nobody wrote, computes a mode twice or leaves one uncomputed.
+fn run<B: SweepBackend, O: SweepObserver>(
+    b: &mut B,
+    root: &B::Tensor,
+    program: &Program<'_>,
+    at: &Resume<'_>,
+    input_norm_sq: f64,
+    obs: &mut O,
+) -> SweepOutcome<B::Tensor> {
+    let meta = program.meta;
+    assert!(
+        at.predone.is_empty() || at.predone.len() == meta.order(),
+        "predone arity mismatch"
+    );
+    obs.sweep_started(at.sweep);
+    b.sweep_begin();
+    let mut stats = SweepStats::default();
+    // Each Fᵀ is transposed once and read by every TTM on its mode.
+    let previous = transpose_all(&at.factors);
+    // This sweep's factors, each transposed at its first read.
+    let mut latest: Vec<Option<Matrix>> = (0..meta.order())
+        .map(|n| at.predone.get(n).cloned().flatten())
+        .collect();
+    let mut latest_t: Vec<Option<Matrix>> = vec![None; meta.order()];
+    let mut slots: Vec<Option<B::Tensor>> = (0..program.slots()).map(|_| None).collect();
+    let (mut gram, mut core) = (None, None);
+    for op in &program.ops {
+        let src = match op.src {
+            0 => root,
+            s => slots[s].as_ref().expect("slot read before it was written"),
+        };
+        let written = match op.kind {
+            OpKind::Regrid { node, .. } => b.regrid(src, node, &mut stats),
+            OpKind::Ttm { mode, factor, .. } => {
+                let f_t = match (factor, &latest[mode]) {
+                    (Factor::Latest, Some(f)) => {
+                        latest_t[mode].get_or_insert_with(|| f.transpose())
+                    }
+                    _ => &previous[mode],
+                };
+                Some(b.ttm(src, mode, f_t, &mut stats))
+            }
+            OpKind::Gram(n) => {
+                let g = b.gram(src, n, &mut stats);
+                assert!(gram.replace(g).is_none(), "a Gram was never truncated");
+                continue;
+            }
+            OpKind::Evd(n) => {
+                let g = gram.take().expect("a truncation follows its Gram");
+                // Timed onto `svd` on the backend's compute clock.
+                let t0 = b.clock();
+                let f = b.leading(&g, meta.k(n));
+                stats.svd += b.clock().saturating_sub(t0);
+                obs.leaf_done(at.sweep, n, &f);
+                let done = latest[n].replace(f);
+                assert!(done.is_none(), "leaf for mode {n} computed twice");
+                continue;
+            }
+            OpKind::Free(s) => {
+                b.recycle(slots[s].take().expect("slot freed before it was written"));
+                continue;
+            }
+            OpKind::Norm => {
+                let core_norm_sq = b.norm_sq(src);
+                stats.error = relative_error_from_core(input_norm_sq, core_norm_sq);
+                core = slots[op.src].take();
+                continue;
+            }
+        };
+        slots[op.dst] = Some(written.expect("the backend declined a scheduled regrid"));
+    }
+    b.sweep_end(&mut stats);
+    assert!(slots.iter().all(Option::is_none), "a slot was never freed");
+
+    let factors: Vec<Matrix> = latest
+        .into_iter()
+        .enumerate()
+        .map(|(n, f)| f.unwrap_or_else(|| panic!("no leaf computed mode {n}")))
+        .collect();
+    obs.sweep_done(at.sweep, &factors, &stats);
+    SweepOutcome {
+        factors,
+        core: core.expect("the program closes with the norm of its core"),
+        stats,
+    }
 }
 
 /// One HOOI invocation of `tree` on `root` starting from `factors`
@@ -333,125 +397,12 @@ pub fn hooi_sweep<B: SweepBackend>(
     factors: &[Matrix],
     input_norm_sq: f64,
 ) -> SweepOutcome<B::Tensor> {
-    hooi_sweep_resumed(b, root, meta, tree, factors, input_norm_sq, 0, &[], &mut ())
-}
-
-/// [`hooi_sweep`] generalized for checkpoint/restore: `sweep` is the global
-/// sweep index reported to `obs`, and `predone` carries leaf factors already
-/// computed by an interrupted run of this same sweep (empty slice: none).
-/// Subtrees whose leaves are all predone are pruned — their TTMs, regrids
-/// and Grams are skipped entirely, which is what makes resuming from the
-/// last completed leaf cheaper than re-running the sweep. Predone factors
-/// are spliced into the outcome unchanged, so a resumed sweep is
-/// mathematically identical to the uninterrupted one; its stats cover only
-/// the work actually executed.
-///
-/// # Panics
-/// Panics if a non-empty `predone` mismatches the mode count, or the tree
-/// or factor arity is invalid.
-#[allow(clippy::too_many_arguments)]
-fn hooi_sweep_resumed<B: SweepBackend, O: SweepObserver>(
-    b: &mut B,
-    root: &B::Tensor,
-    meta: &TuckerMeta,
-    tree: &TtmTree,
-    factors: &[Matrix],
-    input_norm_sq: f64,
-    sweep: usize,
-    predone: &[Option<Matrix>],
-    obs: &mut O,
-) -> SweepOutcome<B::Tensor> {
     assert_eq!(factors.len(), meta.order(), "factor arity mismatch");
-    assert!(
-        predone.is_empty() || predone.len() == meta.order(),
-        "predone arity mismatch"
-    );
     tree.validate().expect("invalid TTM tree");
-    obs.sweep_started(sweep);
-
-    // Which nodes still need to execute: a leaf iff its factor is not
-    // predone, an internal node iff any node below it is needed. Computed
-    // post-order over the arena (children always have larger ids than their
-    // parent, so a reverse scan is a valid post-order).
-    let mut needed: Vec<bool> = vec![false; tree.len()];
-    for id in (0..tree.len()).rev() {
-        needed[id] = match tree.node(id).label {
-            NodeLabel::Root => true,
-            NodeLabel::Ttm(_) => tree.node(id).children.iter().any(|&c| needed[c]),
-            NodeLabel::Leaf(n) => predone.get(n).is_none_or(|f| f.is_none()),
-        };
-    }
-
-    b.sweep_begin();
-    let mut stats = SweepStats::default();
-    let mut new_factors: Vec<Option<Matrix>> = predone.to_vec();
-    new_factors.resize(meta.order(), None);
-    // Hoisted once: each F_nᵀ is reused by every tree node on mode n.
-    let factors_t = transpose_all(factors);
-
-    // Walk the tree depth-first, reusing each node's output for all its
-    // children (in-order traversal bounds live intermediates by the depth).
-    let mut stack: Vec<(usize, NodeInput<B::Tensor>)> = Vec::new();
-    for &c in tree.node(tree.root()).children.iter().rev() {
-        if needed[c] {
-            stack.push((c, NodeInput::Root(root)));
-        }
-    }
-    while let Some((id, input)) = stack.pop() {
-        match tree.node(id).label {
-            NodeLabel::Root => unreachable!("root is never on the stack"),
-            NodeLabel::Ttm(n) => {
-                // Optional regrid to this node's grid.
-                let input = match b.regrid(input.tensor(), id, &mut stats) {
-                    Some(regridded) => {
-                        input.release(b);
-                        NodeInput::Interm(Rc::new(regridded))
-                    }
-                    None => input,
-                };
-                let out = Rc::new(b.ttm(input.tensor(), n, &factors_t[n], &mut stats));
-                input.release(b);
-                for &c in tree.node(id).children.iter().rev() {
-                    if needed[c] {
-                        stack.push((c, NodeInput::Interm(Rc::clone(&out))));
-                    }
-                }
-            }
-            NodeLabel::Leaf(n) => {
-                let g = b.gram(input.tensor(), n, &mut stats);
-                input.release(b);
-                let f = truncate(b, &g, meta.k(n), &mut stats);
-                obs.leaf_done(sweep, n, &f);
-                assert!(
-                    new_factors[n].replace(f).is_none(),
-                    "leaf for mode {n} computed twice"
-                );
-            }
-        }
-    }
-
-    let factors: Vec<Matrix> = new_factors
-        .into_iter()
-        .enumerate()
-        .map(|(n, f)| f.unwrap_or_else(|| panic!("no leaf computed mode {n}")))
-        .collect();
-
-    // New core: G̃ = T ×₁ F̃₁ᵀ … ×_N F̃_Nᵀ (not part of the §4 tree; runs
-    // under the input's grid with no regrids).
-    let new_factors_t = transpose_all(&factors);
-    let core = chain(b, root, &core_chain_order(meta), &new_factors_t, &mut stats)
-        .expect("at least one mode");
-
-    let core_norm_sq = b.norm_sq(&core);
-    stats.error = relative_error_from_core(input_norm_sq, core_norm_sq);
-    b.sweep_end(&mut stats);
-    obs.sweep_done(sweep, &factors, &stats);
-
-    SweepOutcome {
-        factors,
-        core,
-        stats,
-    }
+    let g = Grid::trivial(meta.order());
+    let program = schedule::sweep_on(meta, tree, &g);
+    let at = Resume::start(factors);
+    run(b, root, &program, &at, input_norm_sq, &mut ())
 }
 
 /// The STHOSVD chain on `root`, processing modes in `order`: per mode,
@@ -467,51 +418,10 @@ pub fn sthosvd_sweep<B: SweepBackend>(
     order: &[usize],
     input_norm_sq: f64,
 ) -> SweepOutcome<B::Tensor> {
-    let n_modes = meta.order();
-    assert_eq!(order.len(), n_modes, "order arity mismatch");
-    let mut seen = vec![false; n_modes];
-    for &m in order {
-        assert!(m < n_modes && !seen[m], "not a permutation: {order:?}");
-        seen[m] = true;
-    }
-
-    b.sweep_begin();
-    let mut stats = SweepStats::default();
-    // `cur = None` means "still the input"; the backend ping-pongs the
-    // truncated intermediates so `root` is never cloned and each replaced
-    // intermediate's buffer is immediately reused.
-    let mut cur: Option<B::Tensor> = None;
-    let mut factors: Vec<Option<Matrix>> = vec![None; n_modes];
-    for &mode in order {
-        let src = cur.as_ref().unwrap_or(root);
-        let g = b.gram(src, mode, &mut stats);
-        let f = truncate(b, &g, meta.k(mode), &mut stats);
-        let next = b.ttm(
-            cur.as_ref().unwrap_or(root),
-            mode,
-            &f.transpose(),
-            &mut stats,
-        );
-        if let Some(old) = cur.replace(next) {
-            b.recycle(old);
-        }
-        factors[mode] = Some(f);
-    }
-    let core = cur.expect("at least one mode processed");
-    let factors: Vec<Matrix> = factors
-        .into_iter()
-        .map(|f| f.expect("all modes processed"))
-        .collect();
-
-    let core_norm_sq = b.norm_sq(&core);
-    stats.error = relative_error_from_core(input_norm_sq, core_norm_sq);
-    b.sweep_end(&mut stats);
-
-    SweepOutcome {
-        factors,
-        core,
-        stats,
-    }
+    let g = Grid::trivial(meta.order());
+    let program = schedule::sthosvd(meta, order, &g);
+    let at = Resume::start(&[][..]);
+    run(b, root, &program, &at, input_norm_sq, &mut ())
 }
 
 /// Textbook Gauss–Seidel HOOI invocation (De Lathauwer et al.): modes are
@@ -527,38 +437,10 @@ pub fn gauss_seidel_sweep<B: SweepBackend>(
     input_norm_sq: f64,
 ) -> SweepOutcome<B::Tensor> {
     assert_eq!(factors.len(), meta.order(), "factor arity mismatch");
-    let n_modes = meta.order();
-
-    b.sweep_begin();
-    let mut stats = SweepStats::default();
-    let mut factors: Vec<Matrix> = factors.to_vec();
-    // Transposed mirror of `factors`, refreshed entry-by-entry as the
-    // Gauss–Seidel sweep updates each mode.
-    let mut factors_t = transpose_all(&factors);
-    let by_h = core_chain_order(meta);
-
-    for n in 0..n_modes {
-        // Chain over the other modes, strongest compression first.
-        let order: Vec<usize> = by_h.iter().copied().filter(|&j| j != n).collect();
-        let cur = chain(b, root, &order, &factors_t, &mut stats);
-        let g = b.gram(cur.as_ref().unwrap_or(root), n, &mut stats);
-        if let Some(done) = cur {
-            b.recycle(done);
-        }
-        factors[n] = truncate(b, &g, meta.k(n), &mut stats);
-        factors_t[n] = factors[n].transpose();
-    }
-
-    let core = chain(b, root, &by_h, &factors_t, &mut stats).expect("at least one mode");
-    let core_norm_sq = b.norm_sq(&core);
-    stats.error = relative_error_from_core(input_norm_sq, core_norm_sq);
-    b.sweep_end(&mut stats);
-
-    SweepOutcome {
-        factors,
-        core,
-        stats,
-    }
+    let g = Grid::trivial(meta.order());
+    let program = schedule::gauss_seidel(meta, &g);
+    let at = Resume::start(factors);
+    run(b, root, &program, &at, input_norm_sq, &mut ())
 }
 
 /// Result of [`hooi_loop`].
@@ -615,80 +497,79 @@ pub fn hooi_loop<B: SweepBackend>(
     input_norm_sq: f64,
     cfg: LoopCfg,
 ) -> LoopOutcome<B::Tensor> {
-    hooi_loop_from(
-        b,
-        root,
-        meta,
-        tree,
-        init_factors,
-        input_norm_sq,
-        cfg,
-        0,
-        &[],
-        &mut (),
-    )
+    tree.validate().expect("invalid TTM tree");
+    let g = Grid::trivial(meta.order());
+    let program = schedule::sweep_on(meta, tree, &g);
+    let from = Resume::start(init_factors);
+    hooi_loop_from(b, root, &program, from, input_norm_sq, cfg, &mut ())
 }
 
-/// [`hooi_loop`] generalized for checkpoint/restore: sweeps run with global
-/// indices `first_sweep .. cfg.max_sweeps` (so `cfg.max_sweeps` stays the
-/// *total* sweep budget across interruptions), `predone` carries the leaf
-/// factors an interrupted run of sweep `first_sweep` already completed, and
-/// `obs` sees every sweep boundary and leaf. `init_factors` are the factors
-/// the interrupted sweep started from (for `first_sweep == 0`, the HOSVD
-/// init). The returned `per_sweep`/`errors` cover only the sweeps executed
-/// here — the recovery layer splices them after the checkpointed ones.
+/// [`hooi_loop`] over a built HOOI `program` (the engine's carries its
+/// plan's regrids), for checkpoint/restore: sweeps run with global indices
+/// `from.sweep .. cfg.max_sweeps` (so `cfg.max_sweeps` stays the *total*
+/// sweep budget across interruptions), the first from `from.factors` (for
+/// sweep 0, the HOSVD init) with the salvaged `from.predone` leaves, and
+/// `obs` sees every sweep boundary and leaf. The first sweep runs
+/// [`Program::resumed`]: subtrees whose leaves are all predone are skipped
+/// entirely — their TTMs, regrids and Grams — which is what makes resuming
+/// from the last completed leaf cheaper than re-running the sweep; its
+/// stats cover only the work executed. The returned `per_sweep`/`errors`
+/// cover only the sweeps executed here — the recovery layer splices them
+/// after the checkpointed ones.
 ///
 /// # Panics
-/// Panics if `first_sweep >= cfg.max_sweeps` or the tree/factors are
-/// invalid.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `cfg.max_sweeps` is zero, `from.sweep >= cfg.max_sweeps` or
+/// the factors are invalid.
 pub(crate) fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
     b: &mut B,
     root: &B::Tensor,
-    meta: &TuckerMeta,
-    tree: &TtmTree,
-    init_factors: Vec<Matrix>,
+    program: &Program<'_>,
+    from: Resume<'_>,
     input_norm_sq: f64,
     cfg: LoopCfg,
-    first_sweep: usize,
-    predone: &[Option<Matrix>],
     obs: &mut O,
 ) -> LoopOutcome<B::Tensor> {
     assert!(cfg.max_sweeps >= 1, "need at least one sweep");
     assert!(
-        first_sweep < cfg.max_sweeps,
-        "first sweep {first_sweep} outside the {} sweep budget",
+        from.sweep < cfg.max_sweeps,
+        "first sweep {} outside the {} sweep budget",
+        from.sweep,
         cfg.max_sweeps
     );
-    let mut factors = init_factors;
+    assert_eq!(
+        from.factors.len(),
+        program.meta.order(),
+        "factor arity mismatch"
+    );
+    let done = (from.predone.iter().enumerate())
+        .filter(|(_, f)| f.is_some())
+        .fold(0, |done, (n, _)| done | 1 << n);
+    let first = (done != 0).then(|| program.resumed(done));
     let mut core: Option<B::Tensor> = None;
-    let mut per_sweep: Vec<SweepStats> = Vec::with_capacity(cfg.max_sweeps - first_sweep);
-    let mut errors: Vec<f64> = Vec::with_capacity(cfg.max_sweeps - first_sweep);
-    for sweep in first_sweep..cfg.max_sweeps {
-        let pre: &[Option<Matrix>] = if sweep == first_sweep { predone } else { &[] };
-        let out = hooi_sweep_resumed(
-            b,
-            root,
-            meta,
-            tree,
-            &factors,
-            input_norm_sq,
-            sweep,
-            pre,
-            obs,
-        );
-        factors = out.factors;
+    let mut per_sweep: Vec<SweepStats> = Vec::with_capacity(cfg.max_sweeps - from.sweep);
+    let mut errors: Vec<f64> = Vec::with_capacity(cfg.max_sweeps - from.sweep);
+    let mut at = from;
+    loop {
+        let sweep_program = first.as_ref().filter(|_| errors.is_empty());
+        let sweep_program = sweep_program.unwrap_or(program);
+        let out = run(b, root, sweep_program, &at, input_norm_sq, obs);
         if let Some(old) = core.replace(out.core) {
             b.recycle(old);
         }
         errors.push(out.stats.error);
         per_sweep.push(out.stats);
-        if cfg.converged(&errors) {
+        let sweep = at.sweep + 1;
+        at = Resume {
+            sweep,
+            factors: out.factors.into(),
+            predone: &[],
+        };
+        if sweep == cfg.max_sweeps || cfg.converged(&errors) {
             break;
         }
     }
     LoopOutcome {
-        factors,
+        factors: at.factors.into_owned(),
         core: core.expect("at least one sweep ran"),
         per_sweep,
         errors,

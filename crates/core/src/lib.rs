@@ -13,12 +13,15 @@
 //!   symmetric-grid dedup (`plan::grid`), the pluggable
 //!   [`plan::CostModel`] — closed-form flops + volume, or the α–β
 //!   [`plan::NetCostModel`] priced in the engine's virtual nanoseconds —
-//!   the joint grid × tree × order DP (`plan::search`), and the
-//!   brute-force certification oracle (`plan::brute_force`);
+//!   the joint grid × tree × order DP (`plan::search`), the
+//!   brute-force certification oracle (`plan::brute_force`), and the
+//!   sweep programs every price folds over and the executor runs
+//!   (`plan::schedule`);
 //! * [`decomposition`], [`sthosvd`] — the decomposition type and the
 //!   sequential STHOSVD / HOSVD initializers;
-//! * [`executor`] — the **sweep executor**: the one canonical
-//!   Gram → EVD-truncation → TTM loop, pluggable over execution backends
+//! * [`executor`] — the **sweep executor**: one interpreter of the
+//!   Gram → EVD-truncation → TTM programs (the HOOI tree, the ST-HOSVD
+//!   chain, the Gauss–Seidel chains), pluggable over execution backends
 //!   ([`executor::SeqBackend`], [`executor::RayonBackend`], and the
 //!   engine's distsim backend). Sequential HOOI is
 //!   [`executor::hooi_sweep`] / [`executor::hooi_loop`] on a `SeqBackend`,

@@ -536,11 +536,12 @@ mod tests {
         let g = Grid::trivial(3);
         for t in enumerate_all_trees(&meta).into_iter().take(50) {
             let mut flops = 0.0;
-            for op in sweep_on(&meta, &t, &g) {
+            for op in sweep_on(&meta, &t, &g).ops {
                 if let OpKind::Ttm {
                     node: Some(_),
                     mode,
                     out,
+                    ..
                 } = op.kind
                 {
                     let card = meta.premultiplied_cardinality(op.premult);

@@ -55,6 +55,7 @@ use tucker_distsim::{Grid, NetModel};
 pub fn tree_flops(tree: &TtmTree, meta: &TuckerMeta) -> f64 {
     let g = Grid::trivial(meta.order());
     schedule::sweep_on(meta, tree, &g)
+        .ops
         .iter()
         .fold(0.0, |total, op| match op.kind {
             OpKind::Ttm {
@@ -156,10 +157,12 @@ pub trait CostModel {
     /// Price of the engine's core-update chain (`core_chain`) under the
     /// initial grid. The default sums its TTM prices.
     fn chain_cost(&self, meta: &TuckerMeta, g: &Grid) -> f64 {
-        core_chain(meta, g).fold(0.0, |total, op| match op.kind {
-            OpKind::Ttm { mode, .. } => total + self.ttm_cost(meta, op.premult, mode, g),
-            _ => unreachable!("the core chain is TTMs"),
-        })
+        core_chain(meta, g)
+            .iter()
+            .fold(0.0, |total, op| match op.kind {
+                OpKind::Ttm { mode, .. } => total + self.ttm_cost(meta, op.premult, mode, g),
+                _ => unreachable!("the core chain is TTMs"),
+            })
     }
 
     /// Fixed per-sweep overhead (the scalar norm all-reduce) on `nranks`.
@@ -202,7 +205,7 @@ pub fn sweep_cost(
     scheme: &DynGridScheme,
 ) -> f64 {
     let mut total = 0.0;
-    for op in schedule::sweep(meta, tree, scheme) {
+    for op in schedule::sweep(meta, tree, scheme).ops {
         let (premult, grid) = (op.premult, op.grid);
         total += match op.kind {
             OpKind::Regrid { from, .. } => model.regrid_cost(meta, premult, from, grid),
@@ -212,7 +215,9 @@ pub fn sweep_cost(
                 ..
             } => model.ttm_cost(meta, premult, mode, grid),
             OpKind::Gram(mode) => model.leaf_cost(meta, premult, mode, grid),
-            OpKind::Ttm { node: None, .. } | OpKind::Norm => continue,
+            OpKind::Ttm { node: None, .. } | OpKind::Evd(_) | OpKind::Free(_) | OpKind::Norm => {
+                continue
+            }
         };
     }
     total += model.chain_cost(meta, &scheme.initial);
@@ -649,7 +654,7 @@ impl NetCostModel {
         );
         let mut acc = vec![[0u64; 4]; p];
         let mut buf = [0; MAX_ORDER];
-        for op in schedule::sweep(meta, tree, scheme) {
+        for op in schedule::sweep(meta, tree, scheme).ops {
             let (shape, g) = (premult_shape(meta, op.premult, &mut buf), op.grid);
             match op.kind {
                 OpKind::Regrid { from, .. } => {
@@ -668,6 +673,7 @@ impl NetCostModel {
                     });
                 }
                 OpKind::Norm => charge(&mut acc, OTHER, |r| self.net.allreduce_rank_ns(p, r, 1)),
+                OpKind::Evd(_) | OpKind::Free(_) => {}
             }
         }
 
@@ -793,6 +799,7 @@ impl CostModel for NetCostModel {
 mod tests {
     use super::*;
     use crate::plan::grid::{optimal_dynamic_grids, DynGridObjective};
+    use crate::plan::schedule::Factor;
     use crate::plan::tree::{balanced_tree, chain_tree, optimal_tree};
     use proptest::prelude::*;
 
@@ -860,11 +867,12 @@ mod tests {
         let g = Grid::trivial(2);
         // Root out = 100; chain head for leaf 0 multiplies mode 1 (h=0.2).
         let c1 = tree.node(tree.root()).children[0];
-        let head = schedule::sweep_on(&meta, &tree, &g)[0];
+        let head = schedule::sweep_on(&meta, &tree, &g).ops[0];
         let kind = OpKind::Ttm {
             node: Some(c1),
             mode: 1,
             out: 20.0,
+            factor: Factor::Previous,
         };
         assert_eq!((head.kind, head.input), (kind, 100.0));
         // K_1 · 100 for that TTM, K_0 · 100 for the other chain's.

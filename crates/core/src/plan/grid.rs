@@ -28,7 +28,7 @@ use tucker_distsim::{enumerate_valid_grids, Grid};
 
 /// Communication volume (elements) of `tree` under the static grid `g`.
 pub fn static_volume(tree: &TtmTree, meta: &TuckerMeta, g: &Grid) -> f64 {
-    elements(&sweep_on(meta, tree, g), Op::in_tree)
+    elements(&sweep_on(meta, tree, g).ops, Op::in_tree)
 }
 
 /// Result of the optimal static grid search.
@@ -167,7 +167,7 @@ impl DynGridScheme {
 /// # Panics
 /// Panics if the scheme does not match the tree (`sweep`).
 pub fn scheme_volume(tree: &TtmTree, meta: &TuckerMeta, scheme: &DynGridScheme) -> f64 {
-    elements(&sweep(meta, tree, scheme), Op::in_tree)
+    elements(&sweep(meta, tree, scheme).ops, Op::in_tree)
 }
 
 /// Compute the optimal dynamic grid scheme for `tree` on `nranks` ranks.
@@ -199,11 +199,12 @@ pub fn optimal_dynamic_grids(
 
     // Bottom-up (children before parents): the tree's TTMs, last issued
     // first.
-    for op in sweep_on(meta, tree, &grids[0]).iter().rev() {
+    for op in sweep_on(meta, tree, &grids[0]).ops.iter().rev() {
         let OpKind::Ttm {
             node: Some(u),
             mode: n,
             out,
+            ..
         } = op.kind
         else {
             continue;

@@ -40,7 +40,7 @@ pub mod tree;
 
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use cost::{CostModel, FlopVolumeModel, NetCostModel, SweepPrediction, VOLUME_FLOP_EQUIV};
-use schedule::{Op, OpKind};
+use schedule::{Op, OpKind, Program};
 pub use search::{optimize, RankedPlans, ScoredPlan, SearchBudget};
 
 use crate::meta::TuckerMeta;
@@ -135,7 +135,7 @@ impl Plan {
     }
 
     /// The operations of one sweep executing this plan.
-    pub(crate) fn schedule(&self) -> Vec<Op<'_>> {
+    pub(crate) fn schedule(&self) -> Program<'_> {
         schedule::sweep(&self.meta, &self.tree, &self.grids)
     }
 
@@ -145,7 +145,7 @@ impl Plan {
     /// the chunks partition `K_n`, so the per-group sums telescope).
     pub(crate) fn modeled_tree_ttm_elements(&self) -> f64 {
         let tree_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: Some(_), .. });
-        schedule::elements(&self.schedule(), tree_ttm)
+        schedule::elements(&self.schedule().ops, tree_ttm)
     }
 
     /// §4.3 model of the regrid traffic in elements: `Σ |In(u)|` over the
@@ -156,6 +156,7 @@ impl Plan {
         // value its artifacts record.
         let schedule = self.schedule();
         let regrids = schedule
+            .ops
             .iter()
             .filter(|op| matches!(op.kind, OpKind::Regrid { .. }));
         regrids.map(Op::elements).sum()
@@ -165,7 +166,7 @@ impl Plan {
     /// the schedule's chain order, under the initial grid), in elements.
     pub(crate) fn modeled_core_chain_elements(&self) -> f64 {
         let chain_ttm = |op: &Op| matches!(op.kind, OpKind::Ttm { node: None, .. });
-        schedule::elements(&self.schedule(), chain_ttm)
+        schedule::elements(&self.schedule().ops, chain_ttm)
     }
 
     /// Total `TtmReduceScatter` ledger prediction for one engine sweep:
