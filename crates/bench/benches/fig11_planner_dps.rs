@@ -1,8 +1,9 @@
 //! Benches for the planner algorithms behind Figure 11 (§3.3, §4.2, §4.4)
 //! and the joint grid × tree × order search of the planning layer.
 //!
-//! * the `O(4^N)` optimal-tree DP across mode counts (the paper: "the
-//!   algorithm takes negligible time" for `N ≤ 10`),
+//! * the `O(4^N)` optimal-tree search across mode counts (the paper: "the
+//!   algorithm takes negligible time" for `N ≤ 10`): the joint DP of
+//!   `plan::search` on one rank, behind `plan::tree::optimal_tree`,
 //! * the optimal static grid search,
 //! * the optimal dynamic-gridding DP,
 //! * ablation: exact vs paper-literal (children-only) regrid objective,

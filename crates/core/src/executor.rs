@@ -546,8 +546,10 @@ pub(crate) fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
         .fold(0, |done, (n, _)| done | 1 << n);
     let first = (done != 0).then(|| program.resumed(done));
     let mut core: Option<B::Tensor> = None;
-    let mut per_sweep: Vec<SweepStats> = Vec::with_capacity(cfg.max_sweeps - from.sweep);
-    let mut errors: Vec<f64> = Vec::with_capacity(cfg.max_sweeps - from.sweep);
+    // Grown as sweeps run: the budget is a bound, not a size (a tolerance
+    // may stop the loop long before `usize::MAX` sweeps).
+    let mut per_sweep: Vec<SweepStats> = Vec::new();
+    let mut errors: Vec<f64> = Vec::new();
     let mut at = from;
     loop {
         let sweep_program = first.as_ref().filter(|_| errors.is_empty());
@@ -883,6 +885,22 @@ mod tests {
             trace.len() <= 3,
             "exact tensor should converge instantly: {trace:?}"
         );
+    }
+
+    #[test]
+    fn a_sweep_budget_is_a_bound_not_an_allocation() {
+        // Relative errors lie in [0, 1], so a tolerance of 1 converges at
+        // the second sweep; the budget of usize::MAX sweeps must not be
+        // reserved up front.
+        let dims = [6usize, 5, 4];
+        let t = smooth_tensor(&dims);
+        let meta = TuckerMeta::new(dims.to_vec(), vec![2, 2, 2]);
+        let cfg = LoopCfg {
+            max_sweeps: usize::MAX,
+            tol: 1.0,
+        };
+        let out = seq_loop(&t, &meta, cfg);
+        assert_eq!((out.errors.len(), out.per_sweep.len()), (2, 2));
     }
 
     #[test]

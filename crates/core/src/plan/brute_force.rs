@@ -7,7 +7,8 @@
 //! * [`enumerate_all_trees`] materializes every TTM-tree — including
 //!   **non-binary** ones (splits into arbitrarily many parts) — and scores
 //!   each with the §3.1 cost model. Comparing its minimum against
-//!   [`crate::plan::tree::optimal_tree`] empirically validates both the DP
+//!   [`crate::plan::tree::optimal_tree`] empirically validates both the
+//!   joint DP of [`crate::plan::search`] on one rank (the §3.3 optimal tree)
 //!   and Lemma 3.1 (an optimal binary tree exists).
 //! * `brute_force_dynamic_volume` enumerates every grid assignment to the
 //!   internal nodes of a tree and scores each with the §4.3 volume model,
@@ -435,7 +436,7 @@ mod tests {
     use crate::plan::cost::FlopVolumeModel;
     use crate::plan::grid::{optimal_dynamic_grids, DynGridObjective};
     use crate::plan::schedule::{sweep_on, OpKind};
-    use crate::plan::tree::{chain_tree, optimal_flops, optimal_tree};
+    use crate::plan::tree::{chain_tree, optimal_tree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -449,7 +450,7 @@ mod tests {
                 .map(|&l| (l as f64 / [1.25, 2.0, 5.0, 10.0][rng.gen_range(0..4)]) as usize)
                 .collect();
             let meta = TuckerMeta::new(ls, ks);
-            let dp = optimal_flops(&meta);
+            let dp = optimal_tree(&meta).flops;
             let brute = exhaustive_optimal_flops(&meta);
             assert!(
                 (dp - brute).abs() <= brute * 1e-12,
@@ -466,7 +467,7 @@ mod tests {
             TuckerMeta::new([50, 50, 50, 50], [5, 10, 25, 40]),
         ];
         for meta in metas {
-            let dp = optimal_flops(&meta);
+            let dp = optimal_tree(&meta).flops;
             let brute = exhaustive_optimal_flops(&meta);
             assert!(
                 (dp - brute).abs() <= brute * 1e-12,

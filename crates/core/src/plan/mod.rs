@@ -5,7 +5,7 @@
 //! Module map (see DESIGN.md §6):
 //!
 //! * [`tree`] — the TTM-tree arena, the prior-work constructions (§3.2) and
-//!   the `O(4^N)` optimal-tree DP (§3.3);
+//!   the §3.3 optimal tree, which [`search`]'s DP computes on one rank;
 //! * [`order`] — every mode-ordering rule: chain orderings, the core-chain
 //!   order, the optimal STHOSVD order;
 //! * [`schedule`] — one sweep's operations (regrids, tree TTMs, leaf Grams,
@@ -19,7 +19,8 @@
 //!   `predict_sweep` reproduces the
 //!   engine's virtual communication clock exactly);
 //! * [`search`] — the joint grid × tree × order DP
-//!   ([`search::optimize`]) producing [`RankedPlans`];
+//!   ([`search::optimize`]) producing [`RankedPlans`]; on one rank under
+//!   [`FlopVolumeModel`] it is the `O(4^N)` optimal-tree DP of §3.3;
 //! * [`cache`] — the exact LRU memo of search winners keyed by
 //!   `(shape, core, P, model)` that the serving layer plans through;
 //! * [`brute_force`] — the independent exhaustive/sampling certification
@@ -62,7 +63,8 @@ pub enum TreeStrategy {
     /// The "always reuse when available" greedy of the §3.3 Remarks
     /// (ablation baseline; the DP can strictly beat it).
     GreedyReuse,
-    /// The optimal tree from the §3.3 dynamic program.
+    /// The minimum-FLOP tree of §3.3 ([`tree::optimal_tree`]: the joint
+    /// DP of [`search`] on one rank).
     Optimal,
 }
 

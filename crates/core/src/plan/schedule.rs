@@ -4,17 +4,17 @@
 //! `sweep_cost`, `NetCostModel::predict_sweep`, the §3.1 FLOPs and the §4
 //! volumes. Three builders write programs:
 //!
-//! * [`sweep`] / [`sweep_on`] — one HOOI sweep of a TTM-tree:
+//! * `sweep` / `sweep_on` — one HOOI sweep of a TTM-tree:
 //!   `TtmTree::topological_order` (DFS pre-order; a regrid ahead of each
 //!   TTM node that changes grids), then the core-update chain under the
-//!   initial grid, then the norm all-reduce. [`Program::resumed`] drops
+//!   initial grid, then the norm all-reduce. `Program::resumed` drops
 //!   what a resumed sweep's salvaged leaves make unnecessary;
-//! * [`sthosvd`] — the ST-HOSVD chain: per mode, Gram → truncation → TTM;
-//! * [`gauss_seidel`] — per mode, a chain over the other modes with the
+//! * `sthosvd` — the ST-HOSVD chain: per mode, Gram → truncation → TTM;
+//! * `gauss_seidel` — per mode, a chain over the other modes with the
 //!   latest factors, Gram → truncation; then the core chain.
 //!
 //! Slot 0 is the sweep's input. Each regrid or TTM writes a slot that is
-//! released ([`OpKind::Free`]) right after its last reader — except the
+//! released (`OpKind::Free`) right after its last reader — except the
 //! core the closing norm reads — and reused by a later write, so a program
 //! holds as many slots as it has tensors live at its peak. An input
 //! cardinality `|In(u)|` is the running product of the `h_n` down the

@@ -42,13 +42,36 @@
 //! order-sensitive) core-chain price is evaluated per grid. A winning
 //! non-canonical grid gets the representative's plan relabeled back onto
 //! it, so the optimality guarantee holds over the *full* grid set.
+//!
+//! # The §3.3 optimal tree is the one-rank case
+//!
+//! On one rank the only grid is [`Grid::trivial`]: no state can regrid,
+//! and under [`FlopVolumeModel`] a reuse costs `K_n·|T[P]| + 16·0·h_n =
+//! K_n·|T[P]|` while a leaf and the core chain cost 0. What is left is the
+//! paper's §3.3 recurrence over triples `(P, Q, R)`, with `R` the modes
+//! still reusable (determined by `(P, Q)`, hence the base-3 state index):
+//! reuse a mode `n ∈ R` at `K_n·|T[P]|` and recurse on `(P ∪ {n}, Q)`, or
+//! split `Q = Q₁ ⊎ Q₂` into two children (optimal trees are binary,
+//! Lemma 3.1), down to the leaf `|Q| = 1, R = ∅`. Enumerating the submasks
+//! of `Q` over all states gives the paper's `O(4^N)` bound. Moves are tried
+//! in §3.3's order (reuse by ascending mode, then splits) and a move wins
+//! only on a strict improvement, so ties break as they do in §3.3.
+//! [`crate::plan::tree::optimal_tree`] runs exactly this case, and its FLOPs
+//! are the DP's root value.
 
 use crate::meta::TuckerMeta;
-use crate::plan::cost::{sweep_cost, CostModel, RegridPricer};
+use crate::plan::cost::{sweep_cost, CostModel, FlopVolumeModel, RegridPricer};
 use crate::plan::grid::{candidate_grids, scheme_volume, DynGridScheme};
 use crate::plan::tree::{NodeLabel, TtmTree};
 use crate::plan::{GridStrategy, Plan, Planner, TreeStrategy};
+use tucker_distsim::exchange::MAX_ORDER;
 use tucker_distsim::Grid;
+
+/// The most modes the joint DP plans. Its tables hold `3^N · N` tail slots,
+/// and every plan it returns is priced and run through the per-mode arrays
+/// of `tucker_distsim::exchange`, which are this long. A served job with
+/// more modes is refused at submission.
+pub(crate) const MAX_MODES: usize = MAX_ORDER;
 
 /// Resource limits for [`optimize`].
 #[derive(Clone, Copy, Debug)]
@@ -111,7 +134,8 @@ impl RankedPlans {
 /// grid-scheme) pair under the model (property-tested against brute force).
 ///
 /// # Panics
-/// Panics if no valid grid exists (`P > ∏ K_n`).
+/// Panics if no valid grid exists (`P > ∏ K_n`) or `meta` has more than 16
+/// modes.
 pub fn optimize(
     meta: &TuckerMeta,
     nranks: usize,
@@ -169,6 +193,16 @@ pub fn optimize(
     }
 }
 
+/// The §3.3 minimum-FLOP TTM-tree of `meta` and its FLOPs: the joint DP on
+/// one rank (the module docs' one-rank case). The FLOPs are the DP's root
+/// value, summed in the DP's order.
+pub(crate) fn one_rank_tree(meta: &TuckerMeta) -> (TtmTree, f64) {
+    let grids = [Grid::trivial(meta.order())];
+    let mut dp = JointDp::new(meta, &FlopVolumeModel, &grids);
+    let flops = dp.solve(0, dp.full, 0);
+    (dp.reconstruct(0).tree, flops)
+}
+
 /// How a DP state's optimum is achieved.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum JChoice {
@@ -223,7 +257,7 @@ struct JointDp<'a> {
 impl<'a> JointDp<'a> {
     fn new(meta: &'a TuckerMeta, model: &'a dyn CostModel, grids: &'a [Grid]) -> Self {
         let n = meta.order();
-        assert!(n <= 16, "mode count {n} too large for the joint DP");
+        assert!(n <= MAX_MODES, "mode count {n} too large for the joint DP");
         let mut pow3 = vec![1usize; n + 1];
         for i in 1..=n {
             pow3[i] = pow3[i - 1] * 3;
@@ -422,18 +456,11 @@ impl<'a> JointDp<'a> {
         // Reconstruct from the winner's representative, then relabel the
         // plan's modes so the initial grid is the winner itself.
         let rep_gi = rep[best_gi];
-        let mut out = BuildOut {
-            tree: TtmTree::new(self.n),
-            node_gi: vec![rep_gi],
-            regrid: vec![false],
-        };
-        let root = out.tree.root();
-        self.build(&mut out, root, 0, full, rep_gi);
         let BuildOut {
             tree,
             node_gi,
             regrid,
-        } = out;
+        } = self.reconstruct(rep_gi);
         let node_grids: Vec<Grid> = node_gi.iter().map(|&gi| self.grids[gi].clone()).collect();
         let (tree, node_grids) = relabel_for_initial(
             self.meta,
@@ -497,6 +524,19 @@ impl<'a> JointDp<'a> {
                 *by_dims.get(&dims).unwrap_or(&gi)
             })
             .collect()
+    }
+
+    /// The tree the solved table chooses from the root state on grid `gi`,
+    /// with its per-node grid indices and regrid flags.
+    fn reconstruct(&self, gi: usize) -> BuildOut {
+        let mut out = BuildOut {
+            tree: TtmTree::new(self.n),
+            node_gi: vec![gi],
+            regrid: vec![false],
+        };
+        let root = out.tree.root();
+        self.build(&mut out, root, 0, self.full, gi);
+        out
     }
 
     fn build(&self, out: &mut BuildOut, attach: usize, p: u32, q: u32, gi: usize) {
@@ -594,7 +634,7 @@ fn relabel_for_initial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::cost::{FlopVolumeModel, NetCostModel};
+    use crate::plan::cost::NetCostModel;
     use tucker_distsim::NetModel;
 
     fn meta() -> TuckerMeta {

@@ -1,5 +1,5 @@
 //! TTM-trees (paper §3): the arena, the prior-work constructions (§3.2),
-//! and the `O(4^N)` optimal-tree dynamic program (§3.3).
+//! and the §3.3 minimum-FLOP tree.
 //!
 //! A TTM-tree encodes one way of executing the HOOI TTM component:
 //! * the root is the input tensor `T`;
@@ -15,8 +15,10 @@
 //!   roughly `N log N` TTMs;
 //! * [`greedy_reuse_tree`] — the "always reuse when available" strategy the
 //!   paper's §3.3 Remarks warn against (ablation baseline);
-//! * [`optimal_tree`] — the §3.3 DP over `(P, Q, R)` triples, minimizing
-//!   the §3.1 FLOP model over **all** TTM-trees.
+//! * [`optimal_tree`] — the tree minimizing the §3.1 FLOP model over
+//!   **all** TTM-trees (§3.3). Its DP is the joint grid × tree DP of
+//!   [`crate::plan::search`] run on one rank, where it reduces to §3.3's
+//!   recurrence (that module's docs give it).
 
 use crate::meta::TuckerMeta;
 
@@ -378,194 +380,28 @@ fn greedy_build(meta: &TuckerMeta, tree: &mut TtmTree, attach: usize, p: u32, q:
     greedy_build(meta, tree, attach, p, q2);
 }
 
-// ------------------------------------------------ the §3.3 optimal-tree DP
-//
-// The dynamic program works over triples `(P, Q, R)`: `P` = modes already
-// multiplied on the path from the root, `Q` = modes whose new factors must
-// be produced inside the subtree, `R` = the remaining, *reusable* modes.
-// Since the triple partitions `[0, N)`, `R` is determined by `(P, Q)` and
-// states are indexed in base 3 (`3^N` of them). Two moves exist:
-//
-// * **reuse** a mode `n ∈ R`: pay `K_n · |T[P]|` for one shared TTM and
-//   recurse on `(P ∪ {n}, Q, R ∖ {n})` — a single child;
-// * **split** `Q = Q₁ ⊎ Q₂`: recurse on `(P, Q₁)` and `(P, Q₂)` — two
-//   children (optimal trees are binary, Lemma 3.1).
-//
-// Base case: `|Q| = 1` and `R = ∅` — the leaf. Enumerating submasks of `Q`
-// over all states gives the paper's `O(4^N)` bound; the table is memoized
-// so each configuration is looked up once. (The *joint* grid × tree × order
-// DP generalizing this over grids lives in [`crate::plan::search`].)
-
 /// Result of the optimal-tree construction.
 #[derive(Clone, Debug)]
 pub struct OptimalTree {
     /// The optimal TTM-tree.
     pub tree: TtmTree,
-    /// Its FLOP cost (matches `plan::cost::tree_flops(&tree, meta)`).
+    /// Its FLOP cost: the DP's root value (equal to
+    /// `plan::cost::tree_flops(&tree, meta)` up to summation order).
     pub flops: f64,
 }
 
-/// How a state's optimum is achieved (for tree reconstruction).
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Choice {
-    /// Unsolved sentinel.
-    Unset,
-    /// Base case: single leaf remains.
-    Leaf,
-    /// Reuse the given mode.
-    Reuse(usize),
-    /// Split `Q`; payload is the `Q₁` submask.
-    Split(u32),
-}
-
-struct Dp<'a> {
-    meta: &'a TuckerMeta,
-    n: usize,
-    full: u32,
-    pow3: Vec<usize>,
-    cost: Vec<f64>,
-    choice: Vec<Choice>,
-}
-
-impl<'a> Dp<'a> {
-    fn new(meta: &'a TuckerMeta) -> Self {
-        let n = meta.order();
-        assert!(n <= 20, "mode count {n} too large for the bitmask DP");
-        let mut pow3 = vec![1usize; n + 1];
-        for i in 1..=n {
-            pow3[i] = pow3[i - 1] * 3;
-        }
-        let size = pow3[n];
-        Dp {
-            meta,
-            n,
-            full: (1u32 << n) - 1,
-            pow3,
-            cost: vec![f64::NAN; size],
-            choice: vec![Choice::Unset; size],
-        }
-    }
-
-    /// Base-3 state index: digit 0 if the mode is in `R`, 1 if in `Q`, 2 if
-    /// in `P`.
-    fn index(&self, p: u32, q: u32) -> usize {
-        let mut idx = 0;
-        for m in 0..self.n {
-            let digit = if p & (1 << m) != 0 {
-                2
-            } else if q & (1 << m) != 0 {
-                1
-            } else {
-                0
-            };
-            idx += digit * self.pow3[m];
-        }
-        idx
-    }
-
-    fn solve(&mut self, p: u32, q: u32) -> f64 {
-        debug_assert_eq!(p & q, 0, "P and Q must be disjoint");
-        debug_assert!(q != 0, "Q must be non-empty");
-        let idx = self.index(p, q);
-        if !self.cost[idx].is_nan() {
-            return self.cost[idx];
-        }
-
-        let r = self.full & !(p | q);
-        if q.count_ones() == 1 && r == 0 {
-            self.cost[idx] = 0.0;
-            self.choice[idx] = Choice::Leaf;
-            return 0.0;
-        }
-
-        let mut best = f64::INFINITY;
-        let mut best_choice = Choice::Unset;
-
-        // Reuse: one shared TTM along some mode of R.
-        if r != 0 {
-            let card = self.meta.premultiplied_cardinality(p);
-            let mut rm = r;
-            while rm != 0 {
-                let m = rm.trailing_zeros() as usize;
-                rm &= rm - 1;
-                let c = self.meta.k(m) as f64 * card + self.solve(p | (1 << m), q);
-                if c < best {
-                    best = c;
-                    best_choice = Choice::Reuse(m);
-                }
-            }
-        }
-
-        // Split: partition Q into two non-empty halves. Fixing the lowest
-        // set bit of Q inside Q₁ enumerates each unordered partition once.
-        if q.count_ones() >= 2 {
-            let low = q & q.wrapping_neg();
-            let rest = q & !low;
-            // Iterate over all submasks s of `rest`; Q₁ = low | s.
-            let mut s = rest;
-            loop {
-                let q1 = low | s;
-                if q1 != q {
-                    let q2 = q & !q1;
-                    let c = self.solve(p, q1) + self.solve(p, q2);
-                    if c < best {
-                        best = c;
-                        best_choice = Choice::Split(q1);
-                    }
-                }
-                if s == 0 {
-                    break;
-                }
-                s = (s - 1) & rest;
-            }
-        }
-
-        assert!(
-            best.is_finite(),
-            "state (P={p:b}, Q={q:b}) has no feasible move"
-        );
-        self.cost[idx] = best;
-        self.choice[idx] = best_choice;
-        best
-    }
-
-    fn build(&self, tree: &mut TtmTree, attach: usize, p: u32, q: u32) {
-        let idx = self.index(p, q);
-        match self.choice[idx] {
-            Choice::Unset => unreachable!("state not solved"),
-            Choice::Leaf => {
-                let m = q.trailing_zeros() as usize;
-                tree.add_child(attach, NodeLabel::Leaf(m));
-            }
-            Choice::Reuse(m) => {
-                let u = tree.add_child(attach, NodeLabel::Ttm(m));
-                self.build(tree, u, p | (1 << m), q);
-            }
-            Choice::Split(q1) => {
-                self.build(tree, attach, p, q1);
-                self.build(tree, attach, p, q & !q1);
-            }
-        }
-    }
-}
-
-/// Compute the optimal TTM-tree for `meta`.
+/// Compute the minimum-FLOP TTM-tree for `meta` (§3.3): the joint DP of
+/// [`crate::plan::search`] over the one grid of a single rank under the
+/// FLOP-and-volume model, where a reuse costs `K_n·|T[P]|` and nothing else
+/// costs anything.
+///
+/// # Panics
+/// Panics if `meta` has more than 16 modes, the limit of the joint DP (and
+/// of [`crate::plan::search::optimize`]).
 pub fn optimal_tree(meta: &TuckerMeta) -> OptimalTree {
-    let mut dp = Dp::new(meta);
-    let full = dp.full;
-    let flops = dp.solve(0, full);
-    let mut tree = TtmTree::new(meta.order());
-    let root = tree.root();
-    dp.build(&mut tree, root, 0, full);
+    let (tree, flops) = crate::plan::search::one_rank_tree(meta);
     debug_assert!(tree.validate().is_ok(), "DP produced an invalid tree");
     OptimalTree { tree, flops }
-}
-
-/// Optimal cost only (skips tree reconstruction).
-pub fn optimal_flops(meta: &TuckerMeta) -> f64 {
-    let mut dp = Dp::new(meta);
-    let full = dp.full;
-    dp.solve(0, full)
 }
 
 #[cfg(test)]
@@ -709,7 +545,7 @@ mod tests {
                 })
                 .collect();
             let meta = TuckerMeta::new(ls, ks);
-            let opt = optimal_flops(&meta);
+            let opt = optimal_tree(&meta).flops;
             for ordering in [
                 ModeOrdering::Natural,
                 ModeOrdering::ByCostFactor,
@@ -738,7 +574,7 @@ mod tests {
         // possible (R empty at root after split). The DP must return
         // (K0 + K1)|T|.
         let meta = TuckerMeta::new([10, 20], [3, 7]);
-        let opt = optimal_flops(&meta);
+        let opt = optimal_tree(&meta).flops;
         let expect = (3.0 + 7.0) * 200.0;
         assert!((opt - expect).abs() < 1e-9, "got {opt}, want {expect}");
     }
@@ -843,7 +679,7 @@ mod tests {
         // With identical modes, always-reuse is as good as anything.
         let meta = TuckerMeta::new([50; 4], [5; 4]);
         let greedy = greedy_reuse_tree(&meta);
-        let opt = optimal_flops(&meta);
+        let opt = optimal_tree(&meta).flops;
         let g = tree_flops(&greedy, &meta);
         assert!((g - opt).abs() <= opt * 0.02, "greedy {g} vs opt {opt}");
     }

@@ -43,6 +43,7 @@ use crate::executor::{
 };
 use crate::meta::TuckerMeta;
 use crate::plan::cache::{PlanCache, PlanCacheStats};
+use crate::plan::search::MAX_MODES;
 use crate::plan::{FlopVolumeModel, Plan};
 use crate::sthosvd::hosvd_init_factors;
 use std::collections::VecDeque;
@@ -180,6 +181,14 @@ impl JobSpec {
             return Err(format!(
                 "need matching non-empty shapes, got L={:?} K={:?}",
                 self.dims, self.core
+            ));
+        }
+        // The worker plans every job with the joint DP, which panics past
+        // its mode limit and would take the server down with it.
+        if self.dims.len() > MAX_MODES {
+            return Err(format!(
+                "{} modes exceed the planner's limit of {MAX_MODES}",
+                self.dims.len()
             ));
         }
         // The capacity `synthetic_root` reserves must be allocatable: an
@@ -396,7 +405,7 @@ pub struct ServerReport {
     /// HOOI sweeps actually executed.
     pub executed_sweeps: u64,
     /// HOOI sweeps the jobs asked for (≥ `executed_sweeps`; the gap is
-    /// what coalescing saved).
+    /// what coalescing saved), saturating at `u64::MAX`.
     pub requested_sweeps: u64,
     /// Plan-cache counters.
     pub cache: PlanCacheStats,
@@ -679,7 +688,9 @@ fn execute_compress_batch(
         .map(|p| cache.plan(&p.spec.meta(), p.spec.nranks, &FlopVolumeModel))
         .collect();
     let plan = &plans[0];
-    report.requested_sweeps += batch.iter().map(|p| p.spec.sweeps as u64).sum::<u64>();
+    report.requested_sweeps = (batch.iter()).fold(report.requested_sweeps, |total, p| {
+        total.saturating_add(p.spec.sweeps as u64)
+    });
 
     // Coalesce identical jobs: one executed item per distinct seed.
     let mut seeds: Vec<u64> = Vec::new();

@@ -12,9 +12,7 @@ use tucker_core::plan::grid::{
 };
 use tucker_core::plan::order::ModeOrdering;
 use tucker_core::plan::order::{optimal_sthosvd_order, sthosvd_chain_flops};
-use tucker_core::plan::tree::{
-    balanced_tree, chain_tree, greedy_reuse_tree, optimal_flops, optimal_tree,
-};
+use tucker_core::plan::tree::{balanced_tree, chain_tree, greedy_reuse_tree, optimal_tree};
 use tucker_core::TuckerMeta;
 
 /// Strategy: paper-flavoured metadata with the given number of modes.
@@ -46,7 +44,7 @@ proptest! {
     /// The optimal tree never loses to any prior scheme.
     #[test]
     fn dp_dominates_heuristics(meta in meta_strategy(4)) {
-        let opt = optimal_flops(&meta);
+        let opt = optimal_tree(&meta).flops;
         for ordering in [ModeOrdering::Natural, ModeOrdering::ByCostFactor, ModeOrdering::ByCompression] {
             let perm = ordering.permutation(&meta);
             prop_assert!(opt <= tree_flops(&chain_tree(&meta, &perm), &meta) * (1.0 + 1e-12));
@@ -59,7 +57,7 @@ proptest! {
     /// trees) for N = 3 — empirical Lemma 3.1.
     #[test]
     fn dp_matches_exhaustive_n3(meta in meta_strategy(3)) {
-        let dp = optimal_flops(&meta);
+        let dp = optimal_tree(&meta).flops;
         let brute = exhaustive_optimal_flops(&meta);
         prop_assert!((dp - brute).abs() <= brute * 1e-12, "dp {dp} brute {brute}");
     }
@@ -133,8 +131,8 @@ proptest! {
         let close = (0..meta.order()).all(|n| (meta.h(n) - scaled.h(n)).abs() < 0.05);
         prop_assume!(close);
         let perm: Vec<usize> = (0..meta.order()).collect();
-        let r_full = tree_flops(&chain_tree(&meta, &perm), &meta) / optimal_flops(&meta);
-        let r_scaled = tree_flops(&chain_tree(&scaled, &perm), &scaled) / optimal_flops(&scaled);
+        let r_full = tree_flops(&chain_tree(&meta, &perm), &meta) / optimal_tree(&meta).flops;
+        let r_scaled = tree_flops(&chain_tree(&scaled, &perm), &scaled) / optimal_tree(&scaled).flops;
         // "Roughly": integer rounding of K perturbs h slightly, so allow a
         // generous relative band — the point is that ratios do not collapse
         // or explode under scaling.

@@ -111,12 +111,16 @@ fn payload_msg(p: &(dyn Any + Send)) -> String {
 
 // ------------------------------------------------------------------- fibers
 //
-// A fiber is a heap stack plus a saved context. On x86_64 the context switch
-// is a ~20-instruction user-space register swap (`fib::switch`); on other
-// architectures the same API is backed by one parked OS thread per fiber —
-// semantically identical, but without the thread-count savings.
+// A fiber is a heap stack plus a saved context. The context switch is a
+// ~20-instruction user-space register swap (`fib::switch`) written in x86_64
+// assembly, the one target this runtime is built and tested on.
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(not(target_arch = "x86_64"))]
+compile_error!(
+    "the mesh rank runtime switches fibers with x86_64 assembly (`fib::switch`); \
+     no other target has a fiber switch, and none is built or tested"
+);
+
 mod fib {
     use std::any::Any;
     use std::cell::Cell;
@@ -328,9 +332,6 @@ mod fib {
         pub fn take_outcome(&mut self) -> Outcome {
             self.outcome.take().expect("fiber not finished")
         }
-
-        /// Post-run cleanup (no-op: the stack frees on drop).
-        pub fn join(&mut self) {}
     }
 
     /// Suspend the current fiber and return control to its worker's
@@ -370,135 +371,6 @@ mod fib {
             // worker, which is the only thread that touches the field.
             unsafe { (*f).cpu_acc_ns += d.as_nanos() as u64 };
         }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-mod fib {
-    //! Portable fallback: each "fiber" is a parked OS thread. Scheduling
-    //! semantics (including quarantine) are identical to the x86_64 fiber
-    //! backend; only the P-threads-for-P-ranks cost returns.
-
-    use std::any::Any;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    pub type Outcome = Result<(), Box<dyn Any + Send>>;
-
-    #[derive(PartialEq, Clone, Copy)]
-    enum Turn {
-        Worker,
-        Fiber,
-    }
-
-    struct Shared {
-        m: Mutex<(Turn, bool)>, // (whose turn, finished)
-        cv: Condvar,
-        outcome: Mutex<Option<Outcome>>,
-    }
-
-    thread_local! {
-        static CURRENT: std::cell::RefCell<Option<Arc<Shared>>> =
-            const { std::cell::RefCell::new(None) };
-    }
-
-    pub struct Fiber {
-        sh: Arc<Shared>,
-        handle: Option<std::thread::JoinHandle<()>>,
-        finished: bool,
-    }
-
-    impl Fiber {
-        pub fn new(stack_bytes: usize, entry: Box<dyn FnOnce() + Send + 'static>) -> Fiber {
-            let sh = Arc::new(Shared {
-                m: Mutex::new((Turn::Worker, false)),
-                cv: Condvar::new(),
-                outcome: Mutex::new(None),
-            });
-            let sh2 = Arc::clone(&sh);
-            let handle = std::thread::Builder::new()
-                .name("mesh-fiber".into())
-                .stack_size(stack_bytes)
-                .spawn(move || {
-                    super::QUIET_PANICS.with(|q| q.set(true));
-                    CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&sh2)));
-                    {
-                        let mut g = sh2.m.lock().unwrap_or_else(|e| e.into_inner());
-                        while g.0 != Turn::Fiber {
-                            g = sh2.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                        }
-                    }
-                    let res = catch_unwind(AssertUnwindSafe(entry));
-                    *sh2.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(res.map(|_| ()));
-                    let mut g = sh2.m.lock().unwrap_or_else(|e| e.into_inner());
-                    g.0 = Turn::Worker;
-                    g.1 = true;
-                    sh2.cv.notify_all();
-                })
-                .expect("spawn fallback fiber thread");
-            Fiber {
-                sh,
-                handle: Some(handle),
-                finished: false,
-            }
-        }
-
-        pub fn resume(&mut self) -> bool {
-            super::MESH_SWITCHES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut g = self.sh.m.lock().unwrap_or_else(|e| e.into_inner());
-            g.0 = Turn::Fiber;
-            self.sh.cv.notify_all();
-            while g.0 != Turn::Worker {
-                g = self.sh.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            self.finished = g.1;
-            self.finished
-        }
-
-        pub fn take_outcome(&mut self) -> Outcome {
-            self.sh
-                .outcome
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("fiber not finished")
-        }
-
-        pub fn join(&mut self) {
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    pub fn suspend() {
-        let sh = CURRENT
-            .with(|c| c.borrow().clone())
-            .expect("suspend outside a fiber");
-        let mut g = sh.m.lock().unwrap_or_else(|e| e.into_inner());
-        g.0 = Turn::Worker;
-        sh.cv.notify_all();
-        while g.0 != Turn::Fiber {
-            g = sh.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    thread_local! {
-        /// CPU time credited to this fiber thread (see `credit_cpu`).
-        static CPU_CREDIT_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    /// Fallback fibers are real threads, so the native per-thread CPU clock
-    /// is already correct — until something is credited on top of it.
-    pub fn current_cpu() -> Option<std::time::Duration> {
-        let credit = CPU_CREDIT_NS.with(std::cell::Cell::get);
-        (credit > 0)
-            .then(|| crate::comm::raw_thread_cpu_time() + std::time::Duration::from_nanos(credit))
-    }
-
-    /// Add `d` to the calling fiber thread's CPU clock.
-    pub fn credit_cpu(d: std::time::Duration) {
-        CPU_CREDIT_NS.with(|c| c.set(c.get() + d.as_nanos() as u64));
     }
 }
 
@@ -1078,11 +950,6 @@ impl Universe {
                     .expect("spawn mesh worker");
             }
         });
-
-        for slot in &fibers {
-            // SAFETY: workers have joined; exclusive access.
-            unsafe { (*slot.0.get()).join() };
-        }
 
         let (faults, root, root_payload) = {
             let mut g = lock(&mesh.state);

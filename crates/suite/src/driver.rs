@@ -22,7 +22,7 @@ pub fn gridding_comparison(meta: &TuckerMeta, nranks: usize) -> (f64, f64) {
 pub fn load_comparison(meta: &TuckerMeta) -> (f64, f64, f64, f64) {
     use tucker_core::plan::cost::tree_flops;
     use tucker_core::plan::order::ModeOrdering;
-    use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_flops};
+    use tucker_core::plan::tree::{balanced_tree, chain_tree, optimal_tree};
 
     let chain_k = tree_flops(
         &chain_tree(meta, &ModeOrdering::ByCostFactor.permutation(meta)),
@@ -36,7 +36,7 @@ pub fn load_comparison(meta: &TuckerMeta) -> (f64, f64, f64, f64) {
         &balanced_tree(meta, &(0..meta.order()).collect::<Vec<_>>()),
         meta,
     );
-    let opt = optimal_flops(meta);
+    let opt = optimal_tree(meta).flops;
     (chain_k, chain_h, balanced, opt)
 }
 

@@ -199,3 +199,27 @@ fn a_rank_count_with_no_grid_is_invalid_and_the_server_keeps_serving() {
     let report = server.shutdown();
     assert_eq!((report.jobs, report.worker_panics), (1, 0));
 }
+
+/// The worker plans every job with the joint DP, which stops at 16 modes. A
+/// 17-mode job passes every other check (shapes, size, `K ≤ L`, a grid), so
+/// the mode count itself must refuse it at submission, and the server keeps
+/// serving the next job.
+#[test]
+fn a_mode_count_above_the_planner_limit_is_invalid_and_the_server_keeps_serving() {
+    let server = Server::start(ServeCfg::default());
+    let bad = JobSpec::compress(vec![2; 17], vec![1; 17], 1, 7);
+    match server.submit(bad) {
+        Err(tucker_core::SubmitError::Invalid(why)) => assert!(why.contains("17 modes"), "{why}"),
+        Err(e) => panic!("a 17-mode job must be invalid, got {e}"),
+        Ok(_) => panic!("a 17-mode job must be invalid, got admitted"),
+    }
+    let good = JobSpec::compress(vec![8, 8, 8], vec![4, 4, 4], 8, 1);
+    let r = server
+        .submit(good)
+        .expect("admitted")
+        .wait()
+        .expect("answered");
+    assert!(matches!(r.output, JobOutput::Compressed { .. }));
+    let report = server.shutdown();
+    assert_eq!((report.jobs, report.worker_panics), (1, 0));
+}
