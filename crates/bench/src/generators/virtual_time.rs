@@ -2,14 +2,16 @@
 //! `scaling`, `topology`, `recovery`. Each generator runs its experiment on
 //! the engine and writes the library's own values — `SweepStats`,
 //! `MeshHooiOutput::volume()`, `RecoveryEvent`, `Plan` — straight into its
-//! document. Their communication seconds, volumes, plans and errors are
-//! `model`; what the host's own clock contributes — replay time, per-rank
-//! CPU, and with it the modelled *wall* — is `host`.
+//! document. Their communication and compute seconds, virtual walls,
+//! volumes, plans and errors are `model`: under a `NetModel` every clock a
+//! rank owns is priced (α–β per message, γ per flop) and none reads the
+//! host. What the host's own clock contributes — replay time, recovery
+//! time — is `host`.
 //!
 //! The invariants without which the numbers mean nothing are `assert!`s next
 //! to the runs they hold for: the ledger's TTM volume equals §4.1 and its
-//! regrid volume stays within §4.3, the α–β prediction equals the executed
-//! clock, and a recovered run lands within 1e-10 of a from-scratch one.
+//! regrid volume stays within §4.3, the α–β–γ prediction equals the executed
+//! clocks, and a recovered run lands within 1e-10 of a from-scratch one.
 
 use super::{problem_header, ranks_upto, Opts};
 use crate::artifact::{secs, Artifact, Fix, Gate, Gates, Obj, Sci};
@@ -73,6 +75,7 @@ fn flat_net(net: &NetModel) -> Obj {
     Obj::new()
         .model("alpha_ns", net.alpha().as_nanos())
         .model("beta_ns_per_byte", Fix(net.beta_ns_per_byte(), 6))
+        .model("gamma_ns_per_flop", Fix(net.gamma_ns_per_flop(), 6))
 }
 
 /// One replayed configuration: the plan, the engine's one-sweep run of it,
@@ -92,9 +95,10 @@ type Replay = (Plan, MeshHooiOutput, f64);
 ///   relative, and the regrid volume must stay within the §4.3 `Σ |In(u)|`
 ///   bound;
 /// * **virtual time**: the planner's `NetCostModel::predict_sweep`
-///   communication wall and its TTM, regrid and Gram splits must equal the
-///   engine-executed virtual clocks to the nanosecond — the
-///   prediction-vs-execution invariant of DESIGN.md §6.
+///   communication wall, its TTM, regrid and Gram splits, the TTM compute,
+///   the SVD and the sweep's wall must equal the engine-executed virtual
+///   clocks to the nanosecond — the prediction-vs-execution invariant of
+///   DESIGN.md §6.
 ///
 /// # Panics
 /// Panics if a measured volume or virtual clock contradicts its model.
@@ -141,6 +145,9 @@ fn lineup_replay(meta: &TuckerMeta, ranks: &[usize], net: NetModel, workers: usi
                 (pred.ttm_comm, s.ttm_comm, "TTM comm"),
                 (pred.regrid_comm, s.regrid_comm, "regrid comm"),
                 (pred.gram_comm, s.gram_comm, "Gram comm"),
+                (pred.ttm_compute, s.ttm_compute, "TTM compute"),
+                (pred.svd, s.svd, "SVD"),
+                (pred.wall, s.wall, "wall"),
             ] {
                 assert_eq!(predicted, executed, "{} P={p}: {what}", plan.name());
             }
@@ -260,7 +267,7 @@ pub(super) fn planner(o: &Opts) -> (Artifact, Gate) {
                     .model("predicted_comm_s", dsecs(predicted(s)))
                     .model("executed_comm_s", dsecs(s.comm_wall))
                     .model("rel_err", Sci(rel_err(s), 3))
-                    .host("wall_s", dsecs(s.wall))
+                    .model("wall_s", dsecs(s.wall))
                     .model("ttm_comm_s", dsecs(s.ttm_comm))
                     .model("gram_comm_s", dsecs(s.gram_comm))
                     .model("regrid_comm_s", dsecs(s.regrid_comm))
@@ -323,12 +330,12 @@ pub(super) fn scaling(o: &Opts) -> (Artifact, Gate) {
                 .model("backend", "distsim")
                 .model("p", plan.nranks)
                 .model("strategy", plan.name())
-                .host("wall_s", dsecs(s.wall))
-                .host("ttm_compute_s", dsecs(s.ttm_compute))
+                .model("wall_s", dsecs(s.wall))
+                .model("ttm_compute_s", dsecs(s.ttm_compute))
                 .model("ttm_comm_s", dsecs(s.ttm_comm))
                 .model("regrid_comm_s", dsecs(s.regrid_comm))
                 .model("gram_comm_s", dsecs(s.gram_comm))
-                .host("svd_s", dsecs(s.svd))
+                .model("svd_s", dsecs(s.svd))
                 .model("ttm_elements", ttm_elements)
                 .model("regrid_elements", regrid_elements)
                 // The sweep's own window, so it pairs with `gram_comm_s`
@@ -429,29 +436,25 @@ fn topology_sweep(
         let host_s = host0.elapsed().as_secs_f64();
 
         // The §6 invariant, per topology: predict_sweep replays the exact
-        // per-rank α–β charges, so prediction == execution to the nanosecond.
-        let exact = |pred: Duration, exec: Duration, what: &str| {
-            assert_eq!(
-                pred.as_nanos(),
-                exec.as_nanos(),
-                "P={p}: predicted {what} {pred:?} != executed {exec:?}"
-            );
-        };
-        exact(
-            topo_plan.predict_net(&hier_model).comm_wall,
-            topo_out.per_sweep[0].comm_wall,
-            "topo-plan hierarchical comm wall",
-        );
-        exact(
-            flat_plan.predict_net(&hier_model).comm_wall,
-            flat_out.per_sweep[0].comm_wall,
-            "flat-plan hierarchical comm wall",
-        );
-        exact(
-            flat_plan.predict_net(&flat_model).comm_wall,
-            ctrl_out.per_sweep[0].comm_wall,
-            "flat-plan flat comm wall",
-        );
+        // per-rank α–β–γ charges, so prediction == execution to the
+        // nanosecond, the communication wall and the sweep's wall alike.
+        for (plan, model, out, what) in [
+            (&topo_plan, &hier_model, &topo_out, "topo-plan hierarchical"),
+            (&flat_plan, &hier_model, &flat_out, "flat-plan hierarchical"),
+            (&flat_plan, &flat_model, &ctrl_out, "flat-plan flat"),
+        ] {
+            let (pred, exec) = (plan.predict_net(model), &out.per_sweep[0]);
+            for (pred, exec, clock) in [
+                (pred.comm_wall, exec.comm_wall, "comm wall"),
+                (pred.wall, exec.wall, "wall"),
+            ] {
+                assert_eq!(
+                    pred.as_nanos(),
+                    exec.as_nanos(),
+                    "P={p}: predicted {what} {clock} {pred:?} != executed {exec:?}"
+                );
+            }
+        }
 
         let topo_comm_s = topo_out.per_sweep[0].comm_wall.as_secs_f64();
         let flat_comm_s = flat_out.per_sweep[0].comm_wall.as_secs_f64();
@@ -532,7 +535,7 @@ pub(super) fn topology(o: &Opts) -> (Artifact, Gate) {
                 .model("control_comm_s", dsecs(ctrl.comm_wall))
                 .model("control_predicted_comm_s", dsecs(predicted(ctrl)))
                 .model("comm_speedup", Fix(comm_speedup, 4))
-                .host("topo_wall_s", dsecs(topo.wall))
+                .model("topo_wall_s", dsecs(topo.wall))
                 .host("host_s", Fix(*host_s, 3)),
         );
     }
@@ -545,7 +548,8 @@ pub(super) fn topology(o: &Opts) -> (Artifact, Gate) {
         )
         .model("inter_alpha_ns", hier.alpha().as_nanos())
         .model("inter_beta_ns_per_byte", Fix(hier.beta_ns_per_byte(), 6))
-        .model("node_size", hier.node_size());
+        .model("node_size", hier.node_size())
+        .model("gamma_ns_per_flop", Fix(hier.gamma_ns_per_flop(), 6));
     let doc = problem_header("tucker-bench/topology/v1", &meta)
         .obj("net", net)
         .model_list("ranks", ranks)

@@ -17,13 +17,21 @@
 //! * **Gridding**: each truncation step is a distributed TTM whose
 //!   reduce-scatter volume follows the same `(q_n − 1)|Out|` model, executed
 //!   here under a caller-chosen static grid (a per-step dynamic extension
-//!   would mirror §4.4).
+//!   would mirror §4.4). The program every rank runs is built on that grid,
+//!   so each operation states where it runs.
 
 use crate::decomposition::TuckerDecomposition;
 use crate::engine::{mesh_cfg, DistsimBackend, EngineConfig};
 use crate::executor::{self, PlanProvenance, SweepStats};
 use crate::meta::TuckerMeta;
+use crate::plan::schedule::{self, Program};
 use tucker_distsim::{DistTensor, Grid, Universe};
+
+/// The program every rank of a distributed ST-HOSVD on `grid` runs: the
+/// `order` chain, each operation on `grid`.
+fn program<'g>(meta: &'g TuckerMeta, order: &[usize], grid: &'g Grid) -> Program<'g> {
+    schedule::sthosvd(meta, order, grid)
+}
 
 /// Run distributed STHOSVD on `grid.nranks()` simulated ranks under a
 /// static grid, with the HOOI engine's [`EngineConfig`] (clock, core
@@ -47,12 +55,13 @@ pub fn run_distributed_sthosvd(
         meta.core()
     );
 
+    let program = program(meta, order, grid);
     let out = Universe::run_mesh(grid.nranks(), &mesh_cfg(cfg, 0), |ctx| {
         let t = DistTensor::from_global_fn(ctx, meta.input(), grid, |c| global_fn(c));
         let input_norm_sq = t.global_norm_sq(ctx);
 
         let mut backend = DistsimBackend::new(&mut *ctx, None);
-        let run = executor::sthosvd_sweep(&mut backend, &t, meta, order, input_norm_sq);
+        let run = executor::run_sthosvd(&mut backend, &t, &program, input_norm_sq);
 
         let decomp = if cfg.gather_core {
             let dense_core = run.core.allgather_global(ctx);
@@ -179,6 +188,21 @@ mod tests {
         assert_eq!(stats.ttm_volume, 0);
         assert_eq!(stats.gram_volume, 0);
         assert!(stats.error.is_finite());
+    }
+
+    #[test]
+    fn every_op_of_the_executed_program_carries_the_runs_grid() {
+        // The chain runs distributed on `grid`, so that is where the program
+        // says each of its operations runs (a price folded over it charges
+        // the distributed ST-HOSVD, not a one-rank one).
+        let meta = TuckerMeta::new([8, 10, 6], [4, 4, 2]);
+        let grid = Grid::new([2, 2, 1]);
+        let order = optimal_sthosvd_order(&meta);
+        let program = program(&meta, &order, &grid);
+        assert!(!program.ops.is_empty());
+        for op in &program.ops {
+            assert_eq!(op.grid, &grid, "{:?}", op.kind);
+        }
     }
 
     #[test]

@@ -20,16 +20,21 @@
 //! restart from are set on the value. Which ranks died is read from each
 //! failed rank's typed [`RankFault`], never from panic text.
 //!
-//! Compute phases are timed in the rank's thread CPU time; communication
-//! phases read the rank's one communication clock, `RankCtx::comm`. Whether
-//! [`EngineConfig::net`] attaches a [`NetModel`] decides what that clock is:
+//! Compute phases read the rank's compute clock, `RankCtx::cpu_clock`;
+//! communication phases read its one communication clock, `RankCtx::comm`.
+//! Whether [`EngineConfig::net`] attaches a [`NetModel`] decides what the
+//! two clocks are:
 //!
-//! * without one it is measured wall time (honest runs at host-scale rank
-//!   counts), and a sweep's `wall` is the host's elapsed time;
-//! * with one it is the per-rank α–β virtual clock, and a sweep's `wall` is
-//!   the rank's CPU work plus its modeled communication. This replays the
-//!   engine at paper-scale rank counts (P = 2⁶…2¹³) in seconds, reporting
-//!   through the **same** [`SweepStats`] fields as measured runs.
+//! * without one they are the fiber's metered thread CPU time and measured
+//!   wall time (honest runs at host-scale rank counts), and a sweep's
+//!   `wall` is the host's elapsed time;
+//! * with one they are the per-rank α–β–γ virtual clocks — each TTM, Gram
+//!   and EVD charged its flop count at the model's rate, each message
+//!   `α + β·bytes` — and a sweep's `wall` is the rank's modelled compute
+//!   plus its modelled communication. No host clock is read. This replays
+//!   the engine at paper-scale rank counts (P = 2⁶…2¹³) in seconds,
+//!   reporting through the **same** [`SweepStats`] fields as measured runs,
+//!   every one of them a function of the plan alone.
 
 use crate::checkpoint::{RecoveryLog, SweepCheckpoint};
 use crate::decomposition::TuckerDecomposition;
@@ -44,7 +49,6 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::allreduce_sum;
-use tucker_distsim::comm::thread_cpu_time;
 use tucker_distsim::dist_gram::{dist_gram, dist_gram_all_with_norm};
 use tucker_distsim::dist_ttm::dist_ttm;
 use tucker_distsim::grid::largest_usable_rank_count;
@@ -153,9 +157,9 @@ impl EngineConfig {
 }
 
 /// The distsim [`SweepBackend`]: every executor operation runs distributed
-/// on one simulated rank, charging its CPU time, its communication clock
-/// (measured or α–β, see the module docs) and ledger volume to the matching
-/// [`SweepStats`] fields.
+/// on one simulated rank, charging its compute clock, its communication
+/// clock (measured or modelled, see the module docs) and ledger volume to
+/// the matching [`SweepStats`] fields.
 pub(crate) struct DistsimBackend<'a, 'p> {
     ctx: &'a mut RankCtx,
     /// Dynamic-gridding scheme; `None` never regrids (static-grid chains).
@@ -164,12 +168,12 @@ pub(crate) struct DistsimBackend<'a, 'p> {
     sweep: Option<(Snap, VolumeReport)>,
 }
 
-/// The start of a timed phase: the rank's CPU clock, its communication
-/// clock and a host wall anchor.
+/// The start of a timed phase: the rank's compute clock, its
+/// communication clock and, on the measured clock only, a host wall anchor.
 struct Snap {
     cpu: Duration,
     comm: CommTimers,
-    t0: Instant,
+    t0: Option<Instant>,
 }
 
 impl<'a, 'p> DistsimBackend<'a, 'p> {
@@ -183,16 +187,16 @@ impl<'a, 'p> DistsimBackend<'a, 'p> {
 
     fn snap(&self) -> Snap {
         Snap {
-            cpu: thread_cpu_time(),
+            cpu: self.ctx.cpu_clock(),
             comm: self.ctx.comm.clone(),
-            t0: Instant::now(),
+            t0: self.ctx.net().is_none().then(Instant::now),
         }
     }
 
-    /// CPU time and communication time accrued since `snap`.
+    /// Compute time and communication time accrued since `snap`.
     fn since(&self, snap: &Snap) -> (Duration, CommTimers) {
         (
-            thread_cpu_time().saturating_sub(snap.cpu),
+            self.ctx.cpu_clock().saturating_sub(snap.cpu),
             self.ctx.comm.since(&snap.comm),
         )
     }
@@ -201,10 +205,11 @@ impl<'a, 'p> DistsimBackend<'a, 'p> {
 impl SweepBackend for DistsimBackend<'_, '_> {
     type Tensor = DistTensor;
 
-    /// Rank CPU time: robust when the simulated ranks oversubscribe the
-    /// host cores; a suspended rank accrues nothing.
+    /// The rank's compute clock: modelled under a [`NetModel`], else its
+    /// fiber's CPU time — robust when the simulated ranks oversubscribe the
+    /// host cores, as a suspended rank accrues nothing.
     fn clock(&self) -> Duration {
-        thread_cpu_time()
+        self.ctx.cpu_clock()
     }
 
     fn sweep_begin(&mut self) {
@@ -214,14 +219,14 @@ impl SweepBackend for DistsimBackend<'_, '_> {
 
     /// `comm_wall` is the rank's communication clock over the window. `wall`
     /// is the host's elapsed time on the measured clock; under virtual time
-    /// it is the rank's CPU work plus its modeled communication.
+    /// it is the rank's modelled compute plus its modelled communication.
     fn sweep_end(&mut self, stats: &mut SweepStats) {
         let (snap, vol0) = self.sweep.take().expect("sweep_begin not called");
         let (cpu, comm) = self.since(&snap);
         stats.comm_wall = comm.total();
-        stats.wall = match self.ctx.net() {
-            Some(_) => cpu + stats.comm_wall,
-            None => snap.t0.elapsed(),
+        stats.wall = match snap.t0 {
+            Some(t0) => t0.elapsed(),
+            None => cpu + stats.comm_wall,
         };
         let vol = self.ctx.volume().since(&vol0);
         stats.ttm_volume = vol.elements(VolumeCategory::TtmReduceScatter);
@@ -264,11 +269,11 @@ impl SweepBackend for DistsimBackend<'_, '_> {
         let snap = self.snap();
         let regridded = redistribute(self.ctx, t, target);
         let comm = self.ctx.comm.since(&snap.comm).time(VolumeCategory::Regrid);
-        // Regrid is pure communication: in virtual time its α–β clock (the
-        // pack/unpack CPU counts in the sweep's wall), else elapsed time.
-        stats.regrid_comm += match self.ctx.net() {
-            Some(_) => comm,
-            None => snap.t0.elapsed().max(comm),
+        // Regrid is pure communication: in virtual time its α–β clock (its
+        // pack/unpack is priced at 0 flops), else elapsed time.
+        stats.regrid_comm += match snap.t0 {
+            Some(t0) => t0.elapsed().max(comm),
+            None => comm,
         };
         Some(regridded)
     }
@@ -341,7 +346,8 @@ pub struct MeshHooiOutput {
     /// all-reduce every rank holds the same Gram, so one rank computes each
     /// leaf's factor for the universe …
     pub evd_computed: u64,
-    /// … and the others reuse it, charged the computing rank's CPU time.
+    /// … and the others reuse it, charged the EVD all the same (its price
+    /// under a `NetModel`, the computing rank's CPU time without one).
     pub evd_reused: u64,
     /// Every quarantine/re-plan/resume round, in order (empty: clean run).
     pub recoveries: Vec<RecoveryEvent>,

@@ -419,9 +419,19 @@ pub fn sthosvd_sweep<B: SweepBackend>(
     input_norm_sq: f64,
 ) -> SweepOutcome<B::Tensor> {
     let g = Grid::trivial(meta.order());
-    let program = schedule::sthosvd(meta, order, &g);
+    run_sthosvd(b, root, &schedule::sthosvd(meta, order, &g), input_norm_sq)
+}
+
+/// Run an ST-HOSVD `program` (`schedule::sthosvd`, on whichever grid it was
+/// built for) on `root`: what [`sthosvd_sweep`] does on one rank.
+pub(crate) fn run_sthosvd<B: SweepBackend>(
+    b: &mut B,
+    root: &B::Tensor,
+    program: &Program<'_>,
+    input_norm_sq: f64,
+) -> SweepOutcome<B::Tensor> {
     let at = Resume::start(&[][..]);
-    run(b, root, &program, &at, input_norm_sq, &mut ())
+    run(b, root, program, &at, input_norm_sq, &mut ())
 }
 
 /// Textbook Gauss–Seidel HOOI invocation (De Lathauwer et al.): modes are

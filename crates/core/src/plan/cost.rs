@@ -23,9 +23,11 @@
 //!   the max over a bounded set of representative ranks (DESIGN.md §10).
 //!   On top of the additive objective it offers
 //!   `NetCostModel::predict_sweep`: an exact per-rank replay of the
-//!   schedule that reproduces the engine's virtual communication clock
-//!   **to the nanosecond** — the planner and scaling suites assert equality
-//!   with the executed clocks.
+//!   schedule that reproduces the engine's virtual clocks — communication,
+//!   and the compute the model's rate γ prices per flop, hence the sweep's
+//!   wall — **to the nanosecond**; the planner and scaling suites assert
+//!   equality with the executed clocks. The objective itself stays
+//!   communication only.
 //!
 //! The joint DP prices regrids through a `RegridPricer` it prepares once
 //! per search ([`CostModel::regrid_pricer`]), bit-identical to
@@ -45,6 +47,7 @@ use crate::plan::tree::TtmTree;
 use std::time::Duration;
 use tucker_distsim::block::{chunk, chunk_cover};
 use tucker_distsim::exchange::{regrid_msgs, GroupExchange, MAX_ORDER};
+use tucker_distsim::net::{evd_flops, gram_flops, ttm_flops};
 use tucker_distsim::{Grid, NetModel};
 
 /// The §3.1 FLOP cost model of `tree`: a TTM node `u` with label `n` costs
@@ -262,12 +265,17 @@ impl CostModel for FlopVolumeModel {
 
 // ---------------------------------------------------------- α–β cost model
 
-/// Exact per-rank communication prediction of one HOOI sweep (see
+/// Exact per-rank prediction of one HOOI sweep's virtual clocks (see
 /// `NetCostModel::predict_sweep`). Every field mirrors the engine's
 /// aggregation: the maximum over ranks of that rank's accumulated modeled
-/// nanoseconds in the sweep window.
+/// nanoseconds in the sweep window, each equal to the `SweepStats` field
+/// of the same name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepPrediction {
+    /// Modelled compute of the TTMs' local products (max over ranks).
+    pub ttm_compute: Duration,
+    /// Modelled compute of the Gram shares and the EVDs (max over ranks).
+    pub svd: Duration,
     /// TTM reduce-scatter time (max over ranks).
     pub ttm_comm: Duration,
     /// Regrid all-to-all time (max over ranks).
@@ -281,6 +289,9 @@ pub struct SweepPrediction {
     /// engine's `SweepStats::comm_wall` reports under a
     /// [`NetModel`].
     pub comm_wall: Duration,
+    /// The sweep's virtual wall: the maximum over ranks of the rank's
+    /// modelled compute plus its modelled communication.
+    pub wall: Duration,
 }
 
 /// The α–β network cost model: plans are priced in modeled communication
@@ -297,14 +308,18 @@ pub struct NetCostModel {
     nranks: usize,
 }
 
-/// Accumulator indices of [`NetCostModel::predict_sweep`].
+/// Accumulator indices of [`NetCostModel::predict_sweep`]: the four
+/// communication categories, then the two compute phases.
 const TTM: usize = 0;
 const REGRID: usize = 1;
 const GRAM: usize = 2;
 const OTHER: usize = 3;
+const TTM_COMPUTE: usize = 4;
+const SVD: usize = 5;
+const CLOCKS: usize = 6;
 
 /// Add each rank's `rank_ns(rank)` to its `cat` accumulator.
-fn charge(acc: &mut [[u64; 4]], cat: usize, rank_ns: impl Fn(usize) -> u64) {
+fn charge(acc: &mut [[u64; CLOCKS]], cat: usize, rank_ns: impl Fn(usize) -> u64) {
     for (r, a) in acc.iter_mut().enumerate() {
         a[cat] += rank_ns(r);
     }
@@ -628,13 +643,16 @@ impl NetCostModel {
             .sum()
     }
 
-    /// Exact replay of one HOOI sweep's communication under this model:
-    /// charge every operation of the plan's [`schedule::sweep`] to every
-    /// rank (regrids, tree and core-chain TTMs, leaf Grams as share exchange
-    /// plus world all-reduce, the norm all-reduce as
-    /// `VolumeCategory::Other`) — then take the engine's maxima. The result equals the virtual clocks
-    /// the engine accumulates for the same plan to the nanosecond (asserted
-    /// by the planner and scaling suites, see DESIGN.md §6).
+    /// Exact replay of one HOOI sweep under this model: charge every
+    /// operation of the plan's [`schedule::sweep`] to every rank — its
+    /// communication (regrids, tree and core-chain TTMs, leaf Grams as share
+    /// exchange plus world all-reduce, the norm all-reduce as
+    /// `VolumeCategory::Other`) and its compute (each TTM's, Gram share's and
+    /// EVD's flops from `tucker_distsim::net` at the model's rate γ) — then
+    /// take the engine's maxima. The result equals the virtual clocks the
+    /// engine accumulates for the same plan to the nanosecond, wall
+    /// included (asserted by the planner and scaling suites, see DESIGN.md
+    /// §6).
     ///
     /// # Panics
     /// Panics if the scheme does not match the tree or the initial grid's
@@ -652,8 +670,9 @@ impl NetCostModel {
             "scheme is for {} ranks, model prices {p}",
             scheme.initial.nranks()
         );
-        let mut acc = vec![[0u64; 4]; p];
+        let mut acc = vec![[0u64; CLOCKS]; p];
         let mut buf = [0; MAX_ORDER];
+        let net = &self.net;
         for op in schedule::sweep(meta, tree, scheme).ops {
             let (shape, g) = (premult_shape(meta, op.premult, &mut buf), op.grid);
             match op.kind {
@@ -661,32 +680,44 @@ impl NetCostModel {
                     charge(&mut acc, REGRID, |r| self.regrid_rank_ns(shape, from, g, r));
                 }
                 OpKind::Ttm { mode, .. } => {
-                    charge(&mut acc, TTM, |r| {
-                        self.ttm_rank_ns(shape, mode, meta.k(mode), g, r)
+                    let k = meta.k(mode);
+                    charge(&mut acc, TTM, |r| self.ttm_rank_ns(shape, mode, k, g, r));
+                    charge(&mut acc, TTM_COMPUTE, |r| {
+                        net.compute_ns(ttm_flops(shape, g, r, mode, k))
                     });
                 }
                 OpKind::Gram(n) => {
                     let len = shape[n] * shape[n];
                     charge(&mut acc, GRAM, |r| {
                         self.gram_exchange_rank_ns(shape, n, g, r)
-                            + self.net.allreduce_rank_ns(p, r, len)
+                            + net.allreduce_rank_ns(p, r, len)
+                    });
+                    charge(&mut acc, SVD, |r| {
+                        net.compute_ns(gram_flops(shape, g, r, n))
                     });
                 }
-                OpKind::Norm => charge(&mut acc, OTHER, |r| self.net.allreduce_rank_ns(p, r, 1)),
-                OpKind::Evd(_) | OpKind::Free(_) => {}
+                OpKind::Evd(n) => {
+                    // Every rank is charged the replicated EVD.
+                    let ns = net.compute_ns(evd_flops(shape[n]));
+                    charge(&mut acc, SVD, |_| ns);
+                }
+                OpKind::Norm => charge(&mut acc, OTHER, |r| net.allreduce_rank_ns(p, r, 1)),
+                OpKind::Free(_) => {}
             }
         }
 
-        let max_of =
-            |cat: usize| Duration::from_nanos(acc.iter().map(|a| a[cat]).max().unwrap_or(0));
+        let max_of = |f: &dyn Fn(&[u64; CLOCKS]) -> u64| {
+            Duration::from_nanos(acc.iter().map(f).max().unwrap_or(0))
+        };
         SweepPrediction {
-            ttm_comm: max_of(TTM),
-            regrid_comm: max_of(REGRID),
-            gram_comm: max_of(GRAM),
-            other_comm: max_of(OTHER),
-            comm_wall: Duration::from_nanos(
-                acc.iter().map(|a| a.iter().sum::<u64>()).max().unwrap_or(0),
-            ),
+            ttm_compute: max_of(&|a| a[TTM_COMPUTE]),
+            svd: max_of(&|a| a[SVD]),
+            ttm_comm: max_of(&|a| a[TTM]),
+            regrid_comm: max_of(&|a| a[REGRID]),
+            gram_comm: max_of(&|a| a[GRAM]),
+            other_comm: max_of(&|a| a[OTHER]),
+            comm_wall: max_of(&|a| a[..TTM_COMPUTE].iter().sum()),
+            wall: max_of(&|a| a.iter().sum()),
         }
     }
 }
@@ -964,6 +995,9 @@ mod tests {
         let scheme = DynGridScheme::static_scheme(&tree, &meta, g);
         let pred = model.predict_sweep(&meta, &tree, &scheme);
         assert_eq!(pred.comm_wall, Duration::ZERO);
+        // One rank still computes: the wall is its compute alone.
+        assert!(pred.ttm_compute > Duration::ZERO && pred.svd > Duration::ZERO);
+        assert_eq!(pred.wall, pred.ttm_compute + pred.svd);
     }
 
     #[test]

@@ -73,6 +73,33 @@ use tucker_distsim::Grid;
 /// more modes is refused at submission.
 pub(crate) const MAX_MODES: usize = MAX_ORDER;
 
+/// The most bytes [`table_bytes`] may come to: 1 GiB. It admits 13 modes on
+/// a handful of grids and no 14-mode problem (a 14-mode DP's tails alone
+/// take 2.1 GB on one grid).
+pub(crate) const MAX_TABLE_BYTES: u64 = 1 << 30;
+
+/// The bytes of the joint DP's tables for `n` modes and `ng` candidate
+/// grids, at full extent: per state the cost and choice of each grid and
+/// the continuation slot of each mode with its `ng` prices, plus the
+/// per-premult slots of the regrid and TTM price memos. (A regrid-price
+/// memo, `8·ng²` bytes for each premult mask that scans regrid targets,
+/// is not counted.) [`JointDp::new`] refuses more than [`MAX_TABLE_BYTES`],
+/// and so does a served job's validation.
+pub(crate) fn table_bytes(n: usize, ng: usize) -> u64 {
+    use std::mem::size_of;
+    let (n, ng) = (n as u64, ng as u64);
+    let states = 3u64.saturating_pow(n as u32);
+    let per_state = ng
+        .saturating_mul((size_of::<f64>() + size_of::<JChoice>()) as u64)
+        .saturating_add(n.saturating_mul(
+            (size_of::<Option<Vec<f64>>>() as u64).saturating_add(ng.saturating_mul(8)),
+        ));
+    let memo_slot = size_of::<Option<Box<[f64]>>>() as u64;
+    states
+        .saturating_mul(per_state)
+        .saturating_add((1u64 << n).saturating_mul(n + 1).saturating_mul(memo_slot))
+}
+
 /// Resource limits for [`optimize`].
 #[derive(Clone, Copy, Debug)]
 pub struct SearchBudget {
@@ -134,8 +161,9 @@ impl RankedPlans {
 /// grid-scheme) pair under the model (property-tested against brute force).
 ///
 /// # Panics
-/// Panics if no valid grid exists (`P > ∏ K_n`) or `meta` has more than 16
-/// modes.
+/// Panics if no valid grid exists (`P > ∏ K_n`), `meta` has more than 16
+/// modes, or the DP's tables would exceed their 1 GiB budget (14 modes or
+/// more, fewer on many grids).
 pub fn optimize(
     meta: &TuckerMeta,
     nranks: usize,
@@ -267,6 +295,12 @@ impl<'a> JointDp<'a> {
         assert!(
             u32::try_from(ng).is_ok(),
             "{ng} grids overflow a grid index"
+        );
+        let bytes = table_bytes(n, ng);
+        assert!(
+            bytes <= MAX_TABLE_BYTES,
+            "the joint DP's tables for {n} modes and {ng} grids take {bytes} bytes, \
+             more than its budget of {MAX_TABLE_BYTES}"
         );
         JointDp {
             meta,
@@ -759,6 +793,15 @@ mod tests {
     }
 
     #[test]
+    fn the_table_budget_admits_13_modes_on_one_grid_and_no_14_mode_problem() {
+        assert!(table_bytes(13, 1) <= MAX_TABLE_BYTES);
+        assert!(table_bytes(14, 1) > MAX_TABLE_BYTES);
+        assert!(table_bytes(MAX_MODES, usize::MAX) > MAX_TABLE_BYTES);
+        // More grids never shrink the tables.
+        assert!(table_bytes(5, 2) > table_bytes(5, 1));
+    }
+
+    #[test]
     fn hierarchical_dp_matches_brute_force_over_augmented_grids() {
         // Under a hierarchical model the orbit dedup is off and the grid set
         // gains node-aligned variants; the DP must still equal the
@@ -772,6 +815,7 @@ mod tests {
                 std::time::Duration::from_nanos(5_000),
                 1.2e9,
                 4,
+                40.0e9,
             ),
             p,
         );

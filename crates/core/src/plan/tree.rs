@@ -396,8 +396,9 @@ pub struct OptimalTree {
 /// costs anything.
 ///
 /// # Panics
-/// Panics if `meta` has more than 16 modes, the limit of the joint DP (and
-/// of [`crate::plan::search::optimize`]).
+/// Panics if `meta` has more than 13 modes: the joint DP's tables would
+/// exceed their 1 GiB budget (the limit of
+/// [`crate::plan::search::optimize`] too).
 pub fn optimal_tree(meta: &TuckerMeta) -> OptimalTree {
     let (tree, flops) = crate::plan::search::one_rank_tree(meta);
     debug_assert!(tree.validate().is_ok(), "DP produced an invalid tree");

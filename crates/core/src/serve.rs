@@ -43,7 +43,7 @@ use crate::executor::{
 };
 use crate::meta::TuckerMeta;
 use crate::plan::cache::{PlanCache, PlanCacheStats};
-use crate::plan::search::MAX_MODES;
+use crate::plan::search::{table_bytes, MAX_MODES, MAX_TABLE_BYTES};
 use crate::plan::{FlopVolumeModel, Plan};
 use crate::sthosvd::hosvd_init_factors;
 use std::collections::VecDeque;
@@ -219,10 +219,21 @@ impl JobSpec {
         // A grid needs `∏ q_n = P` with every `q_n ≤ K_n`; `P ≤ ∏ K_n` alone
         // admits e.g. P = 7 on K = [4, 4, 4], which would panic the worker's
         // planner and shut the server down.
-        if enumerate_valid_grids(self.nranks, &self.core).is_empty() {
+        let grids = enumerate_valid_grids(self.nranks, &self.core).len();
+        if grids == 0 {
             return Err(format!(
                 "nranks {} is not a product of per-mode counts q_n <= K_n for K = {:?}",
                 self.nranks, self.core
+            ));
+        }
+        // The worker's joint DP over those grids must fit its table budget:
+        // a 14-mode DP alone would take gigabytes.
+        let bytes = table_bytes(self.dims.len(), grids);
+        if bytes > MAX_TABLE_BYTES {
+            return Err(format!(
+                "planning {} modes over {grids} grids takes {bytes} bytes, more than the \
+                 planner's budget of {MAX_TABLE_BYTES}",
+                self.dims.len()
             ));
         }
         if self.sweeps == 0 {

@@ -22,7 +22,11 @@
 //!   every off-rank message charges `α + β·bytes` to both endpoints (see
 //!   [`crate::net`]) and no host clock is read. Without one it accumulates
 //!   the wall time spent inside communication calls (including waiting), the
-//!   same accounting an MPI profiler would produce.
+//!   same accounting an MPI profiler would produce;
+//! * [`RankCtx::cpu_clock`] is the rank's compute clock. Under a
+//!   [`NetModel`] it is modelled: the TTM, Gram and EVD a rank runs charge
+//!   their flop counts at the model's rate γ, and again no host clock is
+//!   read. Without one it is the fiber's metered thread CPU time.
 //!
 //! A send touches the destination's mailbox and nothing else that ranks
 //! share unless the destination is waiting on it (then it also takes the
@@ -31,7 +35,7 @@
 //! ([`RankCtx::leading_from_gram`]).
 
 use crate::mesh::{MeshCfg, MeshSched};
-use crate::net::NetModel;
+use crate::net::{evd_flops, NetModel};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -52,9 +56,10 @@ use tucker_linalg::Matrix;
 ///
 /// Many ranks share one mesh worker thread, so the raw per-thread clock
 /// would charge a rank for its neighbors' compute. When the caller is a mesh
-/// fiber this returns the fiber's own virtual CPU clock (accumulated across
-/// suspensions) instead.
-pub fn thread_cpu_time() -> Duration {
+/// fiber this returns the fiber's own CPU meter (accumulated across
+/// suspensions) instead; a virtual-time universe does not run the meter, so
+/// there it stands still.
+pub(crate) fn thread_cpu_time() -> Duration {
     if let Some(d) = crate::mesh::current_fiber_cpu() {
         return d;
     }
@@ -284,7 +289,8 @@ struct SharedEvd {
     gram: Matrix,
     k: usize,
     u: Matrix,
-    /// CPU time the computing rank measured for it.
+    /// CPU time the computing rank measured for it (zero under a
+    /// [`NetModel`], which prices it instead).
     cpu: Duration,
 }
 
@@ -321,6 +327,9 @@ pub struct RankCtx {
     /// This rank's communication clock: α–β time under the universe's
     /// [`NetModel`], measured wall time without one.
     pub comm: CommTimers,
+    /// This rank's modelled compute clock under a [`NetModel`]: the
+    /// nanoseconds of every flop charged so far (see [`RankCtx::cpu_clock`]).
+    compute_ns: u64,
     /// Payload bytes this rank sent to other ranks.
     sent: VolumeReport,
     /// Calls to [`RankCtx::leading_from_gram`] so far, split by outcome.
@@ -346,6 +355,7 @@ impl RankCtx {
             nranks,
             shared,
             comm: CommTimers::default(),
+            compute_ns: 0,
             sent: VolumeReport::default(),
             evd_computed: 0,
             evd_reused: 0,
@@ -377,29 +387,55 @@ impl RankCtx {
         self.sent
     }
 
+    /// The rank's compute clock, which phase timers bracket: under a
+    /// [`NetModel`] the modelled nanoseconds of the flops its TTMs, Grams
+    /// and EVDs charged (γ per flop, [`crate::net`]); without one the
+    /// fiber's metered CPU time.
+    pub fn cpu_clock(&self) -> Duration {
+        match self.shared.net {
+            Some(_) => Duration::from_nanos(self.compute_ns),
+            None => thread_cpu_time(),
+        }
+    }
+
+    /// Charge `flops` of this rank's work to its modelled compute clock (a
+    /// no-op on the measured clock, where the fiber meter sees the work).
+    pub(crate) fn compute(&mut self, flops: u64) {
+        if let Some(net) = &self.shared.net {
+            self.compute_ns += net.compute_ns(flops);
+        }
+    }
+
     /// `leading_from_gram(gram, k).u`, computed once per universe.
     ///
     /// After a world all-reduce every rank holds the same Gram and would run
     /// the same deterministic EVD (the paper's replicated sequential step,
     /// §5). The universe keeps the first result per call index — ranks run
     /// one SPMD program, so the `i`-th call is the same leaf on every rank —
-    /// and a later rank whose Gram compares bit-equal takes a copy and has
-    /// the **computing rank's measured CPU time** added to its own CPU clock
-    /// ([`thread_cpu_time`]), so every phase timer that brackets the call
-    /// reads what it would have read. A rank whose Gram differs computes its
-    /// own; nobody ever waits for another rank (workers that reach a leaf
-    /// together each compute it).
+    /// and a later rank whose Gram compares bit-equal takes a copy. A rank
+    /// whose Gram differs computes its own; nobody ever waits for another
+    /// rank (workers that reach a leaf together each compute it).
+    ///
+    /// Either way every rank is charged the EVD, so every phase timer that
+    /// brackets the call reads what it would have read: under a
+    /// [`NetModel`] its price [`evd_flops`] on [`RankCtx::cpu_clock`]; on the
+    /// measured clock the **computing rank's measured CPU time**, credited
+    /// to a reusing rank's fiber meter.
     pub fn leading_from_gram(&mut self, gram: &Matrix, k: usize) -> Matrix {
+        self.compute(evd_flops(gram.nrows()));
+        let metered = self.shared.net.is_none();
         let call = (self.evd_computed + self.evd_reused) as usize;
         let known = lock_ignore_poison(&self.shared.evds).get(call).cloned();
         if let Some(e) = known.filter(|e| e.k == k && same_bits(&e.gram, gram)) {
             self.evd_reused += 1;
-            crate::mesh::credit_fiber_cpu(e.cpu);
+            if metered {
+                crate::mesh::credit_fiber_cpu(e.cpu);
+            }
             return e.u.clone();
         }
-        let t0 = thread_cpu_time();
+        let t0 = metered.then(thread_cpu_time);
         let u = tucker_linalg::leading_from_gram(gram, k).u;
-        let cpu = thread_cpu_time().saturating_sub(t0);
+        let cpu = t0.map_or(Duration::ZERO, |t0| thread_cpu_time().saturating_sub(t0));
         self.evd_computed += 1;
         let mut evds = lock_ignore_poison(&self.shared.evds);
         // Ranks reach call `i` only after call `i − 1`, so the table grows
@@ -752,7 +788,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_charges_both_endpoints() {
-        let net = NetModel::new(Duration::from_nanos(100), 1.0e9); // 1 ns/byte
+        let net = NetModel::new(Duration::from_nanos(100), 1.0e9, 1.0e9); // 1 ns/byte
         let out = Universe::run_mesh(2, &MeshCfg::virtual_time(net), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 1, vec![0.0; 4], VolumeCategory::Regrid);

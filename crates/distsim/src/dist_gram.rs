@@ -20,7 +20,9 @@
 //!    contribution computed inside the full mode-`n` slab;
 //! 3. **all-reduce** of the `L_n × L_n` contributions across all ranks.
 //!
-//! All traffic is charged to [`VolumeCategory::Gram`].
+//! All traffic is charged to [`VolumeCategory::Gram`]; under a
+//! [`crate::NetModel`] step 2 is charged [`gram_flops`] on the rank's
+//! compute clock (the pack and place of step 1 count no flops).
 //!
 //! [`ColumnShare::gram`]: tucker_tensor::ColumnShare::gram
 
@@ -29,6 +31,7 @@ use crate::collectives::allreduce_sum;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use crate::exchange::GroupExchange;
+use crate::net::gram_flops;
 use tucker_linalg::Matrix;
 use tucker_tensor::ColumnShare;
 
@@ -45,6 +48,7 @@ const GRAM_REDUCE_TAG: u32 = 0x6B42;
 /// a rank never opens a parallel region of its own (`dist_ttm` pins one
 /// partition for the same reason).
 fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
+    ctx.compute(gram_flops(t.global_shape().dims(), t.grid(), ctx.rank(), n));
     let block = t.local();
     let q = t.grid().dim(n);
     if q == 1 {

@@ -10,12 +10,14 @@
 //!
 //! The communication volume is exactly the paper's model: each group member
 //! ships its partial minus its own chunk, totalling `(q_n − 1)·|Out(u)|`
-//! elements over the whole tensor.
+//! elements over the whole tensor. Under a [`crate::NetModel`] the local
+//! product is charged [`ttm_flops`] on the rank's compute clock.
 
 use crate::block::chunk;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
 use crate::exchange::GroupExchange;
+use crate::net::ttm_flops;
 use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::extract_window;
 use tucker_tensor::{ttm_into_threads, DenseTensor, Dims};
@@ -55,6 +57,9 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let partial_shape = ttm_into_threads(t.local(), n, &f_slice, &mut partial, 1);
     let partial = DenseTensor::from_vec(partial_shape, partial); // mode-n extent = K (full)
     debug_assert_eq!(partial.shape().dim(n), k);
+    let flops = ttm_flops(shape.dims(), grid, ctx.rank(), n, k);
+    debug_assert_eq!(flops, 2 * (k * t.local().as_slice().len()) as u64);
+    ctx.compute(flops);
 
     // Member `j` keeps rows `chunk(k, qn, j)` of mode n: one window of the
     // partial, moved along mode n from peer to peer.

@@ -33,13 +33,15 @@
 //!
 //! Measured times are honest only while the ranks fit the host's cores.
 //! For the paper's 2⁶–2¹³-node experiments attach a [`net`] model
-//! ([`MeshCfg::virtual_time`], DESIGN.md §2–§3): the α–β (postal)
+//! ([`MeshCfg::virtual_time`], DESIGN.md §2–§3): the α–β–γ
 //! [`net::NetModel`] — with a BG/Q preset — turns [`RankCtx::comm`] into a
 //! per-rank virtual clock that charges every off-rank message
-//! `α + β·bytes` to both endpoints, split by [`VolumeCategory`], and reads
-//! no host clock. The same runtime executes both: a handful of worker
+//! `α + β·bytes` to both endpoints, split by [`VolumeCategory`], and
+//! [`RankCtx::cpu_clock`] into one that charges every TTM, Gram share and
+//! EVD its flop count at the per-core rate γ; no rank reads a host clock.
+//! The same runtime executes both: a handful of worker
 //! threads replays universes of thousands of ranks in seconds, and neither
-//! the virtual clocks nor the volume counters — both owned by the rank —
+//! the virtual clocks nor the volume counters — all owned by the rank —
 //! depend on how many workers there are (`MeshCfg { workers: 1, .. }` is the deterministic
 //! one-rank-at-a-time mode).
 

@@ -20,9 +20,14 @@
 //! `workers: 1` is the deterministic mode (one rank at a time, fixed
 //! round-robin order); `workers: nranks` gives every rank an OS thread of
 //! its own, so per-thread counters read inside a rank body are per-rank.
-//! The communication clock ([`RankCtx::comm`]) and the volume counters are
-//! owned by the rank, so under a [`NetModel`] they do not depend on the pool
-//! size.
+//! The communication clock ([`RankCtx::comm`]), the compute clock
+//! ([`RankCtx::cpu_clock`]) and the volume counters are owned by the rank,
+//! so under a [`NetModel`] they do not depend on the pool size.
+//!
+//! On the measured clock each fiber meters its own CPU time: a resume
+//! anchors the worker's thread CPU clock and a suspend adds the slice. Under
+//! a [`NetModel`] the meter does not run — compute is priced per flop on
+//! the rank's compute clock — so a fiber switch reads no host clock.
 //!
 //! # Wake protocol
 //!
@@ -245,10 +250,13 @@ mod fib {
         sp: usize,
         entry: Option<Box<dyn FnOnce() + Send + 'static>>,
         outcome: Option<Outcome>,
-        /// Virtual per-fiber CPU clock: accumulated across suspensions …
+        /// Per-fiber CPU meter: accumulated across suspensions …
         cpu_acc_ns: u64,
         /// … anchored at the worker's raw CPU clock on each resume.
         resume_cpu0_ns: u64,
+        /// Whether the meter runs: only on the measured clock. Under a
+        /// `NetModel` compute is priced, so a switch reads no clock.
+        metered: bool,
     }
 
     thread_local! {
@@ -282,7 +290,11 @@ mod fib {
     }
 
     impl Fiber {
-        pub fn new(stack_bytes: usize, entry: Box<dyn FnOnce() + Send + 'static>) -> Fiber {
+        pub fn new(
+            stack_bytes: usize,
+            entry: Box<dyn FnOnce() + Send + 'static>,
+            metered: bool,
+        ) -> Fiber {
             let mut stack = Stack::new(stack_bytes);
             // Craft an initial frame so the first `switch` "returns" into
             // the trampoline: a 16-aligned top, the trampoline address where
@@ -309,6 +321,7 @@ mod fib {
                 outcome: None,
                 cpu_acc_ns: 0,
                 resume_cpu0_ns: 0,
+                metered,
             }
         }
 
@@ -319,7 +332,9 @@ mod fib {
             let mut worker_sp: usize = 0;
             CURRENT.with(|c| c.set(self as *mut Fiber));
             WORKER_SP.with(|c| c.set(&mut worker_sp));
-            self.resume_cpu0_ns = raw_cpu_ns();
+            if self.metered {
+                self.resume_cpu0_ns = raw_cpu_ns();
+            }
             // SAFETY: `self.sp` holds a context previously saved by
             // `switch` (or the crafted initial frame); the worker context is
             // saved into this frame's local, which stays alive until the
@@ -344,14 +359,17 @@ mod fib {
         // worker; saving into the fiber's sp slot and restoring the worker
         // context unwinds the control transfer that `resume` began.
         unsafe {
-            (*f).cpu_acc_ns += raw_cpu_ns().saturating_sub((*f).resume_cpu0_ns);
+            if (*f).metered {
+                (*f).cpu_acc_ns += raw_cpu_ns().saturating_sub((*f).resume_cpu0_ns);
+            }
             switch(&mut (*f).sp, wsp);
         }
     }
 
     /// CPU time consumed by the current fiber across all its scheduled
     /// slices, or `None` when the caller is not a fiber. Lets
-    /// `comm::thread_cpu_time` stay meaningful for multiplexed ranks.
+    /// `comm::thread_cpu_time` stay meaningful for multiplexed ranks. An
+    /// unmetered fiber's meter stands still.
     pub fn current_cpu() -> Option<std::time::Duration> {
         let f = CURRENT.with(Cell::get);
         if f.is_null() {
@@ -359,7 +377,14 @@ mod fib {
         }
         // SAFETY: only the owning worker reads these fields while the fiber
         // is current.
-        let ns = unsafe { (*f).cpu_acc_ns + raw_cpu_ns().saturating_sub((*f).resume_cpu0_ns) };
+        let ns = unsafe {
+            let slice = if (*f).metered {
+                raw_cpu_ns().saturating_sub((*f).resume_cpu0_ns)
+            } else {
+                0
+            };
+            (*f).cpu_acc_ns + slice
+        };
         Some(std::time::Duration::from_nanos(ns))
     }
 
@@ -718,8 +743,10 @@ pub struct MeshCfg {
     /// to `1..=nranks`. `1` is the deterministic one-rank-at-a-time mode;
     /// `nranks` gives each rank its own OS thread (see the module docs).
     pub workers: usize,
-    /// Attach an α–β model: [`RankCtx::comm`] becomes the virtual clock,
-    /// every off-rank message charged at both endpoints.
+    /// Attach an α–β–γ model: [`RankCtx::comm`] becomes the virtual clock,
+    /// every off-rank message charged at both endpoints, and
+    /// [`RankCtx::cpu_clock`] the modelled compute clock; the fibers' CPU
+    /// meter stays off.
     pub net: Option<NetModel>,
 }
 
@@ -924,6 +951,7 @@ impl Universe {
                 FiberSlot(std::cell::UnsafeCell::new(fib::Fiber::new(
                     MESH_STACK_BYTES,
                     entry,
+                    cfg.net.is_none(),
                 )))
             })
             .collect();
@@ -1195,6 +1223,58 @@ mod tests {
             (t1 - t0).as_nanos() as u64
         });
         assert!(out.all_ok());
+    }
+
+    #[test]
+    fn a_rank_that_burns_host_cpu_in_virtual_time_advances_no_clock() {
+        // Each rank spins for 3 ms of host time on either side of a
+        // suspension (rank 0 waits on rank 1's message). On the measured
+        // clock the rank's compute clock sees the work; under a `NetModel`
+        // the fiber meter is off and nothing is priced, so every clock the
+        // rank owns reads what it read before.
+        let burn = || {
+            let t0 = std::time::Instant::now();
+            let mut acc = 0u64;
+            while t0.elapsed() < Duration::from_millis(3) {
+                for i in 0..10_000u64 {
+                    acc = acc.wrapping_add(std::hint::black_box(i));
+                }
+            }
+            std::hint::black_box(acc);
+        };
+        let body = |ctx: &mut RankCtx| {
+            let clocks = |ctx: &RankCtx| (ctx.cpu_clock(), crate::comm::thread_cpu_time());
+            let before = clocks(ctx);
+            burn();
+            if ctx.rank() == 0 {
+                let _ = ctx.recv(1, 5, VolumeCategory::Other);
+            } else {
+                ctx.send(0, 5, vec![], VolumeCategory::Other);
+            }
+            burn();
+            (before, clocks(ctx))
+        };
+        let measured = Universe::run_mesh(2, &MeshCfg::default(), body).into_results();
+        for ((cpu0, _), (cpu1, _)) in measured.results {
+            assert!(cpu1 > cpu0, "the measured compute clock meters the work");
+        }
+        for workers in [1, 2] {
+            let cfg = MeshCfg {
+                workers,
+                ..MeshCfg::virtual_time(NetModel::bgq())
+            };
+            let out = Universe::run_mesh(2, &cfg, |ctx| {
+                let (before, after) = body(ctx);
+                (before, after, ctx.comm.total())
+            })
+            .into_results();
+            for (r, (before, after, comm)) in out.results.into_iter().enumerate() {
+                assert_eq!(before, (Duration::ZERO, Duration::ZERO), "rank {r}");
+                assert_eq!(after, before, "rank {r}, {workers} workers");
+                // An empty message costs α at each endpoint, nothing more.
+                assert_eq!(comm, NetModel::bgq().alpha(), "rank {r}");
+            }
+        }
     }
 
     #[test]

@@ -25,10 +25,20 @@
 //! priced by [`NetModel::exchange_ns`], the fold over the messages the
 //! transport sends, as [`crate::exchange`] enumerates them.
 //!
-//! All costs are kept in integer nanoseconds: each message's cost is rounded
-//! once, so closed forms reproduce the accumulated sums bit-exactly.
+//! Compute is priced in the same terms (the α–β–γ model of Austin, Ballard
+//! and Kolda): a per-core rate γ turns each operation's flop count into
+//! modelled nanoseconds on the rank's compute clock. The counts are written
+//! once, below ([`ttm_flops`], [`gram_flops`], [`evd_flops`]), and both the
+//! executing rank and the planner's prediction call them, so under a
+//! `NetModel` no rank reads a host clock at all.
+//!
+//! All costs are kept in integer nanoseconds: each message's cost and each
+//! operation's compute are rounded once, so closed forms reproduce the
+//! accumulated sums bit-exactly.
 
-use crate::exchange::Msg;
+use crate::block::chunk;
+use crate::exchange::{Msg, MAX_ORDER};
+use crate::grid::Grid;
 use std::ops::Range;
 use std::time::Duration;
 
@@ -52,6 +62,8 @@ pub struct NetModel {
     intra_beta_ns_per_byte: f64,
     /// Ranks per node; 1 means flat (every distinct pair is inter-node).
     node_size: usize,
+    /// Per-core compute time γ, in ns per flop.
+    gamma_ns_per_flop: f64,
 }
 
 /// `⌈log₂ n⌉` for `n ≥ 1`.
@@ -125,12 +137,19 @@ pub(crate) fn allreduce_msgs(g: usize, index: usize) -> u64 {
     msgs
 }
 
+/// `1e9 / flops_per_sec`, checked.
+fn gamma(flops_per_sec: f64) -> f64 {
+    assert!(flops_per_sec > 0.0, "compute rate must be positive");
+    1.0e9 / flops_per_sec
+}
+
 impl NetModel {
-    /// Build a model from a per-message latency and a link bandwidth.
+    /// Build a model from a per-message latency, a link bandwidth and a
+    /// per-core compute rate.
     ///
     /// # Panics
-    /// Panics if the bandwidth is not positive.
-    pub fn new(alpha: Duration, bytes_per_sec: f64) -> Self {
+    /// Panics if the bandwidth or the compute rate is not positive.
+    pub fn new(alpha: Duration, bytes_per_sec: f64, flops_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
         let alpha_ns = alpha.as_nanos() as u64;
         let beta = 1.0e9 / bytes_per_sec;
@@ -140,21 +159,24 @@ impl NetModel {
             intra_alpha_ns: alpha_ns,
             intra_beta_ns_per_byte: beta,
             node_size: 1,
+            gamma_ns_per_flop: gamma(flops_per_sec),
         }
     }
 
     /// Build a two-level hierarchical model: ranks are packed `node_size`
     /// per node; same-node messages use the `intra` pair, node-crossing
-    /// messages the `inter` pair.
+    /// messages the `inter` pair. Every core computes at `flops_per_sec`.
     ///
     /// # Panics
-    /// Panics if a bandwidth is not positive or `node_size` is zero.
+    /// Panics if a bandwidth or the compute rate is not positive or
+    /// `node_size` is zero.
     pub fn hierarchical(
         intra_alpha: Duration,
         intra_bytes_per_sec: f64,
         inter_alpha: Duration,
         inter_bytes_per_sec: f64,
         node_size: usize,
+        flops_per_sec: f64,
     ) -> Self {
         assert!(intra_bytes_per_sec > 0.0, "bandwidth must be positive");
         assert!(inter_bytes_per_sec > 0.0, "bandwidth must be positive");
@@ -165,18 +187,23 @@ impl NetModel {
             intra_alpha_ns: intra_alpha.as_nanos() as u64,
             intra_beta_ns_per_byte: 1.0e9 / intra_bytes_per_sec,
             node_size,
+            gamma_ns_per_flop: gamma(flops_per_sec),
         }
     }
 
     /// The paper's machine: IBM Blue Gene/Q. MPI point-to-point latency
-    /// ≈ 2.5 µs; per-link torus bandwidth ≈ 1.8 GB/s.
+    /// ≈ 2.5 µs; per-link torus bandwidth ≈ 1.8 GB/s; one A2 core computes
+    /// 12.8 GFLOP/s (1.6 GHz × 8 flops per cycle: a 4-wide QPX fused
+    /// multiply-add).
     pub fn bgq() -> Self {
-        Self::new(Duration::from_nanos(2_500), 1.8e9)
+        Self::new(Duration::from_nanos(2_500), 1.8e9, 12.8e9)
     }
 
     /// A commodity-cluster preset for the topology experiments: 16 ranks per
     /// node over shared memory (≈ 500 ns, 12 GB/s) connected by a
-    /// commodity interconnect (≈ 5 µs, 1.2 GB/s).
+    /// commodity interconnect (≈ 5 µs, 1.2 GB/s); one x86 core computes
+    /// 40 GFLOP/s (2.5 GHz × 16 flops per cycle: two 4-wide AVX2 FMA
+    /// pipes).
     pub fn cluster() -> Self {
         Self::hierarchical(
             Duration::from_nanos(500),
@@ -184,6 +211,7 @@ impl NetModel {
             Duration::from_nanos(5_000),
             1.2e9,
             16,
+            40.0e9,
         )
     }
 
@@ -207,6 +235,17 @@ impl NetModel {
         self.intra_beta_ns_per_byte
     }
 
+    /// Per-core compute time γ, in ns per flop.
+    pub fn gamma_ns_per_flop(&self) -> f64 {
+        self.gamma_ns_per_flop
+    }
+
+    /// Modelled compute time of `flops` on one core, in nanoseconds:
+    /// `γ·flops`, rounded once.
+    pub fn compute_ns(&self, flops: u64) -> u64 {
+        (self.gamma_ns_per_flop * flops as f64).round() as u64
+    }
+
     /// Ranks per node (1 for flat models).
     pub fn node_size(&self) -> usize {
         self.node_size
@@ -227,6 +266,7 @@ impl NetModel {
             intra_alpha_ns: self.alpha_ns,
             intra_beta_ns_per_byte: self.beta_ns_per_byte,
             node_size: 1,
+            gamma_ns_per_flop: self.gamma_ns_per_flop,
         }
     }
 
@@ -362,13 +402,64 @@ impl NetModel {
     }
 }
 
+// ------------------------------------------------------------ flop counts
+//
+// What one rank computes in each priced operation, counted once: the rank
+// that runs the operation charges its compute clock with it, and the
+// planner's replay of a sweep charges the same count to the same rank.
+// Regrids and the column-share pack/unpack move data and count 0 flops, and
+// so do local norms (`|block|` multiply-adds, a few per cent of the TTM that
+// produced the block): the paper's model counts the kernels' flops and the
+// communicated volume, nothing else.
+
+/// Flops per `L³` of one symmetric eigendecomposition with eigenvectors
+/// (tridiagonal reduction plus implicit QR): Golub and Van Loan's ≈ 9.
+const EVD_FLOPS_PER_CUBE: usize = 9;
+
+/// `rank`'s block of a tensor of global `shape` under `grid`, seen along
+/// mode `n`: its mode-`n` rows, its mode-`n` fibers and its coordinate in
+/// mode `n`.
+fn block_along(shape: &[usize], grid: &Grid, rank: usize, n: usize) -> (usize, usize, usize) {
+    let order = shape.len();
+    let mut coord = [0usize; MAX_ORDER];
+    grid.coord_into(rank, &mut coord[..order]);
+    let extent = |m: usize| chunk(shape[m], grid.dim(m), coord[m]).1;
+    let fibers = (0..order).filter(|&m| m != n).map(extent).product();
+    (extent(n), fibers, coord[n])
+}
+
+/// The flops `rank` spends on its local product in a distributed TTM along
+/// mode `n` of a tensor of global `shape` onto `k` rows
+/// ([`crate::dist_ttm::dist_ttm`]): `2·k·|block|`, a multiply-add per
+/// element of the block and output row.
+pub fn ttm_flops(shape: &[usize], grid: &Grid, rank: usize, n: usize, k: usize) -> u64 {
+    let (rows, fibers, _) = block_along(shape, grid, rank, n);
+    2 * (k * rows * fibers) as u64
+}
+
+/// The flops `rank` spends on its share of a distributed mode-`n` Gram of a
+/// tensor of global `shape` ([`crate::dist_gram::dist_gram`]): the
+/// lower-triangle SYRK of its column share, `L(L+1)·cols` for `L = shape[n]`
+/// and the share's `cols` fibers (`chunk(fibers, q_n, c_n)` of the block's).
+pub fn gram_flops(shape: &[usize], grid: &Grid, rank: usize, n: usize) -> u64 {
+    let (_, fibers, c) = block_along(shape, grid, rank, n);
+    let (l, cols) = (shape[n], chunk(fibers, grid.dim(n), c).1);
+    (l * (l + 1) * cols) as u64
+}
+
+/// The flops of one replicated truncation of an `l × l` Gram
+/// ([`crate::comm::RankCtx::leading_from_gram`]): `9·l³`.
+pub fn evd_flops(l: usize) -> u64 {
+    (EVD_FLOPS_PER_CUBE * l.pow(3)) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn message_cost_is_affine_and_rounded_once() {
-        let m = NetModel::new(Duration::from_nanos(1000), 1.0e9); // 1ns/byte
+        let m = NetModel::new(Duration::from_nanos(1000), 1.0e9, 1.0e9); // 1ns/byte
         assert_eq!(m.msg_ns(0), 1000);
         assert_eq!(m.msg_ns(8), 1008);
         assert_eq!(m.msg_elems_ns(4), 1032);
@@ -383,6 +474,32 @@ mod tests {
         // An 8 MB message is bandwidth-dominated: ≈ 4.66 ms.
         let t = Duration::from_nanos(m.msg_ns(8 << 20));
         assert!(t > Duration::from_millis(4) && t < Duration::from_millis(5));
+        // 12.8 GFLOP/s → 0.078125 ns per flop, exactly.
+        assert_eq!(m.gamma_ns_per_flop(), 0.078125);
+        assert_eq!(m.compute_ns(128), 10);
+        assert_eq!(m.flattened().gamma_ns_per_flop(), m.gamma_ns_per_flop());
+    }
+
+    #[test]
+    fn per_rank_flops_sum_to_the_whole_tensors_count() {
+        // Over every rank, the TTM's local products cost 2·K·|T| and the
+        // Gram shares `L(L+1)` per fiber of the tensor: the blocks and the
+        // column shares partition it.
+        let shape = [7usize, 5, 6];
+        let card: u64 = shape.iter().map(|&l| l as u64).product();
+        for dims in [[1usize, 1, 1], [2, 1, 3], [3, 2, 2], [7, 1, 1]] {
+            let g = Grid::new(dims);
+            for n in 0..shape.len() {
+                let l = shape[n] as u64;
+                let ttm: u64 = (0..g.nranks())
+                    .map(|r| ttm_flops(&shape, &g, r, n, 4))
+                    .sum();
+                let gram: u64 = (0..g.nranks()).map(|r| gram_flops(&shape, &g, r, n)).sum();
+                assert_eq!(ttm, 2 * 4 * card, "grid {dims:?} mode {n}");
+                assert_eq!(gram, (l + 1) * card, "grid {dims:?} mode {n}");
+            }
+        }
+        assert_eq!(evd_flops(10), 9_000);
     }
 
     #[test]
@@ -491,6 +608,7 @@ mod tests {
                 Duration::from_nanos(5_000),
                 1.2e9,
                 s,
+                1.0e9,
             );
             for p in [1usize, 2, 15, 16, 31, 64, 100] {
                 let mut buckets: Vec<Vec<usize>> = Vec::new();

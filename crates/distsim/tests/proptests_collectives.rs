@@ -119,7 +119,7 @@ fn allreduce_sent_elems(g: usize, index: usize, len: usize) -> usize {
 #[test]
 fn virtual_allreduce_matches_closed_forms() {
     // World groups on both sides of the flat/tree threshold (8 | 9).
-    let net = NetModel::new(Duration::from_nanos(700), 2.0e9);
+    let net = NetModel::new(Duration::from_nanos(700), 2.0e9, 1.0e9);
     for p in [1usize, 2, 3, 5, 8, 9, 11, 16] {
         for len in [1usize, 7] {
             let got = run_virtual(p, net, VolumeCategory::Gram, |ctx| {
@@ -234,6 +234,7 @@ fn hier_net(node_size: usize) -> NetModel {
         Duration::from_nanos(4_000),
         1.0e9,
         node_size,
+        1.0e9,
     )
 }
 
@@ -414,7 +415,14 @@ fn hier_virtual_barrier_matches_closed_form() {
 
 /// α = 0 and 1 ns per byte on both link classes.
 fn byte_net(node_size: usize) -> NetModel {
-    NetModel::hierarchical(Duration::ZERO, 1.0e9, Duration::ZERO, 1.0e9, node_size)
+    NetModel::hierarchical(
+        Duration::ZERO,
+        1.0e9,
+        Duration::ZERO,
+        1.0e9,
+        node_size,
+        1.0e9,
+    )
 }
 
 /// Run `f` under `net`; per rank, its own sent bytes and its modeled

@@ -39,6 +39,7 @@ fn hier_net(node_size: usize) -> NetModel {
         Duration::from_nanos(4_000),
         1.0e9,
         node_size,
+        1.0e9,
     )
 }
 

@@ -205,6 +205,7 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
     for path in [
         "predicted_comm_s",
         "executed_comm_s",
+        "wall_s",
         "ttm_comm_s",
         "gram_comm_s",
         "regrid_comm_s",
@@ -212,9 +213,18 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
         let path = format!("rows[].{path}");
         assert_eq!(kind_of("BENCH_planner.json", &path), Kind::Model, "{path}");
     }
+    // Under a `NetModel` compute is priced per flop, so the virtual wall and
+    // its compute phases are model leaves like the communication.
+    assert_eq!(
+        kind_of("BENCH_topology.json", "rows[].topo_wall_s"),
+        Kind::Model
+    );
     for path in [
         "predicted_comm_s",
         "comm_wall_s",
+        "wall_s",
+        "ttm_compute_s",
+        "svd_s",
         "ttm_comm_s",
         "gram_comm_s",
         "regrid_comm_s",
@@ -232,7 +242,7 @@ fn every_declared_leaf_of_every_committed_artifact_is_treated_as_declared() {
         assert_eq!(kind_of("BENCH_recovery.json", path), Kind::Model, "{path}");
     }
     for (file, path) in [
-        ("BENCH_scaling.json", "rows[].wall_s"),
+        ("BENCH_scaling.json", "rows[].host_s"),
         ("BENCH_topology.json", "rows[].host_s"),
         ("BENCH_recovery.json", "rows[].recover_total_s"),
     ] {

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use tucker_core::dist_sthosvd::run_distributed_sthosvd;
 use tucker_core::engine::{DistRun, EngineConfig};
-use tucker_core::executor::{hooi_sweep, SeqBackend};
+use tucker_core::executor::{hooi_sweep, SeqBackend, SweepStats};
 use tucker_core::plan::order::optimal_sthosvd_order;
 use tucker_core::plan::{NetCostModel, Planner, SearchBudget};
 use tucker_core::sthosvd::{hosvd_init_factors, sthosvd_with_order};
@@ -294,12 +294,53 @@ fn hooi_matches_sequential_through_the_selected_solver() {
     }
 }
 
+/// Every field of a sweep's stats, the error as its bits. The pattern
+/// names each field, so a field added to `SweepStats` must be added here.
+fn every_field(s: &SweepStats) -> impl PartialEq + std::fmt::Debug {
+    let SweepStats {
+        ttm_compute,
+        ttm_comm,
+        regrid_comm,
+        svd,
+        gram_comm,
+        wall,
+        comm_wall,
+        ttm_volume,
+        regrid_volume,
+        gram_volume,
+        kernel_bytes,
+        error,
+        provenance,
+    } = s;
+    (
+        [
+            *ttm_compute,
+            *ttm_comm,
+            *regrid_comm,
+            *svd,
+            *gram_comm,
+            *wall,
+            *comm_wall,
+        ],
+        [
+            *ttm_volume,
+            *regrid_volume,
+            *gram_volume,
+            *kernel_bytes,
+            error.to_bits(),
+        ],
+        provenance.clone(),
+    )
+}
+
 /// The worker pool is a host detail: one virtual-time run on a single worker
-/// (the deterministic one-rank-at-a-time schedule), on the default pool, on
-/// two workers and on a worker per rank reports the same plan, modeled
-/// communication clocks and ledger, the same volumes in **every** sweep, and
-/// bit-identical errors and factors. The sweeps' volumes plus the HOSVD
-/// init's add up to the run's ledger.
+/// (the deterministic one-rank-at-a-time schedule), the same run again, on
+/// the default pool, on two workers and on a worker per rank reports the
+/// same plan, **every** `SweepStats` field of every sweep bit for bit — the
+/// modelled compute, communication and wall clocks included, since under a
+/// `NetModel` no rank reads a host clock — the same ledger, and
+/// bit-identical factors. The sweeps' volumes plus the HOSVD init's add up
+/// to the run's ledger.
 #[test]
 fn virtual_time_run_does_not_depend_on_the_worker_pool() {
     let meta = TuckerMeta::new([12, 10, 8], [6, 4, 4]);
@@ -312,19 +353,19 @@ fn virtual_time_run_does_not_depend_on_the_worker_pool() {
     };
     let one = run(1);
     assert_eq!(one.workers, 1);
-    assert!(one.per_sweep.iter().all(|s| !s.comm_wall.is_zero()));
-    // 0 = the host's default pool; NRANKS = 4 = a worker per rank.
-    for workers in [0, 2, NRANKS] {
+    for s in &one.per_sweep {
+        assert!(!s.comm_wall.is_zero() && !s.ttm_compute.is_zero() && !s.svd.is_zero());
+        // Every rank computes, so each one's wall exceeds its communication.
+        assert!(s.wall > s.comm_wall);
+    }
+    // 1 again = a repeated run; 0 = the host's default pool; NRANKS = 4 = a
+    // worker per rank.
+    for workers in [1, 0, 2, NRANKS] {
         let pool = run(workers);
         assert_eq!(pool.plans, one.plans);
+        assert_eq!(pool.per_sweep.len(), one.per_sweep.len());
         for (a, b) in pool.per_sweep.iter().zip(&one.per_sweep) {
-            assert_eq!(a.comm_wall, b.comm_wall, "{workers} workers");
-            assert_eq!(a.error.to_bits(), b.error.to_bits(), "{workers} workers");
-            assert_eq!(
-                (a.ttm_volume, a.regrid_volume, a.gram_volume),
-                (b.ttm_volume, b.regrid_volume, b.gram_volume),
-                "{workers} workers"
-            );
+            assert_eq!(every_field(a), every_field(b), "{workers} workers");
         }
         assert_eq!(pool.volume(), one.volume(), "{workers} workers");
         let (da, db) = (pool.expect_decomposition(), one.expect_decomposition());

@@ -159,6 +159,9 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
                 (pred.ttm_comm, s.ttm_comm, "ttm"),
                 (pred.regrid_comm, s.regrid_comm, "regrid"),
                 (pred.gram_comm, s.gram_comm, "gram"),
+                (pred.ttm_compute, s.ttm_compute, "ttm compute"),
+                (pred.svd, s.svd, "svd"),
+                (pred.wall, s.wall, "wall"),
             ] {
                 assert_eq!(predicted, executed, "{} P={p}: {what}", plan.name());
             }
@@ -166,6 +169,41 @@ fn net_prediction_matches_executed_virtual_clock_at_paper_scale() {
             let prov = s.provenance.as_ref().expect("engine records provenance");
             assert_eq!(prov.plan, plan.name());
             assert_eq!(prov.predicted_comm, Some(pred.comm_wall));
+        }
+    }
+}
+
+#[test]
+fn predicted_compute_and_wall_equal_the_executed_clocks() {
+    // Under a `NetModel` compute is priced per flop too, so `predict_sweep`
+    // replays the whole virtual sweep: its TTM compute, its SVD (Gram
+    // shares and EVDs) and its wall equal the executed clocks to the
+    // nanosecond, for a plan that regrids and for the joint-DP winner, on
+    // the flat BG/Q model and on the hierarchical cluster.
+    let meta = tucker_suite::driver::scaling_meta();
+    let fill = |c: &[usize]| tucker_suite::fields::hash_noise(c, 0x90DE);
+    for net in [NetModel::bgq(), NetModel::cluster()] {
+        let cfg = EngineConfig {
+            gather_core: false,
+            ..EngineConfig::virtual_time(net)
+        };
+        for p in [64usize, 1024] {
+            let planner = Planner::new(meta.clone(), p);
+            let model = NetCostModel::new(net, p);
+            let regrids = planner.plan(TreeStrategy::Optimal, GridStrategy::Dynamic);
+            let winner = planner.best_plan_with(&model, &SearchBudget::winner_only());
+            for (plan, must_regrid) in [(regrids, true), (winner, false)] {
+                let pred = plan.predict_net(&model);
+                let out = DistRun::of(&plan, 1).config(cfg.clone()).run(fill);
+                let s = &out.per_sweep[0];
+                let at = format!("{} P={p} node size {}", plan.name(), net.node_size());
+                assert!(!must_regrid || s.regrid_volume > 0, "{at}: no regrid");
+                assert!(!s.ttm_compute.is_zero() && !s.svd.is_zero(), "{at}");
+                assert_eq!(pred.ttm_compute, s.ttm_compute, "{at}: ttm compute");
+                assert_eq!(pred.svd, s.svd, "{at}: svd");
+                assert_eq!(pred.wall, s.wall, "{at}: wall");
+                assert_eq!(pred.comm_wall, s.comm_wall, "{at}: comm wall");
+            }
         }
     }
 }

@@ -200,6 +200,32 @@ fn a_rank_count_with_no_grid_is_invalid_and_the_server_keeps_serving() {
     assert_eq!((report.jobs, report.worker_panics), (1, 0));
 }
 
+/// The worker's joint DP holds `3^N` states: a 14-mode job (every other
+/// check passes, and the mode count is under the planner's 16) would have it
+/// allocate gigabytes of tables. Its table bytes must refuse it at
+/// submission, and the server keeps serving the next job.
+#[test]
+fn a_job_whose_plan_tables_exceed_the_budget_is_invalid_and_the_server_keeps_serving() {
+    let server = Server::start(ServeCfg::default());
+    let bad = JobSpec::compress(vec![2; 14], vec![1; 14], 1, 7);
+    match server.submit(bad) {
+        Err(tucker_core::SubmitError::Invalid(why)) => {
+            assert!(why.contains("planning 14 modes"), "{why}");
+        }
+        Err(e) => panic!("a 14-mode job must be invalid, got {e}"),
+        Ok(_) => panic!("a 14-mode job must be invalid, got admitted"),
+    }
+    let good = JobSpec::compress(vec![8, 8, 8], vec![4, 4, 4], 8, 1);
+    let r = server
+        .submit(good)
+        .expect("admitted")
+        .wait()
+        .expect("answered");
+    assert!(matches!(r.output, JobOutput::Compressed { .. }));
+    let report = server.shutdown();
+    assert_eq!((report.jobs, report.worker_panics), (1, 0));
+}
+
 /// The worker plans every job with the joint DP, which stops at 16 modes. A
 /// 17-mode job passes every other check (shapes, size, `K ≤ L`, a grid), so
 /// the mode count itself must refuse it at submission, and the server keeps
