@@ -32,10 +32,12 @@
 //! * [`SeqBackend`] — strictly sequential host execution through a
 //!   [`TtmWorkspace`] (zero tensor-sized allocations at steady state);
 //! * [`RayonBackend`] — the same workspace discipline, but every Gram
-//!   partitions its fiber range and every TTM its slab range into one part
-//!   per host core (`tucker_tensor::{gram_threads, ttm_into_threads}`), run
-//!   on the process's persistent worker team (`tucker_linalg::Pool`; the
-//!   name predates it and is pinned by the benchmark);
+//!   partitions its fiber range into the backend's count (one part per host
+//!   core for [`RayonBackend::new`]; the count sets the Gram's bits) and
+//!   every large TTM its slab range into one part per host core (a TTM's
+//!   bits never depend on it), run on the process's persistent worker team
+//!   (`tucker_linalg::Pool`; the name predates it and is pinned by the
+//!   benchmark);
 //! * `DistsimBackend` (private to [`crate::engine`]) — the simulated-MPI
 //!   backend over `tucker-distsim`, measured or virtual-time.
 //!
@@ -591,34 +593,47 @@ pub(crate) fn hooi_loop_from<B: SweepBackend, O: SweepObserver>(
 // ------------------------------------------------------------ host backends
 
 /// Shared implementation of the two host (shared-memory) backends: a
-/// [`TtmWorkspace`] for grow-only buffer reuse plus a pinned partition
-/// count. `PAR = false` is [`SeqBackend`] (count locked to 1, strictly
-/// sequential kernels); `PAR = true` is [`RayonBackend`] (fiber/slab ranges
-/// of every kernel split into the pinned number of parts, executed on the
-/// shared worker team however wide that is).
+/// [`TtmWorkspace`] for grow-only buffer reuse plus a Gram partition count.
+/// `PAR = false` is [`SeqBackend`] (every kernel one part, strictly
+/// sequential); `PAR = true` is [`RayonBackend`] (the Gram's fiber range
+/// split into the pinned number of parts, every TTM split by its work;
+/// both on the shared worker team however wide that is).
 pub struct HostBackend<const PAR: bool> {
-    threads: usize,
+    /// The Gram's partition count. A Gram sums per part, so this count
+    /// sets its bits.
+    gram_parts: usize,
+    /// Every TTM pinned to this many parts, so a test splits TTMs on any
+    /// host; outside tests the TTM rule follows `PAR` alone.
+    #[cfg(test)]
+    ttm_pin: Option<usize>,
     ws: TtmWorkspace,
     epoch: Instant,
     sweep_t0: Duration,
     sweep_pack0: u64,
 }
 
-/// Strictly sequential host backend (today's reference path): one worker,
-/// workspace buffer reuse, zero tensor-sized allocations at steady state.
+/// Strictly sequential host backend (the reference path): one part per
+/// kernel, workspace buffer reuse, zero tensor-sized allocations at steady
+/// state.
 pub type SeqBackend = HostBackend<false>;
 
-/// Shared-memory multicore host backend: Gram fiber ranges and TTM slab
-/// ranges are partitioned across host cores on the persistent worker team
-/// (`tucker_linalg::Pool::shared`). Same workspace discipline (and therefore
-/// the same steady-state allocation behavior) as [`SeqBackend`]; results
-/// agree to summation-order ulps.
+/// Shared-memory multicore host backend on the persistent worker team
+/// (`tucker_linalg::Pool::shared`). The partition count splits the Gram's
+/// fiber range and so sets the Gram's bits; each TTM splits its slab range
+/// by its own work — one part per host core above a threshold, none below
+/// it — because a TTM's bits never depend on the split. Same workspace
+/// discipline (and therefore the same steady-state allocation behavior) as
+/// [`SeqBackend`]; at a partition count of 1 every result is
+/// [`SeqBackend`]'s to the bit, otherwise they agree to summation-order
+/// ulps.
 pub type RayonBackend = HostBackend<true>;
 
 impl<const PAR: bool> HostBackend<PAR> {
-    fn with_thread_count(threads: usize) -> Self {
+    fn with_gram_count(gram_parts: usize) -> Self {
         HostBackend {
-            threads: threads.max(1),
+            gram_parts: gram_parts.max(1),
+            #[cfg(test)]
+            ttm_pin: None,
             ws: TtmWorkspace::new(),
             epoch: Instant::now(),
             sweep_t0: Duration::ZERO,
@@ -626,23 +641,16 @@ impl<const PAR: bool> HostBackend<PAR> {
         }
     }
 
-    /// The partition count this backend flavor pins by construction: 1 for
-    /// [`SeqBackend`], the host's thread count — a constant of the host,
-    /// and the width of the worker team — for [`RayonBackend`].
-    fn auto_threads() -> usize {
-        if PAR {
-            tucker_tensor::host_threads()
-        } else {
-            1
-        }
-    }
-
     /// Adopt an existing workspace (e.g. one kept warm across invocations
     /// by a caller that owns the iteration).
-    pub(crate) fn from_workspace(ws: TtmWorkspace) -> Self {
-        let mut b = Self::with_thread_count(Self::auto_threads());
-        b.ws = ws;
-        b
+    pub(crate) fn with_workspace(mut self, ws: TtmWorkspace) -> Self {
+        self.ws = ws;
+        self
+    }
+
+    /// The workspace and whatever buffers it accumulated.
+    pub(crate) fn workspace(&self) -> &TtmWorkspace {
+        &self.ws
     }
 
     /// Surrender the workspace (with whatever buffers it accumulated).
@@ -650,9 +658,33 @@ impl<const PAR: bool> HostBackend<PAR> {
         self.ws
     }
 
-    /// The pinned worker count.
+    /// The Gram partition count: 1 for [`SeqBackend`], the host's thread
+    /// count for [`RayonBackend::new`].
     pub fn threads(&self) -> usize {
-        self.threads
+        self.gram_parts
+    }
+
+    /// Pin every TTM to `parts` parts, so a test exercises a split TTM on
+    /// any host, a one-core one included.
+    #[cfg(test)]
+    pub(crate) fn with_ttm_parts(mut self, parts: usize) -> Self {
+        self.ttm_pin = Some(parts);
+        self
+    }
+
+    /// `Z = T ×_n Fᵀ` in the workspace: one part for [`SeqBackend`], split
+    /// by the TTM's work (`TtmWorkspace::ttm`) for [`RayonBackend`]. A
+    /// TTM's bits do not depend on its split.
+    fn ttm_product(&mut self, t: &DenseTensor, n: usize, factor_t: &Matrix) -> DenseTensor {
+        #[cfg(test)]
+        if let Some(parts) = self.ttm_pin {
+            return self.ws.ttm_threads(t, n, factor_t, parts);
+        }
+        if PAR {
+            self.ws.ttm(t, n, factor_t)
+        } else {
+            self.ws.ttm_threads(t, n, factor_t, 1)
+        }
     }
 }
 
@@ -663,9 +695,9 @@ impl Default for SeqBackend {
 }
 
 impl SeqBackend {
-    /// A sequential backend (worker count locked to 1).
+    /// A sequential backend (every kernel one part).
     pub fn new() -> Self {
-        Self::with_thread_count(1)
+        Self::with_gram_count(1)
     }
 }
 
@@ -676,15 +708,19 @@ impl Default for RayonBackend {
 }
 
 impl RayonBackend {
-    /// A multicore backend pinned to the host's available parallelism.
+    /// A multicore backend whose Gram splits into one part per host core
+    /// (the host's thread count, a constant of the host and the width of
+    /// the worker team).
     pub fn new() -> Self {
-        Self::with_thread_count(Self::auto_threads())
+        Self::with_gram_parts(tucker_tensor::host_threads())
     }
 
-    /// A multicore backend with an explicit partition count (the Gram's
-    /// summation grouping follows it; the team's width does not change).
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_thread_count(threads)
+    /// A multicore backend whose Gram sums in `parts` parts: the count
+    /// sets the Gram's bits, and at 1 every result is [`SeqBackend`]'s to
+    /// the bit. TTMs split by their work whatever the count; the team's
+    /// width does not change.
+    pub fn with_gram_parts(parts: usize) -> Self {
+        Self::with_gram_count(parts)
     }
 }
 
@@ -710,8 +746,7 @@ impl<const PAR: bool> SweepBackend for HostBackend<PAR> {
 
     fn gram(&mut self, t: &DenseTensor, n: usize, stats: &mut SweepStats) -> Matrix {
         let t0 = self.epoch.elapsed();
-        let threads = if PAR { self.threads } else { 1 };
-        let g = gram_threads(t, n, threads);
+        let g = gram_threads(t, n, self.gram_parts);
         stats.svd += self.epoch.elapsed().saturating_sub(t0);
         g
     }
@@ -724,8 +759,7 @@ impl<const PAR: bool> SweepBackend for HostBackend<PAR> {
         stats: &mut SweepStats,
     ) -> DenseTensor {
         let t0 = self.epoch.elapsed();
-        let threads = if PAR { self.threads } else { 1 };
-        let out = self.ws.ttm_threads(t, n, factor_t, threads);
+        let out = self.ttm_product(t, n, factor_t);
         stats.ttm_compute += self.epoch.elapsed().saturating_sub(t0);
         out
     }
@@ -923,6 +957,174 @@ mod tests {
         assert!(out.stats.ttm_compute > Duration::ZERO);
         assert!(out.stats.svd > Duration::ZERO);
         assert!(out.stats.wall >= out.stats.ttm_compute + out.stats.svd);
+    }
+
+    /// The backends a batch may run on, each against the sequential
+    /// reference: the Gram in one part, the TTMs split by their work (one
+    /// part on a one-core host) and pinned to three parts (a split TTM on
+    /// any host).
+    fn one_gram_part_backends() -> [RayonBackend; 2] {
+        [
+            RayonBackend::with_gram_parts(1),
+            RayonBackend::with_gram_parts(1).with_ttm_parts(3),
+        ]
+    }
+
+    /// `(error, core, factors)` of two runs, bit for bit.
+    fn assert_bitwise(
+        a: (f64, &DenseTensor, &[Matrix]),
+        b: (f64, &DenseTensor, &[Matrix]),
+        what: &str,
+    ) {
+        assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what}");
+        assert_eq!(a.1.as_slice(), b.1.as_slice(), "{what}");
+        for (f, g) in a.2.iter().zip(b.2) {
+            assert_eq!(f.as_slice(), g.as_slice(), "{what}");
+        }
+    }
+
+    #[test]
+    fn rayon_at_one_gram_part_is_the_sequential_reference_bitwise() {
+        let dims = [24usize, 20, 18, 10];
+        let t = smooth_tensor(&dims);
+        let meta = TuckerMeta::new(dims.to_vec(), vec![5, 4, 4, 3]);
+        let init = sthosvd(&t, &meta).factors;
+        let norm = fro_norm_sq(&t);
+        for plan in crate::plan::Planner::new(meta.clone(), 4).paper_lineup() {
+            let seq = seq_sweep(&t, &meta, &plan.tree, &init);
+            for mut b in one_gram_part_backends() {
+                let par = hooi_sweep(&mut b, &t, &meta, &plan.tree, &init, norm);
+                assert_bitwise(
+                    (par.stats.error, &par.core, &par.factors),
+                    (seq.stats.error, &seq.core, &seq.factors),
+                    &plan.name(),
+                );
+            }
+        }
+
+        // A resumed sweep (`Program::resumed`: the predone leaves' subtrees
+        // skipped) on the optimal tree.
+        let tree = optimal_tree(&meta).tree;
+        let g = Grid::trivial(meta.order());
+        let program = schedule::sweep_on(&meta, &tree, &g);
+        let full = seq_sweep(&t, &meta, &tree, &init);
+        for done in [0b0001u32, 0b0110, 0b1011] {
+            let predone: Vec<Option<Matrix>> = (0..meta.order())
+                .map(|n| (done & 1 << n != 0).then(|| full.factors[n].clone()))
+                .collect();
+            let seq = resumed_sweep(&mut SeqBackend::new(), &t, &program, &init, &predone);
+            for mut b in one_gram_part_backends() {
+                let par = resumed_sweep(&mut b, &t, &program, &init, &predone);
+                assert_bitwise(
+                    (par.errors[0], &par.core, &par.factors),
+                    (seq.errors[0], &seq.core, &seq.factors),
+                    &format!("resumed, done {done:b}"),
+                );
+            }
+        }
+    }
+
+    /// One HOOI sweep of every paper-lineup tree and the ST-HOSVD chain of
+    /// `meta`, with every TTM pinned to three parts, bit for bit against
+    /// the same Gram count with work-split TTMs: at three Gram parts (what
+    /// `tests/differential_backends.rs` holds to 1e-10 of the sequential
+    /// run) and at one, where both are also the sequential run's.
+    fn pinned_ttm_split_changes_no_bit(meta: &TuckerMeta) {
+        let t = smooth_tensor(meta.input().dims());
+        let init = sthosvd(&t, meta).factors;
+        let norm = fro_norm_sq(&t);
+        let order = crate::plan::order::optimal_sthosvd_order(meta);
+        let backend = |gram: usize, pin: bool| {
+            let b = RayonBackend::with_gram_parts(gram);
+            if pin {
+                b.with_ttm_parts(3)
+            } else {
+                b
+            }
+        };
+        for gram in [1usize, 3] {
+            for plan in crate::plan::Planner::new(meta.clone(), 4).paper_lineup() {
+                let [work, pinned] = [false, true].map(|pin| {
+                    hooi_sweep(&mut backend(gram, pin), &t, meta, &plan.tree, &init, norm)
+                });
+                let what = format!("{meta}: {} at {gram} Gram parts", plan.name());
+                assert_bitwise(
+                    (pinned.stats.error, &pinned.core, &pinned.factors),
+                    (work.stats.error, &work.core, &work.factors),
+                    &what,
+                );
+                if gram == 1 {
+                    let seq = seq_sweep(&t, meta, &plan.tree, &init);
+                    assert_bitwise(
+                        (work.stats.error, &work.core, &work.factors),
+                        (seq.stats.error, &seq.core, &seq.factors),
+                        &what,
+                    );
+                }
+            }
+            let [work, pinned] = [false, true]
+                .map(|pin| sthosvd_sweep(&mut backend(gram, pin), &t, meta, &order, norm));
+            assert_bitwise(
+                (pinned.stats.error, &pinned.core, &pinned.factors),
+                (work.stats.error, &work.core, &work.factors),
+                &format!("{meta}: sthosvd at {gram} Gram parts"),
+            );
+        }
+    }
+
+    /// A lineup needs valid grids for its nominal four ranks.
+    fn viable(meta: &TuckerMeta) -> bool {
+        meta.core_cardinality() >= 4.0
+            && !tucker_distsim::enumerate_valid_grids(4, meta.core().dims()).is_empty()
+    }
+
+    /// Metadata from raw draws, with cores clamped to the mode lengths.
+    fn drawn_meta(ls: &[usize], kraw: &[usize]) -> TuckerMeta {
+        let ks: Vec<usize> = ls.iter().zip(kraw).map(|(&l, &k)| k.clamp(1, l)).collect();
+        TuckerMeta::new(ls.to_vec(), ks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The randomized 5-D shapes of `tests/differential_backends.rs`.
+        #[test]
+        fn pinned_three_part_ttms_change_no_bit_5d(
+            ls in proptest::collection::vec(3usize..=6, 5),
+            kraw in proptest::collection::vec(1usize..=4, 5),
+        ) {
+            let meta = drawn_meta(&ls, &kraw);
+            proptest::prop_assume!(viable(&meta));
+            pinned_ttm_split_changes_no_bit(&meta);
+        }
+
+        /// The randomized 6-D shapes of `tests/differential_backends.rs`.
+        #[test]
+        fn pinned_three_part_ttms_change_no_bit_6d(
+            ls in proptest::collection::vec(3usize..=5, 6),
+            kraw in proptest::collection::vec(1usize..=4, 6),
+        ) {
+            let meta = drawn_meta(&ls, &kraw);
+            proptest::prop_assume!(viable(&meta));
+            pinned_ttm_split_changes_no_bit(&meta);
+        }
+    }
+
+    /// One sweep of `program` from `init` with the `predone` leaves
+    /// spliced in: the first sweep of a resumed loop.
+    fn resumed_sweep<B: SweepBackend<Tensor = DenseTensor>>(
+        b: &mut B,
+        t: &DenseTensor,
+        program: &Program<'_>,
+        init: &[Matrix],
+        predone: &[Option<Matrix>],
+    ) -> LoopOutcome<DenseTensor> {
+        let from = Resume {
+            predone,
+            ..Resume::start(init)
+        };
+        let (norm, once) = (fro_norm_sq(t), LoopCfg::exactly(1));
+        hooi_loop_from(b, t, program, from, norm, once, &mut ())
     }
 
     /// `merge_max` keeps the per-rank maximum of the kernel-bytes gauge,

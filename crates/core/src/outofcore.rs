@@ -462,7 +462,7 @@ impl SlidingTucker {
             .expect("order >= 2 leaves at least one spatial mode");
         init.push(leading_from_gram(&gram(&y, last), self.meta.k(last)).u);
         ws.recycle(y);
-        self.backend = SeqBackend::from_workspace(ws);
+        self.backend = SeqBackend::new().with_workspace(ws);
         let input_norm_sq = fro_norm_sq(&self.window);
         let out = executor::hooi_loop(
             &mut self.backend,

@@ -46,7 +46,7 @@ use crate::plan::schedule::{self, core_chain, regrid_volume, ttm_volume, OpKind}
 use crate::plan::tree::TtmTree;
 use std::time::Duration;
 use tucker_distsim::block::{chunk, chunk_cover};
-use tucker_distsim::exchange::{regrid_msgs, GroupExchange, MAX_ORDER};
+use tucker_distsim::exchange::{regrid_msgs, GroupExchange, RankBlock, MAX_ORDER};
 use tucker_distsim::net::{evd_flops, gram_flops, ttm_flops};
 use tucker_distsim::{Grid, NetModel};
 
@@ -318,10 +318,10 @@ const TTM_COMPUTE: usize = 4;
 const SVD: usize = 5;
 const CLOCKS: usize = 6;
 
-/// Add each rank's `rank_ns(rank)` to its `cat` accumulator.
-fn charge(acc: &mut [[u64; CLOCKS]], cat: usize, rank_ns: impl Fn(usize) -> u64) {
+/// Charge each rank's accumulators: `rank_ns(rank, acc)` adds to them.
+fn charge(acc: &mut [[u64; CLOCKS]], mut rank_ns: impl FnMut(usize, &mut [u64; CLOCKS])) {
     for (r, a) in acc.iter_mut().enumerate() {
-        a[cat] += rank_ns(r);
+        rank_ns(r, a);
     }
 }
 
@@ -459,17 +459,19 @@ impl NetCostModel {
         &self.net
     }
 
-    /// The reduce-scatter charge of one distributed TTM as accumulated by
-    /// `rank`: the α–β fold over its messages.
-    fn ttm_rank_ns(&self, shape: &[usize], n: usize, k: usize, g: &Grid, rank: usize) -> u64 {
-        let exchange = GroupExchange::reduce_scatter(shape, g, rank, n, k);
+    /// The reduce-scatter charge of one distributed TTM along mode `n` onto
+    /// `k` rows as accumulated by the rank holding `block`: the α–β fold
+    /// over its messages.
+    fn ttm_rank_ns(&self, block: &RankBlock, n: usize, k: usize) -> u64 {
+        let exchange = GroupExchange::reduce_scatter(block, n, k);
         self.net.exchange_ns(exchange.messages())
     }
 
-    /// The column-share exchange of one distributed Gram as accumulated by
-    /// `rank`: the α–β fold over its messages.
-    fn gram_exchange_rank_ns(&self, shape: &[usize], n: usize, g: &Grid, rank: usize) -> u64 {
-        let exchange = GroupExchange::column_shares(shape, g, rank, n);
+    /// The column-share exchange of one distributed mode-`n` Gram as
+    /// accumulated by the rank holding `block`: the α–β fold over its
+    /// messages.
+    fn gram_exchange_rank_ns(&self, block: &RankBlock, n: usize) -> u64 {
+        let exchange = GroupExchange::column_shares(block, n);
         self.net.exchange_ns(exchange.messages())
     }
 
@@ -675,33 +677,35 @@ impl NetCostModel {
         let net = &self.net;
         for op in schedule::sweep(meta, tree, scheme).ops {
             let (shape, g) = (premult_shape(meta, op.premult, &mut buf), op.grid);
+            // Each rank is placed in the operation's grid once, for both
+            // its exchange and its flops.
             match op.kind {
-                OpKind::Regrid { from, .. } => {
-                    charge(&mut acc, REGRID, |r| self.regrid_rank_ns(shape, from, g, r));
-                }
+                OpKind::Regrid { from, .. } => charge(&mut acc, |r, a| {
+                    a[REGRID] += self.regrid_rank_ns(shape, from, g, r);
+                }),
                 OpKind::Ttm { mode, .. } => {
                     let k = meta.k(mode);
-                    charge(&mut acc, TTM, |r| self.ttm_rank_ns(shape, mode, k, g, r));
-                    charge(&mut acc, TTM_COMPUTE, |r| {
-                        net.compute_ns(ttm_flops(shape, g, r, mode, k))
+                    charge(&mut acc, |r, a| {
+                        let block = RankBlock::new(shape, g, r);
+                        a[TTM] += self.ttm_rank_ns(&block, mode, k);
+                        a[TTM_COMPUTE] += net.compute_ns(ttm_flops(&block, mode, k));
                     });
                 }
                 OpKind::Gram(n) => {
                     let len = shape[n] * shape[n];
-                    charge(&mut acc, GRAM, |r| {
-                        self.gram_exchange_rank_ns(shape, n, g, r)
-                            + net.allreduce_rank_ns(p, r, len)
-                    });
-                    charge(&mut acc, SVD, |r| {
-                        net.compute_ns(gram_flops(shape, g, r, n))
+                    charge(&mut acc, |r, a| {
+                        let block = RankBlock::new(shape, g, r);
+                        a[GRAM] += self.gram_exchange_rank_ns(&block, n)
+                            + net.allreduce_rank_ns(p, r, len);
+                        a[SVD] += net.compute_ns(gram_flops(&block, n));
                     });
                 }
                 OpKind::Evd(n) => {
                     // Every rank is charged the replicated EVD.
                     let ns = net.compute_ns(evd_flops(shape[n]));
-                    charge(&mut acc, SVD, |_| ns);
+                    charge(&mut acc, |_, a| a[SVD] += ns);
                 }
-                OpKind::Norm => charge(&mut acc, OTHER, |r| net.allreduce_rank_ns(p, r, 1)),
+                OpKind::Norm => charge(&mut acc, |r, a| a[OTHER] += net.allreduce_rank_ns(p, r, 1)),
                 OpKind::Free(_) => {}
             }
         }
@@ -748,7 +752,7 @@ impl CostModel for NetCostModel {
         let mut buf = [0; MAX_ORDER];
         let shape = premult_shape(meta, premult, &mut buf);
         self.critical_ns(0..self.nranks, |r| {
-            self.ttm_rank_ns(shape, n, meta.k(n), g, r)
+            self.ttm_rank_ns(&RankBlock::new(shape, g, r), n, meta.k(n))
         })
     }
 
@@ -796,7 +800,7 @@ impl CostModel for NetCostModel {
         let shape = premult_shape(meta, premult, &mut buf);
         let len = shape[n] * shape[n];
         self.critical_ns(0..self.nranks, |r| {
-            self.gram_exchange_rank_ns(shape, n, g, r)
+            self.gram_exchange_rank_ns(&RankBlock::new(shape, g, r), n)
                 + self.net.allreduce_rank_ns(self.nranks, r, len)
         })
     }

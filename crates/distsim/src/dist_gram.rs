@@ -30,7 +30,7 @@ use crate::block::chunk;
 use crate::collectives::allreduce_sum;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
-use crate::exchange::GroupExchange;
+use crate::exchange::{GroupExchange, RankBlock};
 use crate::net::gram_flops;
 use tucker_linalg::Matrix;
 use tucker_tensor::ColumnShare;
@@ -48,7 +48,9 @@ const GRAM_REDUCE_TAG: u32 = 0x6B42;
 /// a rank never opens a parallel region of its own (`dist_ttm` pins one
 /// partition for the same reason).
 fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
-    ctx.compute(gram_flops(t.global_shape().dims(), t.grid(), ctx.rank(), n));
+    // The rank is placed in the grid once, for its flops and its exchange.
+    let placed = RankBlock::new(t.global_shape().dims(), t.grid(), ctx.rank());
+    ctx.compute(gram_flops(&placed, n));
     let block = t.local();
     let q = t.grid().dim(n);
     if q == 1 {
@@ -65,7 +67,7 @@ fn local_gram_share(ctx: &mut RankCtx, t: &DistTensor, n: usize) -> Matrix {
         let (c0, len) = chunk(nf, q, j);
         ColumnShare::new(slab.dims(), n, c0, len)
     };
-    let exchange = GroupExchange::column_shares(t.global_shape().dims(), t.grid(), ctx.rank(), n);
+    let exchange = GroupExchange::column_shares(&placed, n);
     let me = exchange.member();
     let (r0, rows) = chunk(ln, q, me);
     let src = block.as_slice();

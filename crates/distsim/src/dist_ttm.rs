@@ -16,7 +16,7 @@
 use crate::block::chunk;
 use crate::comm::{RankCtx, VolumeCategory};
 use crate::dist_tensor::DistTensor;
-use crate::exchange::GroupExchange;
+use crate::exchange::{GroupExchange, RankBlock};
 use crate::net::ttm_flops;
 use tucker_linalg::Matrix;
 use tucker_tensor::subtensor::extract_window;
@@ -44,7 +44,9 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let qn = grid.dim(n);
     assert!(qn <= k, "grid invalid for output: q_{n} = {qn} > K = {k}");
 
-    let exchange = GroupExchange::reduce_scatter(shape.dims(), grid, ctx.rank(), n, k);
+    // The rank is placed in the grid once, for its exchange and its flops.
+    let block = RankBlock::new(shape.dims(), grid, ctx.rank());
+    let exchange = GroupExchange::reduce_scatter(&block, n, k);
     let my_idx = exchange.member();
     let (r0, bn) = chunk(ln, qn, my_idx);
 
@@ -57,7 +59,7 @@ pub fn dist_ttm(ctx: &mut RankCtx, t: &DistTensor, n: usize, factor_t: &Matrix) 
     let partial_shape = ttm_into_threads(t.local(), n, &f_slice, &mut partial, 1);
     let partial = DenseTensor::from_vec(partial_shape, partial); // mode-n extent = K (full)
     debug_assert_eq!(partial.shape().dim(n), k);
-    let flops = ttm_flops(shape.dims(), grid, ctx.rank(), n, k);
+    let flops = ttm_flops(&block, n, k);
     debug_assert_eq!(flops, 2 * (k * t.local().as_slice().len()) as u64);
     ctx.compute(flops);
 

@@ -50,41 +50,71 @@ pub struct GroupExchange {
     fibers: usize,
 }
 
-impl GroupExchange {
-    /// The reduce-scatter of a distributed TTM along mode `n` of a tensor of
-    /// global `shape` (the input) onto `k` output rows; panics if `q > k`.
-    pub fn reduce_scatter(shape: &[usize], grid: &Grid, rank: usize, n: usize, k: usize) -> Self {
-        let q = grid.dim(n);
-        assert!(q <= k, "invalid split: {q} processors for length {k}");
-        Self::new(shape, grid, rank, n, Payload::ReduceScatter { k })
-    }
+/// `rank`'s block of a tensor of global `shape` under `grid`: the rank's
+/// grid coordinate and the block's extents, worked out once and read by
+/// every price of one operation on the block — its exchange's messages and
+/// its kernel's flops ([`crate::net::ttm_flops`], [`crate::net::gram_flops`]).
+#[derive(Clone, Copy, Debug)]
+pub struct RankBlock<'a> {
+    pub(crate) shape: &'a [usize],
+    pub(crate) grid: &'a Grid,
+    pub(crate) rank: usize,
+    pub(crate) coord: [usize; MAX_ORDER],
+    /// Per mode, the length of the rank's chunk.
+    pub(crate) extent: [usize; MAX_ORDER],
+}
 
-    /// The column-share exchange of a distributed Gram of mode `n` of a
-    /// tensor of global `shape`.
-    pub fn column_shares(shape: &[usize], grid: &Grid, rank: usize, n: usize) -> Self {
-        let ln = shape[n];
-        Self::new(shape, grid, rank, n, Payload::ColumnShares { ln })
-    }
-
-    fn new(shape: &[usize], grid: &Grid, rank: usize, n: usize, payload: Payload) -> Self {
-        let (q, order) = (grid.dim(n), shape.len());
-        let (mut coord, mut stride, mut fibers) = ([0usize; MAX_ORDER], [0usize; MAX_ORDER], 0);
-        // An unsplit mode moves nothing; the planner prices many of them.
-        if q > 1 {
-            grid.coord_into(rank, &mut coord[..order]);
-            grid.strides_into(&mut stride[..order]);
-            fibers = (0..order)
-                .filter(|&m| m != n)
-                .map(|m| chunk(shape[m], grid.dim(m), coord[m]).1)
-                .product();
+impl<'a> RankBlock<'a> {
+    /// Place `rank` in `grid`; panics past [`MAX_ORDER`] modes.
+    pub fn new(shape: &'a [usize], grid: &'a Grid, rank: usize) -> Self {
+        let (mut coord, mut extent) = ([0; MAX_ORDER], [0; MAX_ORDER]);
+        grid.coord_into(rank, &mut coord[..shape.len()]);
+        for (m, &l) in shape.iter().enumerate() {
+            extent[m] = chunk(l, grid.dim(m), coord[m]).1;
         }
-        let span = (coord[n], rank - coord[n] * stride[n], stride[n]);
+        RankBlock {
+            shape,
+            grid,
+            rank,
+            coord,
+            extent,
+        }
+    }
+
+    /// The block's mode-`n` fibers: the product of its other extents.
+    pub(crate) fn fibers(&self, n: usize) -> usize {
+        let e = &self.extent[..self.shape.len()];
+        e[..n].iter().chain(&e[n + 1..]).product()
+    }
+}
+
+impl GroupExchange {
+    /// The reduce-scatter of a distributed TTM along mode `n` of the rank's
+    /// `block` of the input onto `k` output rows; panics if `q > k`.
+    pub fn reduce_scatter(block: &RankBlock, n: usize, k: usize) -> Self {
+        let q = block.grid.dim(n);
+        assert!(q <= k, "invalid split: {q} processors for length {k}");
+        Self::new(block, n, Payload::ReduceScatter { k })
+    }
+
+    /// The column-share exchange of a distributed Gram of mode `n` of the
+    /// rank's `block`.
+    pub fn column_shares(block: &RankBlock, n: usize) -> Self {
+        let ln = block.shape[n];
+        Self::new(block, n, Payload::ColumnShares { ln })
+    }
+
+    fn new(block: &RankBlock, n: usize, payload: Payload) -> Self {
+        let (q, order, rank) = (block.grid.dim(n), block.shape.len(), block.rank);
+        let mut stride = [0usize; MAX_ORDER];
+        block.grid.strides_into(&mut stride[..order]);
+        let c = block.coord[n];
         GroupExchange {
             payload,
             rank,
             q,
-            span,
-            fibers,
+            span: (c, rank - c * stride[n], stride[n]),
+            fibers: block.fibers(n),
         }
     }
 

@@ -37,8 +37,7 @@
 //! accumulated sums bit-exactly.
 
 use crate::block::chunk;
-use crate::exchange::{Msg, MAX_ORDER};
-use crate::grid::Grid;
+use crate::exchange::{Msg, RankBlock};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -416,34 +415,20 @@ impl NetModel {
 /// (tridiagonal reduction plus implicit QR): Golub and Van Loan's ≈ 9.
 const EVD_FLOPS_PER_CUBE: usize = 9;
 
-/// `rank`'s block of a tensor of global `shape` under `grid`, seen along
-/// mode `n`: its mode-`n` rows, its mode-`n` fibers and its coordinate in
-/// mode `n`.
-fn block_along(shape: &[usize], grid: &Grid, rank: usize, n: usize) -> (usize, usize, usize) {
-    let order = shape.len();
-    let mut coord = [0usize; MAX_ORDER];
-    grid.coord_into(rank, &mut coord[..order]);
-    let extent = |m: usize| chunk(shape[m], grid.dim(m), coord[m]).1;
-    let fibers = (0..order).filter(|&m| m != n).map(extent).product();
-    (extent(n), fibers, coord[n])
+/// The flops a rank spends on its local product in a distributed TTM along
+/// mode `n` of its `block` onto `k` rows ([`crate::dist_ttm::dist_ttm`]):
+/// `2·k·|block|`, a multiply-add per element of the block and output row.
+pub fn ttm_flops(block: &RankBlock, n: usize, k: usize) -> u64 {
+    2 * (k * block.extent[n] * block.fibers(n)) as u64
 }
 
-/// The flops `rank` spends on its local product in a distributed TTM along
-/// mode `n` of a tensor of global `shape` onto `k` rows
-/// ([`crate::dist_ttm::dist_ttm`]): `2·k·|block|`, a multiply-add per
-/// element of the block and output row.
-pub fn ttm_flops(shape: &[usize], grid: &Grid, rank: usize, n: usize, k: usize) -> u64 {
-    let (rows, fibers, _) = block_along(shape, grid, rank, n);
-    2 * (k * rows * fibers) as u64
-}
-
-/// The flops `rank` spends on its share of a distributed mode-`n` Gram of a
-/// tensor of global `shape` ([`crate::dist_gram::dist_gram`]): the
-/// lower-triangle SYRK of its column share, `L(L+1)·cols` for `L = shape[n]`
-/// and the share's `cols` fibers (`chunk(fibers, q_n, c_n)` of the block's).
-pub fn gram_flops(shape: &[usize], grid: &Grid, rank: usize, n: usize) -> u64 {
-    let (_, fibers, c) = block_along(shape, grid, rank, n);
-    let (l, cols) = (shape[n], chunk(fibers, grid.dim(n), c).1);
+/// The flops a rank spends on its share of a distributed mode-`n` Gram of
+/// its `block` ([`crate::dist_gram::dist_gram`]): the lower-triangle SYRK of
+/// its column share, `L(L+1)·cols` for the global `L = shape[n]` and the
+/// share's `cols` fibers (`chunk(fibers, q_n, c_n)` of the block's).
+pub fn gram_flops(block: &RankBlock, n: usize) -> u64 {
+    let (q, c) = (block.grid.dim(n), block.coord[n]);
+    let (l, cols) = (block.shape[n], chunk(block.fibers(n), q, c).1);
     (l * (l + 1) * cols) as u64
 }
 
@@ -456,6 +441,7 @@ pub fn evd_flops(l: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Grid;
 
     #[test]
     fn message_cost_is_affine_and_rounded_once() {
@@ -491,10 +477,9 @@ mod tests {
             let g = Grid::new(dims);
             for n in 0..shape.len() {
                 let l = shape[n] as u64;
-                let ttm: u64 = (0..g.nranks())
-                    .map(|r| ttm_flops(&shape, &g, r, n, 4))
-                    .sum();
-                let gram: u64 = (0..g.nranks()).map(|r| gram_flops(&shape, &g, r, n)).sum();
+                let block = |r| RankBlock::new(&shape, &g, r);
+                let ttm: u64 = (0..g.nranks()).map(|r| ttm_flops(&block(r), n, 4)).sum();
+                let gram: u64 = (0..g.nranks()).map(|r| gram_flops(&block(r), n)).sum();
                 assert_eq!(ttm, 2 * 4 * card, "grid {dims:?} mode {n}");
                 assert_eq!(gram, (l + 1) * card, "grid {dims:?} mode {n}");
             }

@@ -16,7 +16,7 @@ use tucker_distsim::block::rank_region;
 use tucker_distsim::collectives::allreduce_sum;
 use tucker_distsim::dist_gram::dist_gram;
 use tucker_distsim::dist_ttm::dist_ttm;
-use tucker_distsim::exchange::{regrid_msgs, GroupExchange, Msg};
+use tucker_distsim::exchange::{regrid_msgs, GroupExchange, Msg, RankBlock};
 use tucker_distsim::redistribute::redistribute;
 use tucker_distsim::{
     enumerate_valid_grids, DistTensor, Grid, MeshCfg, NetModel, Universe, VolumeCategory,
@@ -271,14 +271,15 @@ proptest! {
         let out_card: usize = (0..order).map(|m| if m == n { k } else { dims[m] }).product();
         let (mut ttm_total, mut regrid_total, mut kept) = (0u64, 0u64, 0usize);
         for (r, [ttm, gram, regrid, other]) in out.results.into_iter().enumerate() {
-            let rs = GroupExchange::reduce_scatter(&dims, &from, r, n, k);
+            let placed = RankBlock::new(&dims, &from, r);
+            let rs = GroupExchange::reduce_scatter(&placed, n, k);
             prop_assert_eq!(ttm, (elems(rs.msgs(false).map(|(_, m)| m)), net.exchange_ns(rs.messages())));
             let block = rank_region(global.shape(), &from, r);
             let own = tucker_distsim::block::chunk(k, q, rs.member()).1;
             prop_assert_eq!(ttm.0 as usize, block.cardinality() / block.len[n] * (k - own));
             ttm_total += ttm.0;
 
-            let shares = GroupExchange::column_shares(&dims, &from, r, gram_mode);
+            let shares = GroupExchange::column_shares(&placed, gram_mode);
             let reduce_ns = net.allreduce_rank_ns(p, r, gram_len);
             prop_assert_eq!(gram.0 - other.0, elems(shares.msgs(false).map(|(_, m)| m)));
             prop_assert_eq!(gram.1, net.exchange_ns(shares.messages()) + reduce_ns);

@@ -66,8 +66,12 @@ use crate::view::{with_canonical, TensorView};
 use tucker_linalg::pack::{self, PackBuf};
 use tucker_linalg::{Matrix, Pool};
 
-/// Minimum per-slab work before the slab loop goes parallel.
-const PAR_MIN_WORK: usize = 1 << 14;
+/// Minimum total work (`inner·Lₙ·K·outer` multiply-adds) before a TTM
+/// splits over the team. Timed on a 2-core x86-64 host (`ttm_into_threads`
+/// in 1 part vs 2, medians of 15 batches, 16³, 32³ and 16×64×32 tensors in
+/// every mode): two parts were 0.4–0.98× the speed of one at 2¹⁴–2¹⁵,
+/// 0.5–1.4× at 2¹⁶, and mostly faster (up to 1.4×, 2× from 64³ on) above.
+const PAR_MIN_WORK: usize = 1 << 16;
 
 /// Smallest `inner` extent for which the packed path runs one GEMM **per
 /// slab**: below this a single slab is too skinny for `MR`-row register
@@ -80,8 +84,8 @@ const PACK_MIN_INNER: usize = 16;
 /// [`TensorView`] (a `&DenseTensor` enters as its full view).
 ///
 /// Thin allocating wrapper over [`ttm_into_threads`] with a heuristic
-/// partition count (sequential below a work threshold, one part per host
-/// core above it); hot loops should hold a [`TtmWorkspace`] and reuse
+/// partition count (sequential below a total-work threshold, one part per
+/// host core above it); hot loops should hold a [`TtmWorkspace`] and reuse
 /// buffers instead.
 ///
 /// # Panics
@@ -95,12 +99,14 @@ pub fn ttm<'a>(t: impl Into<TensorView<'a>>, n: usize, a: &Matrix) -> DenseTenso
 }
 
 /// The heuristic partition count [`ttm`] and [`TtmWorkspace::ttm`] use:
-/// sequential below the per-slab work threshold, one part per host core
-/// otherwise.
+/// sequential below the threshold on the whole product's work
+/// `inner·Lₙ·K·outer`, one part per host core otherwise. Counting one
+/// slab's work instead would keep every mode-0 TTM (`inner = 1`)
+/// sequential, whatever its size.
 fn auto_threads(v: &TensorView, n: usize, a: &Matrix) -> usize {
     v.check_mode(n);
-    let inner: usize = v.dims()[..n].iter().product();
-    crate::threads::heuristic_threads(inner * v.dim(n) * a.nrows(), PAR_MIN_WORK)
+    let work = v.cardinality().saturating_mul(a.nrows());
+    crate::threads::heuristic_threads(work, PAR_MIN_WORK)
 }
 
 /// `Z = T ×_n A` written into `out` with an **explicit** partition count,
@@ -116,9 +122,9 @@ fn auto_threads(v: &TensorView, n: usize, a: &Matrix) -> usize {
 /// `threads` contiguous runs (the rows of the one slab, for a packed
 /// last-mode product), executed on the shared worker team however wide it
 /// is; `threads == 1` runs the slab loop strictly sequentially (no parallel
-/// region is opened). This is the par-ranged entry point the sweep-executor
-/// backends build on (`SeqBackend` pins 1, `RayonBackend` pins the host
-/// core count).
+/// region is opened). This is the par-ranged entry point of the
+/// sweep-executor backends (`SeqBackend` pins 1; `RayonBackend` splits by
+/// [`TtmWorkspace::ttm`]'s work rule, since the bits do not depend on it).
 ///
 /// A contiguous view (every full-tensor view and last-mode slice) is read
 /// where it lies. Any other view is copied once (`copy_into`, counted in
@@ -1091,6 +1097,26 @@ mod tests {
             let s2 = ttm_into_threads(&c, n, &a, &mut b2, 1);
             let z2 = DenseTensor::from_vec(s2, b2);
             assert_eq!(z1.max_abs_diff(&z2), 0.0, "mode {n}");
+        }
+    }
+
+    /// The split rule reads the whole product's work: a large mode-0 TTM
+    /// (`inner = 1`, one fiber per slab) splits over the team, and a tiny
+    /// TTM of any mode opens no region.
+    #[test]
+    fn the_split_rule_reads_the_whole_products_work() {
+        let host = crate::threads::host_threads();
+        let t = rand_tensor(&[160, 40, 40], 21);
+        let a = rand_mat(32, 160, 22);
+        let parts = auto_threads(&(&t).into(), 0, &a);
+        assert_eq!(parts, host, "160x40x40 mode 0, K = 32");
+        if host > 1 {
+            assert!(parts > 1);
+        }
+        let tiny = rand_tensor(&[6, 5, 4], 23);
+        for n in 0..3 {
+            let a = rand_mat(3, tiny.shape().dim(n), 24);
+            assert_eq!(auto_threads(&(&tiny).into(), n, &a), 1, "mode {n}");
         }
     }
 

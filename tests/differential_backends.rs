@@ -1,9 +1,14 @@
 //! Differential tests: the rayon shared-memory backend against the strictly
 //! sequential backend, through the **same** sweep-executor loop, across the
 //! four-strategy lineup, on randomized 5-D and 6-D metadata. Both backends
-//! compute the same math — only the fiber/slab partition (and therefore the
-//! floating-point summation grouping) differs — so errors must agree to
-//! 1e-10 wherever the truncations are spectrally well-posed.
+//! compute the same math — only the Gram's fiber partition (and therefore
+//! its floating-point summation grouping) differs; a TTM's bits never
+//! depend on its slab partition — so errors must agree to 1e-10 wherever
+//! the truncations are spectrally well-posed. That a split TTM changes no
+//! bit is fenced inside `tucker-core` on the same random 5-D and 6-D shapes
+//! and ST-HOSVD chains (`executor::tests::pinned_three_part_ttms_change_no_bit_*`,
+//! every TTM pinned to three parts at three Gram parts and at one), so the
+//! comparisons here hold for a multi-part TTM on any host.
 //!
 //! Also proves the steady-state tensor-alloc-free invariant through the
 //! executor path (the canonical loop + `SeqBackend`).
@@ -114,11 +119,11 @@ fn check_backends(meta: &TuckerMeta) {
         let mut seq = SeqBackend::new();
         let s = executor::hooi_sweep(&mut seq, &t, meta, &plan.tree, &init, input_norm_sq);
         for threads in [0usize, 3] {
-            // 0 = host default; 3 = forced multi-worker partition.
+            // 0 = host default; 3 = a forced three-part Gram.
             let mut b = if threads == 0 {
                 RayonBackend::new()
             } else {
-                RayonBackend::with_threads(threads)
+                RayonBackend::with_gram_parts(threads)
             };
             let r = executor::hooi_sweep(&mut b, &t, meta, &plan.tree, &init, input_norm_sq);
             assert!(
@@ -160,7 +165,7 @@ fn check_backends_sthosvd(meta: &TuckerMeta) {
     let input_norm_sq = fro_norm_sq(&t);
     let mut seq = SeqBackend::new();
     let s = executor::sthosvd_sweep(&mut seq, &t, meta, &order, input_norm_sq);
-    let mut par = RayonBackend::with_threads(3);
+    let mut par = RayonBackend::with_gram_parts(3);
     let r = executor::sthosvd_sweep(&mut par, &t, meta, &order, input_norm_sq);
     assert!(
         (r.stats.error - s.stats.error).abs() < 1e-10,
@@ -292,7 +297,7 @@ fn rayon_matches_seq_through_the_selected_solver() {
         );
         let mut seq = SeqBackend::new();
         let s = executor::hooi_sweep(&mut seq, &t, &meta, &plan.tree, &init, input_norm_sq);
-        let mut par = RayonBackend::with_threads(3);
+        let mut par = RayonBackend::with_gram_parts(3);
         let r = executor::hooi_sweep(&mut par, &t, &meta, &plan.tree, &init, input_norm_sq);
         assert!(
             (r.stats.error - s.stats.error).abs() < 1e-10,
